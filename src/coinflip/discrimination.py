@@ -7,6 +7,7 @@ statistics of an arbitrary POVM against a pair of hypotheses.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -57,10 +58,12 @@ def usd_pure_pair(s0: QuantumState, s1: QuantumState) -> Povm:
     return Povm((e0, e1, e_fail), ("0", "1", INCONCLUSIVE))
 
 
+@functools.cache
 def computational_usd_ambainis() -> Povm:
     """Computational-basis POVM unambiguously separating the Ambainis mixtures.
 
     |1> reveals a=0, |2> reveals a=1, and |0> (shared support) is inconclusive.
+    Built once: every call returns the same (immutable) POVM.
     """
     e = [np.zeros((3, 3), dtype=complex) for _ in range(3)]
     e[0][1, 1] = 1.0  # |1><1|  -> a=0

@@ -25,7 +25,7 @@ class ParallelStates(CoinFlipError):
     """The two states are (numerically) parallel; no unambiguous POVM exists."""
 
 
-class OutOfRange(CoinFlipError):
+class OutOfRange(CoinFlipError, ValueError):
     """A numeric parameter lies outside its documented domain."""
 
 

@@ -1,7 +1,9 @@
 """Monte Carlo harness: seeded experiments, bias estimates, check matrix.
 
-Trial i of an experiment consumes the substream split(seed, i), so counts are
-bit-identical on re-run and independent of execution order.
+Trials run in fixed blocks of CHUNK; block k consumes the stream
+RandomStream(seed, k), trial after trial in order. Counts are therefore a
+pure function of (seed, trials): bit-identical on re-run, a run of n trials
+is the prefix of any longer run, and each block can be computed on its own.
 """
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ from typing import Optional
 from . import strategies
 from .analytics import fair_alpha2, reference_table
 from .channel import ChannelParams
-from .errors import RestartBudgetExceeded, RestartLimitExceeded
+from .errors import OutOfRange, RestartBudgetExceeded, RestartLimitExceeded
 from .protocols import (HonestAlice, HonestBob, LossPolicy, PlayerHooks,
                         ProtocolId, Transcript, VariantFlags, Verdict,
                         default_flags, family_for, run)
@@ -20,6 +22,7 @@ from .rng import RandomStream
 from .strategies import Side, StrategyId
 
 HONEST = "honest"
+CHUNK = 1024  # trials per random stream
 
 VARIANT_NAMES = {
     "default": None,
@@ -45,9 +48,16 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+            raise OutOfRange(f"trials={self.trials} must be >= 1")
         if self.target not in (0, 1):
-            raise ValueError("target must be 0 or 1")
+            raise OutOfRange(f"target={self.target} must be 0 or 1")
+        if not 0 <= self.seed < 2 ** 64:
+            raise OutOfRange(f"seed={self.seed} not in [0, 2**64)")
+        ChannelParams(self.eta)  # raises OutOfRange unless 0 < eta <= 1
+        if self.photon_count < 1:
+            raise OutOfRange(f"photon_count={self.photon_count} must be >= 1")
+        if self.max_restarts < 0:
+            raise OutOfRange(f"max_restarts={self.max_restarts} must be >= 0")
 
     @property
     def flags(self) -> VariantFlags:
@@ -120,23 +130,24 @@ def run_experiment(cfg: ExperimentConfig,
                         if cfg.protocol is ProtocolId.LOSS_TOLERANT_CF else None)
     flags = cfg.flags
     ch = ChannelParams(cfg.eta)
-    root = RandomStream.from_seed(cfg.seed)
     successes = aborts = restart_total = limit_hits = 0
-    for i in range(cfg.trials):
-        rng = root.split(i)
-        hooks = build_hooks(cfg, family, flags)
-        try:
-            t = run(cfg.protocol, flags, hooks, ch, family, cfg.max_restarts, rng)
-        except RestartLimitExceeded:
-            limit_hits += 1
-            continue
-        if transcript_sink is not None:
-            transcript_sink(t)
-        restart_total += t.restart_count
-        if t.verdict is Verdict.ABORT_CHEATER:
-            aborts += 1
-        elif t.outcome == cfg.target:
-            successes += 1
+    for start in range(0, cfg.trials, CHUNK):
+        rng = RandomStream(cfg.seed, start // CHUNK)
+        for _ in range(min(CHUNK, cfg.trials - start)):
+            hooks = build_hooks(cfg, family, flags)
+            try:
+                t = run(cfg.protocol, flags, hooks, ch, family,
+                        cfg.max_restarts, rng)
+            except RestartLimitExceeded:
+                limit_hits += 1
+                continue
+            if transcript_sink is not None:
+                transcript_sink(t)
+            restart_total += t.restart_count
+            if t.verdict is Verdict.ABORT_CHEATER:
+                aborts += 1
+            elif t.outcome == cfg.target:
+                successes += 1
     if limit_hits > 0.001 * cfg.trials:
         raise RestartBudgetExceeded(
             f"{limit_hits}/{cfg.trials} trials exceeded the restart limit")

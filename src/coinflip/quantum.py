@@ -120,7 +120,9 @@ class Povm:
     labels: tuple[str, ...]
 
     def __post_init__(self):
-        elems = tuple(np.asarray(e, dtype=complex) for e in self.elements)
+        elems = tuple(np.array(e, dtype=complex) for e in self.elements)
+        for e in elems:
+            e.flags.writeable = False
         object.__setattr__(self, "elements", elems)
         object.__setattr__(self, "labels", tuple(self.labels))
         if len(elems) != len(self.labels):

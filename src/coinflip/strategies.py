@@ -205,9 +205,10 @@ class ConclusiveAmbainisBob:
     """Measures immediately in the computational basis; restarts until the
     outcome reveals a, then forces a xor b = c."""
 
+    povm = computational_usd_ambainis()
+
     def __init__(self, target: int):
         self.target = target
-        self.povm = computational_usd_ambainis()
         self.a_guess: Optional[int] = None
         self.last_basis = None
         self.last_outcome = None

@@ -19,7 +19,7 @@ def pytest_terminal_summary(terminalreporter):
 
 @pytest.fixture
 def rng():
-    return RandomStream.from_seed(20240817)
+    return RandomStream(20240817)
 
 
 def binomial_sigma(p: float, n: int) -> float:

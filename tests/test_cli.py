@@ -103,6 +103,17 @@ def test_usage_errors_exit_1():
                    "--protocol", "bb84").returncode == 1
 
 
+@pytest.mark.parametrize("args", [
+    ("run", "--trials", "0"), ("run", "--seed", "-1"), ("run", "--photons", "0"),
+    ("run", "--max-restarts", "-1"), ("run", "--eta", "0"),
+    ("table", "--trials", "0")])
+def test_out_of_range_options_exit_1_without_traceback(args):
+    proc = run_cli(*args)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("coinflip: error: ")
+    assert "Traceback" not in proc.stderr
+
+
 def test_restart_budget_exits_3():
     proc = run_cli("run", "--protocol", "ambainis_variant", "--eta", "0.01",
                    "--max-restarts", "10", "--trials", "100")

@@ -84,6 +84,13 @@ def test_ambainis_usd_statistics():
         assert p_correct == pytest.approx(1.0, abs=1e-12)
 
 
+def test_ambainis_usd_is_built_once_and_read_only():
+    p = computational_usd_ambainis()
+    assert computational_usd_ambainis() is p
+    with pytest.raises(ValueError):
+        p.elements[2][0, 0] = 0.0
+
+
 def test_mcqm_statistics():
     """Small cross-support weights turn certainty into high confidence."""
     fam = StateFamily(Family.MCQM_EXAMPLE)

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from coinflip.errors import RestartBudgetExceeded
+from coinflip.errors import OutOfRange, RestartBudgetExceeded
 from coinflip.harness import (ExperimentConfig, check_matrix, estimate_to_dict,
                               evaluate_matrix, run_experiment, wilson_interval)
 from coinflip.protocols import ProtocolId
@@ -26,6 +26,19 @@ def test_config_validation():
         ExperimentConfig(trials=0)
     with pytest.raises(ValueError):
         ExperimentConfig(target=2)
+
+
+@pytest.mark.parametrize("bad", [
+    dict(seed=-1), dict(seed=2 ** 64), dict(eta=0.0), dict(eta=1.5),
+    dict(eta=float("nan")), dict(photon_count=0), dict(max_restarts=-1)])
+def test_config_out_of_range_fails_at_construction(bad):
+    with pytest.raises(OutOfRange):
+        ExperimentConfig(**bad)
+
+
+def test_config_range_edges_are_accepted():
+    ExperimentConfig(seed=0, eta=1.0, photon_count=1, max_restarts=0)
+    ExperimentConfig(seed=2 ** 64 - 1, eta=1e-9)
 
 
 def test_honest_fair_coin():

@@ -24,13 +24,10 @@ def run_many(protocol, n, seed=7, eta=1.0, flags=None, alpha2=0.9,
                      alpha2 if protocol is ProtocolId.LOSS_TOLERANT_CF else None)
     flags = flags or default_flags(protocol)
     ch = ChannelParams(eta)
-    root = RandomStream.from_seed(seed)
-    transcripts = []
-    for i in range(n):
-        hooks = honest_hooks(protocol, fam, flags)
-        transcripts.append(
-            run(protocol, flags, hooks, ch, fam, max_restarts, root.split(i)))
-    return transcripts
+    rng = RandomStream(seed)
+    return [run(protocol, flags, honest_hooks(protocol, fam, flags), ch, fam,
+                max_restarts, rng)
+            for _ in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +150,7 @@ def test_believe_on_faith_accepts_missing_qutrit():
     protocol = ProtocolId.AMBAINIS_CF_VARIANT
     fam = family_for(protocol)
     flags = VariantFlags(LossPolicy.BELIEVE_ON_FAITH, False)
-    rng = RandomStream.from_seed(3)
+    rng = RandomStream(3)
     hooks = PlayerHooks(SendNothingAlice(fam, 0), HonestBob(fam, flags))
     t = run(protocol, flags, hooks, ChannelParams(1.0), fam, 10, rng)
     assert t.verdict is Verdict.ACCEPTED
@@ -165,7 +162,7 @@ def test_restart_limit_is_enforced():
     protocol = ProtocolId.LOSS_TOLERANT_CF
     fam = family_for(protocol, 0.9)
     flags = default_flags(protocol)
-    rng = RandomStream.from_seed(4)
+    rng = RandomStream(4)
     hooks = PlayerHooks(SendNothingAlice(fam, 0), HonestBob(fam, flags))
     with pytest.raises(RestartLimitExceeded):
         run(protocol, flags, hooks, ChannelParams(1.0), fam, 50, rng)

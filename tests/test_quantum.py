@@ -190,6 +190,15 @@ def test_povm_elements_must_be_psd():
         Povm((e0, e1), ("a", "b"))
 
 
+def test_povm_elements_are_read_only():
+    e0 = np.diag([1.0, 0.0]).astype(complex)
+    p = Povm((e0, np.eye(2, dtype=complex) - e0), ("a", "b"))
+    with pytest.raises(ValueError):
+        p.elements[0][0, 0] = 0.5
+    e0[0, 0] = 0.5  # the caller's array is copied, not frozen or aliased
+    assert p.elements[0][0, 0] == 1.0
+
+
 def test_povm_probabilities_on_mixed_state():
     p = Povm((0.5 * np.eye(2, dtype=complex), 0.5 * np.eye(2, dtype=complex)),
              ("a", "b"))
@@ -310,4 +319,4 @@ def test_steer_epr_rejects_qutrit_basis():
               for i in range(3)),
         ("0", "1", "2"))
     with pytest.raises(DimensionMismatch):
-        steer_epr(m, RandomStream.from_seed(1))
+        steer_epr(m, RandomStream(1))

@@ -68,7 +68,7 @@ def test_every_listed_strategy_builds():
 
 def test_rotated_alice_picks_the_closest_bit():
     alice = RotatedStateAlice(BB84, 0)
-    rng = RandomStream.from_seed(5)
+    rng = RandomStream(5)
     for _ in range(200):
         alice.prepare(rng)
         b = rng.bit()
@@ -83,7 +83,7 @@ def test_rotated_alice_picks_the_closest_bit():
 
 def test_ambainis_alice_reveal_maximizes_overlap():
     alice = AmbainisOptimalAlice(AMB, 0)
-    rng = RandomStream.from_seed(6)
+    rng = RandomStream(6)
     for _ in range(200):
         alice.prepare(rng)
         for b in (0, 1):
@@ -98,7 +98,7 @@ def test_ambainis_alice_reveal_maximizes_overlap():
 def test_lt_alice_reveal_maximizes_overlap():
     ab = math.sqrt(0.9 * 0.1)
     alice = LossTolerantOptimalAlice(LT9, 0)
-    rng = RandomStream.from_seed(7)
+    rng = RandomStream(7)
     for _ in range(200):
         emission = alice.prepare(rng)
         for b in (0, 1):
