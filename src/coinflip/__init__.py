@@ -5,7 +5,7 @@ from .analytics import (alice_bias_bound, bias_report, bob_bias,
 from .catalog import (Family, StateFamily, StateLabel, basis,
                       committed_density, computational_basis, honest_ensemble,
                       state)
-from .channel import ChannelParams, Pulse, emit_pulse, transmit
+from .channel import ChannelParams, transmit
 from .discrimination import (INCONCLUSIVE, DiscriminationStats,
                              computational_usd_ambainis, stats, usd_pure_pair)
 from .harness import (BiasEstimate, ExperimentConfig, run_experiment,

@@ -69,6 +69,7 @@ def reference_table() -> list[tuple[str, float]]:
     checked against."""
     t = fair_alpha2()
     ab = math.sqrt(t * (1.0 - t))
+    usd = 0.5  # conclusive rate of the computational-basis Ambainis receiver
     return [
         ("bb84_postpone_lie_success", 0.875),
         ("bb84_rotated_success", (6.0 + math.sqrt(2.0)) / 8.0),
@@ -76,7 +77,7 @@ def reference_table() -> list[tuple[str, float]]:
         ("bb84_epr_success", 1.0),
         ("ambainis_alice_success", 0.75),
         ("ambainis_conclusive_success", 1.0),
-        ("ambainis_usd_conclusive", 0.5),
+        ("ambainis_usd_conclusive", usd),
         ("send_nothing_success", 1.0),
         ("usd_0_plus", 1.0 - 1.0 / math.sqrt(2.0)),
         ("mcqm_trace_distance", 0.47),
@@ -90,5 +91,9 @@ def reference_table() -> list[tuple[str, float]]:
         ("cunning_agreement", cunning_agreement(t)),
         ("twophoton_usd_rate", (2.0 * t - 1.0) ** 2),
         ("twophoton_honest_rate", 0.5 * (2.0 * t - 1.0) ** 2),
+        # restarts per trial of a receiver who restarts on every inconclusive
+        # outcome: a geometric count with success probability usd
+        ("ambainis_conclusive_restarts", (1.0 - usd) / usd),
+        ("twophoton_usd_correct", 1.0),
         ("kitaev_lower_bound", (math.sqrt(2.0) - 1.0) / 2.0),
     ]

@@ -1,19 +1,20 @@
-"""Lossy quantum channel and photon-pulse source.
+"""Lossy quantum channel.
 
-Loss is pure erasure: with probability eta the state arrives bit-exact, with
+Loss is pure erasure: with probability eta the signal arrives bit-exact, with
 probability 1 - eta nothing arrives. eta folds channel transmittance and
 detector efficiency into one number, since the protocols treat every
-non-detection identically. Pulses model the multi-photon side channel: n
-perfect copies of one pure state, measurable independently.
+non-detection identically. A multi-photon pulse crosses as one signal: all
+of its copies arrive or none do.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, TypeVar
 
 from .errors import OutOfRange
-from .quantum import QuantumState
 from .rng import RandomStream
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -27,26 +28,13 @@ class ChannelParams:
             raise OutOfRange(f"eta={self.eta} not in (0, 1]")
 
 
-@dataclass(frozen=True)
-class Pulse:
-    """n identical copies of one pure state (n may be 0: vacuum)."""
+def transmit(signal: T, ch: ChannelParams,
+             randomness: RandomStream) -> Optional[T]:
+    """Deliver the signal unchanged with probability eta, else nothing.
 
-    photon_count: int
-    state: Optional[QuantumState]
-
-    def __post_init__(self):
-        if self.photon_count < 0:
-            raise OutOfRange("photon_count must be >= 0")
-        if self.photon_count > 0 and self.state is None:
-            raise OutOfRange("non-empty pulse needs a state")
-
-
-def transmit(state: QuantumState, ch: ChannelParams,
-             randomness: RandomStream) -> Optional[QuantumState]:
-    """Deliver the state unchanged with probability eta, else nothing."""
-    return state if randomness.bernoulli(ch.eta) else None
-
-
-def emit_pulse(state: QuantumState, n: int) -> Pulse:
-    """A pulse of n identical copies of state; n=0 models sending nothing."""
-    return Pulse(n, state if n > 0 else None)
+    A signal whose photon_count is 0 (vacuum) never arrives and draws no
+    randomness; every other signal draws exactly one bernoulli(eta).
+    """
+    if signal.photon_count == 0:
+        return None
+    return signal if randomness.bernoulli(ch.eta) else None

@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 from typing import Optional, Sequence
 
 from .analytics import alice_bias_bound, bob_bias, fair_alpha2, reference_table
 from .errors import CoinFlipError, RestartBudgetExceeded
-from .harness import (HONEST, VARIANT_NAMES, ExperimentConfig, MatrixRow,
+from .harness import (HONEST, VARIANT_NAMES, ExperimentConfig,
                       estimate_to_dict, evaluate_matrix, run_experiment)
 from .protocols import ProtocolId
 from .strategies import ALICE_STRATEGIES, BOB_STRATEGIES

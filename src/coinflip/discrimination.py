@@ -8,7 +8,6 @@ statistics of an arbitrary POVM against a pair of hypotheses.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np

@@ -8,18 +8,17 @@ is the prefix of any longer run, and each block can be computed on its own.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Optional
 
-from . import strategies
 from .analytics import fair_alpha2, reference_table
 from .channel import ChannelParams
 from .errors import OutOfRange, RestartBudgetExceeded, RestartLimitExceeded
 from .protocols import (HonestAlice, HonestBob, LossPolicy, PlayerHooks,
-                        ProtocolId, Transcript, VariantFlags, Verdict,
-                        default_flags, family_for, run)
+                        ProtocolId, VariantFlags, Verdict, default_flags,
+                        family_for, run)
 from .rng import RandomStream
-from .strategies import Side, StrategyId
+from .strategies import REGISTRY, Side, lookup
 
 HONEST = "honest"
 CHUNK = 1024  # trials per random stream
@@ -34,6 +33,9 @@ VARIANT_NAMES = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment. A bad config fails here, at construction, with
+    OutOfRange or IncompatibleProtocol."""
+
     protocol: ProtocolId = ProtocolId.LOSS_TOLERANT_CF
     variant: Optional[VariantFlags] = None  # None -> protocol default
     alice: str = HONEST
@@ -58,6 +60,14 @@ class ExperimentConfig:
             raise OutOfRange(f"photon_count={self.photon_count} must be >= 1")
         if self.max_restarts < 0:
             raise OutOfRange(f"max_restarts={self.max_restarts} must be >= 0")
+        for side, name in ((Side.ALICE, self.alice), (Side.BOB, self.bob)):
+            if name == HONEST:
+                continue
+            need = lookup(side, name, self.protocol).min_photons
+            if self.photon_count < need:
+                raise OutOfRange(f"{name} needs photon_count >= {need}, "
+                                 f"got {self.photon_count}")
+        family_for(self.protocol, self.alpha2)  # raises OutOfRange on a bad alpha2
 
     @property
     def flags(self) -> VariantFlags:
@@ -103,18 +113,15 @@ def wilson_interval(k: int, n: int, z: float = 1.959963984540054) -> tuple[float
 
 
 def build_hooks(cfg: ExperimentConfig, family, flags: VariantFlags) -> PlayerHooks:
+    """Fresh hooks for one trial; cfg's names were checked at construction."""
     if cfg.alice == HONEST:
         alice = HonestAlice(family, cfg.photon_count)
     else:
-        alice = strategies.make(
-            StrategyId(Side.ALICE, cfg.alice, cfg.target), cfg.protocol,
-            family, flags, eta=cfg.eta, photon_count=max(cfg.photon_count, 2))
+        alice = REGISTRY[cfg.alice].build(cfg, family, flags)
     if cfg.bob == HONEST:
         bob = HonestBob(family, flags)
     else:
-        bob = strategies.make(
-            StrategyId(Side.BOB, cfg.bob, cfg.target), cfg.protocol,
-            family, flags, eta=cfg.eta)
+        bob = REGISTRY[cfg.bob].build(cfg, family, flags)
     return PlayerHooks(alice, bob)
 
 
@@ -126,8 +133,7 @@ def run_experiment(cfg: ExperimentConfig,
     against the cheater. Trials that blow the per-run restart limit are
     tolerated up to 0.1% of the total, then the whole experiment fails.
     """
-    family = family_for(cfg.protocol, cfg.alpha2
-                        if cfg.protocol is ProtocolId.LOSS_TOLERANT_CF else None)
+    family = family_for(cfg.protocol, cfg.alpha2)
     flags = cfg.flags
     ch = ChannelParams(cfg.eta)
     successes = aborts = restart_total = limit_hits = 0
@@ -190,13 +196,20 @@ class MatrixRow:
     label: str
     cfg: ExperimentConfig
     metric: str  # attribute of BiasEstimate
-    expected: float
-    exact: bool = False  # counts must match exactly, not just within tolerance
+    reference: str  # label of the expected value in reference_table()
+
+    @property
+    def expected(self) -> float:
+        return dict(reference_table())[self.reference]
+
+    @property
+    def exact(self) -> bool:
+        """A certain success must hold to the last count, not within tolerance."""
+        return self.metric == "p_hat" and self.expected == 1.0
 
 
 def check_matrix(trials: int = 100_000, seed: int = 12345) -> list[MatrixRow]:
     t = fair_alpha2()
-    oracle = dict(reference_table())
     lt = ProtocolId.LOSS_TOLERANT_CF
 
     def cfg(**kw) -> ExperimentConfig:
@@ -213,41 +226,42 @@ def check_matrix(trials: int = 100_000, seed: int = 12345) -> list[MatrixRow]:
     return [
         MatrixRow("bb84_postpone_lie",
                   cfg(protocol=ProtocolId.BB84_CF, alice="bb84_postpone_lie"),
-                  "p_hat", oracle["bb84_postpone_lie_success"]),
-        MatrixRow("bb84_rotated", rotated, "p_hat", oracle["bb84_rotated_success"]),
+                  "p_hat", "bb84_postpone_lie_success"),
+        MatrixRow("bb84_rotated", rotated, "p_hat", "bb84_rotated_success"),
         MatrixRow("bb84_rotated_caught", rotated, "abort_rate",
-                  oracle["bb84_rotated_caught"]),
+                  "bb84_rotated_caught"),
         MatrixRow("bb84_epr",
                   cfg(protocol=ProtocolId.BB84_CF, alice="bb84_epr", target=1),
-                  "p_hat", 1.0, exact=True),
+                  "p_hat", "bb84_epr_success"),
         MatrixRow("ambainis_alice_optimal",
                   cfg(protocol=ProtocolId.AMBAINIS_CF, alice="ambainis_optimal"),
-                  "p_hat", oracle["ambainis_alice_success"]),
-        MatrixRow("ambainis_bob_conclusive", conclusive, "p_hat", 1.0, exact=True),
+                  "p_hat", "ambainis_alice_success"),
+        MatrixRow("ambainis_bob_conclusive", conclusive, "p_hat",
+                  "ambainis_conclusive_success"),
         MatrixRow("ambainis_bob_conclusive_restarts", conclusive,
-                  "restarts_per_trial", 1.0),
+                  "restarts_per_trial", "ambainis_conclusive_restarts"),
         MatrixRow("ambainis_send_nothing",
                   cfg(protocol=ProtocolId.AMBAINIS_CF_VARIANT,
                       variant=VARIANT_NAMES["believe_on_faith"],
                       alice="send_nothing", target=1),
-                  "p_hat", 1.0, exact=True),
+                  "p_hat", "send_nothing_success"),
         MatrixRow("lt_alice_optimal", cfg(protocol=lt, alice="lt_optimal"),
-                  "p_hat", oracle["lt_alice_success"]),
+                  "p_hat", "lt_alice_success"),
         MatrixRow("lt_bob_helstrom",
                   cfg(protocol=lt, bob="lt_helstrom", target=1),
-                  "p_hat", oracle["lt_bob_success"]),
+                  "p_hat", "lt_bob_success"),
         MatrixRow("mcqm_bob_restart",
                   cfg(protocol=ProtocolId.MCQM_CONTRIVED_CF, bob="mcqm_restart",
                       target=1),
-                  "p_hat", oracle["mcqm_confidence"]),
+                  "p_hat", "mcqm_confidence"),
         MatrixRow("cunning_son_agreement",
                   cfg(protocol=lt, bob="cunning_son", target=0),
-                  "p_hat", oracle["cunning_agreement"]),
+                  "p_hat", "cunning_agreement"),
         MatrixRow("twophoton_usd_rate", usd, "conclusive_rate",
-                  oracle["twophoton_usd_rate"]),
-        MatrixRow("twophoton_usd_correct", usd, "p_hat", 1.0, exact=True),
+                  "twophoton_usd_rate"),
+        MatrixRow("twophoton_usd_correct", usd, "p_hat", "twophoton_usd_correct"),
         MatrixRow("twophoton_honest_rate", honest_app, "conclusive_rate",
-                  oracle["twophoton_honest_rate"]),
+                  "twophoton_honest_rate"),
     ]
 
 
@@ -259,13 +273,12 @@ def evaluate_matrix(trials: int = 100_000, seed: int = 12345,
     to equal the expectation to the last count.
     """
     rows = check_matrix(trials, seed)
-    cache: dict[int, BiasEstimate] = {}
+    cache: dict[ExperimentConfig, BiasEstimate] = {}
     results = []
     for row in rows:
-        key = id(row.cfg)
-        if key not in cache:
-            cache[key] = run_experiment(row.cfg)
-        est = cache[key]
+        if row.cfg not in cache:
+            cache[row.cfg] = run_experiment(row.cfg)
+        est = cache[row.cfg]
         measured = getattr(est, row.metric)
         if row.exact:
             ok = measured == row.expected

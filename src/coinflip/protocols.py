@@ -2,8 +2,11 @@
 
 A run is an ordered exchange:
 
-1. Alice emits a quantum signal (a state, half an entangled pair, a
-   multi-photon pulse, or nothing at all) which crosses the lossy channel.
+1. Alice emits a quantum signal which crosses the lossy channel. There are
+   three kinds of emission: SingleState (one pure state carried by
+   photon_count identical photons; more than one is a multi-photon pulse,
+   tagged "pulse:N" in transcripts instead of "state"), EprHalf (half of a
+   singlet, "epr_half") and Vacuum (nothing, "vacuum").
 2. Bob reacts to the delivery: measures immediately, stores it, or requests
    a restart (honestly on loss, or dishonestly).
 3. Bob sends a random-looking bit b.
@@ -16,19 +19,21 @@ A run is an ordered exchange:
 Player behavior is injected through hooks so cheating strategies can replace
 any step; the engine only moves messages, applies channel loss, enforces the
 restart bound and records the transcript. Hooks are stateful within a single
-run (restarts included) and must never be shared across runs.
+run (restarts included) and must never be shared across runs. What differs
+between protocols (state family, default variant flags, allowed measurement
+timing, coin rule) is one row of the PROTOCOLS table.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Union
 
 from . import catalog
 from .catalog import Family, StateFamily
-from .channel import ChannelParams, Pulse, transmit
+from .channel import ChannelParams, transmit
 from .errors import IncompatibleProtocol, RestartLimitExceeded
-from .quantum import (MeasurementOutcome, ProjectiveMeasurement, QuantumState,
+from .quantum import (ProjectiveMeasurement, QuantumState,
                       measure_projective, steer_epr)
 from .rng import RandomStream
 
@@ -53,32 +58,49 @@ class VariantFlags:
     bob_measures_on_reception: bool = True
 
 
+@dataclass(frozen=True)
+class ProtocolSpec:
+    """What one protocol fixes: its state family, its default loss handling,
+    the measurement timings it allows Bob, and whether the coin is x xor b
+    (loss-tolerant template) or a xor b (BB84/Ambainis templates)."""
+
+    family: Family
+    default_flags: VariantFlags
+    measure_on_reception: tuple[bool, ...]
+    coin_from_x: bool = False
+
+
+_MEASURE = VariantFlags(LossPolicy.RESTART_ON_LOSS, True)
+_STORE = VariantFlags(LossPolicy.NONE, False)  # measure only after the reveal
+
+PROTOCOLS = {
+    ProtocolId.BB84_CF: ProtocolSpec(Family.BB84, _MEASURE, (True,)),
+    ProtocolId.AMBAINIS_CF: ProtocolSpec(Family.AMBAINIS, _STORE, (False,)),
+    ProtocolId.AMBAINIS_CF_VARIANT: ProtocolSpec(Family.AMBAINIS, _STORE,
+                                                 (True, False)),
+    ProtocolId.LOSS_TOLERANT_CF: ProtocolSpec(Family.LOSS_TOLERANT, _MEASURE,
+                                              (True,), coin_from_x=True),
+    ProtocolId.MCQM_CONTRIVED_CF: ProtocolSpec(Family.MCQM_EXAMPLE, _MEASURE,
+                                               (True,)),
+}
+
+
 def default_flags(protocol: ProtocolId) -> VariantFlags:
-    if protocol in (ProtocolId.BB84_CF, ProtocolId.LOSS_TOLERANT_CF,
-                    ProtocolId.MCQM_CONTRIVED_CF):
-        return VariantFlags(LossPolicy.RESTART_ON_LOSS, True)
-    # Ambainis template: Bob stores and measures only after the reveal.
-    return VariantFlags(LossPolicy.NONE, False)
+    return PROTOCOLS[protocol].default_flags
 
 
 def check_flags(protocol: ProtocolId, flags: VariantFlags) -> None:
-    if protocol in (ProtocolId.BB84_CF, ProtocolId.LOSS_TOLERANT_CF,
-                    ProtocolId.MCQM_CONTRIVED_CF):
-        if not flags.bob_measures_on_reception:
-            raise IncompatibleProtocol(
-                f"{protocol.value} requires measurement on reception")
-    elif protocol is ProtocolId.AMBAINIS_CF and flags.bob_measures_on_reception:
-        raise IncompatibleProtocol("plain Ambainis protocol stores the qutrit")
+    on_reception = flags.bob_measures_on_reception
+    if on_reception not in PROTOCOLS[protocol].measure_on_reception:
+        when = "on reception" if on_reception else "after the reveal"
+        raise IncompatibleProtocol(f"{protocol.value} forbids measuring {when}")
 
 
 def family_for(protocol: ProtocolId, alpha2: Optional[float] = None) -> StateFamily:
-    if protocol is ProtocolId.BB84_CF:
-        return StateFamily(Family.BB84)
-    if protocol in (ProtocolId.AMBAINIS_CF, ProtocolId.AMBAINIS_CF_VARIANT):
-        return StateFamily(Family.AMBAINIS)
-    if protocol is ProtocolId.MCQM_CONTRIVED_CF:
-        return StateFamily(Family.MCQM_EXAMPLE)
-    return StateFamily(Family.LOSS_TOLERANT, alpha2)
+    """The protocol's state family; alpha2 is read only by the loss-tolerant
+    family."""
+    family = PROTOCOLS[protocol].family
+    return StateFamily(family, alpha2 if family is Family.LOSS_TOLERANT else None)
 
 
 class Verdict(Enum):
@@ -98,22 +120,21 @@ class Action(Enum):
 
 @dataclass
 class SingleState:
+    """photon_count identical copies of one pure state; more than one is a
+    multi-photon pulse, whose extra copies are the side channel."""
+
     state: QuantumState
-    tag: str = "state"
+    photon_count: int = 1
+
+    @property
+    def tag(self) -> str:
+        return "state" if self.photon_count == 1 else f"pulse:{self.photon_count}"
 
 
 @dataclass
 class Vacuum:
     tag: str = "vacuum"
-
-
-@dataclass
-class MultiPhoton:
-    pulse: Pulse
-
-    @property
-    def tag(self) -> str:
-        return f"pulse:{self.pulse.photon_count}"
+    photon_count: int = 0
 
 
 class EprLink:
@@ -146,10 +167,11 @@ class EprLink:
 class EprHalf:
     link: EprLink
     tag: str = "epr_half"
+    photon_count: int = 1
 
 
-Emission = Union[SingleState, Vacuum, MultiPhoton, EprHalf]
-Delivery = Union[QuantumState, Pulse, EprLink, None]
+Emission = Union[SingleState, Vacuum, EprHalf]
+Delivery = Union[SingleState, EprHalf, None]  # what survives the channel
 
 
 def measure_delivery(delivery: Delivery, m: ProjectiveMeasurement,
@@ -159,11 +181,9 @@ def measure_delivery(delivery: Delivery, m: ProjectiveMeasurement,
     A pulse is measured on its first photon only (remaining photons are the
     side channel, exploited explicitly by the pulse-aware strategies).
     """
-    if isinstance(delivery, EprLink):
-        return m.labels[delivery.measure(side, m, rng)]
-    if isinstance(delivery, Pulse):
-        delivery = delivery.state
-    return measure_projective(delivery, m, rng).label
+    if isinstance(delivery, EprHalf):
+        return m.labels[delivery.link.measure(side, m, rng)]
+    return measure_projective(delivery.state, m, rng).label
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +223,8 @@ class Transcript:
 # honest hooks
 
 class HonestAlice:
-    """Follows the numbered steps: fresh uniform a, family-weighted x."""
+    """Follows the numbered steps: fresh uniform a, family-weighted x.
+    photon_count > 1 sends each state as a multi-photon pulse."""
 
     def __init__(self, family: StateFamily, photon_count: int = 1):
         self.family = family
@@ -215,10 +236,7 @@ class HonestAlice:
         self.a = rng.bit()
         self.x = self.family.x_values[rng.choice(self.family.x_weights)]
         psi = catalog.state(self.family, catalog.StateLabel(self.a, self.x))
-        if self.photon_count == 1:
-            return SingleState(psi)
-        from .channel import emit_pulse
-        return MultiPhoton(emit_pulse(psi, self.photon_count))
+        return SingleState(psi, self.photon_count)
 
     def reveal(self, b: int, rng: RandomStream) -> tuple[int, int]:
         return self.a, self.x
@@ -289,24 +307,7 @@ def honest_hooks(protocol: ProtocolId, params: StateFamily,
 # engine
 
 def _outcome_bit(protocol: ProtocolId, a: int, x: int, b: int) -> int:
-    if protocol is ProtocolId.LOSS_TOLERANT_CF:
-        return x ^ b
-    return a ^ b
-
-
-def _resolve_transmission(emission: Emission, ch: ChannelParams,
-                          rng: RandomStream) -> tuple[Delivery, str]:
-    if isinstance(emission, Vacuum):
-        return None, emission.tag
-    if isinstance(emission, SingleState):
-        return transmit(emission.state, ch, rng), emission.tag
-    if isinstance(emission, MultiPhoton):
-        if emission.pulse.photon_count == 0:
-            return None, emission.tag
-        return (emission.pulse if rng.bernoulli(ch.eta) else None), emission.tag
-    if isinstance(emission, EprHalf):
-        return (emission.link if rng.bernoulli(ch.eta) else None), emission.tag
-    raise TypeError(f"unknown emission {emission!r}")
+    return (x if PROTOCOLS[protocol].coin_from_x else a) ^ b
 
 
 def run(protocol: ProtocolId, flags: VariantFlags, hooks: PlayerHooks,
@@ -329,10 +330,10 @@ def run(protocol: ProtocolId, flags: VariantFlags, hooks: PlayerHooks,
 
     while True:
         emission = hooks.alice.prepare(randomness)
-        delivery, tag = _resolve_transmission(emission, ch, randomness)
+        delivery = transmit(emission, ch, randomness)
         action = hooks.bob.receive(delivery, randomness)
         rnd = QuantumRound(
-            sent=tag,
+            sent=emission.tag,
             delivered=delivery is not None,
             bob_basis=getattr(hooks.bob, "last_basis", None),
             bob_outcome=getattr(hooks.bob, "last_outcome", None),

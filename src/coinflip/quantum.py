@@ -10,7 +10,7 @@ Python complex arithmetic, numpy is used where eigenvalues are needed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np

@@ -12,17 +12,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from types import SimpleNamespace
+from typing import Callable, Optional
 
 from . import catalog
-from .catalog import Family, StateFamily, StateLabel, computational_basis
-from .channel import emit_pulse
-from .discrimination import INCONCLUSIVE, computational_usd_ambainis
+from .catalog import StateFamily, StateLabel, computational_basis
 from .errors import IncompatibleProtocol
 from .protocols import (Action, Delivery, EprHalf, EprLink, HonestAlice,
-                        HonestBob, MultiPhoton, ProtocolId, SingleState,
-                        Vacuum, VariantFlags, Verdict, measure_delivery)
-from .quantum import QuantumState, density_of, measure_povm, measure_projective
+                        HonestBob, ProtocolId, SingleState, Vacuum,
+                        VariantFlags, Verdict, default_flags, measure_delivery)
+from .quantum import QuantumState, measure_projective
 from .rng import RandomStream
 
 
@@ -164,13 +163,6 @@ class CunningMotherAlice(HonestAlice):
         return self.a, b
 
 
-class HonestPulseAlice(HonestAlice):
-    """Honest choices, but leaks extra photons per pulse (the side channel)."""
-
-    def __init__(self, family: StateFamily, photon_count: int = 2):
-        super().__init__(family, photon_count=photon_count)
-
-
 # ---------------------------------------------------------------------------
 # Bob-side strategies
 
@@ -201,44 +193,13 @@ class RestartAbuseBob:
         return Verdict.ACCEPTED
 
 
-class ConclusiveAmbainisBob:
-    """Measures immediately in the computational basis; restarts until the
-    outcome reveals a, then forces a xor b = c."""
-
-    povm = computational_usd_ambainis()
-
-    def __init__(self, target: int):
-        self.target = target
-        self.a_guess: Optional[int] = None
-        self.last_basis = None
-        self.last_outcome = None
-
-    def receive(self, delivery: Delivery, rng: RandomStream) -> Action:
-        self.last_basis = "computational"
-        self.last_outcome = None
-        if delivery is None:
-            return Action.REQUEST_RESTART
-        out = measure_povm(density_of(delivery), self.povm, rng)
-        self.last_outcome = out.label
-        if out.label == INCONCLUSIVE:
-            return Action.REQUEST_RESTART
-        self.a_guess = 0 if out.label == "a=0" else 1
-        return Action.MEASURED
-
-    def choose_b(self, rng: RandomStream) -> int:
-        return self.target ^ self.a_guess
-
-    def verify(self, a: int, x: int, rng: RandomStream):
-        return Verdict.ACCEPTED  # pretends to be satisfied; cannot verify
-
-
 class HelstromBob:
     """Computational-basis measurement: the optimal x guess on the
     loss-tolerant states; gives up the ability to verify."""
 
-    def __init__(self, target: int):
+    def __init__(self, family: StateFamily, target: int):
         self.target = target
-        self.basis = computational_basis(2)
+        self.basis = computational_basis(family.dim)
         self.x_guess: Optional[int] = None
         self.last_basis = None
         self.last_outcome = None
@@ -260,13 +221,15 @@ class HelstromBob:
         return Verdict.ACCEPTED
 
 
-class McqmRestartBob:
-    """On the contrived protocol: computational measurement, restart on the
-    shared-support outcome |0>, otherwise a high-confidence guess of a."""
+class ComputationalRestartBob:
+    """Qutrit computational-basis measurement: restart on the shared-support
+    outcome |0>, otherwise guess a = outcome - 1 and force a xor b = c. On the
+    Ambainis states |1> and |2> reveal a with certainty; on the contrived
+    protocol the guess is a high-confidence one."""
 
-    def __init__(self, target: int):
+    def __init__(self, family: StateFamily, target: int):
         self.target = target
-        self.basis = computational_basis(3)
+        self.basis = computational_basis(family.dim)
         self.a_guess: Optional[int] = None
         self.last_basis = None
         self.last_outcome = None
@@ -280,7 +243,7 @@ class McqmRestartBob:
         self.last_outcome = label
         if label == "0":
             return Action.REQUEST_RESTART
-        self.a_guess = 0 if label == "1" else 1
+        self.a_guess = int(label) - 1
         return Action.MEASURED
 
     def choose_b(self, rng: RandomStream) -> int:
@@ -312,16 +275,13 @@ class TwoPhotonUsdBob:
         self.last_basis = None
         self.last_outcome = None
 
-    def _photon_outcomes(self, pulse, rng, basis_pair):
-        return tuple(
-            measure_projective(pulse.state, m, rng).label for m in basis_pair)
-
     def receive(self, delivery: Delivery, rng: RandomStream) -> Action:
         self.last_basis = "both"
         self.last_outcome = None
         if delivery is None or delivery.photon_count < 2:
             return Action.REQUEST_RESTART
-        o0, o1 = self._photon_outcomes(delivery, rng, self.bases)
+        o0, o1 = (measure_projective(delivery.state, m, rng).label
+                  for m in self.bases)
         if o0 != o1:
             return Action.REQUEST_RESTART
         self.last_outcome = o0
@@ -355,70 +315,82 @@ class TwoPhotonHonestApparatusBob(TwoPhotonUsdBob):
 
 
 # ---------------------------------------------------------------------------
-# factory
+# registry
 
-_ALICE_PROTOCOLS = {
-    "bb84_postpone_lie": (ProtocolId.BB84_CF,),
-    "bb84_rotated": (ProtocolId.BB84_CF,),
-    "bb84_epr": (ProtocolId.BB84_CF,),
-    "ambainis_optimal": (ProtocolId.AMBAINIS_CF, ProtocolId.AMBAINIS_CF_VARIANT),
-    "lt_optimal": (ProtocolId.LOSS_TOLERANT_CF,),
-    "send_nothing": (ProtocolId.AMBAINIS_CF, ProtocolId.AMBAINIS_CF_VARIANT),
-    "cunning_mother": (ProtocolId.LOSS_TOLERANT_CF,),
-    "honest_pulse": (ProtocolId.LOSS_TOLERANT_CF,),
+@dataclass(frozen=True)
+class Strategy:
+    """A named attack: the side that plays it, the protocols it applies to,
+    the fewest photons per emission it needs, and a factory of fresh hooks.
+
+    build(cfg, family, flags) reads cfg.target, cfg.eta and cfg.photon_count
+    of an ExperimentConfig; eta feeds the restart-abuse camouflage rate.
+    """
+
+    side: Side
+    protocols: tuple[ProtocolId, ...]
+    build: Callable[..., object]
+    min_photons: int = 1
+
+
+def _targeted(cls) -> Callable[..., object]:
+    """Factory of cls(family, target)."""
+    return lambda cfg, family, flags: cls(family, cfg.target)
+
+
+_BB84 = (ProtocolId.BB84_CF,)
+_AMBAINIS = (ProtocolId.AMBAINIS_CF, ProtocolId.AMBAINIS_CF_VARIANT)
+_LT = (ProtocolId.LOSS_TOLERANT_CF,)
+
+REGISTRY = {
+    "bb84_postpone_lie": Strategy(Side.ALICE, _BB84, _targeted(PostponeLieAlice)),
+    "bb84_rotated": Strategy(Side.ALICE, _BB84, _targeted(RotatedStateAlice)),
+    "bb84_epr": Strategy(Side.ALICE, _BB84, _targeted(EprSteeringAlice)),
+    "ambainis_optimal": Strategy(Side.ALICE, _AMBAINIS,
+                                 _targeted(AmbainisOptimalAlice)),
+    "lt_optimal": Strategy(Side.ALICE, _LT, _targeted(LossTolerantOptimalAlice)),
+    "send_nothing": Strategy(Side.ALICE, _AMBAINIS, _targeted(SendNothingAlice)),
+    "cunning_mother": Strategy(
+        Side.ALICE, _LT, lambda cfg, family, flags: CunningMotherAlice(family)),
+    # honest choices, leaking cfg.photon_count photons per pulse
+    "honest_pulse": Strategy(
+        Side.ALICE, _LT,
+        lambda cfg, family, flags: HonestAlice(family, cfg.photon_count)),
+    "ambainis_restart_abuse": Strategy(
+        Side.BOB, (ProtocolId.AMBAINIS_CF_VARIANT,),
+        lambda cfg, family, flags: RestartAbuseBob(cfg.target, cfg.eta)),
+    "ambainis_conclusive": Strategy(Side.BOB, (ProtocolId.AMBAINIS_CF_VARIANT,),
+                                    _targeted(ComputationalRestartBob)),
+    "lt_helstrom": Strategy(Side.BOB, _LT, _targeted(HelstromBob)),
+    "mcqm_restart": Strategy(Side.BOB, (ProtocolId.MCQM_CONTRIVED_CF,),
+                             _targeted(ComputationalRestartBob)),
+    "cunning_son": Strategy(
+        Side.BOB, _LT,
+        lambda cfg, family, flags: CunningSonBob(family, flags, cfg.target)),
+    "twophoton_usd": Strategy(Side.BOB, _LT, _targeted(TwoPhotonUsdBob),
+                              min_photons=2),
+    "twophoton_honest_apparatus": Strategy(
+        Side.BOB, _LT, _targeted(TwoPhotonHonestApparatusBob), min_photons=2),
 }
 
-_BOB_PROTOCOLS = {
-    "ambainis_restart_abuse": (ProtocolId.AMBAINIS_CF_VARIANT,),
-    "ambainis_conclusive": (ProtocolId.AMBAINIS_CF_VARIANT,),
-    "lt_helstrom": (ProtocolId.LOSS_TOLERANT_CF,),
-    "mcqm_restart": (ProtocolId.MCQM_CONTRIVED_CF,),
-    "cunning_son": (ProtocolId.LOSS_TOLERANT_CF,),
-    "twophoton_usd": (ProtocolId.LOSS_TOLERANT_CF,),
-    "twophoton_honest_apparatus": (ProtocolId.LOSS_TOLERANT_CF,),
-}
+ALICE_STRATEGIES = tuple(n for n, s in REGISTRY.items() if s.side is Side.ALICE)
+BOB_STRATEGIES = tuple(n for n, s in REGISTRY.items() if s.side is Side.BOB)
 
-ALICE_STRATEGIES = tuple(_ALICE_PROTOCOLS)
-BOB_STRATEGIES = tuple(_BOB_PROTOCOLS)
+
+def lookup(side: Side, name: str, protocol: ProtocolId) -> Strategy:
+    """The registered strategy, checked against its side and protocol."""
+    spec = REGISTRY.get(name)
+    if spec is None or spec.side is not side:
+        raise IncompatibleProtocol(f"unknown {side.value} strategy {name!r}")
+    if protocol not in spec.protocols:
+        raise IncompatibleProtocol(f"{name} does not apply to {protocol.value}")
+    return spec
 
 
 def make(strategy: StrategyId, protocol: ProtocolId, params: StateFamily,
          flags: Optional[VariantFlags] = None, eta: float = 1.0,
-         photon_count: int = 2):
-    """Build the hooks object for one side's named strategy.
-
-    eta feeds the restart-abuse camouflage rate; photon_count sizes the
-    pulses of the leaky honest Alice used in the side-channel analysis.
-    """
-    table = _ALICE_PROTOCOLS if strategy.side is Side.ALICE else _BOB_PROTOCOLS
-    if strategy.name not in table:
-        raise IncompatibleProtocol(f"unknown {strategy.side.value} strategy "
-                                   f"{strategy.name!r}")
-    if protocol not in table[strategy.name]:
-        raise IncompatibleProtocol(
-            f"{strategy.name} does not apply to {protocol.value}")
-    c = strategy.target
-    if strategy.side is Side.ALICE:
-        builders = {
-            "bb84_postpone_lie": lambda: PostponeLieAlice(params, c),
-            "bb84_rotated": lambda: RotatedStateAlice(params, c),
-            "bb84_epr": lambda: EprSteeringAlice(params, c),
-            "ambainis_optimal": lambda: AmbainisOptimalAlice(params, c),
-            "lt_optimal": lambda: LossTolerantOptimalAlice(params, c),
-            "send_nothing": lambda: SendNothingAlice(params, c),
-            "cunning_mother": lambda: CunningMotherAlice(params),
-            "honest_pulse": lambda: HonestPulseAlice(params, photon_count),
-        }
-        return builders[strategy.name]()
-    from .protocols import default_flags
-    flags = flags or default_flags(protocol)
-    builders = {
-        "ambainis_restart_abuse": lambda: RestartAbuseBob(c, eta),
-        "ambainis_conclusive": lambda: ConclusiveAmbainisBob(c),
-        "lt_helstrom": lambda: HelstromBob(c),
-        "mcqm_restart": lambda: McqmRestartBob(c),
-        "cunning_son": lambda: CunningSonBob(params, flags, c),
-        "twophoton_usd": lambda: TwoPhotonUsdBob(params, c),
-        "twophoton_honest_apparatus": lambda: TwoPhotonHonestApparatusBob(params, c),
-    }
-    return builders[strategy.name]()
+         photon_count: int = 1):
+    """Build the hooks object for one side's named strategy."""
+    spec = lookup(strategy.side, strategy.name, protocol)
+    cfg = SimpleNamespace(target=strategy.target, eta=eta,
+                          photon_count=photon_count)
+    return spec.build(cfg, params, flags or default_flags(protocol))

@@ -105,6 +105,8 @@ def test_reference_table_contents():
     assert table["cunning_agreement"] == pytest.approx(0.82, abs=1e-12)
     assert table["twophoton_usd_rate"] == pytest.approx(0.64, abs=1e-12)
     assert table["twophoton_honest_rate"] == pytest.approx(0.32, abs=1e-12)
+    assert table["ambainis_conclusive_restarts"] == pytest.approx(1.0)
+    assert table["twophoton_usd_correct"] == 1.0
     assert table["kitaev_lower_bound"] == pytest.approx(
         (math.sqrt(2.0) - 1.0) / 2.0)
 

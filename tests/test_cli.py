@@ -106,7 +106,9 @@ def test_usage_errors_exit_1():
 @pytest.mark.parametrize("args", [
     ("run", "--trials", "0"), ("run", "--seed", "-1"), ("run", "--photons", "0"),
     ("run", "--max-restarts", "-1"), ("run", "--eta", "0"),
-    ("table", "--trials", "0")])
+    ("table", "--trials", "0"),
+    ("run", "--alice", "honest_pulse", "--bob", "twophoton_usd", "--photons", "1",
+     "--target", "1", "--trials", "300")])
 def test_out_of_range_options_exit_1_without_traceback(args):
     proc = run_cli(*args)
     assert proc.returncode == 1

@@ -2,7 +2,8 @@
 import numpy as np
 import pytest
 
-from coinflip.errors import OutOfRange, RestartBudgetExceeded
+from coinflip.analytics import reference_table
+from coinflip.errors import IncompatibleProtocol, OutOfRange, RestartBudgetExceeded
 from coinflip.harness import (ExperimentConfig, check_matrix, estimate_to_dict,
                               evaluate_matrix, run_experiment, wilson_interval)
 from coinflip.protocols import ProtocolId
@@ -30,15 +31,28 @@ def test_config_validation():
 
 @pytest.mark.parametrize("bad", [
     dict(seed=-1), dict(seed=2 ** 64), dict(eta=0.0), dict(eta=1.5),
-    dict(eta=float("nan")), dict(photon_count=0), dict(max_restarts=-1)])
+    dict(eta=float("nan")), dict(photon_count=0), dict(max_restarts=-1),
+    dict(bob="twophoton_usd", photon_count=1),
+    dict(bob="twophoton_honest_apparatus", photon_count=1),
+    dict(alpha2=0.5), dict(alpha2=1.0)])
 def test_config_out_of_range_fails_at_construction(bad):
     with pytest.raises(OutOfRange):
+        ExperimentConfig(**bad)
+
+
+@pytest.mark.parametrize("bad", [
+    dict(alice="nonsense"), dict(bob="nonsense"), dict(bob="lt_optimal"),
+    dict(protocol=ProtocolId.BB84_CF, alice="lt_optimal"),
+    dict(protocol=ProtocolId.AMBAINIS_CF, bob="lt_helstrom")])
+def test_config_unknown_or_misapplied_strategy_fails_at_construction(bad):
+    with pytest.raises(IncompatibleProtocol):
         ExperimentConfig(**bad)
 
 
 def test_config_range_edges_are_accepted():
     ExperimentConfig(seed=0, eta=1.0, photon_count=1, max_restarts=0)
     ExperimentConfig(seed=2 ** 64 - 1, eta=1e-9)
+    ExperimentConfig(alice="honest_pulse", bob="twophoton_usd", photon_count=2)
 
 
 def test_honest_fair_coin():
@@ -106,6 +120,19 @@ def test_check_matrix_covers_every_attack():
                 "cunning_son_agreement", "twophoton_usd_rate",
                 "twophoton_usd_correct", "twophoton_honest_rate"}
     assert labels == expected
+
+
+def test_matrix_expectations_come_from_the_reference_table():
+    oracle = dict(reference_table())
+    rows = check_matrix(trials=100, seed=1)
+    for row in rows:
+        assert row.expected == oracle[row.reference], row.label
+    assert {"bb84_epr_success", "ambainis_conclusive_success",
+            "send_nothing_success"} <= {row.reference for row in rows}
+    # exact rows are the certain successes, matched to the last count
+    assert [row.label for row in rows if row.exact] == [
+        "bb84_epr", "ambainis_bob_conclusive", "ambainis_send_nothing",
+        "twophoton_usd_correct"]
 
 
 def test_evaluate_matrix_small_run_structure():

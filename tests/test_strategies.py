@@ -6,9 +6,9 @@ import pytest
 from coinflip.catalog import Family, StateFamily, StateLabel, state
 from coinflip.errors import IncompatibleProtocol
 from coinflip.harness import ExperimentConfig, run_experiment
-from coinflip.protocols import ProtocolId
+from coinflip.protocols import ProtocolId, family_for
 from coinflip.rng import RandomStream
-from coinflip.strategies import (ALICE_STRATEGIES, BOB_STRATEGIES,
+from coinflip.strategies import (ALICE_STRATEGIES, BOB_STRATEGIES, REGISTRY,
                                  AmbainisOptimalAlice, LossTolerantOptimalAlice,
                                  RotatedStateAlice, Side, StrategyId, make)
 
@@ -35,32 +35,16 @@ def test_factory_rejects_wrong_protocol():
 
 
 def test_every_listed_strategy_builds():
-    targets = {
-        "bb84_postpone_lie": (ProtocolId.BB84_CF, BB84),
-        "bb84_rotated": (ProtocolId.BB84_CF, BB84),
-        "bb84_epr": (ProtocolId.BB84_CF, BB84),
-        "ambainis_optimal": (ProtocolId.AMBAINIS_CF, AMB),
-        "lt_optimal": (ProtocolId.LOSS_TOLERANT_CF, LT9),
-        "send_nothing": (ProtocolId.AMBAINIS_CF, AMB),
-        "cunning_mother": (ProtocolId.LOSS_TOLERANT_CF, LT9),
-        "honest_pulse": (ProtocolId.LOSS_TOLERANT_CF, LT9),
-    }
-    for name in ALICE_STRATEGIES:
-        protocol, fam = targets[name]
-        assert make(StrategyId(Side.ALICE, name), protocol, fam) is not None
-    bob_targets = {
-        "ambainis_restart_abuse": (ProtocolId.AMBAINIS_CF_VARIANT, AMB),
-        "ambainis_conclusive": (ProtocolId.AMBAINIS_CF_VARIANT, AMB),
-        "lt_helstrom": (ProtocolId.LOSS_TOLERANT_CF, LT9),
-        "mcqm_restart": (ProtocolId.MCQM_CONTRIVED_CF,
-                         StateFamily(Family.MCQM_EXAMPLE)),
-        "cunning_son": (ProtocolId.LOSS_TOLERANT_CF, LT9),
-        "twophoton_usd": (ProtocolId.LOSS_TOLERANT_CF, LT9),
-        "twophoton_honest_apparatus": (ProtocolId.LOSS_TOLERANT_CF, LT9),
-    }
-    for name in BOB_STRATEGIES:
-        protocol, fam = bob_targets[name]
-        assert make(StrategyId(Side.BOB, name), protocol, fam) is not None
+    assert set(ALICE_STRATEGIES) | set(BOB_STRATEGIES) == set(REGISTRY)
+    for side, names in ((Side.ALICE, ALICE_STRATEGIES), (Side.BOB, BOB_STRATEGIES)):
+        for name in names:
+            spec = REGISTRY[name]
+            assert spec.side is side and spec.protocols
+            for protocol in spec.protocols:
+                fam = family_for(protocol, 0.9)
+                hooks = make(StrategyId(side, name), protocol, fam,
+                             photon_count=spec.min_photons)
+                assert hooks is not None, (name, protocol)
 
 
 # ---------------------------------------------------------------------------
