@@ -15,7 +15,7 @@ class BiasReport:
     fair: bool
 
 
-def _check_alpha2(alpha2: float) -> None:
+def check_alpha2(alpha2: float) -> None:
     if not (0.5 < alpha2 < 1.0):
         raise OutOfRange(f"alpha2={alpha2} not in (1/2, 1)")
 
@@ -23,7 +23,7 @@ def _check_alpha2(alpha2: float) -> None:
 def alice_bias_bound(alpha2: float) -> float:
     """Tight upper bound (1 + 2*alpha*beta)/4 on Alice's bias, saturated by
     the |+>/|-> strategy."""
-    _check_alpha2(alpha2)
+    check_alpha2(alpha2)
     ab = math.sqrt(alpha2 * (1.0 - alpha2))
     return (1.0 + 2.0 * ab) / 4.0
 
@@ -31,7 +31,7 @@ def alice_bias_bound(alpha2: float) -> float:
 def bob_bias(alpha2: float) -> float:
     """Bob's optimal bias alpha^2 - 1/2, achieved by the computational-basis
     measurement."""
-    _check_alpha2(alpha2)
+    check_alpha2(alpha2)
     return alpha2 - 0.5
 
 
@@ -60,7 +60,7 @@ def bias_report(alpha2: float) -> BiasReport:
 def cunning_agreement(alpha2: float) -> float:
     """P(b = x) when Bob honestly measures but sends b = x_hat:
     1/2 + (2*alpha^2 - 1)^2 / 2."""
-    _check_alpha2(alpha2)
+    check_alpha2(alpha2)
     return 0.5 + 0.5 * (2.0 * alpha2 - 1.0) ** 2
 
 

@@ -116,9 +116,9 @@ def state(family: StateFamily, label: StateLabel) -> QuantumState:
 def basis(family: StateFamily, a: int) -> ProjectiveMeasurement:
     """The honest measurement basis for basis bit ``a``.
 
-    Outcome labels map back to x values ("0", "1", and "2" for the MCQM
-    family); the Ambainis third outcome |2-a> is labeled "reject" since no
-    honest state ever produces it.
+    Outcome index i is the state |a, i>, so an honest outcome is the bit x
+    itself. The Ambainis basis adds a third vector |2-a> as index 2, which
+    no honest x equals and no honest state ever produces.
     """
     if a not in (0, 1):
         raise InvalidLabel(f"basis label a={a}")
@@ -126,29 +126,20 @@ def basis(family: StateFamily, a: int) -> ProjectiveMeasurement:
     if kind is Family.AMBAINIS:
         reject = QuantumState((0.0, 1.0, 0.0) if a == 1 else (0.0, 0.0, 1.0))
         return ProjectiveMeasurement(
-            (state(family, StateLabel(a, 0)), state(family, StateLabel(a, 1)), reject),
-            ("0", "1", "reject"),
-        )
-    if kind is Family.MCQM_EXAMPLE:
-        return ProjectiveMeasurement(
-            tuple(state(family, StateLabel(a, x)) for x in (0, 1, 2)),
-            ("0", "1", "2"),
-        )
+            (state(family, StateLabel(a, 0)), state(family, StateLabel(a, 1)), reject))
     return ProjectiveMeasurement(
-        (state(family, StateLabel(a, 0)), state(family, StateLabel(a, 1))),
-        ("0", "1"),
-    )
+        tuple(state(family, StateLabel(a, x)) for x in family.x_values))
 
 
 @lru_cache(maxsize=None)
 def computational_basis(dim: int) -> ProjectiveMeasurement:
-    """The standard basis {|0>, ..., |dim-1>} with labels "0".."dim-1"."""
+    """The standard basis {|0>, ..., |dim-1>}; outcome i is |i>."""
     vecs = []
     for i in range(dim):
         amps = [0.0] * dim
         amps[i] = 1.0
         vecs.append(QuantumState(tuple(amps)))
-    return ProjectiveMeasurement(tuple(vecs), tuple(str(i) for i in range(dim)))
+    return ProjectiveMeasurement(tuple(vecs))
 
 
 def honest_ensemble(family: StateFamily, commit: int) -> list[tuple[float, QuantumState]]:

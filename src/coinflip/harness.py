@@ -11,12 +11,12 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .analytics import fair_alpha2, reference_table
+from .analytics import check_alpha2, fair_alpha2, reference_table
 from .channel import ChannelParams
 from .errors import OutOfRange, RestartBudgetExceeded, RestartLimitExceeded
 from .protocols import (HonestAlice, HonestBob, LossPolicy, PlayerHooks,
-                        ProtocolId, VariantFlags, Verdict, default_flags,
-                        family_for, run)
+                        ProtocolId, VariantFlags, Verdict, check_flags,
+                        default_flags, family_for, run)
 from .rng import RandomStream
 from .strategies import REGISTRY, Side, lookup
 
@@ -67,7 +67,8 @@ class ExperimentConfig:
             if self.photon_count < need:
                 raise OutOfRange(f"{name} needs photon_count >= {need}, "
                                  f"got {self.photon_count}")
-        family_for(self.protocol, self.alpha2)  # raises OutOfRange on a bad alpha2
+        check_alpha2(self.alpha2)
+        check_flags(self.protocol, self.flags)
 
     @property
     def flags(self) -> VariantFlags:
@@ -165,8 +166,7 @@ def run_experiment(cfg: ExperimentConfig,
 
 def estimate_to_dict(cfg: ExperimentConfig, est: BiasEstimate) -> dict:
     """Fixed-order serialization of one experiment (byte-stable given a seed)."""
-    flags = cfg.flags
-    variant = next((name for name, v in VARIANT_NAMES.items() if v == flags),
+    variant = next((name for name, v in VARIANT_NAMES.items() if v == cfg.variant),
                    "default")
     return {
         "protocol": cfg.protocol.value,

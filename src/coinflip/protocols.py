@@ -19,7 +19,15 @@ A run is an ordered exchange:
 Player behavior is injected through hooks so cheating strategies can replace
 any step; the engine only moves messages, applies channel loss, enforces the
 restart bound and records the transcript. Hooks are stateful within a single
-run (restarts included) and must never be shared across runs. What differs
+run (restarts included) and must never be shared across runs.
+
+Alice's hooks are prepare(rng) -> Emission and reveal(b, rng) -> (a, x).
+Bob's are receive(delivery, rng) -> Action, choose_b(rng) -> b and
+verify(a, x, rng) -> Verdict or a restart Action. After receive and again
+after verify the engine copies Bob's optional last_basis (a string tag) and
+last_outcome (the index of his measurement outcome, or None) into the round's
+transcript. In an honest basis outcome index i is the state |a, i>, so it is
+compared with the revealed x directly (see catalog.basis). What differs
 between protocols (state family, default variant flags, allowed measurement
 timing, coin rule) is one row of the PROTOCOLS table.
 """
@@ -175,15 +183,15 @@ Delivery = Union[SingleState, EprHalf, None]  # what survives the channel
 
 
 def measure_delivery(delivery: Delivery, m: ProjectiveMeasurement,
-                     rng: RandomStream, side: str = EprLink.BOB) -> str:
-    """Measure whatever arrived in basis m and return the outcome label.
+                     rng: RandomStream) -> int:
+    """Measure whatever reached Bob in basis m and return the outcome index.
 
     A pulse is measured on its first photon only (remaining photons are the
     side channel, exploited explicitly by the pulse-aware strategies).
     """
     if isinstance(delivery, EprHalf):
-        return m.labels[delivery.link.measure(side, m, rng)]
-    return measure_projective(delivery.state, m, rng).label
+        return delivery.link.measure(EprLink.BOB, m, rng)
+    return measure_projective(delivery.state, m, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +202,7 @@ class QuantumRound:
     sent: str
     delivered: bool
     bob_basis: Optional[str] = None
-    bob_outcome: Optional[str] = None
+    bob_outcome: Optional[int] = None
     restart_requested: bool = False
     false_claim: bool = False
 
@@ -250,10 +258,10 @@ class HonestBob:
         self.family = family
         self.flags = flags
         self.a_hat: Optional[int] = None
-        self.x_hat_label: Optional[str] = None
+        self.x_hat: Optional[int] = None
         self.stored: Delivery = None
         self.last_basis: Optional[str] = None
-        self.last_outcome: Optional[str] = None
+        self.last_outcome: Optional[int] = None
 
     def receive(self, delivery: Delivery, rng: RandomStream) -> Action:
         self.last_basis = None
@@ -265,9 +273,9 @@ class HonestBob:
             return Action.REQUEST_RESTART
         self.a_hat = rng.bit()
         m = catalog.basis(self.family, self.a_hat)
-        self.x_hat_label = measure_delivery(delivery, m, rng)
+        self.x_hat = measure_delivery(delivery, m, rng)
         self.last_basis = str(self.a_hat)
-        self.last_outcome = self.x_hat_label
+        self.last_outcome = self.x_hat
         return Action.MEASURED
 
     def choose_b(self, rng: RandomStream) -> int:
@@ -275,7 +283,7 @@ class HonestBob:
 
     def verify(self, a: int, x: int, rng: RandomStream):
         if self.flags.bob_measures_on_reception:
-            if a == self.a_hat and self.x_hat_label != str(x):
+            if a == self.a_hat and self.x_hat != x:
                 return Verdict.ABORT_CHEATER
             return Verdict.ACCEPTED
         if self.stored is None:
@@ -284,23 +292,16 @@ class HonestBob:
             # no loss handling defined, or restart agreed: replay from step 1
             return Action.REQUEST_RESTART
         m = catalog.basis(self.family, a)
-        label = measure_delivery(self.stored, m, rng)
+        x_hat = measure_delivery(self.stored, m, rng)
         self.last_basis = str(a)
-        self.last_outcome = label
-        return Verdict.ABORT_CHEATER if label != str(x) else Verdict.ACCEPTED
+        self.last_outcome = x_hat
+        return Verdict.ABORT_CHEATER if x_hat != x else Verdict.ACCEPTED
 
 
 @dataclass
 class PlayerHooks:
     alice: object
     bob: object
-
-
-def honest_hooks(protocol: ProtocolId, params: StateFamily,
-                 flags: Optional[VariantFlags] = None,
-                 photon_count: int = 1) -> PlayerHooks:
-    flags = flags or default_flags(protocol)
-    return PlayerHooks(HonestAlice(params, photon_count), HonestBob(params, flags))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -84,17 +84,15 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class ProjectiveMeasurement:
-    """Complete orthonormal basis with one outcome label per basis vector."""
+    """Complete orthonormal basis; outcome i is basis vector i."""
 
     basis: tuple[QuantumState, ...]
-    labels: tuple[str, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "basis", tuple(self.basis))
-        object.__setattr__(self, "labels", tuple(self.labels))
         dim = self.basis[0].dim
-        if len(self.basis) != dim or len(self.labels) != dim:
-            raise DimensionMismatch("basis must have exactly dim vectors and labels")
+        if len(self.basis) != dim:
+            raise DimensionMismatch("basis must have exactly dim vectors")
         for i, u in enumerate(self.basis):
             if u.dim != dim:
                 raise DimensionMismatch("mixed dimensions in basis")
@@ -152,12 +150,6 @@ class Povm:
         return [float(np.trace(e @ rho.entries).real) for e in self.elements]
 
 
-@dataclass(frozen=True)
-class MeasurementOutcome:
-    label: str
-    post_state: Optional[QuantumState] = None
-
-
 def normalize(amplitudes: Sequence[complex]) -> QuantumState:
     """Scale a nonzero amplitude vector to unit norm (direction preserved)."""
     amps = [complex(a) for a in amplitudes]
@@ -191,19 +183,14 @@ def mix(ensemble: Sequence[tuple[float, QuantumState]]) -> DensityMatrix:
 
 
 def measure_projective(state: QuantumState, m: ProjectiveMeasurement,
-                       randomness: RandomStream) -> MeasurementOutcome:
-    """Born-rule measurement; collapses onto the observed basis vector."""
-    probs = m.probabilities(state)
-    i = randomness.choice(probs)
-    return MeasurementOutcome(m.labels[i], m.basis[i])
+                       randomness: RandomStream) -> int:
+    """Born-rule measurement; returns the index of the observed basis vector."""
+    return randomness.choice(m.probabilities(state))
 
 
-def measure_povm(state: DensityMatrix, p: Povm,
-                 randomness: RandomStream) -> MeasurementOutcome:
-    """Sample a POVM outcome with probability Tr(E_i rho); no post-state."""
-    probs = p.probabilities(state)
-    i = randomness.choice(probs)
-    return MeasurementOutcome(p.labels[i], None)
+def measure_povm(state: DensityMatrix, p: Povm, randomness: RandomStream) -> int:
+    """Sample a POVM outcome index with probability Tr(E_i rho)."""
+    return randomness.choice(p.probabilities(state))
 
 
 def trace_distance(r0: DensityMatrix, r1: DensityMatrix) -> float:

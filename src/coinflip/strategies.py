@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from types import SimpleNamespace
 from typing import Callable, Optional
 
 from . import catalog
@@ -20,7 +19,7 @@ from .catalog import StateFamily, StateLabel, computational_basis
 from .errors import IncompatibleProtocol
 from .protocols import (Action, Delivery, EprHalf, EprLink, HonestAlice,
                         HonestBob, ProtocolId, SingleState, Vacuum,
-                        VariantFlags, Verdict, default_flags, measure_delivery)
+                        VariantFlags, Verdict, measure_delivery)
 from .quantum import QuantumState, measure_projective
 from .rng import RandomStream
 
@@ -28,13 +27,6 @@ from .rng import RandomStream
 class Side(Enum):
     ALICE = "alice"
     BOB = "bob"
-
-
-@dataclass(frozen=True)
-class StrategyId:
-    side: Side
-    name: str
-    target: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -188,69 +180,59 @@ class RestartAbuseBob:
     def verify(self, a: int, x: int, rng: RandomStream):
         if a ^ self.b != self.target:
             return Action.CLAIM_LOSS_FALSELY
-        if rng.random() < self.camouflage:
+        if rng.bernoulli(self.camouflage):
             return Action.CLAIM_LOSS_FALSELY
         return Verdict.ACCEPTED
 
 
-class HelstromBob:
-    """Computational-basis measurement: the optimal x guess on the
-    loss-tolerant states; gives up the ability to verify."""
+class GuessingBob:
+    """A receiver that never verifies: receive() measures to guess a bit,
+    then b = target xor guess forces the coin and any reveal is accepted."""
 
     def __init__(self, family: StateFamily, target: int):
         self.target = target
         self.basis = computational_basis(family.dim)
-        self.x_guess: Optional[int] = None
+        self.guess: Optional[int] = None
         self.last_basis = None
         self.last_outcome = None
+
+    def choose_b(self, rng: RandomStream) -> int:
+        return self.target ^ self.guess
+
+    def verify(self, a: int, x: int, rng: RandomStream):
+        return Verdict.ACCEPTED
+
+
+class HelstromBob(GuessingBob):
+    """Computational-basis measurement: the optimal x guess on the
+    loss-tolerant states; gives up the ability to verify."""
 
     def receive(self, delivery: Delivery, rng: RandomStream) -> Action:
         self.last_basis = "computational"
         self.last_outcome = None
         if delivery is None:
             return Action.REQUEST_RESTART
-        label = measure_delivery(delivery, self.basis, rng)
-        self.last_outcome = label
-        self.x_guess = int(label)
+        self.guess = measure_delivery(delivery, self.basis, rng)
+        self.last_outcome = self.guess
         return Action.MEASURED
 
-    def choose_b(self, rng: RandomStream) -> int:
-        return self.target ^ self.x_guess
 
-    def verify(self, a: int, x: int, rng: RandomStream):
-        return Verdict.ACCEPTED
-
-
-class ComputationalRestartBob:
+class ComputationalRestartBob(GuessingBob):
     """Qutrit computational-basis measurement: restart on the shared-support
     outcome |0>, otherwise guess a = outcome - 1 and force a xor b = c. On the
     Ambainis states |1> and |2> reveal a with certainty; on the contrived
     protocol the guess is a high-confidence one."""
 
-    def __init__(self, family: StateFamily, target: int):
-        self.target = target
-        self.basis = computational_basis(family.dim)
-        self.a_guess: Optional[int] = None
-        self.last_basis = None
-        self.last_outcome = None
-
     def receive(self, delivery: Delivery, rng: RandomStream) -> Action:
         self.last_basis = "computational"
         self.last_outcome = None
         if delivery is None:
             return Action.REQUEST_RESTART
-        label = measure_delivery(delivery, self.basis, rng)
-        self.last_outcome = label
-        if label == "0":
+        self.last_outcome = measure_delivery(delivery, self.basis, rng)
+        if self.last_outcome == 0:
             return Action.REQUEST_RESTART
-        self.a_guess = int(label) - 1
+        self.guess = self.last_outcome - 1
         return Action.MEASURED
-
-    def choose_b(self, rng: RandomStream) -> int:
-        return self.target ^ self.a_guess
-
-    def verify(self, a: int, x: int, rng: RandomStream):
-        return Verdict.ACCEPTED
 
 
 class CunningSonBob(HonestBob):
@@ -261,38 +243,28 @@ class CunningSonBob(HonestBob):
         self.target = target
 
     def choose_b(self, rng: RandomStream) -> int:
-        return int(self.x_hat_label)
+        return self.x_hat
 
 
-class TwoPhotonUsdBob:
+class TwoPhotonUsdBob(GuessingBob):
     """Measures the two photons of a pulse in both bases; agreement reveals x
     with certainty, disagreement triggers a feigned loss."""
 
     def __init__(self, family: StateFamily, target: int):
-        self.target = target
+        super().__init__(family, target)
         self.bases = (catalog.basis(family, 0), catalog.basis(family, 1))
-        self.x_guess: Optional[int] = None
-        self.last_basis = None
-        self.last_outcome = None
 
     def receive(self, delivery: Delivery, rng: RandomStream) -> Action:
         self.last_basis = "both"
         self.last_outcome = None
         if delivery is None or delivery.photon_count < 2:
             return Action.REQUEST_RESTART
-        o0, o1 = (measure_projective(delivery.state, m, rng).label
-                  for m in self.bases)
+        o0, o1 = (measure_projective(delivery.state, m, rng) for m in self.bases)
         if o0 != o1:
             return Action.REQUEST_RESTART
+        self.guess = o0
         self.last_outcome = o0
-        self.x_guess = int(o0)
         return Action.MEASURED
-
-    def choose_b(self, rng: RandomStream) -> int:
-        return self.target ^ self.x_guess
-
-    def verify(self, a: int, x: int, rng: RandomStream):
-        return Verdict.ACCEPTED
 
 
 class TwoPhotonHonestApparatusBob(TwoPhotonUsdBob):
@@ -305,12 +277,12 @@ class TwoPhotonHonestApparatusBob(TwoPhotonUsdBob):
         if delivery is None or delivery.photon_count < 2:
             return Action.REQUEST_RESTART
         r0, r1 = rng.bit(), rng.bit()
-        o0 = measure_projective(delivery.state, self.bases[r0], rng).label
-        o1 = measure_projective(delivery.state, self.bases[r1], rng).label
+        o0 = measure_projective(delivery.state, self.bases[r0], rng)
+        o1 = measure_projective(delivery.state, self.bases[r1], rng)
         if r0 == r1 or o0 != o1:
             return Action.REQUEST_RESTART
+        self.guess = o0
         self.last_outcome = o0
-        self.x_guess = int(o0)
         return Action.MEASURED
 
 
@@ -322,8 +294,9 @@ class Strategy:
     """A named attack: the side that plays it, the protocols it applies to,
     the fewest photons per emission it needs, and a factory of fresh hooks.
 
-    build(cfg, family, flags) reads cfg.target, cfg.eta and cfg.photon_count
-    of an ExperimentConfig; eta feeds the restart-abuse camouflage rate.
+    build(cfg, family, flags), called only by harness.build_hooks, reads
+    cfg.target, cfg.eta and cfg.photon_count of an ExperimentConfig; eta feeds
+    the restart-abuse camouflage rate.
     """
 
     side: Side
@@ -384,13 +357,3 @@ def lookup(side: Side, name: str, protocol: ProtocolId) -> Strategy:
     if protocol not in spec.protocols:
         raise IncompatibleProtocol(f"{name} does not apply to {protocol.value}")
     return spec
-
-
-def make(strategy: StrategyId, protocol: ProtocolId, params: StateFamily,
-         flags: Optional[VariantFlags] = None, eta: float = 1.0,
-         photon_count: int = 1):
-    """Build the hooks object for one side's named strategy."""
-    spec = lookup(strategy.side, strategy.name, protocol)
-    cfg = SimpleNamespace(target=strategy.target, eta=eta,
-                          photon_count=photon_count)
-    return spec.build(cfg, params, flags or default_flags(protocol))

@@ -112,7 +112,7 @@ def test_reference_table_contents():
 
 
 def test_reference_table_order_is_stable():
-    labels = [name for name, _ in reference_table()]
-    assert labels == sorted(set(labels), key=labels.index)
-    assert labels[0] == "bb84_postpone_lie_success"
-    assert labels[-1] == "kitaev_lower_bound"
+    names = [name for name, _ in reference_table()]
+    assert names == sorted(set(names), key=names.index)
+    assert names[0] == "bb84_postpone_lie_success"
+    assert names[-1] == "kitaev_lower_bound"

@@ -108,7 +108,8 @@ def test_usage_errors_exit_1():
     ("run", "--max-restarts", "-1"), ("run", "--eta", "0"),
     ("table", "--trials", "0"),
     ("run", "--alice", "honest_pulse", "--bob", "twophoton_usd", "--photons", "1",
-     "--target", "1", "--trials", "300")])
+     "--target", "1", "--trials", "300"),
+    ("run", "--protocol", "bb84", "--alpha2", "5", "--trials", "10")])
 def test_out_of_range_options_exit_1_without_traceback(args):
     proc = run_cli(*args)
     assert proc.returncode == 1

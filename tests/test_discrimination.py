@@ -64,7 +64,7 @@ def test_usd_monte_carlo_agrees_with_stats(rng):
     rho = density_of(PLUS)
     n = 50_000
     inconclusive = sum(
-        measure_povm(rho, p, rng).label == INCONCLUSIVE for _ in range(n))
+        p.labels[measure_povm(rho, p, rng)] == INCONCLUSIVE for _ in range(n))
     expected = float(np.trace(p.elements[2] @ rho.entries).real)
     assert_close_5sigma(inconclusive / n, expected, n)
 

@@ -4,9 +4,10 @@ import pytest
 
 from coinflip.analytics import reference_table
 from coinflip.errors import IncompatibleProtocol, OutOfRange, RestartBudgetExceeded
-from coinflip.harness import (ExperimentConfig, check_matrix, estimate_to_dict,
-                              evaluate_matrix, run_experiment, wilson_interval)
-from coinflip.protocols import ProtocolId
+from coinflip.harness import (VARIANT_NAMES, ExperimentConfig, check_matrix,
+                              estimate_to_dict, evaluate_matrix, run_experiment,
+                              wilson_interval)
+from coinflip.protocols import LossPolicy, ProtocolId, VariantFlags
 
 
 def test_identical_configs_give_identical_counts():
@@ -34,7 +35,8 @@ def test_config_validation():
     dict(eta=float("nan")), dict(photon_count=0), dict(max_restarts=-1),
     dict(bob="twophoton_usd", photon_count=1),
     dict(bob="twophoton_honest_apparatus", photon_count=1),
-    dict(alpha2=0.5), dict(alpha2=1.0)])
+    dict(alpha2=0.5), dict(alpha2=1.0),
+    dict(protocol=ProtocolId.BB84_CF, alpha2=5.0)])
 def test_config_out_of_range_fails_at_construction(bad):
     with pytest.raises(OutOfRange):
         ExperimentConfig(**bad)
@@ -43,7 +45,10 @@ def test_config_out_of_range_fails_at_construction(bad):
 @pytest.mark.parametrize("bad", [
     dict(alice="nonsense"), dict(bob="nonsense"), dict(bob="lt_optimal"),
     dict(protocol=ProtocolId.BB84_CF, alice="lt_optimal"),
-    dict(protocol=ProtocolId.AMBAINIS_CF, bob="lt_helstrom")])
+    dict(protocol=ProtocolId.AMBAINIS_CF, bob="lt_helstrom"),
+    dict(variant=VariantFlags(LossPolicy.BELIEVE_ON_FAITH, False)),
+    dict(protocol=ProtocolId.AMBAINIS_CF,
+         variant=VariantFlags(LossPolicy.RESTART_ON_LOSS, True))])
 def test_config_unknown_or_misapplied_strategy_fails_at_construction(bad):
     with pytest.raises(IncompatibleProtocol):
         ExperimentConfig(**bad)
@@ -105,8 +110,14 @@ def test_estimate_to_dict_field_order():
                        "failures", "aborts", "restart_total", "p_hat", "ci95",
                        "bias_hat"]
     assert d["protocol"] == "loss_tolerant"
-    assert d["variant"] == "restart_measure"
+    assert d["variant"] == "default"
     assert d["successes"] + d["failures"] == d["trials"]
+    # the record names the variant the config was given, not its resolved flags
+    for protocol in ProtocolId:
+        given = ExperimentConfig(protocol=protocol)
+        assert estimate_to_dict(given, est)["variant"] == "default"
+    given = ExperimentConfig(variant=VARIANT_NAMES["restart_measure"])
+    assert estimate_to_dict(given, est)["variant"] == "restart_measure"
 
 
 def test_check_matrix_covers_every_attack():
@@ -133,6 +144,36 @@ def test_matrix_expectations_come_from_the_reference_table():
     assert [row.label for row in rows if row.exact] == [
         "bb84_epr", "ambainis_bob_conclusive", "ambainis_send_nothing",
         "twophoton_usd_correct"]
+
+
+# (successes, aborts, restart_total) of each distinct matrix config at 2,000
+# trials and seed 7, keyed by the first row that uses it. A change that
+# reorders random draws must update these on purpose.
+GOLDEN_COUNTS = {
+    "bb84_postpone_lie": (1753, 247, 0),
+    "bb84_rotated": (1836, 164, 0),
+    "bb84_epr": (2000, 0, 0),
+    "ambainis_alice_optimal": (1485, 515, 0),
+    "ambainis_bob_conclusive": (2000, 0, 1992),
+    "ambainis_send_nothing": (2000, 0, 0),
+    "lt_alice_optimal": (1778, 222, 0),
+    "lt_bob_helstrom": (1781, 0, 0),
+    "mcqm_bob_restart": (1916, 0, 1914),
+    "cunning_son_agreement": (1596, 0, 0),
+    "twophoton_usd_rate": (2000, 0, 1142),
+    "twophoton_honest_rate": (2000, 0, 4310),
+}
+
+
+def test_matrix_counts_are_pinned():
+    labels = {}
+    for row in check_matrix(2000, 7):
+        labels.setdefault(row.cfg, row.label)
+    counts = {}
+    for cfg, label in labels.items():
+        est = run_experiment(cfg)
+        counts[label] = (est.successes, est.aborts, est.restart_total)
+    assert counts == GOLDEN_COUNTS
 
 
 def test_evaluate_matrix_small_run_structure():

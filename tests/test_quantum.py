@@ -125,22 +125,20 @@ def test_density_matrix_is_read_only():
 def test_basis_must_be_orthogonal():
     with pytest.raises(ValueError):
         ProjectiveMeasurement(
-            (QuantumState((1.0, 0.0)), QuantumState((SQ2, SQ2))), ("0", "1"))
+            (QuantumState((1.0, 0.0)), QuantumState((SQ2, SQ2))))
 
 
 def test_eigenstate_measurement_is_deterministic(rng):
     m = ProjectiveMeasurement(
-        (QuantumState((SQ2, SQ2)), QuantumState((SQ2, -SQ2))), ("+", "-"))
+        (QuantumState((SQ2, SQ2)), QuantumState((SQ2, -SQ2))))
     for _ in range(200):
-        out = measure_projective(QuantumState((SQ2, SQ2)), m, rng)
-        assert out.label == "+"
-        assert out.post_state == m.basis[0]
+        assert measure_projective(QuantumState((SQ2, SQ2)), m, rng) == 0
 
 
 def test_born_rule_probabilities_exact():
     alpha, beta = math.sqrt(0.9), math.sqrt(0.1)
     m = ProjectiveMeasurement(
-        (QuantumState((alpha, beta)), QuantumState((beta, -alpha))), ("0", "1"))
+        (QuantumState((alpha, beta)), QuantumState((beta, -alpha))))
     probs = m.probabilities(QuantumState((SQ2, SQ2)))
     # |<phi_00|+>|^2 = (alpha+beta)^2/2 = 1/2 + alpha*beta
     assert abs(probs[0] - (0.5 + alpha * beta)) < 1e-12
@@ -150,10 +148,10 @@ def test_born_rule_probabilities_exact():
 def test_born_rule_empirical(rng):
     alpha, beta = math.sqrt(0.9), math.sqrt(0.1)
     m = ProjectiveMeasurement(
-        (QuantumState((alpha, beta)), QuantumState((beta, -alpha))), ("0", "1"))
+        (QuantumState((alpha, beta)), QuantumState((beta, -alpha))))
     state = QuantumState((SQ2, SQ2))
     n = 100_000
-    hits = sum(measure_projective(state, m, rng).label == "0" for _ in range(n))
+    hits = sum(measure_projective(state, m, rng) == 0 for _ in range(n))
     assert_close_5sigma(hits / n, 0.5 + alpha * beta, n)
 
 
@@ -167,8 +165,7 @@ def test_born_rule_probabilities_normalized_fuzzed(re, im):
     s = normalize(vec)
     m = ProjectiveMeasurement(
         tuple(QuantumState(tuple(1.0 if i == j else 0.0 for j in range(3)))
-              for i in range(3)),
-        ("0", "1", "2"))
+              for i in range(3)))
     probs = m.probabilities(s)
     assert all(p >= -1e-12 for p in probs)
     assert abs(sum(probs) - 1.0) < 1e-9
@@ -212,7 +209,7 @@ def test_measure_povm_empirical(rng):
     p = Povm((e0, e1), ("a", "b"))
     rho = DensityMatrix(np.diag([0.5, 0.5]).astype(complex))
     n = 50_000
-    hits = sum(measure_povm(rho, p, rng).label == "a" for _ in range(n))
+    hits = sum(measure_povm(rho, p, rng) == 0 for _ in range(n))
     assert_close_5sigma(hits / n, 0.45, n)
 
 
@@ -277,7 +274,7 @@ def test_helstrom_on_maximally_mixed_pair_is_half():
 def _basis(theta: float) -> ProjectiveMeasurement:
     u = QuantumState((math.cos(theta), math.sin(theta)))
     v = QuantumState((-math.sin(theta), math.cos(theta)))
-    return ProjectiveMeasurement((u, v), ("0", "1"))
+    return ProjectiveMeasurement((u, v))
 
 
 def test_steer_epr_same_basis_anticorrelation(rng):
@@ -308,7 +305,7 @@ def test_steer_epr_other_basis_statistics(rng):
         if i != 0:
             continue
         total += 1
-        hits += measure_projective(far, other, rng).label == "0"
+        hits += measure_projective(far, other, rng) == 0
     # far state is |1>; |<cos,sin|1>|^2 = sin^2(pi/8)
     assert_close_5sigma(hits / total, math.sin(math.pi / 8.0) ** 2, total)
 
@@ -316,7 +313,6 @@ def test_steer_epr_other_basis_statistics(rng):
 def test_steer_epr_rejects_qutrit_basis():
     m = ProjectiveMeasurement(
         tuple(QuantumState(tuple(1.0 if i == j else 0.0 for j in range(3)))
-              for i in range(3)),
-        ("0", "1", "2"))
+              for i in range(3)))
     with pytest.raises(DimensionMismatch):
         steer_epr(m, RandomStream(1))

@@ -5,12 +5,12 @@ import pytest
 
 from coinflip.catalog import Family, StateFamily, StateLabel, state
 from coinflip.errors import IncompatibleProtocol
-from coinflip.harness import ExperimentConfig, run_experiment
+from coinflip.harness import ExperimentConfig, build_hooks, run_experiment
 from coinflip.protocols import ProtocolId, family_for
 from coinflip.rng import RandomStream
 from coinflip.strategies import (ALICE_STRATEGIES, BOB_STRATEGIES, REGISTRY,
                                  AmbainisOptimalAlice, LossTolerantOptimalAlice,
-                                 RotatedStateAlice, Side, StrategyId, make)
+                                 RotatedStateAlice, Side, lookup)
 
 from conftest import assert_close_5sigma
 
@@ -20,18 +20,18 @@ LT9 = StateFamily(Family.LOSS_TOLERANT, 0.9)
 
 
 # ---------------------------------------------------------------------------
-# factory
+# registry
 
 def test_factory_rejects_unknown_strategy():
     with pytest.raises(IncompatibleProtocol):
-        make(StrategyId(Side.ALICE, "nonsense"), ProtocolId.BB84_CF, BB84)
+        lookup(Side.ALICE, "nonsense", ProtocolId.BB84_CF)
 
 
 def test_factory_rejects_wrong_protocol():
     with pytest.raises(IncompatibleProtocol):
-        make(StrategyId(Side.ALICE, "lt_optimal"), ProtocolId.BB84_CF, BB84)
+        lookup(Side.ALICE, "lt_optimal", ProtocolId.BB84_CF)
     with pytest.raises(IncompatibleProtocol):
-        make(StrategyId(Side.BOB, "lt_helstrom"), ProtocolId.AMBAINIS_CF, AMB)
+        lookup(Side.BOB, "lt_helstrom", ProtocolId.AMBAINIS_CF)
 
 
 def test_every_listed_strategy_builds():
@@ -41,10 +41,12 @@ def test_every_listed_strategy_builds():
             spec = REGISTRY[name]
             assert spec.side is side and spec.protocols
             for protocol in spec.protocols:
-                fam = family_for(protocol, 0.9)
-                hooks = make(StrategyId(side, name), protocol, fam,
-                             photon_count=spec.min_photons)
-                assert hooks is not None, (name, protocol)
+                cfg = ExperimentConfig(protocol=protocol,
+                                       photon_count=spec.min_photons,
+                                       **{side.value: name})
+                hooks = build_hooks(cfg, family_for(protocol, 0.9), cfg.flags)
+                built = hooks.alice if side is Side.ALICE else hooks.bob
+                assert built is not None, (name, protocol)
 
 
 # ---------------------------------------------------------------------------
