@@ -11,12 +11,12 @@ from .discrimination import (INCONCLUSIVE, DiscriminationStats,
 from .harness import (BiasEstimate, ExperimentConfig, run_experiment,
                       wilson_interval)
 from .protocols import (LossPolicy, PlayerHooks, ProtocolId, Transcript,
-                        VariantFlags, Verdict, default_flags, run)
+                        VariantFlags, Verdict, default_flags, run_chunk)
 from .quantum import (DensityMatrix, Povm, ProjectiveMeasurement, QuantumState,
                       density_of, helstrom_success, measure_povm,
                       measure_projective, mix, normalize, steer_epr,
                       trace_distance)
-from .rng import RandomStream
+from .rng import ChunkStream
 from .strategies import Side
 
 __version__ = "0.1.0"

@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidLabel, OutOfRange
-from .quantum import DensityMatrix, ProjectiveMeasurement, QuantumState
+from .quantum import DensityMatrix, ProjectiveMeasurement, QuantumState, as_columns
 
 
 class Family(Enum):
@@ -129,6 +129,16 @@ def basis(family: StateFamily, a: int) -> ProjectiveMeasurement:
             (state(family, StateLabel(a, 0)), state(family, StateLabel(a, 1)), reject))
     return ProjectiveMeasurement(
         tuple(state(family, StateLabel(a, x)) for x in family.x_values))
+
+
+@lru_cache(maxsize=None)
+def basis_pair(family: StateFamily) -> np.ndarray:
+    """The bras of both honest bases, stacked (2, dim, dim): entry a
+    measures in basis(family, a), and its row x is <a, x|."""
+    kets = as_columns(basis(family, 0).basis + basis(family, 1).basis)
+    pair = kets.T.reshape(2, family.dim, family.dim).conj()
+    pair.flags.writeable = False
+    return pair
 
 
 @lru_cache(maxsize=None)

@@ -9,12 +9,11 @@ of its copies arrive or none do.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, TypeVar
+
+import numpy as np
 
 from .errors import OutOfRange
-from .rng import RandomStream
-
-T = TypeVar("T")
+from .rng import bernoulli
 
 
 @dataclass(frozen=True)
@@ -28,13 +27,13 @@ class ChannelParams:
             raise OutOfRange(f"eta={self.eta} not in (0, 1]")
 
 
-def transmit(signal: T, ch: ChannelParams,
-             randomness: RandomStream) -> Optional[T]:
-    """Deliver the signal unchanged with probability eta, else nothing.
+def transmit(signal, ch: ChannelParams, u: np.ndarray) -> np.ndarray:
+    """Which signals of a batch arrive: one bool per uniform in u.
 
-    A signal whose photon_count is 0 (vacuum) never arrives and draws no
-    randomness; every other signal draws exactly one bernoulli(eta).
+    The signals are delivered unchanged; a signal whose photon_count is 0
+    (vacuum) never arrives, and every other one arrives with probability eta,
+    a bernoulli(eta) draw on its uniform.
     """
     if signal.photon_count == 0:
-        return None
-    return signal if randomness.bernoulli(ch.eta) else None
+        return np.zeros(len(u), dtype=bool)
+    return bernoulli(ch.eta, u)

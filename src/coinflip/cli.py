@@ -18,10 +18,11 @@ import sys
 from typing import Optional, Sequence
 
 from .analytics import alice_bias_bound, bob_bias, fair_alpha2, reference_table
-from .errors import CoinFlipError, RestartBudgetExceeded
+from .catalog import Family
+from .errors import CoinFlipError, IncompatibleProtocol, RestartBudgetExceeded
 from .harness import (HONEST, VARIANT_NAMES, ExperimentConfig,
                       estimate_to_dict, evaluate_matrix, run_experiment)
-from .protocols import ProtocolId
+from .protocols import PROTOCOLS, ProtocolId
 from .strategies import ALICE_STRATEGIES, BOB_STRATEGIES
 
 EXIT_OK = 0
@@ -103,6 +104,10 @@ def _cmd_table(args, out) -> int:
 
 
 def _cmd_sweep(args, out) -> int:
+    protocol = _PROTOCOLS[args.protocol]
+    family = PROTOCOLS[protocol].family
+    if args.param == "alpha2" and family is not Family.LOSS_TOLERANT:
+        raise IncompatibleProtocol(f"{protocol.value} does not read alpha2")
     lo, hi, n = args.grid
     records = []
     for i in range(n):

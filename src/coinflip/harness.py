@@ -1,9 +1,16 @@
 """Monte Carlo harness: seeded experiments, bias estimates, check matrix.
 
-Trials run in fixed blocks of CHUNK; block k consumes the stream
-RandomStream(seed, k), trial after trial in order. Counts are therefore a
-pure function of (seed, trials): bit-identical on re-run, a run of n trials
-is the prefix of any longer run, and each block can be computed on its own.
+Trials run in fixed chunks of CHUNK. Chunk k gets fresh hooks from
+build_hooks and runs on the uniforms of ChunkStream(seed, k): the batch
+engine (protocols.run_chunk) runs its pending trials in steps, step s
+reading the block at counter (k << 128) | (s << 64) with one row per
+(pending trial, round) and one column per draw site. Hooks take arrays and
+return arrays, one entry per (trial, round) pair, read only their own
+columns and keep no state across rounds. How many rounds a step runs
+depends only on s and max_restarts, never on how many trials are pending,
+so counts are a pure function of (seed, trials): bit-identical on re-run, a
+run of n trials is the prefix of any longer run, and each chunk can be
+computed on its own.
 """
 from __future__ import annotations
 
@@ -11,17 +18,19 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .analytics import check_alpha2, fair_alpha2, reference_table
 from .channel import ChannelParams
-from .errors import OutOfRange, RestartBudgetExceeded, RestartLimitExceeded
-from .protocols import (HonestAlice, HonestBob, LossPolicy, PlayerHooks,
-                        ProtocolId, VariantFlags, Verdict, check_flags,
-                        default_flags, family_for, run)
-from .rng import RandomStream
+from .errors import OutOfRange, RestartBudgetExceeded
+from .protocols import (Decision, HonestAlice, HonestBob, LossPolicy,
+                        PlayerHooks, ProtocolId, VariantFlags, check_flags,
+                        default_flags, family_for, run_chunk)
+from .rng import ChunkStream
 from .strategies import REGISTRY, Side, lookup
 
 HONEST = "honest"
-CHUNK = 1024  # trials per random stream
+CHUNK = 1024  # trials per random stream and per set of hooks
 
 VARIANT_NAMES = {
     "default": None,
@@ -84,6 +93,7 @@ class BiasEstimate:
     p_hat: float
     ci95: tuple[float, float]
     bias_hat: float
+    limit_hits: int  # trials dropped for more than max_restarts restarts
 
     @property
     def failures(self) -> int:
@@ -114,7 +124,7 @@ def wilson_interval(k: int, n: int, z: float = 1.959963984540054) -> tuple[float
 
 
 def build_hooks(cfg: ExperimentConfig, family, flags: VariantFlags) -> PlayerHooks:
-    """Fresh hooks for one trial; cfg's names were checked at construction."""
+    """Fresh hooks for one chunk; cfg's names were checked at construction."""
     if cfg.alice == HONEST:
         alice = HonestAlice(family, cfg.photon_count)
     else:
@@ -132,36 +142,32 @@ def run_experiment(cfg: ExperimentConfig,
 
     Success means the run was accepted and produced cfg.target; aborts count
     against the cheater. Trials that blow the per-run restart limit are
-    tolerated up to 0.1% of the total, then the whole experiment fails.
+    counted in limit_hits and tolerated up to 0.1% of the total; past that
+    the experiment fails with RestartBudgetExceeded as soon as a chunk
+    shows it.
     """
     family = family_for(cfg.protocol, cfg.alpha2)
     flags = cfg.flags
     ch = ChannelParams(cfg.eta)
     successes = aborts = restart_total = limit_hits = 0
     for start in range(0, cfg.trials, CHUNK):
-        rng = RandomStream(cfg.seed, start // CHUNK)
-        for _ in range(min(CHUNK, cfg.trials - start)):
-            hooks = build_hooks(cfg, family, flags)
-            try:
-                t = run(cfg.protocol, flags, hooks, ch, family,
-                        cfg.max_restarts, rng)
-            except RestartLimitExceeded:
-                limit_hits += 1
-                continue
-            if transcript_sink is not None:
-                transcript_sink(t)
-            restart_total += t.restart_count
-            if t.verdict is Verdict.ABORT_CHEATER:
-                aborts += 1
-            elif t.outcome == cfg.target:
-                successes += 1
-    if limit_hits > 0.001 * cfg.trials:
-        raise RestartBudgetExceeded(
-            f"{limit_hits}/{cfg.trials} trials exceeded the restart limit")
+        verdict, coin, restarts = run_chunk(
+            cfg.protocol, build_hooks(cfg, family, flags), ch, cfg.max_restarts,
+            ChunkStream(cfg.seed, start // CHUNK), min(CHUNK, cfg.trials - start),
+            transcript_sink)
+        finished = verdict != Decision.REQUEST_RESTART
+        limit_hits += len(verdict) - int(np.count_nonzero(finished))
+        if limit_hits > 0.001 * cfg.trials:
+            raise RestartBudgetExceeded(
+                f"{limit_hits} of {cfg.trials} trials exceeded the restart limit")
+        restart_total += int(restarts[finished].sum())
+        aborts += int(np.count_nonzero(verdict == Decision.ABORT_CHEATER))
+        successes += int(np.count_nonzero((verdict == Decision.ACCEPTED)
+                                          & (coin == cfg.target)))
     p_hat = successes / cfg.trials
     return BiasEstimate(successes, aborts, restart_total, cfg.trials,
                         p_hat, wilson_interval(successes, cfg.trials),
-                        p_hat - 0.5)
+                        p_hat - 0.5, limit_hits)
 
 
 def estimate_to_dict(cfg: ExperimentConfig, est: BiasEstimate) -> dict:
@@ -185,6 +191,7 @@ def estimate_to_dict(cfg: ExperimentConfig, est: BiasEstimate) -> dict:
         "p_hat": est.p_hat,
         "ci95": list(est.ci95),
         "bias_hat": est.bias_hat,
+        "limit_hits": est.limit_hits,
     }
 
 

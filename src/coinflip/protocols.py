@@ -1,4 +1,5 @@
-"""Executable state machines for the coin-flipping protocols.
+"""Executable state machines for the coin-flipping protocols, and the batch
+engine that runs them.
 
 A run is an ordered exchange:
 
@@ -16,20 +17,35 @@ A run is an ordered exchange:
 6. On acceptance the coin is x xor b (loss-tolerant template) or a xor b
    (BB84/Ambainis templates).
 
-Player behavior is injected through hooks so cheating strategies can replace
-any step; the engine only moves messages, applies channel loss, enforces the
-restart bound and records the transcript. Hooks are stateful within a single
-run (restarts included) and must never be shared across runs.
+Steps 1-5 make one round; a restart replays them from step 1. Player
+behavior is injected through hooks so cheating strategies can replace any
+step; the engine only moves messages, applies channel loss, enforces the
+restart bound and records transcripts.
 
-Alice's hooks are prepare(rng) -> Emission and reveal(b, rng) -> (a, x).
-Bob's are receive(delivery, rng) -> Action, choose_b(rng) -> b and
-verify(a, x, rng) -> Verdict or a restart Action. After receive and again
-after verify the engine copies Bob's optional last_basis (a string tag) and
-last_outcome (the index of his measurement outcome, or None) into the round's
-transcript. In an honest basis outcome index i is the state |a, i>, so it is
-compared with the revealed x directly (see catalog.basis). What differs
-between protocols (state family, default variant flags, allowed measurement
-timing, coin rule) is one row of the PROTOCOLS table.
+The engine (run_chunk) runs every round of a step as one flat batch of
+(trial, round) pairs, so hooks take and return arrays with one entry per
+round. u holds the uniforms of the hook's own draw site (see rng): prepare
+gets u[0] and u[1], receive u[0] to u[3], each with one entry per round of
+the batch; choose_b, reveal and verify get one uniform per row they serve.
+
+  Alice: prepare(u) -> emission batch; reveal(rows, b, u) -> (a, x)
+  Bob:   receive(delivery, delivered, u) -> restart mask;
+         choose_b(rows, u) -> b; verify(rows, a, x, u) -> Decision codes
+
+receive sees every round of the step (delivered says which deliveries
+arrived); the rounds it does not restart continue, and choose_b, reveal and
+verify are then called once each, in that order, with the same rows (their
+indices in the batch). A hook may keep per-round arrays from one call to the
+next within a step, but no state across rounds: rounds are independent
+draws, which is what lets a step run a trial's next rounds all at once.
+
+For transcripts Bob exposes last_basis (an index into his basis_tags, -1 for
+none) and last_outcome (the index of his measurement outcome, -1 for none),
+per round or as one value for all; both are read once verify has run. In an
+honest basis outcome index i is the state |a, i>, so it is compared with the
+revealed x directly (see catalog.basis). What differs between protocols
+(state family, default variant flags, allowed measurement timing, coin rule)
+is one row of the PROTOCOLS table.
 """
 from __future__ import annotations
 
@@ -37,13 +53,17 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Union
 
+import numpy as np
+
 from . import catalog
 from .catalog import Family, StateFamily
 from .channel import ChannelParams, transmit
-from .errors import IncompatibleProtocol, RestartLimitExceeded
-from .quantum import (ProjectiveMeasurement, QuantumState,
-                      measure_projective, steer_epr)
-from .rng import RandomStream
+from .errors import IncompatibleProtocol
+from .quantum import measure_projective, steer_epr
+from .rng import (CHOOSE_B, PREPARE, RECEIVE, REVEAL, SLOTS, TRANSMIT, VERIFY,
+                  ChunkStream, bit, choice)
+
+DEPTH = 64  # the most rounds per trial in one step
 
 
 class ProtocolId(Enum):
@@ -116,22 +136,23 @@ class Verdict(Enum):
     ABORT_CHEATER = "abort_cheater"
 
 
-class Action(Enum):
-    MEASURED = "measured"
-    STORED = "stored"
-    REQUEST_RESTART = "request_restart"
-    CLAIM_LOSS_FALSELY = "claim_loss_falsely"
+class Decision:
+    """How a round ends, as verify returns it per round (int codes, for
+    arrays); the first two end the trial."""
+
+    ACCEPTED, ABORT_CHEATER, REQUEST_RESTART, CLAIM_LOSS_FALSELY = range(4)
 
 
 # ---------------------------------------------------------------------------
-# emissions
+# emissions: one per round of a batch
 
 @dataclass
 class SingleState:
-    """photon_count identical copies of one pure state; more than one is a
+    """One pure state per round, as the columns of amplitudes (dim, n), each
+    carried by photon_count identical photons; more than one is a
     multi-photon pulse, whose extra copies are the side channel."""
 
-    state: QuantumState
+    amplitudes: np.ndarray
     photon_count: int = 1
 
     @property
@@ -145,53 +166,36 @@ class Vacuum:
     photon_count: int = 0
 
 
-class EprLink:
-    """One shared singlet; whichever party measures first steers the other."""
-
-    ALICE = "alice"
-    BOB = "bob"
-
-    def __init__(self):
-        self._collapsed: dict[str, Optional[QuantumState]] = {
-            self.ALICE: None, self.BOB: None}
-        self._measured: set[str] = set()
-
-    def measure(self, side: str, m: ProjectiveMeasurement,
-                rng: RandomStream) -> int:
-        """Measure this side's half in basis m; returns the outcome index."""
-        if side in self._measured:
-            raise RuntimeError(f"{side} already measured its half")
-        self._measured.add(side)
-        other = self.ALICE if side == self.BOB else self.BOB
-        local = self._collapsed[side]
-        if local is None:
-            i, far = steer_epr(m, rng)
-            self._collapsed[other] = far
-            return i
-        return rng.choice(m.probabilities(local))
-
-
 @dataclass
 class EprHalf:
-    link: EprLink
+    """Half of a singlet per round; Alice keeps the other halves. Whoever
+    measures first steers the other half: once Bob has measured his half of
+    a round, column j of far holds the collapsed state of Alice's half."""
+
+    far: np.ndarray
     tag: str = "epr_half"
     photon_count: int = 1
 
 
 Emission = Union[SingleState, Vacuum, EprHalf]
-Delivery = Union[SingleState, EprHalf, None]  # what survives the channel
 
 
-def measure_delivery(delivery: Delivery, m: ProjectiveMeasurement,
-                     rng: RandomStream) -> int:
-    """Measure whatever reached Bob in basis m and return the outcome index.
+def measure_delivery(delivery: Emission, rows: np.ndarray, bras: np.ndarray,
+                     u: np.ndarray, which: Optional[np.ndarray] = None) -> np.ndarray:
+    """Measure what reached Bob in the given rounds (indices into the batch)
+    and return one outcome index per round; bras and which choose the basis
+    as in measure_projective.
 
     A pulse is measured on its first photon only (remaining photons are the
-    side channel, exploited explicitly by the pulse-aware strategies).
+    side channel, exploited explicitly by the pulse-aware strategies). An EPR
+    half steers Alice's half of the same round.
     """
+    if not len(rows):  # nothing arrived, as always for vacuum
+        return np.zeros(0, dtype=np.intp)
     if isinstance(delivery, EprHalf):
-        return delivery.link.measure(EprLink.BOB, m, rng)
-    return measure_projective(delivery.state, m, rng)
+        outcome, delivery.far[:, rows] = steer_epr(bras, u, which)
+        return outcome
+    return measure_projective(delivery.amplitudes[:, rows], bras, u, which)
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +222,7 @@ class Transcript:
 
     def to_dict(self) -> dict:
         return {
-            "rounds": [vars(r) for r in self.rounds],
+            "rounds": [dict(vars(r)) for r in self.rounds],
             "b": self.b,
             "revealed": {"a": self.revealed[0], "x": self.revealed[1]},
             "verdict": self.verdict.value,
@@ -237,65 +241,66 @@ class HonestAlice:
     def __init__(self, family: StateFamily, photon_count: int = 1):
         self.family = family
         self.photon_count = photon_count
-        self.a: Optional[int] = None
-        self.x: Optional[int] = None
+        self.kets = catalog.basis_pair(family).conj()  # kets[a, x] is |a, x>
 
-    def prepare(self, rng: RandomStream) -> Emission:
-        self.a = rng.bit()
-        self.x = self.family.x_values[rng.choice(self.family.x_weights)]
-        psi = catalog.state(self.family, catalog.StateLabel(self.a, self.x))
-        return SingleState(psi, self.photon_count)
+    def prepare(self, u: np.ndarray) -> Emission:
+        self.a = bit(u[0])
+        self.x = choice(self.family.x_weights, u[1])  # x_values are 0, 1(, 2)
+        return SingleState(self.kets[self.a, self.x].T, self.photon_count)
 
-    def reveal(self, b: int, rng: RandomStream) -> tuple[int, int]:
-        return self.a, self.x
+    def reveal(self, rows: np.ndarray, b: np.ndarray, u: np.ndarray):
+        return self.a[rows], self.x[rows]
 
 
 class HonestBob:
     """Measures per the variant flags, sends a fresh random b, verifies
     whenever the declared basis lets him."""
 
+    basis_tags = ("0", "1")
+
     def __init__(self, family: StateFamily, flags: VariantFlags):
-        self.family = family
         self.flags = flags
-        self.a_hat: Optional[int] = None
-        self.x_hat: Optional[int] = None
-        self.stored: Delivery = None
-        self.last_basis: Optional[str] = None
-        self.last_outcome: Optional[int] = None
+        self.bras = catalog.basis_pair(family)
 
-    def receive(self, delivery: Delivery, rng: RandomStream) -> Action:
-        self.last_basis = None
-        self.last_outcome = None
+    def receive(self, delivery: Emission, delivered: np.ndarray,
+                u: np.ndarray) -> np.ndarray:
+        n = len(delivered)
+        self.last_basis = np.full(n, -1)
         if not self.flags.bob_measures_on_reception:
-            self.stored = delivery
-            return Action.STORED
-        if delivery is None:
-            return Action.REQUEST_RESTART
-        self.a_hat = rng.bit()
-        m = catalog.basis(self.family, self.a_hat)
-        self.x_hat = measure_delivery(delivery, m, rng)
-        self.last_basis = str(self.a_hat)
+            self.stored, self.delivered = delivery, delivered
+            self.last_outcome = np.full(n, -1)
+            return np.zeros(n, dtype=bool)
+        rows = np.flatnonzero(delivered)
+        self.a_hat = bit(u[0])
+        self.x_hat = np.full(n, -1)
+        self.x_hat[rows] = measure_delivery(delivery, rows, self.bras,
+                                            u[1, rows], self.a_hat[rows])
+        self.last_basis[rows] = self.a_hat[rows]
         self.last_outcome = self.x_hat
-        return Action.MEASURED
+        return ~delivered
 
-    def choose_b(self, rng: RandomStream) -> int:
-        return rng.bit()
+    def choose_b(self, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+        return bit(u)
 
-    def verify(self, a: int, x: int, rng: RandomStream):
+    def verify(self, rows: np.ndarray, a: np.ndarray, x: np.ndarray,
+               u: np.ndarray) -> np.ndarray:
         if self.flags.bob_measures_on_reception:
-            if a == self.a_hat and self.x_hat != x:
-                return Verdict.ABORT_CHEATER
-            return Verdict.ACCEPTED
-        if self.stored is None:
-            if self.flags.loss_policy is LossPolicy.BELIEVE_ON_FAITH:
-                return Verdict.ACCEPTED
-            # no loss handling defined, or restart agreed: replay from step 1
-            return Action.REQUEST_RESTART
-        m = catalog.basis(self.family, a)
-        x_hat = measure_delivery(self.stored, m, rng)
-        self.last_basis = str(a)
-        self.last_outcome = x_hat
-        return Verdict.ABORT_CHEATER if x_hat != x else Verdict.ACCEPTED
+            caught = (a == self.a_hat[rows]) & (self.x_hat[rows] != x)
+            return np.where(caught, Decision.ABORT_CHEATER, Decision.ACCEPTED)
+        # no loss handling defined, or restart agreed: replay from step 1
+        lost = (Decision.ACCEPTED
+                if self.flags.loss_policy is LossPolicy.BELIEVE_ON_FAITH
+                else Decision.REQUEST_RESTART)
+        decision = np.full(len(rows), lost)
+        stored = self.delivered[rows]
+        kept = rows[stored]
+        x_hat = measure_delivery(self.stored, kept, self.bras, u[stored],
+                                 a[stored])
+        self.last_basis[kept] = a[stored]
+        self.last_outcome[kept] = x_hat
+        decision[stored] = np.where(x_hat != x[stored], Decision.ABORT_CHEATER,
+                                    Decision.ACCEPTED)
+        return decision
 
 
 @dataclass
@@ -307,51 +312,93 @@ class PlayerHooks:
 # ---------------------------------------------------------------------------
 # engine
 
-def _outcome_bit(protocol: ProtocolId, a: int, x: int, b: int) -> int:
-    return (x if PROTOCOLS[protocol].coin_from_x else a) ^ b
+def run_chunk(protocol: ProtocolId, hooks: PlayerHooks, ch: ChannelParams,
+              max_restarts: int, stream: ChunkStream, trials: int,
+              sink=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Run `trials` independent protocol runs on the uniforms of one chunk.
+
+    Step s runs the next min(2**s, DEPTH) rounds of every trial still
+    pending (never more than max_restarts + 1 rounds in all) on the block
+    stream.block(s, (pending, depth, SLOTS)), and each trial keeps its first
+    round that does not end in a restart. Returns, per trial, the Decision
+    of that round (REQUEST_RESTART for a trial that restarted more than
+    max_restarts times), the coin it produced and the restarts before it.
+    With a sink, each finished trial's Transcript goes to it, in trial order.
+    """
+    coin_from_x = PROTOCOLS[protocol].coin_from_x
+    alice, bob = hooks.alice, hooks.bob
+    verdict = np.full(trials, Decision.REQUEST_RESTART, dtype=np.int8)
+    coin = np.zeros(trials, dtype=np.int8)
+    restarts = np.zeros(trials, dtype=np.int64)
+    log = [] if sink is not None else None
+    pending = np.arange(trials)
+    rounds_before = 0  # rounds each pending trial has run, all restarts
+    step = 0
+    while pending.size and rounds_before <= max_restarts:
+        depth = min(1 << step, DEPTH, max_restarts + 1 - rounds_before)
+        # u[c] is column c of the block: one uniform per (trial, round)
+        u = stream.block(step, (pending.size, depth, SLOTS)).reshape(-1, SLOTS).T
+        emission = alice.prepare(u[PREPARE])
+        delivered = transmit(emission, ch, u[TRANSMIT])
+        live = np.flatnonzero(~bob.receive(emission, delivered, u[RECEIVE]))
+        b = bob.choose_b(live, u[CHOOSE_B, live])
+        a, x = alice.reveal(live, b, u[REVEAL, live])
+        decision = np.full(u.shape[1], Decision.REQUEST_RESTART, dtype=np.int8)
+        decision[live] = bob.verify(live, a, x, u[VERIFY, live])
+
+        ends = (decision <= Decision.ABORT_CHEATER).reshape(-1, depth)
+        done = ends.any(1)
+        first = ends[done].argmax(1)  # the first round that ends each trial
+        last = np.flatnonzero(done) * depth + first
+        at = np.searchsorted(live, last)  # those rounds are all live
+        finished = pending[done]
+        verdict[finished] = decision[last]
+        coin[finished] = (x[at] if coin_from_x else a[at]) ^ b[at]
+        restarts[finished] = rounds_before + first
+        if log is not None:
+            seen = [np.broadcast_to(v, delivered.shape).astype(np.int8)
+                    for v in (bob.last_basis, bob.last_outcome)]
+            log.append((emission.tag, pending, depth, done, delivered, *seen,
+                        decision, first, b[at], a[at], x[at]))
+        pending = pending[~done]
+        rounds_before += depth
+        step += 1
+    if log is not None:
+        _send_transcripts(sink, log, getattr(bob, "basis_tags", ()),
+                          verdict, coin, restarts)
+    return verdict, coin, restarts
 
 
-def run(protocol: ProtocolId, flags: VariantFlags, hooks: PlayerHooks,
-        ch: ChannelParams, params: StateFamily, max_restarts: int,
-        randomness: RandomStream) -> Transcript:
-    """Execute one full protocol run, looping back to step 1 on restarts."""
-    check_flags(protocol, flags)
-    rounds: list[QuantumRound] = []
-    restart_count = 0
-
-    def restart(rnd: QuantumRound, false_claim: bool) -> None:
-        nonlocal restart_count
-        rnd.restart_requested = True
-        rnd.false_claim = false_claim
-        rounds.append(rnd)
-        restart_count += 1
-        if restart_count > max_restarts:
-            raise RestartLimitExceeded(
-                f"{protocol.value}: more than {max_restarts} restarts")
-
-    while True:
-        emission = hooks.alice.prepare(randomness)
-        delivery = transmit(emission, ch, randomness)
-        action = hooks.bob.receive(delivery, randomness)
-        rnd = QuantumRound(
-            sent=emission.tag,
-            delivered=delivery is not None,
-            bob_basis=getattr(hooks.bob, "last_basis", None),
-            bob_outcome=getattr(hooks.bob, "last_outcome", None),
-        )
-        if action in (Action.REQUEST_RESTART, Action.CLAIM_LOSS_FALSELY):
-            restart(rnd, action is Action.CLAIM_LOSS_FALSELY)
-            continue
-        b = hooks.bob.choose_b(randomness)
-        a, x = hooks.alice.reveal(b, randomness)
-        decision = hooks.bob.verify(a, x, randomness)
-        rnd.bob_basis = getattr(hooks.bob, "last_basis", None)
-        rnd.bob_outcome = getattr(hooks.bob, "last_outcome", None)
-        if decision in (Action.REQUEST_RESTART, Action.CLAIM_LOSS_FALSELY):
-            restart(rnd, decision is Action.CLAIM_LOSS_FALSELY)
-            continue
-        rounds.append(rnd)
-        verdict = decision
-        outcome = (_outcome_bit(protocol, a, x, b)
-                   if verdict is Verdict.ACCEPTED else None)
-        return Transcript(rounds, b, (a, x), verdict, outcome, restart_count)
+def _send_transcripts(sink, log, basis_tags, verdict, coin, restarts) -> None:
+    """One Transcript per finished trial, in trial order, from the per-step
+    records of run_chunk."""
+    tags = (*basis_tags, None)  # basis index -1 reads None
+    verdict = verdict.tolist()
+    rounds = {t: [] for t, v in enumerate(verdict)
+              if v != Decision.REQUEST_RESTART}  # the trials that finish
+    final = {}
+    for (sent, pending, depth, done, delivered, basis, outcome, decision,
+         *ending) in log:
+        delivered, basis, outcome, decision = (
+            v.tolist() for v in (delivered, basis, outcome, decision))
+        ending = zip(*(v.tolist() for v in ending))
+        for p, (trial, ends) in enumerate(zip(pending.tolist(), done.tolist())):
+            stop = depth
+            if ends:
+                first, *final[trial] = next(ending)
+                stop = first + 1
+            elif trial not in rounds:
+                continue  # restarts past the limit: no transcript
+            rounds[trial].extend(
+                QuantumRound(sent, delivered[r], tags[basis[r]],
+                             None if outcome[r] < 0 else outcome[r],
+                             decision[r] >= Decision.REQUEST_RESTART,
+                             decision[r] == Decision.CLAIM_LOSS_FALSELY)
+                for r in range(p * depth, p * depth + stop))
+    for trial, kept in rounds.items():
+        b, a, x = final[trial]
+        accepted = verdict[trial] == Decision.ACCEPTED
+        sink(Transcript(kept, b, (a, x),
+                        Verdict.ACCEPTED if accepted else Verdict.ABORT_CHEATER,
+                        int(coin[trial]) if accepted else None,
+                        int(restarts[trial])))

@@ -4,19 +4,23 @@ distinguishability primitives.
 States and matrices are immutable after construction and validate their own
 invariants (normalization, hermiticity, positivity) at build time with an
 absolute tolerance of 1e-9. Dimensions never exceed 4, so everything is kept
-dense; probabilities on the hot measurement path are computed with plain
-Python complex arithmetic, numpy is used where eigenvalues are needed.
+dense.
+
+Measurements run on batches: a batch of n pure states is a (dim, n) array
+whose column j holds the amplitudes of state j, and one uniform per state
+picks the outcome by inverse CDF over the Born probabilities |<b_i|psi>|^2.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatch, ProbabilityMismatch, ZeroVector
-from .rng import RandomStream
+from .rng import choice
 
 ATOL = 1e-9
 _ZERO_TOL = 1e-12
@@ -109,6 +113,14 @@ class ProjectiveMeasurement:
             raise DimensionMismatch("state/measurement dimension mismatch")
         return [abs(u.overlap(state)) ** 2 for u in self.basis]
 
+    @cached_property
+    def bras(self) -> np.ndarray:
+        """(dim, dim) read-only matrix whose row i is <b_i|, so that
+        bras @ amplitudes holds the outcome amplitudes of a batch."""
+        bras = as_columns(self.basis).conj().T
+        bras.flags.writeable = False
+        return bras
+
 
 @dataclass(frozen=True)
 class Povm:
@@ -182,15 +194,44 @@ def mix(ensemble: Sequence[tuple[float, QuantumState]]) -> DensityMatrix:
     return DensityMatrix(m)
 
 
-def measure_projective(state: QuantumState, m: ProjectiveMeasurement,
-                       randomness: RandomStream) -> int:
-    """Born-rule measurement; returns the index of the observed basis vector."""
-    return randomness.choice(m.probabilities(state))
+def as_columns(states: Sequence[QuantumState]) -> np.ndarray:
+    """The states' amplitudes as the columns of a read-only (dim, len(states))
+    array; real-valued when every amplitude is real."""
+    m = np.array([s.amplitudes for s in states], dtype=complex).T
+    if not m.imag.any():
+        m = m.real.copy()
+    m.flags.writeable = False
+    return m
 
 
-def measure_povm(state: DensityMatrix, p: Povm, randomness: RandomStream) -> int:
-    """Sample a POVM outcome index with probability Tr(E_i rho)."""
-    return randomness.choice(p.probabilities(state))
+def _abs2(a: np.ndarray) -> np.ndarray:
+    return a.real ** 2 + a.imag ** 2 if a.dtype.kind == "c" else a * a
+
+
+def measure_projective(amplitudes: np.ndarray, bras: np.ndarray, u: np.ndarray,
+                       which: Optional[np.ndarray] = None) -> np.ndarray:
+    """Born-rule measurement of a batch of states; returns one outcome index
+    per state.
+
+    amplitudes is (dim, n) with one state per column, each normalized within
+    ATOL (ValueError otherwise). bras is one basis (dim, dim), as
+    ProjectiveMeasurement.bras, or a stack (k, dim, dim) of bases of which
+    state j is measured in bras[which[j]]. u holds one uniform per state.
+    """
+    norm2 = _abs2(amplitudes).sum(0)
+    off = np.abs(norm2 - 1.0) > ATOL
+    if off.any():
+        raise ValueError(
+            f"state not normalized: |psi|^2 = {np.extract(off, norm2)[0]}")
+    outcome = bras @ amplitudes
+    if which is not None:
+        outcome = np.choose(which, outcome)
+    return choice(_abs2(outcome), u)
+
+
+def measure_povm(state: DensityMatrix, p: Povm, u: np.ndarray) -> np.ndarray:
+    """One POVM outcome index per uniform, with probability Tr(E_i rho)."""
+    return choice(p.probabilities(state), u)
 
 
 def trace_distance(r0: DensityMatrix, r1: DensityMatrix) -> float:
@@ -207,29 +248,31 @@ def helstrom_success(r0: DensityMatrix, r1: DensityMatrix) -> float:
 
 
 # Singlet (|01> - |10>)/sqrt(2), the only entangled state the package needs.
-_SINGLET = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0)
+_SINGLET = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
 
 
-def steer_epr(keep_basis: ProjectiveMeasurement,
-              randomness: RandomStream) -> tuple[int, QuantumState]:
-    """Measure one half of a singlet in keep_basis; steer the far half.
+def steer_epr(bras: np.ndarray, u: np.ndarray,
+              which: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
+    """Measure one half of a singlet per uniform; steer the far halves.
 
-    Returns (outcome index, collapsed state of the far qubit). The outcome is
-    uniform; the far qubit collapses onto the state orthogonal to the observed
-    basis vector, so a later measurement of it in keep_basis is guaranteed to
+    bras selects the qubit basis per pair as in measure_projective. Returns
+    (outcome indices, far states as a (2, n) batch). The outcome is uniform;
+    the far qubit collapses onto the state orthogonal to the observed basis
+    vector, so a later measurement of it in the same basis is guaranteed to
     give the complementary outcome. The singlet is symmetric under swapping
     the two parties, so either party may be taken as the measuring one.
     """
-    if keep_basis.dim != 2:
+    if bras.shape[-1] != 2:
         raise DimensionMismatch("steer_epr requires a qubit basis")
-    joint = _SINGLET.reshape(2, 2)
-    conditionals = []
-    probs = []
-    for u in keep_basis.basis:
-        # contract <u| on the measured side
-        far = u.vector().conj() @ joint
-        probs.append(float(np.vdot(far, far).real))
-        conditionals.append(far)
-    i = randomness.choice(probs)
-    far = conditionals[i] / math.sqrt(probs[i])
-    return i, QuantumState(tuple(far))
+    # row i of bras @ joint contracts <b_i| on the measured side
+    far = bras @ _SINGLET.reshape(2, 2)
+    if which is not None:
+        far = far[which]
+    probs = _abs2(far).sum(-1)
+    i = choice(probs.T, u)
+    if which is None:
+        picked, p = far[i], probs[i]
+    else:
+        rows = np.arange(len(u))
+        picked, p = far[rows, i], probs[rows, i]
+    return i, (picked / np.sqrt(p)[:, None]).T

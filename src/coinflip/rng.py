@@ -1,75 +1,107 @@
-"""Seeded, counter-based random streams.
+"""Seeded, counter-based uniforms for the batch engine, and the draws made
+from them.
 
-Every stochastic operation in the package consumes a RandomStream explicitly;
-there is no hidden global randomness. A stream is keyed by (seed, chunk): the
-seed is the Philox key and the chunk index sits in the high 128 bits of the
-256-bit Philox counter (Salmon et al., "Parallel Random Numbers: As Easy as
-1, 2, 3", SC'11), so the streams of different chunks never overlap and each
-is reproducible on its own, in any order.
+There is no hidden global randomness: every draw reads uniforms from a
+ChunkStream. Trials run in chunks, and the trials of a chunk that are still
+pending run their next rounds together in steps. Step s of chunk k reads one
+block of uniforms from Philox(key=seed, counter=(k << 128) | (s << 64))
+(Salmon et al., "Parallel Random Numbers: As Easy as 1, 2, 3", SC'11), so
+the blocks of different steps and chunks never overlap and each is
+reproducible on its own, in any order.
 
-Uniforms are generated a block at a time and every draw consumes exactly
-one of them, so the n-th draw of a stream is the same whichever draw methods
-came before it.
+A block has shape (pending trials, rounds, SLOTS): one row of SLOTS uniforms
+per (trial, round) pair. Each draw site of a round owns fixed columns of its
+row (PREPARE, TRANSMIT, RECEIVE, CHOOSE_B, REVEAL, VERIFY), whether or not
+the round reaches it, and every draw maps exactly one uniform, so what one
+site draws never shifts another site's uniforms. Hooks (see protocols) get
+their own columns as arrays, one entry per round, and return arrays; they
+keep no state across rounds, so the rounds of a step are independent.
 """
 from __future__ import annotations
-
-from typing import Sequence
 
 import numpy as np
 
 from .errors import ProbabilityMismatch
 
 _PROB_TOL = 1e-9
-_BLOCK = 256
-_CHUNK_SHIFT = 128  # chunk index -> counter words 2 and 3
+_WORD = (1 << 64) - 1
+
+# Columns of a block row, one set per draw site of a round.
+PREPARE = slice(0, 2)
+TRANSMIT = 2
+RECEIVE = slice(3, 7)
+CHOOSE_B = 7
+REVEAL = 8
+VERIFY = 9
+SLOTS = 10
 
 
-class RandomStream:
-    """Deterministic random source: one Philox stream per (seed, chunk)."""
+class ChunkStream:
+    """The uniforms of one chunk: block(s, shape) is the start of the Philox
+    stream with key seed at counter (chunk << 128) | (s << 64). The stream
+    owns one bit generator and repositions it for each step, which gives the
+    same uniforms as a new Philox at a fraction of the cost of building one."""
 
     def __init__(self, seed: int, chunk: int = 0):
-        self._gen = np.random.Generator(
-            np.random.Philox(key=seed, counter=chunk << _CHUNK_SHIFT))
-        self._next = iter(()).__next__
+        self._bits = np.random.Philox(key=seed, counter=chunk << 128)
+        self._gen = np.random.Generator(self._bits)
+        self._state = self._bits.state
+        self._high = (chunk & _WORD, chunk >> 64)
 
-    def _uniform(self) -> float:
-        try:
-            return self._next()
-        except StopIteration:
-            self._next = iter(self._gen.random(_BLOCK).tolist()).__next__
-            return self._next()
+    def block(self, step: int, shape) -> np.ndarray:
+        """Uniforms in [0, 1) of the given shape for step `step`."""
+        state = self._state
+        state["state"]["counter"] = np.array((0, step, *self._high), np.uint64)
+        state["buffer_pos"] = 4  # the buffer is empty: start at the counter
+        self._bits.state = state
+        return self._gen.random(shape)
 
-    def random(self) -> float:
-        """Uniform float in [0, 1)."""
-        return self._uniform()
 
-    def bit(self) -> int:
-        return 1 if self._uniform() < 0.5 else 0
+def bit(u: np.ndarray) -> np.ndarray:
+    """Uniform 0 / 1 per uniform."""
+    return (u < 0.5).astype(np.intp)
 
-    def randint(self, n: int) -> int:
-        """Uniform integer in [0, n)."""
-        return int(self._uniform() * n)
 
-    def bernoulli(self, p: float) -> bool:
-        return self._uniform() < p
+def sign(u: np.ndarray) -> np.ndarray:
+    """Uniform +1 / -1 per uniform."""
+    return np.where(u < 0.5, 1, -1)
 
-    def sign(self) -> int:
-        """Uniform +1 / -1."""
-        return 1 if self._uniform() < 0.5 else -1
 
-    def choice(self, probs: Sequence[float]) -> int:
-        """Sample an index from a probability vector (must sum to 1)."""
-        total = 0.0
-        for p in probs:
-            if p < -_PROB_TOL:
-                raise ProbabilityMismatch(f"negative probability {p}")
-            total += max(p, 0.0)
-        if abs(total - 1.0) > 1e-6:
-            raise ProbabilityMismatch(f"probabilities sum to {total}")
-        u = self._uniform() * total
-        acc = 0.0
-        for i, p in enumerate(probs):
-            acc += max(p, 0.0)
-            if u < acc:
-                return i
-        return len(probs) - 1
+def randint(n: int, u: np.ndarray) -> np.ndarray:
+    """Uniform integer in [0, n) per uniform."""
+    return (u * n).astype(np.intp)
+
+
+def bernoulli(p: float, u: np.ndarray) -> np.ndarray:
+    return u < p
+
+
+def choice(probs, u: np.ndarray) -> np.ndarray:
+    """Sample one index per uniform by inverse CDF. probs is one probability
+    vector (k,) for every uniform, or (k, n) with column j for uniform j.
+    Each vector must have no entry below -1e-9 and sum to 1 within 1e-6
+    (ProbabilityMismatch)."""
+    probs = np.asarray(probs, dtype=float)
+    if probs.ndim == 2:
+        if (probs < -_PROB_TOL).any():
+            raise ProbabilityMismatch(f"negative probability {probs.min()}")
+        probs = np.maximum(probs, 0.0)
+        total = probs.sum(0)
+        off = np.abs(total - 1.0) > 1e-6
+        if off.any():
+            raise ProbabilityMismatch(
+                f"probabilities sum to {np.extract(off, total)[0]}")
+        # the first i with u * total < cdf[i], or the last index if none is
+        return (np.cumsum(probs[:-1], 0) <= u * total).sum(0)
+    if not probs.size:
+        raise ProbabilityMismatch("empty probability vector")
+    cdf = []
+    total = 0.0
+    for p in probs.tolist():  # one vector: checked and summed in Python
+        if p < -_PROB_TOL:
+            raise ProbabilityMismatch(f"negative probability {p}")
+        total += max(p, 0.0)
+        cdf.append(total)
+    if abs(total - 1.0) > 1e-6:
+        raise ProbabilityMismatch(f"probabilities sum to {total}")
+    return np.searchsorted(cdf[:-1], u * total, side="right")

@@ -1,10 +1,10 @@
 """Catalog of named cheating strategies, one hooks class per attack.
 
 Each factory builds a single-side hooks object (Alice-side objects implement
-prepare/reveal, Bob-side objects the receive/choose_b/verify trio) around a
-target bit c: the coin value the cheater wants to force. Reveal tables were
-verified by direct overlap computation (see tests) rather than taken on
-trust. Strategies never see the honest party's private randomness; everything
+prepare/reveal, Bob-side objects the receive/choose_b/verify trio, all on
+batches of rounds as the protocols module describes) around a target bit c:
+the coin value the cheater wants to force. Reveal tables were verified by
+direct overlap computation (see tests) rather than taken on trust. Strategies never see the honest party's private randomness; everything
 they learn flows through the hook arguments.
 """
 from __future__ import annotations
@@ -12,16 +12,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable
+
+import numpy as np
 
 from . import catalog
 from .catalog import StateFamily, StateLabel, computational_basis
 from .errors import IncompatibleProtocol
-from .protocols import (Action, Delivery, EprHalf, EprLink, HonestAlice,
-                        HonestBob, ProtocolId, SingleState, Vacuum,
-                        VariantFlags, Verdict, measure_delivery)
-from .quantum import QuantumState, measure_projective
-from .rng import RandomStream
+from .protocols import (Decision, EprHalf, HonestAlice, HonestBob, ProtocolId,
+                        SingleState, Vacuum, measure_delivery)
+from .quantum import QuantumState, as_columns, measure_projective
+from .rng import bernoulli, bit, randint, sign
 
 
 class Side(Enum):
@@ -39,10 +40,10 @@ class PostponeLieAlice(HonestAlice):
         super().__init__(family)
         self.target = target
 
-    def reveal(self, b: int, rng: RandomStream) -> tuple[int, int]:
-        if self.a ^ b == self.target:
-            return self.a, self.x
-        return 1 ^ self.a, rng.bit()
+    def reveal(self, rows, b, u):
+        a, x = self.a[rows], self.x[rows]
+        happy = (a ^ b) == self.target
+        return np.where(happy, a, 1 ^ a), np.where(happy, x, bit(u))
 
 
 class RotatedStateAlice:
@@ -50,23 +51,24 @@ class RotatedStateAlice:
     suits her with the nearest bit in that basis."""
 
     def __init__(self, family: StateFamily, target: int):
-        self.family = family
         self.target = target
-        self.sent: Optional[QuantumState] = None
+        sent = [QuantumState((math.cos(t), math.sin(t)))
+                for t in (k * math.pi / 8.0 for k in (1, 3, 5, 7))]
+        self.states = as_columns(sent)
+        # nearest[i][a]: the bit x whose |a, x> overlaps sent[i] the most
+        self.nearest = np.array([
+            [0 if s.fidelity_with(catalog.state(family, StateLabel(a, 0)))
+             >= s.fidelity_with(catalog.state(family, StateLabel(a, 1))) else 1
+             for a in (0, 1)]
+            for s in sent])
 
-    def prepare(self, rng: RandomStream) -> SingleState:
-        k = (1, 3, 5, 7)[rng.randint(4)]
-        theta = k * math.pi / 8.0
-        self.sent = QuantumState((math.cos(theta), math.sin(theta)))
-        return SingleState(self.sent)
+    def prepare(self, u) -> SingleState:
+        self.k = randint(4, u[0])
+        return SingleState(self.states[:, self.k])
 
-    def reveal(self, b: int, rng: RandomStream) -> tuple[int, int]:
+    def reveal(self, rows, b, u):
         a = self.target ^ b
-        overlaps = [
-            self.sent.fidelity_with(catalog.state(self.family, StateLabel(a, x)))
-            for x in (0, 1)
-        ]
-        return a, (0 if overlaps[0] >= overlaps[1] else 1)
+        return a, self.nearest[self.k[rows], a]
 
 
 class EprSteeringAlice:
@@ -74,18 +76,16 @@ class EprSteeringAlice:
     learning b; the reveal is then guaranteed to match Bob's outcome."""
 
     def __init__(self, family: StateFamily, target: int):
-        self.family = family
         self.target = target
-        self.link: Optional[EprLink] = None
+        self.bras = catalog.basis_pair(family)
 
-    def prepare(self, rng: RandomStream) -> EprHalf:
-        self.link = EprLink()
-        return EprHalf(self.link)
+    def prepare(self, u) -> EprHalf:
+        self.link = EprHalf(np.zeros((2, u.shape[1]), dtype=complex))
+        return self.link
 
-    def reveal(self, b: int, rng: RandomStream) -> tuple[int, int]:
+    def reveal(self, rows, b, u):
         a = self.target ^ b
-        m = catalog.basis(self.family, a)
-        x_mine = self.link.measure(EprLink.ALICE, m, rng)
+        x_mine = measure_projective(self.link.far[:, rows], self.bras, u, a)
         # singlet anticorrelation: Bob's same-basis outcome is 1 xor x_mine
         return a, 1 ^ x_mine
 
@@ -95,20 +95,19 @@ class AmbainisOptimalAlice:
     is the sign-matched bit for whichever basis she claims."""
 
     def __init__(self, family: StateFamily, target: int):
-        self.family = family
         self.target = target
-        self.signs: Optional[tuple[int, int]] = None
-
-    def prepare(self, rng: RandomStream) -> SingleState:
-        self.signs = (rng.sign(), rng.sign())
-        s1, s2 = self.signs
         r6 = math.sqrt(6.0)
-        return SingleState(QuantumState((2.0 / r6, s1 / r6, s2 / r6)))
+        # column 2 * (s1 < 0) + (s2 < 0)
+        self.states = as_columns([QuantumState((2.0 / r6, s1 / r6, s2 / r6))
+                                  for s1 in (1, -1) for s2 in (1, -1)])
 
-    def reveal(self, b: int, rng: RandomStream) -> tuple[int, int]:
+    def prepare(self, u) -> SingleState:
+        self.negative = (sign(u) < 0).astype(np.intp)  # per basis a, per round
+        return SingleState(self.states[:, 2 * self.negative[0] + self.negative[1]])
+
+    def reveal(self, rows, b, u):
         a = self.target ^ b
-        sign = self.signs[a]
-        return a, (0 if sign > 0 else 1)
+        return a, self.negative[a, rows]
 
 
 class LossTolerantOptimalAlice:
@@ -116,43 +115,38 @@ class LossTolerantOptimalAlice:
     with the largest overlap once x = c xor b is forced."""
 
     def __init__(self, family: StateFamily, target: int):
-        self.family = family
         self.target = target
-        self.sent_minus: Optional[bool] = None
-
-    def prepare(self, rng: RandomStream) -> SingleState:
-        self.sent_minus = bool(rng.bit())
         s = 1.0 / math.sqrt(2.0)
-        return SingleState(QuantumState((s, -s if self.sent_minus else s)))
+        self.states = as_columns([QuantumState((s, s)), QuantumState((s, -s))])
 
-    def reveal(self, b: int, rng: RandomStream) -> tuple[int, int]:
+    def prepare(self, u) -> SingleState:
+        self.sent_minus = bit(u[0])
+        return SingleState(self.states[:, self.sent_minus])
+
+    def reveal(self, rows, b, u):
         x = self.target ^ b
-        a = (1 ^ x) if self.sent_minus else x
-        return a, x
+        return np.where(self.sent_minus[rows], 1 ^ x, x), x
 
 
 class SendNothingAlice:
     """Emits vacuum and 'reveals' whatever produces the desired outcome."""
 
     def __init__(self, family: StateFamily, target: int):
-        self.family = family
         self.target = target
 
-    def prepare(self, rng: RandomStream) -> Vacuum:
+    def prepare(self, u) -> Vacuum:
         return Vacuum()
 
-    def reveal(self, b: int, rng: RandomStream) -> tuple[int, int]:
-        return self.target ^ b, rng.bit()
+    def reveal(self, rows, b, u):
+        return self.target ^ b, bit(u)
 
 
 class CunningMotherAlice(HonestAlice):
     """Honest send; if b != x she knows Bob measured the wrong basis and
     relabels x to b so that her son wins x xor b = 0."""
 
-    def reveal(self, b: int, rng: RandomStream) -> tuple[int, int]:
-        if b == self.x:
-            return self.a, self.x
-        return self.a, b
+    def reveal(self, rows, b, u):
+        return self.a[rows], b  # x where b == x, else relabelled to b
 
 
 # ---------------------------------------------------------------------------
@@ -163,58 +157,53 @@ class RestartAbuseBob:
     plus camouflage claims at rate 1-2*p_honest so Alice sees a plausible
     detection rate."""
 
+    last_basis = last_outcome = -1
+
     def __init__(self, target: int, p_honest: float):
         self.target = target
         self.camouflage = max(0.0, 1.0 - 2.0 * p_honest)
-        self.b: Optional[int] = None
-        self.last_basis = None
-        self.last_outcome = None
 
-    def receive(self, delivery: Delivery, rng: RandomStream) -> Action:
-        return Action.STORED
+    def receive(self, delivery, delivered, u):
+        return np.zeros(len(delivered), dtype=bool)  # stores, never measures
 
-    def choose_b(self, rng: RandomStream) -> int:
-        self.b = rng.bit()
+    def choose_b(self, rows, u):
+        self.b = bit(u)
         return self.b
 
-    def verify(self, a: int, x: int, rng: RandomStream):
-        if a ^ self.b != self.target:
-            return Action.CLAIM_LOSS_FALSELY
-        if rng.bernoulli(self.camouflage):
-            return Action.CLAIM_LOSS_FALSELY
-        return Verdict.ACCEPTED
+    def verify(self, rows, a, x, u):
+        claim = ((a ^ self.b) != self.target) | bernoulli(self.camouflage, u)
+        return np.where(claim, Decision.CLAIM_LOSS_FALSELY, Decision.ACCEPTED)
 
 
 class GuessingBob:
     """A receiver that never verifies: receive() measures to guess a bit,
-    then b = target xor guess forces the coin and any reveal is accepted."""
+    then b = target xor guess forces the coin and any reveal is accepted.
+    receive sets guess (and last_outcome) per round, -1 where it restarts."""
+
+    basis_tags = ("computational",)
+    last_basis = 0
 
     def __init__(self, family: StateFamily, target: int):
         self.target = target
-        self.basis = computational_basis(family.dim)
-        self.guess: Optional[int] = None
-        self.last_basis = None
-        self.last_outcome = None
+        self.bras = computational_basis(family.dim).bras
 
-    def choose_b(self, rng: RandomStream) -> int:
-        return self.target ^ self.guess
+    def choose_b(self, rows, u):
+        return self.target ^ self.guess[rows]
 
-    def verify(self, a: int, x: int, rng: RandomStream):
-        return Verdict.ACCEPTED
+    def verify(self, rows, a, x, u):
+        return np.full(len(rows), Decision.ACCEPTED)
 
 
 class HelstromBob(GuessingBob):
     """Computational-basis measurement: the optimal x guess on the
     loss-tolerant states; gives up the ability to verify."""
 
-    def receive(self, delivery: Delivery, rng: RandomStream) -> Action:
-        self.last_basis = "computational"
-        self.last_outcome = None
-        if delivery is None:
-            return Action.REQUEST_RESTART
-        self.guess = measure_delivery(delivery, self.basis, rng)
+    def receive(self, delivery, delivered, u):
+        rows = np.flatnonzero(delivered)
+        self.guess = np.full(len(delivered), -1)
+        self.guess[rows] = measure_delivery(delivery, rows, self.bras, u[0, rows])
         self.last_outcome = self.guess
-        return Action.MEASURED
+        return ~delivered
 
 
 class ComputationalRestartBob(GuessingBob):
@@ -223,67 +212,61 @@ class ComputationalRestartBob(GuessingBob):
     Ambainis states |1> and |2> reveal a with certainty; on the contrived
     protocol the guess is a high-confidence one."""
 
-    def receive(self, delivery: Delivery, rng: RandomStream) -> Action:
-        self.last_basis = "computational"
-        self.last_outcome = None
-        if delivery is None:
-            return Action.REQUEST_RESTART
-        self.last_outcome = measure_delivery(delivery, self.basis, rng)
-        if self.last_outcome == 0:
-            return Action.REQUEST_RESTART
+    def receive(self, delivery, delivered, u):
+        rows = np.flatnonzero(delivered)
+        self.last_outcome = np.full(len(delivered), -1)
+        self.last_outcome[rows] = measure_delivery(delivery, rows, self.bras,
+                                                   u[0, rows])
         self.guess = self.last_outcome - 1
-        return Action.MEASURED
+        return self.guess < 0
 
 
 class CunningSonBob(HonestBob):
     """Honest measurement, but sends b = x_hat instead of a random bit."""
 
-    def __init__(self, family: StateFamily, flags: VariantFlags, target: int = 0):
-        super().__init__(family, flags)
-        self.target = target
-
-    def choose_b(self, rng: RandomStream) -> int:
-        return self.x_hat
+    def choose_b(self, rows, u):
+        return self.x_hat[rows]
 
 
 class TwoPhotonUsdBob(GuessingBob):
     """Measures the two photons of a pulse in both bases; agreement reveals x
     with certainty, disagreement triggers a feigned loss."""
 
+    basis_tags = ("both",)
+
     def __init__(self, family: StateFamily, target: int):
         super().__init__(family, target)
-        self.bases = (catalog.basis(family, 0), catalog.basis(family, 1))
+        self.bras = catalog.basis_pair(family)
 
-    def receive(self, delivery: Delivery, rng: RandomStream) -> Action:
-        self.last_basis = "both"
-        self.last_outcome = None
-        if delivery is None or delivery.photon_count < 2:
-            return Action.REQUEST_RESTART
-        o0, o1 = (measure_projective(delivery.state, m, rng) for m in self.bases)
-        if o0 != o1:
-            return Action.REQUEST_RESTART
-        self.guess = o0
-        self.last_outcome = o0
-        return Action.MEASURED
+    def receive(self, delivery, delivered, u):
+        self.guess = self.last_outcome = np.full(len(delivered), -1)
+        if delivery.photon_count < 2:
+            return np.ones(len(delivered), dtype=bool)
+        rows = np.flatnonzero(delivered)
+        conclusive, guess = self.measure_pair(delivery.amplitudes[:, rows],
+                                              u[:, rows])
+        self.guess[rows[conclusive]] = guess[conclusive]
+        return self.guess < 0
+
+    def measure_pair(self, amplitudes, u):
+        """(conclusive, guess) per round: the first photon is measured in
+        basis 0, the second in basis 1."""
+        o0 = measure_projective(amplitudes, self.bras[0], u[0])
+        o1 = measure_projective(amplitudes, self.bras[1], u[1])
+        return o0 == o1, o0
 
 
 class TwoPhotonHonestApparatusBob(TwoPhotonUsdBob):
     """Passive apparatus: each photon lands in a uniformly random basis;
     conclusive only when the bases happen to differ and the outcomes agree."""
 
-    def receive(self, delivery: Delivery, rng: RandomStream) -> Action:
-        self.last_basis = "random_pair"
-        self.last_outcome = None
-        if delivery is None or delivery.photon_count < 2:
-            return Action.REQUEST_RESTART
-        r0, r1 = rng.bit(), rng.bit()
-        o0 = measure_projective(delivery.state, self.bases[r0], rng)
-        o1 = measure_projective(delivery.state, self.bases[r1], rng)
-        if r0 == r1 or o0 != o1:
-            return Action.REQUEST_RESTART
-        self.guess = o0
-        self.last_outcome = o0
-        return Action.MEASURED
+    basis_tags = ("random_pair",)
+
+    def measure_pair(self, amplitudes, u):
+        r0, r1 = bit(u[0]), bit(u[1])
+        o0 = measure_projective(amplitudes, self.bras, u[2], r0)
+        o1 = measure_projective(amplitudes, self.bras, u[3], r1)
+        return (r0 != r1) & (o0 == o1), o0
 
 
 # ---------------------------------------------------------------------------
@@ -337,8 +320,7 @@ REGISTRY = {
     "mcqm_restart": Strategy(Side.BOB, (ProtocolId.MCQM_CONTRIVED_CF,),
                              _targeted(ComputationalRestartBob)),
     "cunning_son": Strategy(
-        Side.BOB, _LT,
-        lambda cfg, family, flags: CunningSonBob(family, flags, cfg.target)),
+        Side.BOB, _LT, lambda cfg, family, flags: CunningSonBob(family, flags)),
     "twophoton_usd": Strategy(Side.BOB, _LT, _targeted(TwoPhotonUsdBob),
                               min_photons=2),
     "twophoton_honest_apparatus": Strategy(

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from coinflip.rng import RandomStream
+from coinflip.rng import ChunkStream
 
 
 # One pass/fail line per acceptance criterion, filled in by
@@ -17,9 +17,22 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_line(line)
 
 
+class Uniforms:
+    """Fresh uniforms on demand: rng(*shape) returns the next step's block
+    of one chunk stream, so no two calls share a value."""
+
+    def __init__(self, seed: int):
+        self.stream = ChunkStream(seed)
+        self.step = 0
+
+    def __call__(self, *shape):
+        self.step += 1
+        return self.stream.block(self.step - 1, shape)
+
+
 @pytest.fixture
 def rng():
-    return RandomStream(20240817)
+    return Uniforms(20240817)
 
 
 def binomial_sigma(p: float, n: int) -> float:

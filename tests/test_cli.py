@@ -37,7 +37,7 @@ def test_run_json_schema():
     assert list(record) == ["protocol", "variant", "alice", "bob", "target",
                             "trials", "seed", "alpha2", "eta", "successes",
                             "failures", "aborts", "restart_total", "p_hat",
-                            "ci95", "bias_hat"]
+                            "ci95", "bias_hat", "limit_hits"]
     assert record["trials"] == 500
 
 
@@ -109,7 +109,9 @@ def test_usage_errors_exit_1():
     ("table", "--trials", "0"),
     ("run", "--alice", "honest_pulse", "--bob", "twophoton_usd", "--photons", "1",
      "--target", "1", "--trials", "300"),
-    ("run", "--protocol", "bb84", "--alpha2", "5", "--trials", "10")])
+    ("run", "--protocol", "bb84", "--alpha2", "5", "--trials", "10"),
+    ("sweep", "--param", "alpha2", "--grid", "0.6:0.9:3", "--protocol", "bb84",
+     "--trials", "500")])
 def test_out_of_range_options_exit_1_without_traceback(args):
     proc = run_cli(*args)
     assert proc.returncode == 1

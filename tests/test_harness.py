@@ -1,12 +1,14 @@
 """Monte Carlo harness: determinism, intervals and the check matrix."""
+import math
+
 import numpy as np
 import pytest
 
 from coinflip.analytics import reference_table
 from coinflip.errors import IncompatibleProtocol, OutOfRange, RestartBudgetExceeded
-from coinflip.harness import (VARIANT_NAMES, ExperimentConfig, check_matrix,
-                              estimate_to_dict, evaluate_matrix, run_experiment,
-                              wilson_interval)
+from coinflip.harness import (VARIANT_NAMES, BiasEstimate, ExperimentConfig,
+                              check_matrix, estimate_to_dict, evaluate_matrix,
+                              run_experiment, wilson_interval)
 from coinflip.protocols import LossPolicy, ProtocolId, VariantFlags
 
 
@@ -108,7 +110,7 @@ def test_estimate_to_dict_field_order():
     assert list(d) == ["protocol", "variant", "alice", "bob", "target",
                        "trials", "seed", "alpha2", "eta", "successes",
                        "failures", "aborts", "restart_total", "p_hat", "ci95",
-                       "bias_hat"]
+                       "bias_hat", "limit_hits"]
     assert d["protocol"] == "loss_tolerant"
     assert d["variant"] == "default"
     assert d["successes"] + d["failures"] == d["trials"]
@@ -146,23 +148,47 @@ def test_matrix_expectations_come_from_the_reference_table():
         "twophoton_usd_correct"]
 
 
+def test_limit_hits_are_counted():
+    """Honest loss-tolerant trials at eta = 0.5 exceed 10 restarts with
+    probability 2**-11 (about 49 of 100,000, under the budget of 100); each
+    is counted and gets no transcript."""
+    cfg = ExperimentConfig(trials=100_000, seed=12345, eta=0.5, max_restarts=10)
+    kept = []
+    est = run_experiment(cfg, transcript_sink=kept.append)
+    assert est.limit_hits == cfg.trials - len(kept)
+    expected = cfg.trials * 2.0 ** -11
+    assert abs(est.limit_hits - expected) <= 5.0 * math.sqrt(expected)
+    assert all(t.restart_count <= 10 for t in kept)
+    assert estimate_to_dict(cfg, est)["limit_hits"] == est.limit_hits
+
+
 # (successes, aborts, restart_total) of each distinct matrix config at 2,000
 # trials and seed 7, keyed by the first row that uses it. A change that
 # reorders random draws must update these on purpose.
 GOLDEN_COUNTS = {
-    "bb84_postpone_lie": (1753, 247, 0),
-    "bb84_rotated": (1836, 164, 0),
+    "bb84_postpone_lie": (1739, 261, 0),
+    "bb84_rotated": (1867, 133, 0),
     "bb84_epr": (2000, 0, 0),
-    "ambainis_alice_optimal": (1485, 515, 0),
-    "ambainis_bob_conclusive": (2000, 0, 1992),
+    "ambainis_alice_optimal": (1507, 493, 0),
+    "ambainis_bob_conclusive": (2000, 0, 2005),
     "ambainis_send_nothing": (2000, 0, 0),
-    "lt_alice_optimal": (1778, 222, 0),
-    "lt_bob_helstrom": (1781, 0, 0),
-    "mcqm_bob_restart": (1916, 0, 1914),
-    "cunning_son_agreement": (1596, 0, 0),
-    "twophoton_usd_rate": (2000, 0, 1142),
-    "twophoton_honest_rate": (2000, 0, 4310),
+    "lt_alice_optimal": (1783, 217, 0),
+    "lt_bob_helstrom": (1796, 0, 0),
+    "mcqm_bob_restart": (1915, 0, 1923),
+    "cunning_son_agreement": (1621, 0, 0),
+    "twophoton_usd_rate": (2000, 0, 1105),
+    "twophoton_honest_rate": (2000, 0, 4261),
 }
+
+
+def _sigma(metric: str, expected: float, n: int) -> float:
+    if metric in ("p_hat", "abort_rate"):
+        return math.sqrt(expected * (1.0 - expected) / n)
+    if metric == "restarts_per_trial":  # geometric, per-round success 1/(1+r)
+        return math.sqrt(expected * (1.0 + expected) / n)
+    if metric == "conclusive_rate":  # delta method on trials / rounds
+        return expected * math.sqrt((1.0 - expected) / n)
+    raise KeyError(metric)
 
 
 def test_matrix_counts_are_pinned():
@@ -174,6 +200,24 @@ def test_matrix_counts_are_pinned():
         est = run_experiment(cfg)
         counts[label] = (est.successes, est.aborts, est.restart_total)
     assert counts == GOLDEN_COUNTS
+
+
+def test_pinned_counts_meet_their_matrix_rows():
+    """Each pinned tuple is within 5 sigma of the closed form of every check
+    row of its config, and exact rows hold to the count."""
+    n = 2000
+    labels = {}
+    for row in check_matrix(n, 7):
+        label = labels.setdefault(row.cfg, row.label)
+        successes, aborts, restart_total = GOLDEN_COUNTS[label]
+        est = BiasEstimate(successes, aborts, restart_total, n, successes / n,
+                           (0.0, 1.0), successes / n - 0.5, 0)
+        measured = getattr(est, row.metric)
+        if row.exact:
+            assert measured == row.expected, row.label
+        else:
+            z = abs(measured - row.expected) / _sigma(row.metric, row.expected, n)
+            assert z <= 5.0, (row.label, measured, row.expected, z)
 
 
 def test_evaluate_matrix_small_run_structure():

@@ -5,11 +5,12 @@ import pytest
 
 from coinflip.catalog import StateLabel, basis, state
 from coinflip.channel import ChannelParams
-from coinflip.errors import IncompatibleProtocol, RestartLimitExceeded
-from coinflip.protocols import (HonestAlice, HonestBob, LossPolicy,
-                                PlayerHooks, ProtocolId, VariantFlags, Verdict,
-                                check_flags, default_flags, family_for, run)
-from coinflip.rng import RandomStream
+from coinflip.errors import IncompatibleProtocol
+from coinflip.harness import ExperimentConfig, run_experiment
+from coinflip.protocols import (Decision, HonestBob, LossPolicy, PlayerHooks,
+                                ProtocolId, VariantFlags, Verdict, check_flags,
+                                default_flags, family_for, run_chunk)
+from coinflip.rng import ChunkStream
 from coinflip.strategies import SendNothingAlice
 
 from conftest import assert_close_5sigma
@@ -19,14 +20,14 @@ ALL_PROTOCOLS = list(ProtocolId)
 
 def run_many(protocol, n, seed=7, eta=1.0, flags=None, alpha2=0.9,
              max_restarts=10_000):
-    fam = family_for(protocol,
-                     alpha2 if protocol is ProtocolId.LOSS_TOLERANT_CF else None)
-    flags = flags or default_flags(protocol)
-    ch = ChannelParams(eta)
-    rng = RandomStream(seed)
-    return [run(protocol, flags, PlayerHooks(HonestAlice(fam), HonestBob(fam, flags)),
-                ch, fam, max_restarts, rng)
-            for _ in range(n)]
+    """Transcripts of n honest runs, in trial order."""
+    out = []
+    run_experiment(ExperimentConfig(protocol=protocol, variant=flags, trials=n,
+                                    seed=seed, eta=eta, alpha2=alpha2,
+                                    max_restarts=max_restarts),
+                   transcript_sink=out.append)
+    assert len(out) == n
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -149,9 +150,10 @@ def test_believe_on_faith_accepts_missing_qutrit():
     protocol = ProtocolId.AMBAINIS_CF_VARIANT
     fam = family_for(protocol)
     flags = VariantFlags(LossPolicy.BELIEVE_ON_FAITH, False)
-    rng = RandomStream(3)
     hooks = PlayerHooks(SendNothingAlice(fam, 0), HonestBob(fam, flags))
-    t = run(protocol, flags, hooks, ChannelParams(1.0), fam, 10, rng)
+    out = []
+    run_chunk(protocol, hooks, ChannelParams(1.0), 10, ChunkStream(3), 1, out.append)
+    t, = out
     assert t.verdict is Verdict.ACCEPTED
     assert t.restart_count == 0
 
@@ -161,10 +163,12 @@ def test_restart_limit_is_enforced():
     protocol = ProtocolId.LOSS_TOLERANT_CF
     fam = family_for(protocol, 0.9)
     flags = default_flags(protocol)
-    rng = RandomStream(4)
     hooks = PlayerHooks(SendNothingAlice(fam, 0), HonestBob(fam, flags))
-    with pytest.raises(RestartLimitExceeded):
-        run(protocol, flags, hooks, ChannelParams(1.0), fam, 50, rng)
+    out = []
+    verdict, _, _ = run_chunk(protocol, hooks, ChannelParams(1.0), 50,
+                              ChunkStream(4), 1, out.append)
+    assert verdict.tolist() == [Decision.REQUEST_RESTART]
+    assert out == []  # no transcript for a trial over the limit
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +182,28 @@ def test_transcript_serialization_round_trip():
     assert d["revealed"] == {"a": t.revealed[0], "x": t.revealed[1]}
     assert len(d["rounds"]) == len(t.rounds)
     assert d["restart_count"] == t.restart_count
+
+
+def test_transcript_dict_is_a_copy():
+    """Editing a serialized transcript leaves the transcript unchanged."""
+    t = run_many(ProtocolId.LOSS_TOLERANT_CF, 1, eta=0.5, seed=99)[0]
+    d = t.to_dict()
+    d["rounds"][0]["delivered"] = "MUTATED"
+    assert t.rounds[0].delivered in (True, False)
+    assert t.to_dict()["rounds"][0]["delivered"] in (True, False)
+
+
+def test_stored_measurement_is_recorded_after_the_reveal():
+    """A stored-measurement Bob measures in the revealed basis once Alice
+    reveals, and the round records that basis and outcome; a lost round
+    records none and restarts."""
+    for t in run_many(ProtocolId.AMBAINIS_CF, 500, eta=0.5):
+        a, x = t.revealed
+        last = t.rounds[-1]
+        assert (last.bob_basis, last.bob_outcome) == (str(a), x)
+        for r in t.rounds[:-1]:
+            assert not r.delivered and r.restart_requested
+            assert (r.bob_basis, r.bob_outcome) == (None, None)
 
 
 def test_transcript_records_bob_measurement():

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from coinflip.errors import (DimensionMismatch, ProbabilityMismatch,
                              ZeroVector)
 from coinflip.quantum import (DensityMatrix, Povm, ProjectiveMeasurement,
-                              QuantumState, density_of, helstrom_success,
-                              measure_povm, measure_projective, mix,
-                              normalize, steer_epr, trace_distance)
-from coinflip.rng import RandomStream
+                              QuantumState, as_columns, density_of,
+                              helstrom_success, measure_povm,
+                              measure_projective, mix, normalize, steer_epr,
+                              trace_distance)
 
 from conftest import assert_close_5sigma
 
@@ -128,11 +128,17 @@ def test_basis_must_be_orthogonal():
             (QuantumState((1.0, 0.0)), QuantumState((SQ2, SQ2))))
 
 
+def copies(state: QuantumState, n: int) -> np.ndarray:
+    """A batch of n copies of state, one per column."""
+    return np.repeat(as_columns([state]), n, axis=1)
+
+
 def test_eigenstate_measurement_is_deterministic(rng):
     m = ProjectiveMeasurement(
         (QuantumState((SQ2, SQ2)), QuantumState((SQ2, -SQ2))))
-    for _ in range(200):
-        assert measure_projective(QuantumState((SQ2, SQ2)), m, rng) == 0
+    outcomes = measure_projective(copies(QuantumState((SQ2, SQ2)), 200),
+                                  m.bras, rng(200))
+    assert (outcomes == 0).all()
 
 
 def test_born_rule_probabilities_exact():
@@ -151,8 +157,24 @@ def test_born_rule_empirical(rng):
         (QuantumState((alpha, beta)), QuantumState((beta, -alpha))))
     state = QuantumState((SQ2, SQ2))
     n = 100_000
-    hits = sum(measure_projective(state, m, rng) == 0 for _ in range(n))
+    hits = (measure_projective(copies(state, n), m.bras, rng(n)) == 0).sum()
     assert_close_5sigma(hits / n, 0.5 + alpha * beta, n)
+
+
+def test_measurement_checks_every_state(rng):
+    """A batch holding one unnormalized state is rejected, and a basis per
+    state measures each state in its own basis."""
+    z = ProjectiveMeasurement((QuantumState((1.0, 0.0)), QuantumState((0.0, 1.0))))
+    x = ProjectiveMeasurement((QuantumState((SQ2, SQ2)), QuantumState((SQ2, -SQ2))))
+    batch = copies(QuantumState((0.0, 1.0)), 100)
+    batch[:, 41] = (1.0, 1e-4)
+    with pytest.raises(ValueError):
+        measure_projective(batch, z.bras, rng(100))
+    batch[:, 41] = (SQ2, -SQ2)
+    which = np.zeros(100, dtype=int)
+    which[41] = 1
+    outcomes = measure_projective(batch, np.stack([z.bras, x.bras]), rng(100), which)
+    assert (outcomes == 1).all()
 
 
 @settings(max_examples=50, deadline=None)
@@ -209,7 +231,7 @@ def test_measure_povm_empirical(rng):
     p = Povm((e0, e1), ("a", "b"))
     rho = DensityMatrix(np.diag([0.5, 0.5]).astype(complex))
     n = 50_000
-    hits = sum(measure_povm(rho, p, rng) == 0 for _ in range(n))
+    hits = (measure_povm(rho, p, rng(n)) == 0).sum()
     assert_close_5sigma(hits / n, 0.45, n)
 
 
@@ -231,7 +253,7 @@ def test_trace_distance_of_orthogonal_states_is_one():
 
 def test_trace_distance_symmetric_and_bounded(rng):
     for _ in range(50):
-        a, b = rng.random(), rng.random()
+        a, b = rng(2)
         r0, r1 = _diag(a), _diag(b)
         d = trace_distance(r0, r1)
         assert d == pytest.approx(trace_distance(r1, r0))
@@ -279,9 +301,9 @@ def _basis(theta: float) -> ProjectiveMeasurement:
 
 def test_steer_epr_same_basis_anticorrelation(rng):
     m = _basis(0.7)
-    for _ in range(10_000):
-        i, far = steer_epr(m, rng)
-        probs = m.probabilities(far)
+    outcomes, far = steer_epr(m.bras, rng(10_000))
+    for i, column in zip(outcomes.tolist(), far.T):
+        probs = m.probabilities(QuantumState(tuple(column)))
         assert probs[i] == pytest.approx(0.0, abs=1e-9)
         assert probs[1 - i] == pytest.approx(1.0, abs=1e-9)
 
@@ -289,7 +311,7 @@ def test_steer_epr_same_basis_anticorrelation(rng):
 def test_steer_epr_outcome_is_uniform(rng):
     m = _basis(1.1)
     n = 100_000
-    ones = sum(steer_epr(m, rng)[0] for _ in range(n))
+    ones = steer_epr(m.bras, rng(n))[0].sum()
     assert_close_5sigma(ones / n, 0.5, n)
 
 
@@ -299,20 +321,17 @@ def test_steer_epr_other_basis_statistics(rng):
     m = _basis(0.0)
     other = _basis(math.pi / 8.0)
     n = 50_000
-    hits = total = 0
-    for _ in range(n):
-        i, far = steer_epr(m, rng)
-        if i != 0:
-            continue
-        total += 1
-        hits += measure_projective(far, other, rng) == 0
+    outcomes, far = steer_epr(m.bras, rng(n))
+    kept = outcomes == 0
+    total = kept.sum()
+    hits = (measure_projective(far[:, kept], other.bras, rng(n)[kept]) == 0).sum()
     # far state is |1>; |<cos,sin|1>|^2 = sin^2(pi/8)
     assert_close_5sigma(hits / total, math.sin(math.pi / 8.0) ** 2, total)
 
 
-def test_steer_epr_rejects_qutrit_basis():
+def test_steer_epr_rejects_qutrit_basis(rng):
     m = ProjectiveMeasurement(
         tuple(QuantumState(tuple(1.0 if i == j else 0.0 for j in range(3)))
               for i in range(3)))
     with pytest.raises(DimensionMismatch):
-        steer_epr(m, RandomStream(1))
+        steer_epr(m.bras, rng(1))

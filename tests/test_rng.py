@@ -1,84 +1,98 @@
-"""Random streams: draw frequencies, choice validation, chunk keying and the
-per-chunk determinism of experiments."""
+"""Random streams: draw frequencies, choice validation, the step layout and
+the per-chunk determinism of experiments."""
 from collections import Counter
 
+import numpy as np
 import pytest
 
+from coinflip import harness
 from coinflip.errors import ProbabilityMismatch
 from coinflip.harness import CHUNK, ExperimentConfig, run_experiment
-from coinflip.rng import RandomStream
+from coinflip.protocols import DEPTH, ProtocolId
+from coinflip.rng import (SLOTS, ChunkStream, bernoulli, bit, choice, randint,
+                          sign)
 
 from conftest import assert_close_5sigma
 
 N = 100_000
 
 
-def frequencies(draw, n=N):
-    counts = Counter(draw() for _ in range(n))
-    return {k: v / n for k, v in counts.items()}
+def frequencies(draws):
+    counts = Counter(draws.tolist())
+    return {k: v / len(draws) for k, v in counts.items()}
 
 
 def test_bit_frequency(rng):
-    f = frequencies(rng.bit)
+    f = frequencies(bit(rng(N)))
     assert set(f) == {0, 1}
     assert_close_5sigma(f[1], 0.5, N)
 
 
 def test_sign_frequency(rng):
-    f = frequencies(rng.sign)
+    f = frequencies(sign(rng(N)))
     assert set(f) == {-1, 1}
     assert_close_5sigma(f[1], 0.5, N)
 
 
 def test_randint_frequency(rng):
-    f = frequencies(lambda: rng.randint(4))
+    f = frequencies(randint(4, rng(N)))
     assert set(f) == {0, 1, 2, 3}
     for k in range(4):
         assert_close_5sigma(f[k], 0.25, N)
 
 
 def test_bernoulli_frequency(rng):
-    f = frequencies(lambda: rng.bernoulli(0.3))
+    f = frequencies(bernoulli(0.3, rng(N)))
     assert_close_5sigma(f[True], 0.3, N)
 
 
 def test_choice_frequency(rng):
     probs = (0.2, 0.5, 0.0, 0.3)
-    f = frequencies(lambda: rng.choice(probs))
+    f = frequencies(choice(probs, rng(N)))
     assert 2 not in f
     for k in (0, 1, 3):
         assert_close_5sigma(f[k], probs[k], N)
 
 
 def test_random_is_a_unit_uniform(rng):
-    us = [rng.random() for _ in range(N)]
-    assert all(0.0 <= u < 1.0 for u in us)
-    assert_close_5sigma(sum(u < 0.25 for u in us) / N, 0.25, N)
+    us = rng(N)
+    assert ((0.0 <= us) & (us < 1.0)).all()
+    assert_close_5sigma((us < 0.25).sum() / N, 0.25, N)
 
 
 @pytest.mark.parametrize("probs", [(1.2, -0.2), (-0.01, 1.01), (0.5, 0.4),
                                    (0.6, 0.6), ()])
 def test_choice_rejects_invalid_vectors(rng, probs):
     with pytest.raises(ProbabilityMismatch):
-        rng.choice(probs)
+        choice(probs, rng(5))
+
+
+def test_choice_checks_every_row(rng):
+    """One bad probability vector among valid ones is rejected."""
+    good = np.full((2, 1000), 0.5)
+    choice(good, rng(1000))
+    for bad in ((0.5, 0.4), (1.01, -0.01)):
+        probs = good.copy()
+        probs[:, 637] = bad
+        with pytest.raises(ProbabilityMismatch):
+            choice(probs, rng(1000))
 
 
 def test_same_key_same_draws():
-    a, b = RandomStream(99, 3), RandomStream(99, 3)
-    assert [a.random() for _ in range(1000)] == [b.random() for _ in range(1000)]
+    a, b = ChunkStream(99, 3), ChunkStream(99, 3)
+    a.block(7, (50,))  # an earlier step does not shift a later one
+    assert np.array_equal(a.block(2, (1000,)), b.block(2, (1000,)))
 
 
-def test_every_draw_consumes_one_uniform():
-    """The k-th draw sees the k-th uniform, whatever the methods before it."""
-    mixed = RandomStream(5)
-    plain = RandomStream(5)
-    for draw in (mixed.bit, mixed.sign, lambda: mixed.randint(4),
-                 lambda: mixed.bernoulli(0.3),
-                 lambda: mixed.choice((0.5, 0.5))) * 200:
-        draw()
-        plain.random()
-    assert ([mixed.random() for _ in range(10)]
-            == [plain.random() for _ in range(10)])
+def test_every_draw_consumes_one_uniform(rng):
+    """Draw k of a batch reads uniform k alone, whatever the other uniforms
+    are, so every draw site can own a fixed column."""
+    u = rng(200)
+    for draw in (bit, sign, lambda v: randint(4, v), lambda v: bernoulli(0.3, v),
+                 lambda v: choice((0.5, 0.5), v)):
+        whole = draw(u)
+        assert whole.shape == u.shape
+        assert whole.tolist() == [draw(u[k:k + 1])[0] for k in range(len(u))]
 
 
 def test_chunks_share_no_value():
@@ -86,30 +100,75 @@ def test_chunks_share_no_value():
     neighbouring chunks are disjoint (a chunk in the low counter word would
     share most of them)."""
     n = 4096
-    c0 = RandomStream(12345, 0)
-    c1 = RandomStream(12345, 1)
-    first = {c0.random() for _ in range(n)}
-    second = {c1.random() for _ in range(n)}
+    first = set(ChunkStream(12345, 0).block(0, (n,)).tolist())
+    second = set(ChunkStream(12345, 1).block(0, (n,)).tolist())
     assert len(first) == len(second) == n
     assert first.isdisjoint(second)
 
 
 def test_seeds_give_distinct_streams():
-    a, b = RandomStream(1), RandomStream(2)
-    assert {a.random() for _ in range(1000)}.isdisjoint(
-        b.random() for _ in range(1000))
+    a = ChunkStream(1).block(0, (1000,)).tolist()
+    b = ChunkStream(2).block(0, (1000,)).tolist()
+    assert set(a).isdisjoint(b)
 
 
-def transcripts(trials):
+def test_step_layout_is_pinned(monkeypatch):
+    """Step s of chunk k reads Philox(key=seed, counter=(k << 128) | (s << 64)),
+    one row of SLOTS uniforms per (pending trial, round), and step s runs
+    min(2**s, DEPTH) rounds whatever the number of pending trials."""
+    def philox(seed, k, s, shape):
+        counter = (k << 128) | (s << 64)
+        return np.random.Generator(
+            np.random.Philox(key=seed, counter=counter)).random(shape)
+
+    stream = ChunkStream(2024, 3)
+    stream.block(0, (5, 1, SLOTS))
+    assert np.array_equal(stream.block(6, (7, 4, SLOTS)),
+                          philox(2024, 3, 6, (7, 4, SLOTS)))
+
+    calls = []
+
+    class Recording(ChunkStream):
+        def __init__(self, seed, chunk=0):
+            super().__init__(seed, chunk)
+            self.key = (seed, chunk)
+
+        def block(self, step, shape):
+            out = super().block(step, shape)
+            calls.append((*self.key, step, shape))
+            assert np.array_equal(out, philox(*self.key, step, shape))
+            return out
+
+    monkeypatch.setattr(harness, "ChunkStream", Recording)
+    run_experiment(ExperimentConfig(trials=CHUNK + 10, seed=2024, eta=0.05))
+    for chunk, trials in ((0, CHUNK), (1, 10)):
+        steps = [c[2:] for c in calls if c[1] == chunk]
+        assert [s for s, _ in steps] == list(range(len(steps)))
+        assert steps[0][1] == (trials, 1, SLOTS)
+        pending = [shape[0] for _, shape in steps]
+        assert pending == sorted(pending, reverse=True)
+        assert all(shape[1:] == (min(2 ** s, DEPTH), SLOTS) for s, shape in steps)
+    assert max(c[3][1] for c in calls) == DEPTH
+
+
+def transcripts(trials, **kw):
     out = []
-    run_experiment(ExperimentConfig(trials=trials, seed=2024, eta=0.5),
+    run_experiment(ExperimentConfig(trials=trials, seed=2024, **kw),
                    transcript_sink=lambda t: out.append(t.to_dict()))
     return out
 
 
-def test_shorter_run_is_a_prefix_across_a_chunk_boundary():
+@pytest.mark.parametrize("kw", [
+    dict(eta=0.5),
+    dict(eta=0.05),  # steps deeper than one round
+    dict(protocol=ProtocolId.AMBAINIS_CF_VARIANT, bob="ambainis_restart_abuse",
+         target=1, eta=0.5),  # restarts from verify
+    dict(alice="honest_pulse", bob="twophoton_honest_apparatus", target=1,
+         photon_count=2, eta=0.5),  # restarts from receive
+], ids=["honest@0.5", "honest@0.05", "restart_abuse", "twophoton_apparatus"])
+def test_shorter_run_is_a_prefix_across_a_chunk_boundary(kw):
     assert 1000 < CHUNK < 1100
-    short = transcripts(1000)
-    long = transcripts(1100)
+    short = transcripts(1000, **kw)
+    long = transcripts(1100, **kw)
     assert len(short) == 1000 and len(long) == 1100
     assert short == long[:1000]

@@ -1,13 +1,15 @@
 """Cheating strategies: reveal tables, compatibility, and attack mechanics."""
 import math
 
+import numpy as np
 import pytest
 
 from coinflip.catalog import Family, StateFamily, StateLabel, state
 from coinflip.errors import IncompatibleProtocol
 from coinflip.harness import ExperimentConfig, build_hooks, run_experiment
 from coinflip.protocols import ProtocolId, family_for
-from coinflip.rng import RandomStream
+from coinflip.quantum import QuantumState
+from coinflip.rng import bit
 from coinflip.strategies import (ALICE_STRATEGIES, BOB_STRATEGIES, REGISTRY,
                                  AmbainisOptimalAlice, LossTolerantOptimalAlice,
                                  RotatedStateAlice, Side, lookup)
@@ -52,62 +54,51 @@ def test_every_listed_strategy_builds():
 # ---------------------------------------------------------------------------
 # reveal tables verified by direct overlap computation
 
-def test_rotated_alice_picks_the_closest_bit():
+def sent_states(emission):
+    """The emission's states, one QuantumState per round."""
+    return [QuantumState(tuple(c)) for c in emission.amplitudes.T]
+
+
+ROWS = np.arange(200)
+
+
+def test_rotated_alice_picks_the_closest_bit(rng):
     alice = RotatedStateAlice(BB84, 0)
-    rng = RandomStream(5)
-    for _ in range(200):
-        alice.prepare(rng)
-        b = rng.bit()
-        a, x = alice.reveal(b, rng)
-        assert a == b  # she forces a xor b = 0
-        fids = [alice.sent.fidelity_with(state(BB84, StateLabel(a, xx)))
-                for xx in (0, 1)]
-        assert fids[x] == max(fids)
+    sent = sent_states(alice.prepare(rng(2, 200)))
+    b = bit(rng(200))
+    a, x = alice.reveal(ROWS, b, rng(200))
+    assert (a == b).all()  # she forces a xor b = 0
+    for s, aa, xx in zip(sent, a.tolist(), x.tolist()):
+        fids = [s.fidelity_with(state(BB84, StateLabel(aa, k))) for k in (0, 1)]
+        assert fids[xx] == max(fids)
         # no ties at odd multiples of pi/8: the gap is always 1/sqrt(2)
-        assert abs(fids[x] - fids[1 - x]) == pytest.approx(1.0 / math.sqrt(2.0))
+        assert abs(fids[xx] - fids[1 - xx]) == pytest.approx(1.0 / math.sqrt(2.0))
 
 
-def test_ambainis_alice_reveal_maximizes_overlap():
+def test_ambainis_alice_reveal_maximizes_overlap(rng):
     alice = AmbainisOptimalAlice(AMB, 0)
-    rng = RandomStream(6)
-    for _ in range(200):
-        alice.prepare(rng)
-        for b in (0, 1):
-            a, x = alice.reveal(b, rng)
-            assert a == b
-            fids = [alice.sent_state().fidelity_with(
-                state(AMB, StateLabel(a, xx))) for xx in (0, 1)]
-            assert fids[x] == max(fids)
-            assert fids[x] == pytest.approx(0.75)  # (2 + s_a)^2 / 12 with s_a = +/-1
+    sent = sent_states(alice.prepare(rng(2, 200)))
+    for b in (0, 1):
+        a, x = alice.reveal(ROWS, np.full(200, b), rng(200))
+        assert (a == b).all()
+        for s, xx in zip(sent, x.tolist()):
+            fids = [s.fidelity_with(state(AMB, StateLabel(b, k))) for k in (0, 1)]
+            assert fids[xx] == max(fids)
+            assert fids[xx] == pytest.approx(0.75)  # (2 + s_a)^2 / 12 with s_a = +/-1
 
 
-def test_lt_alice_reveal_maximizes_overlap():
+def test_lt_alice_reveal_maximizes_overlap(rng):
     ab = math.sqrt(0.9 * 0.1)
     alice = LossTolerantOptimalAlice(LT9, 0)
-    rng = RandomStream(7)
-    for _ in range(200):
-        emission = alice.prepare(rng)
-        for b in (0, 1):
-            a, x = alice.reveal(b, rng)
-            assert x == b  # forces x xor b = 0
-            fids = {
-                (aa, x): emission.state.fidelity_with(
-                    state(LT9, StateLabel(aa, x)))
-                for aa in (0, 1)
-            }
-            assert fids[(a, x)] == max(fids.values())
-            assert fids[(a, x)] == pytest.approx(0.5 + ab)
-
-
-# sent_state helper used above: reconstruct from the stored signs
-def _ambainis_sent(self):
-    s1, s2 = self.signs
-    r6 = math.sqrt(6.0)
-    from coinflip.quantum import QuantumState
-    return QuantumState((2.0 / r6, s1 / r6, s2 / r6))
-
-
-AmbainisOptimalAlice.sent_state = _ambainis_sent
+    sent = sent_states(alice.prepare(rng(2, 200)))
+    for b in (0, 1):
+        a, x = alice.reveal(ROWS, np.full(200, b), rng(200))
+        assert (x == b).all()  # forces x xor b = 0
+        for s, aa in zip(sent, a.tolist()):
+            fids = {(k, b): s.fidelity_with(state(LT9, StateLabel(k, b)))
+                    for k in (0, 1)}
+            assert fids[(aa, b)] == max(fids.values())
+            assert fids[(aa, b)] == pytest.approx(0.5 + ab)
 
 
 # ---------------------------------------------------------------------------
