@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidLabel, OutOfRange
-from .quantum import DensityMatrix, ProjectiveMeasurement, QuantumState, as_columns
+from .quantum import DensityMatrix, ProjectiveMeasurement, QuantumState
 
 
 class Family(Enum):
@@ -135,8 +135,7 @@ def basis(family: StateFamily, a: int) -> ProjectiveMeasurement:
 def basis_pair(family: StateFamily) -> np.ndarray:
     """The bras of both honest bases, stacked (2, dim, dim): entry a
     measures in basis(family, a), and its row x is <a, x|."""
-    kets = as_columns(basis(family, 0).basis + basis(family, 1).basis)
-    pair = kets.T.reshape(2, family.dim, family.dim).conj()
+    pair = np.stack([basis(family, a).bras for a in (0, 1)])
     pair.flags.writeable = False
     return pair
 

@@ -252,10 +252,11 @@ _SINGLET = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
 
 
 def steer_epr(bras: np.ndarray, u: np.ndarray,
-              which: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
+              which: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Measure one half of a singlet per uniform; steer the far halves.
 
-    bras selects the qubit basis per pair as in measure_projective. Returns
+    bras is a stack (k, 2, 2) of qubit bases, and pair j is measured in
+    bras[which[j]], as in measure_projective. Returns
     (outcome indices, far states as a (2, n) batch). The outcome is uniform;
     the far qubit collapses onto the state orthogonal to the observed basis
     vector, so a later measurement of it in the same basis is guaranteed to
@@ -265,14 +266,8 @@ def steer_epr(bras: np.ndarray, u: np.ndarray,
     if bras.shape[-1] != 2:
         raise DimensionMismatch("steer_epr requires a qubit basis")
     # row i of bras @ joint contracts <b_i| on the measured side
-    far = bras @ _SINGLET.reshape(2, 2)
-    if which is not None:
-        far = far[which]
+    far = (bras @ _SINGLET.reshape(2, 2))[which]
     probs = _abs2(far).sum(-1)
     i = choice(probs.T, u)
-    if which is None:
-        picked, p = far[i], probs[i]
-    else:
-        rows = np.arange(len(u))
-        picked, p = far[rows, i], probs[rows, i]
-    return i, (picked / np.sqrt(p)[:, None]).T
+    rows = np.arange(len(u))
+    return i, (far[rows, i] / np.sqrt(probs[rows, i])[:, None]).T

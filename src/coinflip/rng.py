@@ -82,26 +82,15 @@ def choice(probs, u: np.ndarray) -> np.ndarray:
     Each vector must have no entry below -1e-9 and sum to 1 within 1e-6
     (ProbabilityMismatch)."""
     probs = np.asarray(probs, dtype=float)
-    if probs.ndim == 2:
-        if (probs < -_PROB_TOL).any():
-            raise ProbabilityMismatch(f"negative probability {probs.min()}")
-        probs = np.maximum(probs, 0.0)
-        total = probs.sum(0)
-        off = np.abs(total - 1.0) > 1e-6
-        if off.any():
-            raise ProbabilityMismatch(
-                f"probabilities sum to {np.extract(off, total)[0]}")
-        # the first i with u * total < cdf[i], or the last index if none is
-        return (np.cumsum(probs[:-1], 0) <= u * total).sum(0)
-    if not probs.size:
-        raise ProbabilityMismatch("empty probability vector")
-    cdf = []
-    total = 0.0
-    for p in probs.tolist():  # one vector: checked and summed in Python
-        if p < -_PROB_TOL:
-            raise ProbabilityMismatch(f"negative probability {p}")
-        total += max(p, 0.0)
-        cdf.append(total)
-    if abs(total - 1.0) > 1e-6:
-        raise ProbabilityMismatch(f"probabilities sum to {total}")
-    return np.searchsorted(cdf[:-1], u * total, side="right")
+    if probs.ndim == 1:
+        probs = probs[:, None]  # one column, broadcast over the uniforms
+    if (probs < -_PROB_TOL).any():
+        raise ProbabilityMismatch(f"negative probability {probs.min()}")
+    probs = np.maximum(probs, 0.0)
+    total = probs.sum(0)
+    off = np.abs(total - 1.0) > 1e-6
+    if off.any():
+        raise ProbabilityMismatch(
+            f"probabilities sum to {np.extract(off, total)[0]}")
+    # the first i with u * total < cdf[i], or the last index if none is
+    return (np.cumsum(probs[:-1], 0) <= u * total).sum(0)

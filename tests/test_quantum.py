@@ -301,7 +301,7 @@ def _basis(theta: float) -> ProjectiveMeasurement:
 
 def test_steer_epr_same_basis_anticorrelation(rng):
     m = _basis(0.7)
-    outcomes, far = steer_epr(m.bras, rng(10_000))
+    outcomes, far = steer_epr(m.bras[None], rng(10_000), np.zeros(10_000, int))
     for i, column in zip(outcomes.tolist(), far.T):
         probs = m.probabilities(QuantumState(tuple(column)))
         assert probs[i] == pytest.approx(0.0, abs=1e-9)
@@ -311,7 +311,7 @@ def test_steer_epr_same_basis_anticorrelation(rng):
 def test_steer_epr_outcome_is_uniform(rng):
     m = _basis(1.1)
     n = 100_000
-    ones = steer_epr(m.bras, rng(n))[0].sum()
+    ones = steer_epr(m.bras[None], rng(n), np.zeros(n, int))[0].sum()
     assert_close_5sigma(ones / n, 0.5, n)
 
 
@@ -321,7 +321,7 @@ def test_steer_epr_other_basis_statistics(rng):
     m = _basis(0.0)
     other = _basis(math.pi / 8.0)
     n = 50_000
-    outcomes, far = steer_epr(m.bras, rng(n))
+    outcomes, far = steer_epr(m.bras[None], rng(n), np.zeros(n, int))
     kept = outcomes == 0
     total = kept.sum()
     hits = (measure_projective(far[:, kept], other.bras, rng(n)[kept]) == 0).sum()
@@ -334,4 +334,4 @@ def test_steer_epr_rejects_qutrit_basis(rng):
         tuple(QuantumState(tuple(1.0 if i == j else 0.0 for j in range(3)))
               for i in range(3)))
     with pytest.raises(DimensionMismatch):
-        steer_epr(m.bras, rng(1))
+        steer_epr(m.bras[None], rng(1), np.zeros(1, int))
