@@ -72,10 +72,13 @@ class ExperimentConfig:
         for side, name in ((Side.ALICE, self.alice), (Side.BOB, self.bob)):
             if name == HONEST:
                 continue
-            need = lookup(side, name, self.protocol).min_photons
-            if self.photon_count < need:
-                raise OutOfRange(f"{name} needs photon_count >= {need}, "
-                                 f"got {self.photon_count}")
+            spec = lookup(side, name, self.protocol)
+            if self.photon_count < spec.min_photons:
+                raise OutOfRange(f"{name} needs photon_count >= "
+                                 f"{spec.min_photons}, got {self.photon_count}")
+            if side is Side.ALICE and self.photon_count > 1 and not spec.pulses:
+                raise OutOfRange(f"{name} sends single photons, got "
+                                 f"photon_count={self.photon_count}")
         check_alpha2(self.alpha2)
         check_flags(self.protocol, self.flags)
 
@@ -192,6 +195,8 @@ def estimate_to_dict(cfg: ExperimentConfig, est: BiasEstimate) -> dict:
         "ci95": list(est.ci95),
         "bias_hat": est.bias_hat,
         "limit_hits": est.limit_hits,
+        "max_restarts": cfg.max_restarts,
+        "photon_count": cfg.photon_count,
     }
 
 

@@ -38,10 +38,13 @@ verify are then called once each, in that order, with the same rows (their
 indices in the batch). A hook may keep per-round arrays from one call to the
 next within a step, but no state across rounds: rounds are independent
 draws, which is what lets a step run a trial's next rounds all at once.
+Receivers measure through measure_delivery, which gives one outcome index
+per round of the batch and -1 where nothing arrived.
 
 For transcripts Bob exposes last_basis (an index into his basis_tags, -1 for
 none) and last_outcome (the index of his measurement outcome, -1 for none),
-per round or as one value for all; both are read once verify has run. In an
+per round or as one value for all; both are read once verify has run, and
+each trial's rounds are recorded in the step that decides them. In an
 honest basis outcome index i is the state |a, i>, so it is compared with the
 revealed x directly (see catalog.basis). What differs between protocols
 (state family, default variant flags, allowed measurement timing, coin rule)
@@ -75,14 +78,13 @@ class ProtocolId(Enum):
 
 
 class LossPolicy(Enum):
-    NONE = "none"
     BELIEVE_ON_FAITH = "believe_on_faith"
     RESTART_ON_LOSS = "restart_on_loss"
 
 
 @dataclass(frozen=True)
 class VariantFlags:
-    loss_policy: LossPolicy = LossPolicy.NONE
+    loss_policy: LossPolicy = LossPolicy.RESTART_ON_LOSS
     bob_measures_on_reception: bool = True
 
 
@@ -99,7 +101,7 @@ class ProtocolSpec:
 
 
 _MEASURE = VariantFlags(LossPolicy.RESTART_ON_LOSS, True)
-_STORE = VariantFlags(LossPolicy.NONE, False)  # measure only after the reveal
+_STORE = VariantFlags(LossPolicy.RESTART_ON_LOSS, False)  # measure only after the reveal
 
 PROTOCOLS = {
     ProtocolId.BB84_CF: ProtocolSpec(Family.BB84, _MEASURE, (True,)),
@@ -118,10 +120,15 @@ def default_flags(protocol: ProtocolId) -> VariantFlags:
 
 
 def check_flags(protocol: ProtocolId, flags: VariantFlags) -> None:
+    """Only a Bob who measures after the reveal can believe on faith; one who
+    measures on reception knows a loss at once and restarts."""
     on_reception = flags.bob_measures_on_reception
     if on_reception not in PROTOCOLS[protocol].measure_on_reception:
         when = "on reception" if on_reception else "after the reveal"
         raise IncompatibleProtocol(f"{protocol.value} forbids measuring {when}")
+    if on_reception and flags.loss_policy is LossPolicy.BELIEVE_ON_FAITH:
+        raise IncompatibleProtocol("believe_on_faith needs Bob to measure "
+                                   "after the reveal")
 
 
 def family_for(protocol: ProtocolId, alpha2: Optional[float] = None) -> StateFamily:
@@ -180,22 +187,26 @@ class EprHalf:
 Emission = Union[SingleState, Vacuum, EprHalf]
 
 
-def measure_delivery(delivery: Emission, rows: np.ndarray, bras: np.ndarray,
+def measure_delivery(delivery: Emission, delivered: np.ndarray, bras: np.ndarray,
                      u: np.ndarray, which: Optional[np.ndarray] = None) -> np.ndarray:
-    """Measure what reached Bob in the given rounds (indices into the batch)
-    and return one outcome index per round; bras and which choose the basis
-    as in measure_projective.
+    """Measure what reached Bob and return one outcome index per round of the
+    batch, -1 where nothing arrived; u (and which, if given) hold one entry
+    per round, and bras and which choose the basis as in measure_projective.
 
     A pulse is measured on its first photon only (remaining photons are the
     side channel, exploited explicitly by the pulse-aware strategies). An EPR
-    half steers Alice's half of the same round.
+    half steers Alice's half of the same round, in the delivered rounds only.
     """
-    if not len(rows):  # nothing arrived, as always for vacuum
-        return np.zeros(0, dtype=np.intp)
-    if isinstance(delivery, EprHalf):
-        outcome, delivery.far[:, rows] = steer_epr(bras, u, which)
-        return outcome
-    return measure_projective(delivery.amplitudes[:, rows], bras, u, which)
+    outcome = np.full(len(delivered), -1)
+    rows = np.flatnonzero(delivered)
+    if rows.size:  # nothing arrives from vacuum
+        which = None if which is None else which[rows]
+        if isinstance(delivery, EprHalf):
+            outcome[rows], delivery.far[:, rows] = steer_epr(bras, u[rows], which)
+        else:
+            outcome[rows] = measure_projective(delivery.amplitudes[:, rows], bras,
+                                               u[rows], which)
+    return outcome
 
 
 # ---------------------------------------------------------------------------
@@ -264,19 +275,13 @@ class HonestBob:
 
     def receive(self, delivery: Emission, delivered: np.ndarray,
                 u: np.ndarray) -> np.ndarray:
-        n = len(delivered)
-        self.last_basis = np.full(n, -1)
         if not self.flags.bob_measures_on_reception:
             self.stored, self.delivered = delivery, delivered
-            self.last_outcome = np.full(n, -1)
-            return np.zeros(n, dtype=bool)
-        rows = np.flatnonzero(delivered)
+            return np.zeros(len(delivered), dtype=bool)
         self.a_hat = bit(u[0])
-        self.x_hat = np.full(n, -1)
-        self.x_hat[rows] = measure_delivery(delivery, rows, self.bras,
-                                            u[1, rows], self.a_hat[rows])
-        self.last_basis[rows] = self.a_hat[rows]
-        self.last_outcome = self.x_hat
+        self.x_hat = self.last_outcome = measure_delivery(
+            delivery, delivered, self.bras, u[1], self.a_hat)
+        self.last_basis = np.where(delivered, self.a_hat, -1)
         return ~delivered
 
     def choose_b(self, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -287,20 +292,17 @@ class HonestBob:
         if self.flags.bob_measures_on_reception:
             caught = (a == self.a_hat[rows]) & (self.x_hat[rows] != x)
             return np.where(caught, Decision.ABORT_CHEATER, Decision.ACCEPTED)
-        # no loss handling defined, or restart agreed: replay from step 1
+        # a storing Bob never restarts in receive, so rows is every round;
+        # a lost round is believed on faith or replayed from step 1
+        self.last_basis = np.where(self.delivered, a, -1)
+        self.last_outcome = measure_delivery(self.stored, self.delivered,
+                                             self.bras, u, a)
         lost = (Decision.ACCEPTED
                 if self.flags.loss_policy is LossPolicy.BELIEVE_ON_FAITH
                 else Decision.REQUEST_RESTART)
-        decision = np.full(len(rows), lost)
-        stored = self.delivered[rows]
-        kept = rows[stored]
-        x_hat = measure_delivery(self.stored, kept, self.bras, u[stored],
-                                 a[stored])
-        self.last_basis[kept] = a[stored]
-        self.last_outcome[kept] = x_hat
-        decision[stored] = np.where(x_hat != x[stored], Decision.ABORT_CHEATER,
-                                    Decision.ACCEPTED)
-        return decision
+        caught = np.where(self.last_outcome != x, Decision.ABORT_CHEATER,
+                          Decision.ACCEPTED)
+        return np.where(self.delivered, caught, lost)
 
 
 @dataclass
@@ -330,7 +332,9 @@ def run_chunk(protocol: ProtocolId, hooks: PlayerHooks, ch: ChannelParams,
     verdict = np.full(trials, Decision.REQUEST_RESTART, dtype=np.int8)
     coin = np.zeros(trials, dtype=np.int8)
     restarts = np.zeros(trials, dtype=np.int64)
-    log = [] if sink is not None else None
+    final = np.zeros((3, trials), dtype=np.int8)  # b, a, x, kept with a sink
+    rounds = None if sink is None else [[] for _ in range(trials)]
+    tags = (*getattr(bob, "basis_tags", ()), None)  # basis index -1 reads None
     pending = np.arange(trials)
     rounds_before = 0  # rounds each pending trial has run, all restarts
     step = 0
@@ -348,57 +352,34 @@ def run_chunk(protocol: ProtocolId, hooks: PlayerHooks, ch: ChannelParams,
 
         ends = (decision <= Decision.ABORT_CHEATER).reshape(-1, depth)
         done = ends.any(1)
-        first = ends[done].argmax(1)  # the first round that ends each trial
-        last = np.flatnonzero(done) * depth + first
+        first = ends.argmax(1)  # the first round that ends each finished trial
+        last = np.flatnonzero(done) * depth + first[done]
         at = np.searchsorted(live, last)  # those rounds are all live
         finished = pending[done]
         verdict[finished] = decision[last]
         coin[finished] = (x[at] if coin_from_x else a[at]) ^ b[at]
-        restarts[finished] = rounds_before + first
-        if log is not None:
-            seen = [np.broadcast_to(v, delivered.shape).astype(np.int8)
-                    for v in (bob.last_basis, bob.last_outcome)]
-            log.append((emission.tag, pending, depth, done, delivered, *seen,
-                        decision, first, b[at], a[at], x[at]))
+        restarts[finished] = rounds_before + first[done]
+        if rounds is not None:  # each trial's rounds up to the one it keeps
+            final[:, finished] = b[at], a[at], x[at]
+            basis, outcome = (np.broadcast_to(v, delivered.shape).tolist()
+                              for v in (bob.last_basis, bob.last_outcome))
+            arrived, decided = delivered.tolist(), decision.tolist()
+            stop = np.where(done, first + 1, depth).tolist()
+            for p, trial in enumerate(pending.tolist()):
+                rounds[trial].extend(
+                    QuantumRound(emission.tag, arrived[r], tags[basis[r]],
+                                 None if outcome[r] < 0 else outcome[r],
+                                 decided[r] >= Decision.REQUEST_RESTART,
+                                 decided[r] == Decision.CLAIM_LOSS_FALSELY)
+                    for r in range(p * depth, p * depth + stop[p]))
         pending = pending[~done]
         rounds_before += depth
         step += 1
-    if log is not None:
-        _send_transcripts(sink, log, getattr(bob, "basis_tags", ()),
-                          verdict, coin, restarts)
+    if rounds is not None:
+        for t in np.flatnonzero(verdict != Decision.REQUEST_RESTART).tolist():
+            b, a, x = final[:, t].tolist()
+            accepted = verdict[t] == Decision.ACCEPTED
+            sink(Transcript(rounds[t], b, (a, x),
+                            Verdict.ACCEPTED if accepted else Verdict.ABORT_CHEATER,
+                            int(coin[t]) if accepted else None, int(restarts[t])))
     return verdict, coin, restarts
-
-
-def _send_transcripts(sink, log, basis_tags, verdict, coin, restarts) -> None:
-    """One Transcript per finished trial, in trial order, from the per-step
-    records of run_chunk."""
-    tags = (*basis_tags, None)  # basis index -1 reads None
-    verdict = verdict.tolist()
-    rounds = {t: [] for t, v in enumerate(verdict)
-              if v != Decision.REQUEST_RESTART}  # the trials that finish
-    final = {}
-    for (sent, pending, depth, done, delivered, basis, outcome, decision,
-         *ending) in log:
-        delivered, basis, outcome, decision = (
-            v.tolist() for v in (delivered, basis, outcome, decision))
-        ending = zip(*(v.tolist() for v in ending))
-        for p, (trial, ends) in enumerate(zip(pending.tolist(), done.tolist())):
-            stop = depth
-            if ends:
-                first, *final[trial] = next(ending)
-                stop = first + 1
-            elif trial not in rounds:
-                continue  # restarts past the limit: no transcript
-            rounds[trial].extend(
-                QuantumRound(sent, delivered[r], tags[basis[r]],
-                             None if outcome[r] < 0 else outcome[r],
-                             decision[r] >= Decision.REQUEST_RESTART,
-                             decision[r] == Decision.CLAIM_LOSS_FALSELY)
-                for r in range(p * depth, p * depth + stop))
-    for trial, kept in rounds.items():
-        b, a, x = final[trial]
-        accepted = verdict[trial] == Decision.ACCEPTED
-        sink(Transcript(kept, b, (a, x),
-                        Verdict.ACCEPTED if accepted else Verdict.ABORT_CHEATER,
-                        int(coin[trial]) if accepted else None,
-                        int(restarts[trial])))

@@ -178,14 +178,20 @@ class RestartAbuseBob:
 class GuessingBob:
     """A receiver that never verifies: receive() measures to guess a bit,
     then b = target xor guess forces the coin and any reveal is accepted.
-    receive sets guess (and last_outcome) per round, -1 where it restarts."""
+    guess is the outcome index less offset; a round with guess < 0 restarts."""
 
     basis_tags = ("computational",)
     last_basis = 0
+    offset = 0
 
     def __init__(self, family: StateFamily, target: int):
         self.target = target
         self.bras = computational_basis(family.dim).bras
+
+    def receive(self, delivery, delivered, u):
+        self.last_outcome = measure_delivery(delivery, delivered, self.bras, u[0])
+        self.guess = self.last_outcome - self.offset
+        return self.guess < 0
 
     def choose_b(self, rows, u):
         return self.target ^ self.guess[rows]
@@ -198,13 +204,6 @@ class HelstromBob(GuessingBob):
     """Computational-basis measurement: the optimal x guess on the
     loss-tolerant states; gives up the ability to verify."""
 
-    def receive(self, delivery, delivered, u):
-        rows = np.flatnonzero(delivered)
-        self.guess = np.full(len(delivered), -1)
-        self.guess[rows] = measure_delivery(delivery, rows, self.bras, u[0, rows])
-        self.last_outcome = self.guess
-        return ~delivered
-
 
 class ComputationalRestartBob(GuessingBob):
     """Qutrit computational-basis measurement: restart on the shared-support
@@ -212,13 +211,7 @@ class ComputationalRestartBob(GuessingBob):
     Ambainis states |1> and |2> reveal a with certainty; on the contrived
     protocol the guess is a high-confidence one."""
 
-    def receive(self, delivery, delivered, u):
-        rows = np.flatnonzero(delivered)
-        self.last_outcome = np.full(len(delivered), -1)
-        self.last_outcome[rows] = measure_delivery(delivery, rows, self.bras,
-                                                   u[0, rows])
-        self.guess = self.last_outcome - 1
-        return self.guess < 0
+    offset = 1
 
 
 class CunningSonBob(HonestBob):
@@ -239,20 +232,16 @@ class TwoPhotonUsdBob(GuessingBob):
         self.bras = catalog.basis_pair(family)
 
     def receive(self, delivery, delivered, u):
-        self.guess = self.last_outcome = np.full(len(delivered), -1)
-        if delivery.photon_count < 2:
-            return np.ones(len(delivered), dtype=bool)
-        rows = np.flatnonzero(delivered)
-        conclusive, guess = self.measure_pair(delivery.amplitudes[:, rows],
-                                              u[:, rows])
-        self.guess[rows[conclusive]] = guess[conclusive]
+        pairs = delivered & (delivery.photon_count >= 2)  # else all restart
+        conclusive, guess = self.measure_pair(delivery, pairs, u)
+        self.guess = self.last_outcome = np.where(conclusive, guess, -1)
         return self.guess < 0
 
-    def measure_pair(self, amplitudes, u):
-        """(conclusive, guess) per round: the first photon is measured in
-        basis 0, the second in basis 1."""
-        o0 = measure_projective(amplitudes, self.bras[0], u[0])
-        o1 = measure_projective(amplitudes, self.bras[1], u[1])
+    def measure_pair(self, delivery, delivered, u):
+        """(conclusive, guess) per round, guess -1 where nothing arrived: the
+        first photon is measured in basis 0, the second in basis 1."""
+        o0 = measure_delivery(delivery, delivered, self.bras[0], u[0])
+        o1 = measure_delivery(delivery, delivered, self.bras[1], u[1])
         return o0 == o1, o0
 
 
@@ -262,10 +251,10 @@ class TwoPhotonHonestApparatusBob(TwoPhotonUsdBob):
 
     basis_tags = ("random_pair",)
 
-    def measure_pair(self, amplitudes, u):
+    def measure_pair(self, delivery, delivered, u):
         r0, r1 = bit(u[0]), bit(u[1])
-        o0 = measure_projective(amplitudes, self.bras, u[2], r0)
-        o1 = measure_projective(amplitudes, self.bras, u[3], r1)
+        o0 = measure_delivery(delivery, delivered, self.bras, u[2], r0)
+        o1 = measure_delivery(delivery, delivered, self.bras, u[3], r1)
         return (r0 != r1) & (o0 == o1), o0
 
 
@@ -275,7 +264,9 @@ class TwoPhotonHonestApparatusBob(TwoPhotonUsdBob):
 @dataclass(frozen=True)
 class Strategy:
     """A named attack: the side that plays it, the protocols it applies to,
-    the fewest photons per emission it needs, and a factory of fresh hooks.
+    the fewest photons per emission it needs, whether (for an Alice) it
+    sends cfg.photon_count photons per emission rather than one, and a
+    factory of fresh hooks.
 
     build(cfg, family, flags), called only by harness.build_hooks, reads
     cfg.target, cfg.eta and cfg.photon_count of an ExperimentConfig; eta feeds
@@ -286,6 +277,7 @@ class Strategy:
     protocols: tuple[ProtocolId, ...]
     build: Callable[..., object]
     min_photons: int = 1
+    pulses: bool = False
 
 
 def _targeted(cls) -> Callable[..., object]:
@@ -310,7 +302,8 @@ REGISTRY = {
     # honest choices, leaking cfg.photon_count photons per pulse
     "honest_pulse": Strategy(
         Side.ALICE, _LT,
-        lambda cfg, family, flags: HonestAlice(family, cfg.photon_count)),
+        lambda cfg, family, flags: HonestAlice(family, cfg.photon_count),
+        pulses=True),
     "ambainis_restart_abuse": Strategy(
         Side.BOB, (ProtocolId.AMBAINIS_CF_VARIANT,),
         lambda cfg, family, flags: RestartAbuseBob(cfg.target, cfg.eta)),

@@ -37,8 +37,10 @@ def test_run_json_schema():
     assert list(record) == ["protocol", "variant", "alice", "bob", "target",
                             "trials", "seed", "alpha2", "eta", "successes",
                             "failures", "aborts", "restart_total", "p_hat",
-                            "ci95", "bias_hat", "limit_hits"]
+                            "ci95", "bias_hat", "limit_hits", "max_restarts",
+                            "photon_count"]
     assert record["trials"] == 500
+    assert (record["max_restarts"], record["photon_count"]) == (10_000, 1)
 
 
 def test_run_csv_format():
@@ -111,7 +113,10 @@ def test_usage_errors_exit_1():
      "--target", "1", "--trials", "300"),
     ("run", "--protocol", "bb84", "--alpha2", "5", "--trials", "10"),
     ("sweep", "--param", "alpha2", "--grid", "0.6:0.9:3", "--protocol", "bb84",
-     "--trials", "500")])
+     "--trials", "500"),
+    ("run", "--alice", "lt_optimal", "--photons", "3", "--trials", "2000"),
+    ("run", "--alice", "lt_optimal", "--bob", "twophoton_usd", "--photons", "2",
+     "--target", "1", "--trials", "200")])
 def test_out_of_range_options_exit_1_without_traceback(args):
     proc = run_cli(*args)
     assert proc.returncode == 1

@@ -38,7 +38,9 @@ def test_config_validation():
     dict(bob="twophoton_usd", photon_count=1),
     dict(bob="twophoton_honest_apparatus", photon_count=1),
     dict(alpha2=0.5), dict(alpha2=1.0),
-    dict(protocol=ProtocolId.BB84_CF, alpha2=5.0)])
+    dict(protocol=ProtocolId.BB84_CF, alpha2=5.0),
+    dict(alice="lt_optimal", photon_count=3),
+    dict(alice="lt_optimal", bob="twophoton_usd", photon_count=2, target=1)])
 def test_config_out_of_range_fails_at_construction(bad):
     with pytest.raises(OutOfRange):
         ExperimentConfig(**bad)
@@ -50,7 +52,9 @@ def test_config_out_of_range_fails_at_construction(bad):
     dict(protocol=ProtocolId.AMBAINIS_CF, bob="lt_helstrom"),
     dict(variant=VariantFlags(LossPolicy.BELIEVE_ON_FAITH, False)),
     dict(protocol=ProtocolId.AMBAINIS_CF,
-         variant=VariantFlags(LossPolicy.RESTART_ON_LOSS, True))])
+         variant=VariantFlags(LossPolicy.RESTART_ON_LOSS, True)),
+    dict(protocol=ProtocolId.AMBAINIS_CF_VARIANT,
+         variant=VariantFlags(LossPolicy.BELIEVE_ON_FAITH, True))])
 def test_config_unknown_or_misapplied_strategy_fails_at_construction(bad):
     with pytest.raises(IncompatibleProtocol):
         ExperimentConfig(**bad)
@@ -110,10 +114,15 @@ def test_estimate_to_dict_field_order():
     assert list(d) == ["protocol", "variant", "alice", "bob", "target",
                        "trials", "seed", "alpha2", "eta", "successes",
                        "failures", "aborts", "restart_total", "p_hat", "ci95",
-                       "bias_hat", "limit_hits"]
+                       "bias_hat", "limit_hits", "max_restarts",
+                       "photon_count"]
     assert d["protocol"] == "loss_tolerant"
     assert d["variant"] == "default"
     assert d["successes"] + d["failures"] == d["trials"]
+    # both inputs that change the counts without naming the strategies
+    given = ExperimentConfig(max_restarts=7, photon_count=2)
+    d = estimate_to_dict(given, est)
+    assert (d["max_restarts"], d["photon_count"]) == (7, 2)
     # the record names the variant the config was given, not its resolved flags
     for protocol in ProtocolId:
         given = ExperimentConfig(protocol=protocol)

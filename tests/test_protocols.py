@@ -1,16 +1,22 @@
 """Protocol engine: honest runs, restarts, variants and transcripts."""
+import hashlib
+import json
 import math
 
+import numpy as np
 import pytest
 
-from coinflip.catalog import StateLabel, basis, state
+from coinflip.catalog import StateLabel, basis, basis_pair, state
 from coinflip.channel import ChannelParams
 from coinflip.errors import IncompatibleProtocol
-from coinflip.harness import ExperimentConfig, run_experiment
-from coinflip.protocols import (Decision, HonestBob, LossPolicy, PlayerHooks,
-                                ProtocolId, VariantFlags, Verdict, check_flags,
-                                default_flags, family_for, run_chunk)
-from coinflip.rng import ChunkStream
+from coinflip.harness import VARIANT_NAMES, ExperimentConfig, run_experiment
+from coinflip.protocols import (Decision, EprHalf, HonestBob, LossPolicy,
+                                PlayerHooks, ProtocolId, SingleState,
+                                VariantFlags, Vacuum, Verdict, check_flags,
+                                default_flags, family_for, measure_delivery,
+                                run_chunk)
+from coinflip.quantum import measure_projective, steer_epr
+from coinflip.rng import ChunkStream, bit
 from coinflip.strategies import SendNothingAlice
 
 from conftest import assert_close_5sigma
@@ -37,13 +43,13 @@ def test_default_flags():
     assert default_flags(ProtocolId.LOSS_TOLERANT_CF) == VariantFlags(
         LossPolicy.RESTART_ON_LOSS, True)
     assert default_flags(ProtocolId.AMBAINIS_CF) == VariantFlags(
-        LossPolicy.NONE, False)
+        LossPolicy.RESTART_ON_LOSS, False)
 
 
 def test_check_flags_rejects_mismatches():
     with pytest.raises(IncompatibleProtocol):
         check_flags(ProtocolId.LOSS_TOLERANT_CF,
-                    VariantFlags(LossPolicy.NONE, False))
+                    VariantFlags(LossPolicy.RESTART_ON_LOSS, False))
     with pytest.raises(IncompatibleProtocol):
         check_flags(ProtocolId.AMBAINIS_CF,
                     VariantFlags(LossPolicy.RESTART_ON_LOSS, True))
@@ -212,3 +218,102 @@ def test_transcript_records_bob_measurement():
         assert last.delivered
         assert last.bob_basis in ("0", "1")
         assert last.bob_outcome in (0, 1)
+
+
+# ---------------------------------------------------------------------------
+# measure_delivery: the one place a delivery mask becomes outcome indices
+
+def test_measure_delivery_reads_minus_one_where_nothing_arrived(rng):
+    n = 400
+    bras = basis_pair(family_for(ProtocolId.BB84_CF))
+    delivered = rng(n) < 0.6
+    which, u = bit(rng(n)), rng(n)
+    theta = 2.0 * np.pi * rng(n)
+    amplitudes = np.array([np.cos(theta), np.sin(theta)])
+    outcome = measure_delivery(SingleState(amplitudes), delivered, bras, u, which)
+    assert (outcome[~delivered] == -1).all()
+    assert (outcome[delivered] == measure_projective(
+        amplitudes[:, delivered], bras, u[delivered], which[delivered])).all()
+    assert (measure_delivery(Vacuum(), np.zeros(n, bool), bras, u, which)
+            == -1).all()
+
+
+def test_measure_delivery_steers_only_the_delivered_epr_halves(rng):
+    n = 400
+    bras = basis_pair(family_for(ProtocolId.BB84_CF))
+    delivered = rng(n) < 0.6
+    which, u = bit(rng(n)), rng(n)
+    link = EprHalf(np.full((2, n), 7.0 + 0j))
+    outcome = measure_delivery(link, delivered, bras, u, which)
+    expected, far = steer_epr(bras, u[delivered], which[delivered])
+    assert (outcome[~delivered] == -1).all()
+    assert (outcome[delivered] == expected).all()
+    assert (link.far[:, ~delivered] == 7.0).all()
+    assert np.array_equal(link.far[:, delivered], far)
+
+
+# ---------------------------------------------------------------------------
+# pinned transcripts
+
+LT, AMBAINIS = ProtocolId.LOSS_TOLERANT_CF, ProtocolId.AMBAINIS_CF
+VARIANT = ProtocolId.AMBAINIS_CF_VARIANT
+PULSES = dict(alice="honest_pulse", target=1, photon_count=2, eta=0.5)
+
+# sha256 of the to_dict JSONL of 1,000 trials at seed 7, one config per kind
+# of receiver; a change that reorders random draws or what a round records
+# must update these on purpose.
+GOLDEN_TRANSCRIPTS = {
+    "honest_lt@0.05": (
+        dict(eta=0.05),
+        "796c6f22a3a67a5a949e7f04ac805a7d27e634035c62437b85485f1ed0a42437"),
+    "ambainis_stored@0.5": (
+        dict(protocol=AMBAINIS, eta=0.5),
+        "aa78c2250ef4872ea6a2b5f13ba82a7af0dfe0a826d4766c8590423051377bac"),
+    "send_nothing_on_faith": (
+        dict(protocol=VARIANT, variant=VARIANT_NAMES["believe_on_faith"],
+             alice="send_nothing", target=1),
+        "71097f9cb97c0c9c2d0d2474308ad0403b51a6d7931f7af373a5caa43eeabec6"),
+    "restart_abuse": (
+        dict(protocol=VARIANT, bob="ambainis_restart_abuse", target=1, eta=0.5),
+        "82efa7838dafc8efba6b363c1245f3c8b6bfd2a66df3ee512583b37ac72cfe1c"),
+    "bb84_epr": (
+        dict(protocol=ProtocolId.BB84_CF, alice="bb84_epr", target=1, eta=0.5),
+        "16151d913340a52e4caae7dd47a73bd98f64774b72de20839ff0a8ca7f3547f8"),
+    "lt_helstrom": (
+        dict(bob="lt_helstrom", target=1, eta=0.5),
+        "36b3787223537337226529b103de496ecf5e287212821e0b449cc4bddbbd5c1b"),
+    "ambainis_conclusive": (
+        dict(protocol=VARIANT, variant=VARIANT_NAMES["restart_measure"],
+             bob="ambainis_conclusive", target=1, eta=0.5),
+        "063a5409a3ab93439f2a742d3f65f86e0e74ec4bf1a978e0bf5179986087a832"),
+    "mcqm_restart": (
+        dict(protocol=ProtocolId.MCQM_CONTRIVED_CF, bob="mcqm_restart",
+             target=1, eta=0.5),
+        "b401d67d589993ac453c537e4e1f62ccc3982d78adc85aed9a18b0bf0d9f824d"),
+    "cunning_son": (
+        dict(bob="cunning_son", eta=0.5),
+        "cc1cf9b11f7b88c8c843b3e058f0087967d4b3988f2aaafc8eb079c461df83a3"),
+    "twophoton_usd": (
+        dict(bob="twophoton_usd", **PULSES),
+        "149a8d8a4566ffa97d6009eba7a5f55bf801d2a8a67c79550fd8a0b38ce63a44"),
+    "twophoton_honest_apparatus": (
+        dict(bob="twophoton_honest_apparatus", **PULSES),
+        "168dfe0fd731bc2a11ff49d2f1e50558774014c48116d49f29073e404ab23682"),
+}
+
+
+@pytest.mark.parametrize("label", list(GOLDEN_TRANSCRIPTS))
+def test_transcripts_are_pinned(label):
+    kw, expected = GOLDEN_TRANSCRIPTS[label]
+    digest = hashlib.sha256()
+    kept = []
+
+    def sink(t):
+        kept.append(t)
+        digest.update((json.dumps(t.to_dict()) + "\n").encode())
+
+    run_experiment(ExperimentConfig(trials=1000, seed=7, **kw),
+                   transcript_sink=sink)
+    assert len(kept) == 1000
+    assert all(len(t.rounds) == t.restart_count + 1 for t in kept)
+    assert digest.hexdigest() == expected
