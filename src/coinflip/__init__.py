@@ -10,8 +10,8 @@ from .discrimination import (INCONCLUSIVE, DiscriminationStats,
                              computational_usd_ambainis, stats, usd_pure_pair)
 from .harness import (BiasEstimate, ExperimentConfig, run_experiment,
                       wilson_interval)
-from .protocols import (LossPolicy, PlayerHooks, ProtocolId, Transcript,
-                        VariantFlags, Verdict, default_flags, run_chunk)
+from .protocols import (LossPolicy, ProtocolId, Transcript, VariantFlags,
+                        Verdict, default_flags, run_chunk)
 from .quantum import (DensityMatrix, Povm, ProjectiveMeasurement, QuantumState,
                       density_of, helstrom_success, measure_povm,
                       measure_projective, mix, normalize, steer_epr,

@@ -33,9 +33,5 @@ class IncompatibleProtocol(CoinFlipError):
     """A strategy was requested for a protocol it does not apply to."""
 
 
-class RestartLimitExceeded(CoinFlipError):
-    """The restart loop exceeded its bound (non-terminating cheat or tiny eta)."""
-
-
-class RestartBudgetExceeded(RestartLimitExceeded):
+class RestartBudgetExceeded(CoinFlipError):
     """Too many trials of an experiment hit the restart limit (> 0.1%)."""

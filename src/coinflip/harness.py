@@ -4,13 +4,13 @@ Trials run in fixed chunks of CHUNK. Chunk k gets fresh hooks from
 build_hooks and runs on the uniforms of ChunkStream(seed, k): the batch
 engine (protocols.run_chunk) runs its pending trials in steps, step s
 reading the block at counter (k << 128) | (s << 64) with one row per
-(pending trial, round) and one column per draw site. Hooks take arrays and
-return arrays, one entry per (trial, round) pair, read only their own
-columns and keep no state across rounds. How many rounds a step runs
-depends only on s and max_restarts, never on how many trials are pending,
-so counts are a pure function of (seed, trials): bit-identical on re-run, a
-run of n trials is the prefix of any longer run, and each chunk can be
-computed on its own.
+(pending trial, round) and one column per draw site. Every site runs on
+every round; hooks take arrays and return arrays, one entry per (trial,
+round) pair, read only their own columns and keep no state across rounds.
+How many rounds a step runs depends only on s and max_restarts, never on
+how many trials are pending, so counts are a pure function of (seed,
+trials): bit-identical on re-run, a run of n trials is the prefix of any
+longer run, and each chunk can be computed on its own.
 """
 from __future__ import annotations
 
@@ -24,8 +24,8 @@ from .analytics import check_alpha2, fair_alpha2, reference_table
 from .channel import ChannelParams
 from .errors import OutOfRange, RestartBudgetExceeded
 from .protocols import (Decision, HonestAlice, HonestBob, LossPolicy,
-                        PlayerHooks, ProtocolId, VariantFlags, check_flags,
-                        default_flags, family_for, run_chunk)
+                        ProtocolId, VariantFlags, check_flags, default_flags,
+                        family_for, run_chunk)
 from .rng import ChunkStream
 from .strategies import REGISTRY, Side, lookup
 
@@ -126,8 +126,9 @@ def wilson_interval(k: int, n: int, z: float = 1.959963984540054) -> tuple[float
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def build_hooks(cfg: ExperimentConfig, family, flags: VariantFlags) -> PlayerHooks:
-    """Fresh hooks for one chunk; cfg's names were checked at construction."""
+def build_hooks(cfg: ExperimentConfig, family, flags: VariantFlags) -> tuple:
+    """Fresh (alice, bob) hooks for one chunk; cfg's names were checked at
+    construction."""
     if cfg.alice == HONEST:
         alice = HonestAlice(family, cfg.photon_count)
     else:
@@ -136,7 +137,7 @@ def build_hooks(cfg: ExperimentConfig, family, flags: VariantFlags) -> PlayerHoo
         bob = HonestBob(family, flags)
     else:
         bob = REGISTRY[cfg.bob].build(cfg, family, flags)
-    return PlayerHooks(alice, bob)
+    return alice, bob
 
 
 def run_experiment(cfg: ExperimentConfig,
@@ -155,7 +156,7 @@ def run_experiment(cfg: ExperimentConfig,
     successes = aborts = restart_total = limit_hits = 0
     for start in range(0, cfg.trials, CHUNK):
         verdict, coin, restarts = run_chunk(
-            cfg.protocol, build_hooks(cfg, family, flags), ch, cfg.max_restarts,
+            cfg.protocol, *build_hooks(cfg, family, flags), ch, cfg.max_restarts,
             ChunkStream(cfg.seed, start // CHUNK), min(CHUNK, cfg.trials - start),
             transcript_sink)
         finished = verdict != Decision.REQUEST_RESTART

@@ -24,31 +24,33 @@ restart bound and records transcripts.
 
 The engine (run_chunk) runs every round of a step as one flat batch of
 (trial, round) pairs, so hooks take and return arrays with one entry per
-round. u holds the uniforms of the hook's own draw site (see rng): prepare
-gets u[0] and u[1], receive u[0] to u[3], each with one entry per round of
-the batch; choose_b, reveal and verify get one uniform per row they serve.
+round. u holds the uniforms of the hook's own draw site (see rng), one entry
+per round of the batch: prepare gets u[0] and u[1], receive u[0] to u[3],
+and choose_b, reveal and verify one column each.
 
-  Alice: prepare(u) -> emission batch; reveal(rows, b, u) -> (a, x)
+  Alice: prepare(u) -> emission batch; reveal(b, u) -> (a, x)
   Bob:   receive(delivery, delivered, u) -> restart mask;
-         choose_b(rows, u) -> b; verify(rows, a, x, u) -> Decision codes
+         choose_b(u) -> b; verify(a, x, u) -> Decision codes
 
-receive sees every round of the step (delivered says which deliveries
-arrived); the rounds it does not restart continue, and choose_b, reveal and
-verify are then called once each, in that order, with the same rows (their
-indices in the batch). A hook may keep per-round arrays from one call to the
-next within a step, but no state across rounds: rounds are independent
-draws, which is what lets a step run a trial's next rounds all at once.
-Receivers measure through measure_delivery, which gives one outcome index
-per round of the batch and -1 where nothing arrived.
+Every hook runs once per step, in the order prepare, receive, choose_b,
+reveal, verify, on every round of the step (delivered says which deliveries
+arrived). The engine discards what choose_b, reveal and verify give on the
+rounds receive restarted, so there a hook may see any value (b need not be
+a bit) but must not raise. A hook may keep per-round arrays from one call
+to the next within a step, but no state across rounds: rounds are
+independent draws, which is what lets a step run a trial's next rounds all
+at once. Receivers measure through measure_delivery, which gives one
+outcome index per round of the batch and -1 where nothing arrived.
 
 For transcripts Bob exposes last_basis (an index into his basis_tags, -1 for
 none) and last_outcome (the index of his measurement outcome, -1 for none),
 per round or as one value for all; both are read once verify has run, and
-each trial's rounds are recorded in the step that decides them. In an
-honest basis outcome index i is the state |a, i>, so it is compared with the
-revealed x directly (see catalog.basis). What differs between protocols
-(state family, default variant flags, allowed measurement timing, coin rule)
-is one row of the PROTOCOLS table.
+each trial's rounds are recorded in the step that decides them. The engine
+records no basis for a round where nothing arrived. In an honest basis
+outcome index i is the state |a, i>, so it is compared with the revealed x
+directly (see catalog.basis). What differs between protocols (state family,
+default variant flags, allowed measurement timing, coin rule) is one row
+of the PROTOCOLS table.
 """
 from __future__ import annotations
 
@@ -259,8 +261,8 @@ class HonestAlice:
         self.x = choice(self.family.x_weights, u[1])  # x_values are 0, 1(, 2)
         return SingleState(self.kets[self.a, self.x].T, self.photon_count)
 
-    def reveal(self, rows: np.ndarray, b: np.ndarray, u: np.ndarray):
-        return self.a[rows], self.x[rows]
+    def reveal(self, b: np.ndarray, u: np.ndarray):
+        return self.a, self.x
 
 
 class HonestBob:
@@ -278,23 +280,20 @@ class HonestBob:
         if not self.flags.bob_measures_on_reception:
             self.stored, self.delivered = delivery, delivered
             return np.zeros(len(delivered), dtype=bool)
-        self.a_hat = bit(u[0])
+        self.a_hat = self.last_basis = bit(u[0])
         self.x_hat = self.last_outcome = measure_delivery(
             delivery, delivered, self.bras, u[1], self.a_hat)
-        self.last_basis = np.where(delivered, self.a_hat, -1)
         return ~delivered
 
-    def choose_b(self, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    def choose_b(self, u: np.ndarray) -> np.ndarray:
         return bit(u)
 
-    def verify(self, rows: np.ndarray, a: np.ndarray, x: np.ndarray,
-               u: np.ndarray) -> np.ndarray:
+    def verify(self, a: np.ndarray, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         if self.flags.bob_measures_on_reception:
-            caught = (a == self.a_hat[rows]) & (self.x_hat[rows] != x)
+            caught = (a == self.a_hat) & (self.x_hat != x)
             return np.where(caught, Decision.ABORT_CHEATER, Decision.ACCEPTED)
-        # a storing Bob never restarts in receive, so rows is every round;
         # a lost round is believed on faith or replayed from step 1
-        self.last_basis = np.where(self.delivered, a, -1)
+        self.last_basis = a
         self.last_outcome = measure_delivery(self.stored, self.delivered,
                                              self.bras, u, a)
         lost = (Decision.ACCEPTED
@@ -305,16 +304,10 @@ class HonestBob:
         return np.where(self.delivered, caught, lost)
 
 
-@dataclass
-class PlayerHooks:
-    alice: object
-    bob: object
-
-
 # ---------------------------------------------------------------------------
 # engine
 
-def run_chunk(protocol: ProtocolId, hooks: PlayerHooks, ch: ChannelParams,
+def run_chunk(protocol: ProtocolId, alice, bob, ch: ChannelParams,
               max_restarts: int, stream: ChunkStream, trials: int,
               sink=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Run `trials` independent protocol runs on the uniforms of one chunk.
@@ -328,7 +321,6 @@ def run_chunk(protocol: ProtocolId, hooks: PlayerHooks, ch: ChannelParams,
     With a sink, each finished trial's Transcript goes to it, in trial order.
     """
     coin_from_x = PROTOCOLS[protocol].coin_from_x
-    alice, bob = hooks.alice, hooks.bob
     verdict = np.full(trials, Decision.REQUEST_RESTART, dtype=np.int8)
     coin = np.zeros(trials, dtype=np.int8)
     restarts = np.zeros(trials, dtype=np.int64)
@@ -344,25 +336,24 @@ def run_chunk(protocol: ProtocolId, hooks: PlayerHooks, ch: ChannelParams,
         u = stream.block(step, (pending.size, depth, SLOTS)).reshape(-1, SLOTS).T
         emission = alice.prepare(u[PREPARE])
         delivered = transmit(emission, ch, u[TRANSMIT])
-        live = np.flatnonzero(~bob.receive(emission, delivered, u[RECEIVE]))
-        b = bob.choose_b(live, u[CHOOSE_B, live])
-        a, x = alice.reveal(live, b, u[REVEAL, live])
-        decision = np.full(u.shape[1], Decision.REQUEST_RESTART, dtype=np.int8)
-        decision[live] = bob.verify(live, a, x, u[VERIFY, live])
+        restart = bob.receive(emission, delivered, u[RECEIVE])
+        b = bob.choose_b(u[CHOOSE_B])
+        a, x = alice.reveal(b, u[REVEAL])
+        decision = np.where(restart, Decision.REQUEST_RESTART,
+                            bob.verify(a, x, u[VERIFY]))
 
         ends = (decision <= Decision.ABORT_CHEATER).reshape(-1, depth)
         done = ends.any(1)
         first = ends.argmax(1)  # the first round that ends each finished trial
         last = np.flatnonzero(done) * depth + first[done]
-        at = np.searchsorted(live, last)  # those rounds are all live
         finished = pending[done]
         verdict[finished] = decision[last]
-        coin[finished] = (x[at] if coin_from_x else a[at]) ^ b[at]
+        coin[finished] = (x[last] if coin_from_x else a[last]) ^ b[last]
         restarts[finished] = rounds_before + first[done]
         if rounds is not None:  # each trial's rounds up to the one it keeps
-            final[:, finished] = b[at], a[at], x[at]
-            basis, outcome = (np.broadcast_to(v, delivered.shape).tolist()
-                              for v in (bob.last_basis, bob.last_outcome))
+            final[:, finished] = b[last], a[last], x[last]
+            basis = np.where(delivered, bob.last_basis, -1).tolist()
+            outcome = np.broadcast_to(bob.last_outcome, delivered.shape).tolist()
             arrived, decided = delivered.tolist(), decision.tolist()
             stop = np.where(done, first + 1, depth).tolist()
             for p, trial in enumerate(pending.tolist()):

@@ -11,11 +11,11 @@ reproducible on its own, in any order.
 
 A block has shape (pending trials, rounds, SLOTS): one row of SLOTS uniforms
 per (trial, round) pair. Each draw site of a round owns fixed columns of its
-row (PREPARE, TRANSMIT, RECEIVE, CHOOSE_B, REVEAL, VERIFY), whether or not
-the round reaches it, and every draw maps exactly one uniform, so what one
-site draws never shifts another site's uniforms. Hooks (see protocols) get
-their own columns as arrays, one entry per round, and return arrays; they
-keep no state across rounds, so the rounds of a step are independent.
+row (PREPARE, TRANSMIT, RECEIVE, CHOOSE_B, REVEAL, VERIFY); every site runs
+on every round, and every draw maps exactly one uniform, so what one site
+draws never shifts another site's uniforms. Hooks (see protocols) get their
+own columns as arrays, one entry per round, and return arrays; they keep no
+state across rounds, so the rounds of a step are independent.
 """
 from __future__ import annotations
 

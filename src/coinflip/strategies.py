@@ -40,8 +40,8 @@ class PostponeLieAlice(HonestAlice):
         super().__init__(family)
         self.target = target
 
-    def reveal(self, rows, b, u):
-        a, x = self.a[rows], self.x[rows]
+    def reveal(self, b, u):
+        a, x = self.a, self.x
         happy = (a ^ b) == self.target
         return np.where(happy, a, 1 ^ a), np.where(happy, x, bit(u))
 
@@ -66,9 +66,9 @@ class RotatedStateAlice:
         self.k = randint(4, u[0])
         return SingleState(self.states[:, self.k])
 
-    def reveal(self, rows, b, u):
+    def reveal(self, b, u):
         a = self.target ^ b
-        return a, self.nearest[self.k[rows], a]
+        return a, self.nearest[self.k, a]
 
 
 class EprSteeringAlice:
@@ -80,12 +80,13 @@ class EprSteeringAlice:
         self.bras = catalog.basis_pair(family)
 
     def prepare(self, u) -> EprHalf:
-        self.link = EprHalf(np.zeros((2, u.shape[1]), dtype=complex))
+        # a lost half stays |0>, so reveal can measure every round
+        self.link = EprHalf(np.tile([[1 + 0j], [0j]], u.shape[1]))
         return self.link
 
-    def reveal(self, rows, b, u):
+    def reveal(self, b, u):
         a = self.target ^ b
-        x_mine = measure_projective(self.link.far[:, rows], self.bras, u, a)
+        x_mine = measure_projective(self.link.far, self.bras, u, a)
         # singlet anticorrelation: Bob's same-basis outcome is 1 xor x_mine
         return a, 1 ^ x_mine
 
@@ -105,9 +106,9 @@ class AmbainisOptimalAlice:
         self.negative = (sign(u) < 0).astype(np.intp)  # per basis a, per round
         return SingleState(self.states[:, 2 * self.negative[0] + self.negative[1]])
 
-    def reveal(self, rows, b, u):
-        a = self.target ^ b
-        return a, self.negative[a, rows]
+    def reveal(self, b, u):
+        a = self.target ^ b  # not a bit where a guessing Bob restarts
+        return a, np.where(a == 1, self.negative[1], self.negative[0])
 
 
 class LossTolerantOptimalAlice:
@@ -123,9 +124,9 @@ class LossTolerantOptimalAlice:
         self.sent_minus = bit(u[0])
         return SingleState(self.states[:, self.sent_minus])
 
-    def reveal(self, rows, b, u):
+    def reveal(self, b, u):
         x = self.target ^ b
-        return np.where(self.sent_minus[rows], 1 ^ x, x), x
+        return np.where(self.sent_minus, 1 ^ x, x), x
 
 
 class SendNothingAlice:
@@ -137,7 +138,7 @@ class SendNothingAlice:
     def prepare(self, u) -> Vacuum:
         return Vacuum()
 
-    def reveal(self, rows, b, u):
+    def reveal(self, b, u):
         return self.target ^ b, bit(u)
 
 
@@ -145,8 +146,8 @@ class CunningMotherAlice(HonestAlice):
     """Honest send; if b != x she knows Bob measured the wrong basis and
     relabels x to b so that her son wins x xor b = 0."""
 
-    def reveal(self, rows, b, u):
-        return self.a[rows], b  # x where b == x, else relabelled to b
+    def reveal(self, b, u):
+        return self.a, b  # x where b == x, else relabelled to b
 
 
 # ---------------------------------------------------------------------------
@@ -166,11 +167,11 @@ class RestartAbuseBob:
     def receive(self, delivery, delivered, u):
         return np.zeros(len(delivered), dtype=bool)  # stores, never measures
 
-    def choose_b(self, rows, u):
+    def choose_b(self, u):
         self.b = bit(u)
         return self.b
 
-    def verify(self, rows, a, x, u):
+    def verify(self, a, x, u):
         claim = ((a ^ self.b) != self.target) | bernoulli(self.camouflage, u)
         return np.where(claim, Decision.CLAIM_LOSS_FALSELY, Decision.ACCEPTED)
 
@@ -193,11 +194,11 @@ class GuessingBob:
         self.guess = self.last_outcome - self.offset
         return self.guess < 0
 
-    def choose_b(self, rows, u):
-        return self.target ^ self.guess[rows]
+    def choose_b(self, u):
+        return self.target ^ self.guess
 
-    def verify(self, rows, a, x, u):
-        return np.full(len(rows), Decision.ACCEPTED)
+    def verify(self, a, x, u):
+        return np.full(len(u), Decision.ACCEPTED)
 
 
 class HelstromBob(GuessingBob):
@@ -217,8 +218,8 @@ class ComputationalRestartBob(GuessingBob):
 class CunningSonBob(HonestBob):
     """Honest measurement, but sends b = x_hat instead of a random bit."""
 
-    def choose_b(self, rows, u):
-        return self.x_hat[rows]
+    def choose_b(self, u):
+        return self.x_hat
 
 
 class TwoPhotonUsdBob(GuessingBob):

@@ -11,10 +11,9 @@ from coinflip.channel import ChannelParams
 from coinflip.errors import IncompatibleProtocol
 from coinflip.harness import VARIANT_NAMES, ExperimentConfig, run_experiment
 from coinflip.protocols import (Decision, EprHalf, HonestBob, LossPolicy,
-                                PlayerHooks, ProtocolId, SingleState,
-                                VariantFlags, Vacuum, Verdict, check_flags,
-                                default_flags, family_for, measure_delivery,
-                                run_chunk)
+                                ProtocolId, SingleState, VariantFlags, Vacuum,
+                                Verdict, check_flags, default_flags, family_for,
+                                measure_delivery, run_chunk)
 from coinflip.quantum import measure_projective, steer_epr
 from coinflip.rng import ChunkStream, bit
 from coinflip.strategies import SendNothingAlice
@@ -156,9 +155,9 @@ def test_believe_on_faith_accepts_missing_qutrit():
     protocol = ProtocolId.AMBAINIS_CF_VARIANT
     fam = family_for(protocol)
     flags = VariantFlags(LossPolicy.BELIEVE_ON_FAITH, False)
-    hooks = PlayerHooks(SendNothingAlice(fam, 0), HonestBob(fam, flags))
     out = []
-    run_chunk(protocol, hooks, ChannelParams(1.0), 10, ChunkStream(3), 1, out.append)
+    run_chunk(protocol, SendNothingAlice(fam, 0), HonestBob(fam, flags),
+              ChannelParams(1.0), 10, ChunkStream(3), 1, out.append)
     t, = out
     assert t.verdict is Verdict.ACCEPTED
     assert t.restart_count == 0
@@ -169,9 +168,9 @@ def test_restart_limit_is_enforced():
     protocol = ProtocolId.LOSS_TOLERANT_CF
     fam = family_for(protocol, 0.9)
     flags = default_flags(protocol)
-    hooks = PlayerHooks(SendNothingAlice(fam, 0), HonestBob(fam, flags))
     out = []
-    verdict, _, _ = run_chunk(protocol, hooks, ChannelParams(1.0), 50,
+    verdict, _, _ = run_chunk(protocol, SendNothingAlice(fam, 0),
+                              HonestBob(fam, flags), ChannelParams(1.0), 50,
                               ChunkStream(4), 1, out.append)
     assert verdict.tolist() == [Decision.REQUEST_RESTART]
     assert out == []  # no transcript for a trial over the limit
@@ -281,24 +280,24 @@ GOLDEN_TRANSCRIPTS = {
         "16151d913340a52e4caae7dd47a73bd98f64774b72de20839ff0a8ca7f3547f8"),
     "lt_helstrom": (
         dict(bob="lt_helstrom", target=1, eta=0.5),
-        "36b3787223537337226529b103de496ecf5e287212821e0b449cc4bddbbd5c1b"),
+        "aa3bdd26d3c158be37e6f548def200b710361abf084bb3d1533bb55de2265abf"),
     "ambainis_conclusive": (
         dict(protocol=VARIANT, variant=VARIANT_NAMES["restart_measure"],
              bob="ambainis_conclusive", target=1, eta=0.5),
-        "063a5409a3ab93439f2a742d3f65f86e0e74ec4bf1a978e0bf5179986087a832"),
+        "7c037b7773d7f02002a30edf6405fab3a4c5671210f02739017b8b6c5d47d7f1"),
     "mcqm_restart": (
         dict(protocol=ProtocolId.MCQM_CONTRIVED_CF, bob="mcqm_restart",
              target=1, eta=0.5),
-        "b401d67d589993ac453c537e4e1f62ccc3982d78adc85aed9a18b0bf0d9f824d"),
+        "723598d77accb2e328830982a96afb95d9b51c96edbf501a87dff59e845f1e7a"),
     "cunning_son": (
         dict(bob="cunning_son", eta=0.5),
         "cc1cf9b11f7b88c8c843b3e058f0087967d4b3988f2aaafc8eb079c461df83a3"),
     "twophoton_usd": (
         dict(bob="twophoton_usd", **PULSES),
-        "149a8d8a4566ffa97d6009eba7a5f55bf801d2a8a67c79550fd8a0b38ce63a44"),
+        "367da4060e216524e889f24374e893557265d76ed0a55d67ec166e3935b69c9e"),
     "twophoton_honest_apparatus": (
         dict(bob="twophoton_honest_apparatus", **PULSES),
-        "168dfe0fd731bc2a11ff49d2f1e50558774014c48116d49f29073e404ab23682"),
+        "6a76d50923842421403bfe8f5facd66a7086715c8d143cd35bdc41e7e982469c"),
 }
 
 
@@ -316,4 +315,6 @@ def test_transcripts_are_pinned(label):
                    transcript_sink=sink)
     assert len(kept) == 1000
     assert all(len(t.rounds) == t.restart_count + 1 for t in kept)
+    assert all((r.bob_basis, r.bob_outcome) == (None, None)
+               for t in kept for r in t.rounds if not r.delivered)
     assert digest.hexdigest() == expected

@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 from coinflip.catalog import Family, StateFamily, StateLabel, state
+from coinflip.channel import ChannelParams, transmit
 from coinflip.errors import IncompatibleProtocol
 from coinflip.harness import ExperimentConfig, build_hooks, run_experiment
 from coinflip.protocols import ProtocolId, family_for
 from coinflip.quantum import QuantumState
-from coinflip.rng import bit
+from coinflip.rng import (CHOOSE_B, PREPARE, RECEIVE, REVEAL, SLOTS, TRANSMIT,
+                          VERIFY, bit)
 from coinflip.strategies import (ALICE_STRATEGIES, BOB_STRATEGIES, REGISTRY,
                                  AmbainisOptimalAlice, LossTolerantOptimalAlice,
                                  RotatedStateAlice, Side, lookup)
@@ -36,7 +38,24 @@ def test_factory_rejects_wrong_protocol():
         lookup(Side.BOB, "lt_helstrom", ProtocolId.AMBAINIS_CF)
 
 
-def test_every_listed_strategy_builds():
+def run_one_step(alice, bob, u, anything_arrives):
+    """Call one step's hooks in engine order on every round of a batch in
+    which no round arrives, or about half do, and check that each returns one
+    entry per round."""
+    emission = alice.prepare(u[PREPARE])
+    delivered = transmit(emission, ChannelParams(0.5), u[TRANSMIT])
+    delivered &= anything_arrives
+    restart = bob.receive(emission, delivered, u[RECEIVE])
+    b = bob.choose_b(u[CHOOSE_B])
+    a, x = alice.reveal(b, u[REVEAL])
+    decision = bob.verify(a, x, u[VERIFY])
+    for out in (restart, b, a, x, decision):
+        assert np.shape(out) == delivered.shape
+
+
+def test_every_listed_strategy_builds(rng):
+    """Each strategy builds, and its pair's hooks run on every round of a
+    step, restarted rounds included, without raising."""
     assert set(ALICE_STRATEGIES) | set(BOB_STRATEGIES) == set(REGISTRY)
     for side, names in ((Side.ALICE, ALICE_STRATEGIES), (Side.BOB, BOB_STRATEGIES)):
         for name in names:
@@ -46,9 +65,9 @@ def test_every_listed_strategy_builds():
                 cfg = ExperimentConfig(protocol=protocol,
                                        photon_count=spec.min_photons,
                                        **{side.value: name})
-                hooks = build_hooks(cfg, family_for(protocol, 0.9), cfg.flags)
-                built = hooks.alice if side is Side.ALICE else hooks.bob
-                assert built is not None, (name, protocol)
+                alice, bob = build_hooks(cfg, family_for(protocol, 0.9), cfg.flags)
+                for anything_arrives in (False, True):
+                    run_one_step(alice, bob, rng(SLOTS, 64), anything_arrives)
 
 
 # ---------------------------------------------------------------------------
@@ -59,14 +78,11 @@ def sent_states(emission):
     return [QuantumState(tuple(c)) for c in emission.amplitudes.T]
 
 
-ROWS = np.arange(200)
-
-
 def test_rotated_alice_picks_the_closest_bit(rng):
     alice = RotatedStateAlice(BB84, 0)
     sent = sent_states(alice.prepare(rng(2, 200)))
     b = bit(rng(200))
-    a, x = alice.reveal(ROWS, b, rng(200))
+    a, x = alice.reveal(b, rng(200))
     assert (a == b).all()  # she forces a xor b = 0
     for s, aa, xx in zip(sent, a.tolist(), x.tolist()):
         fids = [s.fidelity_with(state(BB84, StateLabel(aa, k))) for k in (0, 1)]
@@ -79,7 +95,7 @@ def test_ambainis_alice_reveal_maximizes_overlap(rng):
     alice = AmbainisOptimalAlice(AMB, 0)
     sent = sent_states(alice.prepare(rng(2, 200)))
     for b in (0, 1):
-        a, x = alice.reveal(ROWS, np.full(200, b), rng(200))
+        a, x = alice.reveal(np.full(200, b), rng(200))
         assert (a == b).all()
         for s, xx in zip(sent, x.tolist()):
             fids = [s.fidelity_with(state(AMB, StateLabel(b, k))) for k in (0, 1)]
@@ -92,7 +108,7 @@ def test_lt_alice_reveal_maximizes_overlap(rng):
     alice = LossTolerantOptimalAlice(LT9, 0)
     sent = sent_states(alice.prepare(rng(2, 200)))
     for b in (0, 1):
-        a, x = alice.reveal(ROWS, np.full(200, b), rng(200))
+        a, x = alice.reveal(np.full(200, b), rng(200))
         assert (x == b).all()  # forces x xor b = 0
         for s, aa in zip(sent, a.tolist()):
             fids = {(k, b): s.fidelity_with(state(LT9, StateLabel(k, b)))
