@@ -44,9 +44,10 @@ outcome index per round of the batch and -1 where nothing arrived.
 
 For transcripts Bob exposes last_basis (an index into his basis_tags, -1 for
 none) and last_outcome (the index of his measurement outcome, -1 for none),
-per round or as one value for all; both are read once verify has run, and
-each trial's rounds are recorded in the step that decides them. The engine
-records no basis for a round where nothing arrived. In an honest basis
+per round or as one value for all; both are read once verify has run. Each
+step logs the rounds its trials keep as arrays, and the chunk's transcripts
+are built from that log in one pass at its end. The engine records no basis
+for a round where nothing arrived. In an honest basis
 outcome index i is the state |a, i>, so it is compared with the revealed x
 directly (see catalog.basis). What differs between protocols (state family,
 default variant flags, allowed measurement timing, coin rule) is one row
@@ -214,7 +215,7 @@ def measure_delivery(delivery: Emission, delivered: np.ndarray, bras: np.ndarray
 # ---------------------------------------------------------------------------
 # transcripts
 
-@dataclass
+@dataclass(slots=True)
 class QuantumRound:
     sent: str
     delivered: bool
@@ -235,7 +236,10 @@ class Transcript:
 
     def to_dict(self) -> dict:
         return {
-            "rounds": [dict(vars(r)) for r in self.rounds],
+            "rounds": [{"sent": r.sent, "delivered": r.delivered,
+                        "bob_basis": r.bob_basis, "bob_outcome": r.bob_outcome,
+                        "restart_requested": r.restart_requested,
+                        "false_claim": r.false_claim} for r in self.rounds],
             "b": self.b,
             "revealed": {"a": self.revealed[0], "x": self.revealed[1]},
             "verdict": self.verdict.value,
@@ -318,15 +322,17 @@ def run_chunk(protocol: ProtocolId, alice, bob, ch: ChannelParams,
     round that does not end in a restart. Returns, per trial, the Decision
     of that round (REQUEST_RESTART for a trial that restarted more than
     max_restarts times), the coin it produced and the restarts before it.
-    With a sink, each finished trial's Transcript goes to it, in trial order.
+    With a sink, each step logs its trials' rounds up to the kept one as
+    arrays; at the end the log is sorted by trial, the trials over the limit
+    are dropped, and each other trial's Transcript goes to the sink, in
+    trial order.
     """
     coin_from_x = PROTOCOLS[protocol].coin_from_x
     verdict = np.full(trials, Decision.REQUEST_RESTART, dtype=np.int8)
     coin = np.zeros(trials, dtype=np.int8)
     restarts = np.zeros(trials, dtype=np.int64)
     final = np.zeros((3, trials), dtype=np.int8)  # b, a, x, kept with a sink
-    rounds = None if sink is None else [[] for _ in range(trials)]
-    tags = (*getattr(bob, "basis_tags", ()), None)  # basis index -1 reads None
+    log, sent = (None, None) if sink is None else ([], [])  # per step: rounds, tag
     pending = np.arange(trials)
     rounds_before = 0  # rounds each pending trial has run, all restarts
     step = 0
@@ -350,27 +356,37 @@ def run_chunk(protocol: ProtocolId, alice, bob, ch: ChannelParams,
         verdict[finished] = decision[last]
         coin[finished] = (x[last] if coin_from_x else a[last]) ^ b[last]
         restarts[finished] = rounds_before + first[done]
-        if rounds is not None:  # each trial's rounds up to the one it keeps
+        if log is not None:  # each trial's rounds up to the one it keeps
             final[:, finished] = b[last], a[last], x[last]
-            basis = np.where(delivered, bob.last_basis, -1).tolist()
-            outcome = np.broadcast_to(bob.last_outcome, delivered.shape).tolist()
-            arrived, decided = delivered.tolist(), decision.tolist()
-            stop = np.where(done, first + 1, depth).tolist()
-            for p, trial in enumerate(pending.tolist()):
-                rounds[trial].extend(
-                    QuantumRound(emission.tag, arrived[r], tags[basis[r]],
-                                 None if outcome[r] < 0 else outcome[r],
-                                 decided[r] >= Decision.REQUEST_RESTART,
-                                 decided[r] == Decision.CLAIM_LOSS_FALSELY)
-                    for r in range(p * depth, p * depth + stop[p]))
+            stop = np.where(done, first + 1, depth)
+            kept = (np.arange(depth) < stop[:, None]).ravel()
+            basis = np.where(delivered, bob.last_basis, -1)
+            outcome = np.broadcast_to(bob.last_outcome, delivered.shape)
+            log.append((np.repeat(pending, stop), np.full(kept.sum(), len(sent)),
+                        delivered[kept], basis[kept], outcome[kept], decision[kept]))
+            sent.append(emission.tag)
         pending = pending[~done]
         rounds_before += depth
         step += 1
-    if rounds is not None:
-        for t in np.flatnonzero(verdict != Decision.REQUEST_RESTART).tolist():
-            b, a, x = final[:, t].tolist()
-            accepted = verdict[t] == Decision.ACCEPTED
-            sink(Transcript(rounds[t], b, (a, x),
+    if log is not None:  # every kept round, in trial order, then a slice per trial
+        trial, tag, arrived, basis, outcome, decided = map(np.concatenate, zip(*log))
+        rows = np.argsort(trial, kind="stable")
+        rows = rows[verdict[trial[rows]] != Decision.REQUEST_RESTART]
+        outcome, decided = outcome[rows], decided[rows]
+        measured = outcome.astype(object)
+        measured[outcome < 0] = None
+        tags = np.array((*getattr(bob, "basis_tags", ()), None), dtype=object)
+        made = list(map(QuantumRound, np.array(sent, dtype=object)[tag[rows]].tolist(),
+                        arrived[rows].tolist(), tags[basis[rows]].tolist(),  # -1: None
+                        measured.tolist(),
+                        (decided >= Decision.REQUEST_RESTART).tolist(),
+                        (decided == Decision.CLAIM_LOSS_FALSELY).tolist()))
+        ok = verdict != Decision.REQUEST_RESTART
+        for end, v, c, r, b, a, x in zip(np.cumsum(restarts[ok] + 1).tolist(),
+                                         verdict[ok].tolist(), coin[ok].tolist(),
+                                         restarts[ok].tolist(), *final[:, ok].tolist()):
+            accepted = v == Decision.ACCEPTED
+            sink(Transcript(made[end - r - 1:end], b, (a, x),
                             Verdict.ACCEPTED if accepted else Verdict.ABORT_CHEATER,
-                            int(coin[t]) if accepted else None, int(restarts[t])))
+                            c if accepted else None, r))
     return verdict, coin, restarts

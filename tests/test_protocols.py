@@ -1,4 +1,5 @@
 """Protocol engine: honest runs, restarts, variants and transcripts."""
+import dataclasses
 import hashlib
 import json
 import math
@@ -10,10 +11,11 @@ from coinflip.catalog import StateLabel, basis, basis_pair, state
 from coinflip.channel import ChannelParams
 from coinflip.errors import IncompatibleProtocol
 from coinflip.harness import VARIANT_NAMES, ExperimentConfig, run_experiment
-from coinflip.protocols import (Decision, EprHalf, HonestBob, LossPolicy,
-                                ProtocolId, SingleState, VariantFlags, Vacuum,
-                                Verdict, check_flags, default_flags, family_for,
-                                measure_delivery, run_chunk)
+from coinflip.protocols import (Decision, EprHalf, HonestAlice, HonestBob,
+                                LossPolicy, ProtocolId, QuantumRound, SingleState,
+                                VariantFlags, Vacuum, Verdict, check_flags,
+                                default_flags, family_for, measure_delivery,
+                                run_chunk)
 from coinflip.quantum import measure_projective, steer_epr
 from coinflip.rng import ChunkStream, bit
 from coinflip.strategies import SendNothingAlice
@@ -176,6 +178,29 @@ def test_restart_limit_is_enforced():
     assert out == []  # no transcript for a trial over the limit
 
 
+def test_limit_hits_inside_a_chunk_drop_only_their_transcripts():
+    """Trials over the restart limit leave no transcript, and the others keep
+    theirs: at max_restarts=2 a chunk runs the same two steps as at 1000, so
+    its transcripts are those of the longer run that restarted at most twice."""
+    protocol = ProtocolId.LOSS_TOLERANT_CF
+    fam = family_for(protocol, 0.9)
+
+    def chunk(max_restarts):
+        out = []
+        verdict, _, _ = run_chunk(protocol, HonestAlice(fam),
+                                  HonestBob(fam, default_flags(protocol)),
+                                  ChannelParams(0.3), max_restarts, ChunkStream(5),
+                                  200, out.append)
+        return verdict, out
+
+    verdict, limited = chunk(2)
+    _, full = chunk(1000)
+    hits = (verdict == Decision.REQUEST_RESTART).sum()
+    assert 0 < hits < 200
+    assert len(limited) == 200 - hits
+    assert limited == [t for t in full if t.restart_count <= 2]
+
+
 # ---------------------------------------------------------------------------
 # transcripts
 
@@ -187,6 +212,13 @@ def test_transcript_serialization_round_trip():
     assert d["revealed"] == {"a": t.revealed[0], "x": t.revealed[1]}
     assert len(d["rounds"]) == len(t.rounds)
     assert d["restart_count"] == t.restart_count
+
+
+def test_round_dict_keys_follow_the_round_fields():
+    """A field added to QuantumRound must reach the serialized record."""
+    t = run_many(ProtocolId.LOSS_TOLERANT_CF, 1, eta=0.5, seed=99)[0]
+    names = [f.name for f in dataclasses.fields(QuantumRound)]
+    assert all(list(r) == names for r in t.to_dict()["rounds"])
 
 
 def test_transcript_dict_is_a_copy():
