@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 from .analytics import alice_bias_bound, bob_bias, fair_alpha2, reference_table
 from .catalog import Family
 from .errors import CoinFlipError, IncompatibleProtocol, RestartBudgetExceeded
-from .harness import (HONEST, VARIANT_NAMES, ExperimentConfig,
+from .harness import (VARIANT_NAMES, ExperimentConfig,
                       estimate_to_dict, evaluate_matrix, run_experiment)
 from .protocols import PROTOCOLS, ProtocolId
 from .strategies import ALICE_STRATEGIES, BOB_STRATEGIES
@@ -43,19 +43,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_run_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--protocol", choices=sorted(_PROTOCOLS),
-                   default=ProtocolId.LOSS_TOLERANT_CF.value)
+    d = ExperimentConfig  # its field defaults
+    p.add_argument("--protocol", choices=sorted(_PROTOCOLS), default=d.protocol.value)
     p.add_argument("--variant", choices=sorted(VARIANT_NAMES), default="default")
-    p.add_argument("--alice", default=HONEST,
-                   choices=(HONEST,) + ALICE_STRATEGIES)
-    p.add_argument("--bob", default=HONEST, choices=(HONEST,) + BOB_STRATEGIES)
-    p.add_argument("--target", type=int, choices=(0, 1), default=0)
-    p.add_argument("--trials", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=12345)
-    p.add_argument("--alpha2", type=float, default=0.9)
-    p.add_argument("--eta", type=float, default=1.0)
-    p.add_argument("--max-restarts", type=int, default=10_000)
-    p.add_argument("--photons", type=int, default=1)
+    p.add_argument("--alice", default=d.alice, choices=ALICE_STRATEGIES)
+    p.add_argument("--bob", default=d.bob, choices=BOB_STRATEGIES)
+    p.add_argument("--target", type=int, choices=(0, 1), default=d.target)
+    p.add_argument("--trials", type=int, default=d.trials)
+    p.add_argument("--seed", type=int, default=d.seed)
+    p.add_argument("--alpha2", type=float, default=d.alpha2)
+    p.add_argument("--eta", type=float, default=d.eta)
+    p.add_argument("--max-restarts", type=int, default=d.max_restarts)
+    p.add_argument("--photons", type=int, default=d.photon_count)
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
 

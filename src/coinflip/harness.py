@@ -1,16 +1,18 @@
 """Monte Carlo harness: seeded experiments, bias estimates, check matrix.
 
-Trials run in fixed chunks of CHUNK. Chunk k gets fresh hooks from
-build_hooks and runs on the uniforms of ChunkStream(seed, k): the batch
+build_hooks builds both players of an experiment from strategies.REGISTRY,
+honest ones included, once per experiment. Trials run in fixed chunks of
+CHUNK, and chunk k runs on the uniforms of ChunkStream(seed, k): the batch
 engine (protocols.run_chunk) runs its pending trials in steps, step s
 reading the block at counter (k << 128) | (s << 64) with one row per
 (pending trial, round) and one column per draw site. Every site runs on
 every round; hooks take arrays and return arrays, one entry per (trial,
 round) pair, read only their own columns and keep no state across rounds.
-How many rounds a step runs depends only on s and max_restarts, never on
-how many trials are pending, so counts are a pure function of (seed,
-trials): bit-identical on re-run, a run of n trials is the prefix of any
-longer run, and each chunk can be computed on its own.
+Every hook writes its per-step state before it reads it, so all chunks can
+share one set of hooks. How many rounds a step runs depends only on s and
+max_restarts, never on how many trials are pending, so counts are a pure
+function of (seed, trials): bit-identical on re-run, a run of n trials is
+the prefix of any longer run, and each chunk can be computed on its own.
 """
 from __future__ import annotations
 
@@ -22,21 +24,20 @@ import numpy as np
 
 from .analytics import check_alpha2, fair_alpha2, reference_table
 from .channel import ChannelParams
-from .errors import OutOfRange, RestartBudgetExceeded
-from .protocols import (Decision, HonestAlice, HonestBob, LossPolicy,
-                        ProtocolId, VariantFlags, check_flags, default_flags,
-                        family_for, run_chunk)
+from .errors import IncompatibleProtocol, OutOfRange, RestartBudgetExceeded
+from .protocols import (MEASURE, ON_FAITH, STORE, Decision, ProtocolId,
+                        VariantFlags, check_flags, default_flags, family_for,
+                        run_chunk)
 from .rng import ChunkStream
-from .strategies import REGISTRY, Side, lookup
+from .strategies import HONEST, REGISTRY, Side, lookup
 
-HONEST = "honest"
-CHUNK = 1024  # trials per random stream and per set of hooks
+CHUNK = 1024  # trials per random stream
 
 VARIANT_NAMES = {
     "default": None,
-    "believe_on_faith": VariantFlags(LossPolicy.BELIEVE_ON_FAITH, False),
-    "restart_on_loss": VariantFlags(LossPolicy.RESTART_ON_LOSS, False),
-    "restart_measure": VariantFlags(LossPolicy.RESTART_ON_LOSS, True),
+    "believe_on_faith": ON_FAITH,
+    "restart_on_loss": STORE,
+    "restart_measure": MEASURE,
 }
 
 
@@ -70,8 +71,6 @@ class ExperimentConfig:
         if self.max_restarts < 0:
             raise OutOfRange(f"max_restarts={self.max_restarts} must be >= 0")
         for side, name in ((Side.ALICE, self.alice), (Side.BOB, self.bob)):
-            if name == HONEST:
-                continue
             spec = lookup(side, name, self.protocol)
             if self.photon_count < spec.min_photons:
                 raise OutOfRange(f"{name} needs photon_count >= "
@@ -79,6 +78,8 @@ class ExperimentConfig:
             if side is Side.ALICE and self.photon_count > 1 and not spec.pulses:
                 raise OutOfRange(f"{name} sends single photons, got "
                                  f"photon_count={self.photon_count}")
+            if spec.variants is not None and self.flags not in spec.variants:
+                raise IncompatibleProtocol(f"{name} does not play {self.flags}")
         check_alpha2(self.alpha2)
         check_flags(self.protocol, self.flags)
 
@@ -126,18 +127,12 @@ def wilson_interval(k: int, n: int, z: float = 1.959963984540054) -> tuple[float
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def build_hooks(cfg: ExperimentConfig, family, flags: VariantFlags) -> tuple:
-    """Fresh (alice, bob) hooks for one chunk; cfg's names were checked at
-    construction."""
-    if cfg.alice == HONEST:
-        alice = HonestAlice(family, cfg.photon_count)
-    else:
-        alice = REGISTRY[cfg.alice].build(cfg, family, flags)
-    if cfg.bob == HONEST:
-        bob = HonestBob(family, flags)
-    else:
-        bob = REGISTRY[cfg.bob].build(cfg, family, flags)
-    return alice, bob
+def build_hooks(cfg: ExperimentConfig) -> tuple:
+    """The (alice, bob) hooks of one experiment, shared by all its chunks;
+    cfg's names were checked at construction."""
+    family = family_for(cfg.protocol, cfg.alpha2)
+    return tuple(REGISTRY[side][name].build(cfg, family, cfg.flags)
+                 for side, name in ((Side.ALICE, cfg.alice), (Side.BOB, cfg.bob)))
 
 
 def run_experiment(cfg: ExperimentConfig,
@@ -150,13 +145,12 @@ def run_experiment(cfg: ExperimentConfig,
     the experiment fails with RestartBudgetExceeded as soon as a chunk
     shows it.
     """
-    family = family_for(cfg.protocol, cfg.alpha2)
-    flags = cfg.flags
+    alice, bob = build_hooks(cfg)
     ch = ChannelParams(cfg.eta)
     successes = aborts = restart_total = limit_hits = 0
     for start in range(0, cfg.trials, CHUNK):
         verdict, coin, restarts = run_chunk(
-            cfg.protocol, *build_hooks(cfg, family, flags), ch, cfg.max_restarts,
+            cfg.protocol, alice, bob, ch, cfg.max_restarts,
             ChunkStream(cfg.seed, start // CHUNK), min(CHUNK, cfg.trials - start),
             transcript_sink)
         finished = verdict != Decision.REQUEST_RESTART

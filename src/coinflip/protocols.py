@@ -49,9 +49,9 @@ step logs the rounds its trials keep as arrays, and the chunk's transcripts
 are built from that log in one pass at its end. The engine records no basis
 for a round where nothing arrived. In an honest basis
 outcome index i is the state |a, i>, so it is compared with the revealed x
-directly (see catalog.basis). What differs between protocols (state family,
-default variant flags, allowed measurement timing, coin rule) is one row
-of the PROTOCOLS table.
+directly (see catalog.basis). What differs between protocols is one row of
+the PROTOCOLS table: the state family, the variants Bob may play (its
+default first) and the coin rule.
 """
 from __future__ import annotations
 
@@ -90,48 +90,49 @@ class VariantFlags:
     loss_policy: LossPolicy = LossPolicy.RESTART_ON_LOSS
     bob_measures_on_reception: bool = True
 
+    def __str__(self) -> str:
+        when = "on reception" if self.bob_measures_on_reception else "after the reveal"
+        return f"{self.loss_policy.value}, measuring {when}"
+
+
+# The three variants a Bob can play: measure on reception and restart on loss,
+# or store the delivery, measure it after the reveal, and either restart on a
+# loss or believe it on faith. One who measures on reception knows a loss at
+# once, so he cannot believe it on faith.
+MEASURE = VariantFlags(LossPolicy.RESTART_ON_LOSS, True)
+STORE = VariantFlags(LossPolicy.RESTART_ON_LOSS, False)
+ON_FAITH = VariantFlags(LossPolicy.BELIEVE_ON_FAITH, False)
+
 
 @dataclass(frozen=True)
 class ProtocolSpec:
-    """What one protocol fixes: its state family, its default loss handling,
-    the measurement timings it allows Bob, and whether the coin is x xor b
-    (loss-tolerant template) or a xor b (BB84/Ambainis templates)."""
+    """What one protocol fixes: its state family, the variants it allows Bob
+    (its default first), and whether the coin is x xor b (loss-tolerant
+    template) or a xor b (BB84/Ambainis templates)."""
 
     family: Family
-    default_flags: VariantFlags
-    measure_on_reception: tuple[bool, ...]
+    variants: tuple[VariantFlags, ...]
     coin_from_x: bool = False
 
 
-_MEASURE = VariantFlags(LossPolicy.RESTART_ON_LOSS, True)
-_STORE = VariantFlags(LossPolicy.RESTART_ON_LOSS, False)  # measure only after the reveal
-
 PROTOCOLS = {
-    ProtocolId.BB84_CF: ProtocolSpec(Family.BB84, _MEASURE, (True,)),
-    ProtocolId.AMBAINIS_CF: ProtocolSpec(Family.AMBAINIS, _STORE, (False,)),
-    ProtocolId.AMBAINIS_CF_VARIANT: ProtocolSpec(Family.AMBAINIS, _STORE,
-                                                 (True, False)),
-    ProtocolId.LOSS_TOLERANT_CF: ProtocolSpec(Family.LOSS_TOLERANT, _MEASURE,
-                                              (True,), coin_from_x=True),
-    ProtocolId.MCQM_CONTRIVED_CF: ProtocolSpec(Family.MCQM_EXAMPLE, _MEASURE,
-                                               (True,)),
+    ProtocolId.BB84_CF: ProtocolSpec(Family.BB84, (MEASURE,)),
+    ProtocolId.AMBAINIS_CF: ProtocolSpec(Family.AMBAINIS, (STORE, ON_FAITH)),
+    ProtocolId.AMBAINIS_CF_VARIANT: ProtocolSpec(Family.AMBAINIS,
+                                                 (STORE, ON_FAITH, MEASURE)),
+    ProtocolId.LOSS_TOLERANT_CF: ProtocolSpec(Family.LOSS_TOLERANT, (MEASURE,),
+                                              coin_from_x=True),
+    ProtocolId.MCQM_CONTRIVED_CF: ProtocolSpec(Family.MCQM_EXAMPLE, (MEASURE,)),
 }
 
 
 def default_flags(protocol: ProtocolId) -> VariantFlags:
-    return PROTOCOLS[protocol].default_flags
+    return PROTOCOLS[protocol].variants[0]
 
 
 def check_flags(protocol: ProtocolId, flags: VariantFlags) -> None:
-    """Only a Bob who measures after the reveal can believe on faith; one who
-    measures on reception knows a loss at once and restarts."""
-    on_reception = flags.bob_measures_on_reception
-    if on_reception not in PROTOCOLS[protocol].measure_on_reception:
-        when = "on reception" if on_reception else "after the reveal"
-        raise IncompatibleProtocol(f"{protocol.value} forbids measuring {when}")
-    if on_reception and flags.loss_policy is LossPolicy.BELIEVE_ON_FAITH:
-        raise IncompatibleProtocol("believe_on_faith needs Bob to measure "
-                                   "after the reveal")
+    if flags not in PROTOCOLS[protocol].variants:
+        raise IncompatibleProtocol(f"{protocol.value} does not allow {flags}")
 
 
 def family_for(protocol: ProtocolId, alpha2: Optional[float] = None) -> StateFamily:

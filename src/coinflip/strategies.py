@@ -1,26 +1,31 @@
-"""Catalog of named cheating strategies, one hooks class per attack.
+"""The player registry: every named player, honest or cheating, one hooks
+class per attack.
 
-Each factory builds a single-side hooks object (Alice-side objects implement
-prepare/reveal, Bob-side objects the receive/choose_b/verify trio, all on
-batches of rounds as the protocols module describes) around a target bit c:
-the coin value the cheater wants to force. Reveal tables were verified by
-direct overlap computation (see tests) rather than taken on trust. Strategies never see the honest party's private randomness; everything
-they learn flows through the hook arguments.
+REGISTRY[side][name] is the one place a player is built. Each side has an
+honest entry that applies to every protocol; the other entries are attacks
+built around a target bit c, the coin value the cheater wants to force.
+Alice-side hooks implement prepare/reveal, Bob-side hooks the
+receive/choose_b/verify trio, all on batches of rounds as the protocols
+module describes. Reveal tables were verified by direct overlap computation
+(see tests) rather than taken on trust. Strategies never see the honest
+party's private randomness; everything they learn flows through the hook
+arguments.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
 from . import catalog
 from .catalog import StateFamily, StateLabel, computational_basis
 from .errors import IncompatibleProtocol
-from .protocols import (Decision, EprHalf, HonestAlice, HonestBob, ProtocolId,
-                        SingleState, Vacuum, measure_delivery)
+from .protocols import (MEASURE, STORE, Decision, EprHalf, HonestAlice,
+                        HonestBob, ProtocolId, SingleState, Vacuum, VariantFlags,
+                        measure_delivery)
 from .quantum import QuantumState, as_columns, measure_projective
 from .rng import bernoulli, bit, randint, sign
 
@@ -264,21 +269,21 @@ class TwoPhotonHonestApparatusBob(TwoPhotonUsdBob):
 
 @dataclass(frozen=True)
 class Strategy:
-    """A named attack: the side that plays it, the protocols it applies to,
-    the fewest photons per emission it needs, whether (for an Alice) it
-    sends cfg.photon_count photons per emission rather than one, and a
-    factory of fresh hooks.
+    """A named player: the protocols it applies to, a factory of its hooks,
+    the fewest photons per emission it needs, whether (for an Alice) it sends
+    cfg.photon_count photons per emission rather than one, and the variants
+    it plays (None: every variant the protocol allows).
 
     build(cfg, family, flags), called only by harness.build_hooks, reads
     cfg.target, cfg.eta and cfg.photon_count of an ExperimentConfig; eta feeds
     the restart-abuse camouflage rate.
     """
 
-    side: Side
     protocols: tuple[ProtocolId, ...]
     build: Callable[..., object]
     min_photons: int = 1
     pulses: bool = False
+    variants: Optional[tuple[VariantFlags, ...]] = None
 
 
 def _targeted(cls) -> Callable[..., object]:
@@ -286,49 +291,59 @@ def _targeted(cls) -> Callable[..., object]:
     return lambda cfg, family, flags: cls(family, cfg.target)
 
 
+def _honest_alice(cfg, family, flags) -> HonestAlice:
+    return HonestAlice(family, cfg.photon_count)
+
+
+HONEST = "honest"
+_ALL = tuple(ProtocolId)
 _BB84 = (ProtocolId.BB84_CF,)
 _AMBAINIS = (ProtocolId.AMBAINIS_CF, ProtocolId.AMBAINIS_CF_VARIANT)
+_VARIANT = (ProtocolId.AMBAINIS_CF_VARIANT,)
 _LT = (ProtocolId.LOSS_TOLERANT_CF,)
 
 REGISTRY = {
-    "bb84_postpone_lie": Strategy(Side.ALICE, _BB84, _targeted(PostponeLieAlice)),
-    "bb84_rotated": Strategy(Side.ALICE, _BB84, _targeted(RotatedStateAlice)),
-    "bb84_epr": Strategy(Side.ALICE, _BB84, _targeted(EprSteeringAlice)),
-    "ambainis_optimal": Strategy(Side.ALICE, _AMBAINIS,
-                                 _targeted(AmbainisOptimalAlice)),
-    "lt_optimal": Strategy(Side.ALICE, _LT, _targeted(LossTolerantOptimalAlice)),
-    "send_nothing": Strategy(Side.ALICE, _AMBAINIS, _targeted(SendNothingAlice)),
-    "cunning_mother": Strategy(
-        Side.ALICE, _LT, lambda cfg, family, flags: CunningMotherAlice(family)),
-    # honest choices, leaking cfg.photon_count photons per pulse
-    "honest_pulse": Strategy(
-        Side.ALICE, _LT,
-        lambda cfg, family, flags: HonestAlice(family, cfg.photon_count),
-        pulses=True),
-    "ambainis_restart_abuse": Strategy(
-        Side.BOB, (ProtocolId.AMBAINIS_CF_VARIANT,),
-        lambda cfg, family, flags: RestartAbuseBob(cfg.target, cfg.eta)),
-    "ambainis_conclusive": Strategy(Side.BOB, (ProtocolId.AMBAINIS_CF_VARIANT,),
-                                    _targeted(ComputationalRestartBob)),
-    "lt_helstrom": Strategy(Side.BOB, _LT, _targeted(HelstromBob)),
-    "mcqm_restart": Strategy(Side.BOB, (ProtocolId.MCQM_CONTRIVED_CF,),
-                             _targeted(ComputationalRestartBob)),
-    "cunning_son": Strategy(
-        Side.BOB, _LT, lambda cfg, family, flags: CunningSonBob(family, flags)),
-    "twophoton_usd": Strategy(Side.BOB, _LT, _targeted(TwoPhotonUsdBob),
-                              min_photons=2),
-    "twophoton_honest_apparatus": Strategy(
-        Side.BOB, _LT, _targeted(TwoPhotonHonestApparatusBob), min_photons=2),
+    Side.ALICE: {
+        HONEST: Strategy(_ALL, _honest_alice, pulses=True),
+        "bb84_postpone_lie": Strategy(_BB84, _targeted(PostponeLieAlice)),
+        "bb84_rotated": Strategy(_BB84, _targeted(RotatedStateAlice)),
+        "bb84_epr": Strategy(_BB84, _targeted(EprSteeringAlice)),
+        "ambainis_optimal": Strategy(_AMBAINIS, _targeted(AmbainisOptimalAlice)),
+        "lt_optimal": Strategy(_LT, _targeted(LossTolerantOptimalAlice)),
+        "send_nothing": Strategy(_AMBAINIS, _targeted(SendNothingAlice)),
+        "cunning_mother": Strategy(
+            _LT, lambda cfg, family, flags: CunningMotherAlice(family)),
+        # honest choices, leaking cfg.photon_count photons per pulse
+        "honest_pulse": Strategy(_LT, _honest_alice, pulses=True),
+    },
+    Side.BOB: {
+        HONEST: Strategy(_ALL, lambda cfg, family, flags: HonestBob(family, flags)),
+        # stores, then claims loss after the reveal: restarting on loss only
+        "ambainis_restart_abuse": Strategy(
+            _VARIANT, lambda cfg, family, flags: RestartAbuseBob(cfg.target, cfg.eta),
+            variants=(STORE,)),
+        # measures on reception, so restarts on loss
+        "ambainis_conclusive": Strategy(
+            _VARIANT, _targeted(ComputationalRestartBob), variants=(MEASURE,)),
+        "lt_helstrom": Strategy(_LT, _targeted(HelstromBob)),
+        "mcqm_restart": Strategy((ProtocolId.MCQM_CONTRIVED_CF,),
+                                 _targeted(ComputationalRestartBob)),
+        "cunning_son": Strategy(
+            _LT, lambda cfg, family, flags: CunningSonBob(family, flags)),
+        "twophoton_usd": Strategy(_LT, _targeted(TwoPhotonUsdBob), min_photons=2),
+        "twophoton_honest_apparatus": Strategy(
+            _LT, _targeted(TwoPhotonHonestApparatusBob), min_photons=2),
+    },
 }
 
-ALICE_STRATEGIES = tuple(n for n, s in REGISTRY.items() if s.side is Side.ALICE)
-BOB_STRATEGIES = tuple(n for n, s in REGISTRY.items() if s.side is Side.BOB)
+ALICE_STRATEGIES = tuple(REGISTRY[Side.ALICE])
+BOB_STRATEGIES = tuple(REGISTRY[Side.BOB])
 
 
 def lookup(side: Side, name: str, protocol: ProtocolId) -> Strategy:
-    """The registered strategy, checked against its side and protocol."""
-    spec = REGISTRY.get(name)
-    if spec is None or spec.side is not side:
+    """The registered player, checked against its side and protocol."""
+    spec = REGISTRY[side].get(name)
+    if spec is None:
         raise IncompatibleProtocol(f"unknown {side.value} strategy {name!r}")
     if protocol not in spec.protocols:
         raise IncompatibleProtocol(f"{name} does not apply to {protocol.value}")

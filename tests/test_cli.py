@@ -7,6 +7,9 @@ import sys
 
 import pytest
 
+from coinflip.cli import _config_from_args, build_parser
+from coinflip.harness import ExperimentConfig
+
 CLI = [sys.executable, "-m", "coinflip"]
 
 
@@ -103,6 +106,12 @@ def test_usage_errors_exit_1():
     assert run_cli("sweep", "--param", "eta", "--grid", "bad").returncode == 1
     assert run_cli("run", "--alice", "lt_optimal",
                    "--protocol", "bb84").returncode == 1
+    assert run_cli("run", "--protocol", "ambainis_variant",
+                   "--bob", "ambainis_conclusive", "--trials", "10").returncode == 1
+
+
+def test_run_defaults_are_the_config_defaults():
+    assert _config_from_args(build_parser().parse_args(["run"])) == ExperimentConfig()
 
 
 @pytest.mark.parametrize("args", [

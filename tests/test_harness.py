@@ -9,11 +9,15 @@ import pytest
 
 from coinflip.analytics import reference_table
 from coinflip.errors import IncompatibleProtocol, OutOfRange, RestartBudgetExceeded
-from coinflip.harness import (HONEST, VARIANT_NAMES, BiasEstimate,
-                              ExperimentConfig, check_matrix, estimate_to_dict,
-                              evaluate_matrix, run_experiment, wilson_interval)
-from coinflip.protocols import LossPolicy, ProtocolId, VariantFlags
-from coinflip.strategies import ALICE_STRATEGIES, BOB_STRATEGIES
+from coinflip.channel import ChannelParams
+from coinflip.harness import (CHUNK, VARIANT_NAMES, BiasEstimate,
+                              ExperimentConfig, build_hooks, check_matrix,
+                              estimate_to_dict, evaluate_matrix, run_experiment,
+                              wilson_interval)
+from coinflip.protocols import (Decision, LossPolicy, ProtocolId, VariantFlags,
+                                run_chunk)
+from coinflip.rng import ChunkStream
+from coinflip.strategies import ALICE_STRATEGIES, BOB_STRATEGIES, REGISTRY
 
 
 def test_identical_configs_give_identical_counts():
@@ -58,7 +62,15 @@ def test_config_out_of_range_fails_at_construction(bad):
     dict(protocol=ProtocolId.AMBAINIS_CF,
          variant=VariantFlags(LossPolicy.RESTART_ON_LOSS, True)),
     dict(protocol=ProtocolId.AMBAINIS_CF_VARIANT,
-         variant=VariantFlags(LossPolicy.BELIEVE_ON_FAITH, True))])
+         variant=VariantFlags(LossPolicy.BELIEVE_ON_FAITH, True)),
+    # the conclusive receiver measures on reception; restart abuse claims
+    # loss after the reveal, which only a storing, restarting Bob may do
+    *(dict(protocol=ProtocolId.AMBAINIS_CF_VARIANT, variant=VARIANT_NAMES[v],
+           bob="ambainis_conclusive")
+      for v in ("default", "believe_on_faith", "restart_on_loss")),
+    *(dict(protocol=ProtocolId.AMBAINIS_CF_VARIANT, variant=VARIANT_NAMES[v],
+           bob="ambainis_restart_abuse")
+      for v in ("believe_on_faith", "restart_measure"))])
 def test_config_unknown_or_misapplied_strategy_fails_at_construction(bad):
     with pytest.raises(IncompatibleProtocol):
         ExperimentConfig(**bad)
@@ -242,18 +254,17 @@ def test_evaluate_matrix_small_run_structure():
 
 
 # sha256 of the counts of every (protocol, variant name, Alice, Bob, photon
-# count) that constructs, at eta 0.5, seed 7 and 200 trials: 122 configs,
+# count) that constructs, at eta 0.5, seed 7 and 200 trials: 102 configs,
 # including pairings no other pin covers. A change that reorders random draws
 # must update this on purpose.
-PAIRINGS = 122
-GOLDEN_PAIRINGS = "51b722b9e117fe3c3f50a94d65e8306d17ab841e1699a791b5e1c2c46ad84ee5"
+PAIRINGS = 102
+GOLDEN_PAIRINGS = "432e73cfb7877299cc31cdc41e791f28e1d4be556f51df69023ed5c67ffe527a"
 
 
 def test_every_valid_pairing_is_pinned():
     counts = []
     for protocol, variant, alice, bob, photons in itertools.product(
-            ProtocolId, VARIANT_NAMES, (HONEST, *ALICE_STRATEGIES),
-            (HONEST, *BOB_STRATEGIES), (1, 2)):
+            ProtocolId, VARIANT_NAMES, ALICE_STRATEGIES, BOB_STRATEGIES, (1, 2)):
         try:
             cfg = ExperimentConfig(protocol=protocol, variant=VARIANT_NAMES[variant],
                                    alice=alice, bob=bob, photon_count=photons,
@@ -269,3 +280,36 @@ def test_every_valid_pairing_is_pinned():
     assert len(counts) == PAIRINGS
     blob = json.dumps(counts).encode()
     assert hashlib.sha256(blob).hexdigest() == GOLDEN_PAIRINGS
+
+
+def _tallies(verdict, coin, restarts, target):
+    finished = verdict != Decision.REQUEST_RESTART
+    return np.array([np.count_nonzero((verdict == Decision.ACCEPTED) & (coin == target)),
+                     np.count_nonzero(verdict == Decision.ABORT_CHEATER),
+                     restarts[finished].sum(), len(verdict) - finished.sum()])
+
+
+# one config per registry entry, over three chunks, the last one partial;
+# send_nothing believes on faith, as every round restarts under restart on loss
+ENTRY_CONFIGS = {
+    f"{side.value}:{name}": ExperimentConfig(
+        protocol=spec.protocols[0], photon_count=spec.min_photons, target=1,
+        variant=(VARIANT_NAMES["believe_on_faith"] if name == "send_nothing"
+                 else (spec.variants or (None,))[0]),
+        eta=0.5, seed=7, trials=2100, **{side.value: name})
+    for side, entries in REGISTRY.items() for name, spec in entries.items()}
+
+
+@pytest.mark.parametrize("cfg", ENTRY_CONFIGS.values(), ids=ENTRY_CONFIGS.keys())
+def test_hooks_built_once_count_as_fresh_hooks_per_chunk(cfg):
+    """run_experiment builds its hooks once; its tallies equal those of the
+    same chunks run on fresh hooks each, so no hook keeps state across steps."""
+    assert cfg.trials % CHUNK and cfg.trials // CHUNK == 2
+    est = run_experiment(cfg)
+    fresh = sum(_tallies(*run_chunk(cfg.protocol, *build_hooks(cfg),
+                                    ChannelParams(cfg.eta), cfg.max_restarts,
+                                    ChunkStream(cfg.seed, start // CHUNK),
+                                    min(CHUNK, cfg.trials - start)), cfg.target)
+                for start in range(0, cfg.trials, CHUNK))
+    assert fresh.tolist() == [est.successes, est.aborts, est.restart_total,
+                              est.limit_hits]

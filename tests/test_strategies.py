@@ -7,8 +7,9 @@ import pytest
 from coinflip.catalog import Family, StateFamily, StateLabel, state
 from coinflip.channel import ChannelParams, transmit
 from coinflip.errors import IncompatibleProtocol
-from coinflip.harness import ExperimentConfig, build_hooks, run_experiment
-from coinflip.protocols import ProtocolId, family_for
+from coinflip.harness import (VARIANT_NAMES, ExperimentConfig, build_hooks,
+                              run_experiment)
+from coinflip.protocols import ProtocolId
 from coinflip.quantum import QuantumState
 from coinflip.rng import (CHOOSE_B, PREPARE, RECEIVE, REVEAL, SLOTS, TRANSMIT,
                           VERIFY, bit)
@@ -54,18 +55,20 @@ def run_one_step(alice, bob, u, anything_arrives):
 
 
 def test_every_listed_strategy_builds(rng):
-    """Each strategy builds, and its pair's hooks run on every round of a
-    step, restarted rounds included, without raising."""
-    assert set(ALICE_STRATEGIES) | set(BOB_STRATEGIES) == set(REGISTRY)
-    for side, names in ((Side.ALICE, ALICE_STRATEGIES), (Side.BOB, BOB_STRATEGIES)):
-        for name in names:
-            spec = REGISTRY[name]
-            assert spec.side is side and spec.protocols
+    """Each registry entry builds on every protocol it applies to, under a
+    variant it plays, and its pair's hooks run on every round of a step,
+    restarted rounds included, without raising."""
+    assert ALICE_STRATEGIES == tuple(REGISTRY[Side.ALICE])
+    assert BOB_STRATEGIES == tuple(REGISTRY[Side.BOB])
+    for side, entries in REGISTRY.items():
+        for name, spec in entries.items():
+            assert spec.protocols
             for protocol in spec.protocols:
                 cfg = ExperimentConfig(protocol=protocol,
+                                       variant=(spec.variants or (None,))[0],
                                        photon_count=spec.min_photons,
                                        **{side.value: name})
-                alice, bob = build_hooks(cfg, family_for(protocol, 0.9), cfg.flags)
+                alice, bob = build_hooks(cfg)
                 for anything_arrives in (False, True):
                     run_one_step(alice, bob, rng(SLOTS, 64), anything_arrives)
 
@@ -137,7 +140,8 @@ def test_restart_abuse_always_wins():
 def test_conclusive_receiver_restart_rate():
     """The shared-support outcome fires half the time, so terminating trials
     need one extra round on average."""
-    est = _run(protocol=ProtocolId.AMBAINIS_CF_VARIANT, bob="ambainis_conclusive",
+    est = _run(protocol=ProtocolId.AMBAINIS_CF_VARIANT,
+               variant=VARIANT_NAMES["restart_measure"], bob="ambainis_conclusive",
                target=1, trials=20_000)
     assert est.successes == est.trials
     assert est.restarts_per_trial == pytest.approx(1.0, abs=0.05)
