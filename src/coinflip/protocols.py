@@ -4,10 +4,11 @@ engine that runs them.
 A run is an ordered exchange:
 
 1. Alice emits a quantum signal which crosses the lossy channel. There are
-   three kinds of emission: SingleState (one pure state carried by
-   photon_count identical photons; more than one is a multi-photon pulse,
-   tagged "pulse:N" in transcripts instead of "state"), EprHalf (half of a
-   singlet, "epr_half") and Vacuum (nothing, "vacuum").
+   three kinds of emission: SingleState (per round, one column of the
+   sender's fixed state table, carried by photon_count identical photons;
+   more than one is a multi-photon pulse, tagged "pulse:N" in transcripts
+   instead of "state"), EprHalf (half of a singlet, "epr_half") and Vacuum
+   (nothing, "vacuum").
 2. Bob reacts to the delivery: measures immediately, stores it, or requests
    a restart (honestly on loss, or dishonestly).
 3. Bob sends a random-looking bit b.
@@ -40,7 +41,9 @@ a bit) but must not raise. A hook may keep per-round arrays from one call
 to the next within a step, but no state across rounds: rounds are
 independent draws, which is what lets a step run a trial's next rounds all
 at once. Receivers measure through measure_delivery, which gives one
-outcome index per round of the batch and -1 where nothing arrived.
+outcome index per round of the batch and -1 where nothing arrived; it looks
+up the sent states of the delivered rounds only, so a round that is lost
+costs no amplitudes.
 
 For transcripts Bob exposes last_basis (an index into his basis_tags, -1 for
 none) and last_outcome (the index of his measurement outcome, -1 for none),
@@ -159,11 +162,14 @@ class Decision:
 
 @dataclass
 class SingleState:
-    """One pure state per round, as the columns of amplitudes (dim, n), each
-    carried by photon_count identical photons; more than one is a
-    multi-photon pulse, whose extra copies are the side channel."""
+    """One pure state per round: round j sends column index[j] of the
+    sender's fixed state table states (dim, m), carried by photon_count
+    identical photons; more than one is a multi-photon pulse, whose extra
+    copies are the side channel. Only delivered rounds are ever looked up,
+    so a lost round's index is never read."""
 
-    amplitudes: np.ndarray
+    states: np.ndarray
+    index: np.ndarray
     photon_count: int = 1
 
     @property
@@ -208,8 +214,8 @@ def measure_delivery(delivery: Emission, delivered: np.ndarray, bras: np.ndarray
         if isinstance(delivery, EprHalf):
             outcome[rows], delivery.far[:, rows] = steer_epr(bras, u[rows], which)
         else:
-            outcome[rows] = measure_projective(delivery.amplitudes[:, rows], bras,
-                                               u[rows], which)
+            outcome[rows] = measure_projective(delivery.states[:, delivery.index[rows]],
+                                               bras, u[rows], which)
     return outcome
 
 
@@ -259,12 +265,14 @@ class HonestAlice:
     def __init__(self, family: StateFamily, photon_count: int = 1):
         self.family = family
         self.photon_count = photon_count
-        self.kets = catalog.basis_pair(family).conj()  # kets[a, x] is |a, x>
+        # column a * dim + x is |a, x>
+        self.states = catalog.basis_pair(family).conj().reshape(-1, family.dim).T
 
     def prepare(self, u: np.ndarray) -> Emission:
         self.a = bit(u[0])
         self.x = choice(self.family.x_weights, u[1])  # x_values are 0, 1(, 2)
-        return SingleState(self.kets[self.a, self.x].T, self.photon_count)
+        return SingleState(self.states, self.a * self.family.dim + self.x,
+                           self.photon_count)
 
     def reveal(self, b: np.ndarray, u: np.ndarray):
         return self.a, self.x

@@ -69,7 +69,7 @@ class RotatedStateAlice:
 
     def prepare(self, u) -> SingleState:
         self.k = randint(4, u[0])
-        return SingleState(self.states[:, self.k])
+        return SingleState(self.states, self.k)
 
     def reveal(self, b, u):
         a = self.target ^ b
@@ -109,7 +109,7 @@ class AmbainisOptimalAlice:
 
     def prepare(self, u) -> SingleState:
         self.negative = (sign(u) < 0).astype(np.intp)  # per basis a, per round
-        return SingleState(self.states[:, 2 * self.negative[0] + self.negative[1]])
+        return SingleState(self.states, 2 * self.negative[0] + self.negative[1])
 
     def reveal(self, b, u):
         a = self.target ^ b  # not a bit where a guessing Bob restarts
@@ -127,7 +127,7 @@ class LossTolerantOptimalAlice:
 
     def prepare(self, u) -> SingleState:
         self.sent_minus = bit(u[0])
-        return SingleState(self.states[:, self.sent_minus])
+        return SingleState(self.states, self.sent_minus)
 
     def reveal(self, b, u):
         x = self.target ^ b

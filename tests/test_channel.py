@@ -12,9 +12,10 @@ from coinflip.quantum import QuantumState, as_columns
 from conftest import assert_close_5sigma
 
 SQ2 = 1.0 / math.sqrt(2.0)
-PLUS = as_columns([QuantumState((SQ2, SQ2))])  # a batch of one round
-SENT_KET0 = SingleState(as_columns([QuantumState((1.0, 0.0))]))
-SENT_PLUS = SingleState(PLUS)
+PLUS = as_columns([QuantumState((SQ2, SQ2))])  # a table of one state
+ONE = np.zeros(1, dtype=np.intp)  # a batch of one round, sending column 0
+SENT_KET0 = SingleState(as_columns([QuantumState((1.0, 0.0))]), ONE)
+SENT_PLUS = SingleState(PLUS, ONE)
 
 
 def test_eta_range_enforced():
@@ -32,11 +33,11 @@ def test_perfect_channel_always_delivers(rng):
 
 def test_delivered_state_is_unmodified(rng):
     ch = ChannelParams(0.5)
-    before = SENT_PLUS.amplitudes.copy()
+    before = SENT_PLUS.states.copy()
     delivered = transmit(SENT_PLUS, ch, rng(200))
     assert delivered.dtype == bool and delivered.shape == (200,)
-    assert np.array_equal(SENT_PLUS.amplitudes, before)
-    assert SENT_PLUS.amplitudes is PLUS
+    assert np.array_equal(SENT_PLUS.states, before)
+    assert SENT_PLUS.states is PLUS
 
 
 def test_loss_rate_matches_eta(rng):
@@ -58,10 +59,10 @@ def test_loss_is_independent_of_the_state(rng):
 
 def test_pulse_construction():
     """A pulse is a state emission carrying its photon count."""
-    single = SingleState(PLUS)
+    single = SingleState(PLUS, ONE)
     assert single.photon_count == 1 and single.tag == "state"
-    pulse = SingleState(PLUS, 3)
-    assert pulse.photon_count == 3 and pulse.amplitudes is PLUS
+    pulse = SingleState(PLUS, ONE, 3)
+    assert pulse.photon_count == 3 and pulse.states is PLUS
     assert pulse.tag == "pulse:3"
     assert Vacuum().photon_count == 0 and Vacuum().tag == "vacuum"
 
@@ -73,5 +74,5 @@ def test_pulse_invariants(rng):
     ch = ChannelParams(0.5)
     u = rng(200)
     assert not transmit(Vacuum(), ch, u).any()
-    delivered = transmit(SingleState(PLUS, 3), ch, u)
+    delivered = transmit(SingleState(PLUS, ONE, 3), ch, u)
     assert np.array_equal(delivered, u < 0.5)

@@ -17,7 +17,7 @@ from coinflip.protocols import (Decision, EprHalf, HonestAlice, HonestBob,
                                 default_flags, family_for, measure_delivery,
                                 run_chunk)
 from coinflip.quantum import measure_projective, steer_epr
-from coinflip.rng import ChunkStream, bit
+from coinflip.rng import ChunkStream, bit, randint
 from coinflip.strategies import SendNothingAlice
 
 from conftest import assert_close_5sigma
@@ -261,12 +261,32 @@ def test_measure_delivery_reads_minus_one_where_nothing_arrived(rng):
     which, u = bit(rng(n)), rng(n)
     theta = 2.0 * np.pi * rng(n)
     amplitudes = np.array([np.cos(theta), np.sin(theta)])
-    outcome = measure_delivery(SingleState(amplitudes), delivered, bras, u, which)
+    outcome = measure_delivery(SingleState(amplitudes, np.arange(n)), delivered,
+                               bras, u, which)
     assert (outcome[~delivered] == -1).all()
     assert (outcome[delivered] == measure_projective(
         amplitudes[:, delivered], bras, u[delivered], which[delivered])).all()
     assert (measure_delivery(Vacuum(), np.zeros(n, bool), bras, u, which)
             == -1).all()
+
+
+def test_measure_delivery_never_reads_a_lost_rounds_index(rng):
+    """Only delivered rounds are looked up in the state table: an index out
+    of its range on every lost round neither raises nor moves a delivered
+    outcome."""
+    n = 400
+    bras = basis_pair(family_for(ProtocolId.BB84_CF))
+    states = bras.conj().reshape(-1, 2).T  # column 2a + x is |a, x>
+    delivered = rng(n) < 0.3
+    which, u = bit(rng(n)), rng(n)
+    index = randint(4, rng(n))
+    outcome = measure_delivery(SingleState(states, index), delivered, bras, u, which)
+    wild = np.where(delivered, index, 10 ** 9)
+    assert np.array_equal(
+        measure_delivery(SingleState(states, wild), delivered, bras, u, which), outcome)
+    assert (outcome[~delivered] == -1).all()
+    assert (outcome[delivered] == measure_projective(
+        states[:, index[delivered]], bras, u[delivered], which[delivered])).all()
 
 
 def test_measure_delivery_steers_only_the_delivered_epr_halves(rng):

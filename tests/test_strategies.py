@@ -78,7 +78,7 @@ def test_every_listed_strategy_builds(rng):
 
 def sent_states(emission):
     """The emission's states, one QuantumState per round."""
-    return [QuantumState(tuple(c)) for c in emission.amplitudes.T]
+    return [QuantumState(tuple(c)) for c in emission.states[:, emission.index].T]
 
 
 def test_rotated_alice_picks_the_closest_bit(rng):
