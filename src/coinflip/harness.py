@@ -4,7 +4,7 @@ build_hooks builds both players of an experiment from strategies.REGISTRY,
 honest ones included, once per experiment. Trials run in fixed chunks of
 CHUNK, and chunk k runs on the uniforms of ChunkStream(seed, k): the batch
 engine (protocols.run_chunk) runs its pending trials in steps, step s
-reading the block at counter (k << 128) | (s << 64) with one row per
+reading the block at jump (k << 32) | s (see rng) with one row per
 (pending trial, round) and one column per draw site. Every site runs on
 every round; hooks take arrays and return arrays, one entry per (trial,
 round) pair, read only their own columns and keep no state across rounds.

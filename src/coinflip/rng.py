@@ -1,13 +1,17 @@
-"""Seeded, counter-based uniforms for the batch engine, and the draws made
-from them.
+"""Seeded uniforms for the batch engine, one block per step, and the draws
+made from them.
 
 There is no hidden global randomness: every draw reads uniforms from a
 ChunkStream. Trials run in chunks, and the trials of a chunk that are still
 pending run their next rounds together in steps. Step s of chunk k reads one
-block of uniforms from Philox(key=seed, counter=(k << 128) | (s << 64))
-(Salmon et al., "Parallel Random Numbers: As Easy as 1, 2, 3", SC'11), so
-the blocks of different steps and chunks never overlap and each is
-reproducible on its own, in any order.
+block of uniforms from the start of PCG64DXSM(seed).jumped((k << 32) | s)
+(O'Neill, "PCG: A Family of Simple Fast Space-Efficient Statistically Good
+Algorithms for Random Number Generation", HMC-CS-2014-0905, with numpy's
+DXSM output). Jump j advances the generator by j times the golden-ratio
+share of 2**128, which spreads the block starts over the whole period rather
+than stacking them at power-of-two offsets, whose states would agree in all
+their low bits. Blocks of different steps and chunks therefore never
+overlap, and each is reproducible on its own, in any order.
 
 A block has shape (pending trials, rounds, SLOTS): one row of SLOTS uniforms
 per (trial, round) pair. Each draw site of a round owns fixed columns of its
@@ -24,7 +28,9 @@ import numpy as np
 from .errors import ProbabilityMismatch
 
 _PROB_TOL = 1e-9
-_WORD = (1 << 64) - 1
+# PCG64DXSM.jumped(j) advances j times this, the golden-ratio share of 2**128
+_JUMP = 0x9e3779b97f4a7c15f39cc0605cedc835
+_PERIOD = 1 << 128
 
 # Columns of a block row, one set per draw site of a round.
 PREPARE = slice(0, 2)
@@ -37,23 +43,22 @@ SLOTS = 10
 
 
 class ChunkStream:
-    """The uniforms of one chunk: block(s, shape) is the start of the Philox
-    stream with key seed at counter (chunk << 128) | (s << 64). The stream
-    owns one bit generator and repositions it for each step, which gives the
-    same uniforms as a new Philox at a fraction of the cost of building one."""
+    """The uniforms of one chunk: block(s, shape) is the start of the stream
+    PCG64DXSM(seed).jumped((chunk << 32) | s), for steps s < 2**32. The
+    stream owns one bit generator, restores its seeded state and advances it
+    for each step, which gives the same uniforms as jumped() at a fraction
+    of the cost of building a new generator."""
 
     def __init__(self, seed: int, chunk: int = 0):
-        self._bits = np.random.Philox(key=seed, counter=chunk << 128)
+        self._bits = np.random.PCG64DXSM(seed)
         self._gen = np.random.Generator(self._bits)
         self._state = self._bits.state
-        self._high = (chunk & _WORD, chunk >> 64)
+        self._chunk = chunk << 32
 
     def block(self, step: int, shape) -> np.ndarray:
         """Uniforms in [0, 1) of the given shape for step `step`."""
-        state = self._state
-        state["state"]["counter"] = np.array((0, step, *self._high), np.uint64)
-        state["buffer_pos"] = 4  # the buffer is empty: start at the counter
-        self._bits.state = state
+        self._bits.state = self._state
+        self._bits.advance((self._chunk | step) * _JUMP % _PERIOD)
         return self._gen.random(shape)
 
 

@@ -316,40 +316,40 @@ PULSES = dict(alice="honest_pulse", target=1, photon_count=2, eta=0.5)
 GOLDEN_TRANSCRIPTS = {
     "honest_lt@0.05": (
         dict(eta=0.05),
-        "796c6f22a3a67a5a949e7f04ac805a7d27e634035c62437b85485f1ed0a42437"),
+        "9de7965766c0db2d5016dacfed976224bdd04597a7fe4cd8704f8b035384db3d"),
     "ambainis_stored@0.5": (
         dict(protocol=AMBAINIS, eta=0.5),
-        "aa78c2250ef4872ea6a2b5f13ba82a7af0dfe0a826d4766c8590423051377bac"),
+        "91e6708690ae788f0658ab3378e7bb2d0ba216fe91b317a4e00f204ddb338dbd"),
     "send_nothing_on_faith": (
         dict(protocol=VARIANT, variant=VARIANT_NAMES["believe_on_faith"],
              alice="send_nothing", target=1),
-        "71097f9cb97c0c9c2d0d2474308ad0403b51a6d7931f7af373a5caa43eeabec6"),
+        "9c75fe032b35a0725b6631495c44038eee66d40859ed7cebd9fc403434d9b406"),
     "restart_abuse": (
         dict(protocol=VARIANT, bob="ambainis_restart_abuse", target=1, eta=0.5),
-        "82efa7838dafc8efba6b363c1245f3c8b6bfd2a66df3ee512583b37ac72cfe1c"),
+        "f6845ae6885931b330e7295228b4f4029cc543b10070ce23109a832b255431ea"),
     "bb84_epr": (
         dict(protocol=ProtocolId.BB84_CF, alice="bb84_epr", target=1, eta=0.5),
-        "16151d913340a52e4caae7dd47a73bd98f64774b72de20839ff0a8ca7f3547f8"),
+        "50ecf245cd51de2e85ba0ea3afbaf10e3ba4e0fc5cf98efa00305ba5672f5caa"),
     "lt_helstrom": (
         dict(bob="lt_helstrom", target=1, eta=0.5),
-        "aa3bdd26d3c158be37e6f548def200b710361abf084bb3d1533bb55de2265abf"),
+        "4e5742814e54ef254e63e06195210b136392e02c66b8442b85262f23dae79d5f"),
     "ambainis_conclusive": (
         dict(protocol=VARIANT, variant=VARIANT_NAMES["restart_measure"],
              bob="ambainis_conclusive", target=1, eta=0.5),
-        "7c037b7773d7f02002a30edf6405fab3a4c5671210f02739017b8b6c5d47d7f1"),
+        "6c99b96ecdfcdee7aa47ef344ecfc9177348d4990eba97bbf2066c8df02c49fe"),
     "mcqm_restart": (
         dict(protocol=ProtocolId.MCQM_CONTRIVED_CF, bob="mcqm_restart",
              target=1, eta=0.5),
-        "723598d77accb2e328830982a96afb95d9b51c96edbf501a87dff59e845f1e7a"),
+        "2fd6ebd5e5c3b8a3f73d9bf415f0cfda885c4397dbbc50bff87aa4f375900f45"),
     "cunning_son": (
         dict(bob="cunning_son", eta=0.5),
-        "cc1cf9b11f7b88c8c843b3e058f0087967d4b3988f2aaafc8eb079c461df83a3"),
+        "2a5bddc077d60cbcec814f518b808dafd86bda6a584b79ac5039ddd2cdd4b8c3"),
     "twophoton_usd": (
         dict(bob="twophoton_usd", **PULSES),
-        "367da4060e216524e889f24374e893557265d76ed0a55d67ec166e3935b69c9e"),
+        "38b784e262c1e5ee41bbe18ca95720fdb538d881ef9ba9a5f742030e2b2834dd"),
     "twophoton_honest_apparatus": (
         dict(bob="twophoton_honest_apparatus", **PULSES),
-        "6a76d50923842421403bfe8f5facd66a7086715c8d143cd35bdc41e7e982469c"),
+        "8afc7b569b0fcbf72dc5a70a95aa988f0b349492960634b1e5acb9f602e10230"),
 }
 
 

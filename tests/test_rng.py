@@ -112,19 +112,34 @@ def test_seeds_give_distinct_streams():
     assert set(a).isdisjoint(b)
 
 
+def reference_block(seed, k, s, shape):
+    """Step s of chunk k, drawn from a new generator jumped into place."""
+    return np.random.Generator(
+        np.random.PCG64DXSM(seed).jumped((k << 32) | s)).random(shape)
+
+
+def test_steps_share_no_value():
+    """Consecutive steps of one chunk, and the same step of neighbouring
+    chunks, draw disjoint uniforms."""
+    n = 4096
+    stream = ChunkStream(12345, 5)
+    blocks = [set(stream.block(s, (n,)).tolist()) for s in (0, 1, 2)]
+    blocks += [set(ChunkStream(12345, k).block(1, (n,)).tolist()) for k in (4, 6)]
+    assert all(len(b) == n for b in blocks)
+    for i, first in enumerate(blocks):
+        for second in blocks[i + 1:]:
+            assert first.isdisjoint(second)
+
+
 def test_step_layout_is_pinned(monkeypatch):
-    """Step s of chunk k reads Philox(key=seed, counter=(k << 128) | (s << 64)),
+    """Step s of chunk k reads the start of PCG64DXSM(seed).jumped((k << 32) | s),
     one row of SLOTS uniforms per (pending trial, round), and step s runs
     min(2**s, DEPTH) rounds whatever the number of pending trials."""
-    def philox(seed, k, s, shape):
-        counter = (k << 128) | (s << 64)
-        return np.random.Generator(
-            np.random.Philox(key=seed, counter=counter)).random(shape)
 
     stream = ChunkStream(2024, 3)
     stream.block(0, (5, 1, SLOTS))
     assert np.array_equal(stream.block(6, (7, 4, SLOTS)),
-                          philox(2024, 3, 6, (7, 4, SLOTS)))
+                          reference_block(2024, 3, 6, (7, 4, SLOTS)))
 
     calls = []
 
@@ -136,7 +151,7 @@ def test_step_layout_is_pinned(monkeypatch):
         def block(self, step, shape):
             out = super().block(step, shape)
             calls.append((*self.key, step, shape))
-            assert np.array_equal(out, philox(*self.key, step, shape))
+            assert np.array_equal(out, reference_block(*self.key, step, shape))
             return out
 
     monkeypatch.setattr(harness, "ChunkStream", Recording)
