@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import sys
 from typing import Optional, Sequence
@@ -150,9 +151,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run_options(p_run)
 
     p_table = sub.add_parser("table", help="measured vs closed-form matrix")
-    p_table.add_argument("--trials", type=int, default=100_000)
-    p_table.add_argument("--seed", type=int, default=12345)
-    p_table.add_argument("--tol", type=float, default=0.01)
+    d = inspect.signature(evaluate_matrix).parameters  # its defaults
+    p_table.add_argument("--trials", type=int, default=d["trials"].default)
+    p_table.add_argument("--seed", type=int, default=d["seed"].default)
+    p_table.add_argument("--tol", type=float, default=d["tolerance"].default)
     p_table.add_argument("--check", action="store_true",
                          help="exit 2 if any row misses its expectation")
     p_table.add_argument("--format", choices=("json", "csv"), default="json")

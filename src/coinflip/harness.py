@@ -32,6 +32,7 @@ from .rng import ChunkStream
 from .strategies import HONEST, REGISTRY, Side, lookup
 
 CHUNK = 1024  # trials per random stream
+_REFERENCE = dict(reference_table())  # label -> closed-form value
 
 VARIANT_NAMES = {
     "default": None,
@@ -203,11 +204,11 @@ class MatrixRow:
     label: str
     cfg: ExperimentConfig
     metric: str  # attribute of BiasEstimate
-    reference: str  # label of the expected value in reference_table()
+    reference: str  # label of the expected value in _REFERENCE
 
     @property
     def expected(self) -> float:
-        return dict(reference_table())[self.reference]
+        return _REFERENCE[self.reference]
 
     @property
     def exact(self) -> bool:

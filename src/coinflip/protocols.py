@@ -41,9 +41,7 @@ a bit) but must not raise. A hook may keep per-round arrays from one call
 to the next within a step, but no state across rounds: rounds are
 independent draws, which is what lets a step run a trial's next rounds all
 at once. Receivers measure through measure_delivery, which gives one
-outcome index per round of the batch and -1 where nothing arrived; it looks
-up the sent states of the delivered rounds only, so a round that is lost
-costs no amplitudes.
+outcome index per round of the batch and -1 where nothing arrived.
 
 For transcripts Bob exposes last_basis (an index into his basis_tags, -1 for
 none) and last_outcome (the index of his measurement outcome, -1 for none),

@@ -7,11 +7,10 @@ pending run their next rounds together in steps. Step s of chunk k reads one
 block of uniforms from the start of PCG64DXSM(seed).jumped((k << 32) | s)
 (O'Neill, "PCG: A Family of Simple Fast Space-Efficient Statistically Good
 Algorithms for Random Number Generation", HMC-CS-2014-0905, with numpy's
-DXSM output). Jump j advances the generator by j times the golden-ratio
-share of 2**128, which spreads the block starts over the whole period rather
-than stacking them at power-of-two offsets, whose states would agree in all
-their low bits. Blocks of different steps and chunks therefore never
-overlap, and each is reproducible on its own, in any order.
+DXSM output). Jump j advances by j times the golden-ratio share of 2**128,
+which spreads the blocks over the period where power-of-two offsets would
+leave their states agreeing in their low bits, so blocks never overlap and
+each is reproducible on its own, in any order.
 
 A block has shape (pending trials, rounds, SLOTS): one row of SLOTS uniforms
 per (trial, round) pair. Each draw site of a round owns fixed columns of its

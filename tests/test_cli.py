@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from coinflip.cli import _config_from_args, build_parser
-from coinflip.harness import ExperimentConfig
+from coinflip.harness import ExperimentConfig, evaluate_matrix
 
 CLI = [sys.executable, "-m", "coinflip"]
 
@@ -112,6 +112,13 @@ def test_usage_errors_exit_1():
 
 def test_run_defaults_are_the_config_defaults():
     assert _config_from_args(build_parser().parse_args(["run"])) == ExperimentConfig()
+
+
+def test_table_defaults_are_the_matrix_defaults():
+    args = build_parser().parse_args(["table"])
+    defaults = evaluate_matrix.__defaults__  # trials, seed, tolerance
+    assert defaults == (100_000, 12345, 0.01)
+    assert (args.trials, args.seed, args.tol) == defaults
 
 
 @pytest.mark.parametrize("args", [
