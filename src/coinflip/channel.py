@@ -5,9 +5,16 @@ probability 1 - eta nothing arrives. eta folds channel transmittance and
 detector efficiency into one number, since the protocols treat every
 non-detection identically. A multi-photon pulse crosses as one signal: all
 of its copies arrive or none do.
+
+There are two rules for drawing loss, one uniform per block row each.
+transmit draws whether one round arrives. lost_rounds serves a receiver who
+restarts on every lost round, so that a run of losses tells him nothing but
+its length: a row is then an attempt, and its uniform gives the number of
+rounds lost before the attempt arrives.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,3 +44,14 @@ def transmit(signal, ch: ChannelParams, u: np.ndarray) -> np.ndarray:
     if signal.photon_count == 0:
         return np.zeros(len(u), dtype=bool)
     return bernoulli(ch.eta, u)
+
+
+def lost_rounds(ch: ChannelParams, u: np.ndarray, cap: int) -> np.ndarray:
+    """How many rounds are lost before each attempt of a batch arrives, one
+    count per uniform in u, clamped at cap: a Geometric(eta) count by
+    inversion, K = floor(log(1 - u) / log(1 - eta)) (Devroye, Non-Uniform
+    Random Variate Generation, 1986, X.2), so P(K >= k) = (1 - eta)**k.
+    Only for signals that can arrive (photon_count > 0) and eta < 1."""
+    with np.errstate(over="ignore"):  # inf at eta near the smallest float
+        k = np.log1p(-u) / math.log1p(-ch.eta)
+    return np.minimum(k, cap).astype(np.int64)

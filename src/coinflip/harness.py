@@ -5,12 +5,15 @@ honest ones included, once per experiment. Trials run in fixed chunks of
 CHUNK, and chunk k runs on the uniforms of ChunkStream(seed, k): the batch
 engine (protocols.run_chunk) runs its pending trials in steps, step s
 reading the block at jump (k << 32) | s (see rng) with one row per
-(pending trial, round) and one column per draw site. Every site runs on
-every round; hooks take arrays and return arrays, one entry per (trial,
-round) pair, read only their own columns and keep no state across rounds.
-Every hook writes its per-step state before it reads it, so all chunks can
-share one set of hooks. How many rounds a step runs depends only on s and
-max_restarts, never on how many trials are pending, so counts are a pure
+(pending trial, attempt) and one column per draw site. An attempt is one
+round, or, for a Bob who declares restarts_on_loss, a run of K lost rounds
+drawn as one count and the round that arrives, charged K + 1 rounds (and
+K + 1 rows in a transcript). Every site runs on every attempt; hooks take
+arrays and return arrays, one entry per (trial, attempt) pair, read only
+their own columns and keep no state across rounds. Every hook writes its
+per-step state before it reads it, so all chunks can share one set of
+hooks. How many attempts a step runs depends only on s and max_restarts,
+never on how many trials are pending, so counts are a pure
 function of (seed, trials): bit-identical on re-run, a run of n trials is
 the prefix of any longer run, and each chunk can be computed on its own.
 """

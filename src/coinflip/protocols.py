@@ -43,12 +43,22 @@ independent draws, which is what lets a step run a trial's next rounds all
 at once. Receivers measure through measure_delivery, which gives one
 outcome index per round of the batch and -1 where nothing arrived.
 
+A block row is an attempt, and the channel has two rules for it. Every Bob
+declares restarts_on_loss: true when every round that does not arrive ends
+in REQUEST_RESTART. For such a Bob a run of losses carries nothing but its
+length, so when the signal can arrive (not vacuum) and eta < 1 the engine
+draws the length K with channel.lost_rounds, runs the hooks once, on a
+delivered round, and charges the trial K + 1 rounds. Otherwise an attempt
+is one round and channel.transmit draws whether it arrives.
+
 For transcripts Bob exposes last_basis (an index into his basis_tags, -1 for
 none) and last_outcome (the index of his measurement outcome, -1 for none),
 per round or as one value for all; both are read once verify has run. Each
-step logs the rounds its trials keep as arrays, and the chunk's transcripts
-are built from that log in one pass at its end. The engine records no basis
-for a round where nothing arrived. In an honest basis
+step logs the attempts its trials keep as arrays, and the chunk's
+transcripts are built from that log in one pass at its end; an attempt
+after K lost rounds expands to K lost rows before its own, each not
+delivered, with no basis or outcome and a restart requested. The engine
+records no basis for a round where nothing arrived. In an honest basis
 outcome index i is the state |a, i>, so it is compared with the revealed x
 directly (see catalog.basis). What differs between protocols is one row of
 the PROTOCOLS table: the state family, the variants Bob may play (its
@@ -64,7 +74,7 @@ import numpy as np
 
 from . import catalog
 from .catalog import Family, StateFamily
-from .channel import ChannelParams, transmit
+from .channel import ChannelParams, lost_rounds, transmit
 from .errors import IncompatibleProtocol
 from .quantum import measure_projective, steer_epr
 from .rng import (CHOOSE_B, PREPARE, RECEIVE, REVEAL, SLOTS, TRANSMIT, VERIFY,
@@ -278,13 +288,15 @@ class HonestAlice:
 
 class HonestBob:
     """Measures per the variant flags, sends a fresh random b, verifies
-    whenever the declared basis lets him."""
+    whenever the declared basis lets him. He restarts on every lost round
+    (restarts_on_loss) unless he believes losses on faith."""
 
     basis_tags = ("0", "1")
 
     def __init__(self, family: StateFamily, flags: VariantFlags):
         self.flags = flags
         self.bras = catalog.basis_pair(family)
+        self.restarts_on_loss = flags.loss_policy is LossPolicy.RESTART_ON_LOSS
 
     def receive(self, delivery: Emission, delivered: np.ndarray,
                 u: np.ndarray) -> np.ndarray:
@@ -323,32 +335,42 @@ def run_chunk(protocol: ProtocolId, alice, bob, ch: ChannelParams,
               sink=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Run `trials` independent protocol runs on the uniforms of one chunk.
 
-    Step s runs the next min(2**s, DEPTH) rounds of every trial still
-    pending (never more than max_restarts + 1 rounds in all) on the block
-    stream.block(s, (pending, depth, SLOTS)), and each trial keeps its first
-    round that does not end in a restart. Returns, per trial, the Decision
-    of that round (REQUEST_RESTART for a trial that restarted more than
-    max_restarts times), the coin it produced and the restarts before it.
-    With a sink, each step logs its trials' rounds up to the kept one as
-    arrays; at the end the log is sorted by trial, the trials over the limit
-    are dropped, and each other trial's Transcript goes to the sink, in
-    trial order.
+    Step s runs the next min(2**s, DEPTH) attempts of every trial still
+    pending (never more than max_restarts + 1 attempts in all) on the block
+    stream.block(s, (pending, depth, SLOTS)). An attempt costs one round, or
+    K + 1 under channel.lost_rounds (see above), and each trial keeps its
+    first attempt that does not end in a restart if its rounds up to it
+    number at most max_restarts + 1. Returns, per trial, the Decision of that
+    attempt (REQUEST_RESTART for a trial over the limit), the coin it
+    produced and the restarts before it. With a sink, each step logs its
+    trials' attempts up to the kept one as arrays; at the end the log is
+    sorted by trial, the trials over the limit are dropped, each attempt
+    expands to its lost rows and its own, and each other trial's Transcript
+    goes to the sink, in trial order.
     """
     coin_from_x = PROTOCOLS[protocol].coin_from_x
+    geometric = bob.restarts_on_loss and ch.eta < 1.0
+    cap = max_restarts + 1  # the most rounds a trial may run
     verdict = np.full(trials, Decision.REQUEST_RESTART, dtype=np.int8)
     coin = np.zeros(trials, dtype=np.int8)
     restarts = np.zeros(trials, dtype=np.int64)
     final = np.zeros((3, trials), dtype=np.int8)  # b, a, x, kept with a sink
-    log, sent = (None, None) if sink is None else ([], [])  # per step: rounds, tag
+    log, sent = (None, None) if sink is None else ([], [])  # per step: attempts, tag
     pending = np.arange(trials)
-    rounds_before = 0  # rounds each pending trial has run, all restarts
+    attempts = 0  # attempts each pending trial has run, all restarts
+    rounds = 0  # under lost_rounds, a column of each pending trial's rounds
     step = 0
-    while pending.size and rounds_before <= max_restarts:
-        depth = min(1 << step, DEPTH, max_restarts + 1 - rounds_before)
-        # u[c] is column c of the block: one uniform per (trial, round)
+    while pending.size and attempts < cap:
+        depth = min(1 << step, DEPTH, cap - attempts)
+        # u[c] is column c of the block: one uniform per (trial, attempt)
         u = stream.block(step, (pending.size, depth, SLOTS)).reshape(-1, SLOTS).T
         emission = alice.prepare(u[PREPARE])
-        delivered = transmit(emission, ch, u[TRANSMIT])
+        if geometric and emission.photon_count:  # vacuum never arrives
+            lost = lost_rounds(ch, u[TRANSMIT], cap)
+            delivered = np.ones(lost.size, dtype=bool)
+        else:
+            lost = None
+            delivered = transmit(emission, ch, u[TRANSMIT])
         restart = bob.receive(emission, delivered, u[RECEIVE])
         b = bob.choose_b(u[CHOOSE_B])
         a, x = alice.reveal(b, u[REVEAL])
@@ -356,35 +378,55 @@ def run_chunk(protocol: ProtocolId, alice, bob, ch: ChannelParams,
                             bob.verify(a, x, u[VERIFY]))
 
         ends = (decision <= Decision.ABORT_CHEATER).reshape(-1, depth)
+        if lost is not None:  # rounds run up to each attempt; past cap, none ends
+            spent = rounds + (lost + 1).reshape(-1, depth).cumsum(1)
+            over = spent > cap
+            ends &= ~over
         done = ends.any(1)
-        first = ends.argmax(1)  # the first round that ends each finished trial
+        first = ends.argmax(1)  # the first attempt that ends each finished trial
         last = np.flatnonzero(done) * depth + first[done]
         finished = pending[done]
         verdict[finished] = decision[last]
         coin[finished] = (x[last] if coin_from_x else a[last]) ^ b[last]
-        restarts[finished] = rounds_before + first[done]
-        if log is not None:  # each trial's rounds up to the one it keeps
+        if log is not None:  # each trial's attempts up to the one it keeps
             final[:, finished] = b[last], a[last], x[last]
             stop = np.where(done, first + 1, depth)
             kept = (np.arange(depth) < stop[:, None]).ravel()
             basis = np.where(delivered, bob.last_basis, -1)
             outcome = np.broadcast_to(bob.last_outcome, delivered.shape)
-            log.append((np.repeat(pending, stop), np.full(kept.sum(), len(sent)),
-                        delivered[kept], basis[kept], outcome[kept], decision[kept]))
+            ids = np.repeat(pending, stop)
+            log.append((ids, np.full(ids.size, len(sent)), delivered[kept], basis[kept],
+                        outcome[kept], decision[kept],
+                        np.zeros_like(ids) if lost is None else lost[kept]))
             sent.append(emission.tag)
-        pending = pending[~done]
-        rounds_before += depth
+        if lost is None:
+            restarts[finished] = attempts + first[done]
+            pending = pending[~done]
+        else:  # a trial past cap is a limit hit and leaves
+            restarts[finished] = spent[done, first[done]] - 1
+            keep = ~done & ~over[:, -1]
+            pending, rounds = pending[keep], spent[keep, -1:]
+        attempts += depth
         step += 1
-    if log is not None:  # every kept round, in trial order, then a slice per trial
-        trial, tag, arrived, basis, outcome, decided = map(np.concatenate, zip(*log))
+    if log is not None:  # every kept attempt, in trial order, then a slice per trial
+        trial, tag, arrived, basis, outcome, decided, lost = map(np.concatenate,
+                                                                 zip(*log))
         rows = np.argsort(trial, kind="stable")
         rows = rows[verdict[trial[rows]] != Decision.REQUEST_RESTART]
-        outcome, decided = outcome[rows], decided[rows]
+        # K lost rounds before an attempt: its row K + 1 times, all but the
+        # last (its own) masked to a lost round that restarts
+        copies = lost[rows] + 1
+        rows = np.repeat(rows, copies)
+        own = np.zeros(rows.size, dtype=bool)
+        own[np.cumsum(copies) - 1] = True
+        basis = np.where(own, basis[rows], -1)
+        outcome = np.where(own, outcome[rows], -1)
+        decided = np.where(own, decided[rows], Decision.REQUEST_RESTART)
         measured = outcome.astype(object)
         measured[outcome < 0] = None
         tags = np.array((*getattr(bob, "basis_tags", ()), None), dtype=object)
         made = list(map(QuantumRound, np.array(sent, dtype=object)[tag[rows]].tolist(),
-                        arrived[rows].tolist(), tags[basis[rows]].tolist(),  # -1: None
+                        (arrived[rows] & own).tolist(), tags[basis].tolist(),  # -1: None
                         measured.tolist(),
                         (decided >= Decision.REQUEST_RESTART).tolist(),
                         (decided == Decision.CLAIM_LOSS_FALSELY).tolist()))

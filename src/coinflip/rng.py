@@ -3,7 +3,7 @@ made from them.
 
 There is no hidden global randomness: every draw reads uniforms from a
 ChunkStream. Trials run in chunks, and the trials of a chunk that are still
-pending run their next rounds together in steps. Step s of chunk k reads one
+pending run their next attempts together in steps. Step s of chunk k reads one
 block of uniforms from the start of PCG64DXSM(seed).jumped((k << 32) | s)
 (O'Neill, "PCG: A Family of Simple Fast Space-Efficient Statistically Good
 Algorithms for Random Number Generation", HMC-CS-2014-0905, with numpy's
@@ -12,13 +12,16 @@ which spreads the blocks over the period where power-of-two offsets would
 leave their states agreeing in their low bits, so blocks never overlap and
 each is reproducible on its own, in any order.
 
-A block has shape (pending trials, rounds, SLOTS): one row of SLOTS uniforms
-per (trial, round) pair. Each draw site of a round owns fixed columns of its
-row (PREPARE, TRANSMIT, RECEIVE, CHOOSE_B, REVEAL, VERIFY); every site runs
-on every round, and every draw maps exactly one uniform, so what one site
+A block has shape (pending trials, attempts, SLOTS): one row of SLOTS
+uniforms per (trial, attempt) pair. An attempt is one round, or, for a Bob
+who restarts on every lost round, a run of lost rounds and the round that
+arrives; the channel's two rules read the TRANSMIT uniform either way (see
+channel). Each draw site of an attempt owns fixed columns of its row
+(PREPARE, TRANSMIT, RECEIVE, CHOOSE_B, REVEAL, VERIFY); every site runs on
+every attempt, and every draw maps exactly one uniform, so what one site
 draws never shifts another site's uniforms. Hooks (see protocols) get their
-own columns as arrays, one entry per round, and return arrays; they keep no
-state across rounds, so the rounds of a step are independent.
+own columns as arrays, one entry per attempt, and return arrays; they keep
+no state across rounds, so the attempts of a step are independent.
 """
 from __future__ import annotations
 
@@ -31,7 +34,7 @@ _PROB_TOL = 1e-9
 _JUMP = 0x9e3779b97f4a7c15f39cc0605cedc835
 _PERIOD = 1 << 128
 
-# Columns of a block row, one set per draw site of a round.
+# Columns of a block row, one set per draw site of an attempt.
 PREPARE = slice(0, 2)
 TRANSMIT = 2
 RECEIVE = slice(3, 7)

@@ -6,10 +6,12 @@ honest entry that applies to every protocol; the other entries are attacks
 built around a target bit c, the coin value the cheater wants to force.
 Alice-side hooks implement prepare/reveal, Bob-side hooks the
 receive/choose_b/verify trio, all on batches of rounds as the protocols
-module describes. Reveal tables were verified by direct overlap computation
-(see tests) rather than taken on trust. Strategies never see the honest
-party's private randomness; everything they learn flows through the hook
-arguments.
+module describes. Every Bob also declares restarts_on_loss, whether each
+round that does not arrive ends in REQUEST_RESTART, which picks the
+channel's loss rule for him. Reveal tables were verified by direct overlap
+computation (see tests) rather than taken on trust. Strategies never see the
+honest party's private randomness; everything they learn flows through the
+hook arguments.
 """
 from __future__ import annotations
 
@@ -161,9 +163,11 @@ class CunningMotherAlice(HonestAlice):
 class RestartAbuseBob:
     """Never measures; claims loss whenever the revealed a xor b is wrong,
     plus camouflage claims at rate 1-2*p_honest so Alice sees a plausible
-    detection rate."""
+    detection rate. A lost round can end in a false claim or be accepted, so
+    he does not restart on every loss."""
 
     last_basis = last_outcome = -1
+    restarts_on_loss = False
 
     def __init__(self, target: int, p_honest: float):
         self.target = target
@@ -184,9 +188,11 @@ class RestartAbuseBob:
 class GuessingBob:
     """A receiver that never verifies: receive() measures to guess a bit,
     then b = target xor guess forces the coin and any reveal is accepted.
-    guess is the outcome index less offset; a round with guess < 0 restarts."""
+    guess is the outcome index less offset; a round with guess < 0 restarts,
+    a lost round included (restarts_on_loss)."""
 
     basis_tags = ("computational",)
+    restarts_on_loss = True
     last_basis = 0
     offset = 0
 
@@ -272,7 +278,8 @@ class Strategy:
     """A named player: the protocols it applies to, a factory of its hooks,
     the fewest photons per emission it needs, whether (for an Alice) it sends
     cfg.photon_count photons per emission rather than one, and the variants
-    it plays (None: every variant the protocol allows).
+    it plays (None: every variant the protocol allows). A Bob's hooks
+    declare restarts_on_loss (see protocols).
 
     build(cfg, family, flags), called only by harness.build_hooks, reads
     cfg.target, cfg.eta and cfg.photon_count of an ExperimentConfig; eta feeds

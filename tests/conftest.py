@@ -1,9 +1,14 @@
 """Shared fixtures and statistical helpers for the test suite."""
+import itertools
 import math
 
 import pytest
 
+from coinflip.errors import IncompatibleProtocol, OutOfRange
+from coinflip.harness import VARIANT_NAMES, ExperimentConfig
+from coinflip.protocols import ProtocolId
 from coinflip.rng import ChunkStream
+from coinflip.strategies import ALICE_STRATEGIES, BOB_STRATEGIES
 
 
 # One pass/fail line per acceptance criterion, filled in by
@@ -45,3 +50,15 @@ def assert_close_5sigma(observed: float, expected: float, n: int):
     assert abs(observed - expected) <= 5.0 * sigma, (
         f"observed {observed} vs expected {expected} "
         f"({abs(observed - expected) / sigma:.1f} sigma, n={n})")
+
+
+def valid_configs(**kw):
+    """Every (protocol, variant name, Alice, Bob, photon count in {1, 2})
+    that constructs, as ExperimentConfigs with the other fields from kw."""
+    for protocol, variant, alice, bob, photons in itertools.product(
+            ProtocolId, VARIANT_NAMES, ALICE_STRATEGIES, BOB_STRATEGIES, (1, 2)):
+        try:
+            yield ExperimentConfig(protocol=protocol, variant=VARIANT_NAMES[variant],
+                                   alice=alice, bob=bob, photon_count=photons, **kw)
+        except (OutOfRange, IncompatibleProtocol):
+            continue

@@ -1,8 +1,10 @@
 """Monte Carlo harness: determinism, intervals and the check matrix."""
+import dataclasses
 import hashlib
 import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +20,8 @@ from coinflip.protocols import (Decision, LossPolicy, ProtocolId, VariantFlags,
                                 run_chunk)
 from coinflip.rng import ChunkStream
 from coinflip.strategies import ALICE_STRATEGIES, BOB_STRATEGIES, REGISTRY
+
+from conftest import valid_configs
 
 
 def test_identical_configs_give_identical_counts():
@@ -121,6 +125,59 @@ def test_restart_budget_exceeded_raises():
                            max_restarts=10)
     with pytest.raises(RestartBudgetExceeded):
         run_experiment(cfg)
+
+
+@pytest.mark.parametrize("eta", [1e-300, 5e-324])
+def test_vanishing_eta_exhausts_the_budget_without_overflow(eta):
+    """A Bob who restarts on every loss facing a channel that delivers
+    almost never: every trial passes the cap, no float overflows or warns,
+    and the experiment fails on its restart budget."""
+    cfg = ExperimentConfig(trials=200, seed=9, eta=eta, max_restarts=10)
+    alice, bob = build_hooks(cfg)
+    assert bob.restarts_on_loss
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        verdict, _, _ = run_chunk(cfg.protocol, alice, bob, ChannelParams(eta),
+                                  cfg.max_restarts, ChunkStream(cfg.seed), cfg.trials)
+        assert (verdict == Decision.REQUEST_RESTART).all()
+        with pytest.raises(RestartBudgetExceeded):
+            run_experiment(cfg)
+
+
+@pytest.mark.parametrize("eta", [1.0, 0.5])
+def test_vacuum_facing_a_restarting_bob_exceeds_the_budget(eta):
+    """Vacuum never arrives, whichever loss rule Bob's declaration picks."""
+    cfg = ExperimentConfig(protocol=ProtocolId.AMBAINIS_CF, alice="send_nothing",
+                           trials=200, seed=9, eta=eta)
+    assert build_hooks(cfg)[1].restarts_on_loss
+    with pytest.raises(RestartBudgetExceeded):
+        run_experiment(cfg)
+
+
+def test_restart_on_loss_counts_are_eta_invariant():
+    """Structural, not evidence for the paper's loss-tolerance claim: a Bob
+    who restarts on every loss sees each attempt delivered, and the channel
+    only adds a Geometric(eta) count of lost rounds before it. So for every
+    such pairing (successes, aborts) at one seed equal the eta = 1 counts
+    exactly, and restart_total lies within 5 sigma of A/eta - n, where A is
+    the eta = 1 count of attempts, n + its restart_total, and sigma is
+    sqrt(A (1 - eta)) / eta."""
+    n = 2000
+    checked = 0
+    for cfg in valid_configs(seed=7, trials=n):
+        if cfg.alice == "send_nothing" or not build_hooks(cfg)[1].restarts_on_loss:
+            continue
+        ideal = run_experiment(cfg)
+        attempts = n + ideal.restart_total
+        for eta in (0.5, 0.05):
+            est = run_experiment(dataclasses.replace(cfg, eta=eta))
+            assert (est.successes, est.aborts, est.limit_hits) == (
+                ideal.successes, ideal.aborts, 0), (cfg, eta)
+            sigma = math.sqrt(attempts * (1.0 - eta)) / eta
+            z = (est.restart_total - (attempts / eta - n)) / sigma
+            assert abs(z) <= 5.0, (cfg, eta, z)
+        checked += 1
+    assert checked == 80
 
 
 def test_estimate_to_dict_field_order():
@@ -258,7 +315,7 @@ def test_evaluate_matrix_small_run_structure():
 # including pairings no other pin covers. A change that reorders random draws
 # must update this on purpose.
 PAIRINGS = 102
-GOLDEN_PAIRINGS = "e70de5154b608a668b157625d69d7cafb9baf3e520c0a3eb6e881c98ad9d586e"
+GOLDEN_PAIRINGS = "597082f74735b7ef4296d4a62157d898cabea508aa762c319c2f09ac41278074"
 
 
 def test_every_valid_pairing_is_pinned():

@@ -10,7 +10,8 @@ import pytest
 from coinflip.catalog import StateLabel, basis, basis_pair, state
 from coinflip.channel import ChannelParams
 from coinflip.errors import IncompatibleProtocol
-from coinflip.harness import VARIANT_NAMES, ExperimentConfig, run_experiment
+from coinflip.harness import (VARIANT_NAMES, ExperimentConfig, build_hooks,
+                              run_experiment)
 from coinflip.protocols import (Decision, EprHalf, HonestAlice, HonestBob,
                                 LossPolicy, ProtocolId, QuantumRound, SingleState,
                                 VariantFlags, Vacuum, Verdict, check_flags,
@@ -181,24 +182,26 @@ def test_restart_limit_is_enforced():
 def test_limit_hits_inside_a_chunk_drop_only_their_transcripts():
     """Trials over the restart limit leave no transcript, and the others keep
     theirs: at max_restarts=2 a chunk runs the same two steps as at 1000, so
-    its transcripts are those of the longer run that restarted at most twice."""
-    protocol = ProtocolId.LOSS_TOLERANT_CF
-    fam = family_for(protocol, 0.9)
+    its transcripts are those of the longer run that restarted at most twice.
+    This holds for an honest Bob, whose losses are drawn as one count per
+    attempt, and for restart abuse, whose losses are drawn round by round."""
+    for protocol, bob in ((ProtocolId.LOSS_TOLERANT_CF, "honest"),
+                          (ProtocolId.AMBAINIS_CF_VARIANT, "ambainis_restart_abuse")):
+        cfg = ExperimentConfig(protocol=protocol, bob=bob, target=1, eta=0.3)
+        assert build_hooks(cfg)[1].restarts_on_loss == (bob == "honest")
 
-    def chunk(max_restarts):
-        out = []
-        verdict, _, _ = run_chunk(protocol, HonestAlice(fam),
-                                  HonestBob(fam, default_flags(protocol)),
-                                  ChannelParams(0.3), max_restarts, ChunkStream(5),
-                                  200, out.append)
-        return verdict, out
+        def chunk(max_restarts):
+            out = []
+            verdict, _, _ = run_chunk(protocol, *build_hooks(cfg), ChannelParams(0.3),
+                                      max_restarts, ChunkStream(5), 200, out.append)
+            return verdict, out
 
-    verdict, limited = chunk(2)
-    _, full = chunk(1000)
-    hits = (verdict == Decision.REQUEST_RESTART).sum()
-    assert 0 < hits < 200
-    assert len(limited) == 200 - hits
-    assert limited == [t for t in full if t.restart_count <= 2]
+        verdict, limited = chunk(2)
+        _, full = chunk(1000)
+        hits = (verdict == Decision.REQUEST_RESTART).sum()
+        assert 0 < hits < 200
+        assert len(limited) == 200 - hits
+        assert limited == [t for t in full if t.restart_count <= 2]
 
 
 # ---------------------------------------------------------------------------
@@ -315,10 +318,10 @@ PULSES = dict(alice="honest_pulse", target=1, photon_count=2, eta=0.5)
 GOLDEN_TRANSCRIPTS = {
     "honest_lt@0.05": (
         dict(eta=0.05),
-        "9de7965766c0db2d5016dacfed976224bdd04597a7fe4cd8704f8b035384db3d"),
+        "a6d3b51af0504f0fe699772175e0aa85df5225b16f9655295097cf216d840acf"),
     "ambainis_stored@0.5": (
         dict(protocol=AMBAINIS, eta=0.5),
-        "91e6708690ae788f0658ab3378e7bb2d0ba216fe91b317a4e00f204ddb338dbd"),
+        "6d9d27245d203d3ab37be821fffe17789ff203226a921d791140a4449ab713a0"),
     "send_nothing_on_faith": (
         dict(protocol=VARIANT, variant=VARIANT_NAMES["believe_on_faith"],
              alice="send_nothing", target=1),
@@ -328,27 +331,27 @@ GOLDEN_TRANSCRIPTS = {
         "f6845ae6885931b330e7295228b4f4029cc543b10070ce23109a832b255431ea"),
     "bb84_epr": (
         dict(protocol=ProtocolId.BB84_CF, alice="bb84_epr", target=1, eta=0.5),
-        "50ecf245cd51de2e85ba0ea3afbaf10e3ba4e0fc5cf98efa00305ba5672f5caa"),
+        "a097746a1d34499055c49fc1cab5bafe0212e00e498ecceb98371d17cde203c2"),
     "lt_helstrom": (
         dict(bob="lt_helstrom", target=1, eta=0.5),
-        "4e5742814e54ef254e63e06195210b136392e02c66b8442b85262f23dae79d5f"),
+        "e19ea03800b4f027ca8d2766e58fbf1e969efcd0845a259ce713be684fc07222"),
     "ambainis_conclusive": (
         dict(protocol=VARIANT, variant=VARIANT_NAMES["restart_measure"],
              bob="ambainis_conclusive", target=1, eta=0.5),
-        "6c99b96ecdfcdee7aa47ef344ecfc9177348d4990eba97bbf2066c8df02c49fe"),
+        "44cdae21367cf0c60621b7201171fea58f77ea667ae4c4b993f4529e35aee041"),
     "mcqm_restart": (
         dict(protocol=ProtocolId.MCQM_CONTRIVED_CF, bob="mcqm_restart",
              target=1, eta=0.5),
-        "2fd6ebd5e5c3b8a3f73d9bf415f0cfda885c4397dbbc50bff87aa4f375900f45"),
+        "cfa2bab9da8dfe8ee1d0ffe69e8db2a6207f44b08eded490c583f58977683c37"),
     "cunning_son": (
         dict(bob="cunning_son", eta=0.5),
-        "2a5bddc077d60cbcec814f518b808dafd86bda6a584b79ac5039ddd2cdd4b8c3"),
+        "de9497728b37d46d4cfcb2180febec08c0f78cf0deb82ed3e51ae752a163337f"),
     "twophoton_usd": (
         dict(bob="twophoton_usd", **PULSES),
-        "38b784e262c1e5ee41bbe18ca95720fdb538d881ef9ba9a5f742030e2b2834dd"),
+        "0136deb952b1ef5668021d92d27542f19e9da837b142842dc920178d7a6b6982"),
     "twophoton_honest_apparatus": (
         dict(bob="twophoton_honest_apparatus", **PULSES),
-        "8afc7b569b0fcbf72dc5a70a95aa988f0b349492960634b1e5acb9f602e10230"),
+        "b38c91a4d5ef90f091429a1bfd6977d4082e8d56468ca50bcf2968f274be63ae"),
 }
 
 
@@ -369,3 +372,30 @@ def test_transcripts_are_pinned(label):
     assert all((r.bob_basis, r.bob_outcome) == (None, None)
                for t in kept for r in t.rounds if not r.delivered)
     assert digest.hexdigest() == expected
+
+
+def test_lost_runs_expand_to_restart_rows():
+    """A Bob who restarts on every loss gets, at eta < 1, the transcripts of
+    eta = 1 with each attempt preceded by its run of lost rounds: rows that
+    were not delivered, record no basis or outcome, and request a restart."""
+    lost = dict(delivered=False, bob_basis=None, bob_outcome=None,
+                restart_requested=True, false_claim=False)
+
+    def records(**kw):
+        out = []
+        run_experiment(ExperimentConfig(trials=300, seed=7, **kw),
+                       transcript_sink=lambda t: out.append(t.to_dict()))
+        return out
+
+    for kw in (dict(), dict(protocol=AMBAINIS),
+               dict(bob="twophoton_usd", alice="honest_pulse", target=1,
+                    photon_count=2)):
+        for t, ideal in zip(records(eta=0.3, **kw), records(**kw), strict=True):
+            rounds = [r for r in t["rounds"] if r["delivered"]]
+            assert rounds == ideal["rounds"]
+            sent = rounds[0]["sent"]
+            assert all(r == dict(sent=sent, **lost)
+                       for r in t["rounds"] if not r["delivered"])
+            assert t["restart_count"] == (ideal["restart_count"]
+                                          + len(t["rounds"]) - len(rounds))
+            assert {**t, "rounds": rounds, "restart_count": ideal["restart_count"]} == ideal

@@ -96,9 +96,8 @@ def test_every_draw_consumes_one_uniform(rng):
 
 
 def test_chunks_share_no_value():
-    """Chunk k sits in the high counter words, so the first draws of
-    neighbouring chunks are disjoint (a chunk in the low counter word would
-    share most of them)."""
+    """Chunk k starts its steps (k << 32) jumps into the seed's stream, so
+    the first draws of neighbouring chunks are disjoint."""
     n = 4096
     first = set(ChunkStream(12345, 0).block(0, (n,)).tolist())
     second = set(ChunkStream(12345, 1).block(0, (n,)).tolist())
@@ -133,8 +132,8 @@ def test_steps_share_no_value():
 
 def test_step_layout_is_pinned(monkeypatch):
     """Step s of chunk k reads the start of PCG64DXSM(seed).jumped((k << 32) | s),
-    one row of SLOTS uniforms per (pending trial, round), and step s runs
-    min(2**s, DEPTH) rounds whatever the number of pending trials."""
+    one row of SLOTS uniforms per (pending trial, attempt), and step s runs
+    min(2**s, DEPTH) attempts whatever the number of pending trials."""
 
     stream = ChunkStream(2024, 3)
     stream.block(0, (5, 1, SLOTS))
@@ -155,7 +154,11 @@ def test_step_layout_is_pinned(monkeypatch):
             return out
 
     monkeypatch.setattr(harness, "ChunkStream", Recording)
-    run_experiment(ExperimentConfig(trials=CHUNK + 10, seed=2024, eta=0.05))
+    # a Bob who does not restart on every loss draws loss round by round, and
+    # his false claims keep trials pending until a step reaches DEPTH
+    run_experiment(ExperimentConfig(protocol=ProtocolId.AMBAINIS_CF_VARIANT,
+                                    bob="ambainis_restart_abuse", target=1,
+                                    eta=0.05, trials=CHUNK + 10, seed=2024))
     for chunk, trials in ((0, CHUNK), (1, 10)):
         steps = [c[2:] for c in calls if c[1] == chunk]
         assert [s for s, _ in steps] == list(range(len(steps)))

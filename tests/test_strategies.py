@@ -9,7 +9,7 @@ from coinflip.channel import ChannelParams, transmit
 from coinflip.errors import IncompatibleProtocol
 from coinflip.harness import (VARIANT_NAMES, ExperimentConfig, build_hooks,
                               run_experiment)
-from coinflip.protocols import ProtocolId
+from coinflip.protocols import Decision, ProtocolId
 from coinflip.quantum import QuantumState
 from coinflip.rng import (CHOOSE_B, PREPARE, RECEIVE, REVEAL, SLOTS, TRANSMIT,
                           VERIFY, bit)
@@ -17,7 +17,7 @@ from coinflip.strategies import (ALICE_STRATEGIES, BOB_STRATEGIES, REGISTRY,
                                  AmbainisOptimalAlice, LossTolerantOptimalAlice,
                                  RotatedStateAlice, Side, lookup)
 
-from conftest import assert_close_5sigma
+from conftest import assert_close_5sigma, valid_configs
 
 BB84 = StateFamily(Family.BB84)
 AMB = StateFamily(Family.AMBAINIS)
@@ -71,6 +71,22 @@ def test_every_listed_strategy_builds(rng):
                 alice, bob = build_hooks(cfg)
                 for anything_arrives in (False, True):
                     run_one_step(alice, bob, rng(SLOTS, 64), anything_arrives)
+
+
+def test_restarts_on_loss_is_declared_truly(rng):
+    """Every round of a step in which nothing arrives ends in REQUEST_RESTART
+    exactly when the pair's Bob declares restarts_on_loss, for every valid
+    pairing; the engine draws such a Bob's runs of losses as one count."""
+    for cfg in valid_configs():
+        alice, bob = build_hooks(cfg)
+        u = rng(SLOTS, 64)
+        emission = alice.prepare(u[PREPARE])
+        lost = np.zeros(64, dtype=bool)
+        restart = bob.receive(emission, lost, u[RECEIVE])
+        b = bob.choose_b(u[CHOOSE_B])
+        a, x = alice.reveal(b, u[REVEAL])
+        decision = np.where(restart, Decision.REQUEST_RESTART, bob.verify(a, x, u[VERIFY]))
+        assert (decision == Decision.REQUEST_RESTART).all() == bob.restarts_on_loss, cfg
 
 
 # ---------------------------------------------------------------------------
