@@ -12,8 +12,8 @@ from coinflip.channel import ChannelParams
 from coinflip.errors import IncompatibleProtocol
 from coinflip.harness import (VARIANT_NAMES, ExperimentConfig, build_hooks,
                               run_experiment)
-from coinflip.protocols import (Decision, EprHalf, HonestAlice, HonestBob,
-                                LossPolicy, ProtocolId, QuantumRound, SingleState,
+from coinflip.protocols import (Decision, EprHalf, HonestBob, LossPolicy,
+                                ProtocolId, QuantumRound, SingleState,
                                 VariantFlags, Vacuum, Verdict, check_flags,
                                 default_flags, family_for, measure_delivery,
                                 run_chunk)

@@ -41,8 +41,8 @@ def test_factory_rejects_wrong_protocol():
 
 def run_one_step(alice, bob, u, anything_arrives):
     """Call one step's hooks in engine order on every round of a batch in
-    which no round arrives, or about half do, and check that each returns one
-    entry per round."""
+    which no round arrives, or about half do, check that each returns one
+    entry per round, and return how each round ends."""
     emission = alice.prepare(u[PREPARE])
     delivered = transmit(emission, ChannelParams(0.5), u[TRANSMIT])
     delivered &= anything_arrives
@@ -52,6 +52,7 @@ def run_one_step(alice, bob, u, anything_arrives):
     decision = bob.verify(a, x, u[VERIFY])
     for out in (restart, b, a, x, decision):
         assert np.shape(out) == delivered.shape
+    return np.where(restart, Decision.REQUEST_RESTART, decision)
 
 
 def test_every_listed_strategy_builds(rng):
@@ -79,13 +80,7 @@ def test_restarts_on_loss_is_declared_truly(rng):
     pairing; the engine draws such a Bob's runs of losses as one count."""
     for cfg in valid_configs():
         alice, bob = build_hooks(cfg)
-        u = rng(SLOTS, 64)
-        emission = alice.prepare(u[PREPARE])
-        lost = np.zeros(64, dtype=bool)
-        restart = bob.receive(emission, lost, u[RECEIVE])
-        b = bob.choose_b(u[CHOOSE_B])
-        a, x = alice.reveal(b, u[REVEAL])
-        decision = np.where(restart, Decision.REQUEST_RESTART, bob.verify(a, x, u[VERIFY]))
+        decision = run_one_step(alice, bob, rng(SLOTS, 64), False)
         assert (decision == Decision.REQUEST_RESTART).all() == bob.restarts_on_loss, cfg
 
 
