@@ -1,7 +1,6 @@
 """Monte Carlo harness: determinism, intervals and the check matrix."""
 import dataclasses
 import hashlib
-import itertools
 import json
 import math
 import warnings
@@ -19,7 +18,7 @@ from coinflip.harness import (CHUNK, VARIANT_NAMES, BiasEstimate,
 from coinflip.protocols import (Decision, LossPolicy, ProtocolId, VariantFlags,
                                 run_chunk)
 from coinflip.rng import ChunkStream
-from coinflip.strategies import ALICE_STRATEGIES, BOB_STRATEGIES, REGISTRY
+from coinflip.strategies import REGISTRY
 
 from conftest import valid_configs
 
@@ -319,21 +318,16 @@ GOLDEN_PAIRINGS = "597082f74735b7ef4296d4a62157d898cabea508aa762c319c2f09ac41278
 
 
 def test_every_valid_pairing_is_pinned():
+    variant = {flags: name for name, flags in VARIANT_NAMES.items()}
     counts = []
-    for protocol, variant, alice, bob, photons in itertools.product(
-            ProtocolId, VARIANT_NAMES, ALICE_STRATEGIES, BOB_STRATEGIES, (1, 2)):
-        try:
-            cfg = ExperimentConfig(protocol=protocol, variant=VARIANT_NAMES[variant],
-                                   alice=alice, bob=bob, photon_count=photons,
-                                   eta=0.5, seed=7, trials=200)
-        except (OutOfRange, IncompatibleProtocol):
-            continue
+    for cfg in valid_configs(eta=0.5, seed=7, trials=200):
         try:
             est = run_experiment(cfg)
             got = [est.successes, est.aborts, est.restart_total, est.limit_hits]
         except RestartBudgetExceeded:
             got = "budget"
-        counts.append([protocol.value, variant, alice, bob, photons, got])
+        counts.append([cfg.protocol.value, variant[cfg.variant], cfg.alice, cfg.bob,
+                       cfg.photon_count, got])
     assert len(counts) == PAIRINGS
     blob = json.dumps(counts).encode()
     assert hashlib.sha256(blob).hexdigest() == GOLDEN_PAIRINGS
