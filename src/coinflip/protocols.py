@@ -41,7 +41,13 @@ a bit) but must not raise. A hook may keep per-round arrays from one call
 to the next within a step, but no state across rounds: rounds are
 independent draws, which is what lets a step run a trial's next rounds all
 at once. Receivers measure through measure_delivery, which gives one
-outcome index per round of the batch and -1 where nothing arrived.
+outcome index per round of the batch and -1 where nothing arrived. A
+SingleState sender has a fixed table of at most 2 * dim states and a
+receiver at most two bases, so measure_delivery draws each delivered round
+from the Born table of that pair (quantum.born_table, built once and
+shared): one gather by basis and column and one comparison with the
+uniform, the same outcome measure_projective gives. A pulse is measured on
+its first photon, from the same table; an EPR half is steered instead.
 
 A block row is an attempt, and the channel has two rules for it. Every Bob
 declares restarts_on_loss: true when every round that does not arrive ends
@@ -76,9 +82,9 @@ from . import catalog
 from .catalog import Family, StateFamily
 from .channel import ChannelParams, lost_rounds, transmit
 from .errors import IncompatibleProtocol
-from .quantum import measure_projective, steer_epr
+from .quantum import measure_table, steer_epr
 from .rng import (CHOOSE_B, PREPARE, RECEIVE, REVEAL, SLOTS, TRANSMIT, VERIFY,
-                  ChunkStream, bit, choice)
+                  ChunkStream, bit, cumulative, inverse_cdf)
 
 DEPTH = 64  # the most rounds per trial in one step
 
@@ -222,8 +228,8 @@ def measure_delivery(delivery: Emission, delivered: np.ndarray, bras: np.ndarray
         if isinstance(delivery, EprHalf):
             outcome[rows], delivery.far[:, rows] = steer_epr(bras, u[rows], which)
         else:
-            outcome[rows] = measure_projective(delivery.states[:, delivery.index[rows]],
-                                               bras, u[rows], which)
+            outcome[rows] = measure_table(delivery.states, delivery.index[rows],
+                                          bras, u[rows], which)
     return outcome
 
 
@@ -275,10 +281,11 @@ class HonestAlice:
         self.photon_count = photon_count
         # column a * dim + x is |a, x>
         self.states = catalog.basis_pair(family).conj().reshape(-1, family.dim).T
+        self.x_cdf = cumulative(family.x_weights)  # x_values are 0, 1(, 2)
 
     def prepare(self, u: np.ndarray) -> Emission:
         self.a = bit(u[0])
-        self.x = choice(self.family.x_weights, u[1])  # x_values are 0, 1(, 2)
+        self.x = inverse_cdf(*self.x_cdf, u[1])
         return SingleState(self.states, self.a * self.family.dim + self.x,
                            self.photon_count)
 

@@ -9,22 +9,26 @@ dense.
 Measurements run on batches: a batch of n pure states is a (dim, n) array
 whose column j holds the amplitudes of state j, and one uniform per state
 picks the outcome by inverse CDF over the Born probabilities |<b_i|psi>|^2.
+When the states are columns of a fixed table, measure_table draws from the
+table's Born probabilities in each basis, computed once (born_table) with
+measure_projective's arithmetic, so both give the same outcome per uniform.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatch, ProbabilityMismatch, ZeroVector
-from .rng import choice
+from .rng import choice, cumulative, inverse_cdf
 
 ATOL = 1e-9
 _ZERO_TOL = 1e-12
 _DIMS = (2, 3, 4)
+BORN_TABLES = 64  # Born tables kept; the least recently used goes first
 
 
 @dataclass(frozen=True)
@@ -208,6 +212,14 @@ def _abs2(a: np.ndarray) -> np.ndarray:
     return a.real ** 2 + a.imag ** 2 if a.dtype.kind == "c" else a * a
 
 
+def _check_normalized(amplitudes: np.ndarray) -> None:
+    norm2 = _abs2(amplitudes).sum(0)
+    off = np.abs(norm2 - 1.0) > ATOL
+    if off.any():
+        raise ValueError(
+            f"state not normalized: |psi|^2 = {np.extract(off, norm2)[0]}")
+
+
 def measure_projective(amplitudes: np.ndarray, bras: np.ndarray, u: np.ndarray,
                        which: Optional[np.ndarray] = None) -> np.ndarray:
     """Born-rule measurement of a batch of states; returns one outcome index
@@ -218,15 +230,57 @@ def measure_projective(amplitudes: np.ndarray, bras: np.ndarray, u: np.ndarray,
     ProjectiveMeasurement.bras, or a stack (k, dim, dim) of bases of which
     state j is measured in bras[which[j]]. u holds one uniform per state.
     """
-    norm2 = _abs2(amplitudes).sum(0)
-    off = np.abs(norm2 - 1.0) > ATOL
-    if off.any():
-        raise ValueError(
-            f"state not normalized: |psi|^2 = {np.extract(off, norm2)[0]}")
+    _check_normalized(amplitudes)
     outcome = bras @ amplitudes
     if which is not None:
         outcome = np.choose(which, outcome)
     return choice(_abs2(outcome), u)
+
+
+def measure_table(states: np.ndarray, index: np.ndarray, bras: np.ndarray,
+                  u: np.ndarray, which: Optional[np.ndarray] = None) -> np.ndarray:
+    """measure_projective(states[:, index], bras, u, which), bit for bit,
+    drawn from the Born table of states in bras: one gather and one
+    comparison per state. A basis index outside the stack raises ValueError,
+    a state index past the table IndexError."""
+    table, bases = born_table(states, bras)
+    if which is None:
+        if bases > 1:
+            raise ValueError("a stack of bases needs one basis index per state")
+        col = index
+    else:
+        # one reduction: read as unsigned, a negative index is past the range
+        if np.asarray(which, np.intp).view(np.uintp).max(initial=0) >= bases:
+            raise ValueError(f"basis index not in [0, {bases})")
+        col = index * bases + which
+    drawn = table.take(col, 1)  # IndexError for a column past the table
+    return inverse_cdf(drawn[:-1], drawn[-1], u)
+
+
+def born_table(states: np.ndarray, bras: np.ndarray) -> tuple[np.ndarray, int]:
+    """The Born table of the columns of states (dim, m) in one basis
+    (dim, dim) or in each basis of a stack (bases, dim, dim), and the number
+    of bases. Column c * bases + b of the table belongs to column c measured
+    in basis b: its rows are the cumulative sums and then the total that
+    rng.cumulative gives for the Born probabilities, the form
+    rng.inverse_cdf draws from. Every column must be normalized within ATOL
+    (ValueError). Tables are kept by content, at most BORN_TABLES of them,
+    so equal arrays, views included, share one table."""
+    return _born_table(*(a.shape + (a.dtype.str, a.tobytes()) for a in (states, bras)))
+
+
+@lru_cache(maxsize=BORN_TABLES)
+def _born_table(states_key: tuple, bras_key: tuple) -> tuple[np.ndarray, int]:
+    states, bras = (np.frombuffer(key[-1], key[-2]).reshape(key[:-2])
+                    for key in (states_key, bras_key))
+    _check_normalized(states)
+    stack = bras.reshape(-1, *bras.shape[-2:])
+    # measure_projective's arithmetic on every (basis, column) pair at once
+    probs = _abs2(stack @ states).transpose(1, 2, 0).reshape(stack.shape[1], -1)
+    cdf, total = cumulative(probs)
+    table = np.vstack((cdf, total))
+    table.flags.writeable = False  # shared by every caller
+    return table, len(stack)
 
 
 def measure_povm(state: DensityMatrix, p: Povm, u: np.ndarray) -> np.ndarray:

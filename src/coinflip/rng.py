@@ -22,6 +22,13 @@ every attempt, and every draw maps exactly one uniform, so what one site
 draws never shifts another site's uniforms. Hooks (see protocols) get their
 own columns as arrays, one entry per attempt, and return arrays; they keep
 no state across rounds, so the attempts of a step are independent.
+
+Every draw from a probability vector takes one inverse-CDF path:
+cumulative checks the vectors and gives their cumulative sums, and
+inverse_cdf compares each uniform against them. choice does both per call;
+a caller who draws from fixed distributions again and again (an honest
+Alice's x, a receiver's Born table, see quantum.born_table) runs cumulative
+once and only inverse_cdf per draw.
 """
 from __future__ import annotations
 
@@ -83,11 +90,12 @@ def bernoulli(p: float, u: np.ndarray) -> np.ndarray:
     return u < p
 
 
-def choice(probs, u: np.ndarray) -> np.ndarray:
-    """Sample one index per uniform by inverse CDF. probs is one probability
-    vector (k,) for every uniform, or (k, n) with column j for uniform j.
-    Each vector must have no entry below -1e-9 and sum to 1 within 1e-6
-    (ProbabilityMismatch)."""
+def cumulative(probs) -> tuple[np.ndarray, np.ndarray]:
+    """The checked cumulative form (cdf, total) of probability vectors, which
+    inverse_cdf draws from. probs is one vector (k,), taken as one column, or
+    (k, n) with one vector per column; cdf holds the first k - 1 cumulative
+    sums and total the sum of each column. Each vector must have no entry
+    below -1e-9 and sum to 1 within 1e-6 (ProbabilityMismatch)."""
     probs = np.asarray(probs, dtype=float)
     if probs.ndim == 1:
         probs = probs[:, None]  # one column, broadcast over the uniforms
@@ -99,5 +107,18 @@ def choice(probs, u: np.ndarray) -> np.ndarray:
     if off.any():
         raise ProbabilityMismatch(
             f"probabilities sum to {np.extract(off, total)[0]}")
-    # the first i with u * total < cdf[i], or the last index if none is
-    return (np.cumsum(probs[:-1], 0) <= u * total).sum(0)
+    return np.cumsum(probs[:-1], 0), total
+
+
+def inverse_cdf(cdf: np.ndarray, total: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """One index per uniform by inverse CDF over cumulative(probs): the first
+    i with u * total < cdf[i], or the last index if none is. Column j of cdf
+    and entry j of total belong to uniform j, or one column to all."""
+    return (cdf <= u * total).sum(0)
+
+
+def choice(probs, u: np.ndarray) -> np.ndarray:
+    """Sample one index per uniform by inverse CDF. probs is one probability
+    vector (k,) for every uniform, or (k, n) with column j for uniform j,
+    checked as cumulative checks it."""
+    return inverse_cdf(*cumulative(probs), u)

@@ -6,15 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coinflip import quantum
+from coinflip.catalog import Family, StateFamily, basis_pair
 from coinflip.errors import (DimensionMismatch, ProbabilityMismatch,
                              ZeroVector)
-from coinflip.quantum import (DensityMatrix, Povm, ProjectiveMeasurement,
-                              QuantumState, as_columns, density_of,
-                              helstrom_success, measure_povm,
-                              measure_projective, mix, normalize, steer_epr,
-                              trace_distance)
+from coinflip.harness import build_hooks
+from coinflip.protocols import HonestAlice, SingleState, measure_delivery
+from coinflip.quantum import (BORN_TABLES, DensityMatrix, Povm,
+                              ProjectiveMeasurement, QuantumState, as_columns,
+                              born_table, density_of, helstrom_success,
+                              measure_povm, measure_projective, measure_table,
+                              mix, normalize, steer_epr, trace_distance)
+from coinflip.rng import bit, randint
 
-from conftest import assert_close_5sigma
+from conftest import assert_close_5sigma, valid_configs
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -335,3 +340,112 @@ def test_steer_epr_rejects_qutrit_basis(rng):
               for i in range(3)))
     with pytest.raises(DimensionMismatch):
         steer_epr(m.bras[None], rng(1), np.zeros(1, int))
+
+
+# ---------------------------------------------------------------------------
+# Born tables
+
+def _born_pairs():
+    """Every distinct (sender state table, receiver bases) pair of the hooks
+    that build_hooks makes over valid_configs, at two alpha2 values; a stack
+    of bases also gives each of its single bases, as two-photon Bobs use
+    them."""
+    pairs = {}
+    for alpha2 in (0.6, 0.9):
+        for cfg in valid_configs(alpha2=alpha2):
+            alice, bob = build_hooks(cfg)
+            states, bras = getattr(alice, "states", None), getattr(bob, "bras", None)
+            if states is None or bras is None:
+                continue
+            for b in (bras, *bras) if bras.ndim == 3 else (bras,):
+                key = (states.tobytes(), states.shape, b.tobytes(), b.shape)
+                pairs.setdefault(key, (states, b))
+    return list(pairs.values())
+
+
+BORN_PAIRS = _born_pairs()
+
+
+def _draw_both(states, bras, index, u, which):
+    """(table draw, measure_projective on the gathered columns)."""
+    return (measure_table(states, index, bras, u, which),
+            measure_projective(states[:, index], bras, u, which))
+
+
+def test_born_pairs_cover_qubits_qutrits_and_both_basis_counts():
+    kinds = {(states.shape[0], bras.ndim) for states, bras in BORN_PAIRS}
+    assert kinds == {(2, 2), (2, 3), (3, 2), (3, 3)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 600), st.integers(0, 2 ** 32 - 1))
+def test_born_table_draws_equal_measure_projective(n, seed):
+    """For every pair the hooks make, a draw from the table equals
+    measure_projective on the same columns, outcome for outcome."""
+    r = np.random.default_rng(seed)
+    for states, bras in BORN_PAIRS:
+        index = r.integers(states.shape[1], size=n)
+        which = None if bras.ndim == 2 else r.integers(len(bras), size=n)
+        table, direct = _draw_both(states, bras, index, r.random(n), which)
+        assert np.array_equal(table, direct)
+
+
+def test_born_table_draws_agree_at_every_cdf_step():
+    """Uniforms on and next to each cumulative step of every column: a table
+    whose probabilities differed from measure_projective's in the last bit
+    would draw another outcome at one of them."""
+    for states, bras in BORN_PAIRS:
+        table, bases = born_table(states, bras)
+        step = (table[:-1] / table[-1]).T.ravel()  # each column's steps in turn
+        u = np.concatenate([np.nextafter(step, 0.0), step, np.nextafter(step, 1.0)])
+        u = np.clip(u, 0.0, np.nextafter(1.0, 0.0))
+        col = np.tile(np.repeat(np.arange(table.shape[1]), len(table) - 1), 3)
+        index, which = np.divmod(col, bases)
+        table, direct = _draw_both(states, bras, index, u,
+                                   None if bras.ndim == 2 else which)
+        assert np.array_equal(table, direct)
+
+
+def test_born_table_rejects_what_measure_projective_rejects(rng):
+    """An unnormalized state, a basis index outside the stack and a state
+    index past the table raise as before, through measure_delivery too;
+    none of them is read as another basis's column."""
+    bras = basis_pair(StateFamily(Family.BB84))
+    states = bras.conj().reshape(-1, 2).T  # column 2a + x is |a, x>
+    n = 50
+    u, index, which = rng(n), randint(4, rng(n)), bit(rng(n))
+    unnormalized = states.copy()
+    unnormalized[:, 3] *= 1.01
+    index[0] = 3
+    cases = [(ValueError, unnormalized, index, which)]
+    for bad in (2, -1):  # 2 * 0 + 2 would be column 1 in basis 0
+        outside = which.copy()
+        outside[7] = bad
+        cases.append((ValueError, states, index, outside))
+    past = index.copy()
+    past[7] = 4
+    cases.append((IndexError, states, past, which))
+    for error, table, idx, wh in cases:
+        with pytest.raises(error):
+            measure_projective(table[:, idx], bras, u, wh)
+        with pytest.raises(error):
+            measure_table(table, idx, bras, u, wh)
+        with pytest.raises(error):
+            measure_delivery(SingleState(table, idx), np.ones(n, bool), bras, u, wh)
+    with pytest.raises(ValueError):  # a stack needs a basis per state
+        measure_table(states, index, bras, u)
+
+
+def test_born_tables_are_shared_by_content_and_bounded():
+    """Equal arrays, a view of a stack included, share one table, and an
+    alpha2 sweep over 300 families keeps at most BORN_TABLES of them."""
+    family = StateFamily(Family.LOSS_TOLERANT, 0.9)
+    states, bras = HonestAlice(family).states, basis_pair(family)
+    first = born_table(states, bras[0])
+    assert born_table(states.copy(), bras[0].copy()) is first
+    for alpha2 in np.linspace(0.51, 0.99, 300):
+        family = StateFamily(Family.LOSS_TOLERANT, float(alpha2))
+        born_table(HonestAlice(family).states, basis_pair(family))
+    info = quantum._born_table.cache_info()
+    assert info.maxsize == BORN_TABLES
+    assert info.currsize == BORN_TABLES
