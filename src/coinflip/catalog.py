@@ -74,13 +74,14 @@ class StateLabel:
 
 
 _SQ2 = 1.0 / math.sqrt(2.0)
+FAMILIES = 64  # families each cache holds (an alpha2 grid); least recent goes first
 
 
 def _alpha_beta(family: StateFamily) -> tuple[float, float]:
     return math.sqrt(family.alpha2), math.sqrt(1.0 - family.alpha2)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=6 * FAMILIES)  # two bases, up to three values of x
 def state(family: StateFamily, label: StateLabel) -> QuantumState:
     """The family's state |a, x>."""
     a, x = label.a, label.x
@@ -112,7 +113,7 @@ def state(family: StateFamily, label: StateLabel) -> QuantumState:
     return QuantumState(vecs[(a, x)])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2 * FAMILIES)
 def basis(family: StateFamily, a: int) -> ProjectiveMeasurement:
     """The honest measurement basis for basis bit ``a``.
 
@@ -131,7 +132,7 @@ def basis(family: StateFamily, a: int) -> ProjectiveMeasurement:
         tuple(state(family, StateLabel(a, x)) for x in family.x_values))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=FAMILIES)
 def basis_pair(family: StateFamily) -> np.ndarray:
     """The bras of both honest bases, stacked (2, dim, dim): entry a
     measures in basis(family, a), and its row x is <a, x|."""
@@ -167,7 +168,7 @@ def honest_ensemble(family: StateFamily, commit: int) -> list[tuple[float, Quant
     ]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2 * FAMILIES)
 def committed_density(family: StateFamily, commit: int) -> DensityMatrix:
     """The diagonal mixed state signalling the committed value."""
     if commit not in (0, 1):

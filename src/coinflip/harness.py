@@ -1,21 +1,25 @@
 """Monte Carlo harness: seeded experiments, bias estimates, check matrix.
 
 build_hooks builds both players of an experiment from strategies.REGISTRY,
-honest ones included, once per experiment. Trials run in fixed chunks of
-CHUNK, and chunk k runs on the uniforms of ChunkStream(seed, k): the batch
-engine (protocols.run_chunk) runs its pending trials in steps, step s
-reading the block at jump (k << 32) | s (see rng) with one row per
-(pending trial, attempt) and one column per draw site. An attempt is one
-round, or, for a Bob who declares restarts_on_loss, a run of K lost rounds
-drawn as one count and the round that arrives, charged K + 1 rounds (and
-K + 1 rows in a transcript). Every site runs on every attempt; hooks take
-arrays and return arrays, one entry per (trial, attempt) pair, read only
-their own columns and keep no state across rounds. Every hook writes its
-per-step state before it reads it, so all chunks can share one set of
-hooks. How many attempts a step runs depends only on s and max_restarts,
-never on how many trials are pending, so counts are a pure
-function of (seed, trials): bit-identical on re-run, a run of n trials is
-the prefix of any longer run, and each chunk can be computed on its own.
+honest ones included, once per experiment. Trials run in chunks of CHUNK,
+and chunk k runs on its own uniforms: step s of the batch engine
+(protocols.run_chunk) reads the block at jump (k << 32) | s of the seed's
+one shared generator (see rng), with one row per (pending trial, attempt)
+and one column per draw site. run_experiment hands the engine a group of
+consecutive chunks per call, up to GROUP_ROWS rows in its first step (one
+per trial), and at each step the engine draws every chunk's own block,
+concatenates them in chunk order and runs the hooks once on all of them.
+An attempt is one round, or, for a Bob who declares restarts_on_loss, a run
+of K lost rounds drawn as one count and the round that arrives, charged
+K + 1 rounds (and K + 1 rows in a transcript). Every site runs on every
+attempt; hooks take arrays and return arrays, one entry per (trial,
+attempt) pair, read only their own columns and keep no state across rounds.
+Every hook writes its per-step state before it reads it, so all groups can
+share one set of hooks. How many attempts a step runs depends only on s and
+max_restarts, never on how many trials are pending, and a trial's rows only
+on its chunk, so counts are a pure function of (seed, trials), whatever the
+group size: bit-identical on re-run, a run of n trials is the prefix of any
+longer run, and each chunk can be computed on its own.
 """
 from __future__ import annotations
 
@@ -31,10 +35,11 @@ from .errors import IncompatibleProtocol, OutOfRange, RestartBudgetExceeded
 from .protocols import (MEASURE, ON_FAITH, STORE, Decision, ProtocolId,
                         VariantFlags, check_flags, default_flags, family_for,
                         run_chunk)
-from .rng import ChunkStream
+from .rng import CHUNK, ChunkStream
 from .strategies import HONEST, REGISTRY, Side, lookup
 
-CHUNK = 1024  # trials per random stream
+# trials per engine call, the rows of its first step: whole chunks
+GROUP_ROWS = 8 * CHUNK
 _REFERENCE = dict(reference_table())  # label -> closed-form value
 
 VARIANT_NAMES = {
@@ -146,17 +151,17 @@ def run_experiment(cfg: ExperimentConfig,
     Success means the run was accepted and produced cfg.target; aborts count
     against the cheater. Trials that blow the per-run restart limit are
     counted in limit_hits and tolerated up to 0.1% of the total; past that
-    the experiment fails with RestartBudgetExceeded as soon as a chunk
-    shows it.
+    the experiment fails with RestartBudgetExceeded as soon as a group of
+    chunks shows it.
     """
     alice, bob = build_hooks(cfg)
     ch = ChannelParams(cfg.eta)
     successes = aborts = restart_total = limit_hits = 0
-    for start in range(0, cfg.trials, CHUNK):
+    for start in range(0, cfg.trials, GROUP_ROWS):
         verdict, coin, restarts = run_chunk(
             cfg.protocol, alice, bob, ch, cfg.max_restarts,
-            ChunkStream(cfg.seed, start // CHUNK), min(CHUNK, cfg.trials - start),
-            transcript_sink)
+            ChunkStream(cfg.seed, start // CHUNK),
+            min(GROUP_ROWS, cfg.trials - start), transcript_sink)
         finished = verdict != Decision.REQUEST_RESTART
         limit_hits += len(verdict) - int(np.count_nonzero(finished))
         if limit_hits > 0.001 * cfg.trials:

@@ -23,11 +23,12 @@ behavior is injected through hooks so cheating strategies can replace any
 step; the engine only moves messages, applies channel loss, enforces the
 restart bound and records transcripts.
 
-The engine (run_chunk) runs every round of a step as one flat batch of
-(trial, round) pairs, so hooks take and return arrays with one entry per
-round. u holds the uniforms of the hook's own draw site (see rng), one entry
-per round of the batch: prepare gets u[0] and u[1], receive u[0] to u[3],
-and choose_b, reveal and verify one column each.
+The engine (run_chunk) runs every round of a step, over all the chunks of
+one call, as one flat batch of (trial, round) pairs, so hooks take and
+return arrays with one entry per round. u holds the uniforms of the hook's
+own draw site (see rng), one entry per round of the batch: prepare gets
+u[0] and u[1], receive u[0] to u[3], and choose_b, reveal and verify one
+column each.
 
   Alice: prepare(u) -> emission batch; reveal(b, u) -> (a, x)
   Bob:   receive(delivery, delivered, u) -> restart mask;
@@ -60,7 +61,7 @@ is one round and channel.transmit draws whether it arrives.
 For transcripts Bob exposes last_basis (an index into his basis_tags, -1 for
 none) and last_outcome (the index of his measurement outcome, -1 for none),
 per round or as one value for all; both are read once verify has run. Each
-step logs the attempts its trials keep as arrays, and the chunk's
+step logs the attempts its trials keep as arrays, and the call's
 transcripts are built from that log in one pass at its end; an attempt
 after K lost rounds expands to K lost rows before its own, each not
 delivered, with no basis or outcome and a restart requested. The engine
@@ -340,20 +341,23 @@ class HonestBob:
 def run_chunk(protocol: ProtocolId, alice, bob, ch: ChannelParams,
               max_restarts: int, stream: ChunkStream, trials: int,
               sink=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Run `trials` independent protocol runs on the uniforms of one chunk.
+    """Run `trials` independent protocol runs on the uniforms of `stream`:
+    one chunk, or several consecutive ones run as one batch.
 
     Step s runs the next min(2**s, DEPTH) attempts of every trial still
-    pending (never more than max_restarts + 1 attempts in all) on the block
-    stream.block(s, (pending, depth, SLOTS)). An attempt costs one round, or
-    K + 1 under channel.lost_rounds (see above), and each trial keeps its
-    first attempt that does not end in a restart if its rounds up to it
-    number at most max_restarts + 1. Returns, per trial, the Decision of that
-    attempt (REQUEST_RESTART for a trial over the limit), the coin it
-    produced and the restarts before it. With a sink, each step logs its
-    trials' attempts up to the kept one as arrays; at the end the log is
-    sorted by trial, the trials over the limit are dropped, each attempt
-    expands to its lost rows and its own, and each other trial's Transcript
-    goes to the sink, in trial order.
+    pending (never more than max_restarts + 1 attempts in all) on the rows
+    stream.rows(s, pending, depth): each chunk's own block for its pending
+    trials, so the counts do not depend on how many chunks one call runs,
+    and every hook runs once per step on the rows of all of them. An
+    attempt costs one round, or K + 1 under channel.lost_rounds (see
+    above), and each trial keeps its first attempt that does not end in a
+    restart if its rounds up to it number at most max_restarts + 1.
+    Returns, per trial, the Decision of that attempt (REQUEST_RESTART for a
+    trial over the limit), the coin it produced and the restarts before it.
+    With a sink, each step logs its trials' attempts up to the kept one as
+    arrays; at the end the log is sorted by trial, the trials over the limit
+    are dropped, each attempt expands to its lost rows and its own, and each
+    other trial's Transcript goes to the sink, in trial order.
     """
     coin_from_x = PROTOCOLS[protocol].coin_from_x
     geometric = bob.restarts_on_loss and ch.eta < 1.0
@@ -370,7 +374,7 @@ def run_chunk(protocol: ProtocolId, alice, bob, ch: ChannelParams,
     while pending.size and attempts < cap:
         depth = min(1 << step, DEPTH, cap - attempts)
         # u[c] is column c of the block: one uniform per (trial, attempt)
-        u = stream.block(step, (pending.size, depth, SLOTS)).reshape(-1, SLOTS).T
+        u = stream.rows(step, pending, depth).reshape(-1, SLOTS).T
         emission = alice.prepare(u[PREPARE])
         if geometric and emission.photon_count:  # vacuum never arrives
             lost = lost_rounds(ch, u[TRANSMIT], cap)

@@ -1,8 +1,8 @@
 """Seeded uniforms for the batch engine, one block per step, and the draws
 made from them.
 
-There is no hidden global randomness: every draw reads uniforms from a
-ChunkStream. Trials run in chunks, and the trials of a chunk that are still
+There is no hidden global randomness: every draw reads uniforms from block.
+Trials run in chunks of CHUNK, and the trials of a chunk that are still
 pending run their next attempts together in steps. Step s of chunk k reads one
 block of uniforms from the start of PCG64DXSM(seed).jumped((k << 32) | s)
 (O'Neill, "PCG: A Family of Simple Fast Space-Efficient Statistically Good
@@ -11,6 +11,18 @@ DXSM output). Jump j advances by j times the golden-ratio share of 2**128,
 which spreads the blocks over the period where power-of-two offsets would
 leave their states agreeing in their low bits, so blocks never overlap and
 each is reproducible on its own, in any order.
+
+A process seeds one bit generator per seed, kept in a bounded cache of
+SEEDS, and shares it between every chunk, config and grid point run with
+that seed. block restores its seeded state, advances it by
+((k << 32) | s) times the jump and draws, all three under one module lock,
+so two threads never interleave a restore and a draw; the uniforms are
+those jumped() gives, at a fraction of the cost of a new generator.
+
+A ChunkStream is the run of chunks one engine call runs together, from a
+first chunk on. Its rows for a step are each chunk's own block, drawn for
+that chunk's pending trials and concatenated in chunk order, so the rows of
+a trial do not depend on which chunks share its engine call.
 
 A block has shape (pending trials, attempts, SLOTS): one row of SLOTS
 uniforms per (trial, attempt) pair. An attempt is one round, or, for a Bob
@@ -32,6 +44,9 @@ once and only inverse_cdf per draw.
 """
 from __future__ import annotations
 
+import threading
+from functools import lru_cache
+
 import numpy as np
 
 from .errors import ProbabilityMismatch
@@ -50,25 +65,45 @@ REVEAL = 8
 VERIFY = 9
 SLOTS = 10
 
+CHUNK = 1024  # trials per chunk, each on its own blocks
+SEEDS = 8  # seeded generators kept; the least recently used goes first
+_LOCK = threading.Lock()  # held from restoring a seeded state to the draw
+
+
+@lru_cache(maxsize=SEEDS)
+def _seeded(seed: int) -> tuple:
+    bits = np.random.PCG64DXSM(seed)
+    return bits, np.random.Generator(bits), bits.state
+
+
+def block(seed: int, chunk: int, step: int, shape) -> np.ndarray:
+    """Uniforms in [0, 1) of the given shape for step `step` of chunk
+    `chunk`: the start of PCG64DXSM(seed).jumped((chunk << 32) | step), for
+    steps below 2**32."""
+    bits, gen, state = _seeded(seed)
+    with _LOCK:
+        bits.state = state
+        bits.advance(((chunk << 32) | step) * _JUMP % _PERIOD)
+        return gen.random(shape)
+
 
 class ChunkStream:
-    """The uniforms of one chunk: block(s, shape) is the start of the stream
-    PCG64DXSM(seed).jumped((chunk << 32) | s), for steps s < 2**32. The
-    stream owns one bit generator, restores its seeded state and advances it
-    for each step, which gives the same uniforms as jumped() at a fraction
-    of the cost of building a new generator."""
+    """The uniforms of consecutive chunks of one seed, from chunk `chunk`
+    on: trial i of the stream is trial i % CHUNK of chunk chunk + i // CHUNK."""
 
     def __init__(self, seed: int, chunk: int = 0):
-        self._bits = np.random.PCG64DXSM(seed)
-        self._gen = np.random.Generator(self._bits)
-        self._state = self._bits.state
-        self._chunk = chunk << 32
+        self.seed = seed
+        self.chunk = chunk
 
-    def block(self, step: int, shape) -> np.ndarray:
-        """Uniforms in [0, 1) of the given shape for step `step`."""
-        self._bits.state = self._state
-        self._bits.advance((self._chunk | step) * _JUMP % _PERIOD)
-        return self._gen.random(shape)
+    def rows(self, step: int, pending: np.ndarray, depth: int) -> np.ndarray:
+        """Step `step` for the trials `pending` (ascending), depth attempts
+        each: every chunk's block (its pending trials, depth, SLOTS), in
+        chunk order, as one (pending, depth, SLOTS) array."""
+        if pending[-1] < CHUNK:  # one chunk, nothing to concatenate
+            return block(self.seed, self.chunk, step, (pending.size, depth, SLOTS))
+        return np.concatenate([
+            block(self.seed, self.chunk + k, step, (n, depth, SLOTS))
+            for k, n in enumerate(np.bincount(pending // CHUNK).tolist()) if n])
 
 
 def bit(u: np.ndarray) -> np.ndarray:

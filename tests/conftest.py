@@ -7,7 +7,7 @@ import pytest
 from coinflip.errors import IncompatibleProtocol, OutOfRange
 from coinflip.harness import VARIANT_NAMES, ExperimentConfig
 from coinflip.protocols import ProtocolId
-from coinflip.rng import ChunkStream
+from coinflip.rng import block
 from coinflip.strategies import ALICE_STRATEGIES, BOB_STRATEGIES
 
 
@@ -24,15 +24,15 @@ def pytest_terminal_summary(terminalreporter):
 
 class Uniforms:
     """Fresh uniforms on demand: rng(*shape) returns the next step's block
-    of one chunk stream, so no two calls share a value."""
+    of chunk 0 of one seed, so no two calls share a value."""
 
     def __init__(self, seed: int):
-        self.stream = ChunkStream(seed)
+        self.seed = seed
         self.step = 0
 
     def __call__(self, *shape):
         self.step += 1
-        return self.stream.block(self.step - 1, shape)
+        return block(self.seed, 0, self.step - 1, shape)
 
 
 @pytest.fixture

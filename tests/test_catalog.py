@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from coinflip.catalog import (Family, StateFamily, StateLabel, basis,
-                              committed_density, computational_basis,
-                              honest_ensemble, state)
+from coinflip import catalog
+from coinflip.catalog import (FAMILIES, Family, StateFamily, StateLabel, basis,
+                              basis_pair, committed_density,
+                              computational_basis, honest_ensemble, state)
 from coinflip.errors import InvalidLabel, OutOfRange
 from coinflip.quantum import mix, trace_distance
 
@@ -191,3 +192,31 @@ def test_committed_densities_are_diagonal():
         for commit in (0, 1):
             m = committed_density(fam, commit).entries
             assert np.allclose(m, np.diag(np.diag(m)), atol=1e-12)
+
+
+def _build(family: StateFamily) -> None:
+    """What building a family's hooks and oracles asks of the catalog."""
+    for a in (0, 1):
+        basis(family, a)  # and its states
+        committed_density(family, a)
+    basis_pair(family)
+
+
+def test_family_caches_hold_one_grid_and_stay_bounded():
+    """A FAMILIES-point alpha2 grid fits every family cache, so a second
+    pass over it builds nothing; a 300-family sweep keeps the bounds."""
+    caches = (catalog.state, catalog.basis, catalog.basis_pair,
+              catalog.committed_density)
+    grid = [lt(float(a2)) for a2 in np.linspace(0.51, 0.99, FAMILIES)]
+    for family in grid:
+        _build(family)
+    misses = [cache.cache_info().misses for cache in caches]
+    for family in grid:
+        _build(family)
+    assert [cache.cache_info().misses for cache in caches] == misses
+    for a2 in np.linspace(0.501, 0.999, 300):
+        _build(lt(float(a2)))
+    sizes = [(cache.cache_info().maxsize, cache.cache_info().currsize)
+             for cache in caches]
+    bounds = (6 * FAMILIES, 2 * FAMILIES, FAMILIES, 2 * FAMILIES)
+    assert sizes == [(bound, bound) for bound in bounds]

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from coinflip.cli import _config_from_args, build_parser
+from coinflip.cli import _config_from_args, build_parser, cli_main
 from coinflip.harness import ExperimentConfig, evaluate_matrix
 
 CLI = [sys.executable, "-m", "coinflip"]
@@ -108,6 +108,28 @@ def test_usage_errors_exit_1():
                    "--protocol", "bb84").returncode == 1
     assert run_cli("run", "--protocol", "ambainis_variant",
                    "--bob", "ambainis_conclusive", "--trials", "10").returncode == 1
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_one_process_answers_each_call_as_a_fresh_process(capsys):
+    """Calls that share the one parser, a usage error among them, each give
+    the exit code, output and error output of their own process."""
+    calls = [("table", "--trials", "40", "--format", "csv"),
+             ("run", "--protocol", "nonsense"),
+             ("run", "--trials", "500", "--seed", "3"),
+             ("table", "--trials", "40")]
+    codes = []
+    for args in calls:
+        out = io.StringIO()
+        codes.append(cli_main(list(args), out=out))
+        # as bytes, as csv ends its rows in \r\n
+        fresh = subprocess.run(CLI + list(args), capture_output=True)
+        assert (codes[-1], out.getvalue(), capsys.readouterr().err) == (
+            fresh.returncode, fresh.stdout.decode(), fresh.stderr.decode()), args
+    assert codes == [0, 1, 0, 0]
 
 
 def test_run_defaults_are_the_config_defaults():

@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from coinflip import harness
 from coinflip.analytics import reference_table
 from coinflip.errors import IncompatibleProtocol, OutOfRange, RestartBudgetExceeded
 from coinflip.channel import ChannelParams
@@ -272,7 +273,7 @@ def _sigma(metric: str, expected: float, n: int) -> float:
     raise KeyError(metric)
 
 
-def test_matrix_counts_are_pinned():
+def _matrix_counts() -> dict:
     labels = {}
     for row in check_matrix(2000, 7):
         labels.setdefault(row.cfg, row.label)
@@ -280,7 +281,11 @@ def test_matrix_counts_are_pinned():
     for cfg, label in labels.items():
         est = run_experiment(cfg)
         counts[label] = (est.successes, est.aborts, est.restart_total)
-    assert counts == GOLDEN_COUNTS
+    return counts
+
+
+def test_matrix_counts_are_pinned():
+    assert _matrix_counts() == GOLDEN_COUNTS
 
 
 def test_pinned_counts_meet_their_matrix_rows():
@@ -364,3 +369,82 @@ def test_hooks_built_once_count_as_fresh_hooks_per_chunk(cfg):
                 for start in range(0, cfg.trials, CHUNK))
     assert fresh.tolist() == [est.successes, est.aborts, est.restart_total,
                               est.limit_hits]
+
+
+# chunks per engine call: one, two, seven, and every chunk in one call
+GROUPS = {"1": 1, "2": 2, "7": 7, "all": 1 << 20}
+MANY_CHUNKS = 9 * CHUNK + 300  # ten chunks, the last one partial
+
+
+@pytest.fixture(params=GROUPS.values(), ids=GROUPS.keys())
+def engine_calls(request, monkeypatch):
+    """Sets the chunks per engine call and records, per call, its trials
+    over the restart limit."""
+    monkeypatch.setattr(harness, "GROUP_ROWS", request.param * CHUNK)
+    hits = []
+
+    def counted(*args, **kw):
+        verdict, coin, restarts = run_chunk(*args, **kw)
+        hits.append(int(np.count_nonzero(verdict == Decision.REQUEST_RESTART)))
+        return verdict, coin, restarts
+
+    monkeypatch.setattr(harness, "run_chunk", counted)
+    return request.param, hits
+
+
+def test_matrix_counts_are_pinned_for_every_group(engine_calls):
+    assert _matrix_counts() == GOLDEN_COUNTS
+
+
+# Runs over MANY_CHUNKS trials, whose counts and transcript bytes every group
+# size must give exactly. limit_hits: honest trials at eta = 0.5 past 10
+# restarts (2**-11 each) on the geometric loss rule; restart abuse restarts
+# from verify on the Bernoulli rule, and the two-photon apparatus from
+# receive.
+GROUPED_RUNS = {
+    "limit_hits": dict(eta=0.5, max_restarts=10),
+    "restart_abuse": dict(protocol=ProtocolId.AMBAINIS_CF_VARIANT,
+                          bob="ambainis_restart_abuse", target=1, eta=0.5),
+    "twophoton_apparatus": dict(alice="honest_pulse", photon_count=2, eta=0.5,
+                                bob="twophoton_honest_apparatus", target=1),
+}
+
+
+def test_group_size_changes_no_count_or_transcript_byte(monkeypatch):
+    runs = {}
+    for chunks in GROUPS.values():
+        monkeypatch.setattr(harness, "GROUP_ROWS", chunks * CHUNK)
+        for label, kw in GROUPED_RUNS.items():
+            digest = hashlib.sha256()
+            est = run_experiment(
+                ExperimentConfig(trials=MANY_CHUNKS, seed=2025, **kw),
+                transcript_sink=lambda t: digest.update(
+                    (json.dumps(t.to_dict()) + "\n").encode()))
+            runs.setdefault(label, []).append((est, digest.hexdigest()))
+    for label, results in runs.items():
+        assert results == results[:1] * len(GROUPS), label
+    assert runs["limit_hits"][0][0].limit_hits > 0
+
+
+def test_limit_hits_fall_in_several_engine_calls(engine_calls):
+    chunks, hits = engine_calls
+    est = run_experiment(ExperimentConfig(trials=MANY_CHUNKS, seed=2025,
+                                          **GROUPED_RUNS["limit_hits"]))
+    assert len(hits) == -(-10 // chunks)  # engine calls over ten chunks
+    assert sum(hits) == est.limit_hits
+    if len(hits) > 1:
+        assert sum(h > 0 for h in hits) > 1
+
+
+def test_restart_budget_fails_after_the_first_group_over_it(engine_calls):
+    """Honest trials at eta = 0.5 pass 7 restarts with probability 2**-8,
+    about four per chunk against a budget of 0.1% of all trials (9.5): the run
+    fails right after the first engine call that takes the tally over."""
+    chunks, hits = engine_calls
+    cfg = ExperimentConfig(trials=MANY_CHUNKS, seed=2025, eta=0.5, max_restarts=7)
+    with pytest.raises(RestartBudgetExceeded):
+        run_experiment(cfg)
+    tally = np.cumsum(hits)
+    assert tally[-1] > 0.001 * cfg.trials >= tally[:-1].max(initial=0)
+    if chunks == 1:
+        assert len(hits) > 1

@@ -1,15 +1,17 @@
 """Random streams: draw frequencies, choice validation, the step layout and
 the per-chunk determinism of experiments."""
+import sys
+import threading
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from coinflip import harness
+from coinflip import rng as rng_module
 from coinflip.errors import ProbabilityMismatch
 from coinflip.harness import CHUNK, ExperimentConfig, run_experiment
 from coinflip.protocols import DEPTH, ProtocolId
-from coinflip.rng import (SLOTS, ChunkStream, bernoulli, bit, choice, randint,
+from coinflip.rng import (SEEDS, SLOTS, bernoulli, bit, block, choice, randint,
                           sign)
 
 from conftest import assert_close_5sigma
@@ -79,9 +81,9 @@ def test_choice_checks_every_row(rng):
 
 
 def test_same_key_same_draws():
-    a, b = ChunkStream(99, 3), ChunkStream(99, 3)
-    a.block(7, (50,))  # an earlier step does not shift a later one
-    assert np.array_equal(a.block(2, (1000,)), b.block(2, (1000,)))
+    first = block(99, 3, 2, (1000,))
+    block(99, 3, 7, (50,))  # another step does not shift this one
+    assert np.array_equal(block(99, 3, 2, (1000,)), first)
 
 
 def test_every_draw_consumes_one_uniform(rng):
@@ -99,15 +101,15 @@ def test_chunks_share_no_value():
     """Chunk k starts its steps (k << 32) jumps into the seed's stream, so
     the first draws of neighbouring chunks are disjoint."""
     n = 4096
-    first = set(ChunkStream(12345, 0).block(0, (n,)).tolist())
-    second = set(ChunkStream(12345, 1).block(0, (n,)).tolist())
+    first = set(block(12345, 0, 0, (n,)).tolist())
+    second = set(block(12345, 1, 0, (n,)).tolist())
     assert len(first) == len(second) == n
     assert first.isdisjoint(second)
 
 
 def test_seeds_give_distinct_streams():
-    a = ChunkStream(1).block(0, (1000,)).tolist()
-    b = ChunkStream(2).block(0, (1000,)).tolist()
+    a = block(1, 0, 0, (1000,)).tolist()
+    b = block(2, 0, 0, (1000,)).tolist()
     assert set(a).isdisjoint(b)
 
 
@@ -117,13 +119,63 @@ def reference_block(seed, k, s, shape):
         np.random.PCG64DXSM(seed).jumped((k << 32) | s)).random(shape)
 
 
+def test_interleaved_seeds_and_chunks_give_the_reference_blocks():
+    """One generator per seed serves every chunk and step: blocks of two
+    seeds and several chunks, drawn in turn, are the jumped streams."""
+    shape = (3, 2, SLOTS)
+    for step in range(3):
+        for chunk in (0, 5, 2):
+            for seed in (11, 2 ** 64 - 1):
+                assert np.array_equal(block(seed, chunk, step, shape),
+                                      reference_block(seed, chunk, step, shape))
+
+
+def test_more_seeds_than_the_cache_holds_give_the_reference_blocks():
+    seeds = range(100, 100 + 3 * SEEDS)
+    for _ in range(2):  # the second pass finds none of the early seeds cached
+        for seed in seeds:
+            assert np.array_equal(block(seed, 1, 2, (16,)),
+                                  reference_block(seed, 1, 2, (16,)))
+    info = rng_module._seeded.cache_info()
+    assert info.maxsize == SEEDS
+    assert info.currsize == SEEDS
+
+
+def test_two_threads_drawing_one_seed_get_the_reference_blocks():
+    """The restore, the advance and the draw of a block are one step under
+    the module lock, so two threads sharing a seed's generator never draw
+    from a state the other one positioned."""
+    keys = [(chunk, step) for chunk in range(4) for step in range(30)]
+    shape = (20_000,)  # long draws, which release the GIL
+    wrong = {}
+    start = threading.Barrier(2, timeout=60)
+
+    def draw(name, order):
+        start.wait()
+        wrong[name] = [key for key in order if not np.array_equal(
+            block(4242, *key, shape), reference_block(4242, *key, shape))]
+
+    threads = [threading.Thread(target=draw, args=("forward", keys)),
+               threading.Thread(target=draw, args=("backward", keys[::-1]))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == {"forward": [], "backward": []}
+
+
 def test_steps_share_no_value():
     """Consecutive steps of one chunk, and the same step of neighbouring
     chunks, draw disjoint uniforms."""
     n = 4096
-    stream = ChunkStream(12345, 5)
-    blocks = [set(stream.block(s, (n,)).tolist()) for s in (0, 1, 2)]
-    blocks += [set(ChunkStream(12345, k).block(1, (n,)).tolist()) for k in (4, 6)]
+    blocks = [set(block(12345, 5, s, (n,)).tolist()) for s in (0, 1, 2)]
+    blocks += [set(block(12345, k, 1, (n,)).tolist()) for k in (4, 6)]
     assert all(len(b) == n for b in blocks)
     for i, first in enumerate(blocks):
         for second in blocks[i + 1:]:
@@ -135,25 +187,20 @@ def test_step_layout_is_pinned(monkeypatch):
     one row of SLOTS uniforms per (pending trial, attempt), and step s runs
     min(2**s, DEPTH) attempts whatever the number of pending trials."""
 
-    stream = ChunkStream(2024, 3)
-    stream.block(0, (5, 1, SLOTS))
-    assert np.array_equal(stream.block(6, (7, 4, SLOTS)),
+    block(2024, 3, 0, (5, 1, SLOTS))
+    assert np.array_equal(block(2024, 3, 6, (7, 4, SLOTS)),
                           reference_block(2024, 3, 6, (7, 4, SLOTS)))
 
     calls = []
+    drawn = rng_module.block
 
-    class Recording(ChunkStream):
-        def __init__(self, seed, chunk=0):
-            super().__init__(seed, chunk)
-            self.key = (seed, chunk)
+    def recording(seed, chunk, step, shape):
+        out = drawn(seed, chunk, step, shape)
+        calls.append((seed, chunk, step, shape))
+        assert np.array_equal(out, reference_block(seed, chunk, step, shape))
+        return out
 
-        def block(self, step, shape):
-            out = super().block(step, shape)
-            calls.append((*self.key, step, shape))
-            assert np.array_equal(out, reference_block(*self.key, step, shape))
-            return out
-
-    monkeypatch.setattr(harness, "ChunkStream", Recording)
+    monkeypatch.setattr(rng_module, "block", recording)
     # a Bob who does not restart on every loss draws loss round by round, and
     # his false claims keep trials pending until a step reaches DEPTH
     run_experiment(ExperimentConfig(protocol=ProtocolId.AMBAINIS_CF_VARIANT,
