@@ -13,9 +13,8 @@ from .harness import (BiasEstimate, ExperimentConfig, run_experiment,
 from .protocols import (LossPolicy, ProtocolId, Transcript, VariantFlags,
                         Verdict, default_flags, run_chunk)
 from .quantum import (DensityMatrix, Povm, ProjectiveMeasurement, QuantumState,
-                      density_of, helstrom_success, measure_povm,
-                      measure_projective, mix, normalize, steer_epr,
-                      trace_distance)
+                      density_of, helstrom_success, measure_projective, mix,
+                      normalize, steer_epr, trace_distance)
 from .rng import ChunkStream
 from .strategies import Side
 

@@ -50,8 +50,10 @@ def lost_rounds(ch: ChannelParams, u: np.ndarray, cap: int) -> np.ndarray:
     """How many rounds are lost before each attempt of a batch arrives, one
     count per uniform in u, clamped at cap: a Geometric(eta) count by
     inversion, K = floor(log(1 - u) / log(1 - eta)) (Devroye, Non-Uniform
-    Random Variate Generation, 1986, X.2), so P(K >= k) = (1 - eta)**k.
-    Only for signals that can arrive (photon_count > 0) and eta < 1."""
+    Random Variate Generation, 1986, X.2), so P(K >= k) = (1 - eta)**k;
+    every count is 0 at eta = 1. Only for signals that can arrive
+    (photon_count > 0)."""
+    log_loss = math.log1p(-ch.eta) if ch.eta < 1.0 else -math.inf
     with np.errstate(over="ignore"):  # inf at eta near the smallest float
-        k = np.log1p(-u) / math.log1p(-ch.eta)
+        k = np.log1p(-u) / log_loss
     return np.minimum(k, cap).astype(np.int64)

@@ -6,9 +6,10 @@ and chunk k runs on its own uniforms: step s of the batch engine
 (protocols.run_chunk) reads the block at jump (k << 32) | s of the seed's
 one shared generator (see rng), with one row per (pending trial, attempt)
 and one column per draw site. run_experiment hands the engine a group of
-consecutive chunks per call, up to GROUP_ROWS rows in its first step (one
-per trial), and at each step the engine draws every chunk's own block,
-concatenates them in chunk order and runs the hooks once on all of them.
+consecutive chunks per call: one chunk in the first call, then up to
+GROUP_ROWS rows in the first step of each call (one per trial). At each
+step the engine draws every chunk's own block, concatenates them in chunk
+order and runs the hooks once on all of them.
 An attempt is one round, or, for a Bob who declares restarts_on_loss, a run
 of K lost rounds drawn as one count and the round that arrives, charged
 K + 1 rounds (and K + 1 rows in a transcript). Every site runs on every
@@ -23,6 +24,7 @@ longer run, and each chunk can be computed on its own.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -38,7 +40,8 @@ from .protocols import (MEASURE, ON_FAITH, STORE, Decision, ProtocolId,
 from .rng import CHUNK, ChunkStream
 from .strategies import HONEST, REGISTRY, Side, lookup
 
-# trials per engine call, the rows of its first step: whole chunks
+# trials per engine call after the first (one chunk), the rows of its first
+# step: whole chunks
 GROUP_ROWS = 8 * CHUNK
 _REFERENCE = dict(reference_table())  # label -> closed-form value
 
@@ -140,7 +143,7 @@ def build_hooks(cfg: ExperimentConfig) -> tuple:
     """The (alice, bob) hooks of one experiment, shared by all its chunks;
     cfg's names were checked at construction."""
     family = family_for(cfg.protocol, cfg.alpha2)
-    return tuple(REGISTRY[side][name].build(cfg, family, cfg.flags)
+    return tuple(REGISTRY[side][name].build(cfg, family)
                  for side, name in ((Side.ALICE, cfg.alice), (Side.BOB, cfg.bob)))
 
 
@@ -151,17 +154,19 @@ def run_experiment(cfg: ExperimentConfig,
     Success means the run was accepted and produced cfg.target; aborts count
     against the cheater. Trials that blow the per-run restart limit are
     counted in limit_hits and tolerated up to 0.1% of the total; past that
-    the experiment fails with RestartBudgetExceeded as soon as a group of
-    chunks shows it.
+    the experiment fails with RestartBudgetExceeded as soon as an engine call
+    shows it. The first call runs one chunk, so a config where no trial
+    finishes fails after one chunk; the later ones run up to GROUP_ROWS
+    trials each.
     """
     alice, bob = build_hooks(cfg)
     ch = ChannelParams(cfg.eta)
     successes = aborts = restart_total = limit_hits = 0
-    for start in range(0, cfg.trials, GROUP_ROWS):
+    bounds = (0, *range(CHUNK, cfg.trials, GROUP_ROWS), cfg.trials)
+    for start, stop in itertools.pairwise(bounds):
         verdict, coin, restarts = run_chunk(
             cfg.protocol, alice, bob, ch, cfg.max_restarts,
-            ChunkStream(cfg.seed, start // CHUNK),
-            min(GROUP_ROWS, cfg.trials - start), transcript_sink)
+            ChunkStream(cfg.seed, start // CHUNK), stop - start, transcript_sink)
         finished = verdict != Decision.REQUEST_RESTART
         limit_hits += len(verdict) - int(np.count_nonzero(finished))
         if limit_hits > 0.001 * cfg.trials:

@@ -275,11 +275,11 @@ class Transcript:
 
 class HonestAlice:
     """Follows the numbered steps: fresh uniform a, family-weighted x.
-    photon_count > 1 sends each state as a multi-photon pulse."""
+    cfg.photon_count > 1 sends each state as a multi-photon pulse."""
 
-    def __init__(self, family: StateFamily, photon_count: int = 1):
+    def __init__(self, cfg, family: StateFamily):
         self.family = family
-        self.photon_count = photon_count
+        self.photon_count = cfg.photon_count
         # column a * dim + x is |a, x>
         self.states = catalog.basis_pair(family).conj().reshape(-1, family.dim).T
         self.x_cdf = cumulative(family.x_weights)  # x_values are 0, 1(, 2)
@@ -295,16 +295,16 @@ class HonestAlice:
 
 
 class HonestBob:
-    """Measures per the variant flags, sends a fresh random b, verifies
-    whenever the declared basis lets him. He restarts on every lost round
-    (restarts_on_loss) unless he believes losses on faith."""
+    """Measures per the variant flags cfg.flags, sends a fresh random b,
+    verifies whenever the declared basis lets him. He restarts on every lost
+    round (restarts_on_loss) unless he believes losses on faith."""
 
     basis_tags = ("0", "1")
 
-    def __init__(self, family: StateFamily, flags: VariantFlags):
-        self.flags = flags
+    def __init__(self, cfg, family: StateFamily):
+        self.flags = cfg.flags
         self.bras = catalog.basis_pair(family)
-        self.restarts_on_loss = flags.loss_policy is LossPolicy.RESTART_ON_LOSS
+        self.restarts_on_loss = self.flags.loss_policy is LossPolicy.RESTART_ON_LOSS
 
     def receive(self, delivery: Emission, delivered: np.ndarray,
                 u: np.ndarray) -> np.ndarray:

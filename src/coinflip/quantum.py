@@ -283,11 +283,6 @@ def _born_table(states_key: tuple, bras_key: tuple) -> tuple[np.ndarray, int]:
     return table, len(stack)
 
 
-def measure_povm(state: DensityMatrix, p: Povm, u: np.ndarray) -> np.ndarray:
-    """One POVM outcome index per uniform, with probability Tr(E_i rho)."""
-    return choice(p.probabilities(state), u)
-
-
 def trace_distance(r0: DensityMatrix, r1: DensityMatrix) -> float:
     """(1/2) Tr|r0 - r1| via eigenvalues of the Hermitian difference."""
     if r0.dim != r1.dim:

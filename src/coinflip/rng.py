@@ -35,12 +35,14 @@ draws never shifts another site's uniforms. Hooks (see protocols) get their
 own columns as arrays, one entry per attempt, and return arrays; they keep
 no state across rounds, so the attempts of a step are independent.
 
-Every draw from a probability vector takes one inverse-CDF path:
-cumulative checks the vectors and gives their cumulative sums, and
-inverse_cdf compares each uniform against them. choice does both per call;
-a caller who draws from fixed distributions again and again (an honest
-Alice's x, a receiver's Born table, see quantum.born_table) runs cumulative
-once and only inverse_cdf per draw.
+Three helpers map uniforms to draws: bit, bernoulli and inverse_cdf (the
+channel's lost_rounds aside, see channel). Every draw from a probability
+vector takes the one inverse-CDF path: cumulative checks the vectors and
+gives their cumulative sums, and inverse_cdf compares each uniform against
+them. choice does both per call; a caller who draws from fixed
+distributions again and again (an honest Alice's x, a uniform index among
+four, a receiver's Born table, see quantum.born_table) runs cumulative once
+and only inverse_cdf per draw.
 """
 from __future__ import annotations
 
@@ -109,16 +111,6 @@ class ChunkStream:
 def bit(u: np.ndarray) -> np.ndarray:
     """Uniform 0 / 1 per uniform."""
     return (u < 0.5).astype(np.intp)
-
-
-def sign(u: np.ndarray) -> np.ndarray:
-    """Uniform +1 / -1 per uniform."""
-    return np.where(u < 0.5, 1, -1)
-
-
-def randint(n: int, u: np.ndarray) -> np.ndarray:
-    """Uniform integer in [0, n) per uniform."""
-    return (u * n).astype(np.intp)
 
 
 def bernoulli(p: float, u: np.ndarray) -> np.ndarray:

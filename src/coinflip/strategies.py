@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .protocols import (MEASURE, STORE, Decision, EprHalf, HonestAlice,
                         HonestBob, ProtocolId, SingleState, Vacuum, VariantFlags,
                         measure_delivery)
 from .quantum import QuantumState, as_columns, measure_projective
-from .rng import bernoulli, bit, randint, sign
+from .rng import bernoulli, bit, cumulative, inverse_cdf
 
 
 class Side(Enum):
@@ -43,9 +43,9 @@ class Side(Enum):
 class PostponeLieAlice(HonestAlice):
     """Honest send; lies about the basis when unhappy with a xor b."""
 
-    def __init__(self, family: StateFamily, target: int):
-        super().__init__(family)
-        self.target = target
+    def __init__(self, cfg, family: StateFamily):
+        super().__init__(cfg, family)
+        self.target = cfg.target
 
     def reveal(self, b, u):
         a, x = self.a, self.x
@@ -57,8 +57,9 @@ class RotatedStateAlice:
     """Sends (cos k*pi/8, sin k*pi/8) for odd k, then declares the basis that
     suits her with the nearest bit in that basis."""
 
-    def __init__(self, family: StateFamily, target: int):
-        self.target = target
+    def __init__(self, cfg, family: StateFamily):
+        self.target = cfg.target
+        self.k_cdf = cumulative((0.25,) * 4)  # k uniform in 0..3
         sent = [QuantumState((math.cos(t), math.sin(t)))
                 for t in (k * math.pi / 8.0 for k in (1, 3, 5, 7))]
         self.states = as_columns(sent)
@@ -70,7 +71,7 @@ class RotatedStateAlice:
             for s in sent])
 
     def prepare(self, u) -> SingleState:
-        self.k = randint(4, u[0])
+        self.k = inverse_cdf(*self.k_cdf, u[0])
         return SingleState(self.states, self.k)
 
     def reveal(self, b, u):
@@ -82,8 +83,8 @@ class EprSteeringAlice:
     """Keeps half a singlet and steers it into the basis a = c xor b after
     learning b; the reveal is then guaranteed to match Bob's outcome."""
 
-    def __init__(self, family: StateFamily, target: int):
-        self.target = target
+    def __init__(self, cfg, family: StateFamily):
+        self.target = cfg.target
         self.bras = catalog.basis_pair(family)
 
     def prepare(self, u) -> EprHalf:
@@ -102,15 +103,15 @@ class AmbainisOptimalAlice:
     """Sends (2|0> + s1|1> + s2|2>)/sqrt(6) with random signs; the declared x
     is the sign-matched bit for whichever basis she claims."""
 
-    def __init__(self, family: StateFamily, target: int):
-        self.target = target
+    def __init__(self, cfg, family: StateFamily):
+        self.target = cfg.target
         r6 = math.sqrt(6.0)
         # column 2 * (s1 < 0) + (s2 < 0)
         self.states = as_columns([QuantumState((2.0 / r6, s1 / r6, s2 / r6))
                                   for s1 in (1, -1) for s2 in (1, -1)])
 
     def prepare(self, u) -> SingleState:
-        self.negative = (sign(u) < 0).astype(np.intp)  # per basis a, per round
+        self.negative = 1 - bit(u)  # per basis a, per round
         return SingleState(self.states, 2 * self.negative[0] + self.negative[1])
 
     def reveal(self, b, u):
@@ -122,8 +123,8 @@ class LossTolerantOptimalAlice:
     """Sends |+> or |-> and declares the phi_{x,x} (or phi_{1-x,x}) state
     with the largest overlap once x = c xor b is forced."""
 
-    def __init__(self, family: StateFamily, target: int):
-        self.target = target
+    def __init__(self, cfg, family: StateFamily):
+        self.target = cfg.target
         s = 1.0 / math.sqrt(2.0)
         self.states = as_columns([QuantumState((s, s)), QuantumState((s, -s))])
 
@@ -139,8 +140,8 @@ class LossTolerantOptimalAlice:
 class SendNothingAlice:
     """Emits vacuum and 'reveals' whatever produces the desired outcome."""
 
-    def __init__(self, family: StateFamily, target: int):
-        self.target = target
+    def __init__(self, cfg, family: StateFamily):
+        self.target = cfg.target
 
     def prepare(self, u) -> Vacuum:
         return Vacuum()
@@ -162,16 +163,16 @@ class CunningMotherAlice(HonestAlice):
 
 class RestartAbuseBob:
     """Never measures; claims loss whenever the revealed a xor b is wrong,
-    plus camouflage claims at rate 1-2*p_honest so Alice sees a plausible
+    plus camouflage claims at rate 1 - 2*eta so Alice sees a plausible
     detection rate. A lost round can end in a false claim or be accepted, so
     he does not restart on every loss."""
 
     last_basis = last_outcome = -1
     restarts_on_loss = False
 
-    def __init__(self, target: int, p_honest: float):
-        self.target = target
-        self.camouflage = max(0.0, 1.0 - 2.0 * p_honest)
+    def __init__(self, cfg, family: StateFamily):
+        self.target = cfg.target
+        self.camouflage = max(0.0, 1.0 - 2.0 * cfg.eta)
 
     def receive(self, delivery, delivered, u):
         return np.zeros(len(delivered), dtype=bool)  # stores, never measures
@@ -196,8 +197,8 @@ class GuessingBob:
     last_basis = 0
     offset = 0
 
-    def __init__(self, family: StateFamily, target: int):
-        self.target = target
+    def __init__(self, cfg, family: StateFamily):
+        self.target = cfg.target
         self.bras = computational_basis(family.dim).bras
 
     def receive(self, delivery, delivered, u):
@@ -239,8 +240,8 @@ class TwoPhotonUsdBob(GuessingBob):
 
     basis_tags = ("both",)
 
-    def __init__(self, family: StateFamily, target: int):
-        super().__init__(family, target)
+    def __init__(self, cfg, family: StateFamily):
+        super().__init__(cfg, family)
         self.bras = catalog.basis_pair(family)
 
     def receive(self, delivery, delivered, u):
@@ -275,31 +276,22 @@ class TwoPhotonHonestApparatusBob(TwoPhotonUsdBob):
 
 @dataclass(frozen=True)
 class Strategy:
-    """A named player: the protocols it applies to, a factory of its hooks,
-    the fewest photons per emission it needs, whether (for an Alice) it sends
+    """A named player: the protocols it applies to, its hooks class, the
+    fewest photons per emission it needs, whether (for an Alice) it sends
     cfg.photon_count photons per emission rather than one, and the variants
     it plays (None: every variant the protocol allows). A Bob's hooks
     declare restarts_on_loss (see protocols).
 
-    build(cfg, family, flags), called only by harness.build_hooks, reads
-    cfg.target, cfg.eta and cfg.photon_count of an ExperimentConfig; eta feeds
-    the restart-abuse camouflage rate.
+    build(cfg, family), called only by harness.build_hooks, constructs the
+    hooks; each class reads from the ExperimentConfig cfg only what it needs:
+    target, eta (the restart-abuse camouflage rate), photon_count or flags.
     """
 
     protocols: tuple[ProtocolId, ...]
-    build: Callable[..., object]
+    build: type
     min_photons: int = 1
     pulses: bool = False
     variants: Optional[tuple[VariantFlags, ...]] = None
-
-
-def _targeted(cls) -> Callable[..., object]:
-    """Factory of cls(family, target)."""
-    return lambda cfg, family, flags: cls(family, cfg.target)
-
-
-def _honest_alice(cfg, family, flags) -> HonestAlice:
-    return HonestAlice(family, cfg.photon_count)
 
 
 HONEST = "honest"
@@ -311,35 +303,32 @@ _LT = (ProtocolId.LOSS_TOLERANT_CF,)
 
 REGISTRY = {
     Side.ALICE: {
-        HONEST: Strategy(_ALL, _honest_alice, pulses=True),
-        "bb84_postpone_lie": Strategy(_BB84, _targeted(PostponeLieAlice)),
-        "bb84_rotated": Strategy(_BB84, _targeted(RotatedStateAlice)),
-        "bb84_epr": Strategy(_BB84, _targeted(EprSteeringAlice)),
-        "ambainis_optimal": Strategy(_AMBAINIS, _targeted(AmbainisOptimalAlice)),
-        "lt_optimal": Strategy(_LT, _targeted(LossTolerantOptimalAlice)),
-        "send_nothing": Strategy(_AMBAINIS, _targeted(SendNothingAlice)),
-        "cunning_mother": Strategy(
-            _LT, lambda cfg, family, flags: CunningMotherAlice(family)),
+        HONEST: Strategy(_ALL, HonestAlice, pulses=True),
+        "bb84_postpone_lie": Strategy(_BB84, PostponeLieAlice),
+        "bb84_rotated": Strategy(_BB84, RotatedStateAlice),
+        "bb84_epr": Strategy(_BB84, EprSteeringAlice),
+        "ambainis_optimal": Strategy(_AMBAINIS, AmbainisOptimalAlice),
+        "lt_optimal": Strategy(_LT, LossTolerantOptimalAlice),
+        "send_nothing": Strategy(_AMBAINIS, SendNothingAlice),
+        "cunning_mother": Strategy(_LT, CunningMotherAlice),
         # honest choices, leaking cfg.photon_count photons per pulse
-        "honest_pulse": Strategy(_LT, _honest_alice, pulses=True),
+        "honest_pulse": Strategy(_LT, HonestAlice, pulses=True),
     },
     Side.BOB: {
-        HONEST: Strategy(_ALL, lambda cfg, family, flags: HonestBob(family, flags)),
+        HONEST: Strategy(_ALL, HonestBob),
         # stores, then claims loss after the reveal: restarting on loss only
-        "ambainis_restart_abuse": Strategy(
-            _VARIANT, lambda cfg, family, flags: RestartAbuseBob(cfg.target, cfg.eta),
-            variants=(STORE,)),
+        "ambainis_restart_abuse": Strategy(_VARIANT, RestartAbuseBob,
+                                           variants=(STORE,)),
         # measures on reception, so restarts on loss
-        "ambainis_conclusive": Strategy(
-            _VARIANT, _targeted(ComputationalRestartBob), variants=(MEASURE,)),
-        "lt_helstrom": Strategy(_LT, _targeted(HelstromBob)),
+        "ambainis_conclusive": Strategy(_VARIANT, ComputationalRestartBob,
+                                        variants=(MEASURE,)),
+        "lt_helstrom": Strategy(_LT, HelstromBob),
         "mcqm_restart": Strategy((ProtocolId.MCQM_CONTRIVED_CF,),
-                                 _targeted(ComputationalRestartBob)),
-        "cunning_son": Strategy(
-            _LT, lambda cfg, family, flags: CunningSonBob(family, flags)),
-        "twophoton_usd": Strategy(_LT, _targeted(TwoPhotonUsdBob), min_photons=2),
+                                 ComputationalRestartBob),
+        "cunning_son": Strategy(_LT, CunningSonBob),
+        "twophoton_usd": Strategy(_LT, TwoPhotonUsdBob, min_photons=2),
         "twophoton_honest_apparatus": Strategy(
-            _LT, _targeted(TwoPhotonHonestApparatusBob), min_photons=2),
+            _LT, TwoPhotonHonestApparatusBob, min_photons=2),
     },
 }
 

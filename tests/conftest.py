@@ -2,6 +2,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from coinflip.errors import IncompatibleProtocol, OutOfRange
@@ -50,6 +51,14 @@ def assert_close_5sigma(observed: float, expected: float, n: int):
     assert abs(observed - expected) <= 5.0 * sigma, (
         f"observed {observed} vs expected {expected} "
         f"({abs(observed - expected) / sigma:.1f} sigma, n={n})")
+
+
+def edge_uniforms(rng):
+    """10**6 random uniforms, plus every k/4 and both of its float neighbours,
+    as far as they lie in [0, 1)."""
+    k4 = np.arange(5) / 4.0
+    edges = np.concatenate([np.nextafter(k4, -1.0), k4, np.nextafter(k4, 2.0)])
+    return np.concatenate([rng(10 ** 6), edges[(edges >= 0.0) & (edges < 1.0)]])
 
 
 def valid_configs(**kw):

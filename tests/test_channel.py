@@ -4,12 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from coinflip.channel import ChannelParams, transmit
+from coinflip.channel import ChannelParams, lost_rounds, transmit
 from coinflip.errors import OutOfRange
 from coinflip.protocols import SingleState, Vacuum
 from coinflip.quantum import QuantumState, as_columns
 
-from conftest import assert_close_5sigma
+from conftest import assert_close_5sigma, edge_uniforms
 
 SQ2 = 1.0 / math.sqrt(2.0)
 PLUS = as_columns([QuantumState((SQ2, SQ2))])  # a table of one state
@@ -76,3 +76,42 @@ def test_pulse_invariants(rng):
     assert not transmit(Vacuum(), ch, u).any()
     delivered = transmit(SingleState(PLUS, ONE, 3), ch, u)
     assert np.array_equal(delivered, u < 0.5)
+
+
+# ---------------------------------------------------------------------------
+# lost_rounds: the number of rounds lost before an attempt arrives
+
+@pytest.mark.parametrize("eta, ks", [(0.05, (1, 5, 20, 60)), (0.5, (1, 2, 4, 8))])
+def test_lost_rounds_is_geometric(rng, eta, ks):
+    """P(K >= k) = (1 - eta)**k within 5 sigma."""
+    n = 100_000
+    k = lost_rounds(ChannelParams(eta), rng(n), 10 ** 6)
+    assert k.dtype == np.int64 and k.min() == 0
+    for at_least in ks:
+        assert_close_5sigma((k >= at_least).sum() / n, (1.0 - eta) ** at_least, n)
+
+
+def test_lost_rounds_clamps_at_cap(rng):
+    """Counts past cap read cap, the infinite count of a vanishing eta
+    included; counts below it are untouched."""
+    ch = ChannelParams(0.05)
+    u = np.concatenate([rng(10_000), [np.nextafter(1.0, 0.0)]])
+    free = lost_rounds(ch, u, 10 ** 6)
+    capped = lost_rounds(ch, u, 3)
+    assert free.max() > 3
+    assert np.array_equal(capped, np.minimum(free, 3))
+    tiny = ChannelParams(5e-324)  # log(1 - u) / log(1 - eta) overflows
+    assert lost_rounds(tiny, u, 7).tolist() == [0 if x == 0 else 7 for x in u]
+
+
+def test_lost_rounds_is_zero_without_loss(rng):
+    assert not lost_rounds(ChannelParams(1.0), edge_uniforms(rng), 10).any()
+
+
+def test_lost_rounds_reads_one_uniform_per_count(rng):
+    ch = ChannelParams(0.3)
+    u = rng(200)
+    whole = lost_rounds(ch, u, 50)
+    assert whole.shape == u.shape
+    assert whole.tolist() == [lost_rounds(ch, u[k:k + 1], 50)[0]
+                              for k in range(len(u))]

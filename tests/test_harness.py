@@ -144,6 +144,23 @@ def test_vanishing_eta_exhausts_the_budget_without_overflow(eta):
             run_experiment(cfg)
 
 
+def test_a_run_where_no_trial_finishes_fails_after_one_chunk(monkeypatch):
+    """Vacuum against a Bob who restarts on every loss: the first engine
+    call runs one chunk, every trial of it hits the restart cap, and the run
+    fails there instead of running GROUP_ROWS trials to the cap first."""
+    calls = []
+
+    def counted(protocol, alice, bob, ch, max_restarts, stream, trials, sink):
+        calls.append(trials)
+        return run_chunk(protocol, alice, bob, ch, max_restarts, stream, trials, sink)
+
+    monkeypatch.setattr(harness, "run_chunk", counted)
+    with pytest.raises(RestartBudgetExceeded):
+        run_experiment(ExperimentConfig(protocol=ProtocolId.AMBAINIS_CF,
+                                        alice="send_nothing", trials=20_000))
+    assert calls == [CHUNK]
+
+
 @pytest.mark.parametrize("eta", [1.0, 0.5])
 def test_vacuum_facing_a_restarting_bob_exceeds_the_budget(eta):
     """Vacuum never arrives, whichever loss rule Bob's declaration picks."""
@@ -371,7 +388,8 @@ def test_hooks_built_once_count_as_fresh_hooks_per_chunk(cfg):
                               est.limit_hits]
 
 
-# chunks per engine call: one, two, seven, and every chunk in one call
+# chunks per engine call after the first, which runs one chunk: one, two,
+# seven, and every other chunk in one call (one chunk, then all the rest)
 GROUPS = {"1": 1, "2": 2, "7": 7, "all": 1 << 20}
 MANY_CHUNKS = 9 * CHUNK + 300  # ten chunks, the last one partial
 
@@ -430,7 +448,7 @@ def test_limit_hits_fall_in_several_engine_calls(engine_calls):
     chunks, hits = engine_calls
     est = run_experiment(ExperimentConfig(trials=MANY_CHUNKS, seed=2025,
                                           **GROUPED_RUNS["limit_hits"]))
-    assert len(hits) == -(-10 // chunks)  # engine calls over ten chunks
+    assert len(hits) == 1 + -(-9 // chunks)  # one chunk, then the other nine
     assert sum(hits) == est.limit_hits
     if len(hits) > 1:
         assert sum(h > 0 for h in hits) > 1

@@ -18,7 +18,7 @@ from coinflip.protocols import (Decision, EprHalf, HonestBob, LossPolicy,
                                 default_flags, family_for, measure_delivery,
                                 run_chunk)
 from coinflip.quantum import measure_projective, steer_epr
-from coinflip.rng import ChunkStream, bit, randint
+from coinflip.rng import ChunkStream, bit, choice
 from coinflip.strategies import SendNothingAlice
 
 from conftest import assert_close_5sigma
@@ -157,9 +157,10 @@ def test_believe_on_faith_accepts_missing_qutrit():
     values when nothing ever arrived."""
     protocol = ProtocolId.AMBAINIS_CF_VARIANT
     fam = family_for(protocol)
-    flags = VariantFlags(LossPolicy.BELIEVE_ON_FAITH, False)
+    cfg = ExperimentConfig(protocol=protocol, alice="send_nothing",
+                           variant=VariantFlags(LossPolicy.BELIEVE_ON_FAITH, False))
     out = []
-    run_chunk(protocol, SendNothingAlice(fam, 0), HonestBob(fam, flags),
+    run_chunk(protocol, SendNothingAlice(cfg, fam), HonestBob(cfg, fam),
               ChannelParams(1.0), 10, ChunkStream(3), 1, out.append)
     t, = out
     assert t.verdict is Verdict.ACCEPTED
@@ -170,10 +171,10 @@ def test_restart_limit_is_enforced():
     """A sender who never delivers anything exhausts the restart budget."""
     protocol = ProtocolId.LOSS_TOLERANT_CF
     fam = family_for(protocol, 0.9)
-    flags = default_flags(protocol)
+    cfg = ExperimentConfig(protocol=protocol)  # send_nothing reads only target
     out = []
-    verdict, _, _ = run_chunk(protocol, SendNothingAlice(fam, 0),
-                              HonestBob(fam, flags), ChannelParams(1.0), 50,
+    verdict, _, _ = run_chunk(protocol, SendNothingAlice(cfg, fam),
+                              HonestBob(cfg, fam), ChannelParams(1.0), 50,
                               ChunkStream(4), 1, out.append)
     assert verdict.tolist() == [Decision.REQUEST_RESTART]
     assert out == []  # no transcript for a trial over the limit
@@ -282,7 +283,7 @@ def test_measure_delivery_never_reads_a_lost_rounds_index(rng):
     states = bras.conj().reshape(-1, 2).T  # column 2a + x is |a, x>
     delivered = rng(n) < 0.3
     which, u = bit(rng(n)), rng(n)
-    index = randint(4, rng(n))
+    index = choice((0.25,) * 4, rng(n))
     outcome = measure_delivery(SingleState(states, index), delivered, bras, u, which)
     wild = np.where(delivered, index, 10 ** 9)
     assert np.array_equal(

@@ -10,14 +10,14 @@ from coinflip import quantum
 from coinflip.catalog import Family, StateFamily, basis_pair
 from coinflip.errors import (DimensionMismatch, ProbabilityMismatch,
                              ZeroVector)
-from coinflip.harness import build_hooks
+from coinflip.harness import ExperimentConfig, build_hooks
 from coinflip.protocols import HonestAlice, SingleState, measure_delivery
 from coinflip.quantum import (BORN_TABLES, DensityMatrix, Povm,
                               ProjectiveMeasurement, QuantumState, as_columns,
                               born_table, density_of, helstrom_success,
-                              measure_povm, measure_projective, measure_table,
-                              mix, normalize, steer_epr, trace_distance)
-from coinflip.rng import bit, randint
+                              measure_projective, measure_table, mix,
+                              normalize, steer_epr, trace_distance)
+from coinflip.rng import bit, choice
 
 from conftest import assert_close_5sigma, valid_configs
 
@@ -230,16 +230,6 @@ def test_povm_probabilities_on_mixed_state():
     assert p.probabilities(rho) == pytest.approx([0.5, 0.5])
 
 
-def test_measure_povm_empirical(rng):
-    e0 = np.diag([0.7, 0.2]).astype(complex)
-    e1 = np.eye(2, dtype=complex) - e0
-    p = Povm((e0, e1), ("a", "b"))
-    rho = DensityMatrix(np.diag([0.5, 0.5]).astype(complex))
-    n = 50_000
-    hits = (measure_povm(rho, p, rng(n)) == 0).sum()
-    assert_close_5sigma(hits / n, 0.45, n)
-
-
 # ---------------------------------------------------------------------------
 # trace distance and minimum-error discrimination
 
@@ -413,7 +403,7 @@ def test_born_table_rejects_what_measure_projective_rejects(rng):
     bras = basis_pair(StateFamily(Family.BB84))
     states = bras.conj().reshape(-1, 2).T  # column 2a + x is |a, x>
     n = 50
-    u, index, which = rng(n), randint(4, rng(n)), bit(rng(n))
+    u, index, which = rng(n), choice((0.25,) * 4, rng(n)), bit(rng(n))
     unnormalized = states.copy()
     unnormalized[:, 3] *= 1.01
     index[0] = 3
@@ -440,12 +430,12 @@ def test_born_tables_are_shared_by_content_and_bounded():
     """Equal arrays, a view of a stack included, share one table, and an
     alpha2 sweep over 300 families keeps at most BORN_TABLES of them."""
     family = StateFamily(Family.LOSS_TOLERANT, 0.9)
-    states, bras = HonestAlice(family).states, basis_pair(family)
+    states, bras = HonestAlice(ExperimentConfig(), family).states, basis_pair(family)
     first = born_table(states, bras[0])
     assert born_table(states.copy(), bras[0].copy()) is first
     for alpha2 in np.linspace(0.51, 0.99, 300):
         family = StateFamily(Family.LOSS_TOLERANT, float(alpha2))
-        born_table(HonestAlice(family).states, basis_pair(family))
+        born_table(HonestAlice(ExperimentConfig(), family).states, basis_pair(family))
     info = quantum._born_table.cache_info()
     assert info.maxsize == BORN_TABLES
     assert info.currsize == BORN_TABLES

@@ -11,10 +11,10 @@ from coinflip import rng as rng_module
 from coinflip.errors import ProbabilityMismatch
 from coinflip.harness import CHUNK, ExperimentConfig, run_experiment
 from coinflip.protocols import DEPTH, ProtocolId
-from coinflip.rng import (SEEDS, SLOTS, bernoulli, bit, block, choice, randint,
-                          sign)
+from coinflip.rng import (SEEDS, SLOTS, bernoulli, bit, block, choice,
+                          cumulative, inverse_cdf)
 
-from conftest import assert_close_5sigma
+from conftest import assert_close_5sigma, edge_uniforms
 
 N = 100_000
 
@@ -30,19 +30,6 @@ def test_bit_frequency(rng):
     assert_close_5sigma(f[1], 0.5, N)
 
 
-def test_sign_frequency(rng):
-    f = frequencies(sign(rng(N)))
-    assert set(f) == {-1, 1}
-    assert_close_5sigma(f[1], 0.5, N)
-
-
-def test_randint_frequency(rng):
-    f = frequencies(randint(4, rng(N)))
-    assert set(f) == {0, 1, 2, 3}
-    for k in range(4):
-        assert_close_5sigma(f[k], 0.25, N)
-
-
 def test_bernoulli_frequency(rng):
     f = frequencies(bernoulli(0.3, rng(N)))
     assert_close_5sigma(f[True], 0.3, N)
@@ -54,6 +41,24 @@ def test_choice_frequency(rng):
     assert 2 not in f
     for k in (0, 1, 3):
         assert_close_5sigma(f[k], probs[k], N)
+
+
+def test_one_minus_bit_is_the_negative_sign(rng):
+    """1 - bit(u) is the old sign(u) < 0 draw, u >= 0.5, bit for bit."""
+    u = edge_uniforms(rng)
+    assert np.array_equal(1 - bit(u), (u >= 0.5).astype(np.intp))
+
+
+def test_four_quarter_inverse_cdf_is_floor_4u(rng):
+    """inverse_cdf over four weights 0.25 is the old randint(4, u),
+    floor(4u), bit for bit: its steps are exactly 0.25, 0.5, 0.75 and its
+    total exactly 1."""
+    cdf, total = cumulative((0.25,) * 4)
+    assert cdf.ravel().tolist() == [0.25, 0.5, 0.75]
+    assert total.tolist() == [1.0]
+    u = edge_uniforms(rng)
+    assert np.array_equal(inverse_cdf(cdf, total, u),
+                          np.floor(4.0 * u).astype(np.intp))
 
 
 def test_random_is_a_unit_uniform(rng):
@@ -90,8 +95,9 @@ def test_every_draw_consumes_one_uniform(rng):
     """Draw k of a batch reads uniform k alone, whatever the other uniforms
     are, so every draw site can own a fixed column."""
     u = rng(200)
-    for draw in (bit, sign, lambda v: randint(4, v), lambda v: bernoulli(0.3, v),
-                 lambda v: choice((0.5, 0.5), v)):
+    quarters = cumulative((0.25,) * 4)
+    for draw in (bit, lambda v: bernoulli(0.3, v), lambda v: choice((0.5, 0.5), v),
+                 lambda v: inverse_cdf(*quarters, v)):
         whole = draw(u)
         assert whole.shape == u.shape
         assert whole.tolist() == [draw(u[k:k + 1])[0] for k in range(len(u))]

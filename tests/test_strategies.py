@@ -56,20 +56,22 @@ def run_one_step(alice, bob, u, anything_arrives):
 
 
 def test_every_listed_strategy_builds(rng):
-    """Each registry entry builds on every protocol it applies to, under a
-    variant it plays, and its pair's hooks run on every round of a step,
-    restarted rounds included, without raising."""
+    """Each registry entry is its hooks class and builds on every protocol it
+    applies to, under a variant it plays, and its pair's hooks run on every
+    round of a step, restarted rounds included, without raising."""
     assert ALICE_STRATEGIES == tuple(REGISTRY[Side.ALICE])
     assert BOB_STRATEGIES == tuple(REGISTRY[Side.BOB])
     for side, entries in REGISTRY.items():
         for name, spec in entries.items():
             assert spec.protocols
+            assert isinstance(spec.build, type), name
             for protocol in spec.protocols:
                 cfg = ExperimentConfig(protocol=protocol,
                                        variant=(spec.variants or (None,))[0],
                                        photon_count=spec.min_photons,
                                        **{side.value: name})
                 alice, bob = build_hooks(cfg)
+                assert type((alice, bob)[side is Side.BOB]) is spec.build
                 for anything_arrives in (False, True):
                     run_one_step(alice, bob, rng(SLOTS, 64), anything_arrives)
 
@@ -93,7 +95,7 @@ def sent_states(emission):
 
 
 def test_rotated_alice_picks_the_closest_bit(rng):
-    alice = RotatedStateAlice(BB84, 0)
+    alice = RotatedStateAlice(ExperimentConfig(protocol=ProtocolId.BB84_CF), BB84)
     sent = sent_states(alice.prepare(rng(2, 200)))
     b = bit(rng(200))
     a, x = alice.reveal(b, rng(200))
@@ -106,7 +108,7 @@ def test_rotated_alice_picks_the_closest_bit(rng):
 
 
 def test_ambainis_alice_reveal_maximizes_overlap(rng):
-    alice = AmbainisOptimalAlice(AMB, 0)
+    alice = AmbainisOptimalAlice(ExperimentConfig(protocol=ProtocolId.AMBAINIS_CF), AMB)
     sent = sent_states(alice.prepare(rng(2, 200)))
     for b in (0, 1):
         a, x = alice.reveal(np.full(200, b), rng(200))
@@ -119,7 +121,7 @@ def test_ambainis_alice_reveal_maximizes_overlap(rng):
 
 def test_lt_alice_reveal_maximizes_overlap(rng):
     ab = math.sqrt(0.9 * 0.1)
-    alice = LossTolerantOptimalAlice(LT9, 0)
+    alice = LossTolerantOptimalAlice(ExperimentConfig(), LT9)
     sent = sent_states(alice.prepare(rng(2, 200)))
     for b in (0, 1):
         a, x = alice.reveal(np.full(200, b), rng(200))
