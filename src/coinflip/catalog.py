@@ -1,17 +1,18 @@
 """Named state families used by the protocols.
 
-Four families are provided, each indexed by a basis bit ``a`` and a bit
-(or trit) ``x``:
+Each family is one table of real amplitudes: for each basis bit ``a``, the
+rows |a, x> of the honest basis a, indexed by a bit (or trit) ``x``.
+Everything else is read from it: basis_pair is the table as an array,
+checked once for orthonormality; state and basis wrap its rows; and
+committed_density mixes the honest ensemble built from those states.
 
 * BB84           - the four conjugate-basis qubit states.
-* AMBAINIS       - the four qutrit states (|0> +/- |1>)/sqrt2, (|0> +/- |2>)/sqrt2.
+* AMBAINIS       - the four qutrit states (|0> +/- |1>)/sqrt2, (|0> +/- |2>)/sqrt2;
+                   basis a adds |2-a> as row 2, which no honest x equals.
 * LOSS_TOLERANT  - the alpha/beta qubit states grouped by x, parameterized by
                    alpha^2 in (1/2, 1) with beta^2 = 1 - alpha^2.
-* MCQM_EXAMPLE   - the Ambainis states extended with x=2 states |2> and |1>,
-                   drawn with weights (0.49, 0.49, 0.02).
-
-All amplitudes are real; construction still goes through the complex
-QuantumState type for uniformity.
+* MCQM_EXAMPLE   - the Ambainis table, whose rows 2 are also the x=2 states
+                   |2> and |1>, drawn with weights (0.49, 0.49, 0.02).
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidLabel, OutOfRange
-from .quantum import DensityMatrix, ProjectiveMeasurement, QuantumState
+from .quantum import ATOL, DensityMatrix, ProjectiveMeasurement, QuantumState, mix
 
 
 class Family(Enum):
@@ -74,82 +75,59 @@ class StateLabel:
 
 
 _SQ2 = 1.0 / math.sqrt(2.0)
-FAMILIES = 64  # families each cache holds (an alpha2 grid); least recent goes first
+FAMILIES = 64  # families basis_pair holds (an alpha2 grid); least recent goes first
 
 
-def _alpha_beta(family: StateFamily) -> tuple[float, float]:
-    return math.sqrt(family.alpha2), math.sqrt(1.0 - family.alpha2)
-
-
-@lru_cache(maxsize=6 * FAMILIES)  # two bases, up to three values of x
-def state(family: StateFamily, label: StateLabel) -> QuantumState:
-    """The family's state |a, x>."""
-    a, x = label.a, label.x
-    if x not in family.x_values:
-        raise InvalidLabel(f"x={x} not valid for {family.family.value}")
+def _rows(family: StateFamily) -> tuple:
+    """The family's table: for each basis bit a, the rows |a, x> of basis a."""
     kind = family.family
     if kind is Family.BB84:
-        vecs = {
-            (0, 0): (1.0, 0.0),
-            (0, 1): (0.0, 1.0),
-            (1, 0): (_SQ2, _SQ2),
-            (1, 1): (_SQ2, -_SQ2),
-        }
-        return QuantumState(vecs[(a, x)])
-    if kind in (Family.AMBAINIS, Family.MCQM_EXAMPLE):
-        if x == 2:  # MCQM_EXAMPLE only
-            return QuantumState((0.0, 0.0, 1.0) if a == 0 else (0.0, 1.0, 0.0))
-        sign = 1.0 if x == 0 else -1.0
-        if a == 0:
-            return QuantumState((_SQ2, sign * _SQ2, 0.0))
-        return QuantumState((_SQ2, 0.0, sign * _SQ2))
-    alpha, beta = _alpha_beta(family)
-    vecs = {
-        (0, 0): (alpha, beta),
-        (1, 0): (alpha, -beta),
-        (0, 1): (beta, -alpha),
-        (1, 1): (beta, alpha),
-    }
-    return QuantumState(vecs[(a, x)])
-
-
-@lru_cache(maxsize=2 * FAMILIES)
-def basis(family: StateFamily, a: int) -> ProjectiveMeasurement:
-    """The honest measurement basis for basis bit ``a``.
-
-    Outcome index i is the state |a, i>, so an honest outcome is the bit x
-    itself. The Ambainis basis adds a third vector |2-a> as index 2, which
-    no honest x equals and no honest state ever produces.
-    """
-    if a not in (0, 1):
-        raise InvalidLabel(f"basis label a={a}")
-    kind = family.family
-    if kind is Family.AMBAINIS:
-        reject = QuantumState((0.0, 1.0, 0.0) if a == 1 else (0.0, 0.0, 1.0))
-        return ProjectiveMeasurement(
-            (state(family, StateLabel(a, 0)), state(family, StateLabel(a, 1)), reject))
-    return ProjectiveMeasurement(
-        tuple(state(family, StateLabel(a, x)) for x in family.x_values))
+        return (((1.0, 0.0), (0.0, 1.0)),
+                ((_SQ2, _SQ2), (_SQ2, -_SQ2)))
+    if kind is Family.LOSS_TOLERANT:
+        alpha, beta = math.sqrt(family.alpha2), math.sqrt(1.0 - family.alpha2)
+        return (((alpha, beta), (beta, -alpha)),
+                ((alpha, -beta), (beta, alpha)))
+    # AMBAINIS and MCQM_EXAMPLE: row 2 is |2-a>, MCQM's state |a, 2>
+    return (((_SQ2, _SQ2, 0.0), (_SQ2, -_SQ2, 0.0), (0.0, 0.0, 1.0)),
+            ((_SQ2, 0.0, _SQ2), (_SQ2, 0.0, -_SQ2), (0.0, 1.0, 0.0)))
 
 
 @lru_cache(maxsize=FAMILIES)
 def basis_pair(family: StateFamily) -> np.ndarray:
-    """The bras of both honest bases, stacked (2, dim, dim): entry a
-    measures in basis(family, a), and its row x is <a, x|."""
-    pair = np.stack([basis(family, a).bras for a in (0, 1)])
+    """The family's table as a read-only (2, dim, dim) array: entry a is
+    basis a, and its row x is |a, x>, real, so also the bra <a, x|. Each
+    basis is orthonormal within ATOL (ValueError otherwise)."""
+    pair = np.array(_rows(family))
+    if np.abs(pair @ pair.transpose(0, 2, 1) - np.eye(family.dim)).max() > ATOL:
+        raise ValueError(f"{family} has a basis that is not orthonormal")
     pair.flags.writeable = False
     return pair
+
+
+def state(family: StateFamily, label: StateLabel) -> QuantumState:
+    """The family's state |a, x>: row x of basis a."""
+    if label.x not in family.x_values:
+        raise InvalidLabel(f"x={label.x} not valid for {family.family.value}")
+    return QuantumState(basis_pair(family)[label.a, label.x].tolist())
+
+
+def basis(family: StateFamily, a: int) -> ProjectiveMeasurement:
+    """The honest measurement basis for basis bit ``a``.
+
+    Outcome index i is row i of basis a, so an honest outcome is the bit x
+    itself. The Ambainis basis's row 2 is |2-a>, which no honest x equals
+    and no honest state ever produces.
+    """
+    if a not in (0, 1):
+        raise InvalidLabel(f"basis label a={a}")
+    return ProjectiveMeasurement(tuple(map(QuantumState, basis_pair(family)[a].tolist())))
 
 
 @lru_cache(maxsize=None)
 def computational_basis(dim: int) -> ProjectiveMeasurement:
     """The standard basis {|0>, ..., |dim-1>}; outcome i is |i>."""
-    vecs = []
-    for i in range(dim):
-        amps = [0.0] * dim
-        amps[i] = 1.0
-        vecs.append(QuantumState(tuple(amps)))
-    return ProjectiveMeasurement(tuple(vecs))
+    return ProjectiveMeasurement(tuple(map(QuantumState, np.eye(dim).tolist())))
 
 
 def honest_ensemble(family: StateFamily, commit: int) -> list[tuple[float, QuantumState]]:
@@ -168,19 +146,7 @@ def honest_ensemble(family: StateFamily, commit: int) -> list[tuple[float, Quant
     ]
 
 
-@lru_cache(maxsize=2 * FAMILIES)
 def committed_density(family: StateFamily, commit: int) -> DensityMatrix:
-    """The diagonal mixed state signalling the committed value."""
-    if commit not in (0, 1):
-        raise InvalidLabel(f"commit={commit}")
-    kind = family.family
-    if kind is Family.BB84:
-        diag = (0.5, 0.5)
-    elif kind is Family.AMBAINIS:
-        diag = (0.5, 0.5, 0.0) if commit == 0 else (0.5, 0.0, 0.5)
-    elif kind is Family.MCQM_EXAMPLE:
-        diag = (0.49, 0.49, 0.02) if commit == 0 else (0.49, 0.02, 0.49)
-    else:
-        alpha2 = family.alpha2
-        diag = (alpha2, 1.0 - alpha2) if commit == 0 else (1.0 - alpha2, alpha2)
-    return DensityMatrix(np.diag(np.array(diag, dtype=complex)))
+    """The mixed state signalling the committed value: the mixture of the
+    honest ensemble."""
+    return mix(honest_ensemble(family, commit))

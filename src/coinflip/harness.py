@@ -106,10 +106,19 @@ class BiasEstimate:
     aborts: int
     restart_total: int
     trials: int
-    p_hat: float
-    ci95: tuple[float, float]
-    bias_hat: float
     limit_hits: int  # trials dropped for more than max_restarts restarts
+
+    @property
+    def p_hat(self) -> float:
+        return self.successes / self.trials
+
+    @property
+    def ci95(self) -> tuple[float, float]:
+        return wilson_interval(self.successes, self.trials)
+
+    @property
+    def bias_hat(self) -> float:
+        return self.p_hat - 0.5
 
     @property
     def failures(self) -> int:
@@ -176,10 +185,7 @@ def run_experiment(cfg: ExperimentConfig,
         aborts += int(np.count_nonzero(verdict == Decision.ABORT_CHEATER))
         successes += int(np.count_nonzero((verdict == Decision.ACCEPTED)
                                           & (coin == cfg.target)))
-    p_hat = successes / cfg.trials
-    return BiasEstimate(successes, aborts, restart_total, cfg.trials,
-                        p_hat, wilson_interval(successes, cfg.trials),
-                        p_hat - 0.5, limit_hits)
+    return BiasEstimate(successes, aborts, restart_total, cfg.trials, limit_hits)
 
 
 def estimate_to_dict(cfg: ExperimentConfig, est: BiasEstimate) -> dict:

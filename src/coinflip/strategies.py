@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from . import catalog
-from .catalog import StateFamily, StateLabel, computational_basis
+from .catalog import StateFamily, computational_basis
 from .errors import IncompatibleProtocol
 from .protocols import (MEASURE, STORE, Decision, EprHalf, HonestAlice,
                         HonestBob, ProtocolId, SingleState, Vacuum, VariantFlags,
@@ -60,15 +60,11 @@ class RotatedStateAlice:
     def __init__(self, cfg, family: StateFamily):
         self.target = cfg.target
         self.k_cdf = cumulative((0.25,) * 4)  # k uniform in 0..3
-        sent = [QuantumState((math.cos(t), math.sin(t)))
-                for t in (k * math.pi / 8.0 for k in (1, 3, 5, 7))]
-        self.states = as_columns(sent)
-        # nearest[i][a]: the bit x whose |a, x> overlaps sent[i] the most
-        self.nearest = np.array([
-            [0 if s.fidelity_with(catalog.state(family, StateLabel(a, 0)))
-             >= s.fidelity_with(catalog.state(family, StateLabel(a, 1))) else 1
-             for a in (0, 1)]
-            for s in sent])
+        self.states = as_columns([QuantumState((math.cos(t), math.sin(t)))
+                                  for t in (k * math.pi / 8.0 for k in (1, 3, 5, 7))])
+        # nearest[i, a]: the bit x whose |a, x> overlaps column i the most, 0 on a tie
+        overlap = (catalog.basis_pair(family) @ self.states) ** 2  # [a, x, i]
+        self.nearest = (overlap[:, 1] > overlap[:, 0]).T.astype(int)
 
     def prepare(self, u) -> SingleState:
         self.k = inverse_cdf(*self.k_cdf, u[0])

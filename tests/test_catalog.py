@@ -7,9 +7,9 @@ import pytest
 from coinflip import catalog
 from coinflip.catalog import (FAMILIES, Family, StateFamily, StateLabel, basis,
                               basis_pair, committed_density,
-                              computational_basis, honest_ensemble, state)
+                              computational_basis, state)
 from coinflip.errors import InvalidLabel, OutOfRange
-from coinflip.quantum import mix, trace_distance
+from coinflip.quantum import trace_distance
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -81,6 +81,15 @@ def test_mcqm_extra_states():
         for x in (0, 1):
             assert (state(MCQM, StateLabel(a, x)).amplitudes
                     == state(AMB, StateLabel(a, x)).amplitudes)
+    # and the x=2 states are the Ambainis reject vectors |2-a>: one table
+    assert (basis_pair(MCQM) == basis_pair(AMB)).all()
+
+
+def test_basis_pair_rejects_a_table_that_is_not_orthonormal(monkeypatch):
+    skewed = (((1.0, 0.0), (SQ2, SQ2)), ((1.0, 0.0), (0.0, 1.0)))
+    monkeypatch.setattr(catalog, "_rows", lambda family: skewed)
+    with pytest.raises(ValueError, match="not orthonormal"):
+        basis_pair.__wrapped__(lt())  # past the cache
 
 
 def test_invalid_labels_rejected():
@@ -88,6 +97,9 @@ def test_invalid_labels_rejected():
         StateLabel(2, 0)
     with pytest.raises(InvalidLabel):
         state(BB84, StateLabel(0, 2))
+    for a in (0, 1):  # the reject vector |2-a> is no Ambainis state
+        with pytest.raises(InvalidLabel):
+            state(AMB, StateLabel(a, 2))
     with pytest.raises(InvalidLabel):
         basis(BB84, 2)
 
@@ -164,34 +176,24 @@ def test_computational_basis_labels():
 # committed mixtures
 
 def test_committed_density_matches_ensemble_mixture():
-    for fam in (BB84, AMB, MCQM, lt(0.9), lt(0.62)):
-        for commit in (0, 1):
+    """Each honest ensemble mixes to the diagonal typed here, with every
+    off-diagonal entry 0."""
+    diagonals = {
+        BB84: ((0.5, 0.5), (0.5, 0.5)),
+        AMB: ((0.5, 0.5, 0.0), (0.5, 0.0, 0.5)),
+        MCQM: ((0.49, 0.49, 0.02), (0.49, 0.02, 0.49)),
+        lt(0.9): ((0.9, 0.1), (0.1, 0.9)),
+        lt(0.62): ((0.62, 0.38), (0.38, 0.62)),
+    }
+    for fam, pair in diagonals.items():
+        for commit, diagonal in enumerate(pair):
             rho = committed_density(fam, commit)
-            mixed = mix(honest_ensemble(fam, commit))
-            assert np.allclose(rho.entries, mixed.entries, atol=1e-12)
+            assert np.allclose(rho.entries, np.diag(diagonal), atol=1e-12), (fam, commit)
 
 
 def test_bb84_commitments_are_indistinguishable():
     assert trace_distance(committed_density(BB84, 0),
                           committed_density(BB84, 1)) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_loss_tolerant_commitment_diagonals():
-    fam = lt(0.9)
-    assert committed_density(fam, 0).diagonal() == pytest.approx([0.9, 0.1])
-    assert committed_density(fam, 1).diagonal() == pytest.approx([0.1, 0.9])
-
-
-def test_mcqm_commitment_diagonals():
-    assert committed_density(MCQM, 0).diagonal() == pytest.approx([0.49, 0.49, 0.02])
-    assert committed_density(MCQM, 1).diagonal() == pytest.approx([0.49, 0.02, 0.49])
-
-
-def test_committed_densities_are_diagonal():
-    for fam in (BB84, AMB, MCQM, lt(0.7)):
-        for commit in (0, 1):
-            m = committed_density(fam, commit).entries
-            assert np.allclose(m, np.diag(np.diag(m)), atol=1e-12)
 
 
 def _build(family: StateFamily) -> None:
@@ -203,20 +205,18 @@ def _build(family: StateFamily) -> None:
 
 
 def test_family_caches_hold_one_grid_and_stay_bounded():
-    """A FAMILIES-point alpha2 grid fits every family cache, so a second
-    pass over it builds nothing; a 300-family sweep keeps the bounds."""
-    caches = (catalog.state, catalog.basis, catalog.basis_pair,
-              catalog.committed_density)
+    """A FAMILIES-point alpha2 grid fits the one family cache, basis_pair's,
+    so a second pass over it builds nothing; a 300-family sweep keeps the
+    bound."""
+    cache = catalog.basis_pair
     grid = [lt(float(a2)) for a2 in np.linspace(0.51, 0.99, FAMILIES)]
     for family in grid:
         _build(family)
-    misses = [cache.cache_info().misses for cache in caches]
+    misses = cache.cache_info().misses
     for family in grid:
         _build(family)
-    assert [cache.cache_info().misses for cache in caches] == misses
+    assert cache.cache_info().misses == misses
     for a2 in np.linspace(0.501, 0.999, 300):
         _build(lt(float(a2)))
-    sizes = [(cache.cache_info().maxsize, cache.cache_info().currsize)
-             for cache in caches]
-    bounds = (6 * FAMILIES, 2 * FAMILIES, FAMILIES, 2 * FAMILIES)
-    assert sizes == [(bound, bound) for bound in bounds]
+    info = cache.cache_info()
+    assert (info.maxsize, info.currsize) == (FAMILIES, FAMILIES)

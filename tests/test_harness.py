@@ -313,8 +313,7 @@ def test_pinned_counts_meet_their_matrix_rows():
     for row in check_matrix(n, 7):
         label = labels.setdefault(row.cfg, row.label)
         successes, aborts, restart_total = GOLDEN_COUNTS[label]
-        est = BiasEstimate(successes, aborts, restart_total, n, successes / n,
-                           (0.0, 1.0), successes / n - 0.5, 0)
+        est = BiasEstimate(successes, aborts, restart_total, n, 0)
         measured = getattr(est, row.metric)
         if row.exact:
             assert measured == row.expected, row.label
