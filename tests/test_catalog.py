@@ -196,6 +196,24 @@ def test_bb84_commitments_are_indistinguishable():
                           committed_density(BB84, 1)) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_loss_tolerant_commitment_diagonals():
+    fam = lt(0.9)
+    assert committed_density(fam, 0).diagonal() == pytest.approx([0.9, 0.1])
+    assert committed_density(fam, 1).diagonal() == pytest.approx([0.1, 0.9])
+
+
+def test_mcqm_commitment_diagonals():
+    assert committed_density(MCQM, 0).diagonal() == pytest.approx([0.49, 0.49, 0.02])
+    assert committed_density(MCQM, 1).diagonal() == pytest.approx([0.49, 0.02, 0.49])
+
+
+def test_committed_densities_are_diagonal():
+    for fam in (BB84, AMB, MCQM, lt(0.7)):
+        for commit in (0, 1):
+            m = committed_density(fam, commit).entries
+            assert np.allclose(m, np.diag(np.diag(m)), atol=1e-12)
+
+
 def _build(family: StateFamily) -> None:
     """What building a family's hooks and oracles asks of the catalog."""
     for a in (0, 1):
