@@ -53,7 +53,8 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--target", type=int, choices=(0, 1), default=d.target)
     p.add_argument("--trials", type=int, default=d.trials)
     p.add_argument("--seed", type=int, default=d.seed)
-    p.add_argument("--alpha2", type=float, default=d.alpha2)
+    p.add_argument("--alpha2", type=float, default=None,
+                   help=f"loss-tolerant protocol only (default {d.alpha2})")
     p.add_argument("--eta", type=float, default=d.eta)
     p.add_argument("--max-restarts", type=int, default=d.max_restarts)
     p.add_argument("--photons", type=int, default=d.photon_count)
@@ -61,15 +62,19 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
 
 
 def _config_from_args(args, **overrides) -> ExperimentConfig:
+    protocol = _PROTOCOLS[args.protocol]
+    if args.alpha2 is not None:
+        overrides = {"alpha2": args.alpha2, **overrides}
+    if "alpha2" in overrides and PROTOCOLS[protocol].family is not Family.LOSS_TOLERANT:
+        raise IncompatibleProtocol(f"{protocol.value} does not read alpha2")
     base = dict(
-        protocol=_PROTOCOLS[args.protocol],
+        protocol=protocol,
         variant=VARIANT_NAMES[args.variant],
         alice=args.alice,
         bob=args.bob,
         target=args.target,
         trials=args.trials,
         seed=args.seed,
-        alpha2=args.alpha2,
         eta=args.eta,
         max_restarts=args.max_restarts,
         photon_count=args.photons,
@@ -105,10 +110,6 @@ def _cmd_table(args, out) -> int:
 
 
 def _cmd_sweep(args, out) -> int:
-    protocol = _PROTOCOLS[args.protocol]
-    family = PROTOCOLS[protocol].family
-    if args.param == "alpha2" and family is not Family.LOSS_TOLERANT:
-        raise IncompatibleProtocol(f"{protocol.value} does not read alpha2")
     lo, hi, n = args.grid
     records = []
     for i in range(n):

@@ -65,7 +65,9 @@ step logs the attempts its trials keep as arrays, and the call's
 transcripts are built from that log in one pass at its end; an attempt
 after K lost rounds expands to K lost rows before its own, each not
 delivered, with no basis or outcome and a restart requested. The engine
-records no basis for a round where nothing arrived. In an honest basis
+records no basis for a round where nothing arrived. Each distinct round is
+built once per call, as one frozen QuantumRound that every transcript
+holding it shares; Transcript.to_dict returns fresh dicts. In an honest basis
 outcome index i is the state |a, i>, so it is compared with the revealed x
 directly (see catalog.basis). What differs between protocols is one row of
 the PROTOCOLS table: the state family, the variants Bob may play (its
@@ -172,6 +174,9 @@ class Decision:
     ACCEPTED, ABORT_CHEATER, REQUEST_RESTART, CLAIM_LOSS_FALSELY = range(4)
 
 
+VERDICTS = (Verdict.ACCEPTED, Verdict.ABORT_CHEATER)  # by Decision code
+
+
 # ---------------------------------------------------------------------------
 # emissions: one per round of a batch
 
@@ -237,8 +242,11 @@ def measure_delivery(delivery: Emission, delivered: np.ndarray, bras: np.ndarray
 # ---------------------------------------------------------------------------
 # transcripts
 
-@dataclass(slots=True)
+@dataclass(frozen=True)
 class QuantumRound:
+    """Frozen, as transcripts share it; its instance dict, fields in order,
+    is its record, and Transcript.to_dict returns copies of it."""
+
     sent: str
     delivered: bool
     bob_basis: Optional[str] = None
@@ -247,7 +255,7 @@ class QuantumRound:
     false_claim: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class Transcript:
     rounds: list[QuantumRound]
     b: int
@@ -258,13 +266,10 @@ class Transcript:
 
     def to_dict(self) -> dict:
         return {
-            "rounds": [{"sent": r.sent, "delivered": r.delivered,
-                        "bob_basis": r.bob_basis, "bob_outcome": r.bob_outcome,
-                        "restart_requested": r.restart_requested,
-                        "false_claim": r.false_claim} for r in self.rounds],
+            "rounds": [r.__dict__.copy() for r in self.rounds],
             "b": self.b,
             "revealed": {"a": self.revealed[0], "x": self.revealed[1]},
-            "verdict": self.verdict.value,
+            "verdict": self.verdict._value_,  # .value, without its descriptor
             "outcome": self.outcome,
             "restart_count": self.restart_count,
         }
@@ -356,8 +361,9 @@ def run_chunk(protocol: ProtocolId, alice, bob, ch: ChannelParams,
     trial over the limit), the coin it produced and the restarts before it.
     With a sink, each step logs its trials' attempts up to the kept one as
     arrays; at the end the log is sorted by trial, the trials over the limit
-    are dropped, each attempt expands to its lost rows and its own, and each
-    other trial's Transcript goes to the sink, in trial order.
+    are dropped, each attempt expands to its lost rows and its own, equal
+    rows share one QuantumRound, and each other trial's Transcript goes to
+    the sink, in trial order.
     """
     coin_from_x = PROTOCOLS[protocol].coin_from_x
     geometric = bob.restarts_on_loss and ch.eta < 1.0
@@ -430,23 +436,23 @@ def run_chunk(protocol: ProtocolId, alice, bob, ch: ChannelParams,
         rows = np.repeat(rows, copies)
         own = np.zeros(rows.size, dtype=bool)
         own[np.cumsum(copies) - 1] = True
-        basis = np.where(own, basis[rows], -1)
-        outcome = np.where(own, outcome[rows], -1)
-        decided = np.where(own, decided[rows], Decision.REQUEST_RESTART)
-        measured = outcome.astype(object)
-        measured[outcome < 0] = None
-        tags = np.array((*getattr(bob, "basis_tags", ()), None), dtype=object)
-        made = list(map(QuantumRound, np.array(sent, dtype=object)[tag[rows]].tolist(),
-                        (arrived[rows] & own).tolist(), tags[basis].tolist(),  # -1: None
-                        measured.tolist(),
-                        (decided >= Decision.REQUEST_RESTART).tolist(),
-                        (decided == Decision.CLAIM_LOSS_FALSELY).tolist()))
+        # each row as one code of its columns: tag, delivered, basis + 1 and
+        # outcome + 1 (0: none), and 0 for a round that ends, 1 for a restart,
+        # 2 for a false claim of loss
+        tags = (*getattr(bob, "basis_tags", ()), None)  # tags[-1]: no basis
+        columns = (tag[rows], arrived[rows] & own, np.where(own, basis[rows], -1) + 1,
+                   np.where(own, outcome[rows], -1) + 1,
+                   np.where(own, decided[rows] - 1, 1).clip(0))
+        code = np.ravel_multi_index(columns, [int(c.max(initial=0)) + 1 for c in columns])
+        # one shared round per distinct code
+        _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
+        table = [QuantumRound(sent[t], d, tags[b - 1], o - 1 if o else None, f > 0, f > 1)
+                 for t, d, b, o, f in zip(*(c[first].tolist() for c in columns))]
+        made = np.array(table, dtype=object)[inverse].tolist()
         ok = verdict != Decision.REQUEST_RESTART
         for end, v, c, r, b, a, x in zip(np.cumsum(restarts[ok] + 1).tolist(),
                                          verdict[ok].tolist(), coin[ok].tolist(),
                                          restarts[ok].tolist(), *final[:, ok].tolist()):
-            accepted = v == Decision.ACCEPTED
-            sink(Transcript(made[end - r - 1:end], b, (a, x),
-                            Verdict.ACCEPTED if accepted else Verdict.ABORT_CHEATER,
-                            c if accepted else None, r))
+            sink(Transcript(made[end - r - 1:end], b, (a, x), VERDICTS[v],
+                            c if v == Decision.ACCEPTED else None, r))
     return verdict, coin, restarts

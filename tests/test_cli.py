@@ -7,8 +7,10 @@ import sys
 
 import pytest
 
+from coinflip.catalog import Family
 from coinflip.cli import _config_from_args, build_parser, cli_main
 from coinflip.harness import ExperimentConfig, evaluate_matrix
+from coinflip.protocols import PROTOCOLS
 
 CLI = [sys.executable, "-m", "coinflip"]
 
@@ -160,6 +162,26 @@ def test_out_of_range_options_exit_1_without_traceback(args):
     assert proc.returncode == 1
     assert proc.stderr.startswith("coinflip: error: ")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("protocol", [p.value for p, spec in PROTOCOLS.items()
+                                      if spec.family is not Family.LOSS_TOLERANT])
+def test_alpha2_is_refused_where_nothing_reads_it(protocol, capsys):
+    """Only the loss-tolerant family reads alpha2, so run and an eta sweep
+    refuse --alpha2 for every other protocol; without it they run."""
+    for command in (("run",), ("sweep", "--param", "eta", "--grid", "0.5:1:2")):
+        args = [*command, "--protocol", protocol, "--trials", "10"]
+        out = io.StringIO()
+        assert cli_main([*args, "--alpha2", "0.7"], out=out) == 1
+        assert (out.getvalue(), capsys.readouterr().err) == (
+            "", f"coinflip: error: {protocol} does not read alpha2\n")
+        assert cli_main(args, out=io.StringIO()) == 0
+
+
+def test_alpha2_reaches_the_loss_tolerant_record():
+    out = io.StringIO()
+    assert cli_main(["run", "--alpha2", "0.7", "--trials", "10"], out=out) == 0
+    assert json.loads(out.getvalue())["alpha2"] == 0.7
 
 
 def test_restart_budget_exits_3():

@@ -354,6 +354,19 @@ def test_every_valid_pairing_is_pinned():
     assert hashlib.sha256(blob).hexdigest() == GOLDEN_PAIRINGS
 
 
+def test_a_transcript_sink_changes_no_count():
+    """Every pinned pairing that concludes gives the same estimate with a
+    transcript sink as without, and one transcript per finished trial."""
+    for cfg in valid_configs(eta=0.5, seed=7, trials=200):
+        try:
+            est = run_experiment(cfg)
+        except RestartBudgetExceeded:
+            continue
+        kept = []
+        assert run_experiment(cfg, transcript_sink=kept.append) == est, cfg
+        assert len(kept) == cfg.trials - est.limit_hits
+
+
 def _tallies(verdict, coin, restarts, target):
     finished = verdict != Decision.REQUEST_RESTART
     return np.array([np.count_nonzero((verdict == Decision.ACCEPTED) & (coin == target)),

@@ -234,6 +234,29 @@ def test_transcript_dict_is_a_copy():
     assert t.to_dict()["rounds"][0]["delivered"] in (True, False)
 
 
+def test_shared_rounds_are_frozen_and_serialize_as_fresh_copies():
+    """The transcripts of one engine call share each distinct round: the
+    shared round cannot change, and each to_dict hands out its own copies of
+    the round records, which are the round's fields in field order."""
+    out = run_many(ProtocolId.LOSS_TOLERANT_CF, 200, eta=0.5)
+    held = {}  # id of a round -> (transcript, index) of its first holder
+    (t1, i1), (t2, i2) = next(
+        (held[id(r)], (t, i)) for t in out for i, r in enumerate(t.rounds)
+        if held.setdefault(id(r), (t, i))[0] is not t)
+    shared = t1.rounds[i1]
+    assert t2.rounds[i2] is shared
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        shared.delivered = not shared.delivered
+    first, second = t1.to_dict(), t2.to_dict()
+    mutated = t1.to_dict()
+    mutated["rounds"][i1].update(dict.fromkeys(mutated["rounds"][i1], "MUTATED"))
+    assert t2.to_dict() == second
+    assert t1.to_dict() == first
+    for t in out:
+        assert [list(r.items()) for r in t.to_dict()["rounds"]] == [
+            list(dataclasses.asdict(r).items()) for r in t.rounds]
+
+
 def test_stored_measurement_is_recorded_after_the_reveal():
     """A stored-measurement Bob measures in the revealed basis once Alice
     reveals, and the round records that basis and outcome; a lost round
