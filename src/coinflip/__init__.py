@@ -2,19 +2,16 @@
 
 from .analytics import (alice_bias_bound, bias_report, bob_bias,
                         cunning_agreement, fair_alpha2, reference_table)
-from .catalog import (Family, StateFamily, StateLabel, basis,
-                      committed_density, computational_basis, honest_ensemble,
-                      state)
+from .catalog import Family, StateFamily, basis_pair, committed_density
 from .channel import ChannelParams, transmit
-from .discrimination import (INCONCLUSIVE, DiscriminationStats,
-                             computational_usd_ambainis, stats, usd_pure_pair)
+from .discrimination import (COMPUTATIONAL_USD_AMBAINIS, DiscriminationStats,
+                             stats, usd_pure_pair)
 from .harness import (BiasEstimate, ExperimentConfig, run_experiment,
                       wilson_interval)
 from .protocols import (LossPolicy, ProtocolId, Transcript, VariantFlags,
                         Verdict, default_flags, run_chunk)
-from .quantum import (DensityMatrix, Povm, ProjectiveMeasurement, QuantumState,
-                      density_of, helstrom_success, measure_projective, mix,
-                      normalize, steer_epr, trace_distance)
+from .quantum import (helstrom_success, measure_projective, mix, steer_epr,
+                      trace_distance)
 from .rng import ChunkStream
 from .strategies import Side
 

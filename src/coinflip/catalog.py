@@ -2,9 +2,9 @@
 
 Each family is one table of real amplitudes: for each basis bit ``a``, the
 rows |a, x> of the honest basis a, indexed by a bit (or trit) ``x``.
-Everything else is read from it: basis_pair is the table as an array,
-checked once for orthonormality; state and basis wrap its rows; and
-committed_density mixes the honest ensemble built from those states.
+Everything else is read from it: basis_pair is the table as a read-only
+array, checked once for orthonormality, whose rows are the states (and
+bras); committed_density mixes them as an honest Alice does once committed.
 
 * BB84           - the four conjugate-basis qubit states.
 * AMBAINIS       - the four qutrit states (|0> +/- |1>)/sqrt2, (|0> +/- |2>)/sqrt2;
@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidLabel, OutOfRange
-from .quantum import ATOL, DensityMatrix, ProjectiveMeasurement, QuantumState, mix
+from .quantum import ATOL, mix
 
 
 class Family(Enum):
@@ -64,16 +64,6 @@ class StateFamily:
         return (0.5, 0.5)
 
 
-@dataclass(frozen=True)
-class StateLabel:
-    a: int
-    x: int
-
-    def __post_init__(self):
-        if self.a not in (0, 1):
-            raise InvalidLabel(f"basis label a={self.a}")
-
-
 _SQ2 = 1.0 / math.sqrt(2.0)
 FAMILIES = 64  # families basis_pair holds (an alpha2 grid); least recent goes first
 
@@ -105,48 +95,14 @@ def basis_pair(family: StateFamily) -> np.ndarray:
     return pair
 
 
-def state(family: StateFamily, label: StateLabel) -> QuantumState:
-    """The family's state |a, x>: row x of basis a."""
-    if label.x not in family.x_values:
-        raise InvalidLabel(f"x={label.x} not valid for {family.family.value}")
-    return QuantumState(basis_pair(family)[label.a, label.x].tolist())
-
-
-def basis(family: StateFamily, a: int) -> ProjectiveMeasurement:
-    """The honest measurement basis for basis bit ``a``.
-
-    Outcome index i is row i of basis a, so an honest outcome is the bit x
-    itself. The Ambainis basis's row 2 is |2-a>, which no honest x equals
-    and no honest state ever produces.
-    """
-    if a not in (0, 1):
-        raise InvalidLabel(f"basis label a={a}")
-    return ProjectiveMeasurement(tuple(map(QuantumState, basis_pair(family)[a].tolist())))
-
-
-@lru_cache(maxsize=None)
-def computational_basis(dim: int) -> ProjectiveMeasurement:
-    """The standard basis {|0>, ..., |dim-1>}; outcome i is |i>."""
-    return ProjectiveMeasurement(tuple(map(QuantumState, np.eye(dim).tolist())))
-
-
-def honest_ensemble(family: StateFamily, commit: int) -> list[tuple[float, QuantumState]]:
-    """The ensemble an honest Alice draws from once committed.
-
-    BB84, AMBAINIS and MCQM_EXAMPLE commit to the basis bit a (mixing over x);
-    LOSS_TOLERANT commits to the bit x (mixing over a).
-    """
+def committed_density(family: StateFamily, commit: int) -> np.ndarray:
+    """The mixed state signalling the committed value, the mixture an honest
+    Alice draws from once committed. BB84, AMBAINIS and MCQM_EXAMPLE commit
+    to the basis bit a, mixing the rows |a, x> with the family's x weights;
+    LOSS_TOLERANT commits to the bit x, mixing |0, x> and |1, x> equally."""
     if commit not in (0, 1):
         raise InvalidLabel(f"commit={commit}")
+    pair = basis_pair(family)
     if family.family is Family.LOSS_TOLERANT:
-        return [(0.5, state(family, StateLabel(a, commit))) for a in (0, 1)]
-    return [
-        (w, state(family, StateLabel(commit, x)))
-        for w, x in zip(family.x_weights, family.x_values)
-    ]
-
-
-def committed_density(family: StateFamily, commit: int) -> DensityMatrix:
-    """The mixed state signalling the committed value: the mixture of the
-    honest ensemble."""
-    return mix(honest_ensemble(family, commit))
+        return mix((0.5, 0.5), pair[:, commit])
+    return mix(family.x_weights, pair[commit, :len(family.x_values)])

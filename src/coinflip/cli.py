@@ -35,7 +35,7 @@ EXIT_RESTART_BUDGET = 3
 _PROTOCOLS = {p.value: p for p in ProtocolId}
 
 
-class _UsageError(Exception):
+class _UsageError(CoinFlipError):
     pass
 
 
@@ -55,7 +55,7 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=d.seed)
     p.add_argument("--alpha2", type=float, default=None,
                    help=f"loss-tolerant protocol only (default {d.alpha2})")
-    p.add_argument("--eta", type=float, default=d.eta)
+    p.add_argument("--eta", type=float, default=None, help=f"(default {d.eta})")
     p.add_argument("--max-restarts", type=int, default=d.max_restarts)
     p.add_argument("--photons", type=int, default=d.photon_count)
     p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -63,8 +63,8 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
 
 def _config_from_args(args, **overrides) -> ExperimentConfig:
     protocol = _PROTOCOLS[args.protocol]
-    if args.alpha2 is not None:
-        overrides = {"alpha2": args.alpha2, **overrides}
+    options = {"alpha2": args.alpha2, "eta": args.eta}  # None where not given
+    overrides = {**{k: v for k, v in options.items() if v is not None}, **overrides}
     if "alpha2" in overrides and PROTOCOLS[protocol].family is not Family.LOSS_TOLERANT:
         raise IncompatibleProtocol(f"{protocol.value} does not read alpha2")
     base = dict(
@@ -75,7 +75,6 @@ def _config_from_args(args, **overrides) -> ExperimentConfig:
         target=args.target,
         trials=args.trials,
         seed=args.seed,
-        eta=args.eta,
         max_restarts=args.max_restarts,
         photon_count=args.photons,
     )
@@ -110,12 +109,13 @@ def _cmd_table(args, out) -> int:
 
 
 def _cmd_sweep(args, out) -> int:
+    if getattr(args, args.param) is not None:
+        raise _UsageError(f"--{args.param} is swept by --grid; do not give it too")
     lo, hi, n = args.grid
     records = []
     for i in range(n):
         value = lo if n == 1 else lo + (hi - lo) * i / (n - 1)
-        overrides = {args.param: value} if args.param == "alpha2" else {"eta": value}
-        cfg = _config_from_args(args, **overrides)
+        cfg = _config_from_args(args, **{args.param: value})
         est = run_experiment(cfg)
         records.append(estimate_to_dict(cfg, est))
     _emit(records, args.format, out)

@@ -5,10 +5,6 @@ class CoinFlipError(Exception):
     """Base class for all package errors."""
 
 
-class ZeroVector(CoinFlipError):
-    """All amplitudes are (numerically) zero; no direction to normalize."""
-
-
 class ProbabilityMismatch(CoinFlipError):
     """Probabilities are negative or do not sum to one within tolerance."""
 

@@ -69,7 +69,7 @@ records no basis for a round where nothing arrived. Each distinct round is
 built once per call, as one frozen QuantumRound that every transcript
 holding it shares; Transcript.to_dict returns fresh dicts. In an honest basis
 outcome index i is the state |a, i>, so it is compared with the revealed x
-directly (see catalog.basis). What differs between protocols is one row of
+directly (see catalog.basis_pair). What differs between protocols is one row of
 the PROTOCOLS table: the state family, the variants Bob may play (its
 default first) and the coin rule.
 """

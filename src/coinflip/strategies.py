@@ -23,12 +23,12 @@ from typing import Optional
 import numpy as np
 
 from . import catalog
-from .catalog import StateFamily, computational_basis
+from .catalog import StateFamily
 from .errors import IncompatibleProtocol
 from .protocols import (MEASURE, STORE, Decision, EprHalf, HonestAlice,
                         HonestBob, ProtocolId, SingleState, Vacuum, VariantFlags,
                         measure_delivery)
-from .quantum import QuantumState, as_columns, measure_projective
+from .quantum import measure_projective
 from .rng import bernoulli, bit, cumulative, inverse_cdf
 
 
@@ -60,8 +60,9 @@ class RotatedStateAlice:
     def __init__(self, cfg, family: StateFamily):
         self.target = cfg.target
         self.k_cdf = cumulative((0.25,) * 4)  # k uniform in 0..3
-        self.states = as_columns([QuantumState((math.cos(t), math.sin(t)))
-                                  for t in (k * math.pi / 8.0 for k in (1, 3, 5, 7))])
+        angles = [k * math.pi / 8.0 for k in (1, 3, 5, 7)]
+        self.states = np.array([[f(t) for t in angles] for f in (math.cos, math.sin)])
+        self.states.flags.writeable = False
         # nearest[i, a]: the bit x whose |a, x> overlaps column i the most, 0 on a tie
         overlap = (catalog.basis_pair(family) @ self.states) ** 2  # [a, x, i]
         self.nearest = (overlap[:, 1] > overlap[:, 0]).T.astype(int)
@@ -101,10 +102,9 @@ class AmbainisOptimalAlice:
 
     def __init__(self, cfg, family: StateFamily):
         self.target = cfg.target
-        r6 = math.sqrt(6.0)
-        # column 2 * (s1 < 0) + (s2 < 0)
-        self.states = as_columns([QuantumState((2.0 / r6, s1 / r6, s2 / r6))
-                                  for s1 in (1, -1) for s2 in (1, -1)])
+        signs = [(1, 1, -1, -1), (1, -1, 1, -1)]  # column 2 * (s1 < 0) + (s2 < 0)
+        self.states = np.array([(2, 2, 2, 2), *signs]) / math.sqrt(6.0)
+        self.states.flags.writeable = False
 
     def prepare(self, u) -> SingleState:
         self.negative = 1 - bit(u)  # per basis a, per round
@@ -122,7 +122,8 @@ class LossTolerantOptimalAlice:
     def __init__(self, cfg, family: StateFamily):
         self.target = cfg.target
         s = 1.0 / math.sqrt(2.0)
-        self.states = as_columns([QuantumState((s, s)), QuantumState((s, -s))])
+        self.states = np.array([[s, s], [s, -s]])  # columns |+>, |->
+        self.states.flags.writeable = False
 
     def prepare(self, u) -> SingleState:
         self.sent_minus = bit(u[0])
@@ -195,7 +196,8 @@ class GuessingBob:
 
     def __init__(self, cfg, family: StateFamily):
         self.target = cfg.target
-        self.bras = computational_basis(family.dim).bras
+        self.bras = np.eye(family.dim)
+        self.bras.flags.writeable = False
 
     def receive(self, delivery, delivered, u):
         self.last_outcome = measure_delivery(delivery, delivered, self.bras, u[0])

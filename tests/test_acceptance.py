@@ -14,15 +14,13 @@ import conftest
 
 from coinflip.analytics import (alice_bias_bound, bob_bias, fair_alpha2,
                                 reference_table)
-from coinflip.catalog import (Family, StateFamily, StateLabel, basis,
-                              committed_density, state)
-from coinflip.discrimination import (computational_usd_ambainis,
+from coinflip.catalog import Family, StateFamily, basis_pair, committed_density
+from coinflip.discrimination import (COMPUTATIONAL_USD_AMBAINIS,
                                      loss_tolerant_guess_ceiling, stats,
                                      usd_pure_pair)
 from coinflip.harness import VARIANT_NAMES, ExperimentConfig, run_experiment
 from coinflip.protocols import ProtocolId
-from coinflip.quantum import (QuantumState, density_of, helstrom_success,
-                              normalize, trace_distance)
+from coinflip.quantum import helstrom_success, mix, trace_distance
 
 TRIALS = 100_000
 SEED = 12345
@@ -135,17 +133,17 @@ def test_criterion_6_discrimination_oracles():
     r0, r1 = committed_density(mcqm, 0), committed_density(mcqm, 1)
     assert abs(trace_distance(r0, r1) - 0.47) < 1e-9
     assert abs(helstrom_success(r0, r1) - 0.735) < 1e-9
-    s = stats(computational_usd_ambainis(), r0, r1)
+    s = stats(COMPUTATIONAL_USD_AMBAINIS, r0, r1)
     assert abs(s.p_inconclusive - 0.49) < 1e-9
     assert abs(s.confidence - 0.49 / 0.51) < 1e-9
 
-    ket0 = QuantumState((1.0, 0.0))
-    plus = QuantumState((1 / math.sqrt(2), 1 / math.sqrt(2)))
-    usd = stats(usd_pure_pair(ket0, plus), density_of(ket0), density_of(plus))
+    ket0 = np.array([1.0, 0.0])
+    plus = np.array([1 / math.sqrt(2), 1 / math.sqrt(2)])
+    usd = stats(usd_pure_pair(ket0, plus), mix((1.0,), [ket0]), mix((1.0,), [plus]))
     assert abs((1.0 - usd.p_inconclusive) - (1.0 - 1.0 / math.sqrt(2))) < 1e-9
 
     amb = StateFamily(Family.AMBAINIS)
-    s = stats(computational_usd_ambainis(),
+    s = stats(COMPUTATIONAL_USD_AMBAINIS,
               committed_density(amb, 0), committed_density(amb, 1))
     assert abs((1.0 - s.p_inconclusive) - 0.5) < 1e-9
 
@@ -178,26 +176,26 @@ def test_criterion_9_property_suites():
                  for t in (0.55, 0.7, 0.9, 0.95)]
     for fam in families:
         for a in (0, 1):
-            m = basis(fam, a)
-            gram = np.array([[u.overlap(v) for v in m.basis] for u in m.basis])
+            m = basis_pair(fam)[a]
+            gram = m.conj() @ m.T
             assert np.allclose(gram, np.eye(fam.dim), atol=1e-9)
         for commit in (0, 1):
-            rho = committed_density(fam, commit).entries
+            rho = committed_density(fam, commit)
             assert np.allclose(rho, rho.conj().T, atol=1e-9)
             assert abs(np.trace(rho) - 1.0) < 1e-9
             assert np.linalg.eigvalsh(rho).min() > -1e-9
-    povm = computational_usd_ambainis()
-    assert np.allclose(sum(povm.elements), np.eye(3), atol=1e-9)
+    povm = COMPUTATIONAL_USD_AMBAINIS
+    assert np.allclose(sum(povm), np.eye(3), atol=1e-9)
 
     # --- Born-rule normalization over 10^3 random states -------------------
     gen = np.random.Generator(np.random.PCG64(SEED))
     for _ in range(1000):
         dim = int(gen.integers(2, 4))
         vec = gen.normal(size=dim) + 1j * gen.normal(size=dim)
-        s = normalize(tuple(vec))
+        s = vec / np.linalg.norm(vec)
         fam = (StateFamily(Family.LOSS_TOLERANT, 0.9) if dim == 2
                else StateFamily(Family.AMBAINIS))
-        probs = basis(fam, int(gen.integers(0, 2))).probabilities(s)
+        probs = np.abs(basis_pair(fam)[int(gen.integers(0, 2))] @ s) ** 2
         assert all(p >= -1e-12 for p in probs)
         assert abs(sum(probs) - 1.0) < 1e-9
 
@@ -215,7 +213,7 @@ def test_criterion_9_property_suites():
         est = experiment(protocol=ProtocolId.LOSS_TOLERANT_CF,
                          alice="lt_optimal", alpha2=alpha2, trials=n,
                          seed=SEED + i)
-        bound = 0.75 + 0.5 * math.sqrt(alpha2 * (1.0 - alpha2))
+        bound = 0.5 + alice_bias_bound(alpha2)
         sigma = math.sqrt(bound * (1.0 - bound) / n)
         assert est.p_hat <= bound + 3.0 * sigma, (alpha2, est.p_hat, bound)
 

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from coinflip import catalog
-from coinflip.catalog import (FAMILIES, Family, StateFamily, StateLabel, basis,
-                              basis_pair, committed_density,
-                              computational_basis, state)
+from coinflip.catalog import (FAMILIES, Family, StateFamily, basis_pair,
+                              committed_density)
 from coinflip.errors import InvalidLabel, OutOfRange
+from coinflip.harness import ExperimentConfig, build_hooks
+from coinflip.protocols import ProtocolId
 from coinflip.quantum import trace_distance
 
 SQ2 = 1.0 / math.sqrt(2.0)
@@ -48,39 +49,42 @@ def test_dimensions_and_weights():
 
 
 # ---------------------------------------------------------------------------
-# individual states
+# individual states: |a, x> is row x of basis a
+
+def state(family: StateFamily, a: int, x: int) -> np.ndarray:
+    return basis_pair(family)[a, x]
+
 
 def test_bb84_states():
-    assert state(BB84, StateLabel(0, 0)).amplitudes == (1, 0)
-    assert state(BB84, StateLabel(0, 1)).amplitudes == (0, 1)
-    plus = state(BB84, StateLabel(1, 0))
-    assert plus.amplitudes == pytest.approx((SQ2, SQ2))
-    minus = state(BB84, StateLabel(1, 1))
-    assert minus.amplitudes == pytest.approx((SQ2, -SQ2))
+    assert tuple(state(BB84, 0, 0)) == (1, 0)
+    assert tuple(state(BB84, 0, 1)) == (0, 1)
+    plus = state(BB84, 1, 0)
+    assert plus == pytest.approx((SQ2, SQ2))
+    minus = state(BB84, 1, 1)
+    assert minus == pytest.approx((SQ2, -SQ2))
 
 
 def test_ambainis_states():
-    assert state(AMB, StateLabel(0, 0)).amplitudes == pytest.approx((SQ2, SQ2, 0))
-    assert state(AMB, StateLabel(1, 1)).amplitudes == pytest.approx((SQ2, 0, -SQ2))
+    assert state(AMB, 0, 0) == pytest.approx((SQ2, SQ2, 0))
+    assert state(AMB, 1, 1) == pytest.approx((SQ2, 0, -SQ2))
 
 
 def test_loss_tolerant_states():
     fam = lt(0.9)
     alpha, beta = math.sqrt(0.9), math.sqrt(0.1)
-    assert state(fam, StateLabel(0, 0)).amplitudes == pytest.approx((alpha, beta))
-    assert state(fam, StateLabel(1, 0)).amplitudes == pytest.approx((alpha, -beta))
-    assert state(fam, StateLabel(0, 1)).amplitudes == pytest.approx((beta, -alpha))
-    assert state(fam, StateLabel(1, 1)).amplitudes == pytest.approx((beta, alpha))
+    assert state(fam, 0, 0) == pytest.approx((alpha, beta))
+    assert state(fam, 1, 0) == pytest.approx((alpha, -beta))
+    assert state(fam, 0, 1) == pytest.approx((beta, -alpha))
+    assert state(fam, 1, 1) == pytest.approx((beta, alpha))
 
 
 def test_mcqm_extra_states():
-    assert state(MCQM, StateLabel(0, 2)).amplitudes == (0, 0, 1)
-    assert state(MCQM, StateLabel(1, 2)).amplitudes == (0, 1, 0)
+    assert tuple(state(MCQM, 0, 2)) == (0, 0, 1)
+    assert tuple(state(MCQM, 1, 2)) == (0, 1, 0)
     # the x in {0,1} states coincide with the Ambainis family
     for a in (0, 1):
         for x in (0, 1):
-            assert (state(MCQM, StateLabel(a, x)).amplitudes
-                    == state(AMB, StateLabel(a, x)).amplitudes)
+            assert tuple(state(MCQM, a, x)) == tuple(state(AMB, a, x))
     # and the x=2 states are the Ambainis reject vectors |2-a>: one table
     assert (basis_pair(MCQM) == basis_pair(AMB)).all()
 
@@ -93,15 +97,13 @@ def test_basis_pair_rejects_a_table_that_is_not_orthonormal(monkeypatch):
 
 
 def test_invalid_labels_rejected():
-    with pytest.raises(InvalidLabel):
-        StateLabel(2, 0)
-    with pytest.raises(InvalidLabel):
-        state(BB84, StateLabel(0, 2))
-    for a in (0, 1):  # the reject vector |2-a> is no Ambainis state
+    """A commitment is a bit, and the reject vector |2-a> is no Ambainis
+    state: it takes no part in the committed mixture."""
+    for commit in (2, -1):
         with pytest.raises(InvalidLabel):
-            state(AMB, StateLabel(a, 2))
-    with pytest.raises(InvalidLabel):
-        basis(BB84, 2)
+            committed_density(BB84, commit)
+    for a in (0, 1):
+        assert committed_density(AMB, a)[2 - a, 2 - a] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +115,7 @@ def test_loss_tolerant_same_x_overlap():
     for alpha2 in (0.6, 0.75, 0.9):
         fam = lt(alpha2)
         for x in (0, 1):
-            ov = state(fam, StateLabel(0, x)).overlap(state(fam, StateLabel(1, x)))
+            ov = state(fam, 0, x) @ state(fam, 1, x)
             assert abs(ov) == pytest.approx(2.0 * alpha2 - 1.0, abs=1e-12)
 
 
@@ -123,20 +125,20 @@ def test_loss_tolerant_plus_state_overlap():
     for alpha2 in (0.6, 0.9):
         fam = lt(alpha2)
         ab = math.sqrt(alpha2 * (1.0 - alpha2))
-        plus = state(BB84, StateLabel(1, 0))
+        plus = state(BB84, 1, 0)
         for x in (0, 1):
-            best = state(fam, StateLabel(x, x))
-            assert plus.fidelity_with(best) == pytest.approx(0.5 + ab, abs=1e-12)
+            best = state(fam, x, x)
+            assert (plus @ best) ** 2 == pytest.approx(0.5 + ab, abs=1e-12)
 
 
 def test_ambainis_groups_share_only_ket0():
     """The a=0 states live in span{|0>,|1>}, the a=1 states in span{|0>,|2>}."""
     for x in (0, 1):
-        s0 = state(AMB, StateLabel(0, x))
-        s1 = state(AMB, StateLabel(1, x))
-        assert abs(s0.amplitudes[2]) == 0.0
-        assert abs(s1.amplitudes[1]) == 0.0
-        assert abs(s0.overlap(s1)) == pytest.approx(0.5)
+        s0 = state(AMB, 0, x)
+        s1 = state(AMB, 1, x)
+        assert abs(s0[2]) == 0.0
+        assert abs(s1[1]) == 0.0
+        assert abs(s0 @ s1) == pytest.approx(0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -146,9 +148,9 @@ def test_bases_contain_their_states():
     """Measuring |a,x> in the a basis yields outcome index x with certainty."""
     for fam in (BB84, AMB, MCQM, lt(0.8)):
         for a in (0, 1):
-            m = basis(fam, a)
+            m = basis_pair(fam)[a]
             for x in fam.x_values:
-                probs = m.probabilities(state(fam, StateLabel(a, x)))
+                probs = (m @ state(fam, a, x)) ** 2
                 assert probs[x] == pytest.approx(1.0)
 
 
@@ -157,19 +159,21 @@ def test_ambainis_reject_outcome_statistics():
     case the stored-measurement protocol produces), and fires half the time
     on a cross-group state."""
     for a in (0, 1):
-        m = basis(AMB, a)
+        m = basis_pair(AMB)[a]
         j = 2  # |2-a>, the outcome no honest x equals
         for x in (0, 1):
-            same = m.probabilities(state(AMB, StateLabel(a, x)))[j]
-            cross = m.probabilities(state(AMB, StateLabel(1 - a, x)))[j]
+            same = ((m @ state(AMB, a, x)) ** 2)[j]
+            cross = ((m @ state(AMB, 1 - a, x)) ** 2)[j]
             assert same == pytest.approx(0.0, abs=1e-12)
             assert cross == pytest.approx(0.5, abs=1e-12)
 
 
 def test_computational_basis_labels():
-    m = computational_basis(3)
-    assert all(u.amplitudes[i] == 1.0 for i, u in enumerate(m.basis))
-    assert m.probabilities(state(MCQM, StateLabel(0, 2))) == pytest.approx([0, 0, 1])
+    """A guessing Bob measures in the computational basis: outcome i is |i>."""
+    cfg = ExperimentConfig(protocol=ProtocolId.MCQM_CONTRIVED_CF, bob="mcqm_restart")
+    m = build_hooks(cfg)[1].bras
+    assert all(u[i] == 1.0 for i, u in enumerate(m))
+    assert (m @ state(MCQM, 0, 2)) ** 2 == pytest.approx([0, 0, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +192,7 @@ def test_committed_density_matches_ensemble_mixture():
     for fam, pair in diagonals.items():
         for commit, diagonal in enumerate(pair):
             rho = committed_density(fam, commit)
-            assert np.allclose(rho.entries, np.diag(diagonal), atol=1e-12), (fam, commit)
+            assert np.allclose(rho, np.diag(diagonal), atol=1e-12), (fam, commit)
 
 
 def test_bb84_commitments_are_indistinguishable():
@@ -210,15 +214,14 @@ def test_mcqm_commitment_diagonals():
 def test_committed_densities_are_diagonal():
     for fam in (BB84, AMB, MCQM, lt(0.7)):
         for commit in (0, 1):
-            m = committed_density(fam, commit).entries
+            m = committed_density(fam, commit)
             assert np.allclose(m, np.diag(np.diag(m)), atol=1e-12)
 
 
 def _build(family: StateFamily) -> None:
     """What building a family's hooks and oracles asks of the catalog."""
     for a in (0, 1):
-        basis(family, a)  # and its states
-        committed_density(family, a)
+        committed_density(family, a)  # and its states
     basis_pair(family)
 
 

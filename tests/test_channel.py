@@ -7,14 +7,13 @@ import pytest
 from coinflip.channel import ChannelParams, lost_rounds, transmit
 from coinflip.errors import OutOfRange
 from coinflip.protocols import SingleState, Vacuum
-from coinflip.quantum import QuantumState, as_columns
 
 from conftest import assert_close_5sigma, edge_uniforms
 
 SQ2 = 1.0 / math.sqrt(2.0)
-PLUS = as_columns([QuantumState((SQ2, SQ2))])  # a table of one state
+PLUS = np.array([[SQ2], [SQ2]])  # a table of one state
 ONE = np.zeros(1, dtype=np.intp)  # a batch of one round, sending column 0
-SENT_KET0 = SingleState(as_columns([QuantumState((1.0, 0.0))]), ONE)
+SENT_KET0 = SingleState(np.array([[1.0], [0.0]]), ONE)
 SENT_PLUS = SingleState(PLUS, ONE)
 
 

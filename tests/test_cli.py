@@ -178,6 +178,28 @@ def test_alpha2_is_refused_where_nothing_reads_it(protocol, capsys):
         assert cli_main(args, out=io.StringIO()) == 0
 
 
+@pytest.mark.parametrize("args", [
+    ("--param", "eta", "--grid", "0.5:1:2", "--eta", "0.3"),
+    ("--protocol", "loss_tolerant", "--param", "alpha2", "--grid", "0.6:0.9:2",
+     "--alpha2", "0.7")])
+def test_sweep_refuses_a_value_of_the_swept_parameter(args, capsys):
+    """The grid sets the swept parameter, so an explicit value of it would be
+    ignored: the sweep refuses it and runs nothing."""
+    out = io.StringIO()
+    assert cli_main(["sweep", *args, "--trials", "10"], out=out) == 1
+    param = args[args.index("--param") + 1]
+    assert (out.getvalue(), capsys.readouterr().err) == (
+        "", f"coinflip: error: --{param} is swept by --grid; do not give it too\n")
+
+
+def test_sweep_keeps_an_explicit_value_of_the_other_parameter():
+    out = io.StringIO()
+    assert cli_main(["sweep", "--param", "alpha2", "--grid", "0.6:0.9:2",
+                     "--eta", "0.5", "--trials", "10"], out=out) == 0
+    records = [json.loads(line) for line in out.getvalue().splitlines()]
+    assert [(r["alpha2"], r["eta"]) for r in records] == [(0.6, 0.5), (0.9, 0.5)]
+
+
 def test_alpha2_reaches_the_loss_tolerant_record():
     out = io.StringIO()
     assert cli_main(["run", "--alpha2", "0.7", "--trials", "10"], out=out) == 0

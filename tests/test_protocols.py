@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from coinflip.catalog import StateLabel, basis, basis_pair, state
+from coinflip.catalog import basis_pair
 from coinflip.channel import ChannelParams
 from coinflip.errors import IncompatibleProtocol
 from coinflip.harness import (VARIANT_NAMES, ExperimentConfig, build_hooks,
@@ -97,9 +97,9 @@ def test_honest_verification_is_exact():
         fam = family_for(protocol,
                          0.9 if protocol is ProtocolId.LOSS_TOLERANT_CF else None)
         for a in (0, 1):
-            m = basis(fam, a)
+            m = basis_pair(fam)[a]
             for x in fam.x_values:
-                probs = m.probabilities(state(fam, StateLabel(a, x)))
+                probs = np.abs(m @ m[x]) ** 2  # |a, x> measured in basis a
                 assert probs[x] == pytest.approx(1.0)
 
 

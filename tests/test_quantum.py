@@ -8,149 +8,126 @@ from hypothesis import strategies as st
 
 from coinflip import quantum
 from coinflip.catalog import Family, StateFamily, basis_pair
-from coinflip.errors import (DimensionMismatch, ProbabilityMismatch,
-                             ZeroVector)
+from coinflip.discrimination import stats, usd_pure_pair
+from coinflip.errors import DimensionMismatch, ProbabilityMismatch
 from coinflip.harness import ExperimentConfig, build_hooks
 from coinflip.protocols import HonestAlice, SingleState, measure_delivery
-from coinflip.quantum import (BORN_TABLES, DensityMatrix, Povm,
-                              ProjectiveMeasurement, QuantumState, as_columns,
-                              born_table, density_of, helstrom_success,
+from coinflip.quantum import (BORN_TABLES, born_table, helstrom_success,
                               measure_projective, measure_table, mix,
-                              normalize, steer_epr, trace_distance)
+                              steer_epr, trace_distance)
 from coinflip.rng import bit, choice
 
 from conftest import assert_close_5sigma, valid_configs
 
 SQ2 = 1.0 / math.sqrt(2.0)
+MIXED = np.eye(2) / 2.0  # the maximally mixed qubit
+
+
+def probabilities(state, bras) -> np.ndarray:
+    """The Born probabilities of one state in the basis whose rows are bras,
+    read from its Born table."""
+    table, _ = born_table(np.asarray(state)[:, None], bras)
+    return np.diff(table[:, 0], prepend=0.0)
 
 
 # ---------------------------------------------------------------------------
 # construction and normalization
 
-def test_normalize_unit_vector_is_identity():
-    s = normalize((1.0, 0.0))
-    assert s.amplitudes == (1.0 + 0.0j, 0.0 + 0.0j)
-
-
-def test_normalize_scales_to_unit_norm():
-    s = normalize((1.0, 1.0))
-    assert abs(s.amplitudes[0] - SQ2) < 1e-12
-    assert abs(s.amplitudes[1] - SQ2) < 1e-12
-
-
-def test_normalize_preserves_direction():
-    s = normalize((3.0, 4.0j, 0.0))
-    # the ratio of amplitudes must be unchanged
-    assert abs(s.amplitudes[1] / s.amplitudes[0] - 4.0j / 3.0) < 1e-12
-
-
-def test_normalize_zero_vector_raises():
-    with pytest.raises(ZeroVector):
-        normalize((0.0, 0.0))
-
-
 def test_state_rejects_unnormalized():
     with pytest.raises(ValueError):
-        QuantumState((1.0, 1.0))
+        mix((1.0,), [(1.0, 1.0)])
+    with pytest.raises(ValueError):
+        usd_pure_pair(np.array([1.0, 1.0]), np.array([1.0, 0.0]))
 
 
 def test_state_rejects_bad_dimension():
+    for dim in (1, 5):
+        rho = np.eye(dim) / dim
+        with pytest.raises(DimensionMismatch):
+            trace_distance(rho, rho)
     with pytest.raises(DimensionMismatch):
-        QuantumState((1.0,))
-    with pytest.raises(DimensionMismatch):
-        QuantumState((1.0, 0, 0, 0, 0))
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(st.floats(-5, 5), st.floats(-5, 5)),
-                min_size=2, max_size=4))
-def test_normalize_fuzzed(amps):
-    vec = [complex(re, im) for re, im in amps]
-    if math.sqrt(sum(abs(a) ** 2 for a in vec)) < 1e-6:
-        return
-    s = normalize(vec)
-    assert abs(sum(abs(a) ** 2 for a in s.amplitudes) - 1.0) < 1e-9
+        trace_distance(MIXED, np.eye(3) / 3.0)
 
 
 # ---------------------------------------------------------------------------
 # densities and mixtures
 
 def test_density_of_basis_state():
-    rho = density_of(QuantumState((1.0, 0.0)))
-    assert np.allclose(rho.entries, np.diag([1.0, 0.0]))
+    rho = mix((1.0,), [(1.0, 0.0)])
+    assert np.allclose(rho, np.diag([1.0, 0.0]))
 
 
 def test_density_of_plus_state():
-    rho = density_of(QuantumState((SQ2, SQ2)))
-    assert np.allclose(rho.entries, np.full((2, 2), 0.5))
+    rho = mix((1.0,), [(SQ2, SQ2)])
+    assert np.allclose(rho, np.full((2, 2), 0.5))
 
 
 def test_density_of_matches_independent_outer_product():
-    s = normalize((2.0, 1.0, 1.0))
-    v = np.array(s.amplitudes)
-    assert np.allclose(density_of(s).entries, np.outer(v, v.conj()), atol=1e-12)
+    v = np.array([2.0, 1.0, 1.0]) / math.sqrt(6.0)
+    assert np.allclose(mix((1.0,), [v]), np.outer(v, v.conj()), atol=1e-12)
 
 
 def test_mix_of_basis_states_is_maximally_mixed():
-    rho = mix([(0.5, QuantumState((1.0, 0.0))), (0.5, QuantumState((0.0, 1.0)))])
-    assert np.allclose(rho.entries, np.eye(2) / 2.0)
+    rho = mix((0.5, 0.5), np.eye(2))
+    assert np.allclose(rho, np.eye(2) / 2.0)
 
 
 def test_mix_weights_must_sum_to_one():
+    """One weight per state, none negative, summing to one."""
     with pytest.raises(ProbabilityMismatch):
-        mix([(0.5, QuantumState((1.0, 0.0)))])
+        mix((0.5,), [(1.0, 0.0)])
     with pytest.raises(ProbabilityMismatch):
-        mix([])
+        mix((), np.empty((0, 2)))
+    with pytest.raises(ProbabilityMismatch):
+        mix((1.5, -0.5), np.eye(2))
+    with pytest.raises(ProbabilityMismatch):
+        mix((1.0,), np.eye(2))
+    with pytest.raises(ProbabilityMismatch):  # states are rows, even one
+        mix((0.5, 0.5), [1.0, 0.0])
 
 
 def test_density_matrix_rejects_nonhermitian():
     with pytest.raises(ValueError):
-        DensityMatrix(np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex))
+        trace_distance(np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex), MIXED)
 
 
 def test_density_matrix_rejects_bad_trace():
     with pytest.raises(ValueError):
-        DensityMatrix(np.eye(2, dtype=complex))
+        trace_distance(MIXED, np.eye(2, dtype=complex))
 
 
 def test_density_matrix_rejects_negative_eigenvalue():
     with pytest.raises(ValueError):
-        DensityMatrix(np.diag([1.5, -0.5]).astype(complex))
-
-
-def test_density_matrix_is_read_only():
-    rho = density_of(QuantumState((1.0, 0.0)))
-    with pytest.raises(ValueError):
-        rho.entries[0, 0] = 0.0
+        helstrom_success(np.diag([1.5, -0.5]).astype(complex), MIXED)
 
 
 # ---------------------------------------------------------------------------
 # projective measurement
 
-def test_basis_must_be_orthogonal():
-    with pytest.raises(ValueError):
-        ProjectiveMeasurement(
-            (QuantumState((1.0, 0.0)), QuantumState((SQ2, SQ2))))
+def test_basis_must_be_orthogonal(monkeypatch):
+    """basis_pair checks both of a family's bases, the second one too."""
+    skewed = (((1.0, 0.0), (0.0, 1.0)), ((1.0, 0.0), (SQ2, SQ2)))
+    monkeypatch.setattr("coinflip.catalog._rows", lambda family: skewed)
+    with pytest.raises(ValueError, match="not orthonormal"):
+        basis_pair.__wrapped__(StateFamily(Family.BB84))  # past the cache
 
 
-def copies(state: QuantumState, n: int) -> np.ndarray:
-    """A batch of n copies of state, one per column."""
-    return np.repeat(as_columns([state]), n, axis=1)
+def copies(amplitudes, n: int) -> np.ndarray:
+    """A batch of n copies of a state, one per column."""
+    return np.repeat(np.array(amplitudes, dtype=float)[:, None], n, axis=1)
+
+
+X_BASIS = np.array([(SQ2, SQ2), (SQ2, -SQ2)])  # rows <+|, <-|
 
 
 def test_eigenstate_measurement_is_deterministic(rng):
-    m = ProjectiveMeasurement(
-        (QuantumState((SQ2, SQ2)), QuantumState((SQ2, -SQ2))))
-    outcomes = measure_projective(copies(QuantumState((SQ2, SQ2)), 200),
-                                  m.bras, rng(200))
+    outcomes = measure_projective(copies((SQ2, SQ2), 200), X_BASIS, rng(200))
     assert (outcomes == 0).all()
 
 
 def test_born_rule_probabilities_exact():
     alpha, beta = math.sqrt(0.9), math.sqrt(0.1)
-    m = ProjectiveMeasurement(
-        (QuantumState((alpha, beta)), QuantumState((beta, -alpha))))
-    probs = m.probabilities(QuantumState((SQ2, SQ2)))
+    probs = probabilities((SQ2, SQ2), np.array([(alpha, beta), (beta, -alpha)]))
     # |<phi_00|+>|^2 = (alpha+beta)^2/2 = 1/2 + alpha*beta
     assert abs(probs[0] - (0.5 + alpha * beta)) < 1e-12
     assert abs(sum(probs) - 1.0) < 1e-12
@@ -158,27 +135,23 @@ def test_born_rule_probabilities_exact():
 
 def test_born_rule_empirical(rng):
     alpha, beta = math.sqrt(0.9), math.sqrt(0.1)
-    m = ProjectiveMeasurement(
-        (QuantumState((alpha, beta)), QuantumState((beta, -alpha))))
-    state = QuantumState((SQ2, SQ2))
+    bras = np.array([(alpha, beta), (beta, -alpha)])
     n = 100_000
-    hits = (measure_projective(copies(state, n), m.bras, rng(n)) == 0).sum()
+    hits = (measure_projective(copies((SQ2, SQ2), n), bras, rng(n)) == 0).sum()
     assert_close_5sigma(hits / n, 0.5 + alpha * beta, n)
 
 
 def test_measurement_checks_every_state(rng):
     """A batch holding one unnormalized state is rejected, and a basis per
     state measures each state in its own basis."""
-    z = ProjectiveMeasurement((QuantumState((1.0, 0.0)), QuantumState((0.0, 1.0))))
-    x = ProjectiveMeasurement((QuantumState((SQ2, SQ2)), QuantumState((SQ2, -SQ2))))
-    batch = copies(QuantumState((0.0, 1.0)), 100)
+    batch = copies((0.0, 1.0), 100)
     batch[:, 41] = (1.0, 1e-4)
     with pytest.raises(ValueError):
-        measure_projective(batch, z.bras, rng(100))
+        measure_projective(batch, np.eye(2), rng(100))
     batch[:, 41] = (SQ2, -SQ2)
     which = np.zeros(100, dtype=int)
     which[41] = 1
-    outcomes = measure_projective(batch, np.stack([z.bras, x.bras]), rng(100), which)
+    outcomes = measure_projective(batch, np.stack([np.eye(2), X_BASIS]), rng(100), which)
     assert (outcomes == 1).all()
 
 
@@ -186,14 +159,10 @@ def test_measurement_checks_every_state(rng):
 @given(st.lists(st.floats(-3, 3), min_size=3, max_size=3),
        st.lists(st.floats(-3, 3), min_size=3, max_size=3))
 def test_born_rule_probabilities_normalized_fuzzed(re, im):
-    vec = [complex(r, i) for r, i in zip(re, im)]
-    if math.sqrt(sum(abs(a) ** 2 for a in vec)) < 1e-6:
+    vec = np.array([complex(r, i) for r, i in zip(re, im)])
+    if np.linalg.norm(vec) < 1e-6:
         return
-    s = normalize(vec)
-    m = ProjectiveMeasurement(
-        tuple(QuantumState(tuple(1.0 if i == j else 0.0 for j in range(3)))
-              for i in range(3)))
-    probs = m.probabilities(s)
+    probs = probabilities(vec / np.linalg.norm(vec), np.eye(3))
     assert all(p >= -1e-12 for p in probs)
     assert abs(sum(probs) - 1.0) < 1e-9
 
@@ -204,37 +173,33 @@ def test_born_rule_probabilities_normalized_fuzzed(re, im):
 def test_povm_must_sum_to_identity():
     half = 0.5 * np.eye(2, dtype=complex)
     with pytest.raises(ValueError):
-        Povm((half, 0.25 * np.eye(2, dtype=complex)), ("a", "b"))
+        stats(np.stack((half, 0.25 * np.eye(2, dtype=complex))), MIXED, MIXED)
 
 
 def test_povm_elements_must_be_psd():
     e0 = np.diag([1.5, 0.0]).astype(complex)
     e1 = np.eye(2, dtype=complex) - e0
     with pytest.raises(ValueError):
-        Povm((e0, e1), ("a", "b"))
+        stats(np.stack((e0, e1)), MIXED, MIXED)
 
 
-def test_povm_elements_are_read_only():
-    e0 = np.diag([1.0, 0.0]).astype(complex)
-    p = Povm((e0, np.eye(2, dtype=complex) - e0), ("a", "b"))
-    with pytest.raises(ValueError):
-        p.elements[0][0, 0] = 0.5
-    e0[0, 0] = 0.5  # the caller's array is copied, not frozen or aliased
-    assert p.elements[0][0, 0] == 1.0
+def test_povm_elements_must_be_hermitian():
+    e0 = np.array([[0.5, 0.5], [0.0, 0.5]])
+    with pytest.raises(ValueError, match="not Hermitian"):
+        stats(np.stack((e0, np.eye(2) - e0)), MIXED, MIXED)
 
 
 def test_povm_probabilities_on_mixed_state():
-    p = Povm((0.5 * np.eye(2, dtype=complex), 0.5 * np.eye(2, dtype=complex)),
-             ("a", "b"))
-    rho = DensityMatrix(np.eye(2, dtype=complex) / 2.0)
-    assert p.probabilities(rho) == pytest.approx([0.5, 0.5])
+    half = 0.5 * np.eye(2, dtype=complex)
+    s = stats(np.stack((half, half)), MIXED, MIXED)
+    assert [s.per_outcome[0][1], s.p_inconclusive] == pytest.approx([0.5, 0.5])
 
 
 # ---------------------------------------------------------------------------
 # trace distance and minimum-error discrimination
 
-def _diag(p0: float) -> DensityMatrix:
-    return DensityMatrix(np.diag([p0, 1.0 - p0]).astype(complex))
+def _diag(p0: float) -> np.ndarray:
+    return np.diag([p0, 1.0 - p0]).astype(complex)
 
 
 def test_trace_distance_of_equal_states_is_zero():
@@ -256,7 +221,7 @@ def test_trace_distance_symmetric_and_bounded(rng):
         assert d == pytest.approx(abs(a - b))  # diagonal qubits: |p0 - q0|
 
 
-def _brute_force_best_guess(r0: DensityMatrix, r1: DensityMatrix) -> float:
+def _brute_force_best_guess(r0: np.ndarray, r1: np.ndarray) -> float:
     """Independent oracle: scan projective qubit measurements in 1-degree
     steps and take the best average guessing success with optimal labeling."""
     best = 0.0
@@ -266,8 +231,8 @@ def _brute_force_best_guess(r0: DensityMatrix, r1: DensityMatrix) -> float:
         v = np.array([-math.sin(t), math.cos(t)])
         score = 0.0
         for w in (u, v):
-            q0 = float((w @ r0.entries.real @ w))
-            q1 = float((w @ r1.entries.real @ w))
+            q0 = float((w @ r0.real @ w))
+            q1 = float((w @ r1.real @ w))
             score += 0.5 * max(q0, q1)
         best = max(best, score)
     return best
@@ -281,32 +246,31 @@ def test_helstrom_matches_brute_force_for_diagonal_pairs():
 
 
 def test_helstrom_on_maximally_mixed_pair_is_half():
-    rho = DensityMatrix(np.eye(2, dtype=complex) / 2.0)
-    assert helstrom_success(rho, rho) == pytest.approx(0.5)
+    assert helstrom_success(MIXED, MIXED) == pytest.approx(0.5)
 
 
 # ---------------------------------------------------------------------------
 # entangled-pair steering
 
-def _basis(theta: float) -> ProjectiveMeasurement:
-    u = QuantumState((math.cos(theta), math.sin(theta)))
-    v = QuantumState((-math.sin(theta), math.cos(theta)))
-    return ProjectiveMeasurement((u, v))
+def _basis(theta: float) -> np.ndarray:
+    """The real qubit basis at angle theta, one bra per row."""
+    return np.array([(math.cos(theta), math.sin(theta)),
+                     (-math.sin(theta), math.cos(theta))])
 
 
 def test_steer_epr_same_basis_anticorrelation(rng):
     m = _basis(0.7)
-    outcomes, far = steer_epr(m.bras[None], rng(10_000), np.zeros(10_000, int))
-    for i, column in zip(outcomes.tolist(), far.T):
-        probs = m.probabilities(QuantumState(tuple(column)))
-        assert probs[i] == pytest.approx(0.0, abs=1e-9)
-        assert probs[1 - i] == pytest.approx(1.0, abs=1e-9)
+    outcomes, far = steer_epr(m[None], rng(10_000), np.zeros(10_000, int))
+    probs = np.abs(m @ far) ** 2  # [outcome, pair]
+    pairs = np.arange(10_000)
+    assert probs[outcomes, pairs] == pytest.approx(0.0, abs=1e-9)
+    assert probs[1 - outcomes, pairs] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_steer_epr_outcome_is_uniform(rng):
     m = _basis(1.1)
     n = 100_000
-    ones = steer_epr(m.bras[None], rng(n), np.zeros(n, int))[0].sum()
+    ones = steer_epr(m[None], rng(n), np.zeros(n, int))[0].sum()
     assert_close_5sigma(ones / n, 0.5, n)
 
 
@@ -316,20 +280,17 @@ def test_steer_epr_other_basis_statistics(rng):
     m = _basis(0.0)
     other = _basis(math.pi / 8.0)
     n = 50_000
-    outcomes, far = steer_epr(m.bras[None], rng(n), np.zeros(n, int))
+    outcomes, far = steer_epr(m[None], rng(n), np.zeros(n, int))
     kept = outcomes == 0
     total = kept.sum()
-    hits = (measure_projective(far[:, kept], other.bras, rng(n)[kept]) == 0).sum()
+    hits = (measure_projective(far[:, kept], other, rng(n)[kept]) == 0).sum()
     # far state is |1>; |<cos,sin|1>|^2 = sin^2(pi/8)
     assert_close_5sigma(hits / total, math.sin(math.pi / 8.0) ** 2, total)
 
 
 def test_steer_epr_rejects_qutrit_basis(rng):
-    m = ProjectiveMeasurement(
-        tuple(QuantumState(tuple(1.0 if i == j else 0.0 for j in range(3)))
-              for i in range(3)))
     with pytest.raises(DimensionMismatch):
-        steer_epr(m.bras[None], rng(1), np.zeros(1, int))
+        steer_epr(np.eye(3)[None], rng(1), np.zeros(1, int))
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from coinflip.catalog import Family, StateFamily, StateLabel, state
+from coinflip.catalog import Family, StateFamily, basis_pair
 from coinflip.channel import ChannelParams, transmit
 from coinflip.errors import IncompatibleProtocol
+from coinflip.analytics import alice_bias_bound
 from coinflip.harness import (VARIANT_NAMES, ExperimentConfig, build_hooks,
                               run_experiment)
 from coinflip.protocols import Decision, ProtocolId
-from coinflip.quantum import QuantumState
 from coinflip.rng import (CHOOSE_B, PREPARE, RECEIVE, REVEAL, SLOTS, TRANSMIT,
                           VERIFY, bit)
 from coinflip.strategies import (ALICE_STRATEGIES, BOB_STRATEGIES, REGISTRY,
@@ -90,8 +90,13 @@ def test_restarts_on_loss_is_declared_truly(rng):
 # reveal tables verified by direct overlap computation
 
 def sent_states(emission):
-    """The emission's states, one QuantumState per round."""
-    return [QuantumState(tuple(c)) for c in emission.states[:, emission.index].T]
+    """The emission's states, one amplitude vector per round."""
+    return list(emission.states[:, emission.index].T)
+
+
+def fidelity(s, family, a, x) -> float:
+    """|<a, x|s>|^2, with |a, x> row x of the family's basis a."""
+    return abs(np.vdot(basis_pair(family)[a, x], s)) ** 2
 
 
 def test_rotated_alice_picks_the_closest_bit(rng):
@@ -101,7 +106,7 @@ def test_rotated_alice_picks_the_closest_bit(rng):
     a, x = alice.reveal(b, rng(200))
     assert (a == b).all()  # she forces a xor b = 0
     for s, aa, xx in zip(sent, a.tolist(), x.tolist()):
-        fids = [s.fidelity_with(state(BB84, StateLabel(aa, k))) for k in (0, 1)]
+        fids = [fidelity(s, BB84, aa, k) for k in (0, 1)]
         assert fids[xx] == max(fids)
         # no ties at odd multiples of pi/8: the gap is always 1/sqrt(2)
         assert abs(fids[xx] - fids[1 - xx]) == pytest.approx(1.0 / math.sqrt(2.0))
@@ -114,7 +119,7 @@ def test_ambainis_alice_reveal_maximizes_overlap(rng):
         a, x = alice.reveal(np.full(200, b), rng(200))
         assert (a == b).all()
         for s, xx in zip(sent, x.tolist()):
-            fids = [s.fidelity_with(state(AMB, StateLabel(b, k))) for k in (0, 1)]
+            fids = [fidelity(s, AMB, b, k) for k in (0, 1)]
             assert fids[xx] == max(fids)
             assert fids[xx] == pytest.approx(0.75)  # (2 + s_a)^2 / 12 with s_a = +/-1
 
@@ -127,10 +132,29 @@ def test_lt_alice_reveal_maximizes_overlap(rng):
         a, x = alice.reveal(np.full(200, b), rng(200))
         assert (x == b).all()  # forces x xor b = 0
         for s, aa in zip(sent, a.tolist()):
-            fids = {(k, b): s.fidelity_with(state(LT9, StateLabel(k, b)))
-                    for k in (0, 1)}
+            fids = {(k, b): fidelity(s, LT9, k, b) for k in (0, 1)}
             assert fids[(aa, b)] == max(fids.values())
             assert fids[(aa, b)] == pytest.approx(0.5 + ab)
+
+
+def test_hook_state_tables_are_read_only_and_unit_norm(rng):
+    """Every registered Alice that sends a state table sends a read-only one
+    with unit-norm columns, on every protocol she plays and across an alpha2
+    grid; every Bob's measurement bases are read-only too. Born tables are
+    kept by content, so a table changed in place would be read stale."""
+    senders = set()
+    for alpha2 in (0.55, 0.7, 0.9, 0.95):
+        for cfg in valid_configs(alpha2=alpha2):
+            alice, bob = build_hooks(cfg)
+            states = getattr(alice.prepare(rng(SLOTS, 8)[PREPARE]), "states", None)
+            if states is not None:
+                senders.add(cfg.alice)
+                assert not states.flags.writeable, cfg
+                assert (np.abs(states) ** 2).sum(0) == pytest.approx(1.0, abs=1e-12)
+            bras = getattr(bob, "bras", None)  # restart abuse never measures
+            assert bras is None or not bras.flags.writeable, cfg
+    # vacuum and an EPR half carry no table
+    assert senders == set(ALICE_STRATEGIES) - {"send_nothing", "bb84_epr"}
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +237,7 @@ def test_sender_bias_bound_across_parameter_grid():
         alpha2 = 0.55 + 0.05 * i
         est = _run(protocol=ProtocolId.LOSS_TOLERANT_CF, alice="lt_optimal",
                    alpha2=alpha2, trials=trials, seed=1000 + i)
-        bound = 0.75 + 0.5 * math.sqrt(alpha2 * (1.0 - alpha2))
+        bound = 0.5 + alice_bias_bound(alpha2)
         sigma = math.sqrt(bound * (1.0 - bound) / trials)
         assert est.p_hat <= bound + 3.0 * sigma, (alpha2, est.p_hat, bound)
         # the attack also saturates the bound (it is optimal)
