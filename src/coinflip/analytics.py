@@ -68,7 +68,6 @@ def reference_table() -> list[tuple[str, float]]:
     """Stable-ordered table of every closed-form number the simulations are
     checked against."""
     t = fair_alpha2()
-    ab = math.sqrt(t * (1.0 - t))
     usd = 0.5  # conclusive rate of the computational-basis Ambainis receiver
     return [
         ("bb84_postpone_lie_success", 0.875),
@@ -85,9 +84,9 @@ def reference_table() -> list[tuple[str, float]]:
         ("mcqm_inconclusive", 0.49),
         ("mcqm_confidence", 0.49 / 0.51),
         ("lt_fair_alpha2", t),
-        ("lt_fair_bias", 0.4),
-        ("lt_alice_success", (3.0 + 2.0 * ab) / 4.0),
-        ("lt_bob_success", t),
+        ("lt_fair_bias", alice_bias_bound(t)),
+        ("lt_alice_success", 0.5 + alice_bias_bound(t)),
+        ("lt_bob_success", 0.5 + bob_bias(t)),
         ("cunning_agreement", cunning_agreement(t)),
         ("twophoton_usd_rate", (2.0 * t - 1.0) ** 2),
         ("twophoton_honest_rate", 0.5 * (2.0 * t - 1.0) ** 2),

@@ -299,6 +299,8 @@ def evaluate_matrix(trials: int = 100_000, seed: int = 12345,
     Rows sharing a config are run once; exact rows require the measured value
     to equal the expectation to the last count.
     """
+    if not tolerance >= 0.0:  # NaN included
+        raise OutOfRange(f"tolerance={tolerance} must be >= 0")
     rows = check_matrix(trials, seed)
     cache: dict[ExperimentConfig, BiasEstimate] = {}
     results = []

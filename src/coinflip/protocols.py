@@ -61,17 +61,18 @@ is one round and channel.transmit draws whether it arrives.
 For transcripts Bob exposes last_basis (an index into his basis_tags, -1 for
 none) and last_outcome (the index of his measurement outcome, -1 for none),
 per round or as one value for all; both are read once verify has run. Each
-step logs the attempts its trials keep as arrays, and the call's
-transcripts are built from that log in one pass at its end; an attempt
-after K lost rounds expands to K lost rows before its own, each not
-delivered, with no basis or outcome and a restart requested. The engine
-records no basis for a round where nothing arrived. Each distinct round is
-built once per call, as one frozen QuantumRound that every transcript
-holding it shares; Transcript.to_dict returns fresh dicts. In an honest basis
-outcome index i is the state |a, i>, so it is compared with the revealed x
-directly (see catalog.basis_pair). What differs between protocols is one row of
-the PROTOCOLS table: the state family, the variants Bob may play (its
-default first) and the coin rule.
+step logs the attempts its trials keep as arrays, and the call's transcripts
+are built from that log in one pass at its end; an attempt after K lost rounds
+expands to K lost rows before its own, each not delivered, with no basis or
+outcome and a restart requested. Alice sends one kind of emission all
+experiment, so her last step's tag is every round's. The engine records no
+basis for a round where nothing arrived. Each distinct round is built once per
+call, as one frozen QuantumRound that every transcript holding it shares;
+Transcript.to_dict returns fresh dicts. In an honest basis outcome index i is
+the state |a, i>, so it is compared with the revealed x directly (see
+catalog.basis_pair). What differs between protocols is one row of the
+PROTOCOLS table: the state family, the variants Bob may play (its default
+first) and the coin rule.
 """
 from __future__ import annotations
 
@@ -372,7 +373,7 @@ def run_chunk(protocol: ProtocolId, alice, bob, ch: ChannelParams,
     coin = np.zeros(trials, dtype=np.int8)
     restarts = np.zeros(trials, dtype=np.int64)
     final = np.zeros((3, trials), dtype=np.int8)  # b, a, x, kept with a sink
-    log, sent = (None, None) if sink is None else ([], [])  # per step: attempts, tag
+    log = None if sink is None else []  # per step: the attempts its trials keep
     pending = np.arange(trials)
     attempts = 0  # attempts each pending trial has run, all restarts
     rounds = 0  # under lost_rounds, a column of each pending trial's rounds
@@ -412,10 +413,9 @@ def run_chunk(protocol: ProtocolId, alice, bob, ch: ChannelParams,
             basis = np.where(delivered, bob.last_basis, -1)
             outcome = np.broadcast_to(bob.last_outcome, delivered.shape)
             ids = np.repeat(pending, stop)
-            log.append((ids, np.full(ids.size, len(sent)), delivered[kept], basis[kept],
-                        outcome[kept], decision[kept],
+            log.append((ids, delivered[kept], basis[kept], outcome[kept],
+                        decision[kept],
                         np.zeros_like(ids) if lost is None else lost[kept]))
-            sent.append(emission.tag)
         if lost is None:
             restarts[finished] = attempts + first[done]
             pending = pending[~done]
@@ -426,29 +426,27 @@ def run_chunk(protocol: ProtocolId, alice, bob, ch: ChannelParams,
         attempts += depth
         step += 1
     if log is not None:  # every kept attempt, in trial order, then a slice per trial
-        trial, tag, arrived, basis, outcome, decided, lost = map(np.concatenate,
-                                                                 zip(*log))
+        trial, arrived, basis, outcome, decided, lost = map(np.concatenate, zip(*log))
         rows = np.argsort(trial, kind="stable")
         rows = rows[verdict[trial[rows]] != Decision.REQUEST_RESTART]
-        # K lost rounds before an attempt: its row K + 1 times, all but the
-        # last (its own) masked to a lost round that restarts
-        copies = lost[rows] + 1
-        rows = np.repeat(rows, copies)
-        own = np.zeros(rows.size, dtype=bool)
-        own[np.cumsum(copies) - 1] = True
-        # each row as one code of its columns: tag, delivered, basis + 1 and
+        # each attempt as one code of its columns: delivered, basis + 1 and
         # outcome + 1 (0: none), and 0 for a round that ends, 1 for a restart,
         # 2 for a false claim of loss
         tags = (*getattr(bob, "basis_tags", ()), None)  # tags[-1]: no basis
-        columns = (tag[rows], arrived[rows] & own, np.where(own, basis[rows], -1) + 1,
-                   np.where(own, outcome[rows], -1) + 1,
-                   np.where(own, decided[rows] - 1, 1).clip(0))
+        columns = (arrived[rows], basis[rows] + 1, outcome[rows] + 1,
+                   (decided[rows] - 1).clip(0))
         code = np.ravel_multi_index(columns, [int(c.max(initial=0)) + 1 for c in columns])
-        # one shared round per distinct code
+        # one shared round per distinct code, then one lost round
         _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
-        table = [QuantumRound(sent[t], d, tags[b - 1], o - 1 if o else None, f > 0, f > 1)
-                 for t, d, b, o, f in zip(*(c[first].tolist() for c in columns))]
-        made = np.array(table, dtype=object)[inverse].tolist()
+        sent = emission.tag
+        table = [QuantumRound(sent, d, tags[b - 1], o - 1 if o else None, f > 0, f > 1)
+                 for d, b, o, f in zip(*(c[first].tolist() for c in columns))]
+        table.append(QuantumRound(sent, False, restart_requested=True))
+        # K lost rounds before an attempt: the lost round K times, then its own
+        copies = lost[rows] + 1
+        index = np.full(int(copies.sum()), len(table) - 1)
+        index[np.cumsum(copies) - 1] = inverse
+        made = np.array(table, dtype=object)[index].tolist()
         ok = verdict != Decision.REQUEST_RESTART
         for end, v, c, r, b, a, x in zip(np.cumsum(restarts[ok] + 1).tolist(),
                                          verdict[ok].tolist(), coin[ok].tolist(),

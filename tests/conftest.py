@@ -41,16 +41,27 @@ def rng():
     return Uniforms(20240817)
 
 
-def binomial_sigma(p: float, n: int) -> float:
-    return math.sqrt(max(p * (1.0 - p), 1e-12) / n)
+def sigma(metric: str, expected: float, n: int) -> float:
+    """Standard error of a BiasEstimate metric, or of a draw frequency
+    ("frequency"), over n trials (or draws) whose true value is expected."""
+    if metric in ("p_hat", "abort_rate", "frequency"):  # binomial
+        return math.sqrt(expected * (1.0 - expected) / n)
+    if metric == "restarts_per_trial":  # geometric, per-round success 1/(1+r)
+        return math.sqrt(expected * (1.0 + expected) / n)
+    if metric == "conclusive_rate":  # delta method on trials / rounds
+        return expected * math.sqrt((1.0 - expected) / n)
+    raise KeyError(metric)
 
 
-def assert_close_5sigma(observed: float, expected: float, n: int):
-    """Assert an empirical frequency is within 5 sigma of its expectation."""
-    sigma = binomial_sigma(expected, n)
-    assert abs(observed - expected) <= 5.0 * sigma, (
-        f"observed {observed} vs expected {expected} "
-        f"({abs(observed - expected) / sigma:.1f} sigma, n={n})")
+def assert_z(observed: float, expected: float, sigma: float, z: float = 5.0):
+    """Within z sigma of expected; sigma 0 (a certain outcome) asks for equality."""
+    delta = abs(observed - expected)
+    assert delta <= z * sigma, (f"observed {observed} vs expected {expected}: "
+                                f"{delta / sigma if sigma else math.inf:.2f} sigma")
+
+
+def assert_metric(est, metric: str, expected: float):
+    assert_z(getattr(est, metric), expected, sigma(metric, expected, est.trials))
 
 
 def edge_uniforms(rng):

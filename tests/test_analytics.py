@@ -86,29 +86,33 @@ def test_cunning_agreement_formula():
 
 
 def test_reference_table_contents():
-    table = dict(reference_table())
-    assert table["bb84_postpone_lie_success"] == pytest.approx(0.875)
-    assert table["bb84_rotated_success"] == pytest.approx(
-        (6.0 + math.sqrt(2.0)) / 8.0)
-    assert table["bb84_rotated_caught"] == pytest.approx(
-        (2.0 - math.sqrt(2.0)) / 8.0)
-    assert table["ambainis_alice_success"] == pytest.approx(0.75)
-    assert table["usd_0_plus"] == pytest.approx(1.0 - 1.0 / math.sqrt(2.0))
-    assert table["mcqm_trace_distance"] == pytest.approx(0.47)
-    assert table["helstrom_mcqm"] == pytest.approx(0.735)
-    assert table["mcqm_inconclusive"] == pytest.approx(0.49)
-    assert table["mcqm_confidence"] == pytest.approx(0.49 / 0.51)
-    assert table["lt_fair_alpha2"] == pytest.approx(0.9, abs=1e-12)
-    assert table["lt_fair_bias"] == pytest.approx(0.4)
-    assert table["lt_alice_success"] == pytest.approx(0.9, abs=1e-12)
-    assert table["lt_bob_success"] == pytest.approx(0.9, abs=1e-12)
-    assert table["cunning_agreement"] == pytest.approx(0.82, abs=1e-12)
-    assert table["twophoton_usd_rate"] == pytest.approx(0.64, abs=1e-12)
-    assert table["twophoton_honest_rate"] == pytest.approx(0.32, abs=1e-12)
-    assert table["ambainis_conclusive_restarts"] == pytest.approx(1.0)
-    assert table["twophoton_usd_correct"] == 1.0
-    assert table["kitaev_lower_bound"] == pytest.approx(
-        (math.sqrt(2.0) - 1.0) / 2.0)
+    """Each entry with the repr of its value, which `coinflip fair` and
+    `coinflip table` print: even a one-ulp change must be made on purpose."""
+    assert [(k, repr(v)) for k, v in reference_table()] == [
+        ("bb84_postpone_lie_success", "0.875"),
+        ("bb84_rotated_success", "0.9267766952966369"),
+        ("bb84_rotated_caught", "0.0732233047033631"),
+        ("bb84_epr_success", "1.0"),
+        ("ambainis_alice_success", "0.75"),
+        ("ambainis_conclusive_success", "1.0"),
+        ("ambainis_usd_conclusive", "0.5"),
+        ("send_nothing_success", "1.0"),
+        ("usd_0_plus", "0.29289321881345254"),
+        ("mcqm_trace_distance", "0.47"),
+        ("helstrom_mcqm", "0.735"),
+        ("mcqm_inconclusive", "0.49"),
+        ("mcqm_confidence", "0.9607843137254901"),
+        ("lt_fair_alpha2", "0.9"),
+        ("lt_fair_bias", "0.4"),
+        ("lt_alice_success", "0.9"),
+        ("lt_bob_success", "0.9"),
+        ("cunning_agreement", "0.8200000000000001"),
+        ("twophoton_usd_rate", "0.6400000000000001"),
+        ("twophoton_honest_rate", "0.32000000000000006"),
+        ("ambainis_conclusive_restarts", "1.0"),
+        ("twophoton_usd_correct", "1.0"),
+        ("kitaev_lower_bound", "0.20710678118654757"),
+    ]
 
 
 def test_reference_table_order_is_stable():

@@ -8,7 +8,7 @@ from coinflip.channel import ChannelParams, lost_rounds, transmit
 from coinflip.errors import OutOfRange
 from coinflip.protocols import SingleState, Vacuum
 
-from conftest import assert_close_5sigma, edge_uniforms
+from conftest import assert_z, edge_uniforms, sigma
 
 SQ2 = 1.0 / math.sqrt(2.0)
 PLUS = np.array([[SQ2], [SQ2]])  # a table of one state
@@ -43,7 +43,7 @@ def test_loss_rate_matches_eta(rng):
     ch = ChannelParams(0.3)
     n = 100_000
     delivered = transmit(SENT_KET0, ch, rng(n)).sum()
-    assert_close_5sigma(delivered / n, 0.3, n)
+    assert_z(delivered / n, 0.3, sigma("frequency", 0.3, n))
 
 
 def test_loss_is_independent_of_the_state(rng):
@@ -52,8 +52,8 @@ def test_loss_is_independent_of_the_state(rng):
     n = 100_000
     d0 = transmit(SENT_KET0, ch, rng(n)).sum()
     d1 = transmit(SENT_PLUS, ch, rng(n)).sum()
-    sigma_diff = math.sqrt(2.0 * 0.25 / n)
-    assert abs(d0 - d1) / n <= 5.0 * sigma_diff
+    s = sigma("frequency", 0.5, n)
+    assert_z(d0 / n, d1 / n, math.hypot(s, s))
 
 
 def test_pulse_construction():
@@ -87,7 +87,8 @@ def test_lost_rounds_is_geometric(rng, eta, ks):
     k = lost_rounds(ChannelParams(eta), rng(n), 10 ** 6)
     assert k.dtype == np.int64 and k.min() == 0
     for at_least in ks:
-        assert_close_5sigma((k >= at_least).sum() / n, (1.0 - eta) ** at_least, n)
+        p = (1.0 - eta) ** at_least
+        assert_z((k >= at_least).sum() / n, p, sigma("frequency", p, n))
 
 
 def test_lost_rounds_clamps_at_cap(rng):

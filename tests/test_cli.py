@@ -156,7 +156,8 @@ def test_table_defaults_are_the_matrix_defaults():
      "--trials", "500"),
     ("run", "--alice", "lt_optimal", "--photons", "3", "--trials", "2000"),
     ("run", "--alice", "lt_optimal", "--bob", "twophoton_usd", "--photons", "2",
-     "--target", "1", "--trials", "200")])
+     "--target", "1", "--trials", "200"),
+    ("table", "--tol", "-1"), ("table", "--tol", "nan")])
 def test_out_of_range_options_exit_1_without_traceback(args):
     proc = run_cli(*args)
     assert proc.returncode == 1

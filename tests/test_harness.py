@@ -21,7 +21,7 @@ from coinflip.protocols import (Decision, LossPolicy, ProtocolId, VariantFlags,
 from coinflip.rng import ChunkStream
 from coinflip.strategies import REGISTRY
 
-from conftest import valid_configs
+from conftest import assert_metric, assert_z, sigma, valid_configs
 
 
 def test_identical_configs_give_identical_counts():
@@ -88,7 +88,7 @@ def test_config_range_edges_are_accepted():
 
 def test_honest_fair_coin():
     est = run_experiment(ExperimentConfig(trials=20_000, seed=5))
-    assert 0.48 <= est.p_hat <= 0.52
+    assert_metric(est, "p_hat", 0.5)
     assert est.aborts == 0
     assert est.ci95[0] <= est.p_hat <= est.ci95[1]
     assert est.bias_hat == pytest.approx(est.p_hat - 0.5)
@@ -190,9 +190,8 @@ def test_restart_on_loss_counts_are_eta_invariant():
             est = run_experiment(dataclasses.replace(cfg, eta=eta))
             assert (est.successes, est.aborts, est.limit_hits) == (
                 ideal.successes, ideal.aborts, 0), (cfg, eta)
-            sigma = math.sqrt(attempts * (1.0 - eta)) / eta
-            z = (est.restart_total - (attempts / eta - n)) / sigma
-            assert abs(z) <= 5.0, (cfg, eta, z)
+            assert_z(est.restart_total, attempts / eta - n,
+                     math.sqrt(attempts * (1.0 - eta)) / eta)
         checked += 1
     assert checked == 80
 
@@ -255,8 +254,8 @@ def test_limit_hits_are_counted():
     kept = []
     est = run_experiment(cfg, transcript_sink=kept.append)
     assert est.limit_hits == cfg.trials - len(kept)
-    expected = cfg.trials * 2.0 ** -11
-    assert abs(est.limit_hits - expected) <= 5.0 * math.sqrt(expected)
+    p = 2.0 ** -11
+    assert_z(est.limit_hits / cfg.trials, p, sigma("frequency", p, cfg.trials))
     assert all(t.restart_count <= 10 for t in kept)
     assert estimate_to_dict(cfg, est)["limit_hits"] == est.limit_hits
 
@@ -280,16 +279,6 @@ GOLDEN_COUNTS = {
 }
 
 
-def _sigma(metric: str, expected: float, n: int) -> float:
-    if metric in ("p_hat", "abort_rate"):
-        return math.sqrt(expected * (1.0 - expected) / n)
-    if metric == "restarts_per_trial":  # geometric, per-round success 1/(1+r)
-        return math.sqrt(expected * (1.0 + expected) / n)
-    if metric == "conclusive_rate":  # delta method on trials / rounds
-        return expected * math.sqrt((1.0 - expected) / n)
-    raise KeyError(metric)
-
-
 def _matrix_counts() -> dict:
     labels = {}
     for row in check_matrix(2000, 7):
@@ -307,19 +296,13 @@ def test_matrix_counts_are_pinned():
 
 def test_pinned_counts_meet_their_matrix_rows():
     """Each pinned tuple is within 5 sigma of the closed form of every check
-    row of its config, and exact rows hold to the count."""
+    row of its config; exact rows (sigma 0) hold to the count."""
     n = 2000
     labels = {}
     for row in check_matrix(n, 7):
         label = labels.setdefault(row.cfg, row.label)
-        successes, aborts, restart_total = GOLDEN_COUNTS[label]
-        est = BiasEstimate(successes, aborts, restart_total, n, 0)
-        measured = getattr(est, row.metric)
-        if row.exact:
-            assert measured == row.expected, row.label
-        else:
-            z = abs(measured - row.expected) / _sigma(row.metric, row.expected, n)
-            assert z <= 5.0, (row.label, measured, row.expected, z)
+        est = BiasEstimate(*GOLDEN_COUNTS[label], n, 0)
+        assert_metric(est, row.metric, row.expected)
 
 
 def test_evaluate_matrix_small_run_structure():

@@ -21,7 +21,7 @@ from coinflip.quantum import measure_projective, steer_epr
 from coinflip.rng import ChunkStream, bit, choice
 from coinflip.strategies import SendNothingAlice
 
-from conftest import assert_close_5sigma
+from conftest import assert_z, sigma
 
 ALL_PROTOCOLS = list(ProtocolId)
 
@@ -76,7 +76,7 @@ def test_honest_runs_never_abort(protocol):
 def test_honest_outcome_is_roughly_uniform(protocol):
     n = 20_000
     ones = sum(t.outcome for t in run_many(protocol, n))
-    assert_close_5sigma(ones / n, 0.5, n)
+    assert_z(ones / n, 0.5, sigma("frequency", 0.5, n))
 
 
 def test_outcome_formula_per_protocol():
@@ -119,8 +119,7 @@ def test_restart_count_is_geometric():
     transcripts = run_many(ProtocolId.LOSS_TOLERANT_CF, n, eta=eta)
     mean = sum(t.restart_count for t in transcripts) / n
     expected = (1.0 - eta) / eta
-    sigma = math.sqrt((1.0 - eta) / eta ** 2 / n)
-    assert abs(mean - expected) <= 5.0 * sigma
+    assert_z(mean, expected, sigma("restarts_per_trial", expected, n))
     for t in transcripts:
         assert t.verdict is Verdict.ACCEPTED
         # every recorded round except the last must be a restart
@@ -137,7 +136,7 @@ def test_lossy_honest_runs_still_never_abort(protocol, eta):
     for t in run_many(protocol, n, eta=eta):
         assert t.verdict is Verdict.ACCEPTED
         ones += t.outcome
-    assert_close_5sigma(ones / n, 0.5, n)
+    assert_z(ones / n, 0.5, sigma("frequency", 0.5, n))
 
 
 def test_outcome_distribution_is_loss_invariant():
@@ -148,8 +147,8 @@ def test_outcome_distribution_is_loss_invariant():
         ProtocolId.LOSS_TOLERANT_CF, n, seed=11, eta=1.0)) / n
     p2 = sum(t.outcome for t in run_many(
         ProtocolId.LOSS_TOLERANT_CF, n, seed=12, eta=0.1)) / n
-    sigma_diff = math.sqrt(2.0 * 0.25 / n)
-    assert abs(p1 - p2) <= 5.0 * sigma_diff
+    s = sigma("frequency", 0.5, n)
+    assert_z(p1, p2, math.hypot(s, s))
 
 
 def test_believe_on_faith_accepts_missing_qutrit():

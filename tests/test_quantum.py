@@ -17,7 +17,7 @@ from coinflip.quantum import (BORN_TABLES, born_table, helstrom_success,
                               steer_epr, trace_distance)
 from coinflip.rng import bit, choice
 
-from conftest import assert_close_5sigma, valid_configs
+from conftest import assert_z, sigma, valid_configs
 
 SQ2 = 1.0 / math.sqrt(2.0)
 MIXED = np.eye(2) / 2.0  # the maximally mixed qubit
@@ -138,7 +138,8 @@ def test_born_rule_empirical(rng):
     bras = np.array([(alpha, beta), (beta, -alpha)])
     n = 100_000
     hits = (measure_projective(copies((SQ2, SQ2), n), bras, rng(n)) == 0).sum()
-    assert_close_5sigma(hits / n, 0.5 + alpha * beta, n)
+    p = 0.5 + alpha * beta
+    assert_z(hits / n, p, sigma("frequency", p, n))
 
 
 def test_measurement_checks_every_state(rng):
@@ -271,7 +272,7 @@ def test_steer_epr_outcome_is_uniform(rng):
     m = _basis(1.1)
     n = 100_000
     ones = steer_epr(m[None], rng(n), np.zeros(n, int))[0].sum()
-    assert_close_5sigma(ones / n, 0.5, n)
+    assert_z(ones / n, 0.5, sigma("frequency", 0.5, n))
 
 
 def test_steer_epr_other_basis_statistics(rng):
@@ -285,7 +286,8 @@ def test_steer_epr_other_basis_statistics(rng):
     total = kept.sum()
     hits = (measure_projective(far[:, kept], other, rng(n)[kept]) == 0).sum()
     # far state is |1>; |<cos,sin|1>|^2 = sin^2(pi/8)
-    assert_close_5sigma(hits / total, math.sin(math.pi / 8.0) ** 2, total)
+    p = math.sin(math.pi / 8.0) ** 2
+    assert_z(hits / total, p, sigma("frequency", p, total))
 
 
 def test_steer_epr_rejects_qutrit_basis(rng):

@@ -14,7 +14,7 @@ from coinflip.protocols import DEPTH, ProtocolId
 from coinflip.rng import (SEEDS, SLOTS, bernoulli, bit, block, choice,
                           cumulative, inverse_cdf)
 
-from conftest import assert_close_5sigma, edge_uniforms
+from conftest import assert_z, edge_uniforms, sigma
 
 N = 100_000
 
@@ -27,12 +27,12 @@ def frequencies(draws):
 def test_bit_frequency(rng):
     f = frequencies(bit(rng(N)))
     assert set(f) == {0, 1}
-    assert_close_5sigma(f[1], 0.5, N)
+    assert_z(f[1], 0.5, sigma("frequency", 0.5, N))
 
 
 def test_bernoulli_frequency(rng):
     f = frequencies(bernoulli(0.3, rng(N)))
-    assert_close_5sigma(f[True], 0.3, N)
+    assert_z(f[True], 0.3, sigma("frequency", 0.3, N))
 
 
 def test_choice_frequency(rng):
@@ -40,7 +40,7 @@ def test_choice_frequency(rng):
     f = frequencies(choice(probs, rng(N)))
     assert 2 not in f
     for k in (0, 1, 3):
-        assert_close_5sigma(f[k], probs[k], N)
+        assert_z(f[k], probs[k], sigma("frequency", probs[k], N))
 
 
 def test_one_minus_bit_is_the_negative_sign(rng):
@@ -64,7 +64,7 @@ def test_four_quarter_inverse_cdf_is_floor_4u(rng):
 def test_random_is_a_unit_uniform(rng):
     us = rng(N)
     assert ((0.0 <= us) & (us < 1.0)).all()
-    assert_close_5sigma((us < 0.25).sum() / N, 0.25, N)
+    assert_z((us < 0.25).sum() / N, 0.25, sigma("frequency", 0.25, N))
 
 
 @pytest.mark.parametrize("probs", [(1.2, -0.2), (-0.01, 1.01), (0.5, 0.4),
