@@ -53,15 +53,15 @@ def sigma(metric: str, expected: float, n: int) -> float:
     raise KeyError(metric)
 
 
-def assert_z(observed: float, expected: float, sigma: float, z: float = 5.0):
-    """Within z sigma of expected; sigma 0 (a certain outcome) asks for equality."""
+def assert_z(observed: float, expected: float, sigma: float, case=""):
+    """|observed - expected| <= 5 sigma (equal if sigma is 0); case labels a failure."""
     delta = abs(observed - expected)
-    assert delta <= z * sigma, (f"observed {observed} vs expected {expected}: "
-                                f"{delta / sigma if sigma else math.inf:.2f} sigma")
+    assert delta <= 5.0 * sigma, (f"{case} observed {observed} vs expected {expected}: "
+                                  f"{delta / sigma if sigma else math.inf:.2f} sigma")
 
 
-def assert_metric(est, metric: str, expected: float):
-    assert_z(getattr(est, metric), expected, sigma(metric, expected, est.trials))
+def assert_metric(est, metric: str, expected: float, case=""):
+    assert_z(getattr(est, metric), expected, sigma(metric, expected, est.trials), case)
 
 
 def edge_uniforms(rng):

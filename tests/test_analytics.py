@@ -1,4 +1,5 @@
 """Closed-form bias formulas and the fairness solver."""
+import json
 import math
 
 import pytest
@@ -7,6 +8,7 @@ from coinflip.analytics import (alice_bias_bound, bias_report, bob_bias,
                                 cunning_agreement, fair_alpha2,
                                 reference_table)
 from coinflip.catalog import Family, StateFamily, committed_density
+from coinflip.cli import cli_main
 from coinflip.errors import OutOfRange
 from coinflip.quantum import helstrom_success
 
@@ -115,8 +117,8 @@ def test_reference_table_contents():
     ]
 
 
-def test_reference_table_order_is_stable():
-    names = [name for name, _ in reference_table()]
-    assert names == sorted(set(names), key=names.index)
-    assert names[0] == "bb84_postpone_lie_success"
-    assert names[-1] == "kitaev_lower_bound"
+def test_reference_table_order_is_stable(capsys):
+    """`coinflip fair` prints the reference entries in table order."""
+    cli_main(["fair"])
+    assert list(json.loads(capsys.readouterr().out)["reference"]) == [
+        name for name, _ in reference_table()]

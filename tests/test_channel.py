@@ -52,8 +52,7 @@ def test_loss_is_independent_of_the_state(rng):
     n = 100_000
     d0 = transmit(SENT_KET0, ch, rng(n)).sum()
     d1 = transmit(SENT_PLUS, ch, rng(n)).sum()
-    s = sigma("frequency", 0.5, n)
-    assert_z(d0 / n, d1 / n, math.hypot(s, s))
+    assert_z(d0 / n, d1 / n, math.sqrt(2) * sigma("frequency", 0.5, n))  # two samples
 
 
 def test_pulse_construction():
@@ -88,7 +87,8 @@ def test_lost_rounds_is_geometric(rng, eta, ks):
     assert k.dtype == np.int64 and k.min() == 0
     for at_least in ks:
         p = (1.0 - eta) ** at_least
-        assert_z((k >= at_least).sum() / n, p, sigma("frequency", p, n))
+        assert_z((k >= at_least).sum() / n, p, sigma("frequency", p, n),
+                 f"K >= {at_least}:")
 
 
 def test_lost_rounds_clamps_at_cap(rng):

@@ -191,7 +191,7 @@ def test_restart_on_loss_counts_are_eta_invariant():
             assert (est.successes, est.aborts, est.limit_hits) == (
                 ideal.successes, ideal.aborts, 0), (cfg, eta)
             assert_z(est.restart_total, attempts / eta - n,
-                     math.sqrt(attempts * (1.0 - eta)) / eta)
+                     math.sqrt(attempts * (1.0 - eta)) / eta, f"{cfg} eta {eta}:")
         checked += 1
     assert checked == 80
 
@@ -302,7 +302,7 @@ def test_pinned_counts_meet_their_matrix_rows():
     for row in check_matrix(n, 7):
         label = labels.setdefault(row.cfg, row.label)
         est = BiasEstimate(*GOLDEN_COUNTS[label], n, 0)
-        assert_metric(est, row.metric, row.expected)
+        assert_metric(est, row.metric, row.expected, f"{row.label} {row.metric}:")
 
 
 def test_evaluate_matrix_small_run_structure():

@@ -147,8 +147,7 @@ def test_outcome_distribution_is_loss_invariant():
         ProtocolId.LOSS_TOLERANT_CF, n, seed=11, eta=1.0)) / n
     p2 = sum(t.outcome for t in run_many(
         ProtocolId.LOSS_TOLERANT_CF, n, seed=12, eta=0.1)) / n
-    s = sigma("frequency", 0.5, n)
-    assert_z(p1, p2, math.hypot(s, s))
+    assert_z(p1, p2, math.sqrt(2) * sigma("frequency", 0.5, n))  # two samples
 
 
 def test_believe_on_faith_accepts_missing_qutrit():

@@ -40,7 +40,7 @@ def test_choice_frequency(rng):
     f = frequencies(choice(probs, rng(N)))
     assert 2 not in f
     for k in (0, 1, 3):
-        assert_z(f[k], probs[k], sigma("frequency", probs[k], N))
+        assert_z(f[k], probs[k], sigma("frequency", probs[k], N), f"outcome {k}:")
 
 
 def test_one_minus_bit_is_the_negative_sign(rng):

@@ -232,8 +232,8 @@ def test_postpone_lie_abort_rate():
 
 
 def test_sender_bias_bound_across_parameter_grid():
-    """Measured optimal-sender success never exceeds 3/4 + alpha*beta/2 by
-    more than 3 sigma, for alpha^2 in {0.55, ..., 0.95}."""
+    """Measured optimal-sender success meets 3/4 + alpha*beta/2 within 5 sigma,
+    and exceeds it by at most 3 sigma, for alpha^2 in {0.55, ..., 0.95}."""
     trials = 20_000
     for i in range(9):
         alpha2 = 0.55 + 0.05 * i
@@ -241,4 +241,4 @@ def test_sender_bias_bound_across_parameter_grid():
                    alpha2=alpha2, trials=trials, seed=1000 + i)
         bound = 0.5 + alice_bias_bound(alpha2)
         assert est.p_hat <= bound + 3.0 * sigma("p_hat", bound, trials), alpha2
-        assert_metric(est, "p_hat", bound)  # the attack also saturates the bound
+        assert_metric(est, "p_hat", bound, f"alpha2 {alpha2}:")
