@@ -189,7 +189,8 @@ def run_experiment(cfg: ExperimentConfig,
 
 
 def estimate_to_dict(cfg: ExperimentConfig, est: BiasEstimate) -> dict:
-    """Fixed-order serialization of one experiment (byte-stable given a seed)."""
+    """Fixed-order serialization of one experiment (byte-stable given a seed).
+    alpha2 is null for every protocol whose family does not read it."""
     variant = next((name for name, v in VARIANT_NAMES.items() if v == cfg.variant),
                    "default")
     return {
@@ -200,7 +201,7 @@ def estimate_to_dict(cfg: ExperimentConfig, est: BiasEstimate) -> dict:
         "target": cfg.target,
         "trials": cfg.trials,
         "seed": cfg.seed,
-        "alpha2": cfg.alpha2,
+        "alpha2": family_for(cfg.protocol, cfg.alpha2).alpha2,
         "eta": cfg.eta,
         "successes": est.successes,
         "failures": est.failures,

@@ -88,7 +88,7 @@ from .channel import ChannelParams, lost_rounds, transmit
 from .errors import IncompatibleProtocol
 from .quantum import measure_table, steer_epr
 from .rng import (CHOOSE_B, PREPARE, RECEIVE, REVEAL, SLOTS, TRANSMIT, VERIFY,
-                  ChunkStream, bit, cumulative, inverse_cdf)
+                  ChunkStream, bit, inverse_cdf, weights_cdf)
 
 DEPTH = 64  # the most rounds per trial in one step
 
@@ -227,7 +227,14 @@ def measure_delivery(delivery: Emission, delivered: np.ndarray, bras: np.ndarray
     A pulse is measured on its first photon only (remaining photons are the
     side channel, exploited explicitly by the pulse-aware strategies). An EPR
     half steers Alice's half of the same round, in the delivered rounds only.
+    When every round arrived (always under lost_rounds), the batch is measured
+    whole, with no gather and no scatter, to the same outcomes.
     """
+    if delivered.all():
+        if isinstance(delivery, EprHalf):
+            outcome, delivery.far[:] = steer_epr(bras, u, which)
+            return outcome
+        return measure_table(delivery.states, delivery.index, bras, u, which)
     outcome = np.full(len(delivered), -1)
     rows = np.flatnonzero(delivered)
     if rows.size:  # nothing arrives from vacuum
@@ -288,7 +295,7 @@ class HonestAlice:
         self.photon_count = cfg.photon_count
         # column a * dim + x is |a, x>
         self.states = catalog.basis_pair(family).conj().reshape(-1, family.dim).T
-        self.x_cdf = cumulative(family.x_weights)  # x_values are 0, 1(, 2)
+        self.x_cdf = weights_cdf(family.x_weights)  # x_values are 0, 1(, 2)
 
     def prepare(self, u: np.ndarray) -> Emission:
         self.a = bit(u[0])
@@ -357,7 +364,8 @@ def run_chunk(protocol: ProtocolId, alice, bob, ch: ChannelParams,
     and every hook runs once per step on the rows of all of them. An
     attempt costs one round, or K + 1 under channel.lost_rounds (see
     above), and each trial keeps its first attempt that does not end in a
-    restart if its rounds up to it number at most max_restarts + 1.
+    restart if its rounds up to it number at most max_restarts + 1. A step
+    of one attempt per trial (step 0) reads which trials end from its column.
     Returns, per trial, the Decision of that attempt (REQUEST_RESTART for a
     trial over the limit), the coin it produced and the restarts before it.
     With a sink, each step logs its trials' attempts up to the kept one as
@@ -400,15 +408,20 @@ def run_chunk(protocol: ProtocolId, alice, bob, ch: ChannelParams,
             spent = rounds + (lost + 1).reshape(-1, depth).cumsum(1)
             over = spent > cap
             ends &= ~over
-        done = ends.any(1)
-        first = ends.argmax(1)  # the first attempt that ends each finished trial
-        last = np.flatnonzero(done) * depth + first[done]
+        if depth == 1:  # the one attempt ends its trial or not
+            done, at = ends[:, 0], 0
+            last = np.flatnonzero(done)
+        else:
+            done = ends.any(1)
+            at = ends.argmax(1)[done]  # each finished trial's first ending attempt
+            last = np.flatnonzero(done) * depth + at
         finished = pending[done]
         verdict[finished] = decision[last]
         coin[finished] = (x[last] if coin_from_x else a[last]) ^ b[last]
         if log is not None:  # each trial's attempts up to the one it keeps
             final[:, finished] = b[last], a[last], x[last]
-            stop = np.where(done, first + 1, depth)
+            stop = np.full(done.size, depth)
+            stop[done] = at + 1
             kept = (np.arange(depth) < stop[:, None]).ravel()
             basis = np.where(delivered, bob.last_basis, -1)
             outcome = np.broadcast_to(bob.last_outcome, delivered.shape)
@@ -417,10 +430,10 @@ def run_chunk(protocol: ProtocolId, alice, bob, ch: ChannelParams,
                         decision[kept],
                         np.zeros_like(ids) if lost is None else lost[kept]))
         if lost is None:
-            restarts[finished] = attempts + first[done]
+            restarts[finished] = attempts + at
             pending = pending[~done]
         else:  # a trial past cap is a limit hit and leaves
-            restarts[finished] = spent[done, first[done]] - 1
+            restarts[finished] = spent[done, at] - 1
             keep = ~done & ~over[:, -1]
             pending, rounds = pending[keep], spent[keep, -1:]
         attempts += depth

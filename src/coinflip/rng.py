@@ -40,9 +40,10 @@ channel's lost_rounds aside, see channel). Every draw from a probability
 vector takes the one inverse-CDF path: cumulative checks the vectors and
 gives their cumulative sums, and inverse_cdf compares each uniform against
 them. choice does both per call; a caller who draws from fixed
-distributions again and again (an honest Alice's x, a uniform index among
-four, a receiver's Born table, see quantum.born_table) runs cumulative once
-and only inverse_cdf per draw.
+distributions again and again runs cumulative once and only inverse_cdf per
+draw: weights_cdf keeps one read-only (cdf, total) per weight tuple (an
+honest Alice's x, a uniform index among four), shared by every experiment
+that draws from it, and quantum.born_table one per receiver's Born table.
 """
 from __future__ import annotations
 
@@ -69,6 +70,7 @@ SLOTS = 10
 
 CHUNK = 1024  # trials per chunk, each on its own blocks
 SEEDS = 8  # seeded generators kept; the least recently used goes first
+WEIGHTS = 16  # weight tuples weights_cdf holds; the least recently used goes first
 _LOCK = threading.Lock()  # held from restoring a seeded state to the draw
 
 
@@ -135,6 +137,15 @@ def cumulative(probs) -> tuple[np.ndarray, np.ndarray]:
         raise ProbabilityMismatch(
             f"probabilities sum to {np.extract(off, total)[0]}")
     return np.cumsum(probs[:-1], 0), total
+
+
+@lru_cache(maxsize=WEIGHTS)
+def weights_cdf(weights: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """cumulative(weights) for one fixed weight tuple, checked once and kept
+    read-only: every caller with equal weights shares the same two arrays."""
+    cdf, total = cumulative(weights)
+    cdf.flags.writeable = total.flags.writeable = False
+    return cdf, total
 
 
 def inverse_cdf(cdf: np.ndarray, total: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -29,7 +29,7 @@ from .protocols import (MEASURE, STORE, Decision, EprHalf, HonestAlice,
                         HonestBob, ProtocolId, SingleState, Vacuum, VariantFlags,
                         measure_delivery)
 from .quantum import measure_projective
-from .rng import bernoulli, bit, cumulative, inverse_cdf
+from .rng import bernoulli, bit, inverse_cdf, weights_cdf
 
 
 class Side(Enum):
@@ -59,7 +59,7 @@ class RotatedStateAlice:
 
     def __init__(self, cfg, family: StateFamily):
         self.target = cfg.target
-        self.k_cdf = cumulative((0.25,) * 4)  # k uniform in 0..3
+        self.k_cdf = weights_cdf((0.25,) * 4)  # k uniform in 0..3
         angles = [k * math.pi / 8.0 for k in (1, 3, 5, 7)]
         self.states = np.array([[f(t) for t in angles] for f in (math.cos, math.sin)])
         self.states.flags.writeable = False

@@ -169,14 +169,17 @@ def test_out_of_range_options_exit_1_without_traceback(args):
                                       if spec.family is not Family.LOSS_TOLERANT])
 def test_alpha2_is_refused_where_nothing_reads_it(protocol, capsys):
     """Only the loss-tolerant family reads alpha2, so run and an eta sweep
-    refuse --alpha2 for every other protocol; without it they run."""
+    refuse --alpha2 for every other protocol; without it they run, and
+    every record they write holds alpha2 null."""
     for command in (("run",), ("sweep", "--param", "eta", "--grid", "0.5:1:2")):
         args = [*command, "--protocol", protocol, "--trials", "10"]
         out = io.StringIO()
         assert cli_main([*args, "--alpha2", "0.7"], out=out) == 1
         assert (out.getvalue(), capsys.readouterr().err) == (
             "", f"coinflip: error: {protocol} does not read alpha2\n")
-        assert cli_main(args, out=io.StringIO()) == 0
+        assert cli_main(args, out=out) == 0
+        records = [json.loads(line) for line in out.getvalue().splitlines()]
+        assert records and all(r["alpha2"] is None for r in records)
 
 
 @pytest.mark.parametrize("args", [

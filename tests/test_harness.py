@@ -212,10 +212,13 @@ def test_estimate_to_dict_field_order():
     given = ExperimentConfig(max_restarts=7, photon_count=2)
     d = estimate_to_dict(given, est)
     assert (d["max_restarts"], d["photon_count"]) == (7, 2)
-    # the record names the variant the config was given, not its resolved flags
+    # the record names the variant the config was given, not its resolved
+    # flags, and alpha2 only where the protocol's family reads it
     for protocol in ProtocolId:
         given = ExperimentConfig(protocol=protocol)
         assert estimate_to_dict(given, est)["variant"] == "default"
+        assert estimate_to_dict(given, est)["alpha2"] == (
+            0.9 if protocol is ProtocolId.LOSS_TOLERANT_CF else None)
     given = ExperimentConfig(variant=VARIANT_NAMES["restart_measure"])
     assert estimate_to_dict(given, est)["variant"] == "restart_measure"
 

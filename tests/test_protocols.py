@@ -280,19 +280,28 @@ def test_transcript_records_bob_measurement():
 # measure_delivery: the one place a delivery mask becomes outcome indices
 
 def test_measure_delivery_reads_minus_one_where_nothing_arrived(rng):
+    """In a basis stack with one basis index per round, and in one basis: -1
+    on every lost round, the Born-rule outcome on every delivered one, and,
+    when every round arrives, the same outcome per round as the mixed mask
+    gives on its delivered rows."""
     n = 400
-    bras = basis_pair(family_for(ProtocolId.BB84_CF))
+    pair = basis_pair(family_for(ProtocolId.BB84_CF))
     delivered = rng(n) < 0.6
-    which, u = bit(rng(n)), rng(n)
     theta = 2.0 * np.pi * rng(n)
     amplitudes = np.array([np.cos(theta), np.sin(theta)])
-    outcome = measure_delivery(SingleState(amplitudes, np.arange(n)), delivered,
-                               bras, u, which)
-    assert (outcome[~delivered] == -1).all()
-    assert (outcome[delivered] == measure_projective(
-        amplitudes[:, delivered], bras, u[delivered], which[delivered])).all()
-    assert (measure_delivery(Vacuum(), np.zeros(n, bool), bras, u, which)
-            == -1).all()
+    emission = SingleState(amplitudes, np.arange(n))
+    for bras, which in ((pair, bit(rng(n))), (pair[1], None)):
+        u = rng(n)
+        outcome = measure_delivery(emission, delivered, bras, u, which)
+        assert (outcome[~delivered] == -1).all()
+        picked = None if which is None else which[delivered]
+        assert (outcome[delivered] == measure_projective(
+            amplitudes[:, delivered], bras, u[delivered], picked)).all()
+        everything = measure_delivery(emission, np.ones(n, bool), bras, u, which)
+        assert np.array_equal(everything[delivered], outcome[delivered])
+        assert np.array_equal(everything, measure_projective(amplitudes, bras, u, which))
+        assert (measure_delivery(Vacuum(), np.zeros(n, bool), bras, u, which)
+                == -1).all()
 
 
 def test_measure_delivery_never_reads_a_lost_rounds_index(rng):
@@ -314,6 +323,9 @@ def test_measure_delivery_never_reads_a_lost_rounds_index(rng):
 
 
 def test_measure_delivery_steers_only_the_delivered_epr_halves(rng):
+    """Lost halves keep their far state; when every half arrives, each
+    round's outcome and far column equal the mixed mask's on its delivered
+    rows."""
     n = 400
     bras = basis_pair(family_for(ProtocolId.BB84_CF))
     delivered = rng(n) < 0.6
@@ -325,6 +337,11 @@ def test_measure_delivery_steers_only_the_delivered_epr_halves(rng):
     assert (outcome[delivered] == expected).all()
     assert (link.far[:, ~delivered] == 7.0).all()
     assert np.array_equal(link.far[:, delivered], far)
+    every = EprHalf(np.full((2, n), 7.0 + 0j))
+    everything = measure_delivery(every, np.ones(n, bool), bras, u, which)
+    assert np.array_equal(everything[delivered], outcome[delivered])
+    assert np.array_equal(every.far[:, delivered], link.far[:, delivered])
+    assert every.far.dtype == link.far.dtype
 
 
 # ---------------------------------------------------------------------------

@@ -142,11 +142,22 @@ def test_hook_state_tables_are_read_only_and_unit_norm(rng):
     """Every registered Alice that sends a state table sends a read-only one
     with unit-norm columns, on every protocol she plays and across an alpha2
     grid; every Bob's measurement bases are read-only too. Born tables are
-    kept by content, so a table changed in place would be read stale."""
-    senders = set()
+    kept by content, so a table changed in place would be read stale. An
+    Alice's draw table (cdf, total) is built once per weight tuple: every
+    experiment on the family holds the same two read-only arrays."""
+    senders, drawers = set(), set()
     for alpha2 in (0.55, 0.7, 0.9, 0.95):
         for cfg in valid_configs(alpha2=alpha2):
             alice, bob = build_hooks(cfg)
+            again, _ = build_hooks(cfg)
+            for name in ("x_cdf", "k_cdf"):
+                if hasattr(alice, name):
+                    drawers.add(cfg.alice)
+                    table = getattr(alice, name)
+                    assert table is getattr(again, name), cfg
+                    for column in table:
+                        with pytest.raises(ValueError):
+                            column[...] = 0.0
             states = getattr(alice.prepare(rng(SLOTS, 8)[PREPARE]), "states", None)
             if states is not None:
                 senders.add(cfg.alice)
@@ -156,6 +167,8 @@ def test_hook_state_tables_are_read_only_and_unit_norm(rng):
             assert bras is None or not bras.flags.writeable, cfg
     # vacuum and an EPR half carry no table
     assert senders == set(ALICE_STRATEGIES) - {"send_nothing", "bb84_epr"}
+    assert drawers == {"honest", "bb84_postpone_lie", "bb84_rotated",
+                       "cunning_mother", "honest_pulse"}
 
 
 # ---------------------------------------------------------------------------
