@@ -236,7 +236,7 @@ def measure_delivery(delivery: Emission, delivered: np.ndarray, bras: np.ndarray
             return outcome
         return measure_table(delivery.states, delivery.index, bras, u, which)
     outcome = np.full(len(delivered), -1)
-    rows = np.flatnonzero(delivered)
+    rows = delivered.nonzero()[0]
     if rows.size:  # nothing arrives from vacuum
         which = None if which is None else which[rows]
         if isinstance(delivery, EprHalf):
@@ -405,16 +405,17 @@ def run_chunk(protocol: ProtocolId, alice, bob, ch: ChannelParams,
 
         ends = (decision <= Decision.ABORT_CHEATER).reshape(-1, depth)
         if lost is not None:  # rounds run up to each attempt; past cap, none ends
-            spent = rounds + (lost + 1).reshape(-1, depth).cumsum(1)
+            spent = (lost + 1).reshape(-1, depth)
+            spent = rounds + (spent if depth == 1 else spent.cumsum(1))
             over = spent > cap
             ends &= ~over
         if depth == 1:  # the one attempt ends its trial or not
             done, at = ends[:, 0], 0
-            last = np.flatnonzero(done)
+            last = done.nonzero()[0]
         else:
             done = ends.any(1)
             at = ends.argmax(1)[done]  # each finished trial's first ending attempt
-            last = np.flatnonzero(done) * depth + at
+            last = done.nonzero()[0] * depth + at
         finished = pending[done]
         verdict[finished] = decision[last]
         coin[finished] = (x[last] if coin_from_x else a[last]) ^ b[last]

@@ -77,6 +77,13 @@ def mix(weights: Sequence[float], states) -> np.ndarray:
     return (weights[:, None] * states).T @ states.conj()
 
 
+def _check_basis_index(which: np.ndarray, bases: int) -> None:
+    """ValueError unless every entry of which indexes a stack of bases."""
+    # one reduction: read as unsigned, a negative index is past the range
+    if np.asarray(which, np.intp).view(np.uintp).max(initial=0) >= bases:
+        raise ValueError(f"basis index not in [0, {bases})")
+
+
 def measure_projective(amplitudes: np.ndarray, bras: np.ndarray, u: np.ndarray,
                        which: Optional[np.ndarray] = None) -> np.ndarray:
     """Born-rule measurement of a batch of states; returns one outcome index
@@ -85,13 +92,15 @@ def measure_projective(amplitudes: np.ndarray, bras: np.ndarray, u: np.ndarray,
     amplitudes is (dim, n) with one state per column, each normalized within
     ATOL (ValueError otherwise). bras is one basis (dim, dim) whose row i is
     the bra <b_i|, as a basis of basis_pair, or a stack (k, dim, dim) of bases
-    of which state j is measured in bras[which[j]]. u holds one uniform per
+    of which state j is measured in bras[which[j]], picked by indexing; a
+    basis index outside the stack raises ValueError. u holds one uniform per
     state.
     """
     _check_normalized(amplitudes)
     outcome = bras @ amplitudes
     if which is not None:
-        outcome = np.choose(which, outcome)
+        _check_basis_index(which, len(bras))
+        outcome = outcome[which, :, np.arange(outcome.shape[-1])].T
     return choice(_abs2(outcome), u)
 
 
@@ -107,9 +116,7 @@ def measure_table(states: np.ndarray, index: np.ndarray, bras: np.ndarray,
             raise ValueError("a stack of bases needs one basis index per state")
         col = index
     else:
-        # one reduction: read as unsigned, a negative index is past the range
-        if np.asarray(which, np.intp).view(np.uintp).max(initial=0) >= bases:
-            raise ValueError(f"basis index not in [0, {bases})")
+        _check_basis_index(which, bases)
         col = index * bases + which
     drawn = table.take(col, 1)  # IndexError for a column past the table
     return inverse_cdf(drawn[:-1], drawn[-1], u)
@@ -124,13 +131,16 @@ def born_table(states: np.ndarray, bras: np.ndarray) -> tuple[np.ndarray, int]:
     rng.inverse_cdf draws from. Every column must be normalized within ATOL
     (ValueError). Tables are kept by content, at most BORN_TABLES of them,
     so equal arrays, views included, share one table."""
-    return _born_table(*(a.shape + (a.dtype.str, a.tobytes()) for a in (states, bras)))
+    return _born_table(states.shape, states.dtype.str, states.tobytes(),
+                       bras.shape, bras.dtype.str, bras.tobytes())
 
 
 @lru_cache(maxsize=BORN_TABLES)
-def _born_table(states_key: tuple, bras_key: tuple) -> tuple[np.ndarray, int]:
-    states, bras = (np.frombuffer(key[-1], key[-2]).reshape(key[:-2])
-                    for key in (states_key, bras_key))
+def _born_table(states_shape: tuple, states_dtype: str, states_bytes: bytes,
+                bras_shape: tuple, bras_dtype: str,
+                bras_bytes: bytes) -> tuple[np.ndarray, int]:
+    states = np.frombuffer(states_bytes, states_dtype).reshape(states_shape)
+    bras = np.frombuffer(bras_bytes, bras_dtype).reshape(bras_shape)
     _check_normalized(states)
     stack = bras.reshape(-1, *bras.shape[-2:])
     # measure_projective's arithmetic on every (basis, column) pair at once

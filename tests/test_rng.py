@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 
 from coinflip import rng as rng_module
+from coinflip.catalog import Family, StateFamily, basis_pair
 from coinflip.errors import ProbabilityMismatch
 from coinflip.harness import CHUNK, ExperimentConfig, run_experiment
 from coinflip.protocols import DEPTH, ProtocolId
-from coinflip.rng import (SEEDS, SLOTS, bernoulli, bit, block, choice,
-                          cumulative, inverse_cdf)
+from coinflip.quantum import born_table
+from coinflip.rng import (SEEDS, SLOTS, ChunkStream, bernoulli, bit, block,
+                          choice, cumulative, inverse_cdf, weights_cdf)
 
 from conftest import assert_z, edge_uniforms, sigma
 
@@ -59,6 +61,54 @@ def test_four_quarter_inverse_cdf_is_floor_4u(rng):
     u = edge_uniforms(rng)
     assert np.array_equal(inverse_cdf(cdf, total, u),
                           np.floor(4.0 * u).astype(np.intp))
+
+
+def steps_and_neighbours(cdf, total):
+    """Every step cdf / total of each column of a table and both float
+    neighbours of it, as far as they lie in [0, 1): (the column of each,
+    the uniforms)."""
+    steps = (cdf / total).ravel()
+    cols = np.tile(np.broadcast_to(np.arange(cdf.shape[1]), cdf.shape).ravel(), 3)
+    u = np.concatenate([np.nextafter(steps, -1.0), steps, np.nextafter(steps, 2.0)])
+    keep = (u >= 0.0) & (u < 1.0)
+    return cols[keep], u[keep]
+
+
+def born_table_draw(rng):
+    """A (1, n) gather from the loss-tolerant Born table in Bob's two bases,
+    one column per uniform, as measure_table draws."""
+    family = StateFamily(Family.LOSS_TOLERANT, 0.9)
+    bras = basis_pair(family)
+    table, _ = born_table(bras.conj().reshape(-1, family.dim).T, bras)
+    cols, edges = steps_and_neighbours(table[:-1], table[-1])
+    col = np.concatenate([cols, (rng(N) * table.shape[1]).astype(np.intp)])
+    drawn = table.take(col, 1)
+    return drawn[:-1], drawn[-1], np.concatenate([edges, rng(N)])
+
+
+def weights_draw(weights):
+    """One weight column (k - 1, 1), broadcast over every uniform."""
+    def draw(rng):
+        cdf, total = weights_cdf(weights)
+        _, edges = steps_and_neighbours(cdf, total)
+        return cdf, total, np.concatenate([edges, rng(N)])
+    return draw
+
+
+@pytest.mark.parametrize("draw", [
+    born_table_draw,
+    weights_draw((0.3, 0.7)),
+    weights_draw(StateFamily(Family.MCQM_EXAMPLE).x_weights),  # three weights
+], ids=["born_table", "weight_column", "mcqm_three_weights"])
+def test_inverse_cdf_counts_the_steps_at_or_below_u(rng, draw):
+    """inverse_cdf is (cdf <= u * total).sum(0), values and dtype, bit for
+    bit, on and next to every step as well as at random uniforms: a
+    two-outcome table takes one comparison, three outcomes keep the sum."""
+    cdf, total, u = draw(rng)
+    got, want = inverse_cdf(cdf, total, u), (cdf <= u * total).sum(0)
+    assert got.dtype == want.dtype == np.intp
+    assert np.array_equal(got, want)
+    assert set(got.tolist()) == set(range(len(cdf) + 1))
 
 
 def test_random_is_a_unit_uniform(rng):
@@ -188,6 +238,18 @@ def test_steps_share_no_value():
             assert first.isdisjoint(second)
 
 
+def test_rows_are_each_chunks_block_in_chunk_order():
+    """ChunkStream.rows gives each chunk's block for its own pending trials,
+    in chunk order, bit for bit; a chunk with none pending draws nothing."""
+    seed, first, step, depth = 31, 5, 3, 4
+    near, far = np.arange(3, 40), 2 * CHUNK + np.arange(0, CHUNK, 7)
+    rows = ChunkStream(seed, first).rows(step, np.concatenate([near, far]), depth)
+    want = np.concatenate([block(seed, first, step, (near.size, depth, SLOTS)),
+                           block(seed, first + 2, step, (far.size, depth, SLOTS))])
+    assert rows.shape == want.shape
+    assert np.array_equal(rows, want)
+
+
 def test_step_layout_is_pinned(monkeypatch):
     """Step s of chunk k reads the start of PCG64DXSM(seed).jumped((k << 32) | s),
     one row of SLOTS uniforms per (pending trial, attempt), and step s runs
@@ -198,15 +260,15 @@ def test_step_layout_is_pinned(monkeypatch):
                           reference_block(2024, 3, 6, (7, 4, SLOTS)))
 
     calls = []
-    drawn = rng_module.block
+    drawn = rng_module.fill
 
-    def recording(seed, chunk, step, shape):
-        out = drawn(seed, chunk, step, shape)
-        calls.append((seed, chunk, step, shape))
-        assert np.array_equal(out, reference_block(seed, chunk, step, shape))
+    def recording(seed, chunk, step, out):
+        drawn(seed, chunk, step, out)
+        calls.append((seed, chunk, step, out.shape))
+        assert np.array_equal(out, reference_block(seed, chunk, step, out.shape))
         return out
 
-    monkeypatch.setattr(rng_module, "block", recording)
+    monkeypatch.setattr(rng_module, "fill", recording)
     # a Bob who does not restart on every loss draws loss round by round, and
     # his false claims keep trials pending until a step reaches DEPTH
     run_experiment(ExperimentConfig(protocol=ProtocolId.AMBAINIS_CF_VARIANT,
