@@ -405,8 +405,7 @@ def run_chunk(protocol: ProtocolId, alice, bob, ch: ChannelParams,
 
         ends = (decision <= Decision.ABORT_CHEATER).reshape(-1, depth)
         if lost is not None:  # rounds run up to each attempt; past cap, none ends
-            spent = (lost + 1).reshape(-1, depth)
-            spent = rounds + (spent if depth == 1 else spent.cumsum(1))
+            spent = rounds + (lost + 1).reshape(-1, depth).cumsum(1)
             over = spent > cap
             ends &= ~over
         if depth == 1:  # the one attempt ends its trial or not

@@ -131,16 +131,13 @@ def born_table(states: np.ndarray, bras: np.ndarray) -> tuple[np.ndarray, int]:
     rng.inverse_cdf draws from. Every column must be normalized within ATOL
     (ValueError). Tables are kept by content, at most BORN_TABLES of them,
     so equal arrays, views included, share one table."""
-    return _born_table(states.shape, states.dtype.str, states.tobytes(),
-                       bras.shape, bras.dtype.str, bras.tobytes())
+    return _born_table(*(a.shape + (a.dtype.str, a.tobytes()) for a in (states, bras)))
 
 
 @lru_cache(maxsize=BORN_TABLES)
-def _born_table(states_shape: tuple, states_dtype: str, states_bytes: bytes,
-                bras_shape: tuple, bras_dtype: str,
-                bras_bytes: bytes) -> tuple[np.ndarray, int]:
-    states = np.frombuffer(states_bytes, states_dtype).reshape(states_shape)
-    bras = np.frombuffer(bras_bytes, bras_dtype).reshape(bras_shape)
+def _born_table(states_key: tuple, bras_key: tuple) -> tuple[np.ndarray, int]:
+    states, bras = (np.frombuffer(key[-1], key[-2]).reshape(key[:-2])
+                    for key in (states_key, bras_key))
     _check_normalized(states)
     stack = bras.reshape(-1, *bras.shape[-2:])
     # measure_projective's arithmetic on every (basis, column) pair at once

@@ -14,16 +14,16 @@ each is reproducible on its own, in any order.
 
 A process seeds one bit generator per seed, kept in a bounded cache of
 SEEDS, and shares it between every chunk, config and grid point run with
-that seed. fill restores its seeded state, advances it by ((k << 32) | s)
-times the jump and draws into a given array, all three under one module
-lock, so two threads never interleave a restore and a draw; the uniforms are
-those jumped() gives, at a fraction of the cost of a new generator. block
-is fill into a new array.
+that seed. block restores its seeded state, advances it by
+((k << 32) | s) times the jump and draws, all three under one module lock,
+so two threads never interleave a restore and a draw; the uniforms are
+those jumped() gives, at a fraction of the cost of a new generator.
 
 A ChunkStream is the run of chunks one engine call runs together, from a
 first chunk on. Its rows for a step are each chunk's own block, drawn for
-that chunk's pending trials into its slice of one buffer, in chunk order, so
-the rows of a trial do not depend on which chunks share its engine call.
+that chunk's pending trials in chunk order, so the rows of a trial do not
+depend on which chunks share its engine call. Several chunks' blocks are
+drawn straight into their slices of one array, with no concatenation.
 
 A block has shape (pending trials, attempts, SLOTS): one row of SLOTS
 uniforms per (trial, attempt) pair. An attempt is one round, or, for a Bob
@@ -40,12 +40,11 @@ Three helpers map uniforms to draws: bit, bernoulli and inverse_cdf (the
 channel's lost_rounds aside, see channel). Every draw from a probability
 vector takes the one inverse-CDF path: cumulative checks the vectors and
 gives their cumulative sums, and inverse_cdf compares each uniform against
-them (a single comparison for two outcomes, the common case). choice does
-both per call; a caller who draws from fixed distributions again and again
-runs cumulative once and only inverse_cdf per draw: weights_cdf keeps one
-read-only (cdf, total) per weight tuple (an honest Alice's x, a uniform
-index among four), shared by every experiment that draws from it, and
-quantum.born_table one per receiver's Born table.
+them. choice does both per call; a caller who draws from fixed
+distributions again and again runs cumulative once and only inverse_cdf per
+draw: weights_cdf keeps one read-only (cdf, total) per weight tuple (an
+honest Alice's x, a uniform index among four), shared by every experiment
+that draws from it, and quantum.born_table one per receiver's Born table.
 """
 from __future__ import annotations
 
@@ -82,21 +81,21 @@ def _seeded(seed: int) -> tuple:
     return bits, np.random.Generator(bits), bits.state
 
 
-def fill(seed: int, chunk: int, step: int, out: np.ndarray) -> np.ndarray:
-    """Draw step `step` of chunk `chunk` into out, a C-contiguous float64
-    array, and return it: the start of
-    PCG64DXSM(seed).jumped((chunk << 32) | step), for steps below 2**32."""
+def block(seed: int, chunk: int, step: int, shape) -> np.ndarray:
+    """Uniforms in [0, 1) of the given shape for step `step` of chunk
+    `chunk`: the start of PCG64DXSM(seed).jumped((chunk << 32) | step), for
+    steps below 2**32."""
+    return _fill(seed, chunk, step, np.empty(shape))
+
+
+def _fill(seed: int, chunk: int, step: int, out: np.ndarray) -> np.ndarray:
+    """block(seed, chunk, step, out.shape), drawn into out (C-contiguous
+    float64) and returned."""
     bits, gen, state = _seeded(seed)
     with _LOCK:
         bits.state = state
         bits.advance(((chunk << 32) | step) * _JUMP % _PERIOD)
         return gen.random(out=out)
-
-
-def block(seed: int, chunk: int, step: int, shape) -> np.ndarray:
-    """Uniforms in [0, 1) of the given shape for step `step` of chunk
-    `chunk`, as fill draws them."""
-    return fill(seed, chunk, step, np.empty(shape))
 
 
 class ChunkStream:
@@ -109,16 +108,14 @@ class ChunkStream:
 
     def rows(self, step: int, pending: np.ndarray, depth: int) -> np.ndarray:
         """Step `step` for the trials `pending` (ascending), depth attempts
-        each, as one (pending, depth, SLOTS) array: each chunk's block (its
-        pending trials, depth, SLOTS), in chunk order, drawn by fill straight
-        into its slice, with no copy."""
-        out = np.empty((pending.size, depth, SLOTS))
-        if pending[-1] < CHUNK:  # one chunk, one slice
-            return fill(self.seed, self.chunk, step, out)
-        start = 0
+        each: every chunk's block (its pending trials, depth, SLOTS), in
+        chunk order, as one (pending, depth, SLOTS) array."""
+        if pending[-1] < CHUNK:  # one chunk, one block
+            return block(self.seed, self.chunk, step, (pending.size, depth, SLOTS))
+        out, start = np.empty((pending.size, depth, SLOTS)), 0
         for k, n in enumerate(np.bincount(pending // CHUNK).tolist()):
             if n:  # a run of rows of a C-contiguous array is C-contiguous
-                fill(self.seed, self.chunk + k, step, out[start:start + n])
+                _fill(self.seed, self.chunk + k, step, out[start:start + n])
                 start += n
         return out
 
@@ -164,11 +161,7 @@ def weights_cdf(weights: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
 def inverse_cdf(cdf: np.ndarray, total: np.ndarray, u: np.ndarray) -> np.ndarray:
     """One index per uniform by inverse CDF over cumulative(probs): the first
     i with u * total < cdf[i], or the last index if none is. Column j of cdf
-    and entry j of total belong to uniform j, or one column to all; u is
-    one-dimensional. A two-outcome cdf (one row) takes one comparison, with
-    the values and dtype the sum over rows gives."""
-    if len(cdf) == 1:
-        return (cdf[0] <= u * total).astype(np.intp)
+    and entry j of total belong to uniform j, or one column to all."""
     return (cdf <= u * total).sum(0)
 
 

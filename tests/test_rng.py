@@ -100,12 +100,13 @@ def weights_draw(weights):
     weights_draw((0.3, 0.7)),
     weights_draw(StateFamily(Family.MCQM_EXAMPLE).x_weights),  # three weights
 ], ids=["born_table", "weight_column", "mcqm_three_weights"])
-def test_inverse_cdf_counts_the_steps_at_or_below_u(rng, draw):
-    """inverse_cdf is (cdf <= u * total).sum(0), values and dtype, bit for
-    bit, on and next to every step as well as at random uniforms: a
-    two-outcome table takes one comparison, three outcomes keep the sum."""
+def test_inverse_cdf_is_the_first_step_above_u(rng, draw):
+    """inverse_cdf gives the first i with u * total < cdf[i], or the last
+    index if none is, bit for bit, on and next to every step as well as at
+    random uniforms, for two outcomes and three."""
     cdf, total, u = draw(rng)
-    got, want = inverse_cdf(cdf, total, u), (cdf <= u * total).sum(0)
+    above = np.vstack([cdf > u * total, np.ones_like(u, bool)])
+    got, want = inverse_cdf(cdf, total, u), above.argmax(0)
     assert got.dtype == want.dtype == np.intp
     assert np.array_equal(got, want)
     assert set(got.tolist()) == set(range(len(cdf) + 1))
@@ -260,7 +261,7 @@ def test_step_layout_is_pinned(monkeypatch):
                           reference_block(2024, 3, 6, (7, 4, SLOTS)))
 
     calls = []
-    drawn = rng_module.fill
+    drawn = rng_module._fill
 
     def recording(seed, chunk, step, out):
         drawn(seed, chunk, step, out)
@@ -268,7 +269,7 @@ def test_step_layout_is_pinned(monkeypatch):
         assert np.array_equal(out, reference_block(seed, chunk, step, out.shape))
         return out
 
-    monkeypatch.setattr(rng_module, "fill", recording)
+    monkeypatch.setattr(rng_module, "_fill", recording)
     # a Bob who does not restart on every loss draws loss round by round, and
     # his false claims keep trials pending until a step reaches DEPTH
     run_experiment(ExperimentConfig(protocol=ProtocolId.AMBAINIS_CF_VARIANT,
