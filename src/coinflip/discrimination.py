@@ -1,9 +1,11 @@
 """State discrimination beyond minimum-error guessing.
 
-Covers the two measurement styles that trade conclusiveness against
+Covers three measurement styles that trade conclusiveness against
 certainty: unambiguous discrimination of a pure-state pair (the
-Ivanovic-Dieks-Peres construction for equal priors) and exact outcome
-statistics of an arbitrary POVM against a pair of hypotheses.
+Ivanovic-Dieks-Peres construction for equal priors), exact outcome
+statistics of an arbitrary POVM against a pair of hypotheses, and maximum
+confidence, the best confidence any POVM's conclusive outcome reaches on a
+pair of mixed states.
 
 A POVM is a (k, dim, dim) array of Hermitian PSD elements that sum to the
 identity, checked by stats; its last element is the inconclusive outcome.
@@ -14,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import Family, StateFamily, committed_density
 from .errors import DimensionMismatch, ParallelStates
 from .quantum import ATOL, _check_density, _check_normalized, _check_positive
 
@@ -88,33 +89,19 @@ def stats(povm, r0, r1) -> DiscriminationStats:
     return DiscriminationStats(p_inconclusive, confidence, tuple(per_outcome))
 
 
-def loss_tolerant_guess_ceiling(alpha2: float, grid: int = 10) -> float:
-    """Best conclusive confidence of any diagonal 3-outcome POVM on the
-    loss-tolerant commitment pair, by brute-force grid search.
-
-    The committed mixtures commute (both diagonal), so off-diagonal POVM
-    structure cannot change any Tr(E rho) and diagonal POVMs exhaust the
-    search space. A diagonal POVM {E_0, E_1, E_?} on a qubit is determined by
-    the weights (u_i, w_i) of E_i = diag(u_i, w_i), with the columns summing
-    to one; both weight pairs are swept over a simplex grid (well over 10^3
-    combinations at the default resolution). Used to check the
-    no-better-than-Helstrom property of the loss-tolerant commitment.
-    """
-    family = StateFamily(Family.LOSS_TOLERANT, alpha2)
-    d0 = committed_density(family, 0).diagonal()
-    d1 = committed_density(family, 1).diagonal()
-    steps = [i / grid for i in range(grid + 1)]
-    pairs = [(u, v) for u in steps for v in steps if u + v <= 1.0 + 1e-12]
-    best = 0.5
-    for u0, u1 in pairs:  # weights on |0><0| for outcomes "0" and "1"
-        for w0, w1 in pairs:  # weights on |1><1|
-            conclusive = 0.0
-            correct = 0.0
-            for eu, ew in ((u0, w0), (u1, w1)):
-                q0 = eu * d0[0] + ew * d0[1]
-                q1 = eu * d1[0] + ew * d1[1]
-                conclusive += 0.5 * (q0 + q1)
-                correct += 0.5 * max(q0, q1)
-            if conclusive > 1e-15:
-                best = max(best, correct / conclusive)
-    return best
+def max_confidence(r0, r1) -> float:
+    """Highest confidence any outcome of any POVM reaches on two equally
+    likely density matrices of one dimension, when the measurement may
+    also come out inconclusive: the largest eigenvalue of
+    rho^(-1/2) (r_c / 2) rho^(-1/2) over c, with rho = (r0 + r1) / 2 and its
+    inverse root taken on rho's support (Croke, Andersson, Barnett, Gilson
+    and Jeffers, PRL 96, 070401, 2006)."""
+    r0, r1 = _check_density(r0), _check_density(r1)
+    if r0.shape != r1.shape:
+        raise DimensionMismatch("maximum confidence of different dims")
+    vals, vecs = np.linalg.eigh(0.5 * (r0 + r1))
+    keep = vals > ATOL
+    # root^H r root has the nonzero eigenvalues of rho^(-1/2) r rho^(-1/2)
+    root = vecs[:, keep] / np.sqrt(vals[keep])
+    return max(float(np.linalg.eigvalsh(root.conj().T @ (0.5 * r) @ root).max())
+               for r in (r0, r1))

@@ -80,8 +80,9 @@ class ExperimentConfig:
         ChannelParams(self.eta)  # raises OutOfRange unless 0 < eta <= 1
         if self.photon_count < 1:
             raise OutOfRange(f"photon_count={self.photon_count} must be >= 1")
-        if self.max_restarts < 0:
-            raise OutOfRange(f"max_restarts={self.max_restarts} must be >= 0")
+        # below 2**53 the engine's cap is exact as a float and 65 caps fit in int64
+        if not 0 <= self.max_restarts < 2 ** 53:
+            raise OutOfRange(f"max_restarts={self.max_restarts} not in [0, 2**53)")
         for side, name in ((Side.ALICE, self.alice), (Side.BOB, self.bob)):
             spec = lookup(side, name, self.protocol)
             if self.photon_count < spec.min_photons:

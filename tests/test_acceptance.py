@@ -18,8 +18,7 @@ from coinflip.analytics import (alice_bias_bound, bob_bias, fair_alpha2,
                                 reference_table)
 from coinflip.catalog import Family, StateFamily, basis_pair, committed_density
 from coinflip.discrimination import (COMPUTATIONAL_USD_AMBAINIS,
-                                     loss_tolerant_guess_ceiling, stats,
-                                     usd_pure_pair)
+                                     max_confidence, stats, usd_pure_pair)
 from coinflip.harness import VARIANT_NAMES, ExperimentConfig, run_experiment
 from coinflip.protocols import ProtocolId
 from coinflip.quantum import helstrom_success, mix, trace_distance
@@ -212,6 +211,9 @@ def test_criterion_9_property_suites():
         bound = 0.5 + alice_bias_bound(alpha2)
         assert est.p_hat <= bound + 3.0 * sigma("p_hat", bound, n), (alpha2, est.p_hat)
 
-    # --- no measurement guesses the commitment better than minimum error ---
+    # --- no measurement guesses the commitment better than minimum error,
+    # even one that may claim loss ---------------------------------------
     for alpha2 in (0.6, 0.75, 0.9):
-        assert loss_tolerant_guess_ceiling(alpha2) <= alpha2 + 1e-9
+        fam = StateFamily(Family.LOSS_TOLERANT, alpha2)
+        assert max_confidence(committed_density(fam, 0), committed_density(fam, 1)) \
+            == pytest.approx(0.5 + bob_bias(alpha2), abs=1e-12)

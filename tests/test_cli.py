@@ -148,6 +148,7 @@ def test_table_defaults_are_the_matrix_defaults():
 @pytest.mark.parametrize("args", [
     ("run", "--trials", "0"), ("run", "--seed", "-1"), ("run", "--photons", "0"),
     ("run", "--max-restarts", "-1"), ("run", "--eta", "0"),
+    ("run", "--max-restarts", "9223372036854775807"),
     ("table", "--trials", "0"),
     ("run", "--alice", "honest_pulse", "--bob", "twophoton_usd", "--photons", "1",
      "--target", "1", "--trials", "300"),

@@ -3,11 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from coinflip.analytics import alice_bias_bound, bob_bias, reference_table
 from coinflip.catalog import Family, StateFamily, basis_pair, committed_density
 from coinflip.discrimination import (COMPUTATIONAL_USD_AMBAINIS,
-                                     loss_tolerant_guess_ceiling, stats,
-                                     usd_pure_pair)
+                                     max_confidence, stats, usd_pure_pair)
 from coinflip.errors import DimensionMismatch, ParallelStates
 from coinflip.quantum import helstrom_success, mix, trace_distance
 
@@ -103,16 +105,100 @@ def test_stats_equal_hypotheses_gives_half_confidence():
 
 
 # ---------------------------------------------------------------------------
-# the no-better-than-Helstrom property of the qubit commitments
+# each player's optimum, read off the committed states
 
-@pytest.mark.parametrize("alpha2", [0.6, 0.75, 0.9])
-def test_guess_ceiling_never_beats_helstrom(alpha2):
-    fam = StateFamily(Family.LOSS_TOLERANT, alpha2)
-    hel = helstrom_success(committed_density(fam, 0), committed_density(fam, 1))
-    assert hel == pytest.approx(alpha2, abs=1e-12)
-    assert loss_tolerant_guess_ceiling(alpha2) <= alpha2 + 1e-9
+GRID = (0.55, 0.6, 0.7, 0.75, 0.8, 0.9, 0.95)
 
 
-def test_guess_ceiling_is_attained():
-    """The all-conclusive computational POVM reaches exactly alpha^2."""
-    assert loss_tolerant_guess_ceiling(0.9) == pytest.approx(0.9, abs=1e-9)
+def committed_pair(family):
+    return committed_density(family, 0), committed_density(family, 1)
+
+
+@pytest.mark.parametrize("alpha2", GRID)
+def test_max_confidence_is_helstrom_on_loss_tolerant(alpha2):
+    """Claiming loss gains Bob nothing: no outcome of any POVM, inconclusive
+    ones allowed, guesses the commitment better than minimum error does."""
+    r0, r1 = committed_pair(StateFamily(Family.LOSS_TOLERANT, alpha2))
+    best = max_confidence(r0, r1)
+    assert best == pytest.approx(0.5 + bob_bias(alpha2), abs=1e-12)
+    assert best == pytest.approx(helstrom_success(r0, r1), abs=1e-12)
+
+
+def test_max_confidence_on_the_other_families():
+    """Ambainis leaks its commitment to a Bob who may claim loss, MCQM nearly
+    so, and BB84 not at all."""
+    oracle = dict(reference_table())
+    for family, expected in ((Family.AMBAINIS, oracle["ambainis_conclusive_success"]),
+                             (Family.MCQM_EXAMPLE, oracle["mcqm_confidence"]),
+                             (Family.BB84, 0.5)):
+        assert max_confidence(*committed_pair(StateFamily(family))) == pytest.approx(
+            expected, abs=1e-12)
+
+
+def test_max_confidence_checks_its_densities():
+    fam = StateFamily(Family.AMBAINIS)
+    with pytest.raises(DimensionMismatch):
+        max_confidence(committed_density(fam, 0), np.eye(2) / 2)
+    with pytest.raises(ValueError):
+        max_confidence(np.eye(3), committed_density(fam, 1))
+
+
+def _factor(entries):
+    """A complex 3x3 matrix from 18 real entries."""
+    re, im = np.reshape(entries, (2, 3, 3))
+    return re + 1j * im
+
+
+FAMILIES = st.one_of(
+    st.floats(0.51, 0.99).map(lambda a2: StateFamily(Family.LOSS_TOLERANT, a2)),
+    st.sampled_from([StateFamily(f) for f in
+                     (Family.BB84, Family.AMBAINIS, Family.MCQM_EXAMPLE)]))
+# up to 4 POVM elements, each a factor G (A = G G^dagger) and a decision:
+# guess 0, guess 1 or claim loss (2)
+ELEMENTS = st.lists(
+    st.tuples(st.lists(st.floats(-1, 1), min_size=18, max_size=18).map(_factor),
+              st.integers(0, 2)),
+    min_size=1, max_size=4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(FAMILIES, ELEMENTS)
+# power check: Bob's USD on Ambainis is sure of every conclusive guess, above
+# Helstrom's 0.75, so a ceiling that were only Helstrom's would fail here
+@example(StateFamily(Family.AMBAINIS), list(zip(COMPUTATIONAL_USD_AMBAINIS, (0, 1, 2))))
+def test_no_povm_beats_max_confidence(family, elements):
+    """A certificate against random Bobs: each A_i is normalised as
+    S^(-1/2) A_i S^(-1/2), S = sum A_i (on S's well-conditioned support), the
+    elements of each decision are summed, and the claim outcome takes the
+    rest of the identity. No such POVM's conclusive outcomes reach a
+    confidence above max_confidence."""
+    r0, r1 = committed_pair(family)
+    dim = len(r0)
+    parts = [g[:dim, :dim] @ g[:dim, :dim].conj().T for g, _ in elements]
+    vals, vecs = np.linalg.eigh(sum(parts))
+    keep = vals > 1e-4 * max(vals.max(), 1.0)
+    root = vecs[:, keep] / np.sqrt(vals[keep]) @ vecs[:, keep].conj().T
+    povm = np.zeros((3, dim, dim), dtype=complex)
+    for part, (_, decision) in zip(parts, elements):
+        if decision < 2:
+            povm[decision] += root @ part @ root
+    povm[2] = np.eye(dim) - povm[0] - povm[1]
+    assert stats(povm, r0, r1).confidence <= max_confidence(r0, r1) + 1e-12
+
+
+def root_fidelity(r0, r1):
+    """F = Tr sqrt(sqrt(r0) r1 sqrt(r0)), both roots by eigh."""
+    vals, vecs = np.linalg.eigh(r0)
+    root = vecs * np.sqrt(np.clip(vals, 0.0, None)) @ vecs.conj().T
+    return float(np.sqrt(np.clip(np.linalg.eigvalsh(root @ r1 @ root), 0.0, None)).sum())
+
+
+@pytest.mark.parametrize("alpha2", GRID)
+def test_alice_bound_is_the_fidelity_of_the_committed_states(alpha2):
+    """Alice's optimal success (3 + F) / 4, F the root fidelity of the two
+    committed densities, matches 1/2 + alice_bias_bound. Agreement on a grid
+    is evidence, not a proof; the candidate derivation is the bit-commitment
+    bound of Spekkens and Rudolph, PRA 65, 012310 (2002)."""
+    fidelity = root_fidelity(*committed_pair(StateFamily(Family.LOSS_TOLERANT, alpha2)))
+    assert (3.0 + fidelity) / 4.0 == pytest.approx(0.5 + alice_bias_bound(alpha2),
+                                                   abs=1e-12)

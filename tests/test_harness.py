@@ -47,6 +47,7 @@ def test_config_validation():
 @pytest.mark.parametrize("bad", [
     dict(seed=-1), dict(seed=2 ** 64), dict(eta=0.0), dict(eta=1.5),
     dict(eta=float("nan")), dict(photon_count=0), dict(max_restarts=-1),
+    dict(max_restarts=2 ** 53),
     dict(bob="twophoton_usd", photon_count=1),
     dict(bob="twophoton_honest_apparatus", photon_count=1),
     dict(alpha2=0.5), dict(alpha2=1.0),
@@ -82,7 +83,7 @@ def test_config_unknown_or_misapplied_strategy_fails_at_construction(bad):
 
 def test_config_range_edges_are_accepted():
     ExperimentConfig(seed=0, eta=1.0, photon_count=1, max_restarts=0)
-    ExperimentConfig(seed=2 ** 64 - 1, eta=1e-9)
+    ExperimentConfig(seed=2 ** 64 - 1, eta=1e-9, max_restarts=2 ** 53 - 1)
     ExperimentConfig(alice="honest_pulse", bob="twophoton_usd", photon_count=2)
 
 
