@@ -40,15 +40,11 @@ def fair_alpha2() -> float:
 
     Setting (1 + 2*alpha*beta)/4 = alpha^2 - 1/2 with beta^2 = 1 - alpha^2
     and t = alpha^2 gives 2*sqrt(t(1-t)) = 4t - 3; squaring (valid only for
-    4t - 3 >= 0) yields 20t^2 - 28t + 9 = 0 with roots 0.9 and 0.5. The 0.5
-    root violates the sign condition and is rejected.
+    4t - 3 >= 0, as the left side is never negative) yields
+    20t^2 - 28t + 9 = 0 with roots (28 +- sqrt(64))/40, 0.9 and 0.5. At 0.5,
+    4t - 3 = -1 < 0, so that root is rejected and the larger one is returned.
     """
-    disc = math.sqrt(28.0 * 28.0 - 4.0 * 20.0 * 9.0)
-    roots = ((28.0 + disc) / 40.0, (28.0 - disc) / 40.0)
-    for t in roots:
-        if 4.0 * t - 3.0 >= 0.0:
-            return t
-    raise AssertionError("no admissible root")  # unreachable
+    return (28.0 + math.sqrt(28.0 * 28.0 - 4.0 * 20.0 * 9.0)) / 40.0
 
 
 def bias_report(alpha2: float) -> BiasReport:

@@ -112,9 +112,11 @@ def _cmd_sweep(args, out) -> int:
     if getattr(args, args.param) is not None:
         raise _UsageError(f"--{args.param} is swept by --grid; do not give it too")
     lo, hi, n = args.grid
+    values = [lo]
+    if n > 1:  # the last point is hi itself, which rounding can make the formula miss
+        values = [lo + (hi - lo) * i / (n - 1) for i in range(n - 1)] + [hi]
     records = []
-    for i in range(n):
-        value = lo if n == 1 else lo + (hi - lo) * i / (n - 1)
+    for value in values:
         cfg = _config_from_args(args, **{args.param: value})
         est = run_experiment(cfg)
         records.append(estimate_to_dict(cfg, est))

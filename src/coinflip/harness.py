@@ -8,8 +8,8 @@ one shared generator (see rng), with one row per (pending trial, attempt)
 and one column per draw site. run_experiment hands the engine a group of
 consecutive chunks per call: one chunk in the first call, then up to
 GROUP_ROWS rows in the first step of each call (one per trial). At each
-step the engine draws every chunk's own block, concatenates them in chunk
-order and runs the hooks once on all of them.
+step the engine draws every chunk's own block into its own slice of one
+array, in chunk order, and runs the hooks once on all of them.
 An attempt is one round, or, for a Bob who declares restarts_on_loss, a run
 of K lost rounds drawn as one count and the round that arrives, charged
 K + 1 rounds (and K + 1 rows in a transcript). Every site runs on every

@@ -44,11 +44,12 @@ independent draws, which is what lets a step run a trial's next rounds all
 at once. Receivers measure through measure_delivery, which gives one
 outcome index per round of the batch and -1 where nothing arrived. A
 SingleState sender has a fixed table of at most 2 * dim states and a
-receiver at most two bases, so measure_delivery draws each delivered round
-from the Born table of that pair (quantum.born_table, built once and
-shared): one gather by basis and column and one comparison with the
-uniform, the same outcome measure_projective gives. A pulse is measured on
-its first photon, from the same table; an EPR half is steered instead.
+receiver at most two bases, so measure_delivery draws each round from the
+Born table of that pair (quantum.born_table, built once and shared): one
+gather by basis and column and one comparison with the uniform, the same
+outcome measure_projective gives, then -1 on the rounds that did not
+arrive. A pulse is measured on its first photon, from the same table; an
+EPR half is steered instead.
 
 A block row is an attempt, and the channel has two rules for it. Every Bob
 declares restarts_on_loss: true when every round that does not arrive ends
@@ -186,8 +187,9 @@ class SingleState:
     """One pure state per round: round j sends column index[j] of the
     sender's fixed state table states (dim, m), carried by photon_count
     identical photons; more than one is a multi-photon pulse, whose extra
-    copies are the side channel. Only delivered rounds are ever looked up,
-    so a lost round's index is never read."""
+    copies are the side channel. Every round's index names a column of
+    states, lost rounds' too: the receiver measures the whole batch and
+    masks the rounds that did not arrive."""
 
     states: np.ndarray
     index: np.ndarray
@@ -226,25 +228,19 @@ def measure_delivery(delivery: Emission, delivered: np.ndarray, bras: np.ndarray
 
     A pulse is measured on its first photon only (remaining photons are the
     side channel, exploited explicitly by the pulse-aware strategies). An EPR
-    half steers Alice's half of the same round, in the delivered rounds only.
-    When every round arrived (always under lost_rounds), the batch is measured
-    whole, with no gather and no scatter, to the same outcomes.
+    half steers Alice's half of the same round. Unless nothing arrived (as
+    from vacuum), the whole batch is measured, lost rounds too, and the lost
+    rounds' outcomes are masked to -1; a lost round tells no one anything, so
+    what its measurement drew is never read.
     """
-    if delivered.all():
-        if isinstance(delivery, EprHalf):
-            outcome, delivery.far[:] = steer_epr(bras, u, which)
-            return outcome
-        return measure_table(delivery.states, delivery.index, bras, u, which)
-    outcome = np.full(len(delivered), -1)
-    rows = delivered.nonzero()[0]
-    if rows.size:  # nothing arrives from vacuum
-        which = None if which is None else which[rows]
-        if isinstance(delivery, EprHalf):
-            outcome[rows], delivery.far[:, rows] = steer_epr(bras, u[rows], which)
-        else:
-            outcome[rows] = measure_table(delivery.states, delivery.index[rows],
-                                          bras, u[rows], which)
-    return outcome
+    every = delivered.all()
+    if not (every or delivered.any()):  # nothing arrives from vacuum
+        return np.full(len(delivered), -1)
+    if isinstance(delivery, EprHalf):
+        outcome, delivery.far[:] = steer_epr(bras, u, which)
+    else:
+        outcome = measure_table(delivery.states, delivery.index, bras, u, which)
+    return outcome if every else np.where(delivered, outcome, -1)
 
 
 # ---------------------------------------------------------------------------

@@ -85,7 +85,8 @@ class EprSteeringAlice:
         self.bras = catalog.basis_pair(family)
 
     def prepare(self, u) -> EprHalf:
-        # a lost half stays |0>, so reveal can measure every round
+        # |0> until Bob's measurement steers it (every half, lost ones too,
+        # unless nothing arrived), so reveal can measure every round
         self.link = EprHalf(np.tile([[1 + 0j], [0j]], u.shape[1]))
         return self.link
 

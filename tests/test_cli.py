@@ -76,7 +76,20 @@ def test_sweep_alpha2_grid():
     proc = run_cli("sweep", "--param", "alpha2", "--grid", "0.6:0.9:3",
                    "--alice", "lt_optimal", "--trials", "500", check=True)
     records = [json.loads(line) for line in proc.stdout.splitlines()]
-    assert [r["alpha2"] for r in records] == pytest.approx([0.6, 0.75, 0.9])
+    assert [r["alpha2"] for r in records] == [0.6, 0.75, 0.9]
+
+
+@pytest.mark.parametrize("param, grid, values", [
+    ("eta", "0.05:1:4", [0.05, 0.36666666666666664, 0.6833333333333333, 1.0]),
+    ("alpha2", "0.51:0.85:4", [0.51, 0.6233333333333333, 0.7366666666666667, 0.85])])
+def test_sweep_ends_exactly_on_hi(param, grid, values):
+    """The last grid point is hi itself, where lo + (hi - lo) * i / (n - 1)
+    gives 0.9999999999999999 and 0.8500000000000001; the points before it
+    are that formula's."""
+    out = io.StringIO()
+    assert cli_main(["sweep", "--param", param, "--grid", grid,
+                     "--trials", "10"], out=out) == 0
+    assert [json.loads(line)[param] for line in out.getvalue().splitlines()] == values
 
 
 def test_table_json_and_csv():

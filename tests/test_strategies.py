@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from coinflip.catalog import Family, StateFamily, basis_pair
 from coinflip.channel import ChannelParams, transmit
@@ -10,9 +12,10 @@ from coinflip.errors import IncompatibleProtocol
 from coinflip.analytics import alice_bias_bound, reference_table
 from coinflip.harness import (VARIANT_NAMES, ExperimentConfig, build_hooks,
                               run_experiment)
-from coinflip.protocols import Decision, ProtocolId
+from coinflip.protocols import (Decision, HonestBob, ProtocolId, SingleState,
+                                run_chunk)
 from coinflip.rng import (CHOOSE_B, PREPARE, RECEIVE, REVEAL, SLOTS, TRANSMIT,
-                          VERIFY, bit)
+                          VERIFY, ChunkStream, bit)
 from coinflip.strategies import (ALICE_STRATEGIES, BOB_STRATEGIES, REGISTRY,
                                  AmbainisOptimalAlice, LossTolerantOptimalAlice,
                                  RotatedStateAlice, Side, lookup)
@@ -171,6 +174,27 @@ def test_hook_state_tables_are_read_only_and_unit_norm(rng):
                        "cunning_mother", "honest_pulse"}
 
 
+def test_every_state_sender_draws_an_in_range_index_on_every_round(rng):
+    """A receiver measures every round of a step, lost ones too, so every
+    Alice whose emission is a SingleState draws an integer index naming a
+    column of her state table on every round, at random uniforms and at the
+    ends of [0, 1), on every valid pairing and across an alpha2 grid."""
+    top = np.nextafter(1.0, 0.0)
+    u = np.hstack([rng(2, 256), [[0.0, top, 0.0, top], [0.0, top, top, 0.0]]])
+    senders = set()
+    for alpha2 in (0.55, 0.7, 0.9, 0.95):
+        for cfg in valid_configs(alpha2=alpha2):
+            alice, _ = build_hooks(cfg)
+            emission = alice.prepare(u)
+            if not isinstance(emission, SingleState):
+                continue
+            senders.add(cfg.alice)
+            index = emission.index
+            assert index.shape == (u.shape[1],) and index.dtype.kind == "i", cfg
+            assert 0 <= index.min() and index.max() < emission.states.shape[1], cfg
+    assert senders == set(ALICE_STRATEGIES) - {"send_nothing", "bb84_epr"}
+
+
 # ---------------------------------------------------------------------------
 # attack mechanics via the harness
 
@@ -255,3 +279,83 @@ def test_sender_bias_bound_across_parameter_grid():
         bound = 0.5 + alice_bias_bound(alpha2)
         assert est.p_hat <= bound + 3.0 * sigma("p_hat", bound, trials), alpha2
         assert_metric(est, "p_hat", bound, f"alpha2 {alpha2}:")
+
+
+# ---------------------------------------------------------------------------
+# a certificate against prepare-and-measure Alices: a pure state psi and a
+# reveal table (a_b, x_b) for each b; a mixed strategy is a convex combination
+# of these, so the pure ones cover it
+
+def alice_win(family, psi, table, target):
+    """Her closed-form success against honest Bob: a b in {0, 1} counts when
+    x_b xor b is the target, and then she passes unless Bob measured in a_b
+    (probability 1/2) and found another bit than x_b, with probability
+    1 - |<a_b, x_b|psi>|^2."""
+    pair = basis_pair(family)
+    return 0.5 * sum(0.5 + 0.5 * abs(np.vdot(pair[a, x], psi)) ** 2
+                     for b, (a, x) in enumerate(table) if x ^ b == target)
+
+
+def qubit(theta, phi):
+    return np.array([math.cos(theta), np.exp(1j * phi) * math.sin(theta)])
+
+
+BITS = st.integers(0, 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(0.51, 0.99), st.floats(0.0, math.pi), st.floats(0.0, 2.0 * math.pi),
+       BITS, st.tuples(st.tuples(BITS, BITS), st.tuples(BITS, BITS)))
+# power check: lt_optimal's |+> with a_b = x_b = b reaches the bound for
+# target 0, so a bound below her optimum would fail here
+@example(0.9, math.pi / 4.0, 0.0, 0, ((0, 0), (1, 1)))
+def test_no_prepare_and_measure_alice_beats_her_bound(alpha2, theta, phi, target,
+                                                      table):
+    family = StateFamily(Family.LOSS_TOLERANT, alpha2)
+    win = alice_win(family, qubit(theta, phi), table, target)
+    assert win <= 0.5 + alice_bias_bound(alpha2) + 1e-12
+
+
+@pytest.mark.parametrize("alpha2", (0.55, 0.6, 0.7, 0.75, 0.8, 0.9, 0.95))
+@pytest.mark.parametrize("target", (0, 1))
+def test_lt_optimal_reaches_the_alice_bound(alpha2, target):
+    """Averaged over the two (state, table) pairs lt_optimal sends with equal
+    probability, |+> and |->, her closed-form success is the bound."""
+    family = StateFamily(Family.LOSS_TOLERANT, alpha2)
+    alice = LossTolerantOptimalAlice(ExperimentConfig(target=target), family)
+    emission = alice.prepare(np.array([[0.25, 0.75]]))  # sends |-> then |+>
+    reveals = [alice.reveal(np.full(2, b), None) for b in (0, 1)]  # (a, x) per b
+    win = np.mean([alice_win(family, emission.states[:, emission.index[j]],
+                             [(a[j], x[j]) for a, x in reveals], target)
+                   for j in (0, 1)])
+    assert win == pytest.approx(0.5 + alice_bias_bound(alpha2), abs=1e-12)
+
+
+class FixedStateAlice:
+    """Sends one state psi every round and reveals table[b] = (a, x)."""
+
+    def __init__(self, psi, table):
+        self.states = psi.reshape(2, 1)
+        self.a, self.x = np.array(table).T
+
+    def prepare(self, u):
+        return SingleState(self.states, np.zeros(u.shape[1], dtype=np.intp))
+
+    def reveal(self, b, u):
+        return self.a[b], self.x[b]
+
+
+@pytest.mark.parametrize("eta", (1.0, 0.5))
+def test_engine_meets_the_alice_closed_form(rng, eta):
+    """One drawn psi with a fixed table, run by the engine against the honest
+    loss-tolerant Bob, wins as often as alice_win says, lost rounds and all."""
+    trials, target, table = 20_000, 1, ((1, 1), (0, 0))
+    theta, phi = rng(2) * (math.pi, 2.0 * math.pi)
+    cfg = ExperimentConfig(alpha2=0.8, eta=eta, target=target)
+    family, psi = StateFamily(Family.LOSS_TOLERANT, cfg.alpha2), qubit(theta, phi)
+    verdict, coin, _ = run_chunk(cfg.protocol, FixedStateAlice(psi, table),
+                                 HonestBob(cfg, family), ChannelParams(eta),
+                                 cfg.max_restarts, ChunkStream(cfg.seed), trials)
+    wins = np.count_nonzero((verdict == Decision.ACCEPTED) & (coin == target))
+    expected = alice_win(family, psi, table, target)
+    assert_z(wins / trials, expected, sigma("p_hat", expected, trials), f"eta {eta}:")
