@@ -3,7 +3,7 @@
 from .analytics import (alice_bias_bound, bias_report, bob_bias,
                         cunning_agreement, fair_alpha2, reference_table)
 from .catalog import Family, StateFamily, basis_pair, committed_density
-from .channel import ChannelParams, transmit
+from .channel import transmit
 from .discrimination import (COMPUTATIONAL_USD_AMBAINIS, DiscriminationStats,
                              stats, usd_pure_pair)
 from .harness import (BiasEstimate, ExperimentConfig, run_experiment,
@@ -12,7 +12,6 @@ from .protocols import (LossPolicy, ProtocolId, Transcript, VariantFlags,
                         Verdict, default_flags, run_chunk)
 from .quantum import (helstrom_success, measure_projective, mix, steer_epr,
                       trace_distance)
-from .rng import ChunkStream
 from .strategies import Side
 
 __version__ = "0.1.0"

@@ -10,31 +10,19 @@ There are two rules for drawing loss, one uniform per block row each.
 transmit draws whether one round arrives. lost_rounds serves a receiver who
 restarts on every lost round, so that a run of losses tells him nothing but
 its length: a row is then an attempt, and its uniform gives the number of
-rounds lost before the attempt arrives.
+rounds lost before the attempt arrives. Both take eta as a float in
+(0, 1], which harness.ExperimentConfig checks.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutOfRange
 from .rng import bernoulli
 
 
-@dataclass(frozen=True)
-class ChannelParams:
-    """Combined survival probability of a transmitted quantum signal."""
-
-    eta: float = 1.0
-
-    def __post_init__(self):
-        if not (0.0 < self.eta <= 1.0):
-            raise OutOfRange(f"eta={self.eta} not in (0, 1]")
-
-
-def transmit(signal, ch: ChannelParams, u: np.ndarray) -> np.ndarray:
+def transmit(signal, eta: float, u: np.ndarray) -> np.ndarray:
     """Which signals of a batch arrive: one bool per uniform in u.
 
     The signals are delivered unchanged; a signal whose photon_count is 0
@@ -43,17 +31,17 @@ def transmit(signal, ch: ChannelParams, u: np.ndarray) -> np.ndarray:
     """
     if signal.photon_count == 0:
         return np.zeros(len(u), dtype=bool)
-    return bernoulli(ch.eta, u)
+    return bernoulli(eta, u)
 
 
-def lost_rounds(ch: ChannelParams, u: np.ndarray, cap: int) -> np.ndarray:
+def lost_rounds(eta: float, u: np.ndarray, cap: int) -> np.ndarray:
     """How many rounds are lost before each attempt of a batch arrives, one
     count per uniform in u, clamped at cap: a Geometric(eta) count by
     inversion, K = floor(log(1 - u) / log(1 - eta)) (Devroye, Non-Uniform
     Random Variate Generation, 1986, X.2), so P(K >= k) = (1 - eta)**k;
     every count is 0 at eta = 1. Only for signals that can arrive
     (photon_count > 0)."""
-    log_loss = math.log1p(-ch.eta) if ch.eta < 1.0 else -math.inf
+    log_loss = math.log1p(-eta) if eta < 1.0 else -math.inf
     with np.errstate(over="ignore"):  # inf at eta near the smallest float
         k = np.log1p(-u) / log_loss
     return np.minimum(k, cap).astype(np.int64)

@@ -5,9 +5,11 @@ honest ones included, once per experiment. Trials run in chunks of CHUNK,
 and chunk k runs on its own uniforms: step s of the batch engine
 (protocols.run_chunk) reads the block at jump (k << 32) | s of the seed's
 one shared generator (see rng), with one row per (pending trial, attempt)
-and one column per draw site. run_experiment hands the engine a group of
-consecutive chunks per call: one chunk in the first call, then up to
-GROUP_ROWS rows in the first step of each call (one per trial). At each
+and one column per draw site. run_experiment hands the engine the config,
+both hooks and a group of consecutive chunks per call, named by its first
+chunk and its trials: one chunk in the first call, then up to GROUP_ROWS
+rows in the first step of each call (one per trial). The engine reads the
+coin rule, eta, max_restarts and the seed from the config itself. At each
 step the engine draws every chunk's own block into its own slice of one
 array, in chunk order, and runs the hooks once on all of them.
 An attempt is one round, or, for a Bob who declares restarts_on_loss, a run
@@ -26,18 +28,18 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .analytics import check_alpha2, fair_alpha2, reference_table
-from .channel import ChannelParams
 from .errors import IncompatibleProtocol, OutOfRange, RestartBudgetExceeded
-from .protocols import (MEASURE, ON_FAITH, STORE, Decision, ProtocolId,
-                        VariantFlags, check_flags, default_flags, family_for,
-                        run_chunk)
-from .rng import CHUNK, ChunkStream
+from .protocols import (VARIANT_NAMES, Decision, ProtocolId, VariantFlags,
+                        check_flags, default_flags, family_for, run_chunk,
+                        variant_name)
+from .rng import CHUNK
 from .strategies import HONEST, REGISTRY, Side, lookup
 
 # trials per engine call after the first (one chunk), the rows of its first
@@ -45,18 +47,13 @@ from .strategies import HONEST, REGISTRY, Side, lookup
 GROUP_ROWS = 8 * CHUNK
 _REFERENCE = dict(reference_table())  # label -> closed-form value
 
-VARIANT_NAMES = {
-    "default": None,
-    "believe_on_faith": ON_FAITH,
-    "restart_on_loss": STORE,
-    "restart_measure": MEASURE,
-}
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment. A bad config fails here, at construction, with
-    OutOfRange or IncompatibleProtocol."""
+    OutOfRange or IncompatibleProtocol; the engine reads the config as it
+    is and checks nothing. Counts must be integers (operator.index) and are
+    kept as Python ints."""
 
     protocol: ProtocolId = ProtocolId.LOSS_TOLERANT_CF
     variant: Optional[VariantFlags] = None  # None -> protocol default
@@ -71,13 +68,20 @@ class ExperimentConfig:
     photon_count: int = 1
 
     def __post_init__(self):
+        for name in ("trials", "seed", "max_restarts", "photon_count"):
+            try:  # kept as a Python int, which numpy's fixed widths would wrap
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                raise OutOfRange(f"{name}={getattr(self, name)!r} is not an "
+                                 "integer") from None
         if self.trials < 1:
             raise OutOfRange(f"trials={self.trials} must be >= 1")
         if self.target not in (0, 1):
             raise OutOfRange(f"target={self.target} must be 0 or 1")
         if not 0 <= self.seed < 2 ** 64:
             raise OutOfRange(f"seed={self.seed} not in [0, 2**64)")
-        ChannelParams(self.eta)  # raises OutOfRange unless 0 < eta <= 1
+        if not 0.0 < self.eta <= 1.0:  # NaN included
+            raise OutOfRange(f"eta={self.eta} not in (0, 1]")
         if self.photon_count < 1:
             raise OutOfRange(f"photon_count={self.photon_count} must be >= 1")
         # below 2**53 the engine's cap is exact as a float and 65 caps fit in int64
@@ -92,7 +96,8 @@ class ExperimentConfig:
                 raise OutOfRange(f"{name} sends single photons, got "
                                  f"photon_count={self.photon_count}")
             if spec.variants is not None and self.flags not in spec.variants:
-                raise IncompatibleProtocol(f"{name} does not play {self.flags}")
+                raise IncompatibleProtocol(
+                    f"{name} does not play variant {variant_name(self.variant)}")
         check_alpha2(self.alpha2)
         check_flags(self.protocol, self.flags)
 
@@ -170,13 +175,11 @@ def run_experiment(cfg: ExperimentConfig,
     trials each.
     """
     alice, bob = build_hooks(cfg)
-    ch = ChannelParams(cfg.eta)
     successes = aborts = restart_total = limit_hits = 0
     bounds = (0, *range(CHUNK, cfg.trials, GROUP_ROWS), cfg.trials)
     for start, stop in itertools.pairwise(bounds):
-        verdict, coin, restarts = run_chunk(
-            cfg.protocol, alice, bob, ch, cfg.max_restarts,
-            ChunkStream(cfg.seed, start // CHUNK), stop - start, transcript_sink)
+        verdict, coin, restarts = run_chunk(cfg, alice, bob, start // CHUNK,
+                                            stop - start, transcript_sink)
         finished = verdict != Decision.REQUEST_RESTART
         limit_hits += len(verdict) - int(np.count_nonzero(finished))
         if limit_hits > 0.001 * cfg.trials:
@@ -192,11 +195,9 @@ def run_experiment(cfg: ExperimentConfig,
 def estimate_to_dict(cfg: ExperimentConfig, est: BiasEstimate) -> dict:
     """Fixed-order serialization of one experiment (byte-stable given a seed).
     alpha2 is null for every protocol whose family does not read it."""
-    variant = next((name for name, v in VARIANT_NAMES.items() if v == cfg.variant),
-                   "default")
     return {
         "protocol": cfg.protocol.value,
-        "variant": variant,
+        "variant": variant_name(cfg.variant),
         "alice": cfg.alice,
         "bob": cfg.bob,
         "target": cfg.target,

@@ -85,11 +85,11 @@ import numpy as np
 
 from . import catalog
 from .catalog import Family, StateFamily
-from .channel import ChannelParams, lost_rounds, transmit
+from .channel import lost_rounds, transmit
 from .errors import IncompatibleProtocol
 from .quantum import measure_table, steer_epr
 from .rng import (CHOOSE_B, PREPARE, RECEIVE, REVEAL, SLOTS, TRANSMIT, VERIFY,
-                  ChunkStream, bit, inverse_cdf, weights_cdf)
+                  bit, inverse_cdf, rows, weights_cdf)
 
 DEPTH = 64  # the most rounds per trial in one step
 
@@ -112,10 +112,6 @@ class VariantFlags:
     loss_policy: LossPolicy = LossPolicy.RESTART_ON_LOSS
     bob_measures_on_reception: bool = True
 
-    def __str__(self) -> str:
-        when = "on reception" if self.bob_measures_on_reception else "after the reveal"
-        return f"{self.loss_policy.value}, measuring {when}"
-
 
 # The three variants a Bob can play: measure on reception and restart on loss,
 # or store the delivery, measure it after the reveal, and either restart on a
@@ -124,6 +120,19 @@ class VariantFlags:
 MEASURE = VariantFlags(LossPolicy.RESTART_ON_LOSS, True)
 STORE = VariantFlags(LossPolicy.RESTART_ON_LOSS, False)
 ON_FAITH = VariantFlags(LossPolicy.BELIEVE_ON_FAITH, False)
+VARIANT_NAMES = {  # the --variant names; None -> the protocol default
+    "default": None,
+    "believe_on_faith": ON_FAITH,
+    "restart_on_loss": STORE,
+    "restart_measure": MEASURE,
+}
+
+
+def variant_name(variant: Optional[VariantFlags]) -> str:
+    """The --variant name of variant in VARIANT_NAMES, or its repr if it
+    has none."""
+    return next((name for name, v in VARIANT_NAMES.items() if v == variant),
+                str(variant))
 
 
 @dataclass(frozen=True)
@@ -154,7 +163,8 @@ def default_flags(protocol: ProtocolId) -> VariantFlags:
 
 def check_flags(protocol: ProtocolId, flags: VariantFlags) -> None:
     if flags not in PROTOCOLS[protocol].variants:
-        raise IncompatibleProtocol(f"{protocol.value} does not allow {flags}")
+        raise IncompatibleProtocol(
+            f"{protocol.value} does not allow variant {variant_name(flags)}")
 
 
 def family_for(protocol: ProtocolId, alpha2: Optional[float] = None) -> StateFamily:
@@ -347,17 +357,17 @@ class HonestBob:
 # ---------------------------------------------------------------------------
 # engine
 
-def run_chunk(protocol: ProtocolId, alice, bob, ch: ChannelParams,
-              max_restarts: int, stream: ChunkStream, trials: int,
+def run_chunk(cfg, alice, bob, chunk: int, trials: int,
               sink=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Run `trials` independent protocol runs on the uniforms of `stream`:
-    one chunk, or several consecutive ones run as one batch.
+    """Run `trials` independent protocol runs of the experiment cfg (its
+    coin rule, eta, max_restarts and seed) on the uniforms of the chunks
+    from `chunk` on: one chunk, or several consecutive ones run as one batch.
 
     Step s runs the next min(2**s, DEPTH) attempts of every trial still
     pending (never more than max_restarts + 1 attempts in all) on the rows
-    stream.rows(s, pending, depth): each chunk's own block for its pending
-    trials, so the counts do not depend on how many chunks one call runs,
-    and every hook runs once per step on the rows of all of them. An
+    rng.rows(seed, chunk, s, pending, depth): each chunk's own block for its
+    pending trials, so the counts do not depend on how many chunks one call
+    runs, and every hook runs once per step on the rows of all of them. An
     attempt costs one round, or K + 1 under channel.lost_rounds (see
     above), and each trial keeps its first attempt that does not end in a
     restart if its rounds up to it number at most max_restarts + 1. A step
@@ -370,9 +380,10 @@ def run_chunk(protocol: ProtocolId, alice, bob, ch: ChannelParams,
     rows share one QuantumRound, and each other trial's Transcript goes to
     the sink, in trial order.
     """
-    coin_from_x = PROTOCOLS[protocol].coin_from_x
-    geometric = bob.restarts_on_loss and ch.eta < 1.0
-    cap = max_restarts + 1  # the most rounds a trial may run
+    coin_from_x = PROTOCOLS[cfg.protocol].coin_from_x
+    eta, seed = cfg.eta, cfg.seed
+    geometric = bob.restarts_on_loss and eta < 1.0
+    cap = cfg.max_restarts + 1  # the most rounds a trial may run
     verdict = np.full(trials, Decision.REQUEST_RESTART, dtype=np.int8)
     coin = np.zeros(trials, dtype=np.int8)
     restarts = np.zeros(trials, dtype=np.int64)
@@ -385,14 +396,14 @@ def run_chunk(protocol: ProtocolId, alice, bob, ch: ChannelParams,
     while pending.size and attempts < cap:
         depth = min(1 << step, DEPTH, cap - attempts)
         # u[c] is column c of the block: one uniform per (trial, attempt)
-        u = stream.rows(step, pending, depth).reshape(-1, SLOTS).T
+        u = rows(seed, chunk, step, pending, depth).reshape(-1, SLOTS).T
         emission = alice.prepare(u[PREPARE])
         if geometric and emission.photon_count:  # vacuum never arrives
-            lost = lost_rounds(ch, u[TRANSMIT], cap)
+            lost = lost_rounds(eta, u[TRANSMIT], cap)
             delivered = np.ones(lost.size, dtype=bool)
         else:
             lost = None
-            delivered = transmit(emission, ch, u[TRANSMIT])
+            delivered = transmit(emission, eta, u[TRANSMIT])
         restart = bob.receive(emission, delivered, u[RECEIVE])
         b = bob.choose_b(u[CHOOSE_B])
         a, x = alice.reveal(b, u[REVEAL])
@@ -436,14 +447,14 @@ def run_chunk(protocol: ProtocolId, alice, bob, ch: ChannelParams,
         step += 1
     if log is not None:  # every kept attempt, in trial order, then a slice per trial
         trial, arrived, basis, outcome, decided, lost = map(np.concatenate, zip(*log))
-        rows = np.argsort(trial, kind="stable")
-        rows = rows[verdict[trial[rows]] != Decision.REQUEST_RESTART]
+        order = np.argsort(trial, kind="stable")
+        order = order[verdict[trial[order]] != Decision.REQUEST_RESTART]
         # each attempt as one code of its columns: delivered, basis + 1 and
         # outcome + 1 (0: none), and 0 for a round that ends, 1 for a restart,
         # 2 for a false claim of loss
         tags = (*getattr(bob, "basis_tags", ()), None)  # tags[-1]: no basis
-        columns = (arrived[rows], basis[rows] + 1, outcome[rows] + 1,
-                   (decided[rows] - 1).clip(0))
+        columns = (arrived[order], basis[order] + 1, outcome[order] + 1,
+                   (decided[order] - 1).clip(0))
         code = np.ravel_multi_index(columns, [int(c.max(initial=0)) + 1 for c in columns])
         # one shared round per distinct code, then one lost round
         _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
@@ -452,7 +463,7 @@ def run_chunk(protocol: ProtocolId, alice, bob, ch: ChannelParams,
                  for d, b, o, f in zip(*(c[first].tolist() for c in columns))]
         table.append(QuantumRound(sent, False, restart_requested=True))
         # K lost rounds before an attempt: the lost round K times, then its own
-        copies = lost[rows] + 1
+        copies = lost[order] + 1
         index = np.full(int(copies.sum()), len(table) - 1)
         index[np.cumsum(copies) - 1] = inverse
         made = np.array(table, dtype=object)[index].tolist()

@@ -19,10 +19,10 @@ that seed. block restores its seeded state, advances it by
 so two threads never interleave a restore and a draw; the uniforms are
 those jumped() gives, at a fraction of the cost of a new generator.
 
-A ChunkStream is the run of chunks one engine call runs together, from a
-first chunk on. Its rows for a step are each chunk's own block, drawn for
-that chunk's pending trials in chunk order, so the rows of a trial do not
-depend on which chunks share its engine call. Several chunks' blocks are
+One engine call runs consecutive chunks together, from a first chunk on,
+and rows gives the rows of one of its steps: each chunk's own block, drawn
+for that chunk's pending trials in chunk order, so the rows of a trial do
+not depend on which chunks share its engine call. Several chunks' blocks are
 drawn straight into their slices of one array, with no concatenation.
 
 A block has shape (pending trials, attempts, SLOTS): one row of SLOTS
@@ -98,26 +98,20 @@ def _fill(seed: int, chunk: int, step: int, out: np.ndarray) -> np.ndarray:
         return gen.random(out=out)
 
 
-class ChunkStream:
-    """The uniforms of consecutive chunks of one seed, from chunk `chunk`
-    on: trial i of the stream is trial i % CHUNK of chunk chunk + i // CHUNK."""
-
-    def __init__(self, seed: int, chunk: int = 0):
-        self.seed = seed
-        self.chunk = chunk
-
-    def rows(self, step: int, pending: np.ndarray, depth: int) -> np.ndarray:
-        """Step `step` for the trials `pending` (ascending), depth attempts
-        each: every chunk's block (its pending trials, depth, SLOTS), in
-        chunk order, as one (pending, depth, SLOTS) array."""
-        if pending[-1] < CHUNK:  # one chunk, one block
-            return block(self.seed, self.chunk, step, (pending.size, depth, SLOTS))
-        out, start = np.empty((pending.size, depth, SLOTS)), 0
-        for k, n in enumerate(np.bincount(pending // CHUNK).tolist()):
-            if n:  # a run of rows of a C-contiguous array is C-contiguous
-                _fill(self.seed, self.chunk + k, step, out[start:start + n])
-                start += n
-        return out
+def rows(seed: int, chunk: int, step: int, pending: np.ndarray,
+         depth: int) -> np.ndarray:
+    """Step `step` for the trials `pending` (ascending) of the chunks from
+    `chunk` on, depth attempts each: trial i is trial i % CHUNK of chunk
+    chunk + i // CHUNK. Every chunk's block (its pending trials, depth,
+    SLOTS), in chunk order, as one (pending, depth, SLOTS) array."""
+    if pending[-1] < CHUNK:  # one chunk, one block
+        return block(seed, chunk, step, (pending.size, depth, SLOTS))
+    out, start = np.empty((pending.size, depth, SLOTS)), 0
+    for k, n in enumerate(np.bincount(pending // CHUNK).tolist()):
+        if n:  # a run of rows of a C-contiguous array is C-contiguous
+            _fill(seed, chunk + k, step, out[start:start + n])
+            start += n
+    return out
 
 
 def bit(u: np.ndarray) -> np.ndarray:

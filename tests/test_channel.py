@@ -4,8 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from coinflip.channel import ChannelParams, lost_rounds, transmit
-from coinflip.errors import OutOfRange
+from coinflip.channel import lost_rounds, transmit
 from coinflip.protocols import SingleState, Vacuum
 
 from conftest import assert_z, edge_uniforms, sigma
@@ -17,41 +16,29 @@ SENT_KET0 = SingleState(np.array([[1.0], [0.0]]), ONE)
 SENT_PLUS = SingleState(PLUS, ONE)
 
 
-def test_eta_range_enforced():
-    with pytest.raises(OutOfRange):
-        ChannelParams(0.0)
-    with pytest.raises(OutOfRange):
-        ChannelParams(1.5)
-    ChannelParams(1.0)  # boundary is allowed
-
-
 def test_perfect_channel_always_delivers(rng):
-    ch = ChannelParams(1.0)
-    assert transmit(SENT_PLUS, ch, rng(100)).all()
+    assert transmit(SENT_PLUS, 1.0, rng(100)).all()
 
 
 def test_delivered_state_is_unmodified(rng):
-    ch = ChannelParams(0.5)
     before = SENT_PLUS.states.copy()
-    delivered = transmit(SENT_PLUS, ch, rng(200))
+    delivered = transmit(SENT_PLUS, 0.5, rng(200))
     assert delivered.dtype == bool and delivered.shape == (200,)
     assert np.array_equal(SENT_PLUS.states, before)
     assert SENT_PLUS.states is PLUS
 
 
 def test_loss_rate_matches_eta(rng):
-    ch = ChannelParams(0.3)
     n = 100_000
-    delivered = transmit(SENT_KET0, ch, rng(n)).sum()
+    delivered = transmit(SENT_KET0, 0.3, rng(n)).sum()
     assert_z(delivered / n, 0.3, sigma("frequency", 0.3, n))
 
 
 def test_loss_is_independent_of_the_state(rng):
     """Erasure may not depend on what is sent (within 5 sigma of equality)."""
-    ch = ChannelParams(0.5)
     n = 100_000
-    d0 = transmit(SENT_KET0, ch, rng(n)).sum()
-    d1 = transmit(SENT_PLUS, ch, rng(n)).sum()
+    d0 = transmit(SENT_KET0, 0.5, rng(n)).sum()
+    d1 = transmit(SENT_PLUS, 0.5, rng(n)).sum()
     assert_z(d0 / n, d1 / n, math.sqrt(2) * sigma("frequency", 0.5, n))  # two samples
 
 
@@ -69,10 +56,9 @@ def test_pulse_invariants(rng):
     """A pulse crosses as one signal: one bernoulli(eta) draw on its uniform,
     and it arrives whole or not at all. Vacuum never arrives, whatever its
     uniform."""
-    ch = ChannelParams(0.5)
     u = rng(200)
-    assert not transmit(Vacuum(), ch, u).any()
-    delivered = transmit(SingleState(PLUS, ONE, 3), ch, u)
+    assert not transmit(Vacuum(), 0.5, u).any()
+    delivered = transmit(SingleState(PLUS, ONE, 3), 0.5, u)
     assert np.array_equal(delivered, u < 0.5)
 
 
@@ -83,7 +69,7 @@ def test_pulse_invariants(rng):
 def test_lost_rounds_is_geometric(rng, eta, ks):
     """P(K >= k) = (1 - eta)**k within 5 sigma."""
     n = 100_000
-    k = lost_rounds(ChannelParams(eta), rng(n), 10 ** 6)
+    k = lost_rounds(eta, rng(n), 10 ** 6)
     assert k.dtype == np.int64 and k.min() == 0
     for at_least in ks:
         p = (1.0 - eta) ** at_least
@@ -94,24 +80,22 @@ def test_lost_rounds_is_geometric(rng, eta, ks):
 def test_lost_rounds_clamps_at_cap(rng):
     """Counts past cap read cap, the infinite count of a vanishing eta
     included; counts below it are untouched."""
-    ch = ChannelParams(0.05)
     u = np.concatenate([rng(10_000), [np.nextafter(1.0, 0.0)]])
-    free = lost_rounds(ch, u, 10 ** 6)
-    capped = lost_rounds(ch, u, 3)
+    free = lost_rounds(0.05, u, 10 ** 6)
+    capped = lost_rounds(0.05, u, 3)
     assert free.max() > 3
     assert np.array_equal(capped, np.minimum(free, 3))
-    tiny = ChannelParams(5e-324)  # log(1 - u) / log(1 - eta) overflows
+    tiny = 5e-324  # log(1 - u) / log(1 - eta) overflows
     assert lost_rounds(tiny, u, 7).tolist() == [0 if x == 0 else 7 for x in u]
 
 
 def test_lost_rounds_is_zero_without_loss(rng):
-    assert not lost_rounds(ChannelParams(1.0), edge_uniforms(rng), 10).any()
+    assert not lost_rounds(1.0, edge_uniforms(rng), 10).any()
 
 
 def test_lost_rounds_reads_one_uniform_per_count(rng):
-    ch = ChannelParams(0.3)
     u = rng(200)
-    whole = lost_rounds(ch, u, 50)
+    whole = lost_rounds(0.3, u, 50)
     assert whole.shape == u.shape
-    assert whole.tolist() == [lost_rounds(ch, u[k:k + 1], 50)[0]
+    assert whole.tolist() == [lost_rounds(0.3, u[k:k + 1], 50)[0]
                               for k in range(len(u))]

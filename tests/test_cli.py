@@ -224,6 +224,21 @@ def test_alpha2_reaches_the_loss_tolerant_record():
     assert json.loads(out.getvalue())["alpha2"] == 0.7
 
 
+@pytest.mark.parametrize("args, refused", [
+    (("--protocol", "ambainis"), "ambainis does not allow"),
+    (("--protocol", "ambainis_variant", "--bob", "ambainis_restart_abuse"),
+     "ambainis_restart_abuse does not play")])
+def test_a_refused_variant_is_named_as_given(args, refused, capsys):
+    """A variant refused by the protocol or by a strategy is named by its
+    --variant value, not by another value's."""
+    out = io.StringIO()
+    argv = ["run", *args, "--variant", "restart_measure", "--trials", "10"]
+    assert cli_main(argv, out=out) == 1
+    err = capsys.readouterr().err
+    assert err == f"coinflip: error: {refused} variant restart_measure\n"
+    assert "restart_on_loss" not in err
+
+
 def test_restart_budget_exits_3():
     proc = run_cli("run", "--protocol", "ambainis_variant", "--eta", "0.01",
                    "--max-restarts", "10", "--trials", "100")

@@ -11,14 +11,12 @@ import pytest
 from coinflip import harness
 from coinflip.analytics import reference_table
 from coinflip.errors import IncompatibleProtocol, OutOfRange, RestartBudgetExceeded
-from coinflip.channel import ChannelParams
 from coinflip.harness import (CHUNK, VARIANT_NAMES, BiasEstimate,
                               ExperimentConfig, build_hooks, check_matrix,
                               estimate_to_dict, evaluate_matrix, run_experiment,
                               wilson_interval)
 from coinflip.protocols import (Decision, LossPolicy, ProtocolId, VariantFlags,
                                 run_chunk)
-from coinflip.rng import ChunkStream
 from coinflip.strategies import REGISTRY
 
 from conftest import assert_metric, assert_z, sigma, valid_configs
@@ -53,7 +51,11 @@ def test_config_validation():
     dict(alpha2=0.5), dict(alpha2=1.0),
     dict(protocol=ProtocolId.BB84_CF, alpha2=5.0),
     dict(alice="lt_optimal", photon_count=3),
-    dict(alice="lt_optimal", bob="twophoton_usd", photon_count=2, target=1)])
+    dict(alice="lt_optimal", bob="twophoton_usd", photon_count=2, target=1),
+    # counts must be integers, not coerced floats
+    dict(trials=2000, eta=0.5, max_restarts=1.5),
+    dict(alice="honest_pulse", bob="twophoton_usd", photon_count=2.5, target=1),
+    dict(trials=10.5), dict(seed=3.5)])
 def test_config_out_of_range_fails_at_construction(bad):
     with pytest.raises(OutOfRange):
         ExperimentConfig(**bad)
@@ -85,6 +87,18 @@ def test_config_range_edges_are_accepted():
     ExperimentConfig(seed=0, eta=1.0, photon_count=1, max_restarts=0)
     ExperimentConfig(seed=2 ** 64 - 1, eta=1e-9, max_restarts=2 ** 53 - 1)
     ExperimentConfig(alice="honest_pulse", bob="twophoton_usd", photon_count=2)
+
+
+def test_config_accepts_numpy_integer_counts():
+    """Counts that operator.index accepts are integers, numpy's included; they
+    are kept as Python ints, so the largest int32 cap does not wrap, and run
+    as the same Python ints do."""
+    counts = dict(trials=1500, seed=3, max_restarts=2 ** 31 - 1, photon_count=1)
+    given = ExperimentConfig(eta=0.5, trials=np.int64(1500), seed=np.uint64(3),
+                             max_restarts=np.int32(2 ** 31 - 1), photon_count=np.int8(1))
+    assert {name: getattr(given, name) for name in counts} == counts
+    assert all(type(getattr(given, name)) is int for name in counts)
+    assert run_experiment(given) == run_experiment(ExperimentConfig(eta=0.5, **counts))
 
 
 def test_honest_fair_coin():
@@ -138,8 +152,7 @@ def test_vanishing_eta_exhausts_the_budget_without_overflow(eta):
     assert bob.restarts_on_loss
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        verdict, _, _ = run_chunk(cfg.protocol, alice, bob, ChannelParams(eta),
-                                  cfg.max_restarts, ChunkStream(cfg.seed), cfg.trials)
+        verdict, _, _ = run_chunk(cfg, alice, bob, 0, cfg.trials)
         assert (verdict == Decision.REQUEST_RESTART).all()
         with pytest.raises(RestartBudgetExceeded):
             run_experiment(cfg)
@@ -151,9 +164,9 @@ def test_a_run_where_no_trial_finishes_fails_after_one_chunk(monkeypatch):
     fails there instead of running GROUP_ROWS trials to the cap first."""
     calls = []
 
-    def counted(protocol, alice, bob, ch, max_restarts, stream, trials, sink):
+    def counted(cfg, alice, bob, chunk, trials, sink):
         calls.append(trials)
-        return run_chunk(protocol, alice, bob, ch, max_restarts, stream, trials, sink)
+        return run_chunk(cfg, alice, bob, chunk, trials, sink)
 
     monkeypatch.setattr(harness, "run_chunk", counted)
     with pytest.raises(RestartBudgetExceeded):
@@ -378,9 +391,7 @@ def test_hooks_built_once_count_as_fresh_hooks_per_chunk(cfg):
     same chunks run on fresh hooks each, so no hook keeps state across steps."""
     assert cfg.trials % CHUNK and cfg.trials // CHUNK == 2
     est = run_experiment(cfg)
-    fresh = sum(_tallies(*run_chunk(cfg.protocol, *build_hooks(cfg),
-                                    ChannelParams(cfg.eta), cfg.max_restarts,
-                                    ChunkStream(cfg.seed, start // CHUNK),
+    fresh = sum(_tallies(*run_chunk(cfg, *build_hooks(cfg), start // CHUNK,
                                     min(CHUNK, cfg.trials - start)), cfg.target)
                 for start in range(0, cfg.trials, CHUNK))
     assert fresh.tolist() == [est.successes, est.aborts, est.restart_total,

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from coinflip.catalog import basis_pair
-from coinflip.channel import ChannelParams
 from coinflip.errors import IncompatibleProtocol
 from coinflip.harness import (VARIANT_NAMES, ExperimentConfig, build_hooks,
                               run_experiment)
@@ -18,7 +17,7 @@ from coinflip.protocols import (Decision, EprHalf, HonestBob, LossPolicy,
                                 default_flags, family_for, measure_delivery,
                                 run_chunk)
 from coinflip.quantum import measure_projective, steer_epr
-from coinflip.rng import ChunkStream, bit
+from coinflip.rng import bit
 from coinflip.strategies import SendNothingAlice
 
 from conftest import assert_z, sigma
@@ -156,10 +155,10 @@ def test_believe_on_faith_accepts_missing_qutrit():
     protocol = ProtocolId.AMBAINIS_CF_VARIANT
     fam = family_for(protocol)
     cfg = ExperimentConfig(protocol=protocol, alice="send_nothing",
-                           variant=VariantFlags(LossPolicy.BELIEVE_ON_FAITH, False))
+                           variant=VariantFlags(LossPolicy.BELIEVE_ON_FAITH, False),
+                           seed=3, max_restarts=10)
     out = []
-    run_chunk(protocol, SendNothingAlice(cfg, fam), HonestBob(cfg, fam),
-              ChannelParams(1.0), 10, ChunkStream(3), 1, out.append)
+    run_chunk(cfg, SendNothingAlice(cfg, fam), HonestBob(cfg, fam), 0, 1, out.append)
     t, = out
     assert t.verdict is Verdict.ACCEPTED
     assert t.restart_count == 0
@@ -169,11 +168,11 @@ def test_restart_limit_is_enforced():
     """A sender who never delivers anything exhausts the restart budget."""
     protocol = ProtocolId.LOSS_TOLERANT_CF
     fam = family_for(protocol, 0.9)
-    cfg = ExperimentConfig(protocol=protocol)  # send_nothing reads only target
+    # send_nothing reads only target
+    cfg = ExperimentConfig(protocol=protocol, seed=4, max_restarts=50)
     out = []
-    verdict, _, _ = run_chunk(protocol, SendNothingAlice(cfg, fam),
-                              HonestBob(cfg, fam), ChannelParams(1.0), 50,
-                              ChunkStream(4), 1, out.append)
+    verdict, _, _ = run_chunk(cfg, SendNothingAlice(cfg, fam),
+                              HonestBob(cfg, fam), 0, 1, out.append)
     assert verdict.tolist() == [Decision.REQUEST_RESTART]
     assert out == []  # no transcript for a trial over the limit
 
@@ -191,8 +190,8 @@ def test_limit_hits_inside_a_chunk_drop_only_their_transcripts():
 
         def chunk(max_restarts):
             out = []
-            verdict, _, _ = run_chunk(protocol, *build_hooks(cfg), ChannelParams(0.3),
-                                      max_restarts, ChunkStream(5), 200, out.append)
+            capped = dataclasses.replace(cfg, seed=5, max_restarts=max_restarts)
+            verdict, _, _ = run_chunk(capped, *build_hooks(capped), 0, 200, out.append)
             return verdict, out
 
         verdict, limited = chunk(2)

@@ -13,8 +13,8 @@ from coinflip.errors import ProbabilityMismatch
 from coinflip.harness import CHUNK, ExperimentConfig, run_experiment
 from coinflip.protocols import DEPTH, ProtocolId
 from coinflip.quantum import born_table
-from coinflip.rng import (SEEDS, SLOTS, ChunkStream, bernoulli, bit, block,
-                          choice, cumulative, inverse_cdf, weights_cdf)
+from coinflip.rng import (SEEDS, SLOTS, bernoulli, bit, block, choice,
+                          cumulative, inverse_cdf, rows, weights_cdf)
 
 from conftest import assert_z, edge_uniforms, sigma
 
@@ -240,15 +240,15 @@ def test_steps_share_no_value():
 
 
 def test_rows_are_each_chunks_block_in_chunk_order():
-    """ChunkStream.rows gives each chunk's block for its own pending trials,
+    """rows gives each chunk's block for its own pending trials,
     in chunk order, bit for bit; a chunk with none pending draws nothing."""
     seed, first, step, depth = 31, 5, 3, 4
     near, far = np.arange(3, 40), 2 * CHUNK + np.arange(0, CHUNK, 7)
-    rows = ChunkStream(seed, first).rows(step, np.concatenate([near, far]), depth)
+    got = rows(seed, first, step, np.concatenate([near, far]), depth)
     want = np.concatenate([block(seed, first, step, (near.size, depth, SLOTS)),
                            block(seed, first + 2, step, (far.size, depth, SLOTS))])
-    assert rows.shape == want.shape
-    assert np.array_equal(rows, want)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
 
 
 def test_step_layout_is_pinned(monkeypatch):

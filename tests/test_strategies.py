@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coinflip.catalog import Family, StateFamily, basis_pair
-from coinflip.channel import ChannelParams, transmit
+from coinflip.channel import transmit
 from coinflip.errors import IncompatibleProtocol
 from coinflip.analytics import alice_bias_bound, reference_table
 from coinflip.harness import (VARIANT_NAMES, ExperimentConfig, build_hooks,
@@ -15,7 +15,7 @@ from coinflip.harness import (VARIANT_NAMES, ExperimentConfig, build_hooks,
 from coinflip.protocols import (Decision, HonestBob, ProtocolId, SingleState,
                                 run_chunk)
 from coinflip.rng import (CHOOSE_B, PREPARE, RECEIVE, REVEAL, SLOTS, TRANSMIT,
-                          VERIFY, ChunkStream, bit)
+                          VERIFY, bit)
 from coinflip.strategies import (ALICE_STRATEGIES, BOB_STRATEGIES, REGISTRY,
                                  AmbainisOptimalAlice, LossTolerantOptimalAlice,
                                  RotatedStateAlice, Side, lookup)
@@ -48,7 +48,7 @@ def run_one_step(alice, bob, u, anything_arrives):
     which no round arrives, or about half do, check that each returns one
     entry per round, and return how each round ends."""
     emission = alice.prepare(u[PREPARE])
-    delivered = transmit(emission, ChannelParams(0.5), u[TRANSMIT])
+    delivered = transmit(emission, 0.5, u[TRANSMIT])
     delivered &= anything_arrives
     restart = bob.receive(emission, delivered, u[RECEIVE])
     b = bob.choose_b(u[CHOOSE_B])
@@ -353,9 +353,8 @@ def test_engine_meets_the_alice_closed_form(rng, eta):
     theta, phi = rng(2) * (math.pi, 2.0 * math.pi)
     cfg = ExperimentConfig(alpha2=0.8, eta=eta, target=target)
     family, psi = StateFamily(Family.LOSS_TOLERANT, cfg.alpha2), qubit(theta, phi)
-    verdict, coin, _ = run_chunk(cfg.protocol, FixedStateAlice(psi, table),
-                                 HonestBob(cfg, family), ChannelParams(eta),
-                                 cfg.max_restarts, ChunkStream(cfg.seed), trials)
+    verdict, coin, _ = run_chunk(cfg, FixedStateAlice(psi, table),
+                                 HonestBob(cfg, family), 0, trials)
     wins = np.count_nonzero((verdict == Decision.ACCEPTED) & (coin == target))
     expected = alice_win(family, psi, table, target)
     assert_z(wins / trials, expected, sigma("p_hat", expected, trials), f"eta {eta}:")
