@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Optional
@@ -52,8 +53,8 @@ _REFERENCE = dict(reference_table())  # label -> closed-form value
 class ExperimentConfig:
     """One experiment. A bad config fails here, at construction, with
     OutOfRange or IncompatibleProtocol; the engine reads the config as it
-    is and checks nothing. Counts must be integers (operator.index) and are
-    kept as Python ints."""
+    is and checks nothing. Counts and target are kept as Python ints (of an
+    operator.index), eta and alpha2 as Python floats (of a numbers.Real)."""
 
     protocol: ProtocolId = ProtocolId.LOSS_TOLERANT_CF
     variant: Optional[VariantFlags] = None  # None -> protocol default
@@ -68,12 +69,16 @@ class ExperimentConfig:
     photon_count: int = 1
 
     def __post_init__(self):
-        for name in ("trials", "seed", "max_restarts", "photon_count"):
+        for name in ("trials", "seed", "max_restarts", "photon_count", "target"):
             try:  # kept as a Python int, which numpy's fixed widths would wrap
                 object.__setattr__(self, name, operator.index(getattr(self, name)))
             except TypeError:
                 raise OutOfRange(f"{name}={getattr(self, name)!r} is not an "
                                  "integer") from None
+        for name in ("eta", "alpha2"):  # kept as a float, which json can write
+            if not isinstance(getattr(self, name), numbers.Real):
+                raise OutOfRange(f"{name}={getattr(self, name)!r} is not a real number")
+            object.__setattr__(self, name, float(getattr(self, name)))
         if self.trials < 1:
             raise OutOfRange(f"trials={self.trials} must be >= 1")
         if self.target not in (0, 1):

@@ -41,15 +41,14 @@ rounds receive restarted, so there a hook may see any value (b need not be
 a bit) but must not raise. A hook may keep per-round arrays from one call
 to the next within a step, but no state across rounds: rounds are
 independent draws, which is what lets a step run a trial's next rounds all
-at once. Receivers measure through measure_delivery, which gives one
-outcome index per round of the batch and -1 where nothing arrived. A
-SingleState sender has a fixed table of at most 2 * dim states and a
-receiver at most two bases, so measure_delivery draws each round from the
-Born table of that pair (quantum.born_table, built once and shared): one
-gather by basis and column and one comparison with the uniform, the same
-outcome measure_projective gives, then -1 on the rounds that did not
-arrive. A pulse is measured on its first photon, from the same table; an
-EPR half is steered instead.
+at once. Receivers measure through measure_delivery, in a stack of at most
+two bases with a basis index per round, and get one outcome index per round,
+-1 where nothing arrived. A SingleState sender has a fixed table of at most
+2 * dim states, so each round is drawn from the Born table of that table in
+that stack (quantum.born_table, built once and shared): one gather by basis
+and column and one comparison with the uniform, the same outcome
+measure_projective gives. A pulse is measured on its first photon, from the
+same table; an EPR half is steered instead.
 
 A block row is an attempt, and the channel has two rules for it. Every Bob
 declares restarts_on_loss: true when every round that does not arrive ends
@@ -231,10 +230,11 @@ Emission = Union[SingleState, Vacuum, EprHalf]
 
 
 def measure_delivery(delivery: Emission, delivered: np.ndarray, bras: np.ndarray,
-                     u: np.ndarray, which: Optional[np.ndarray] = None) -> np.ndarray:
+                     u: np.ndarray, which: int | np.ndarray) -> np.ndarray:
     """Measure what reached Bob and return one outcome index per round of the
-    batch, -1 where nothing arrived; u (and which, if given) hold one entry
-    per round, and bras and which choose the basis as in measure_projective.
+    batch, -1 where nothing arrived; u holds one uniform per round, and round
+    j is measured in basis bras[which[j]] of the stack bras (k, dim, dim), or
+    bras[which] for an int which, checked as in measure_projective.
 
     A pulse is measured on its first photon only (remaining photons are the
     side channel, exploited explicitly by the pulse-aware strategies). An EPR

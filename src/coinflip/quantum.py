@@ -9,15 +9,17 @@ everything is kept dense.
 Measurements run on batches: a batch of n pure states is a (dim, n) array
 whose column j holds the amplitudes of state j, and one uniform per state
 picks the outcome by inverse CDF over the Born probabilities |<b_i|psi>|^2.
-When the states are columns of a fixed table, measure_table draws from the
-table's Born probabilities in each basis, computed once (born_table) with
+Every measurement takes a stack (k, dim, dim) of bases, row i of basis b
+the bra <b_i|, and a basis index per state or one int for all. When the
+states are columns of a fixed table, measure_table draws from the table's
+Born probabilities in each basis, computed once (born_table) with
 measure_projective's arithmetic, so both give the same outcome per uniform.
 """
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -77,57 +79,48 @@ def mix(weights: Sequence[float], states) -> np.ndarray:
     return (weights[:, None] * states).T @ states.conj()
 
 
-def _check_basis_index(which: np.ndarray, bases: int) -> None:
-    """ValueError unless every entry of which indexes a stack of bases."""
+def _check_basis_index(which: int | np.ndarray, bras: np.ndarray) -> None:
+    """DimensionMismatch unless bras is a stack (k, dim, dim) of bases,
+    ValueError unless every entry of which (an int or an array) indexes it."""
+    if bras.ndim != 3:
+        raise DimensionMismatch(f"bases {bras.shape} are not a (k, dim, dim) stack")
     # one reduction: read as unsigned, a negative index is past the range
-    if np.asarray(which, np.intp).view(np.uintp).max(initial=0) >= bases:
-        raise ValueError(f"basis index not in [0, {bases})")
+    if np.asarray(which, np.intp).view(np.uintp).max(initial=0) >= len(bras):
+        raise ValueError(f"basis index not in [0, {len(bras)})")
 
 
 def measure_projective(amplitudes: np.ndarray, bras: np.ndarray, u: np.ndarray,
-                       which: Optional[np.ndarray] = None) -> np.ndarray:
+                       which: int | np.ndarray) -> np.ndarray:
     """Born-rule measurement of a batch of states; returns one outcome index
     per state.
 
     amplitudes is (dim, n) with one state per column, each normalized within
-    ATOL (ValueError otherwise). bras is one basis (dim, dim) whose row i is
-    the bra <b_i|, as a basis of basis_pair, or a stack (k, dim, dim) of bases
-    of which state j is measured in bras[which[j]], picked by indexing; a
-    basis index outside the stack raises ValueError. u holds one uniform per
-    state.
+    ATOL (ValueError otherwise). State j is measured in basis bras[which[j]]
+    of the stack bras (k, dim, dim), or bras[which] for an int which, picked
+    by indexing after _check_basis_index. u holds one uniform per state.
     """
     _check_normalized(amplitudes)
-    outcome = bras @ amplitudes
-    if which is not None:
-        _check_basis_index(which, len(bras))
-        outcome = outcome[which, :, np.arange(outcome.shape[-1])].T
+    _check_basis_index(which, bras)
+    outcome = (bras @ amplitudes)[which, :, np.arange(amplitudes.shape[-1])].T
     return choice(_abs2(outcome), u)
 
 
 def measure_table(states: np.ndarray, index: np.ndarray, bras: np.ndarray,
-                  u: np.ndarray, which: Optional[np.ndarray] = None) -> np.ndarray:
+                  u: np.ndarray, which: int | np.ndarray) -> np.ndarray:
     """measure_projective(states[:, index], bras, u, which), bit for bit,
     drawn from the Born table of states in bras: one gather and one
-    comparison per state. A basis index outside the stack raises ValueError,
-    a state index past the table IndexError."""
-    table, bases = born_table(states, bras)
-    if which is None:
-        if bases > 1:
-            raise ValueError("a stack of bases needs one basis index per state")
-        col = index
-    else:
-        _check_basis_index(which, bases)
-        col = index * bases + which
-    drawn = table.take(col, 1)  # IndexError for a column past the table
+    comparison per state. bras and which are checked as there; a state index
+    past the table raises IndexError."""
+    _check_basis_index(which, bras)
+    drawn = born_table(states, bras).take(index * len(bras) + which, 1)
     return inverse_cdf(drawn[:-1], drawn[-1], u)
 
 
-def born_table(states: np.ndarray, bras: np.ndarray) -> tuple[np.ndarray, int]:
-    """The Born table of the columns of states (dim, m) in one basis
-    (dim, dim) or in each basis of a stack (bases, dim, dim), and the number
-    of bases. Column c * bases + b of the table belongs to column c measured
-    in basis b: its rows are the cumulative sums and then the total that
-    rng.cumulative gives for the Born probabilities, the form
+def born_table(states: np.ndarray, bras: np.ndarray) -> np.ndarray:
+    """The Born table of the columns of states (dim, m) in each basis of the
+    stack bras (k, dim, dim). Column c * k + b of the table belongs to
+    column c measured in basis b: its rows are the cumulative sums and then
+    the total that rng.cumulative gives for the Born probabilities, the form
     rng.inverse_cdf draws from. Every column must be normalized within ATOL
     (ValueError). Tables are kept by content, at most BORN_TABLES of them,
     so equal arrays, views included, share one table."""
@@ -135,17 +128,16 @@ def born_table(states: np.ndarray, bras: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 @lru_cache(maxsize=BORN_TABLES)
-def _born_table(states_key: tuple, bras_key: tuple) -> tuple[np.ndarray, int]:
+def _born_table(states_key: tuple, bras_key: tuple) -> np.ndarray:
     states, bras = (np.frombuffer(key[-1], key[-2]).reshape(key[:-2])
                     for key in (states_key, bras_key))
     _check_normalized(states)
-    stack = bras.reshape(-1, *bras.shape[-2:])
     # measure_projective's arithmetic on every (basis, column) pair at once
-    probs = _abs2(stack @ states).transpose(1, 2, 0).reshape(stack.shape[1], -1)
+    probs = _abs2(bras @ states).transpose(1, 2, 0).reshape(bras.shape[1], -1)
     cdf, total = cumulative(probs)
     table = np.vstack((cdf, total))
     table.flags.writeable = False  # shared by every caller
-    return table, len(stack)
+    return table
 
 
 def trace_distance(r0, r1) -> float:
@@ -168,21 +160,22 @@ _SINGLET = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
 
 
 def steer_epr(bras: np.ndarray, u: np.ndarray,
-              which: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+              which: int | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Measure one half of a singlet per uniform; steer the far halves.
 
     bras is a stack (k, 2, 2) of qubit bases, and pair j is measured in
-    bras[which[j]], as in measure_projective. Returns
+    bras[which[j]], checked as in measure_projective. Returns
     (outcome indices, far states as a (2, n) batch). The outcome is uniform;
     the far qubit collapses onto the state orthogonal to the observed basis
     vector, so a later measurement of it in the same basis is guaranteed to
     give the complementary outcome. The singlet is symmetric under swapping
     the two parties, so either party may be taken as the measuring one.
     """
+    _check_basis_index(which, bras)
     if bras.shape[-1] != 2:
         raise DimensionMismatch("steer_epr requires a qubit basis")
     # row i of bras @ joint contracts <b_i| on the measured side
-    far = (bras @ _SINGLET.reshape(2, 2))[which]
+    far = (bras @ _SINGLET.reshape(2, 2))[np.broadcast_to(which, u.shape)]
     probs = _abs2(far).sum(-1)
     i = choice(probs.T, u)
     rows = np.arange(len(u))

@@ -197,11 +197,12 @@ class GuessingBob:
 
     def __init__(self, cfg, family: StateFamily):
         self.target = cfg.target
-        self.bras = np.eye(family.dim)
+        self.bras = np.eye(family.dim)[None]
         self.bras.flags.writeable = False
 
     def receive(self, delivery, delivered, u):
-        self.last_outcome = measure_delivery(delivery, delivered, self.bras, u[0])
+        self.last_outcome = measure_delivery(delivery, delivered, self.bras,
+                                             u[0], self.last_basis)
         self.guess = self.last_outcome - self.offset
         return self.guess < 0
 
@@ -252,8 +253,8 @@ class TwoPhotonUsdBob(GuessingBob):
     def measure_pair(self, delivery, delivered, u):
         """(conclusive, guess) per round, guess -1 where nothing arrived: the
         first photon is measured in basis 0, the second in basis 1."""
-        o0 = measure_delivery(delivery, delivered, self.bras[0], u[0])
-        o1 = measure_delivery(delivery, delivered, self.bras[1], u[1])
+        o0 = measure_delivery(delivery, delivered, self.bras, u[0], 0)
+        o1 = measure_delivery(delivery, delivered, self.bras, u[1], 1)
         return o0 == o1, o0
 
 

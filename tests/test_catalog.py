@@ -171,7 +171,7 @@ def test_ambainis_reject_outcome_statistics():
 def test_computational_basis_labels():
     """A guessing Bob measures in the computational basis: outcome i is |i>."""
     cfg = ExperimentConfig(protocol=ProtocolId.MCQM_CONTRIVED_CF, bob="mcqm_restart")
-    m = build_hooks(cfg)[1].bras
+    m = build_hooks(cfg)[1].bras[0]
     assert all(u[i] == 1.0 for i, u in enumerate(m))
     assert (m @ state(MCQM, 0, 2)) ** 2 == pytest.approx([0, 0, 1])
 

@@ -55,7 +55,9 @@ def test_config_validation():
     # counts must be integers, not coerced floats
     dict(trials=2000, eta=0.5, max_restarts=1.5),
     dict(alice="honest_pulse", bob="twophoton_usd", photon_count=2.5, target=1),
-    dict(trials=10.5), dict(seed=3.5)])
+    dict(trials=10.5), dict(seed=3.5),
+    # target is an integer too, and eta and alpha2 real numbers, not coerced
+    dict(target=1.0), dict(target=np.True_), dict(eta="0.5"), dict(alpha2=None)])
 def test_config_out_of_range_fails_at_construction(bad):
     with pytest.raises(OutOfRange):
         ExperimentConfig(**bad)
@@ -92,13 +94,22 @@ def test_config_range_edges_are_accepted():
 def test_config_accepts_numpy_integer_counts():
     """Counts that operator.index accepts are integers, numpy's included; they
     are kept as Python ints, so the largest int32 cap does not wrap, and run
-    as the same Python ints do."""
+    as the same Python ints do. target is kept as an int, bool included, and
+    eta and alpha2 as floats, numpy's included, so every record is JSON with
+    the same values as the CLI's."""
     counts = dict(trials=1500, seed=3, max_restarts=2 ** 31 - 1, photon_count=1)
     given = ExperimentConfig(eta=0.5, trials=np.int64(1500), seed=np.uint64(3),
                              max_restarts=np.int32(2 ** 31 - 1), photon_count=np.int8(1))
     assert {name: getattr(given, name) for name in counts} == counts
     assert all(type(getattr(given, name)) is int for name in counts)
     assert run_experiment(given) == run_experiment(ExperimentConfig(eta=0.5, **counts))
+    types = dict(target=int, eta=float, alpha2=float)
+    for kw in (dict(target=True), dict(target=np.int64(1), eta=np.float32(0.5),
+                                       alpha2=np.float32(0.9)), dict(eta=1)):
+        cfg = ExperimentConfig(trials=100, **kw)
+        record = json.loads(json.dumps(estimate_to_dict(cfg, run_experiment(cfg))))
+        assert {name: type(record[name]) for name in types} == types, kw
+        assert all(record[name] == kw[name] for name in kw), kw
 
 
 def test_honest_fair_coin():

@@ -279,7 +279,7 @@ def test_transcript_records_bob_measurement():
 # measure_delivery: the one place a delivery mask becomes outcome indices
 
 def test_measure_delivery_reads_minus_one_where_nothing_arrived(rng):
-    """In a basis stack with one basis index per round, and in one basis: -1
+    """With one basis index per round, and with one for all rounds: -1
     on every lost round, the Born-rule outcome on every delivered one, and,
     when every round arrives, the same outcome per round as the mixed mask
     gives on its delivered rows. When no round arrives, from vacuum or from
@@ -290,11 +290,11 @@ def test_measure_delivery_reads_minus_one_where_nothing_arrived(rng):
     theta = 2.0 * np.pi * rng(n)
     amplitudes = np.array([np.cos(theta), np.sin(theta)])
     emission = SingleState(amplitudes, np.arange(n))
-    for bras, which in ((pair, bit(rng(n))), (pair[1], None)):
+    for bras, which in ((pair, bit(rng(n))), (pair, 1)):
         u = rng(n)
         outcome = measure_delivery(emission, delivered, bras, u, which)
         assert (outcome[~delivered] == -1).all()
-        picked = None if which is None else which[delivered]
+        picked = np.broadcast_to(which, n)[delivered]
         assert (outcome[delivered] == measure_projective(
             amplitudes[:, delivered], bras, u[delivered], picked)).all()
         everything = measure_delivery(emission, np.ones(n, bool), bras, u, which)

@@ -11,7 +11,7 @@ from coinflip.catalog import Family, StateFamily, basis_pair
 from coinflip.discrimination import stats, usd_pure_pair
 from coinflip.errors import DimensionMismatch, ProbabilityMismatch
 from coinflip.harness import ExperimentConfig, build_hooks
-from coinflip.protocols import HonestAlice, SingleState, measure_delivery
+from coinflip.protocols import EprHalf, HonestAlice, SingleState, measure_delivery
 from coinflip.quantum import (BORN_TABLES, born_table, helstrom_success,
                               measure_projective, measure_table, mix,
                               steer_epr, trace_distance)
@@ -26,7 +26,7 @@ MIXED = np.eye(2) / 2.0  # the maximally mixed qubit
 def probabilities(state, bras) -> np.ndarray:
     """The Born probabilities of one state in the basis whose rows are bras,
     read from its Born table."""
-    table, _ = born_table(np.asarray(state)[:, None], bras)
+    table = born_table(np.asarray(state)[:, None], bras[None])
     return np.diff(table[:, 0], prepend=0.0)
 
 
@@ -121,7 +121,7 @@ X_BASIS = np.array([(SQ2, SQ2), (SQ2, -SQ2)])  # rows <+|, <-|
 
 
 def test_eigenstate_measurement_is_deterministic(rng):
-    outcomes = measure_projective(copies((SQ2, SQ2), 200), X_BASIS, rng(200))
+    outcomes = measure_projective(copies((SQ2, SQ2), 200), X_BASIS[None], rng(200), 0)
     assert (outcomes == 0).all()
 
 
@@ -137,7 +137,7 @@ def test_born_rule_empirical(rng):
     alpha, beta = math.sqrt(0.9), math.sqrt(0.1)
     bras = np.array([(alpha, beta), (beta, -alpha)])
     n = 100_000
-    hits = (measure_projective(copies((SQ2, SQ2), n), bras, rng(n)) == 0).sum()
+    hits = (measure_projective(copies((SQ2, SQ2), n), bras[None], rng(n), 0) == 0).sum()
     p = 0.5 + alpha * beta
     assert_z(hits / n, p, sigma("frequency", p, n))
 
@@ -148,7 +148,7 @@ def test_measurement_checks_every_state(rng):
     batch = copies((0.0, 1.0), 100)
     batch[:, 41] = (1.0, 1e-4)
     with pytest.raises(ValueError):
-        measure_projective(batch, np.eye(2), rng(100))
+        measure_projective(batch, np.eye(2)[None], rng(100), 0)
     batch[:, 41] = (SQ2, -SQ2)
     which = np.zeros(100, dtype=int)
     which[41] = 1
@@ -260,12 +260,18 @@ def _basis(theta: float) -> np.ndarray:
 
 
 def test_steer_epr_same_basis_anticorrelation(rng):
+    """Each far half is orthogonal to the observed basis vector; one int
+    basis index measures every pair as an index per pair does."""
     m = _basis(0.7)
-    outcomes, far = steer_epr(m[None], rng(10_000), np.zeros(10_000, int))
+    u = rng(10_000)
+    outcomes, far = steer_epr(m[None], u, np.zeros(10_000, int))
     probs = np.abs(m @ far) ** 2  # [outcome, pair]
     pairs = np.arange(10_000)
     assert probs[outcomes, pairs] == pytest.approx(0.0, abs=1e-9)
     assert probs[1 - outcomes, pairs] == pytest.approx(1.0, abs=1e-9)
+    one_for_all = steer_epr(np.stack([_basis(0.1), m]), u, 1)
+    assert np.array_equal(one_for_all[0], outcomes)
+    assert np.array_equal(one_for_all[1], far)
 
 
 def test_steer_epr_outcome_is_uniform(rng):
@@ -284,7 +290,7 @@ def test_steer_epr_other_basis_statistics(rng):
     outcomes, far = steer_epr(m[None], rng(n), np.zeros(n, int))
     kept = outcomes == 0
     total = kept.sum()
-    hits = (measure_projective(far[:, kept], other, rng(n)[kept]) == 0).sum()
+    hits = (measure_projective(far[:, kept], other[None], rng(n)[kept], 0) == 0).sum()
     # far state is |1>; |<cos,sin|1>|^2 = sin^2(pi/8)
     p = math.sin(math.pi / 8.0) ** 2
     assert_z(hits / total, p, sigma("frequency", p, total))
@@ -300,9 +306,7 @@ def test_steer_epr_rejects_qutrit_basis(rng):
 
 def _born_pairs():
     """Every distinct (sender state table, receiver bases) pair of the hooks
-    that build_hooks makes over valid_configs, at two alpha2 values; a stack
-    of bases also gives each of its single bases, as two-photon Bobs use
-    them."""
+    that build_hooks makes over valid_configs, at two alpha2 values."""
     pairs = {}
     for alpha2 in (0.6, 0.9):
         for cfg in valid_configs(alpha2=alpha2):
@@ -310,9 +314,8 @@ def _born_pairs():
             states, bras = getattr(alice, "states", None), getattr(bob, "bras", None)
             if states is None or bras is None:
                 continue
-            for b in (bras, *bras) if bras.ndim == 3 else (bras,):
-                key = (states.tobytes(), states.shape, b.tobytes(), b.shape)
-                pairs.setdefault(key, (states, b))
+            key = (states.tobytes(), states.shape, bras.tobytes(), bras.shape)
+            pairs.setdefault(key, (states, bras))
     return list(pairs.values())
 
 
@@ -326,8 +329,8 @@ def _draw_both(states, bras, index, u, which):
 
 
 def test_born_pairs_cover_qubits_qutrits_and_both_basis_counts():
-    kinds = {(states.shape[0], bras.ndim) for states, bras in BORN_PAIRS}
-    assert kinds == {(2, 2), (2, 3), (3, 2), (3, 3)}
+    kinds = {(states.shape[0], len(bras)) for states, bras in BORN_PAIRS}
+    assert kinds == {(2, 1), (2, 2), (3, 1), (3, 2)}
 
 
 @settings(max_examples=40, deadline=None)
@@ -338,7 +341,7 @@ def test_born_table_draws_equal_measure_projective(n, seed):
     r = np.random.default_rng(seed)
     for states, bras in BORN_PAIRS:
         index = r.integers(states.shape[1], size=n)
-        which = None if bras.ndim == 2 else r.integers(len(bras), size=n)
+        which = r.integers(len(bras), size=n)
         table, direct = _draw_both(states, bras, index, r.random(n), which)
         assert np.array_equal(table, direct)
 
@@ -348,21 +351,22 @@ def test_born_table_draws_agree_at_every_cdf_step():
     whose probabilities differed from measure_projective's in the last bit
     would draw another outcome at one of them."""
     for states, bras in BORN_PAIRS:
-        table, bases = born_table(states, bras)
+        table = born_table(states, bras)
         step = (table[:-1] / table[-1]).T.ravel()  # each column's steps in turn
         u = np.concatenate([np.nextafter(step, 0.0), step, np.nextafter(step, 1.0)])
         u = np.clip(u, 0.0, np.nextafter(1.0, 0.0))
         col = np.tile(np.repeat(np.arange(table.shape[1]), len(table) - 1), 3)
-        index, which = np.divmod(col, bases)
-        table, direct = _draw_both(states, bras, index, u,
-                                   None if bras.ndim == 2 else which)
+        index, which = np.divmod(col, len(bras))
+        table, direct = _draw_both(states, bras, index, u, which)
         assert np.array_equal(table, direct)
 
 
 def test_born_table_rejects_what_measure_projective_rejects(rng):
     """An unnormalized state, a basis index outside the stack and a state
     index past the table raise as before, through measure_delivery too;
-    none of them is read as another basis's column."""
+    none of them is read as another basis's column. An EPR half rejects a
+    basis index outside the stack as a state does, and a bare basis, not a
+    stack, is refused by every measurement."""
     bras = basis_pair(StateFamily(Family.BB84))
     states = bras.conj().reshape(-1, 2).T  # column 2a + x is |a, x>
     n = 50
@@ -385,8 +389,17 @@ def test_born_table_rejects_what_measure_projective_rejects(rng):
             measure_table(table, idx, bras, u, wh)
         with pytest.raises(error):
             measure_delivery(SingleState(table, idx), np.ones(n, bool), bras, u, wh)
-    with pytest.raises(ValueError):  # a stack needs a basis per state
-        measure_table(states, index, bras, u)
+    for bad in (2, -1):  # steer_epr would read -1 as basis 1
+        outside = which.copy()
+        outside[7] = bad
+        with pytest.raises(ValueError):
+            measure_delivery(EprHalf(np.ones((2, n), complex)), np.ones(n, bool),
+                             bras, u, outside)
+    for measure in (lambda b: measure_projective(states[:, index], b, u, which),
+                    lambda b: measure_table(states, index, b, u, which),
+                    lambda b: steer_epr(b, u, which)):
+        with pytest.raises(DimensionMismatch):
+            measure(bras[0])
 
 
 def test_born_tables_are_shared_by_content_and_bounded():
@@ -394,8 +407,8 @@ def test_born_tables_are_shared_by_content_and_bounded():
     alpha2 sweep over 300 families keeps at most BORN_TABLES of them."""
     family = StateFamily(Family.LOSS_TOLERANT, 0.9)
     states, bras = HonestAlice(ExperimentConfig(), family).states, basis_pair(family)
-    first = born_table(states, bras[0])
-    assert born_table(states.copy(), bras[0].copy()) is first
+    first = born_table(states, bras[:1])
+    assert born_table(states.copy(), bras[:1].copy()) is first
     for alpha2 in np.linspace(0.51, 0.99, 300):
         family = StateFamily(Family.LOSS_TOLERANT, float(alpha2))
         born_table(HonestAlice(ExperimentConfig(), family).states, basis_pair(family))

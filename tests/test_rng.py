@@ -79,7 +79,7 @@ def born_table_draw(rng):
     one column per uniform, as measure_table draws."""
     family = StateFamily(Family.LOSS_TOLERANT, 0.9)
     bras = basis_pair(family)
-    table, _ = born_table(bras.conj().reshape(-1, family.dim).T, bras)
+    table = born_table(bras.conj().reshape(-1, family.dim).T, bras)
     cols, edges = steps_and_neighbours(table[:-1], table[-1])
     col = np.concatenate([cols, (rng(N) * table.shape[1]).astype(np.intp)])
     drawn = table.take(col, 1)
