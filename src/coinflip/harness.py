@@ -78,7 +78,10 @@ class ExperimentConfig:
         for name in ("eta", "alpha2"):  # kept as a float, which json can write
             if not isinstance(getattr(self, name), numbers.Real):
                 raise OutOfRange(f"{name}={getattr(self, name)!r} is not a real number")
-            object.__setattr__(self, name, float(getattr(self, name)))
+            try:
+                object.__setattr__(self, name, float(getattr(self, name)))
+            except OverflowError:  # a real number past the float range, as 10**400
+                raise OutOfRange(f"{name} is too large for a float") from None
         if self.trials < 1:
             raise OutOfRange(f"trials={self.trials} must be >= 1")
         if self.target not in (0, 1):

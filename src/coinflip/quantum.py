@@ -7,13 +7,14 @@ trace) with an absolute tolerance of 1e-9. Dimensions never exceed 4, so
 everything is kept dense.
 
 Measurements run on batches: a batch of n pure states is a (dim, n) array
-whose column j holds the amplitudes of state j, and one uniform per state
-picks the outcome by inverse CDF over the Born probabilities |<b_i|psi>|^2.
-Every measurement takes a stack (k, dim, dim) of bases, row i of basis b
-the bra <b_i|, and a basis index per state or one int for all. When the
-states are columns of a fixed table, measure_table draws from the table's
-Born probabilities in each basis, computed once (born_table) with
-measure_projective's arithmetic, so both give the same outcome per uniform.
+whose column j holds the amplitudes of state j. Every measurement takes a
+stack (k, dim, dim) of bases, row i of basis b the bra <b_i|, and a basis
+index per state or one int for all. One Born arithmetic (_born: the
+cumulative Born probabilities |<b_i|psi>|^2 of each state in each basis) and
+one draw (_draw: check the basis indices, gather each state's column, inverse
+CDF of one uniform) serve every measurement: measure_projective on its own
+batch, measure_table on a fixed state table (born_table, kept by content),
+steer_epr on the outcome weights of a singlet's measured half.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, ProbabilityMismatch
-from .rng import choice, cumulative, inverse_cdf
+from .rng import cumulative, inverse_cdf
 
 ATOL = 1e-9
 _DIMS = (2, 3, 4)
@@ -79,63 +80,65 @@ def mix(weights: Sequence[float], states) -> np.ndarray:
     return (weights[:, None] * states).T @ states.conj()
 
 
-def _check_basis_index(which: int | np.ndarray, bras: np.ndarray) -> None:
-    """DimensionMismatch unless bras is a stack (k, dim, dim) of bases,
-    ValueError unless every entry of which (an int or an array) indexes it."""
+def _born(states: np.ndarray, bras: np.ndarray) -> np.ndarray:
+    """The Born table of the columns of states (dim, m), each normalized
+    within ATOL (ValueError), in each basis of the stack bras (k, dim, dim)
+    (DimensionMismatch). Column c * k + b belongs to column c in basis b: its
+    rows are the cumulative sums and then the total that rng.cumulative gives
+    for the Born probabilities."""
     if bras.ndim != 3:
         raise DimensionMismatch(f"bases {bras.shape} are not a (k, dim, dim) stack")
-    # one reduction: read as unsigned, a negative index is past the range
-    if np.asarray(which, np.intp).view(np.uintp).max(initial=0) >= len(bras):
-        raise ValueError(f"basis index not in [0, {len(bras)})")
+    _check_normalized(states)
+    probs = _abs2(bras @ states).transpose(1, 2, 0).reshape(bras.shape[1], -1)
+    return np.vstack(cumulative(probs))
+
+
+def _draw(table: np.ndarray, index: np.ndarray, bras: np.ndarray, u: np.ndarray,
+          which: int | np.ndarray) -> np.ndarray:
+    """One outcome per uniform u[j], drawn from column index[j] * k + which[j]
+    (or + which, for an int) of a table laid out as _born's for the k bases
+    of bras. ValueError unless every basis index lies in [0, k)."""
+    k = len(bras)
+    # an int directly (True is basis 1, as numpy reads it); an array in one
+    # reduction, read as unsigned so that a negative index is past the range
+    if (not 0 <= which < k if isinstance(which, int)
+            else np.asarray(which, np.intp).view(np.uintp).max(initial=0) >= k):
+        raise ValueError(f"basis index not in [0, {k})")
+    drawn = table.take(index * k + which, 1)
+    return inverse_cdf(drawn[:-1], drawn[-1], u)
 
 
 def measure_projective(amplitudes: np.ndarray, bras: np.ndarray, u: np.ndarray,
                        which: int | np.ndarray) -> np.ndarray:
-    """Born-rule measurement of a batch of states; returns one outcome index
-    per state.
-
-    amplitudes is (dim, n) with one state per column, each normalized within
-    ATOL (ValueError otherwise). State j is measured in basis bras[which[j]]
-    of the stack bras (k, dim, dim), or bras[which] for an int which, picked
-    by indexing after _check_basis_index. u holds one uniform per state.
-    """
-    _check_normalized(amplitudes)
-    _check_basis_index(which, bras)
-    outcome = (bras @ amplitudes)[which, :, np.arange(amplitudes.shape[-1])].T
-    return choice(_abs2(outcome), u)
+    """Born-rule measurement of a batch of states (dim, n), one per column,
+    each normalized within ATOL (ValueError): state j is measured in basis
+    bras[which[j]] of the stack bras (k, dim, dim), or bras[which] for an int
+    which, drawn by u[j] from the batch's own Born table. Returns one outcome
+    index per state."""
+    index = np.arange(amplitudes.shape[-1])
+    return _draw(_born(amplitudes, bras), index, bras, u, which)
 
 
 def measure_table(states: np.ndarray, index: np.ndarray, bras: np.ndarray,
                   u: np.ndarray, which: int | np.ndarray) -> np.ndarray:
-    """measure_projective(states[:, index], bras, u, which), bit for bit,
-    drawn from the Born table of states in bras: one gather and one
-    comparison per state. bras and which are checked as there; a state index
-    past the table raises IndexError."""
-    _check_basis_index(which, bras)
-    drawn = born_table(states, bras).take(index * len(bras) + which, 1)
-    return inverse_cdf(drawn[:-1], drawn[-1], u)
+    """measure_projective(states[:, index], bras, u, which), bit for bit, by
+    the same _draw from the shared born_table of states: one gather and one
+    comparison per state. A state index past the table raises IndexError."""
+    return _draw(born_table(states, bras), index, bras, u, which)
 
 
 def born_table(states: np.ndarray, bras: np.ndarray) -> np.ndarray:
     """The Born table of the columns of states (dim, m) in each basis of the
-    stack bras (k, dim, dim). Column c * k + b of the table belongs to
-    column c measured in basis b: its rows are the cumulative sums and then
-    the total that rng.cumulative gives for the Born probabilities, the form
-    rng.inverse_cdf draws from. Every column must be normalized within ATOL
-    (ValueError). Tables are kept by content, at most BORN_TABLES of them,
-    so equal arrays, views included, share one table."""
+    stack bras (k, dim, dim), checked and laid out as _born gives it, and
+    read-only. Tables are kept by content, at most BORN_TABLES of them, so
+    equal arrays, views included, share one table."""
     return _born_table(*(a.shape + (a.dtype.str, a.tobytes()) for a in (states, bras)))
 
 
 @lru_cache(maxsize=BORN_TABLES)
 def _born_table(states_key: tuple, bras_key: tuple) -> np.ndarray:
-    states, bras = (np.frombuffer(key[-1], key[-2]).reshape(key[:-2])
-                    for key in (states_key, bras_key))
-    _check_normalized(states)
-    # measure_projective's arithmetic on every (basis, column) pair at once
-    probs = _abs2(bras @ states).transpose(1, 2, 0).reshape(bras.shape[1], -1)
-    cdf, total = cumulative(probs)
-    table = np.vstack((cdf, total))
+    table = _born(*(np.frombuffer(key[-1], key[-2]).reshape(key[:-2])
+                    for key in (states_key, bras_key)))
     table.flags.writeable = False  # shared by every caller
     return table
 
@@ -163,20 +166,20 @@ def steer_epr(bras: np.ndarray, u: np.ndarray,
               which: int | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Measure one half of a singlet per uniform; steer the far halves.
 
-    bras is a stack (k, 2, 2) of qubit bases, and pair j is measured in
-    bras[which[j]], checked as in measure_projective. Returns
-    (outcome indices, far states as a (2, n) batch). The outcome is uniform;
-    the far qubit collapses onto the state orthogonal to the observed basis
-    vector, so a later measurement of it in the same basis is guaranteed to
-    give the complementary outcome. The singlet is symmetric under swapping
-    the two parties, so either party may be taken as the measuring one.
+    bras is a stack (k, 2, 2) of qubit bases (DimensionMismatch otherwise),
+    and pair j is measured in bras[which[j]], checked as in measure_projective.
+    The outcome weights and collapsed far halves are computed once per basis;
+    _draw picks the outcomes. Returns (outcome indices, far states as a (2, n)
+    batch). The outcome is uniform; the far qubit collapses onto the state
+    orthogonal to the observed basis vector, so a later measurement of it in
+    the same basis is guaranteed to give the complementary outcome. The
+    singlet is symmetric under swapping the two parties, so either party may
+    be taken as the measuring one.
     """
-    _check_basis_index(which, bras)
-    if bras.shape[-1] != 2:
-        raise DimensionMismatch("steer_epr requires a qubit basis")
-    # row i of bras @ joint contracts <b_i| on the measured side
-    far = (bras @ _SINGLET.reshape(2, 2))[np.broadcast_to(which, u.shape)]
+    if bras.ndim != 3 or bras.shape[1:] != (2, 2):
+        raise DimensionMismatch(f"steer_epr needs a (k, 2, 2) stack, got {bras.shape}")
+    # far[b, i] contracts <b_i| on the measured side: the far half, unnormalized
+    far = bras @ _SINGLET.reshape(2, 2)
     probs = _abs2(far).sum(-1)
-    i = choice(probs.T, u)
-    rows = np.arange(len(u))
-    return i, (far[rows, i] / np.sqrt(probs[rows, i])[:, None]).T
+    i = _draw(np.vstack(cumulative(probs.T)), np.zeros(len(u), np.intp), bras, u, which)
+    return i, (far / np.sqrt(probs)[..., None])[which, i].T

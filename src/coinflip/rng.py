@@ -40,11 +40,10 @@ Three helpers map uniforms to draws: bit, bernoulli and inverse_cdf (the
 channel's lost_rounds aside, see channel). Every draw from a probability
 vector takes the one inverse-CDF path: cumulative checks the vectors and
 gives their cumulative sums, and inverse_cdf compares each uniform against
-them. choice does both per call; a caller who draws from fixed
-distributions again and again runs cumulative once and only inverse_cdf per
-draw: weights_cdf keeps one read-only (cdf, total) per weight tuple (an
+them. weights_cdf keeps one read-only (cdf, total) per weight tuple (an
 honest Alice's x, a uniform index among four), shared by every experiment
-that draws from it, and quantum.born_table one per receiver's Born table.
+that draws from it; every quantum measurement draws from a Born table in the
+same form (see quantum).
 """
 from __future__ import annotations
 
@@ -158,9 +157,3 @@ def inverse_cdf(cdf: np.ndarray, total: np.ndarray, u: np.ndarray) -> np.ndarray
     and entry j of total belong to uniform j, or one column to all."""
     return (cdf <= u * total).sum(0)
 
-
-def choice(probs, u: np.ndarray) -> np.ndarray:
-    """Sample one index per uniform by inverse CDF. probs is one probability
-    vector (k,) for every uniform, or (k, n) with column j for uniform j,
-    checked as cumulative checks it."""
-    return inverse_cdf(*cumulative(probs), u)

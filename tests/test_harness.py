@@ -57,7 +57,9 @@ def test_config_validation():
     dict(alice="honest_pulse", bob="twophoton_usd", photon_count=2.5, target=1),
     dict(trials=10.5), dict(seed=3.5),
     # target is an integer too, and eta and alpha2 real numbers, not coerced
-    dict(target=1.0), dict(target=np.True_), dict(eta="0.5"), dict(alpha2=None)])
+    dict(target=1.0), dict(target=np.True_), dict(eta="0.5"), dict(alpha2=None),
+    # a real number that no float holds
+    dict(eta=10 ** 400), dict(alpha2=10 ** 400)])
 def test_config_out_of_range_fails_at_construction(bad):
     with pytest.raises(OutOfRange):
         ExperimentConfig(**bad)

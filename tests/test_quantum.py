@@ -15,7 +15,7 @@ from coinflip.protocols import EprHalf, HonestAlice, SingleState, measure_delive
 from coinflip.quantum import (BORN_TABLES, born_table, helstrom_success,
                               measure_projective, measure_table, mix,
                               steer_epr, trace_distance)
-from coinflip.rng import bit, choice
+from coinflip.rng import bit, cumulative, inverse_cdf
 
 from conftest import assert_z, sigma, valid_configs
 
@@ -320,6 +320,7 @@ def _born_pairs():
 
 
 BORN_PAIRS = _born_pairs()
+QUARTERS = cumulative((0.25,) * 4)  # a uniform index among four
 
 
 def _draw_both(states, bras, index, u, which):
@@ -366,11 +367,11 @@ def test_born_table_rejects_what_measure_projective_rejects(rng):
     index past the table raise as before, through measure_delivery too;
     none of them is read as another basis's column. An EPR half rejects a
     basis index outside the stack as a state does, and a bare basis, not a
-    stack, is refused by every measurement."""
+    stack, is refused by every measurement and by born_table."""
     bras = basis_pair(StateFamily(Family.BB84))
     states = bras.conj().reshape(-1, 2).T  # column 2a + x is |a, x>
     n = 50
-    u, index, which = rng(n), choice((0.25,) * 4, rng(n)), bit(rng(n))
+    u, index, which = rng(n), inverse_cdf(*QUARTERS, rng(n)), bit(rng(n))
     unnormalized = states.copy()
     unnormalized[:, 3] *= 1.01
     index[0] = 3
@@ -397,9 +398,40 @@ def test_born_table_rejects_what_measure_projective_rejects(rng):
                              bras, u, outside)
     for measure in (lambda b: measure_projective(states[:, index], b, u, which),
                     lambda b: measure_table(states, index, b, u, which),
-                    lambda b: steer_epr(b, u, which)):
+                    lambda b: steer_epr(b, u, which),
+                    lambda b: born_table(states, b)):
         with pytest.raises(DimensionMismatch):
             measure(bras[0])
+
+
+def test_every_measurement_draws_once_through_draw(monkeypatch, rng):
+    """measure_projective, measure_table, steer_epr (an int and an array
+    basis index) and measure_delivery (a state and an EPR half) each reach
+    quantum._draw exactly once per call: there is one draw path."""
+    draw, calls = quantum._draw, []
+
+    def spy(*args):
+        calls.append(args)
+        return draw(*args)
+
+    monkeypatch.setattr(quantum, "_draw", spy)
+    bras = basis_pair(StateFamily(Family.BB84))
+    states = bras.conj().reshape(-1, 2).T  # column 2a + x is |a, x>
+    n = 50
+    u, index, which = rng(n), inverse_cdf(*QUARTERS, rng(n)), bit(rng(n))
+    delivered = np.ones(n, bool)
+    delivered[7] = False
+    for measure in (lambda: measure_projective(states[:, index], bras, u, which),
+                    lambda: measure_table(states, index, bras, u, which),
+                    lambda: steer_epr(bras, u, 1),
+                    lambda: steer_epr(bras, u, which),
+                    lambda: measure_delivery(SingleState(states, index), delivered,
+                                             bras, u, which),
+                    lambda: measure_delivery(EprHalf(np.ones((2, n), complex)),
+                                             delivered, bras, u, which)):
+        calls.clear()
+        measure()
+        assert len(calls) == 1
 
 
 def test_born_tables_are_shared_by_content_and_bounded():

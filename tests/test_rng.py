@@ -1,4 +1,4 @@
-"""Random streams: draw frequencies, choice validation, the step layout and
+"""Random streams: draw frequencies, distribution validation, the step layout and
 the per-chunk determinism of experiments."""
 import sys
 import threading
@@ -13,8 +13,8 @@ from coinflip.errors import ProbabilityMismatch
 from coinflip.harness import CHUNK, ExperimentConfig, run_experiment
 from coinflip.protocols import DEPTH, ProtocolId
 from coinflip.quantum import born_table
-from coinflip.rng import (SEEDS, SLOTS, bernoulli, bit, block, choice,
-                          cumulative, inverse_cdf, rows, weights_cdf)
+from coinflip.rng import (SEEDS, SLOTS, bernoulli, bit, block, cumulative,
+                          inverse_cdf, rows, weights_cdf)
 
 from conftest import assert_z, edge_uniforms, sigma
 
@@ -39,7 +39,7 @@ def test_bernoulli_frequency(rng):
 
 def test_choice_frequency(rng):
     probs = (0.2, 0.5, 0.0, 0.3)
-    f = frequencies(choice(probs, rng(N)))
+    f = frequencies(inverse_cdf(*cumulative(probs), rng(N)))
     assert 2 not in f
     for k in (0, 1, 3):
         assert_z(f[k], probs[k], sigma("frequency", probs[k], N), f"outcome {k}:")
@@ -122,18 +122,18 @@ def test_random_is_a_unit_uniform(rng):
                                    (0.6, 0.6), ()])
 def test_choice_rejects_invalid_vectors(rng, probs):
     with pytest.raises(ProbabilityMismatch):
-        choice(probs, rng(5))
+        inverse_cdf(*cumulative(probs), rng(5))
 
 
 def test_choice_checks_every_row(rng):
     """One bad probability vector among valid ones is rejected."""
     good = np.full((2, 1000), 0.5)
-    choice(good, rng(1000))
+    inverse_cdf(*cumulative(good), rng(1000))
     for bad in ((0.5, 0.4), (1.01, -0.01)):
         probs = good.copy()
         probs[:, 637] = bad
         with pytest.raises(ProbabilityMismatch):
-            choice(probs, rng(1000))
+            inverse_cdf(*cumulative(probs), rng(1000))
 
 
 def test_same_key_same_draws():
@@ -147,7 +147,8 @@ def test_every_draw_consumes_one_uniform(rng):
     are, so every draw site can own a fixed column."""
     u = rng(200)
     quarters = cumulative((0.25,) * 4)
-    for draw in (bit, lambda v: bernoulli(0.3, v), lambda v: choice((0.5, 0.5), v),
+    for draw in (bit, lambda v: bernoulli(0.3, v),
+                 lambda v: inverse_cdf(*cumulative((0.5, 0.5)), v),
                  lambda v: inverse_cdf(*quarters, v)):
         whole = draw(u)
         assert whole.shape == u.shape
