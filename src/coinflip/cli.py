@@ -112,9 +112,8 @@ def _cmd_sweep(args, out) -> int:
     if getattr(args, args.param) is not None:
         raise _UsageError(f"--{args.param} is swept by --grid; do not give it too")
     lo, hi, n = args.grid
-    values = [lo]
-    if n > 1:  # the last point is hi itself, which rounding can make the formula miss
-        values = [lo + (hi - lo) * i / (n - 1) for i in range(n - 1)] + [hi]
+    # the last point is hi itself, which rounding can make the formula miss
+    values = [lo + (hi - lo) * i / (n - 1) for i in range(n - 1)] + [hi]
     records = []
     for value in values:
         cfg = _config_from_args(args, **{args.param: value})
@@ -137,13 +136,15 @@ def _cmd_fair(args, out) -> int:
 
 
 def _parse_grid(text: str) -> tuple[float, float, int]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("grid must be lo:hi:n")
-    lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
-    if n < 1:
-        raise argparse.ArgumentTypeError("grid point count must be >= 1")
-    return lo, hi, n
+    try:
+        lo, hi, n = text.split(":")
+        lo, hi, n = float(lo), float(hi), int(n)
+        if n > 1 or (n == 1 and lo == hi):  # one point is both lo and hi
+            return lo, hi, n
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"grid must be lo:hi:n, n >= 1 points (lo == hi if n is 1), got {text!r}")
 
 
 @functools.cache  # parsing leaves the parser as it was, so one serves every call

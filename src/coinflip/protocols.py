@@ -21,7 +21,8 @@ A run is an ordered exchange:
 Steps 1-5 make one round; a restart replays them from step 1. Player
 behavior is injected through hooks so cheating strategies can replace any
 step; the engine only moves messages, applies channel loss, enforces the
-restart bound and records transcripts.
+restart bound and records transcripts. The honest Bob's hooks are here;
+every Alice, the honest one included, is in strategies.
 
 The engine (run_chunk) runs every round of a step, over all the chunks of
 one call, as one flat batch of (trial, round) pairs, so hooks take and
@@ -88,7 +89,7 @@ from .channel import lost_rounds, transmit
 from .errors import IncompatibleProtocol
 from .quantum import measure_table, steer_epr
 from .rng import (CHOOSE_B, PREPARE, RECEIVE, REVEAL, SLOTS, TRANSMIT, VERIFY,
-                  bit, inverse_cdf, rows, weights_cdf)
+                  bit, rows)
 
 DEPTH = 64  # the most rounds per trial in one step
 
@@ -290,28 +291,7 @@ class Transcript:
 
 
 # ---------------------------------------------------------------------------
-# honest hooks
-
-class HonestAlice:
-    """Follows the numbered steps: fresh uniform a, family-weighted x.
-    cfg.photon_count > 1 sends each state as a multi-photon pulse."""
-
-    def __init__(self, cfg, family: StateFamily):
-        self.family = family
-        self.photon_count = cfg.photon_count
-        # column a * dim + x is |a, x>
-        self.states = catalog.basis_pair(family).conj().reshape(-1, family.dim).T
-        self.x_cdf = weights_cdf(family.x_weights)  # x_values are 0, 1(, 2)
-
-    def prepare(self, u: np.ndarray) -> Emission:
-        self.a = bit(u[0])
-        self.x = inverse_cdf(*self.x_cdf, u[1])
-        return SingleState(self.states, self.a * self.family.dim + self.x,
-                           self.photon_count)
-
-    def reveal(self, b: np.ndarray, u: np.ndarray):
-        return self.a, self.x
-
+# the honest Bob (every Alice, the honest one too, is in strategies)
 
 class HonestBob:
     """Measures per the variant flags cfg.flags, sends a fresh random b,

@@ -40,10 +40,9 @@ Three helpers map uniforms to draws: bit, bernoulli and inverse_cdf (the
 channel's lost_rounds aside, see channel). Every draw from a probability
 vector takes the one inverse-CDF path: cumulative checks the vectors and
 gives their cumulative sums, and inverse_cdf compares each uniform against
-them. weights_cdf keeps one read-only (cdf, total) per weight tuple (an
-honest Alice's x, a uniform index among four), shared by every experiment
-that draws from it; every quantum measurement draws from a Born table in the
-same form (see quantum).
+them. A sender's weights are checked once per table and kept with it (see
+strategies.TableAlice), and every quantum measurement draws from a Born
+table in the same form (see quantum).
 """
 from __future__ import annotations
 
@@ -70,7 +69,6 @@ SLOTS = 10
 
 CHUNK = 1024  # trials per chunk, each on its own blocks
 SEEDS = 8  # seeded generators kept; the least recently used goes first
-WEIGHTS = 16  # weight tuples weights_cdf holds; the least recently used goes first
 _LOCK = threading.Lock()  # held from restoring a seeded state to the draw
 
 
@@ -140,15 +138,6 @@ def cumulative(probs) -> tuple[np.ndarray, np.ndarray]:
         raise ProbabilityMismatch(
             f"probabilities sum to {np.extract(off, total)[0]}")
     return np.cumsum(probs[:-1], 0), total
-
-
-@lru_cache(maxsize=WEIGHTS)
-def weights_cdf(weights: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """cumulative(weights) for one fixed weight tuple, checked once and kept
-    read-only: every caller with equal weights shares the same two arrays."""
-    cdf, total = cumulative(weights)
-    cdf.flags.writeable = total.flags.writeable = False
-    return cdf, total
 
 
 def inverse_cdf(cdf: np.ndarray, total: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -1,4 +1,7 @@
-"""Command-line interface, exercised through real subprocesses."""
+"""Command-line interface, exercised in this process through cli_main, and
+through real processes for each exit code, for python -m coinflip itself and
+for the usage errors whose point is that no traceback reaches stderr."""
+import contextlib
 import csv
 import io
 import json
@@ -15,8 +18,23 @@ from coinflip.protocols import PROTOCOLS
 CLI = [sys.executable, "-m", "coinflip"]
 
 
-def run_cli(*args, check=False):
+def run_process(*args, check=False):
+    """The CLI as a fresh process: its exit code, stdout and stderr."""
     proc = subprocess.run(CLI + list(args), capture_output=True, text=True)
+    if check:
+        assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def run_cli(*args, check=False):
+    """The CLI called in this process through cli_main, with the exit code,
+    stdout and stderr a process would give, as run_process returns them
+    (test_one_process_answers_each_call_as_a_fresh_process checks that they
+    agree)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli_main(list(args), out=out)
+    proc = subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
     if check:
         assert proc.returncode == 0, proc.stderr
     return proc
@@ -33,7 +51,7 @@ def test_fair_subcommand():
 
 def test_run_is_byte_identical_across_invocations():
     args = ("run", "--trials", "2000", "--seed", "31337")
-    assert run_cli(*args, check=True).stdout == run_cli(*args, check=True).stdout
+    assert run_process(*args, check=True).stdout == run_process(*args, check=True).stdout
 
 
 def test_run_json_schema():
@@ -92,6 +110,32 @@ def test_sweep_ends_exactly_on_hi(param, grid, values):
     assert [json.loads(line)[param] for line in out.getvalue().splitlines()] == values
 
 
+@pytest.mark.parametrize("grid", ["0.1:0.9:2.5", "0.1:x:2"])
+def test_a_malformed_grid_is_refused_in_its_own_words(grid, capsys):
+    """A grid that does not parse is refused as a grid, and no private
+    function name reaches the message."""
+    out = io.StringIO()
+    assert cli_main(["sweep", "--param", "eta", "--grid", grid, "--trials", "10"],
+                    out=out) == 1
+    err = capsys.readouterr().err
+    assert (out.getvalue(), err) == ("", "coinflip: error: argument --grid: grid must be "
+                                     f"lo:hi:n, n >= 1 points (lo == hi if n is 1), got {grid!r}\n")
+
+
+def test_a_one_point_grid_needs_lo_equal_to_hi(capsys):
+    """One point cannot both start on lo and end on hi, so a one-point grid
+    with lo != hi is refused rather than run at lo alone."""
+    out = io.StringIO()
+    assert cli_main(["sweep", "--param", "eta", "--grid", "0.5:0.9:1",
+                     "--trials", "10"], out=out) == 1
+    assert (out.getvalue(), capsys.readouterr().err) == (
+        "", "coinflip: error: argument --grid: grid must be lo:hi:n, n >= 1 points "
+        "(lo == hi if n is 1), got '0.5:0.9:1'\n")
+    assert cli_main(["sweep", "--param", "eta", "--grid", "0.5:0.5:1",
+                     "--trials", "10"], out=out) == 0
+    assert [json.loads(line)["eta"] for line in out.getvalue().splitlines()] == [0.5]
+
+
 def test_table_json_and_csv():
     proc = run_cli("table", "--trials", "1000", "--seed", "2", check=True)
     records = [json.loads(line) for line in proc.stdout.splitlines()]
@@ -110,8 +154,8 @@ def test_table_check_passes_at_moderate_trials():
 
 def test_table_check_failure_exits_2():
     # an absurdly tight tolerance cannot be met by a short run
-    proc = run_cli("table", "--trials", "200", "--seed", "3", "--check",
-                   "--tol", "1e-9")
+    proc = run_process("table", "--trials", "200", "--seed", "3", "--check",
+                       "--tol", "1e-9")
     assert proc.returncode == 2
 
 
@@ -173,7 +217,7 @@ def test_table_defaults_are_the_matrix_defaults():
      "--target", "1", "--trials", "200"),
     ("table", "--tol", "-1"), ("table", "--tol", "nan")])
 def test_out_of_range_options_exit_1_without_traceback(args):
-    proc = run_cli(*args)
+    proc = run_process(*args)
     assert proc.returncode == 1
     assert proc.stderr.startswith("coinflip: error: ")
     assert "Traceback" not in proc.stderr
@@ -240,6 +284,6 @@ def test_a_refused_variant_is_named_as_given(args, refused, capsys):
 
 
 def test_restart_budget_exits_3():
-    proc = run_cli("run", "--protocol", "ambainis_variant", "--eta", "0.01",
-                   "--max-restarts", "10", "--trials", "100")
+    proc = run_process("run", "--protocol", "ambainis_variant", "--eta", "0.01",
+                       "--max-restarts", "10", "--trials", "100")
     assert proc.returncode == 3

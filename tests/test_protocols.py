@@ -18,7 +18,7 @@ from coinflip.protocols import (Decision, EprHalf, HonestBob, LossPolicy,
                                 run_chunk)
 from coinflip.quantum import measure_projective, steer_epr
 from coinflip.rng import bit
-from coinflip.strategies import SendNothingAlice
+from coinflip.strategies import REGISTRY, Side
 
 from conftest import assert_z, sigma
 
@@ -158,7 +158,8 @@ def test_believe_on_faith_accepts_missing_qutrit():
                            variant=VariantFlags(LossPolicy.BELIEVE_ON_FAITH, False),
                            seed=3, max_restarts=10)
     out = []
-    run_chunk(cfg, SendNothingAlice(cfg, fam), HonestBob(cfg, fam), 0, 1, out.append)
+    send_nothing = REGISTRY[Side.ALICE]["send_nothing"].build(cfg, fam)
+    run_chunk(cfg, send_nothing, HonestBob(cfg, fam), 0, 1, out.append)
     t, = out
     assert t.verdict is Verdict.ACCEPTED
     assert t.restart_count == 0
@@ -168,11 +169,12 @@ def test_restart_limit_is_enforced():
     """A sender who never delivers anything exhausts the restart budget."""
     protocol = ProtocolId.LOSS_TOLERANT_CF
     fam = family_for(protocol, 0.9)
-    # send_nothing reads only target
+    # send_nothing's builder reads only target and photon_count
     cfg = ExperimentConfig(protocol=protocol, seed=4, max_restarts=50)
     out = []
-    verdict, _, _ = run_chunk(cfg, SendNothingAlice(cfg, fam),
-                              HonestBob(cfg, fam), 0, 1, out.append)
+    send_nothing = REGISTRY[Side.ALICE]["send_nothing"].build(cfg, fam)
+    verdict, _, _ = run_chunk(cfg, send_nothing, HonestBob(cfg, fam), 0, 1,
+                              out.append)
     assert verdict.tolist() == [Decision.REQUEST_RESTART]
     assert out == []  # no transcript for a trial over the limit
 

@@ -11,7 +11,7 @@ from coinflip.catalog import Family, StateFamily, basis_pair
 from coinflip.discrimination import stats, usd_pure_pair
 from coinflip.errors import DimensionMismatch, ProbabilityMismatch
 from coinflip.harness import ExperimentConfig, build_hooks
-from coinflip.protocols import EprHalf, HonestAlice, SingleState, measure_delivery
+from coinflip.protocols import EprHalf, SingleState, measure_delivery
 from coinflip.quantum import (BORN_TABLES, born_table, helstrom_success,
                               measure_projective, measure_table, mix,
                               steer_epr, trace_distance)
@@ -438,12 +438,13 @@ def test_born_tables_are_shared_by_content_and_bounded():
     """Equal arrays, a view of a stack included, share one table, and an
     alpha2 sweep over 300 families keeps at most BORN_TABLES of them."""
     family = StateFamily(Family.LOSS_TOLERANT, 0.9)
-    states, bras = HonestAlice(ExperimentConfig(), family).states, basis_pair(family)
+    states, bras = build_hooks(ExperimentConfig())[0].states, basis_pair(family)
     first = born_table(states, bras[:1])
     assert born_table(states.copy(), bras[:1].copy()) is first
     for alpha2 in np.linspace(0.51, 0.99, 300):
         family = StateFamily(Family.LOSS_TOLERANT, float(alpha2))
-        born_table(HonestAlice(ExperimentConfig(), family).states, basis_pair(family))
+        born_table(build_hooks(ExperimentConfig(alpha2=float(alpha2)))[0].states,
+                   basis_pair(family))
     info = quantum._born_table.cache_info()
     assert info.maxsize == BORN_TABLES
     assert info.currsize == BORN_TABLES

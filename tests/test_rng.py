@@ -14,7 +14,7 @@ from coinflip.harness import CHUNK, ExperimentConfig, run_experiment
 from coinflip.protocols import DEPTH, ProtocolId
 from coinflip.quantum import born_table
 from coinflip.rng import (SEEDS, SLOTS, bernoulli, bit, block, cumulative,
-                          inverse_cdf, rows, weights_cdf)
+                          inverse_cdf, rows)
 
 from conftest import assert_z, edge_uniforms, sigma
 
@@ -89,7 +89,7 @@ def born_table_draw(rng):
 def weights_draw(weights):
     """One weight column (k - 1, 1), broadcast over every uniform."""
     def draw(rng):
-        cdf, total = weights_cdf(weights)
+        cdf, total = cumulative(weights)
         _, edges = steps_and_neighbours(cdf, total)
         return cdf, total, np.concatenate([edges, rng(N)])
     return draw

@@ -1,4 +1,5 @@
 """Cheating strategies: reveal tables, compatibility, and attack mechanics."""
+import functools
 import math
 
 import numpy as np
@@ -15,10 +16,9 @@ from coinflip.harness import (VARIANT_NAMES, ExperimentConfig, build_hooks,
 from coinflip.protocols import (Decision, HonestBob, ProtocolId, SingleState,
                                 run_chunk)
 from coinflip.rng import (CHOOSE_B, PREPARE, RECEIVE, REVEAL, SLOTS, TRANSMIT,
-                          VERIFY, bit)
+                          VERIFY)
 from coinflip.strategies import (ALICE_STRATEGIES, BOB_STRATEGIES, REGISTRY,
-                                 AmbainisOptimalAlice, LossTolerantOptimalAlice,
-                                 RotatedStateAlice, Side, lookup)
+                                 EprSteeringAlice, Side, TableAlice, lookup)
 
 from conftest import assert_metric, assert_z, sigma, valid_configs
 
@@ -60,24 +60,32 @@ def run_one_step(alice, bob, u, anything_arrives):
 
 
 def test_every_listed_strategy_builds(rng):
-    """Each registry entry is its hooks class and builds on every protocol it
+    """Each registry entry's builder builds its hooks on every protocol it
     applies to, under a variant it plays, and its pair's hooks run on every
-    round of a step, restarted rounds included, without raising."""
+    round of a step, restarted rounds included, without raising. A Bob's
+    builder is his hooks class; every Alice is a TableAlice but the EPR
+    one."""
     assert ALICE_STRATEGIES == tuple(REGISTRY[Side.ALICE])
     assert BOB_STRATEGIES == tuple(REGISTRY[Side.BOB])
+    alice_classes = set()
     for side, entries in REGISTRY.items():
         for name, spec in entries.items():
             assert spec.protocols
-            assert isinstance(spec.build, type), name
+            assert callable(spec.build), name
             for protocol in spec.protocols:
                 cfg = ExperimentConfig(protocol=protocol,
                                        variant=(spec.variants or (None,))[0],
                                        photon_count=spec.min_photons,
                                        **{side.value: name})
                 alice, bob = build_hooks(cfg)
-                assert type((alice, bob)[side is Side.BOB]) is spec.build
+                if side is Side.BOB:
+                    assert type(bob) is spec.build, name
+                else:
+                    alice_classes.add(type(alice))
+                    assert isinstance(alice, TableAlice) == (name != "bb84_epr")
                 for anything_arrives in (False, True):
                     run_one_step(alice, bob, rng(SLOTS, 64), anything_arrives)
+    assert alice_classes == {TableAlice, EprSteeringAlice}
 
 
 def test_restarts_on_loss_is_declared_truly(rng):
@@ -91,11 +99,11 @@ def test_restarts_on_loss_is_declared_truly(rng):
 
 
 # ---------------------------------------------------------------------------
-# reveal tables verified by direct overlap computation
+# reveal tables verified by direct overlap computation, entry by entry
 
-def sent_states(emission):
-    """The emission's states, one amplitude vector per round."""
-    return list(emission.states[:, emission.index].T)
+def alice_of(name, protocol=ProtocolId.LOSS_TOLERANT_CF, **kw):
+    """The registry's Alice `name`, built as an experiment builds her."""
+    return build_hooks(ExperimentConfig(protocol=protocol, alice=name, **kw))[0]
 
 
 def fidelity(s, family, a, x) -> float:
@@ -103,64 +111,66 @@ def fidelity(s, family, a, x) -> float:
     return abs(np.vdot(basis_pair(family)[a, x], s)) ** 2
 
 
-def test_rotated_alice_picks_the_closest_bit(rng):
-    alice = RotatedStateAlice(ExperimentConfig(protocol=ProtocolId.BB84_CF), BB84)
-    sent = sent_states(alice.prepare(rng(2, 200)))
-    b = bit(rng(200))
-    a, x = alice.reveal(b, rng(200))
-    assert (a == b).all()  # she forces a xor b = 0
-    for s, aa, xx in zip(sent, a.tolist(), x.tolist()):
-        fids = [fidelity(s, BB84, aa, k) for k in (0, 1)]
-        assert fids[xx] == max(fids)
+def reveals(name, protocol=ProtocolId.LOSS_TOLERANT_CF, **kw):
+    """Every (target, sent state, b, a, x) of the tables of the registry's
+    Alice `name`, for each target: each column of her states, each b and
+    each entry r of her reveal table."""
+    for target in (0, 1):
+        alice = alice_of(name, protocol, target=target, **kw)
+        for i, s in enumerate(alice.states.T):
+            for b in (0, 1):
+                for a, x in alice.table[i, b].tolist():
+                    yield target, s, b, a, x
+
+
+def test_rotated_alice_picks_the_closest_bit():
+    for target, s, b, a, x in reveals("bb84_rotated", ProtocolId.BB84_CF):
+        assert a ^ b == target  # she forces a xor b
+        fids = [fidelity(s, BB84, a, k) for k in (0, 1)]
+        assert fids[x] == max(fids)
         # no ties at odd multiples of pi/8: the gap is always 1/sqrt(2)
-        assert abs(fids[xx] - fids[1 - xx]) == pytest.approx(1.0 / math.sqrt(2.0))
+        assert abs(fids[x] - fids[1 - x]) == pytest.approx(1.0 / math.sqrt(2.0))
 
 
-def test_ambainis_alice_reveal_maximizes_overlap(rng):
-    alice = AmbainisOptimalAlice(ExperimentConfig(protocol=ProtocolId.AMBAINIS_CF), AMB)
-    sent = sent_states(alice.prepare(rng(2, 200)))
-    for b in (0, 1):
-        a, x = alice.reveal(np.full(200, b), rng(200))
-        assert (a == b).all()
-        for s, xx in zip(sent, x.tolist()):
-            fids = [fidelity(s, AMB, b, k) for k in (0, 1)]
-            assert fids[xx] == max(fids)
-            assert fids[xx] == pytest.approx(0.75)  # (2 + s_a)^2 / 12 with s_a = +/-1
+def test_ambainis_alice_reveal_maximizes_overlap():
+    for target, s, b, a, x in reveals("ambainis_optimal", ProtocolId.AMBAINIS_CF):
+        assert a ^ b == target
+        fids = [fidelity(s, AMB, a, k) for k in (0, 1)]
+        assert fids[x] == max(fids)
+        assert fids[x] == pytest.approx(0.75)  # (2 + s_a)^2 / 12 with s_a = +/-1
 
 
-def test_lt_alice_reveal_maximizes_overlap(rng):
+def test_lt_alice_reveal_maximizes_overlap():
     ab = math.sqrt(0.9 * 0.1)
-    alice = LossTolerantOptimalAlice(ExperimentConfig(), LT9)
-    sent = sent_states(alice.prepare(rng(2, 200)))
-    for b in (0, 1):
-        a, x = alice.reveal(np.full(200, b), rng(200))
-        assert (x == b).all()  # forces x xor b = 0
-        for s, aa in zip(sent, a.tolist()):
-            fids = {(k, b): fidelity(s, LT9, k, b) for k in (0, 1)}
-            assert fids[(aa, b)] == max(fids.values())
-            assert fids[(aa, b)] == pytest.approx(0.5 + ab)
+    for target, s, b, a, x in reveals("lt_optimal", alpha2=0.9):
+        assert x ^ b == target  # forces x xor b
+        fids = {(k, x): fidelity(s, LT9, k, x) for k in (0, 1)}
+        assert fids[(a, x)] == max(fids.values())
+        assert fids[(a, x)] == pytest.approx(0.5 + ab)
 
 
 def test_hook_state_tables_are_read_only_and_unit_norm(rng):
     """Every registered Alice that sends a state table sends a read-only one
     with unit-norm columns, on every protocol she plays and across an alpha2
     grid; every Bob's measurement bases are read-only too. Born tables are
-    kept by content, so a table changed in place would be read stale. An
-    Alice's draw table (cdf, total) is built once per weight tuple: every
-    experiment on the family holds the same two read-only arrays."""
+    kept by content, so a table changed in place would be read stale. A
+    TableAlice's tables (states, draws and reveals) are built once per
+    (strategy, family, target): every experiment that plays her holds the
+    same read-only arrays, and hooks of its own for its per-step state."""
     senders, drawers = set(), set()
     for alpha2 in (0.55, 0.7, 0.9, 0.95):
         for cfg in valid_configs(alpha2=alpha2):
             alice, bob = build_hooks(cfg)
             again, _ = build_hooks(cfg)
-            for name in ("x_cdf", "k_cdf"):
-                if hasattr(alice, name):
+            if isinstance(alice, TableAlice):
+                assert again is not alice, cfg
+                for name in ("states", "draws", "table", "a", "x"):
+                    assert getattr(again, name) is getattr(alice, name), cfg
+                if alice.draws:
                     drawers.add(cfg.alice)
-                    table = getattr(alice, name)
-                    assert table is getattr(again, name), cfg
-                    for column in table:
-                        with pytest.raises(ValueError):
-                            column[...] = 0.0
+                for array in (alice.table, alice.a, alice.x, *sum(alice.draws, ())):
+                    with pytest.raises(ValueError):
+                        array[...] = 0
             states = getattr(alice.prepare(rng(SLOTS, 8)[PREPARE]), "states", None)
             if states is not None:
                 senders.add(cfg.alice)
@@ -170,8 +180,7 @@ def test_hook_state_tables_are_read_only_and_unit_norm(rng):
             assert bras is None or not bras.flags.writeable, cfg
     # vacuum and an EPR half carry no table
     assert senders == set(ALICE_STRATEGIES) - {"send_nothing", "bb84_epr"}
-    assert drawers == {"honest", "bb84_postpone_lie", "bb84_rotated",
-                       "cunning_mother", "honest_pulse"}
+    assert drawers == senders
 
 
 def test_every_state_sender_draws_an_in_range_index_on_every_round(rng):
@@ -319,42 +328,126 @@ def test_no_prepare_and_measure_alice_beats_her_bound(alpha2, theta, phi, target
 @pytest.mark.parametrize("alpha2", (0.55, 0.6, 0.7, 0.75, 0.8, 0.9, 0.95))
 @pytest.mark.parametrize("target", (0, 1))
 def test_lt_optimal_reaches_the_alice_bound(alpha2, target):
-    """Averaged over the two (state, table) pairs lt_optimal sends with equal
-    probability, |+> and |->, her closed-form success is the bound."""
+    """Averaged over the (state, table) pairs of lt_optimal's tables, |-> and
+    |+> with the weights she draws them by, her closed-form success is the
+    bound."""
     family = StateFamily(Family.LOSS_TOLERANT, alpha2)
-    alice = LossTolerantOptimalAlice(ExperimentConfig(target=target), family)
-    emission = alice.prepare(np.array([[0.25, 0.75]]))  # sends |-> then |+>
-    reveals = [alice.reveal(np.full(2, b), None) for b in (0, 1)]  # (a, x) per b
-    win = np.mean([alice_win(family, emission.states[:, emission.index[j]],
-                             [(a[j], x[j]) for a, x in reveals], target)
-                   for j in (0, 1)])
+    alice = alice_of("lt_optimal", alpha2=alpha2, target=target)
+    (weights,), table = alice.weights, alice.table
+    assert not alice.fresh  # her reveal reads no fresh bit, so r = 0 is every r
+    win = sum(p * alice_win(family, alice.states[:, i], table[i, :, 0], target)
+              for i, p in enumerate(weights))
     assert win == pytest.approx(0.5 + alice_bias_bound(alpha2), abs=1e-12)
-
-
-class FixedStateAlice:
-    """Sends one state psi every round and reveals table[b] = (a, x)."""
-
-    def __init__(self, psi, table):
-        self.states = psi.reshape(2, 1)
-        self.a, self.x = np.array(table).T
-
-    def prepare(self, u):
-        return SingleState(self.states, np.zeros(u.shape[1], dtype=np.intp))
-
-    def reveal(self, b, u):
-        return self.a[b], self.x[b]
 
 
 @pytest.mark.parametrize("eta", (1.0, 0.5))
 def test_engine_meets_the_alice_closed_form(rng, eta):
-    """One drawn psi with a fixed table, run by the engine against the honest
-    loss-tolerant Bob, wins as often as alice_win says, lost rounds and all."""
+    """One drawn psi with a fixed table, run by the engine as a TableAlice
+    against the honest loss-tolerant Bob, wins as often as alice_win says,
+    lost rounds and all."""
     trials, target, table = 20_000, 1, ((1, 1), (0, 0))
     theta, phi = rng(2) * (math.pi, 2.0 * math.pi)
     cfg = ExperimentConfig(alpha2=0.8, eta=eta, target=target)
     family, psi = StateFamily(Family.LOSS_TOLERANT, cfg.alpha2), qubit(theta, phi)
-    verdict, coin, _ = run_chunk(cfg, FixedStateAlice(psi, table),
-                                 HonestBob(cfg, family), 0, trials)
+    # one state, drawn as digit 0 every round; table[b] = (a, x) whatever r
+    alice = TableAlice(psi.reshape(2, 1), ((1.0,),),
+                       np.repeat(np.reshape(table, (1, 2, 1, 2)), 2, axis=2))
+    verdict, coin, _ = run_chunk(cfg, alice, HonestBob(cfg, family), 0, trials)
     wins = np.count_nonzero((verdict == Decision.ACCEPTED) & (coin == target))
     expected = alice_win(family, psi, table, target)
     assert_z(wins / trials, expected, sigma("p_hat", expected, trials), f"eta {eta}:")
+
+
+# ---------------------------------------------------------------------------
+# the same bounds against entangled Alices. Bob holds rho and Alice its
+# purification; once b is known she measures her half, splitting rho into
+# sigma_0 + sigma_1 (Hughston, Jozsa & Wootters, Phys. Lett. A 183, 14), one
+# part per reveal that can win. Her best split is Helstrom's: V_b(rho) =
+# Tr(P_1 rho) + the positive eigenvalues of rho^1/2 (P_0 - P_1) rho^1/2, with
+# P_0 and P_1 the projectors Bob checks for those two reveals. MCQM is left
+# out: its three reveals make the split a semidefinite program.
+
+def split_value(rho, p0, p1) -> float:
+    """V_b(rho) for the rank-one projectors onto the vectors p0 and p1."""
+    w, v = np.linalg.eigh(rho)
+    root = (v * np.sqrt(w.clip(0.0))) @ v.conj().T
+    diff = np.outer(p0, p0.conj()) - np.outer(p1, p1.conj())
+    gain = np.linalg.eigvalsh(root @ diff @ root).clip(0.0).sum()
+    return float(np.vdot(p1, rho @ p1).real + gain)
+
+
+def entangled_win(family, rho, target) -> float:
+    """Her best success against honest Bob holding rho: each b has two
+    winning reveals. Loss-tolerant (coin x xor b): a in {0, 1} with
+    x = c xor b. BB84 and Ambainis (coin a xor b): x in {0, 1} with
+    a = c xor b. A Bob who measures on reception (loss-tolerant, BB84)
+    checks half the time, so she wins 1/2 + 1/4 sum_b V_b; the storing
+    Ambainis Bob always checks, so she wins 1/2 sum_b V_b."""
+    pair = basis_pair(family)
+    if family.family is Family.LOSS_TOLERANT:
+        return 0.5 + 0.25 * sum(split_value(rho, *pair[:, target ^ b]) for b in (0, 1))
+    values = [split_value(rho, *pair[target ^ b, :2]) for b in (0, 1)]
+    return 0.5 * sum(values) if family.family is Family.AMBAINIS else 0.5 + 0.25 * sum(values)
+
+
+def densities(dim):
+    """Random density matrices G G^dagger / Tr for a complex G of dim rows
+    and 1 (pure) to dim columns."""
+    def density(k):
+        entries = st.lists(st.floats(-1.0, 1.0), min_size=2 * dim * k,
+                           max_size=2 * dim * k)
+        return entries.map(lambda v: np.reshape(v, (2, dim, k))).map(
+            lambda g: (g[0] + 1j * g[1]) @ (g[0] + 1j * g[1]).conj().T)
+    return (st.integers(1, dim).flatmap(density)
+            .filter(lambda rho: np.trace(rho).real > 1e-3)
+            .map(lambda rho: rho / np.trace(rho).real))
+
+
+def mean_density(alice) -> np.ndarray:
+    """The density of the ensemble a TableAlice sends: her states mixed by
+    the weights of their indices, each a product of its digits' weights."""
+    p = functools.reduce(np.multiply.outer, alice.weights, np.ones(())).ravel()
+    return (p * alice.states) @ alice.states.conj().T
+
+
+LT_PLUS = alice_of("lt_optimal").states[:, 1]  # her |+>
+AMB_MIX = mean_density(alice_of("ambainis_optimal", ProtocolId.AMBAINIS_CF))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(0.51, 0.99), densities(2), BITS)
+@example(0.9, np.outer(LT_PLUS, LT_PLUS), 0)  # reaches the bound
+def test_no_entangled_alice_beats_the_loss_tolerant_bound(alpha2, rho, target):
+    family = StateFamily(Family.LOSS_TOLERANT, alpha2)
+    assert entangled_win(family, rho, target) <= 0.5 + alice_bias_bound(alpha2) + 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(densities(2), BITS)
+@example(np.eye(2) / 2.0, 0)  # bb84_epr's half of a singlet reaches it
+def test_no_entangled_alice_beats_bb84_epr(rho, target):
+    assert entangled_win(BB84, rho, target) <= ORACLE["bb84_epr_success"] + 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(densities(3), BITS)
+@example(AMB_MIX, 0)  # reaches the bound
+def test_no_entangled_alice_beats_ambainis_optimal(rho, target):
+    assert entangled_win(AMB, rho, target) <= ORACLE["ambainis_alice_success"] + 1e-12
+
+
+@pytest.mark.parametrize("target", (0, 1))
+def test_the_registry_optima_are_reached_by_entangled_alices(target):
+    """Each bound above is reached, so none could be lowered unseen: by
+    lt_optimal's |+>, by the maximally mixed qubit (bb84_epr), which beats
+    every pure state, bb84_rotated's among them, and by the ensemble
+    ambainis_optimal sends."""
+    rotated = alice_of("bb84_rotated", ProtocolId.BB84_CF).states[:, 0]
+    assert entangled_win(LT9, np.outer(LT_PLUS, LT_PLUS), target) == pytest.approx(
+        0.5 + alice_bias_bound(0.9), abs=1e-12)
+    epr = entangled_win(BB84, np.eye(2) / 2.0, target)
+    assert epr == pytest.approx(ORACLE["bb84_epr_success"], abs=1e-12)
+    assert entangled_win(BB84, np.outer(rotated, rotated), target) == pytest.approx(
+        ORACLE["bb84_rotated_success"], abs=1e-12)
+    assert epr > ORACLE["bb84_rotated_success"]  # what entanglement adds
+    assert entangled_win(AMB, AMB_MIX, target) == pytest.approx(0.75, abs=1e-12)
