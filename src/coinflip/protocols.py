@@ -21,8 +21,9 @@ A run is an ordered exchange:
 Steps 1-5 make one round; a restart replays them from step 1. Player
 behavior is injected through hooks so cheating strategies can replace any
 step; the engine only moves messages, applies channel loss, enforces the
-restart bound and records transcripts. The honest Bob's hooks are here;
-every Alice, the honest one included, is in strategies.
+restart bound and records transcripts. Every player, honest or cheating, is
+in strategies; this module holds the engine, the emissions, the transcripts
+and the protocol table.
 
 The engine (run_chunk) runs every round of a step, over all the chunks of
 one call, as one flat batch of (trial, round) pairs, so hooks take and
@@ -59,13 +60,14 @@ draws the length K with channel.lost_rounds, runs the hooks once, on a
 delivered round, and charges the trial K + 1 rounds. Otherwise an attempt
 is one round and channel.transmit draws whether it arrives.
 
-For transcripts Bob exposes last_basis (an index into his basis_tags, -1 for
-none) and last_outcome (the index of his measurement outcome, -1 for none),
-per round or as one value for all; both are read once verify has run. Each
-step logs the attempts its trials keep as arrays, and the call's transcripts
-are built from that log in one pass at its end; an attempt after K lost rounds
-expands to K lost rows before its own, each not delivered, with no basis or
-outcome and a restart requested. Alice sends one kind of emission all
+For transcripts every Bob declares basis_tags (the name of each of his bases,
+() if he never measures) and exposes last_basis (an index into basis_tags, -1
+for none) and last_outcome (the index of his measurement outcome, -1 for
+none), per round or as one value for all; both are read once verify has run.
+Each step logs the attempts its trials keep as arrays, and the call's
+transcripts are built from that log in one pass at its end; an attempt after K
+lost rounds expands to K lost rows before its own, each not delivered, with no
+basis or outcome and a restart requested. Alice sends one kind of emission all
 experiment, so her last step's tag is every round's. The engine records no
 basis for a round where nothing arrived. Each distinct round is built once per
 call, as one frozen QuantumRound that every transcript holding it shares;
@@ -83,13 +85,12 @@ from typing import Optional, Union
 
 import numpy as np
 
-from . import catalog
 from .catalog import Family, StateFamily
 from .channel import lost_rounds, transmit
 from .errors import IncompatibleProtocol
 from .quantum import measure_table, steer_epr
 from .rng import (CHOOSE_B, PREPARE, RECEIVE, REVEAL, SLOTS, TRANSMIT, VERIFY,
-                  bit, rows)
+                  rows)
 
 DEPTH = 64  # the most rounds per trial in one step
 
@@ -291,50 +292,6 @@ class Transcript:
 
 
 # ---------------------------------------------------------------------------
-# the honest Bob (every Alice, the honest one too, is in strategies)
-
-class HonestBob:
-    """Measures per the variant flags cfg.flags, sends a fresh random b,
-    verifies whenever the declared basis lets him. He restarts on every lost
-    round (restarts_on_loss) unless he believes losses on faith."""
-
-    basis_tags = ("0", "1")
-
-    def __init__(self, cfg, family: StateFamily):
-        self.flags = cfg.flags
-        self.bras = catalog.basis_pair(family)
-        self.restarts_on_loss = self.flags.loss_policy is LossPolicy.RESTART_ON_LOSS
-
-    def receive(self, delivery: Emission, delivered: np.ndarray,
-                u: np.ndarray) -> np.ndarray:
-        if not self.flags.bob_measures_on_reception:
-            self.stored, self.delivered = delivery, delivered
-            return np.zeros(len(delivered), dtype=bool)
-        self.a_hat = self.last_basis = bit(u[0])
-        self.x_hat = self.last_outcome = measure_delivery(
-            delivery, delivered, self.bras, u[1], self.a_hat)
-        return ~delivered
-
-    def choose_b(self, u: np.ndarray) -> np.ndarray:
-        return bit(u)
-
-    def verify(self, a: np.ndarray, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        if self.flags.bob_measures_on_reception:
-            caught = (a == self.a_hat) & (self.x_hat != x)
-            return np.where(caught, Decision.ABORT_CHEATER, Decision.ACCEPTED)
-        # a lost round is believed on faith or replayed from step 1
-        self.last_basis = a
-        self.last_outcome = measure_delivery(self.stored, self.delivered,
-                                             self.bras, u, a)
-        lost = (Decision.ACCEPTED
-                if self.flags.loss_policy is LossPolicy.BELIEVE_ON_FAITH
-                else Decision.REQUEST_RESTART)
-        caught = np.where(self.last_outcome != x, Decision.ABORT_CHEATER,
-                          Decision.ACCEPTED)
-        return np.where(self.delivered, caught, lost)
-
-
-# ---------------------------------------------------------------------------
 # engine
 
 def run_chunk(cfg, alice, bob, chunk: int, trials: int,
@@ -432,7 +389,7 @@ def run_chunk(cfg, alice, bob, chunk: int, trials: int,
         # each attempt as one code of its columns: delivered, basis + 1 and
         # outcome + 1 (0: none), and 0 for a round that ends, 1 for a restart,
         # 2 for a false claim of loss
-        tags = (*getattr(bob, "basis_tags", ()), None)  # tags[-1]: no basis
+        tags = (*bob.basis_tags, None)  # tags[-1]: no basis
         columns = (arrived[order], basis[order] + 1, outcome[order] + 1,
                    (decided[order] - 1).clip(0))
         code = np.ravel_multi_index(columns, [int(c.max(initial=0)) + 1 for c in columns])

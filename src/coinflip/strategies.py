@@ -5,10 +5,14 @@ honest entry that applies to every protocol; the other entries are attacks
 built around a target bit c, the coin value the cheater wants to force.
 Alice-side hooks implement prepare/reveal, Bob-side hooks the
 receive/choose_b/verify trio, all on batches of rounds as the protocols
-module describes. Every Alice but the EPR one is a TableAlice, whose
-tables a function of (family, target) fills. Every Bob declares
-restarts_on_loss, whether each round that does not arrive ends in
-REQUEST_RESTART, which picks the channel's loss rule for him. Reveal tables
+module describes; the protocols module holds no player. Every Alice but the
+EPR one is a TableAlice, and every Bob who only measures to guess a bit
+(the optimal loss-tolerant Bob, the qutrit conclusive receivers and both
+two-photon receivers) is a GuessingBob: a function of (family, target)
+fills the tables of each, and one cache keeps them for both sides (see
+_from_tables). Every Bob declares restarts_on_loss, whether each round that
+does not arrive ends in REQUEST_RESTART, which picks the channel's loss rule
+for him, and basis_tags, the names of his bases in transcripts. Reveal tables
 were verified by direct overlap computation (see tests) rather than taken on
 trust. Strategies never see the honest party's private randomness;
 everything they learn flows through the hook arguments.
@@ -26,9 +30,9 @@ import numpy as np
 from . import catalog
 from .catalog import StateFamily
 from .errors import IncompatibleProtocol
-from .protocols import (MEASURE, STORE, Decision, EprHalf, HonestBob,
-                        ProtocolId, SingleState, Vacuum, VariantFlags,
-                        measure_delivery)
+from .protocols import (MEASURE, STORE, Decision, Emission, EprHalf,
+                        LossPolicy, ProtocolId, SingleState, Vacuum,
+                        VariantFlags, measure_delivery)
 from .quantum import measure_projective
 from .rng import bernoulli, bit, cumulative, inverse_cdf
 
@@ -80,20 +84,22 @@ class TableAlice:
 
 
 @lru_cache(maxsize=catalog.FAMILIES)
-def _built(tables, family: StateFamily, target: int) -> TableAlice:
-    return TableAlice(*tables(family, target))
+def _built(cls, tables, family: StateFamily, target: int):
+    return cls(*tables(family, target))
 
 
-def _table_alice(tables):
-    """The registry builder (cfg, family) -> TableAlice of tables(family,
-    target), sending cfg.photon_count photons per state. Her arrays are built
-    once per (tables, family, target), as many as basis_pair keeps families,
-    and each experiment gets its own copy for its per-step state."""
-    def build(cfg, family: StateFamily) -> TableAlice:
-        alice = object.__new__(TableAlice)  # a copy, at a third of copy.copy's cost
-        alice.__dict__.update(vars(_built(tables, family, cfg.target)),
-                              photon_count=cfg.photon_count)
-        return alice
+def _from_tables(cls, tables):
+    """The registry builder (cfg, family) -> cls(*tables(family, target)),
+    for a TableAlice or a GuessingBob. Its arrays are built once per
+    (cls, tables, family, target), in one cache as large as basis_pair's,
+    and each experiment gets its own copy for its per-step state; an Alice's
+    copy sends cfg.photon_count photons per state."""
+    def build(cfg, family: StateFamily):
+        hooks = object.__new__(cls)  # a copy, at a third of copy.copy's cost
+        hooks.__dict__.update(vars(_built(cls, tables, family, cfg.target)))
+        if cls is TableAlice:
+            hooks.photon_count = cfg.photon_count
+        return hooks
     return build
 
 
@@ -187,12 +193,61 @@ class EprSteeringAlice:
 # ---------------------------------------------------------------------------
 # Bob-side strategies
 
+class HonestBob:
+    """Measures per the variant flags cfg.flags, sends a fresh random b,
+    verifies whenever the declared basis lets him. He restarts on every lost
+    round (restarts_on_loss) unless he believes losses on faith."""
+
+    basis_tags = ("0", "1")
+
+    def __init__(self, cfg, family: StateFamily):
+        self.flags = cfg.flags
+        self.bras = catalog.basis_pair(family)
+        self.restarts_on_loss = self.flags.loss_policy is LossPolicy.RESTART_ON_LOSS
+
+    def receive(self, delivery: Emission, delivered: np.ndarray,
+                u: np.ndarray) -> np.ndarray:
+        if not self.flags.bob_measures_on_reception:
+            self.stored, self.delivered = delivery, delivered
+            return np.zeros(len(delivered), dtype=bool)
+        self.a_hat = self.last_basis = bit(u[0])
+        self.x_hat = self.last_outcome = measure_delivery(
+            delivery, delivered, self.bras, u[1], self.a_hat)
+        return ~delivered
+
+    def choose_b(self, u: np.ndarray) -> np.ndarray:
+        return bit(u)
+
+    def verify(self, a: np.ndarray, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+        if self.flags.bob_measures_on_reception:
+            caught = (a == self.a_hat) & (self.x_hat != x)
+            return np.where(caught, Decision.ABORT_CHEATER, Decision.ACCEPTED)
+        # a lost round is believed on faith or replayed from step 1
+        self.last_basis = a
+        self.last_outcome = measure_delivery(self.stored, self.delivered,
+                                             self.bras, u, a)
+        lost = (Decision.ACCEPTED
+                if self.flags.loss_policy is LossPolicy.BELIEVE_ON_FAITH
+                else Decision.REQUEST_RESTART)
+        caught = np.where(self.last_outcome != x, Decision.ABORT_CHEATER,
+                          Decision.ACCEPTED)
+        return np.where(self.delivered, caught, lost)
+
+
+class CunningSonBob(HonestBob):
+    """Honest measurement, but sends b = x_hat instead of a random bit."""
+
+    def choose_b(self, u):
+        return self.x_hat
+
+
 class RestartAbuseBob:
     """Never measures; claims loss whenever the revealed a xor b is wrong,
     plus camouflage claims at rate 1 - 2*eta so Alice sees a plausible
     detection rate. A lost round can end in a false claim or be accepted, so
     he does not restart on every loss."""
 
+    basis_tags = ()
     last_basis = last_outcome = -1
     restarts_on_loss = False
 
@@ -213,90 +268,74 @@ class RestartAbuseBob:
 
 
 class GuessingBob:
-    """A receiver that never verifies: receive() measures to guess a bit,
-    then b = target xor guess forces the coin and any reveal is accepted.
-    guess is the outcome index less offset; a round with guess < 0 restarts,
-    a lost round included (restarts_on_loss)."""
+    """A Bob who is his tables: he measures what arrives to guess a bit,
+    forces the coin with b = target xor guess and accepts any reveal. Photon
+    p is measured in basis bases[p] of his stack bras, or, for None, in one
+    drawn by bit; drawn bases read his first RECEIVE columns, outcomes the
+    next. The drawn bases and each outcome + 1 (0: nothing arrived) index his
+    tables guess (the bit he guesses, or -1 to restart, as every lost round
+    does) and outcome (what his transcript records). His arrays are
+    read-only, to share."""
 
-    basis_tags = ("computational",)
     restarts_on_loss = True
-    last_basis = 0
-    offset = 0
+    last_basis = 0  # his one basis tag
 
-    def __init__(self, cfg, family: StateFamily):
-        self.target = cfg.target
-        self.bras = np.eye(family.dim)[None]
-        self.bras.flags.writeable = False
+    def __init__(self, target: int, tag: str, bras, bases: tuple, guess, outcome):
+        self.target, self.basis_tags, self.bras = target, (tag,), bras
+        self.bases, self.draws = bases, bases.count(None)
+        self.guess, self.outcome = np.asarray(guess), np.asarray(outcome)
+        for array in (bras, self.guess, self.outcome):
+            array.flags.writeable = False
 
     def receive(self, delivery, delivered, u):
-        self.last_outcome = measure_delivery(delivery, delivered, self.bras,
-                                             u[0], self.last_basis)
-        self.guess = self.last_outcome - self.offset
-        return self.guess < 0
+        drawn = [bit(column) for column in u[:self.draws]]
+        which = iter(drawn)
+        key = (*drawn, *(1 + measure_delivery(delivery, delivered, self.bras, column,
+                                              next(which) if basis is None else basis)
+                         for column, basis in zip(u[self.draws:], self.bases)))
+        guess = self.guess[key]
+        self.b, self.last_outcome = self.target ^ guess, self.outcome[key]
+        return guess < 0
 
     def choose_b(self, u):
-        return self.target ^ self.guess
+        return self.b
 
     def verify(self, a, x, u):
         return np.full(len(u), Decision.ACCEPTED)
 
 
-class HelstromBob(GuessingBob):
-    """Computational-basis measurement: the optimal x guess on the
-    loss-tolerant states; gives up the ability to verify."""
+def _helstrom(family: StateFamily, target: int) -> tuple:
+    """Computational-basis measurement, guessing the outcome: the optimal x
+    guess on the loss-tolerant states; gives up the ability to verify."""
+    outcome = np.arange(-1, family.dim)  # at outcome + 1: -1 for nothing
+    return target, "computational", np.eye(family.dim)[None], (0,), outcome, outcome
 
 
-class ComputationalRestartBob(GuessingBob):
+def _conclusive(family: StateFamily, target: int) -> tuple:
     """Qutrit computational-basis measurement: restart on the shared-support
     outcome |0>, otherwise guess a = outcome - 1 and force a xor b = c. On the
     Ambainis states |1> and |2> reveal a with certainty; on the contrived
     protocol the guess is a high-confidence one."""
-
-    offset = 1
-
-
-class CunningSonBob(HonestBob):
-    """Honest measurement, but sends b = x_hat instead of a random bit."""
-
-    def choose_b(self, u):
-        return self.x_hat
+    target, tag, bras, bases, outcome, _ = _helstrom(family, target)
+    return target, tag, bras, bases, np.maximum(outcome - 1, -1), outcome
 
 
-class TwoPhotonUsdBob(GuessingBob):
-    """Measures the two photons of a pulse in both bases; agreement reveals x
-    with certainty, disagreement triggers a feigned loss."""
-
-    basis_tags = ("both",)
-
-    def __init__(self, cfg, family: StateFamily):
-        super().__init__(cfg, family)
-        self.bras = catalog.basis_pair(family)
-
-    def receive(self, delivery, delivered, u):
-        pairs = delivered & (delivery.photon_count >= 2)  # else all restart
-        conclusive, guess = self.measure_pair(delivery, pairs, u)
-        self.guess = self.last_outcome = np.where(conclusive, guess, -1)
-        return self.guess < 0
-
-    def measure_pair(self, delivery, delivered, u):
-        """(conclusive, guess) per round, guess -1 where nothing arrived: the
-        first photon is measured in basis 0, the second in basis 1."""
-        o0 = measure_delivery(delivery, delivered, self.bras, u[0], 0)
-        o1 = measure_delivery(delivery, delivered, self.bras, u[1], 1)
-        return o0 == o1, o0
+def _usd(family: StateFamily, target: int) -> tuple:
+    """Measures the first photon of a pulse in basis 0 and the second in
+    basis 1; agreement reveals x with certainty, disagreement triggers a
+    feigned loss. He records the guess."""
+    o0, o1 = np.ogrid[-1:family.dim, -1:family.dim]
+    guess = np.where(o0 == o1, o0, -1)  # -1 too where nothing arrived
+    return target, "both", catalog.basis_pair(family), (0, 1), guess, guess
 
 
-class TwoPhotonHonestApparatusBob(TwoPhotonUsdBob):
+def _apparatus(family: StateFamily, target: int) -> tuple:
     """Passive apparatus: each photon lands in a uniformly random basis;
-    conclusive only when the bases happen to differ and the outcomes agree."""
-
-    basis_tags = ("random_pair",)
-
-    def measure_pair(self, delivery, delivered, u):
-        r0, r1 = bit(u[0]), bit(u[1])
-        o0 = measure_delivery(delivery, delivered, self.bras, u[2], r0)
-        o1 = measure_delivery(delivery, delivered, self.bras, u[3], r1)
-        return (r0 != r1) & (o0 == o1), o0
+    conclusive only when the bases happen to differ and the outcomes agree.
+    He records the guess."""
+    r0, r1, o0, o1 = np.ogrid[:2, :2, -1:family.dim, -1:family.dim]
+    guess = np.where((r0 != r1) & (o0 == o1), o0, -1)
+    return target, "random_pair", catalog.basis_pair(family), (None, None), guess, guess
 
 
 # ---------------------------------------------------------------------------
@@ -308,11 +347,12 @@ class Strategy:
     photons per emission it needs, whether (for an Alice) it sends
     cfg.photon_count photons per emission rather than one, and the variants
     it plays (None: every variant the protocol allows). A Bob's hooks
-    declare restarts_on_loss (see protocols).
+    declare restarts_on_loss and basis_tags (see protocols).
 
     build(cfg, family), called only by harness.build_hooks, may be any
-    callable that returns the hooks (a hooks class, or _table_alice's
-    builder); each reads from the ExperimentConfig cfg only what it needs:
+    callable that returns the hooks (a hooks class, or the builder
+    _from_tables makes for a TableAlice or a GuessingBob from a table
+    function); each reads from the ExperimentConfig cfg only what it needs:
     target, eta (the restart-abuse camouflage rate), photon_count or flags.
     """
 
@@ -332,16 +372,16 @@ _LT = (ProtocolId.LOSS_TOLERANT_CF,)
 
 REGISTRY = {
     Side.ALICE: {
-        HONEST: Strategy(_ALL, _table_alice(_honest), pulses=True),
-        "bb84_postpone_lie": Strategy(_BB84, _table_alice(_postpone_lie)),
-        "bb84_rotated": Strategy(_BB84, _table_alice(_rotated)),
+        HONEST: Strategy(_ALL, _from_tables(TableAlice, _honest), pulses=True),
+        "bb84_postpone_lie": Strategy(_BB84, _from_tables(TableAlice, _postpone_lie)),
+        "bb84_rotated": Strategy(_BB84, _from_tables(TableAlice, _rotated)),
         "bb84_epr": Strategy(_BB84, EprSteeringAlice),
-        "ambainis_optimal": Strategy(_AMBAINIS, _table_alice(_ambainis)),
-        "lt_optimal": Strategy(_LT, _table_alice(_lt_optimal)),
-        "send_nothing": Strategy(_AMBAINIS, _table_alice(_send_nothing)),
-        "cunning_mother": Strategy(_LT, _table_alice(_cunning_mother)),
+        "ambainis_optimal": Strategy(_AMBAINIS, _from_tables(TableAlice, _ambainis)),
+        "lt_optimal": Strategy(_LT, _from_tables(TableAlice, _lt_optimal)),
+        "send_nothing": Strategy(_AMBAINIS, _from_tables(TableAlice, _send_nothing)),
+        "cunning_mother": Strategy(_LT, _from_tables(TableAlice, _cunning_mother)),
         # honest choices, leaking cfg.photon_count photons per pulse
-        "honest_pulse": Strategy(_LT, _table_alice(_honest), pulses=True),
+        "honest_pulse": Strategy(_LT, _from_tables(TableAlice, _honest), pulses=True),
     },
     Side.BOB: {
         HONEST: Strategy(_ALL, HonestBob),
@@ -349,15 +389,15 @@ REGISTRY = {
         "ambainis_restart_abuse": Strategy(_VARIANT, RestartAbuseBob,
                                            variants=(STORE,)),
         # measures on reception, so restarts on loss
-        "ambainis_conclusive": Strategy(_VARIANT, ComputationalRestartBob,
-                                        variants=(MEASURE,)),
-        "lt_helstrom": Strategy(_LT, HelstromBob),
+        "ambainis_conclusive": Strategy(
+            _VARIANT, _from_tables(GuessingBob, _conclusive), variants=(MEASURE,)),
+        "lt_helstrom": Strategy(_LT, _from_tables(GuessingBob, _helstrom)),
         "mcqm_restart": Strategy((ProtocolId.MCQM_CONTRIVED_CF,),
-                                 ComputationalRestartBob),
+                                 _from_tables(GuessingBob, _conclusive)),
         "cunning_son": Strategy(_LT, CunningSonBob),
-        "twophoton_usd": Strategy(_LT, TwoPhotonUsdBob, min_photons=2),
+        "twophoton_usd": Strategy(_LT, _from_tables(GuessingBob, _usd), min_photons=2),
         "twophoton_honest_apparatus": Strategy(
-            _LT, TwoPhotonHonestApparatusBob, min_photons=2),
+            _LT, _from_tables(GuessingBob, _apparatus), min_photons=2),
     },
 }
 

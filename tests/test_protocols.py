@@ -11,14 +11,13 @@ from coinflip.catalog import basis_pair
 from coinflip.errors import IncompatibleProtocol
 from coinflip.harness import (VARIANT_NAMES, ExperimentConfig, build_hooks,
                               run_experiment)
-from coinflip.protocols import (Decision, EprHalf, HonestBob, LossPolicy,
-                                ProtocolId, QuantumRound, SingleState,
-                                VariantFlags, Vacuum, Verdict, check_flags,
-                                default_flags, family_for, measure_delivery,
-                                run_chunk)
+from coinflip.protocols import (Decision, EprHalf, LossPolicy, ProtocolId,
+                                QuantumRound, SingleState, VariantFlags, Vacuum,
+                                Verdict, check_flags, default_flags, family_for,
+                                measure_delivery, run_chunk)
 from coinflip.quantum import measure_projective, steer_epr
 from coinflip.rng import bit
-from coinflip.strategies import REGISTRY, Side
+from coinflip.strategies import REGISTRY, HonestBob, Side
 
 from conftest import assert_z, sigma
 

@@ -1,5 +1,6 @@
 """Cheating strategies: reveal tables, compatibility, and attack mechanics."""
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -10,15 +11,17 @@ from hypothesis import strategies as st
 from coinflip.catalog import Family, StateFamily, basis_pair
 from coinflip.channel import transmit
 from coinflip.errors import IncompatibleProtocol
-from coinflip.analytics import alice_bias_bound, reference_table
+from coinflip.analytics import alice_bias_bound, bob_bias, reference_table
 from coinflip.harness import (VARIANT_NAMES, ExperimentConfig, build_hooks,
                               run_experiment)
-from coinflip.protocols import (Decision, HonestBob, ProtocolId, SingleState,
+from coinflip.protocols import (PROTOCOLS, Decision, ProtocolId, SingleState,
                                 run_chunk)
 from coinflip.rng import (CHOOSE_B, PREPARE, RECEIVE, REVEAL, SLOTS, TRANSMIT,
                           VERIFY)
 from coinflip.strategies import (ALICE_STRATEGIES, BOB_STRATEGIES, REGISTRY,
-                                 EprSteeringAlice, Side, TableAlice, lookup)
+                                 CunningSonBob, EprSteeringAlice, GuessingBob,
+                                 HonestBob, RestartAbuseBob, Side, TableAlice,
+                                 lookup)
 
 from conftest import assert_metric, assert_z, sigma, valid_configs
 
@@ -62,12 +65,12 @@ def run_one_step(alice, bob, u, anything_arrives):
 def test_every_listed_strategy_builds(rng):
     """Each registry entry's builder builds its hooks on every protocol it
     applies to, under a variant it plays, and its pair's hooks run on every
-    round of a step, restarted rounds included, without raising. A Bob's
-    builder is his hooks class; every Alice is a TableAlice but the EPR
-    one."""
+    round of a step, restarted rounds included, without raising. Every
+    Alice is a TableAlice but the EPR one, and the Bobs are four hooks
+    classes."""
     assert ALICE_STRATEGIES == tuple(REGISTRY[Side.ALICE])
     assert BOB_STRATEGIES == tuple(REGISTRY[Side.BOB])
-    alice_classes = set()
+    classes = {Side.ALICE: set(), Side.BOB: set()}
     for side, entries in REGISTRY.items():
         for name, spec in entries.items():
             assert spec.protocols
@@ -78,14 +81,14 @@ def test_every_listed_strategy_builds(rng):
                                        photon_count=spec.min_photons,
                                        **{side.value: name})
                 alice, bob = build_hooks(cfg)
-                if side is Side.BOB:
-                    assert type(bob) is spec.build, name
-                else:
-                    alice_classes.add(type(alice))
+                classes[side].add(type(alice if side is Side.ALICE else bob))
+                if side is Side.ALICE:
                     assert isinstance(alice, TableAlice) == (name != "bb84_epr")
                 for anything_arrives in (False, True):
                     run_one_step(alice, bob, rng(SLOTS, 64), anything_arrives)
-    assert alice_classes == {TableAlice, EprSteeringAlice}
+    assert classes[Side.ALICE] == {TableAlice, EprSteeringAlice}
+    assert classes[Side.BOB] == {HonestBob, CunningSonBob, RestartAbuseBob,
+                                 GuessingBob}
 
 
 def test_restarts_on_loss_is_declared_truly(rng):
@@ -154,14 +157,15 @@ def test_hook_state_tables_are_read_only_and_unit_norm(rng):
     with unit-norm columns, on every protocol she plays and across an alpha2
     grid; every Bob's measurement bases are read-only too. Born tables are
     kept by content, so a table changed in place would be read stale. A
-    TableAlice's tables (states, draws and reveals) are built once per
-    (strategy, family, target): every experiment that plays her holds the
-    same read-only arrays, and hooks of its own for its per-step state."""
-    senders, drawers = set(), set()
+    TableAlice's tables (states, draws and reveals) and a GuessingBob's
+    (bases and guess and outcome tables) are built once per (strategy,
+    family, target): every experiment that plays one holds the same
+    read-only arrays, and hooks of its own for its per-step state."""
+    senders, drawers, guessers = set(), set(), set()
     for alpha2 in (0.55, 0.7, 0.9, 0.95):
         for cfg in valid_configs(alpha2=alpha2):
             alice, bob = build_hooks(cfg)
-            again, _ = build_hooks(cfg)
+            again, bob_again = build_hooks(cfg)
             if isinstance(alice, TableAlice):
                 assert again is not alice, cfg
                 for name in ("states", "draws", "table", "a", "x"):
@@ -171,6 +175,13 @@ def test_hook_state_tables_are_read_only_and_unit_norm(rng):
                 for array in (alice.table, alice.a, alice.x, *sum(alice.draws, ())):
                     with pytest.raises(ValueError):
                         array[...] = 0
+            if isinstance(bob, GuessingBob):
+                guessers.add(cfg.bob)
+                assert bob_again is not bob, cfg
+                for name in ("bras", "guess", "outcome"):
+                    assert getattr(bob_again, name) is getattr(bob, name), cfg
+                    with pytest.raises(ValueError):
+                        getattr(bob, name)[...] = 0
             states = getattr(alice.prepare(rng(SLOTS, 8)[PREPARE]), "states", None)
             if states is not None:
                 senders.add(cfg.alice)
@@ -181,6 +192,8 @@ def test_hook_state_tables_are_read_only_and_unit_norm(rng):
     # vacuum and an EPR half carry no table
     assert senders == set(ALICE_STRATEGIES) - {"send_nothing", "bb84_epr"}
     assert drawers == senders
+    assert guessers == {"ambainis_conclusive", "lt_helstrom", "mcqm_restart",
+                        "twophoton_usd", "twophoton_honest_apparatus"}
 
 
 def test_every_state_sender_draws_an_in_range_index_on_every_round(rng):
@@ -202,6 +215,67 @@ def test_every_state_sender_draws_an_in_range_index_on_every_round(rng):
             assert index.shape == (u.shape[1],) and index.dtype.kind == "i", cfg
             assert 0 <= index.min() and index.max() < emission.states.shape[1], cfg
     assert senders == set(ALICE_STRATEGIES) - {"send_nothing", "bb84_epr"}
+
+
+# ---------------------------------------------------------------------------
+# each guessing Bob's exact values, from his tables and honest Alice's
+
+def guessing_exact(name, alpha2):
+    """(P(conclusive), P(win | conclusive)) per delivered round of the
+    registry's guessing Bob `name` against honest Alice (honest_pulse for a
+    two-photon Bob), exactly: each state she sends, by her weights, each
+    basis he draws, at 1/2, and each outcome of each photon he measures, by
+    the Born rule, give a key of his guess table; he wins when the coin that
+    his b = target xor guess makes with her reveal (read at b & 1, as she
+    reads it) is the target."""
+    spec = REGISTRY[Side.BOB][name]
+    cfg = ExperimentConfig(protocol=spec.protocols[0],
+                           variant=(spec.variants or (None,))[0],
+                           alice="honest_pulse" if spec.min_photons > 1 else "honest",
+                           bob=name, target=1, alpha2=alpha2,
+                           photon_count=spec.min_photons)
+    alice, bob = build_hooks(cfg)
+    assert isinstance(bob, GuessingBob), name
+    coin = int(PROTOCOLS[cfg.protocol].coin_from_x)  # the coin reads a or x
+    weights = functools.reduce(np.multiply.outer, alice.weights, np.ones(())).ravel()
+    born = np.abs(bob.bras @ alice.states) ** 2  # [basis, outcome, state]
+    draws = bob.bases.count(None)
+    conclusive = win = 0.0
+    for i, p in enumerate(weights):
+        for drawn in itertools.product((0, 1), repeat=draws):
+            which = iter(drawn)
+            bases = [next(which) if basis is None else basis for basis in bob.bases]
+            for outcomes in itertools.product(range(born.shape[1]), repeat=len(bases)):
+                q = p * 0.5 ** draws * math.prod(born[k, o, i]
+                                                 for k, o in zip(bases, outcomes))
+                guess = int(bob.guess[(*drawn, *(o + 1 for o in outcomes))])
+                if guess < 0:
+                    continue
+                b = cfg.target ^ guess
+                conclusive += q
+                win += q * np.mean([alice.table[i, b & 1, r, coin] ^ b == cfg.target
+                                    for r in (0, 1)])
+    return conclusive, win / conclusive
+
+
+def test_guessing_bobs_exact_values_come_from_their_tables():
+    """At the fair point each guessing Bob's tables give the closed-form
+    conclusive rate and success of the reference table, and across an alpha2
+    grid the optimal loss-tolerant Bob's success is 1/2 + bob_bias."""
+    expected = {
+        "lt_helstrom": (1.0, ORACLE["lt_bob_success"]),
+        "ambainis_conclusive": (ORACLE["ambainis_usd_conclusive"],
+                                ORACLE["ambainis_conclusive_success"]),
+        "mcqm_restart": (1.0 - ORACLE["mcqm_inconclusive"], ORACLE["mcqm_confidence"]),
+        "twophoton_usd": (ORACLE["twophoton_usd_rate"], ORACLE["twophoton_usd_correct"]),
+        "twophoton_honest_apparatus": (ORACLE["twophoton_honest_rate"], 1.0),
+    }
+    for name, values in expected.items():
+        assert guessing_exact(name, ORACLE["lt_fair_alpha2"]) == pytest.approx(
+            values, abs=1e-12), name
+    for alpha2 in (0.55, 0.6, 0.7, 0.8, 0.95):
+        assert guessing_exact("lt_helstrom", alpha2) == pytest.approx(
+            (1.0, 0.5 + bob_bias(alpha2)), abs=1e-12), alpha2
 
 
 # ---------------------------------------------------------------------------
