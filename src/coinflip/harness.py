@@ -193,7 +193,7 @@ def run_experiment(cfg: ExperimentConfig,
         if limit_hits > 0.001 * cfg.trials:
             raise RestartBudgetExceeded(
                 f"{limit_hits} of {cfg.trials} trials exceeded the restart limit")
-        restart_total += int(restarts[finished].sum())
+        restart_total += int(restarts.sum())  # 0 for a trial over the limit
         aborts += int(np.count_nonzero(verdict == Decision.ABORT_CHEATER))
         successes += int(np.count_nonzero((verdict == Decision.ACCEPTED)
                                           & (coin == cfg.target)))

@@ -7,7 +7,8 @@ A run is an ordered exchange:
    three kinds of emission: SingleState (per round, one column of the
    sender's fixed state table, carried by photon_count identical photons;
    more than one is a multi-photon pulse, tagged "pulse:N" in transcripts
-   instead of "state"), EprHalf (half of a singlet, "epr_half") and Vacuum
+   instead of "state"), EprHalf (half of a singlet, "epr_half", whose far
+   half is likewise one column of a fixed table per round) and Vacuum
    (nothing, "vacuum").
 2. Bob reacts to the delivery: measures immediately, stores it, or requests
    a restart (honestly on loss, or dishonestly).
@@ -50,7 +51,9 @@ two bases with a basis index per round, and get one outcome index per round,
 that stack (quantum.born_table, built once and shared): one gather by basis
 and column and one comparison with the uniform, the same outcome
 measure_projective gives. A pulse is measured on its first photon, from the
-same table; an EPR half is steered instead.
+same table; an EPR half is steered instead, from weights built once per
+stack, and its far half becomes a column of the stack's far table, so the
+sender measures it from a Born table too.
 
 A block row is an attempt, and the channel has two rules for it. Every Bob
 declares restarts_on_loss: true when every round that does not arrive ends
@@ -219,11 +222,16 @@ class Vacuum:
 
 @dataclass
 class EprHalf:
-    """Half of a singlet per round; Alice keeps the other halves. Whoever
-    measures first steers the other half: once Bob has measured his half of
-    a round, column j of far holds the collapsed state of Alice's half."""
+    """Half of a singlet per round; Alice keeps the other halves, round j's
+    as column index[j] of the fixed table states, as SingleState sends its
+    states. Whoever measures first steers the other half: Bob's measurement
+    of a step's halves makes states the far table of his stack of bases and
+    index[j] the column of round j's collapsed half (see quantum.steer_epr),
+    lost rounds included; until then, and when nothing arrives, states and
+    index are the sender's (|0>, unsteered)."""
 
-    far: np.ndarray
+    states: np.ndarray
+    index: np.ndarray
     tag: str = "epr_half"
     photon_count: int = 1
 
@@ -240,16 +248,17 @@ def measure_delivery(delivery: Emission, delivered: np.ndarray, bras: np.ndarray
 
     A pulse is measured on its first photon only (remaining photons are the
     side channel, exploited explicitly by the pulse-aware strategies). An EPR
-    half steers Alice's half of the same round. Unless nothing arrived (as
-    from vacuum), the whole batch is measured, lost rounds too, and the lost
-    rounds' outcomes are masked to -1; a lost round tells no one anything, so
-    what its measurement drew is never read.
+    half steers Alice's half of the same round: the delivery's states and
+    index become the far table and far columns steer_epr gives. Unless
+    nothing arrived (as from vacuum), the whole batch is measured, lost
+    rounds too, and the lost rounds' outcomes are masked to -1; a lost round
+    tells no one anything, so what its measurement drew is never read.
     """
     every = delivered.all()
     if not (every or delivered.any()):  # nothing arrives from vacuum
         return np.full(len(delivered), -1)
     if isinstance(delivery, EprHalf):
-        outcome, delivery.far[:] = steer_epr(bras, u, which)
+        outcome, delivery.states, delivery.index = steer_epr(bras, u, which)
     else:
         outcome = measure_table(delivery.states, delivery.index, bras, u, which)
     return outcome if every else np.where(delivered, outcome, -1)
@@ -310,7 +319,8 @@ def run_chunk(cfg, alice, bob, chunk: int, trials: int,
     restart if its rounds up to it number at most max_restarts + 1. A step
     of one attempt per trial (step 0) reads which trials end from its column.
     Returns, per trial, the Decision of that attempt (REQUEST_RESTART for a
-    trial over the limit), the coin it produced and the restarts before it.
+    trial over the limit), the coin it produced and the restarts before it
+    (0 for a trial over the limit).
     With a sink, each step logs its trials' attempts up to the kept one as
     arrays; at the end the log is sorted by trial, the trials over the limit
     are dropped, each attempt expands to its lost rows and its own, equal
@@ -324,8 +334,8 @@ def run_chunk(cfg, alice, bob, chunk: int, trials: int,
     verdict = np.full(trials, Decision.REQUEST_RESTART, dtype=np.int8)
     coin = np.zeros(trials, dtype=np.int8)
     restarts = np.zeros(trials, dtype=np.int64)
-    final = np.zeros((3, trials), dtype=np.int8)  # b, a, x, kept with a sink
-    log = None if sink is None else []  # per step: the attempts its trials keep
+    if sink is not None:  # per trial its kept b, a and x; per step the attempts kept
+        final, log = np.zeros((3, trials), dtype=np.int8), []
     pending = np.arange(trials)
     attempts = 0  # attempts each pending trial has run, all restarts
     rounds = 0  # under lost_rounds, a column of each pending trial's rounds
@@ -361,8 +371,8 @@ def run_chunk(cfg, alice, bob, chunk: int, trials: int,
             last = done.nonzero()[0] * depth + at
         finished = pending[done]
         verdict[finished] = decision[last]
-        coin[finished] = (x[last] if coin_from_x else a[last]) ^ b[last]
-        if log is not None:  # each trial's attempts up to the one it keeps
+        coin[finished] = ((x if coin_from_x else a) ^ b)[last]
+        if sink is not None:  # each trial's attempts up to the one it keeps
             final[:, finished] = b[last], a[last], x[last]
             stop = np.full(done.size, depth)
             stop[done] = at + 1
@@ -382,7 +392,7 @@ def run_chunk(cfg, alice, bob, chunk: int, trials: int,
             pending, rounds = pending[keep], spent[keep, -1:]
         attempts += depth
         step += 1
-    if log is not None:  # every kept attempt, in trial order, then a slice per trial
+    if sink is not None:  # every kept attempt, in trial order, then a slice per trial
         trial, arrived, basis, outcome, decided, lost = map(np.concatenate, zip(*log))
         order = np.argsort(trial, kind="stable")
         order = order[verdict[trial[order]] != Decision.REQUEST_RESTART]

@@ -13,8 +13,12 @@ index per state or one int for all. One Born arithmetic (_born: the
 cumulative Born probabilities |<b_i|psi>|^2 of each state in each basis) and
 one draw (_draw: check the basis indices, gather each state's column, inverse
 CDF of one uniform) serve every measurement: measure_projective on its own
-batch, measure_table on a fixed state table (born_table, kept by content),
-steer_epr on the outcome weights of a singlet's measured half.
+batch, measure_table on a fixed state table (born_table), steer_epr on the
+outcome weights of a singlet's measured half. What a fixed table yields is
+built once: a Born table per (states, bases) pair and a singlet's weights and
+far table per stack of bases are kept by identity for read-only arrays that
+own their memory (and by content, for Born tables of any other arrays), so a
+step's measurement is one gather and one comparison.
 """
 from __future__ import annotations
 
@@ -127,11 +131,38 @@ def measure_table(states: np.ndarray, index: np.ndarray, bras: np.ndarray,
     return _draw(born_table(states, bras), index, bras, u, which)
 
 
+_BOUND: dict = {}  # (make, id of each array) -> (the arrays, what make gave)
+
+
+def _bind(make, *arrays: np.ndarray):
+    """make(*arrays), made once if every array is read-only and owns its
+    memory (no view, whose base may change): kept by the arrays' identity,
+    with the arrays, so no other array takes their ids, at most BORN_TABLES
+    results, emptied when full. For any other arrays it is made anew."""
+    key = (make, *map(id, arrays))
+    kept = _BOUND.get(key)
+    if kept is None:
+        kept = arrays, make(*arrays)
+        if not any(a.flags.writeable or not a.flags.owndata for a in arrays):
+            if len(_BOUND) >= BORN_TABLES:
+                _BOUND.clear()
+            _BOUND[key] = kept
+    return kept[1]
+
+
 def born_table(states: np.ndarray, bras: np.ndarray) -> np.ndarray:
     """The Born table of the columns of states (dim, m) in each basis of the
     stack bras (k, dim, dim), checked and laid out as _born gives it, and
-    read-only. Tables are kept by content, at most BORN_TABLES of them, so
-    equal arrays, views included, share one table."""
+    read-only. A pair of read-only arrays that own their memory is bound to
+    its table by identity, once (the package's own tables are such arrays,
+    and it never makes them writeable again); the table of any other pair,
+    views included, is looked up by content, as every pair is the first
+    time, so an array changed in place is read anew. At most BORN_TABLES
+    tables are kept each way, and equal arrays share one table."""
+    return _bind(_content_table, states, bras)
+
+
+def _content_table(states: np.ndarray, bras: np.ndarray) -> np.ndarray:
     return _born_table(*(a.shape + (a.dtype.str, a.tobytes()) for a in (states, bras)))
 
 
@@ -163,23 +194,36 @@ _SINGLET = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
 
 
 def steer_epr(bras: np.ndarray, u: np.ndarray,
-              which: int | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+              which: int | np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Measure one half of a singlet per uniform; steer the far halves.
 
     bras is a stack (k, 2, 2) of qubit bases (DimensionMismatch otherwise),
     and pair j is measured in bras[which[j]], checked as in measure_projective.
-    The outcome weights and collapsed far halves are computed once per basis;
-    _draw picks the outcomes. Returns (outcome indices, far states as a (2, n)
-    batch). The outcome is uniform; the far qubit collapses onto the state
-    orthogonal to the observed basis vector, so a later measurement of it in
-    the same basis is guaranteed to give the complementary outcome. The
-    singlet is symmetric under swapping the two parties, so either party may
-    be taken as the measuring one.
+    The outcome weights and the 2k collapsed far halves depend on the stack
+    alone, so they are built once per stack that born_table would bind;
+    _draw picks the outcomes. Returns (outcome indices, far table, far
+    index): the far table (2, 2k) is read-only and owns its memory, and
+    round j's far half is its column 2 * which[j] + outcome[j]. The outcome
+    is uniform; the far qubit collapses onto the state orthogonal to the
+    observed basis vector, so a later measurement of it in the same basis is
+    guaranteed to give the complementary outcome. The singlet is symmetric
+    under swapping the two parties, so either party may be taken as the
+    measuring one.
     """
+    weights, far = _bind(_steering, bras)
+    i = _draw(weights, np.zeros(len(u), np.intp), bras, u, which)
+    return i, far, 2 * which + i
+
+
+def _steering(bras: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The outcome weights of a singlet's half measured in each basis of
+    bras, as _born lays out one state's table, and the far table."""
     if bras.ndim != 3 or bras.shape[1:] != (2, 2):
         raise DimensionMismatch(f"steer_epr needs a (k, 2, 2) stack, got {bras.shape}")
     # far[b, i] contracts <b_i| on the measured side: the far half, unnormalized
     far = bras @ _SINGLET.reshape(2, 2)
     probs = _abs2(far).sum(-1)
-    i = _draw(np.vstack(cumulative(probs.T)), np.zeros(len(u), np.intp), bras, u, which)
-    return i, (far / np.sqrt(probs)[..., None])[which, i].T
+    weights = np.vstack(cumulative(probs.T))
+    far = (far / np.sqrt(probs)[..., None]).reshape(-1, 2).T.copy()
+    weights.flags.writeable = far.flags.writeable = False
+    return weights, far

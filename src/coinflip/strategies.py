@@ -33,8 +33,8 @@ from .errors import IncompatibleProtocol
 from .protocols import (MEASURE, STORE, Decision, Emission, EprHalf,
                         LossPolicy, ProtocolId, SingleState, Vacuum,
                         VariantFlags, measure_delivery)
-from .quantum import measure_projective
-from .rng import bernoulli, bit, cumulative, inverse_cdf
+from .quantum import measure_table
+from .rng import bernoulli, bit, cumulative
 
 
 class Side(Enum):
@@ -48,34 +48,44 @@ class Side(Enum):
 class TableAlice:
     """An Alice who is her tables. states (dim, m) holds the states she
     sends, or is None for vacuum. Each PREPARE column c she reads draws a
-    digit from weights[c] by inverse_cdf (the digit of (1/2, 1/2) is
-    1 - bit(u); weights ((1.0,),) is one fixed state), and the digits, read
-    as one mixed-radix number, column 0 the most significant, index the state
-    she sends. She reveals (a, x) = table[index, b & 1, r], with r =
-    bit(u[REVEAL]) drawn only if her table reads it (b need not be a bit on
-    rounds the engine discards). Her arrays are made read-only, to share."""
+    digit from weights[c] (weights ((1.0,),) is one fixed state), and the
+    digits, read as one mixed-radix number, column 0 the most significant,
+    index the state she sends. Each cdf step of each column's checked
+    cumulative form (rng.cumulative) is one entry of four arrays: its
+    threshold thr, its column's total tot, its column col and the radix
+    weight of that column's digit, so she draws every digit at once as
+    radix @ (thr <= u[col] * tot), the comparisons inverse_cdf makes. She
+    reveals (a, x) = table[index, b & 1, r], with r = bit(u[REVEAL]) drawn
+    only if her table reads it (b need not be a bit on rounds the engine
+    discards). Her arrays are read-only, to share, and states is her own
+    copy, so that its Born tables are bound to it (quantum.born_table)."""
 
     index = 0  # vacuum's one index
 
     def __init__(self, states, weights, table, photon_count: int = 1):
-        self.states, self.weights, self.photon_count = states, weights, photon_count
-        self.draws = tuple(cumulative(w) for w in weights)
+        self.weights, self.photon_count = weights, photon_count
+        self.states = None if states is None else np.array(states)
+        draws = [cumulative(w) for w in weights]
+        size = [len(cdf) + 1 for cdf, _ in draws]  # each digit's radix
+        steps = np.array([(t, total[0], c, math.prod(size[c + 1:]))
+                          for c, (cdf, total) in enumerate(draws)
+                          for t in cdf[:, 0]]).reshape(-1, 4).T
+        self.thr, self.tot = steps[:2, :, None]
+        self.col, self.radix = steps[2:].astype(np.intp)
         self.table = np.asarray(table)
         self.fresh = bool((self.table[:, :, 0] != self.table[:, :, 1]).any())
         # a and x flat at 2 * index + b, then 2 * that + r if she reads r
         self.a, self.x = self.table[:, :, :1 + self.fresh].reshape(-1, 2).T.copy()
-        for array in (states, *sum(self.draws, ()), self.table, self.a, self.x):
+        for array in (self.states, self.thr, self.tot, self.col, self.radix,
+                      self.table, self.a, self.x):
             if array is not None:
                 array.flags.writeable = False
 
     def prepare(self, u) -> SingleState | Vacuum:
         if self.states is None:
             return Vacuum()
-        index = 0
-        for column, (cdf, total) in zip(u, self.draws):
-            index = index * (len(cdf) + 1) + inverse_cdf(cdf, total, column)
-        self.index = index
-        return SingleState(self.states, index, self.photon_count)
+        self.index = self.radix @ (self.thr <= u[self.col] * self.tot)
+        return SingleState(self.states, self.index, self.photon_count)
 
     def reveal(self, b, u):
         i = 2 * self.index + (b & 1)
@@ -169,9 +179,16 @@ def _cunning_mother(family: StateFamily, target: int) -> tuple:
     return *_honest(family, target)[:2], _reveals(4, lambda i, b, r: (1 - i // 2, b))
 
 
+_UNSTEERED = np.array([[1.0], [0.0]])  # |0>, the one column of an unsteered half
+_UNSTEERED.flags.writeable = False
+
+
 class EprSteeringAlice:
     """Keeps half a singlet and steers it into the basis a = c xor b after
-    learning b; the reveal is then guaranteed to match Bob's outcome."""
+    learning b; the reveal is then guaranteed to match Bob's outcome. Her
+    halves are the EprHalf she sends (unsteered: column 0 of the |0> table),
+    steered by Bob's measurement onto columns of his stack's far table, so
+    she measures them by measure_table, from a Born table bound once."""
 
     def __init__(self, cfg, family: StateFamily):
         self.target = cfg.target
@@ -180,12 +197,12 @@ class EprSteeringAlice:
     def prepare(self, u) -> EprHalf:
         # |0> until Bob's measurement steers it (every half, lost ones too,
         # unless nothing arrived), so reveal can measure every round
-        self.link = EprHalf(np.tile([[1 + 0j], [0j]], u.shape[1]))
+        self.link = EprHalf(_UNSTEERED, np.zeros(u.shape[1], np.intp))
         return self.link
 
     def reveal(self, b, u):
         a = self.target ^ b
-        x_mine = measure_projective(self.link.far, self.bras, u, a)
+        x_mine = measure_table(self.link.states, self.link.index, self.bras, u, a)
         # singlet anticorrelation: Bob's same-basis outcome is 1 xor x_mine
         return a, 1 ^ x_mine
 
@@ -219,9 +236,8 @@ class HonestBob:
         return bit(u)
 
     def verify(self, a: np.ndarray, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        if self.flags.bob_measures_on_reception:
-            caught = (a == self.a_hat) & (self.x_hat != x)
-            return np.where(caught, Decision.ABORT_CHEATER, Decision.ACCEPTED)
+        if self.flags.bob_measures_on_reception:  # ABORT_CHEATER is 1, ACCEPTED 0
+            return ((a == self.a_hat) & (self.x_hat != x)).view(np.int8)
         # a lost round is believed on faith or replayed from step 1
         self.last_basis = a
         self.last_outcome = measure_delivery(self.stored, self.delivered,
@@ -272,19 +288,20 @@ class GuessingBob:
     forces the coin with b = target xor guess and accepts any reveal. Photon
     p is measured in basis bases[p] of his stack bras, or, for None, in one
     drawn by bit; drawn bases read his first RECEIVE columns, outcomes the
-    next. The drawn bases and each outcome + 1 (0: nothing arrived) index his
-    tables guess (the bit he guesses, or -1 to restart, as every lost round
-    does) and outcome (what his transcript records). His arrays are
-    read-only, to share."""
+    next. The drawn bases and each outcome + 1 (0: nothing arrived), as one
+    flat index, index his tables guess (the bit he guesses, or -1 to
+    restart, as every lost round does) and outcome (what his transcript
+    records). His arrays are read-only, to share, and bras is his own copy,
+    so that its Born tables are bound to it (quantum.born_table)."""
 
     restarts_on_loss = True
     last_basis = 0  # his one basis tag
 
     def __init__(self, target: int, tag: str, bras, bases: tuple, guess, outcome):
-        self.target, self.basis_tags, self.bras = target, (tag,), bras
+        self.target, self.basis_tags, self.bras = target, (tag,), np.array(bras)
         self.bases, self.draws = bases, bases.count(None)
         self.guess, self.outcome = np.asarray(guess), np.asarray(outcome)
-        for array in (bras, self.guess, self.outcome):
+        for array in (self.bras, self.guess, self.outcome):
             array.flags.writeable = False
 
     def receive(self, delivery, delivered, u):
@@ -293,8 +310,11 @@ class GuessingBob:
         key = (*drawn, *(1 + measure_delivery(delivery, delivered, self.bras, column,
                                               next(which) if basis is None else basis)
                          for column, basis in zip(u[self.draws:], self.bases)))
-        guess = self.guess[key]
-        self.b, self.last_outcome = self.target ^ guess, self.outcome[key]
+        # one flat index: ravel_multi_index raises on an index out of range,
+        # where an index tuple would wrap a negative one; one index is flat
+        flat = key[0] if len(key) == 1 else np.ravel_multi_index(key, self.guess.shape)
+        guess = self.guess.take(flat)
+        self.b, self.last_outcome = self.target ^ guess, self.outcome.take(flat)
         return guess < 0
 
     def choose_b(self, u):

@@ -307,24 +307,64 @@ def test_measure_delivery_reads_minus_one_where_nothing_arrived(rng):
 
 
 def test_measure_delivery_steers_the_epr_halves(rng):
-    """-1 on every lost half, the steered outcome and far state on every
-    delivered one; when every half arrives, each round's outcome and far
-    column equal the mixed mask's on its delivered rows."""
+    """-1 on every lost half, the steered outcome and far column on every
+    delivered one, a far column on every lost one too; when every half
+    arrives, each round's outcome and far column equal the mixed mask's on
+    its delivered rows. When nothing arrives the halves stay unsteered."""
     n = 400
     bras = basis_pair(family_for(ProtocolId.BB84_CF))
     delivered = rng(n) < 0.6
     which, u = bit(rng(n)), rng(n)
-    link = EprHalf(np.full((2, n), 7.0 + 0j))
+    unsteered = np.array([[1.0], [0.0]])
+    link = EprHalf(unsteered, np.full(n, 7))
     outcome = measure_delivery(link, delivered, bras, u, which)
-    expected, far = steer_epr(bras, u[delivered], which[delivered])
+    expected, far, index = steer_epr(bras, u[delivered], which[delivered])
     assert (outcome[~delivered] == -1).all()
     assert (outcome[delivered] == expected).all()
-    assert np.array_equal(link.far[:, delivered], far)
-    every = EprHalf(np.full((2, n), 7.0 + 0j))
+    assert link.states is far  # one far table per frozen stack
+    assert np.array_equal(link.index[delivered], index)
+    assert ((link.index >= 0) & (link.index < 4)).all()  # lost halves steered too
+    every = EprHalf(unsteered, np.full(n, 7))
     everything = measure_delivery(every, np.ones(n, bool), bras, u, which)
     assert np.array_equal(everything[delivered], outcome[delivered])
-    assert np.array_equal(every.far[:, delivered], link.far[:, delivered])
-    assert every.far.dtype == link.far.dtype
+    assert every.states is link.states
+    assert np.array_equal(every.index, link.index)
+    nothing = EprHalf(unsteered, np.zeros(n, np.intp))
+    assert (measure_delivery(nothing, np.zeros(n, bool), bras, u, which) == -1).all()
+    assert nothing.states is unsteered and not nothing.index.any()
+
+
+_SINGLET = np.array([[0.0, 1.0], [-1.0, 0.0]]) / math.sqrt(2.0)  # amplitudes [mine, far]
+
+
+@pytest.mark.parametrize("stack", (1, 2))
+@pytest.mark.parametrize("arrive", ("all", "some", "none"))
+def test_epr_alice_draws_as_measure_projective_on_her_far_halves(rng, stack, arrive):
+    """The bb84_epr Alice's table draw equals measure_projective on the far
+    columns she gathers, bit for bit, for a Bob measuring in a stack of one
+    or two bases; each column is the singlet contracted with the bra of
+    Bob's outcome, normalized, lost halves included, or |0> where nothing
+    arrived."""
+    n = 500
+    cfg = ExperimentConfig(protocol=ProtocolId.BB84_CF, alice="bb84_epr", target=1)
+    alice, _ = build_hooks(cfg)
+    bras = basis_pair(family_for(ProtocolId.BB84_CF))[:stack]
+    delivered = {"all": np.ones(n, bool), "some": rng(n) < 0.5,
+                 "none": np.zeros(n, bool)}[arrive]
+    which, u, b, v = (rng(n) * stack).astype(np.intp), rng(n), bit(rng(n)), rng(n)
+    link = alice.prepare(rng(2, n))
+    seen = measure_delivery(link, delivered, bras, u, which)
+    a, x = alice.reveal(b, v)
+    halves = link.states[:, link.index]
+    assert np.array_equal(1 ^ x, measure_projective(halves, alice.bras, v, a))
+    if arrive == "none":
+        assert np.array_equal(halves, np.tile([[1.0], [0.0]], n))
+    else:  # Bob's outcome of every half, lost ones too, as the table drew it
+        drawn = np.where(delivered, seen, link.index - 2 * which)
+        assert ((drawn == 0) | (drawn == 1)).all()
+        expected = np.einsum("ni,ij->jn", bras[which, drawn], _SINGLET)
+        expected /= np.linalg.norm(expected, axis=0)
+        assert halves == pytest.approx(expected, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from conftest import assert_z, sigma, valid_configs
 
 SQ2 = 1.0 / math.sqrt(2.0)
 MIXED = np.eye(2) / 2.0  # the maximally mixed qubit
+UNSTEERED = np.array([[1.0], [0.0]])  # |0>, an EPR half's table before Bob measures
 
 
 def probabilities(state, bras) -> np.ndarray:
@@ -260,18 +261,21 @@ def _basis(theta: float) -> np.ndarray:
 
 
 def test_steer_epr_same_basis_anticorrelation(rng):
-    """Each far half is orthogonal to the observed basis vector; one int
-    basis index measures every pair as an index per pair does."""
+    """Each far half, column 2 * which + outcome of the far table, is
+    orthogonal to the observed basis vector; one int basis index measures
+    every pair as an index per pair does."""
     m = _basis(0.7)
     u = rng(10_000)
-    outcomes, far = steer_epr(m[None], u, np.zeros(10_000, int))
-    probs = np.abs(m @ far) ** 2  # [outcome, pair]
+    outcomes, far, index = steer_epr(m[None], u, np.zeros(10_000, int))
+    assert far.shape == (2, 2) and np.array_equal(index, outcomes)
+    probs = np.abs(m @ far[:, index]) ** 2  # [outcome, pair]
     pairs = np.arange(10_000)
     assert probs[outcomes, pairs] == pytest.approx(0.0, abs=1e-9)
     assert probs[1 - outcomes, pairs] == pytest.approx(1.0, abs=1e-9)
-    one_for_all = steer_epr(np.stack([_basis(0.1), m]), u, 1)
-    assert np.array_equal(one_for_all[0], outcomes)
-    assert np.array_equal(one_for_all[1], far)
+    one_for_all, far_of_two, index_of_two = steer_epr(np.stack([_basis(0.1), m]), u, 1)
+    assert np.array_equal(one_for_all, outcomes)
+    assert np.array_equal(index_of_two, 2 + outcomes)
+    assert np.array_equal(far_of_two[:, index_of_two], far[:, index])
 
 
 def test_steer_epr_outcome_is_uniform(rng):
@@ -287,10 +291,11 @@ def test_steer_epr_other_basis_statistics(rng):
     m = _basis(0.0)
     other = _basis(math.pi / 8.0)
     n = 50_000
-    outcomes, far = steer_epr(m[None], rng(n), np.zeros(n, int))
+    outcomes, far, index = steer_epr(m[None], rng(n), np.zeros(n, int))
     kept = outcomes == 0
     total = kept.sum()
-    hits = (measure_projective(far[:, kept], other[None], rng(n)[kept], 0) == 0).sum()
+    hits = (measure_projective(far[:, index[kept]], other[None], rng(n)[kept], 0)
+            == 0).sum()
     # far state is |1>; |<cos,sin|1>|^2 = sin^2(pi/8)
     p = math.sin(math.pi / 8.0) ** 2
     assert_z(hits / total, p, sigma("frequency", p, total))
@@ -394,8 +399,8 @@ def test_born_table_rejects_what_measure_projective_rejects(rng):
         outside = which.copy()
         outside[7] = bad
         with pytest.raises(ValueError):
-            measure_delivery(EprHalf(np.ones((2, n), complex)), np.ones(n, bool),
-                             bras, u, outside)
+            measure_delivery(EprHalf(UNSTEERED, np.zeros(n, np.intp)),
+                             np.ones(n, bool), bras, u, outside)
     for measure in (lambda b: measure_projective(states[:, index], b, u, which),
                     lambda b: measure_table(states, index, b, u, which),
                     lambda b: steer_epr(b, u, which),
@@ -427,7 +432,7 @@ def test_every_measurement_draws_once_through_draw(monkeypatch, rng):
                     lambda: steer_epr(bras, u, which),
                     lambda: measure_delivery(SingleState(states, index), delivered,
                                              bras, u, which),
-                    lambda: measure_delivery(EprHalf(np.ones((2, n), complex)),
+                    lambda: measure_delivery(EprHalf(UNSTEERED, np.zeros(n, np.intp)),
                                              delivered, bras, u, which)):
         calls.clear()
         measure()
@@ -448,3 +453,58 @@ def test_born_tables_are_shared_by_content_and_bounded():
     info = quantum._born_table.cache_info()
     assert info.maxsize == BORN_TABLES
     assert info.currsize == BORN_TABLES
+
+
+# ---------------------------------------------------------------------------
+# bound tables: built once for read-only arrays, never served stale
+
+def _unit_columns(r, dim: int, m: int) -> np.ndarray:
+    states = r.standard_normal((dim, m)) + 1j * r.standard_normal((dim, m))
+    return states / np.linalg.norm(states, axis=0)
+
+
+def test_a_read_only_pair_builds_its_born_table_once(rng):
+    """Repeated draws on a read-only (states, bras) pair build its Born table
+    once and never look it up by content again, each draw equal to
+    measure_projective's; the identity map keeps at most BORN_TABLES."""
+    states = _unit_columns(np.random.default_rng(5), 2, 3)
+    states.flags.writeable = False
+    bras = basis_pair(StateFamily(Family.BB84))
+    n = 200
+    index, which = (rng(n) * 3).astype(np.intp), bit(rng(n))
+    before = quantum._born_table.cache_info()
+    for _ in range(5):
+        u = rng(n)
+        drawn = measure_table(states, index, bras, u, which)
+        assert np.array_equal(drawn, measure_projective(states[:, index], bras, u, which))
+    after = quantum._born_table.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 0)
+    assert len(quantum._BOUND) <= BORN_TABLES
+
+
+def test_a_table_changed_in_place_is_never_drawn_stale(rng):
+    """A writable states array, a read-only view of a writable base and a
+    writable stack of bases, each changed in place between two draws, are
+    drawn from what they hold then, as measure_projective and a fresh copy
+    draw them."""
+    r = np.random.default_rng(6)
+    bras = basis_pair(StateFamily(Family.BB84))
+    n = 400
+    index, which = (rng(n) * 3).astype(np.intp), bit(rng(n))
+    writable, base = _unit_columns(r, 2, 3), _unit_columns(r, 2, 3)
+    view = base[:]
+    view.flags.writeable = False
+    for states, through in ((writable, writable), (view, base)):
+        for _ in range(2):
+            u = rng(n)
+            drawn = measure_table(states, index, bras, u, which)
+            direct = measure_projective(states[:, index], bras, u, which)
+            assert np.array_equal(drawn, direct)
+            through[...] = _unit_columns(r, 2, 3)
+    stack = np.stack([_basis(0.3), _basis(1.2)])
+    for theta in (0.9, 0.1):
+        u = rng(n)
+        fresh = steer_epr(stack.copy(), u, which)
+        for got, want in zip(steer_epr(stack, u, which), fresh):
+            assert np.array_equal(got, want)
+        stack[...] = np.stack([_basis(theta), _basis(theta + 0.5)])

@@ -14,10 +14,10 @@ from coinflip.errors import IncompatibleProtocol
 from coinflip.analytics import alice_bias_bound, bob_bias, reference_table
 from coinflip.harness import (VARIANT_NAMES, ExperimentConfig, build_hooks,
                               run_experiment)
-from coinflip.protocols import (PROTOCOLS, Decision, ProtocolId, SingleState,
-                                run_chunk)
+from coinflip.protocols import (PROTOCOLS, Decision, EprHalf, ProtocolId,
+                                SingleState, run_chunk)
 from coinflip.rng import (CHOOSE_B, PREPARE, RECEIVE, REVEAL, SLOTS, TRANSMIT,
-                          VERIFY)
+                          VERIFY, cumulative, inverse_cdf)
 from coinflip.strategies import (ALICE_STRATEGIES, BOB_STRATEGIES, REGISTRY,
                                  CunningSonBob, EprSteeringAlice, GuessingBob,
                                  HonestBob, RestartAbuseBob, Side, TableAlice,
@@ -153,14 +153,14 @@ def test_lt_alice_reveal_maximizes_overlap():
 
 
 def test_hook_state_tables_are_read_only_and_unit_norm(rng):
-    """Every registered Alice that sends a state table sends a read-only one
-    with unit-norm columns, on every protocol she plays and across an alpha2
-    grid; every Bob's measurement bases are read-only too. Born tables are
-    kept by content, so a table changed in place would be read stale. A
-    TableAlice's tables (states, draws and reveals) and a GuessingBob's
-    (bases and guess and outcome tables) are built once per (strategy,
-    family, target): every experiment that plays one holds the same
-    read-only arrays, and hooks of its own for its per-step state."""
+    """Every registered Alice sends a read-only table with unit-norm columns,
+    on every protocol she plays and across an alpha2 grid, but the vacuum
+    sender; for the EPR Alice it is the far table Bob's measurement steers
+    her halves onto. Every Bob's measurement bases are read-only too. A
+    TableAlice's tables (states, digit thresholds and reveals) and a
+    GuessingBob's (bases and guess and outcome tables) are built once per
+    (strategy, family, target): every experiment that plays one holds the
+    same read-only arrays, and hooks of its own for its per-step state."""
     senders, drawers, guessers = set(), set(), set()
     for alpha2 in (0.55, 0.7, 0.9, 0.95):
         for cfg in valid_configs(alpha2=alpha2):
@@ -168,11 +168,12 @@ def test_hook_state_tables_are_read_only_and_unit_norm(rng):
             again, bob_again = build_hooks(cfg)
             if isinstance(alice, TableAlice):
                 assert again is not alice, cfg
-                for name in ("states", "draws", "table", "a", "x"):
+                for name in ("states", "thr", "tot", "col", "radix", "table", "a", "x"):
                     assert getattr(again, name) is getattr(alice, name), cfg
-                if alice.draws:
+                if alice.thr.size:
                     drawers.add(cfg.alice)
-                for array in (alice.table, alice.a, alice.x, *sum(alice.draws, ())):
+                for array in (alice.thr, alice.tot, alice.col, alice.radix,
+                              alice.table, alice.a, alice.x):
                     with pytest.raises(ValueError):
                         array[...] = 0
             if isinstance(bob, GuessingBob):
@@ -182,20 +183,62 @@ def test_hook_state_tables_are_read_only_and_unit_norm(rng):
                     assert getattr(bob_again, name) is getattr(bob, name), cfg
                     with pytest.raises(ValueError):
                         getattr(bob, name)[...] = 0
-            states = getattr(alice.prepare(rng(SLOTS, 8)[PREPARE]), "states", None)
+            u = rng(SLOTS, 8)
+            emission = alice.prepare(u[PREPARE])
+            if isinstance(emission, EprHalf):  # Bob's measurement steers it
+                bob.receive(emission, np.ones(8, bool), u[RECEIVE])
+            states = getattr(emission, "states", None)
             if states is not None:
                 senders.add(cfg.alice)
                 assert not states.flags.writeable, cfg
                 assert (np.abs(states) ** 2).sum(0) == pytest.approx(1.0, abs=1e-12)
             bras = getattr(bob, "bras", None)  # restart abuse never measures
             assert bras is None or not bras.flags.writeable, cfg
-    # vacuum and an EPR half carry no table
-    assert senders == set(ALICE_STRATEGIES) - {"send_nothing", "bb84_epr"}
-    assert drawers == senders
+    # vacuum carries no table
+    assert senders == set(ALICE_STRATEGIES) - {"send_nothing"}
+    assert drawers == senders - {"bb84_epr"}
     assert guessers == {"ambainis_conclusive", "lt_helstrom", "mcqm_restart",
                         "twophoton_usd", "twophoton_honest_apparatus"}
 
 
+def _loop_index(alice, u):
+    """The index a TableAlice sends, digit by digit: inverse_cdf over each
+    column's cumulative weights, read as one mixed-radix number."""
+    index = 0
+    for column, weights in zip(u, alice.weights):
+        cdf, total = cumulative(weights)
+        index = index * (len(cdf) + 1) + inverse_cdf(cdf, total, column)
+    return index
+
+
+def test_one_comparison_draw_equals_the_per_column_loop(rng):
+    """prepare's one comparison, radix @ (thr <= u[col] * tot), sends the
+    index of the per-column inverse_cdf loop, for every registry Alice on
+    every family and target across an alpha2 grid, a drawn-psi Alice of one
+    fixed state and MCQM's three-outcome column, at random uniforms, at
+    uniforms on each threshold (cdf = u * total) and its neighbours, at 0
+    and at 1 - 2**-53."""
+    top = np.nextafter(1.0, 0.0)
+    alices = {}
+    for alpha2 in (0.55, 0.7, 0.9, 0.95):
+        for cfg in valid_configs(alpha2=alpha2):
+            alice, _ = build_hooks(cfg)
+            if isinstance(alice, TableAlice) and alice.states is not None:
+                alices[cfg.alice, cfg.protocol, cfg.alpha2, cfg.target] = alice
+    alices["psi"] = TableAlice(qubit(0.3, 1.1).reshape(2, 1), ((1.0,),),
+                               np.zeros((1, 2, 2, 2), int))
+    assert {key[0] for key in alices if key != "psi"} == (
+        set(ALICE_STRATEGIES) - {"send_nothing", "bb84_epr"})
+    assert any(len(w) == 3 for a in alices.values() for w in a.weights)  # MCQM
+    for key, alice in alices.items():
+        edges = (alice.thr / alice.tot).ravel()
+        on = np.concatenate([np.nextafter(edges, 0.0), edges, np.nextafter(edges, 1.0),
+                             [0.0, top]])
+        on = on[(on >= 0.0) & (on < 1.0)]
+        # every edge value in every column, against every edge in the others
+        grid = np.stack(np.meshgrid(*[on] * 2)).reshape(2, -1)
+        u = np.hstack([rng(2, 512), grid])
+        assert np.array_equal(alice.prepare(u).index, _loop_index(alice, u)), key
 def test_every_state_sender_draws_an_in_range_index_on_every_round(rng):
     """A receiver measures every round of a step, lost ones too, so every
     Alice whose emission is a SingleState draws an integer index naming a
