@@ -29,6 +29,7 @@ from .quantum import ATOL, mix
 
 
 class Family(Enum):
+    __hash__ = object.__hash__  # members are singletons: hash by identity
     BB84 = "bb84"
     AMBAINIS = "ambainis"
     LOSS_TOLERANT = "loss_tolerant"

@@ -63,6 +63,14 @@ draws the length K with channel.lost_rounds, runs the hooks once, on a
 delivered round, and charges the trial K + 1 rounds. Otherwise an attempt
 is one round and channel.transmit draws whether it arrives.
 
+When Bob restarts no delivered round, every trial ends at its first
+attempt at eta = 1, and under lost_rounds too unless its K + 1 rounds pass
+the cap. Step 0, which runs one attempt of every trial in trial order, then
+has nothing to gather or scatter: without a sink the engine writes the
+step's decisions, coins and restarts (K under lost_rounds, 0 otherwise) as
+whole columns and stops. Every other step, and a step 0 in which a trial
+restarts or passes the cap, takes the general path.
+
 For transcripts every Bob declares basis_tags (the name of each of his bases,
 () if he never measures) and exposes last_basis (an index into basis_tags, -1
 for none) and last_outcome (the index of his measurement outcome, -1 for
@@ -99,6 +107,7 @@ DEPTH = 64  # the most rounds per trial in one step
 
 
 class ProtocolId(Enum):
+    __hash__ = object.__hash__  # members are singletons: hash by identity
     BB84_CF = "bb84"
     AMBAINIS_CF = "ambainis"
     AMBAINIS_CF_VARIANT = "ambainis_variant"
@@ -107,6 +116,7 @@ class ProtocolId(Enum):
 
 
 class LossPolicy(Enum):
+    __hash__ = object.__hash__  # members are singletons: hash by identity
     BELIEVE_ON_FAITH = "believe_on_faith"
     RESTART_ON_LOSS = "restart_on_loss"
 
@@ -317,7 +327,10 @@ def run_chunk(cfg, alice, bob, chunk: int, trials: int,
     attempt costs one round, or K + 1 under channel.lost_rounds (see
     above), and each trial keeps its first attempt that does not end in a
     restart if its rounds up to it number at most max_restarts + 1. A step
-    of one attempt per trial (step 0) reads which trials end from its column.
+    of one attempt per trial (step 0) reads which trials end from its column,
+    and under lost_rounds charges each attempt K + 1 rounds with no running
+    sum. When step 0 ends every trial and there is no sink, its columns are
+    the results, written whole (restarts: K under lost_rounds, else 0).
     Returns, per trial, the Decision of that attempt (REQUEST_RESTART for a
     trial over the limit), the coin it produced and the restarts before it
     (0 for a trial over the limit).
@@ -359,9 +372,17 @@ def run_chunk(cfg, alice, bob, chunk: int, trials: int,
 
         ends = (decision <= Decision.ABORT_CHEATER).reshape(-1, depth)
         if lost is not None:  # rounds run up to each attempt; past cap, none ends
-            spent = rounds + (lost + 1).reshape(-1, depth).cumsum(1)
+            spent = (lost + 1).reshape(-1, depth)
+            if step:
+                spent = rounds + spent.cumsum(1)
             over = spent > cap
             ends &= ~over
+        if not step and sink is None and ends.all():  # whole columns, in trial order
+            verdict[:] = decision
+            coin[:] = (x if coin_from_x else a) ^ b
+            if lost is not None:
+                restarts[:] = lost
+            break
         if depth == 1:  # the one attempt ends its trial or not
             done, at = ends[:, 0], 0
             last = done.nonzero()[0]

@@ -14,11 +14,14 @@ cumulative Born probabilities |<b_i|psi>|^2 of each state in each basis) and
 one draw (_draw: check the basis indices, gather each state's column, inverse
 CDF of one uniform) serve every measurement: measure_projective on its own
 batch, measure_table on a fixed state table (born_table), steer_epr on the
-outcome weights of a singlet's measured half. What a fixed table yields is
-built once: a Born table per (states, bases) pair and a singlet's weights and
-far table per stack of bases are kept by identity for read-only arrays that
-own their memory (and by content, for Born tables of any other arrays), so a
-step's measurement is one gather and one comparison.
+outcome weights of a singlet's measured half. A two-outcome table (every
+qubit's, and a singlet's weights) draws by one comparison, cdf <= u * total,
+on the two gathered rows; three outcomes and more by inverse_cdf. What a
+fixed table yields is built once: a Born table per (states, bases) pair and
+a singlet's weights and far table per stack of bases are kept by identity
+for read-only arrays that own their memory (and by content, for Born tables
+of any other arrays), so a step's measurement is one gather and one
+comparison.
 """
 from __future__ import annotations
 
@@ -99,16 +102,23 @@ def _born(states: np.ndarray, bras: np.ndarray) -> np.ndarray:
 
 def _draw(table: np.ndarray, index: np.ndarray, bras: np.ndarray, u: np.ndarray,
           which: int | np.ndarray) -> np.ndarray:
-    """One outcome per uniform u[j], drawn from column index[j] * k + which[j]
-    (or + which, for an int) of a table laid out as _born's for the k bases
-    of bras. ValueError unless every basis index lies in [0, k)."""
+    """One outcome index (intp) per uniform u[j], drawn from column
+    index[j] * k + which[j] (or + which, for an int) of a table laid out as
+    _born's for the k bases of bras. ValueError unless every basis index lies
+    in [0, k). A two-outcome table (rows cdf, total) is one comparison,
+    cdf <= u * total, the one inverse_cdf makes; a longer one is inverse_cdf
+    on the gathered columns."""
     k = len(bras)
     # an int directly (True is basis 1, as numpy reads it); an array in one
     # reduction, read as unsigned so that a negative index is past the range
     if (not 0 <= which < k if isinstance(which, int)
-            else np.asarray(which, np.intp).view(np.uintp).max(initial=0) >= k):
+            else np.maximum.reduce(np.asarray(which, np.intp).view(np.uintp),
+                                   initial=0) >= k):
         raise ValueError(f"basis index not in [0, {k})")
-    drawn = table.take(index * k + which, 1)
+    flat = index * k + which
+    if len(table) == 2:
+        return (table[0].take(flat) <= u * table[1].take(flat)).astype(np.intp)
+    drawn = table.take(flat, 1)
     return inverse_cdf(drawn[:-1], drawn[-1], u)
 
 

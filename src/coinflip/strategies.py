@@ -38,6 +38,7 @@ from .rng import bernoulli, bit, cumulative
 
 
 class Side(Enum):
+    __hash__ = object.__hash__  # members are singletons: hash by identity
     ALICE = "alice"
     BOB = "bob"
 

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from coinflip import protocols
 from coinflip.catalog import basis_pair
 from coinflip.errors import IncompatibleProtocol
 from coinflip.harness import (VARIANT_NAMES, ExperimentConfig, build_hooks,
@@ -201,6 +202,45 @@ def test_limit_hits_inside_a_chunk_drop_only_their_transcripts():
         assert 0 < hits < 200
         assert len(limited) == 200 - hits
         assert limited == [t for t in full if t.restart_count <= 2]
+
+
+@pytest.mark.parametrize("kw", [
+    dict(protocol=ProtocolId.MCQM_CONTRIVED_CF, bob="mcqm_restart", target=1,
+         seed=2),  # eta = 1: restarts from receive, one round per attempt
+    dict(alice="honest_pulse", bob="twophoton_honest_apparatus", target=1,
+         photon_count=2, eta=0.5, seed=6),  # lost_rounds: restarts from receive
+    dict(eta=0.3, max_restarts=3, seed=3),  # lost_rounds: a trial past the cap
+], ids=["eta=1", "lost_rounds_restart", "lost_rounds_cap"])
+def test_a_run_ending_at_step_0_is_a_prefix_of_one_that_does_not(monkeypatch, kw):
+    """When step 0 ends every trial, the engine writes each result as a
+    whole column; a longer run, where a trial restarts or passes the cap,
+    keeps its trials pending through the general path. Runs are prefixes of
+    longer runs, so the first k trials get the same verdict, coin and
+    restarts either way, and the same with a sink as without."""
+    cfg = ExperimentConfig(**kw)
+    steps = []  # the steps of the last run
+    rows = protocols.rows
+    monkeypatch.setattr(protocols, "rows", lambda *a: steps.append(a[2]) or rows(*a))
+
+    def run(n, sink=None):
+        steps.clear()
+        verdict, coin, restarts = run_chunk(cfg, *build_hooks(cfg), 0, n, sink)
+        at_step_0 = steps == [0] and (verdict != Decision.REQUEST_RESTART).all()
+        return at_step_0, (verdict, coin, restarts)
+
+    k = 0
+    while run(k + 1)[0]:
+        k += 1
+    assert k >= 3  # the trials the whole-column step covers
+    at_step_0, short = run(k)
+    assert at_step_0
+    if cfg.eta < 1.0:  # what step 0 writes under lost_rounds: lost rounds
+        assert short[2].any()
+    for n, sink in ((k, []), (k + 20, None), (k + 20, [])):
+        at_step_0, got = run(n, sink if sink is None else sink.append)
+        assert not at_step_0 or n == k
+        for s, g in zip(short, got):
+            assert np.array_equal(s, g[:k])
 
 
 # ---------------------------------------------------------------------------

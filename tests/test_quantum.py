@@ -439,6 +439,64 @@ def test_every_measurement_draws_once_through_draw(monkeypatch, rng):
         assert len(calls) == 1
 
 
+def _on_every_step(table: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray]:
+    """(column, u) pairs for a table laid out as _born's: each column at
+    random uniforms, on each of its cdf steps (u = cdf / total), just below
+    and just above each step, at 0 and at 1 - 2**-53."""
+    top = np.nextafter(1.0, 0.0)
+    edges = table[:-1] / table[-1]
+    u = np.vstack([np.nextafter(edges, 0.0), edges, np.nextafter(edges, 1.0),
+                   np.zeros_like(edges[:1]), np.full_like(edges[:1], top),
+                   rng(4, table.shape[1])]).clip(0.0, top)
+    column = np.broadcast_to(np.arange(table.shape[1]), u.shape)
+    return column.ravel(), u.ravel()
+
+
+def _draws_as_inverse_cdf(table, index, bras, column, u):
+    """_draw on (index, basis) pairs whose table column is column, with an
+    array basis index and with each int basis index, equals inverse_cdf on
+    the gathered column, as intp."""
+    k = len(bras)
+    expected = inverse_cdf(table[:-1, column], table[-1, column], u)
+    which = column % k
+    got = quantum._draw(table, index, bras, u, which)
+    assert got.dtype == np.intp
+    assert np.array_equal(got, expected)
+    for b in range(k):
+        at = which == b
+        got = quantum._draw(table, index[at], bras, u[at], b)
+        assert got.dtype == np.intp
+        assert np.array_equal(got, expected[at])
+
+
+def test_draw_equals_inverse_cdf_on_the_gathered_column(rng):
+    """Every qubit Born table draws by one comparison, and a singlet's
+    weights too; a three-outcome table (Ambainis, MCQM) by inverse_cdf. Each
+    gives what inverse_cdf gives on the gathered column, for the family
+    tables of every family (loss-tolerant on an alpha2 grid) and a drawn
+    table of qubits, in stacks of two bases and of one, at the uniforms of
+    _on_every_step."""
+    psi = rng(2, 5) - 0.5 + 1j * (rng(2, 5) - 0.5)
+    tables = [(psi / np.linalg.norm(psi, axis=0), basis_pair(StateFamily(Family.BB84)))]
+    for family in (StateFamily(Family.BB84), StateFamily(Family.AMBAINIS),
+                   StateFamily(Family.MCQM_EXAMPLE),
+                   *(StateFamily(Family.LOSS_TOLERANT, a2) for a2 in (0.55, 0.75, 0.9))):
+        bras = basis_pair(family)
+        tables.append((bras.conj().reshape(-1, family.dim).T, bras))
+    outcomes = set()
+    for states, pair in tables:
+        for bras in (pair, pair[:1], pair[1:]):
+            table = born_table(states, bras)
+            outcomes.add(len(table))
+            column, u = _on_every_step(table, rng)
+            _draws_as_inverse_cdf(table, column // len(bras), bras, column, u)
+            if len(table) == 2:  # a qubit stack: the singlet's weights
+                weights, _ = quantum._steering(bras)
+                column, u = _on_every_step(weights, rng)
+                _draws_as_inverse_cdf(weights, np.zeros_like(column), bras, column, u)
+    assert outcomes == {2, 3}
+
+
 def test_born_tables_are_shared_by_content_and_bounded():
     """Equal arrays, a view of a stack included, share one table, and an
     alpha2 sweep over 300 families keeps at most BORN_TABLES of them."""
