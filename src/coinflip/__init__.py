@@ -1,7 +1,7 @@
 """Simulator and analysis library for loss-tolerant quantum coin flipping."""
 
-from .analytics import (alice_bias_bound, bias_report, bob_bias,
-                        cunning_agreement, fair_alpha2, reference_table)
+from .analytics import (alice_bias_bound, bob_bias, cunning_agreement,
+                        fair_alpha2, reference_table)
 from .catalog import Family, StateFamily, basis_pair, committed_density
 from .channel import transmit
 from .discrimination import (COMPUTATIONAL_USD_AMBAINIS, DiscriminationStats,

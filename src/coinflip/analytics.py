@@ -2,17 +2,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import OutOfRange
-
-
-@dataclass(frozen=True)
-class BiasReport:
-    alpha2: float
-    alice_bias_bound: float
-    bob_bias: float
-    fair: bool
 
 
 def check_alpha2(alpha2: float) -> None:
@@ -45,12 +36,6 @@ def fair_alpha2() -> float:
     4t - 3 = -1 < 0, so that root is rejected and the larger one is returned.
     """
     return (28.0 + math.sqrt(28.0 * 28.0 - 4.0 * 20.0 * 9.0)) / 40.0
-
-
-def bias_report(alpha2: float) -> BiasReport:
-    a = alice_bias_bound(alpha2)
-    b = bob_bias(alpha2)
-    return BiasReport(alpha2, a, b, abs(a - b) < 1e-12)
 
 
 def cunning_agreement(alpha2: float) -> float:

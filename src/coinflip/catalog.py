@@ -55,10 +55,6 @@ class StateFamily:
         return 2 if self.family in (Family.BB84, Family.LOSS_TOLERANT) else 3
 
     @property
-    def x_values(self) -> tuple[int, ...]:
-        return (0, 1, 2) if self.family is Family.MCQM_EXAMPLE else (0, 1)
-
-    @property
     def x_weights(self) -> tuple[float, ...]:
         if self.family is Family.MCQM_EXAMPLE:
             return (0.49, 0.49, 0.02)
@@ -106,4 +102,4 @@ def committed_density(family: StateFamily, commit: int) -> np.ndarray:
     pair = basis_pair(family)
     if family.family is Family.LOSS_TOLERANT:
         return mix((0.5, 0.5), pair[:, commit])
-    return mix(family.x_weights, pair[commit, :len(family.x_values)])
+    return mix(family.x_weights, pair[commit, :len(family.x_weights)])

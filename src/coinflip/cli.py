@@ -19,7 +19,7 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .analytics import bias_report, fair_alpha2, reference_table
+from .analytics import alice_bias_bound, bob_bias, fair_alpha2, reference_table
 from .catalog import Family
 from .errors import CoinFlipError, IncompatibleProtocol, RestartBudgetExceeded
 from .harness import (VARIANT_NAMES, ExperimentConfig,
@@ -124,11 +124,11 @@ def _cmd_sweep(args, out) -> int:
 
 
 def _cmd_fair(args, out) -> int:
-    report = bias_report(fair_alpha2())
+    t = fair_alpha2()
     record = {
-        "fair_alpha2": report.alpha2,
-        "alice_bias_bound": report.alice_bias_bound,
-        "bob_bias": report.bob_bias,
+        "fair_alpha2": t,
+        "alice_bias_bound": alice_bias_bound(t),
+        "bob_bias": bob_bias(t),
         "reference": dict(reference_table()),
     }
     out.write(json.dumps(record, indent=2) + "\n")

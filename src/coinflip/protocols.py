@@ -69,7 +69,8 @@ the cap. Step 0, which runs one attempt of every trial in trial order, then
 has nothing to gather or scatter: without a sink the engine writes the
 step's decisions, coins and restarts (K under lost_rounds, 0 otherwise) as
 whole columns and stops. Every other step, and a step 0 in which a trial
-restarts or passes the cap, takes the general path.
+restarts or passes the cap, takes the one general path, whatever its number
+of attempts per trial.
 
 For transcripts every Bob declares basis_tags (the name of each of his bases,
 () if he never measures) and exposes last_basis (an index into basis_tags, -1
@@ -326,11 +327,12 @@ def run_chunk(cfg, alice, bob, chunk: int, trials: int,
     runs, and every hook runs once per step on the rows of all of them. An
     attempt costs one round, or K + 1 under channel.lost_rounds (see
     above), and each trial keeps its first attempt that does not end in a
-    restart if its rounds up to it number at most max_restarts + 1. A step
-    of one attempt per trial (step 0) reads which trials end from its column,
-    and under lost_rounds charges each attempt K + 1 rounds with no running
-    sum. When step 0 ends every trial and there is no sink, its columns are
-    the results, written whole (restarts: K under lost_rounds, else 0).
+    restart if its rounds up to it number at most max_restarts + 1. Every
+    step, of one attempt per trial or more, finds each trial's first ending
+    attempt the same way; under lost_rounds step 0 charges each attempt K + 1
+    rounds with no running sum. When step 0 ends every trial and there is no
+    sink, its columns are the results, written whole (restarts: K under
+    lost_rounds, else 0).
     Returns, per trial, the Decision of that attempt (REQUEST_RESTART for a
     trial over the limit), the coin it produced and the restarts before it
     (0 for a trial over the limit).
@@ -377,22 +379,19 @@ def run_chunk(cfg, alice, bob, chunk: int, trials: int,
                 spent = rounds + spent.cumsum(1)
             over = spent > cap
             ends &= ~over
+        coins = (x if coin_from_x else a) ^ b
         if not step and sink is None and ends.all():  # whole columns, in trial order
             verdict[:] = decision
-            coin[:] = (x if coin_from_x else a) ^ b
+            coin[:] = coins
             if lost is not None:
                 restarts[:] = lost
             break
-        if depth == 1:  # the one attempt ends its trial or not
-            done, at = ends[:, 0], 0
-            last = done.nonzero()[0]
-        else:
-            done = ends.any(1)
-            at = ends.argmax(1)[done]  # each finished trial's first ending attempt
-            last = done.nonzero()[0] * depth + at
+        done = ends.any(1)
+        at = ends.argmax(1)[done]  # each finished trial's first ending attempt
+        last = done.nonzero()[0] * depth + at
         finished = pending[done]
         verdict[finished] = decision[last]
-        coin[finished] = ((x if coin_from_x else a) ^ b)[last]
+        coin[finished] = coins[last]
         if sink is not None:  # each trial's attempts up to the one it keeps
             final[:, finished] = b[last], a[last], x[last]
             stop = np.full(done.size, depth)

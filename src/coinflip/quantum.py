@@ -15,28 +15,26 @@ one draw (_draw: check the basis indices, gather each state's column, inverse
 CDF of one uniform) serve every measurement: measure_projective on its own
 batch, measure_table on a fixed state table (born_table), steer_epr on the
 outcome weights of a singlet's measured half. A two-outcome table (every
-qubit's, and a singlet's weights) draws by one comparison, cdf <= u * total,
-on the two gathered rows; three outcomes and more by inverse_cdf. What a
-fixed table yields is built once: a Born table per (states, bases) pair and
-a singlet's weights and far table per stack of bases are kept by identity
-for read-only arrays that own their memory (and by content, for Born tables
-of any other arrays), so a step's measurement is one gather and one
-comparison.
+qubit's, and a singlet's weights) draws by rng.steps on the two gathered
+rows; three outcomes and more by inverse_cdf. What a fixed table yields is
+built once: a Born table per (states, bases) pair and a singlet's weights
+and far table per stack of bases are bound to read-only arrays that own
+their memory, by identity, so a step's measurement is one gather and one
+comparison. Any other arrays get new tables on each call.
 """
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatch, ProbabilityMismatch
-from .rng import cumulative, inverse_cdf
+from .rng import cumulative, inverse_cdf, steps
 
 ATOL = 1e-9
 _DIMS = (2, 3, 4)
-BORN_TABLES = 64  # Born tables kept; the least recently used goes first
+BORN_TABLES = 64  # tables bound at once; the map is emptied when full
 
 
 def _abs2(a: np.ndarray) -> np.ndarray:
@@ -92,12 +90,14 @@ def _born(states: np.ndarray, bras: np.ndarray) -> np.ndarray:
     within ATOL (ValueError), in each basis of the stack bras (k, dim, dim)
     (DimensionMismatch). Column c * k + b belongs to column c in basis b: its
     rows are the cumulative sums and then the total that rng.cumulative gives
-    for the Born probabilities."""
+    for the Born probabilities. The table is read-only."""
     if bras.ndim != 3:
         raise DimensionMismatch(f"bases {bras.shape} are not a (k, dim, dim) stack")
     _check_normalized(states)
     probs = _abs2(bras @ states).transpose(1, 2, 0).reshape(bras.shape[1], -1)
-    return np.vstack(cumulative(probs))
+    table = np.vstack(cumulative(probs))
+    table.flags.writeable = False
+    return table
 
 
 def _draw(table: np.ndarray, index: np.ndarray, bras: np.ndarray, u: np.ndarray,
@@ -105,9 +105,8 @@ def _draw(table: np.ndarray, index: np.ndarray, bras: np.ndarray, u: np.ndarray,
     """One outcome index (intp) per uniform u[j], drawn from column
     index[j] * k + which[j] (or + which, for an int) of a table laid out as
     _born's for the k bases of bras. ValueError unless every basis index lies
-    in [0, k). A two-outcome table (rows cdf, total) is one comparison,
-    cdf <= u * total, the one inverse_cdf makes; a longer one is inverse_cdf
-    on the gathered columns."""
+    in [0, k). A two-outcome table (rows cdf, total) is one rng.steps on the
+    gathered entries; a longer one is inverse_cdf on the gathered columns."""
     k = len(bras)
     # an int directly (True is basis 1, as numpy reads it); an array in one
     # reduction, read as unsigned so that a negative index is past the range
@@ -117,7 +116,7 @@ def _draw(table: np.ndarray, index: np.ndarray, bras: np.ndarray, u: np.ndarray,
         raise ValueError(f"basis index not in [0, {k})")
     flat = index * k + which
     if len(table) == 2:
-        return (table[0].take(flat) <= u * table[1].take(flat)).astype(np.intp)
+        return steps(table[0].take(flat), table[1].take(flat), u).astype(np.intp)
     drawn = table.take(flat, 1)
     return inverse_cdf(drawn[:-1], drawn[-1], u)
 
@@ -165,23 +164,10 @@ def born_table(states: np.ndarray, bras: np.ndarray) -> np.ndarray:
     stack bras (k, dim, dim), checked and laid out as _born gives it, and
     read-only. A pair of read-only arrays that own their memory is bound to
     its table by identity, once (the package's own tables are such arrays,
-    and it never makes them writeable again); the table of any other pair,
-    views included, is looked up by content, as every pair is the first
-    time, so an array changed in place is read anew. At most BORN_TABLES
-    tables are kept each way, and equal arrays share one table."""
-    return _bind(_content_table, states, bras)
-
-
-def _content_table(states: np.ndarray, bras: np.ndarray) -> np.ndarray:
-    return _born_table(*(a.shape + (a.dtype.str, a.tobytes()) for a in (states, bras)))
-
-
-@lru_cache(maxsize=BORN_TABLES)
-def _born_table(states_key: tuple, bras_key: tuple) -> np.ndarray:
-    table = _born(*(np.frombuffer(key[-1], key[-2]).reshape(key[:-2])
-                    for key in (states_key, bras_key)))
-    table.flags.writeable = False  # shared by every caller
-    return table
+    and it never makes them writeable again); any other pair, views
+    included, gets a new table on each call, so an array changed in place is
+    read anew."""
+    return _bind(_born, states, bras)
 
 
 def trace_distance(r0, r1) -> float:

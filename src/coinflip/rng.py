@@ -36,13 +36,14 @@ draws never shifts another site's uniforms. Hooks (see protocols) get their
 own columns as arrays, one entry per attempt, and return arrays; they keep
 no state across rounds, so the attempts of a step are independent.
 
-Three helpers map uniforms to draws: bit, bernoulli and inverse_cdf (the
-channel's lost_rounds aside, see channel). Every draw from a probability
-vector takes the one inverse-CDF path: cumulative checks the vectors and
-gives their cumulative sums, and inverse_cdf compares each uniform against
-them. A sender's weights are checked once per table and kept with it (see
-strategies.TableAlice), and every quantum measurement draws from a Born
-table in the same form (see quantum).
+Three helpers map uniforms to draws, and no other module compares a
+uniform: bit, bernoulli and steps (the channel's lost_rounds aside, see
+channel). Every draw from a probability vector takes the one inverse-CDF
+path: cumulative checks the vectors and gives their cumulative sums, steps
+compares each uniform against them, and inverse_cdf counts the steps each
+uniform passes. A sender's weights are checked once per table and kept with
+it (see strategies.TableAlice), and every quantum measurement draws from a
+Born table in the same form (see quantum).
 """
 from __future__ import annotations
 
@@ -140,9 +141,15 @@ def cumulative(probs) -> tuple[np.ndarray, np.ndarray]:
     return np.cumsum(probs[:-1], 0), total
 
 
+def steps(cdf: np.ndarray, total: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """cdf <= u * total: for each cumulative sum of cumulative(probs), whether
+    the uniform has passed it. Column j of cdf and entry j of total belong to
+    uniform j, or one column to all."""
+    return cdf <= u * total
+
+
 def inverse_cdf(cdf: np.ndarray, total: np.ndarray, u: np.ndarray) -> np.ndarray:
     """One index per uniform by inverse CDF over cumulative(probs): the first
-    i with u * total < cdf[i], or the last index if none is. Column j of cdf
-    and entry j of total belong to uniform j, or one column to all."""
-    return (cdf <= u * total).sum(0)
-
+    i with u * total < cdf[i], or the last index if none is, as
+    steps(cdf, total, u) counts them."""
+    return steps(cdf, total, u).sum(0)

@@ -34,7 +34,7 @@ from .protocols import (MEASURE, STORE, Decision, Emission, EprHalf,
                         LossPolicy, ProtocolId, SingleState, Vacuum,
                         VariantFlags, measure_delivery)
 from .quantum import measure_table
-from .rng import bernoulli, bit, cumulative
+from .rng import bernoulli, bit, cumulative, steps
 
 
 class Side(Enum):
@@ -55,7 +55,7 @@ class TableAlice:
     cumulative form (rng.cumulative) is one entry of four arrays: its
     threshold thr, its column's total tot, its column col and the radix
     weight of that column's digit, so she draws every digit at once as
-    radix @ (thr <= u[col] * tot), the comparisons inverse_cdf makes. She
+    radix @ steps(thr, tot, u[col]), the comparisons inverse_cdf makes. She
     reveals (a, x) = table[index, b & 1, r], with r = bit(u[REVEAL]) drawn
     only if her table reads it (b need not be a bit on rounds the engine
     discards). Her arrays are read-only, to share, and states is her own
@@ -68,11 +68,11 @@ class TableAlice:
         self.states = None if states is None else np.array(states)
         draws = [cumulative(w) for w in weights]
         size = [len(cdf) + 1 for cdf, _ in draws]  # each digit's radix
-        steps = np.array([(t, total[0], c, math.prod(size[c + 1:]))
-                          for c, (cdf, total) in enumerate(draws)
-                          for t in cdf[:, 0]]).reshape(-1, 4).T
-        self.thr, self.tot = steps[:2, :, None]
-        self.col, self.radix = steps[2:].astype(np.intp)
+        entries = np.array([(t, total[0], c, math.prod(size[c + 1:]))
+                            for c, (cdf, total) in enumerate(draws)
+                            for t in cdf[:, 0]]).reshape(-1, 4).T
+        self.thr, self.tot = entries[:2, :, None]
+        self.col, self.radix = entries[2:].astype(np.intp)
         self.table = np.asarray(table)
         self.fresh = bool((self.table[:, :, 0] != self.table[:, :, 1]).any())
         # a and x flat at 2 * index + b, then 2 * that + r if she reads r
@@ -85,7 +85,7 @@ class TableAlice:
     def prepare(self, u) -> SingleState | Vacuum:
         if self.states is None:
             return Vacuum()
-        self.index = self.radix @ (self.thr <= u[self.col] * self.tot)
+        self.index = self.radix @ steps(self.thr, self.tot, u[self.col])
         return SingleState(self.states, self.index, self.photon_count)
 
     def reveal(self, b, u):

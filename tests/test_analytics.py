@@ -4,9 +4,8 @@ import math
 
 import pytest
 
-from coinflip.analytics import (alice_bias_bound, bias_report, bob_bias,
-                                cunning_agreement, fair_alpha2,
-                                reference_table)
+from coinflip.analytics import (alice_bias_bound, bob_bias, cunning_agreement,
+                                fair_alpha2, reference_table)
 from coinflip.catalog import Family, StateFamily, committed_density
 from coinflip.cli import cli_main
 from coinflip.errors import OutOfRange
@@ -72,12 +71,6 @@ def test_fair_point_is_the_unique_crossing_on_the_grid():
     changes = [i for i in range(len(signs) - 1) if signs[i] != signs[i + 1]]
     assert len(changes) == 1
     assert GRID[changes[0]] == pytest.approx(0.85)
-
-
-def test_bias_report():
-    rep = bias_report(fair_alpha2())
-    assert rep.fair
-    assert not bias_report(0.8).fair
 
 
 def test_cunning_agreement_formula():

@@ -1,7 +1,8 @@
 """Dead names in the package, read from each module's syntax tree: an
 imported name its module never reads, and a private top-level name that no
 module reads. The package's __init__ imports only to re-export, so its
-imports are not checked."""
+imports are not checked. Also from the trees: no module but rng compares a
+uniform."""
 import ast
 import pathlib
 
@@ -59,3 +60,13 @@ def test_every_private_top_level_name_is_read():
               for module, tree in TREES.items() if module != "__init__.py"
               for line, name in private_defined(tree) if name not in read]
     assert not unread
+
+
+def test_only_rng_compares_a_uniform():
+    """A uniform u becomes a draw in rng alone (bit, bernoulli and steps), so
+    no comparison outside rng.py reads the name u."""
+    compared = [f"{module}:{node.lineno}"
+                for module, tree in TREES.items() if module != "rng.py"
+                for node in ast.walk(tree) if isinstance(node, ast.Compare)
+                if any(isinstance(n, ast.Name) and n.id == "u" for n in ast.walk(node))]
+    assert not compared

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from coinflip import quantum
 from coinflip.catalog import Family, StateFamily, basis_pair
 from coinflip.discrimination import stats, usd_pure_pair
-from coinflip.errors import DimensionMismatch, ProbabilityMismatch
-from coinflip.harness import ExperimentConfig, build_hooks
+from coinflip.errors import (DimensionMismatch, ProbabilityMismatch,
+                             RestartBudgetExceeded)
+from coinflip.harness import ExperimentConfig, build_hooks, run_experiment
 from coinflip.protocols import EprHalf, SingleState, measure_delivery
 from coinflip.quantum import (BORN_TABLES, born_table, helstrom_success,
                               measure_projective, measure_table, mix,
@@ -497,20 +498,14 @@ def test_draw_equals_inverse_cdf_on_the_gathered_column(rng):
     assert outcomes == {2, 3}
 
 
-def test_born_tables_are_shared_by_content_and_bounded():
-    """Equal arrays, a view of a stack included, share one table, and an
-    alpha2 sweep over 300 families keeps at most BORN_TABLES of them."""
-    family = StateFamily(Family.LOSS_TOLERANT, 0.9)
-    states, bras = build_hooks(ExperimentConfig())[0].states, basis_pair(family)
-    first = born_table(states, bras[:1])
-    assert born_table(states.copy(), bras[:1].copy()) is first
+def test_an_alpha2_sweep_keeps_at_most_born_tables_bound():
+    """An alpha2 sweep over 300 families binds each family's Born table and
+    keeps at most BORN_TABLES of them."""
     for alpha2 in np.linspace(0.51, 0.99, 300):
-        family = StateFamily(Family.LOSS_TOLERANT, float(alpha2))
-        born_table(build_hooks(ExperimentConfig(alpha2=float(alpha2)))[0].states,
-                   basis_pair(family))
-    info = quantum._born_table.cache_info()
-    assert info.maxsize == BORN_TABLES
-    assert info.currsize == BORN_TABLES
+        states = build_hooks(ExperimentConfig(alpha2=float(alpha2)))[0].states
+        bras = basis_pair(StateFamily(Family.LOSS_TOLERANT, float(alpha2)))
+        assert born_table(states, bras) is born_table(states, bras)
+        assert len(quantum._BOUND) <= BORN_TABLES
 
 
 # ---------------------------------------------------------------------------
@@ -521,23 +516,49 @@ def _unit_columns(r, dim: int, m: int) -> np.ndarray:
     return states / np.linalg.norm(states, axis=0)
 
 
-def test_a_read_only_pair_builds_its_born_table_once(rng):
+def _count_builds(monkeypatch, *names: str) -> list:
+    """Wrap each named table builder of quantum so that every call appends
+    its name to the list returned."""
+    built = []
+    for name in names:
+        make = getattr(quantum, name)
+        monkeypatch.setattr(quantum, name,
+                            lambda *a, name=name, make=make: built.append(name) or make(*a))
+    return built
+
+
+def test_a_read_only_pair_builds_its_born_table_once(rng, monkeypatch):
     """Repeated draws on a read-only (states, bras) pair build its Born table
-    once and never look it up by content again, each draw equal to
-    measure_projective's; the identity map keeps at most BORN_TABLES."""
+    once, each draw equal to measure_projective's; the identity map keeps at
+    most BORN_TABLES."""
     states = _unit_columns(np.random.default_rng(5), 2, 3)
     states.flags.writeable = False
     bras = basis_pair(StateFamily(Family.BB84))
     n = 200
     index, which = (rng(n) * 3).astype(np.intp), bit(rng(n))
-    before = quantum._born_table.cache_info()
-    for _ in range(5):
-        u = rng(n)
-        drawn = measure_table(states, index, bras, u, which)
-        assert np.array_equal(drawn, measure_projective(states[:, index], bras, u, which))
-    after = quantum._born_table.cache_info()
-    assert (after.misses - before.misses, after.hits - before.hits) == (1, 0)
+    draws = [rng(n) for _ in range(5)]
+    want = [measure_projective(states[:, index], bras, u, which) for u in draws]
+    built = _count_builds(monkeypatch, "_born")
+    for u, expected in zip(draws, want):
+        assert np.array_equal(measure_table(states, index, bras, u, which), expected)
+    assert built == ["_born"]
     assert len(quantum._BOUND) <= BORN_TABLES
+
+
+def test_every_run_path_binds_its_born_tables(monkeypatch):
+    """Every valid pairing, run a second time, builds no Born table and no
+    singlet weights: every array a run measures from is bound to them."""
+    built = _count_builds(monkeypatch, "_born", "_steering")
+    monkeypatch.setattr(quantum, "_BOUND", {})
+    for cfg in valid_configs(eta=0.5, seed=7, trials=200):
+        quantum._BOUND.clear()  # no earlier pairing's tables push this one's out
+        for _ in range(2):
+            built.clear()
+            try:
+                run_experiment(cfg)
+            except RestartBudgetExceeded:
+                pass
+        assert not built, cfg
 
 
 def test_a_table_changed_in_place_is_never_drawn_stale(rng):
