@@ -1,10 +1,11 @@
 """Lossy quantum channel.
 
-Loss is pure erasure: with probability eta the signal arrives bit-exact, with
-probability 1 - eta nothing arrives. eta folds channel transmittance and
-detector efficiency into one number, since the protocols treat every
-non-detection identically. A multi-photon pulse crosses as one signal: all
-of its copies arrive or none do.
+Loss is pure erasure: with probability eta an emission (protocols.Emission)
+arrives bit-exact, with probability 1 - eta nothing arrives. eta folds
+channel transmittance and detector efficiency into one number, since the
+protocols treat every non-detection identically. The channel reads only an
+emission's photon_count: vacuum (0) never arrives, and a multi-photon pulse
+crosses whole, all of its copies or none.
 
 There are two rules for drawing loss, one uniform per block row each.
 transmit draws whether one round arrives. lost_rounds serves a receiver who
@@ -23,9 +24,9 @@ from .rng import bernoulli
 
 
 def transmit(signal, eta: float, u: np.ndarray) -> np.ndarray:
-    """Which signals of a batch arrive: one bool per uniform in u.
+    """Which rounds of the Emission signal arrive: one bool per uniform in u.
 
-    The signals are delivered unchanged; a signal whose photon_count is 0
+    What arrives is delivered unchanged; an emission whose photon_count is 0
     (vacuum) never arrives, and every other one arrives with probability eta,
     a bernoulli(eta) draw on its uniform.
     """
@@ -39,7 +40,7 @@ def lost_rounds(eta: float, u: np.ndarray, cap: int) -> np.ndarray:
     count per uniform in u, clamped at cap: a Geometric(eta) count by
     inversion, K = floor(log(1 - u) / log(1 - eta)) (Devroye, Non-Uniform
     Random Variate Generation, 1986, X.2), so P(K >= k) = (1 - eta)**k;
-    every count is 0 at eta = 1. Only for signals that can arrive
+    every count is 0 at eta = 1. Only for emissions that can arrive
     (photon_count > 0)."""
     log_loss = math.log1p(-eta) if eta < 1.0 else -math.inf
     with np.errstate(over="ignore"):  # inf at eta near the smallest float

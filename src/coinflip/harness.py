@@ -53,8 +53,10 @@ _REFERENCE = dict(reference_table())  # label -> closed-form value
 class ExperimentConfig:
     """One experiment. A bad config fails here, at construction, with
     OutOfRange or IncompatibleProtocol; the engine reads the config as it
-    is and checks nothing. Counts and target are kept as Python ints (of an
-    operator.index), eta and alpha2 as Python floats (of a numbers.Real)."""
+    is and checks nothing. protocol is a ProtocolId and variant a
+    VariantFlags or None, never a name. Counts and target are kept as
+    Python ints (of an operator.index), eta and alpha2 as Python floats (of
+    a numbers.Real)."""
 
     protocol: ProtocolId = ProtocolId.LOSS_TOLERANT_CF
     variant: Optional[VariantFlags] = None  # None -> protocol default
@@ -69,6 +71,10 @@ class ExperimentConfig:
     photon_count: int = 1
 
     def __post_init__(self):
+        if not isinstance(self.protocol, ProtocolId):
+            raise OutOfRange(f"protocol={self.protocol!r} is not a ProtocolId")
+        if not isinstance(self.variant, (VariantFlags, type(None))):
+            raise OutOfRange(f"variant={self.variant!r} is not a VariantFlags or None")
         for name in ("trials", "seed", "max_restarts", "photon_count", "target"):
             try:  # kept as a Python int, which numpy's fixed widths would wrap
                 object.__setattr__(self, name, operator.index(getattr(self, name)))
@@ -152,9 +158,9 @@ class BiasEstimate:
         return self.trials / (self.trials + self.restart_total)
 
 
-def wilson_interval(k: int, n: int, z: float = 1.959963984540054) -> tuple[float, float]:
+def wilson_interval(k: int, n: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion."""
-    p = k / n
+    z, p = 1.959963984540054, k / n  # z: the normal quantile at 0.975
     z2 = z * z
     denom = 1.0 + z2 / n
     center = (p + z2 / (2.0 * n)) / denom

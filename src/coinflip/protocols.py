@@ -3,13 +3,13 @@ engine that runs them.
 
 A run is an ordered exchange:
 
-1. Alice emits a quantum signal which crosses the lossy channel. There are
-   three kinds of emission: SingleState (per round, one column of the
-   sender's fixed state table, carried by photon_count identical photons;
-   more than one is a multi-photon pulse, tagged "pulse:N" in transcripts
-   instead of "state"), EprHalf (half of a singlet, "epr_half", whose far
-   half is likewise one column of a fixed table per round) and Vacuum
-   (nothing, "vacuum").
+1. Alice emits a quantum signal which crosses the lossy channel. Every
+   emission is one Emission: per round, one column of the sender's fixed
+   state table, carried by photon_count identical photons. Transcripts tag
+   it by what the channel and receivers read of it: "vacuum" for no photon,
+   "state" for one, "pulse:N" for a multi-photon pulse of N, and "epr_half"
+   for an entangled emission, half of a singlet whose far half is likewise
+   one column of a fixed table per round.
 2. Bob reacts to the delivery: measures immediately, stores it, or requests
    a restart (honestly on loss, or dishonestly).
 3. Bob sends a random-looking bit b.
@@ -46,7 +46,7 @@ to the next within a step, but no state across rounds: rounds are
 independent draws, which is what lets a step run a trial's next rounds all
 at once. Receivers measure through measure_delivery, in a stack of at most
 two bases with a basis index per round, and get one outcome index per round,
--1 where nothing arrived. A SingleState sender has a fixed table of at most
+-1 where nothing arrived. An unentangled emission's table holds at most
 2 * dim states, so each round is drawn from the Born table of that table in
 that stack (quantum.born_table, built once and shared): one gather by basis
 and column and one comparison with the uniform, the same outcome
@@ -93,7 +93,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -208,46 +208,29 @@ VERDICTS = (Verdict.ACCEPTED, Verdict.ABORT_CHEATER)  # by Decision code
 # emissions: one per round of a batch
 
 @dataclass
-class SingleState:
-    """One pure state per round: round j sends column index[j] of the
-    sender's fixed state table states (dim, m), carried by photon_count
-    identical photons; more than one is a multi-photon pulse, whose extra
-    copies are the side channel. Every round's index names a column of
-    states, lost rounds' too: the receiver measures the whole batch and
-    masks the rounds that did not arrive."""
+class Emission:
+    """What crosses the channel in one step: round j sends column index[j]
+    of the fixed state table states (dim, m), lost rounds too, carried by
+    photon_count identical photons (0: vacuum, states None; more than one: a
+    pulse, whose extra copies are the side channel). The channel and the
+    receivers read only photon_count and entangled; tag names the emission
+    in transcripts. An entangled emission is half of a singlet per round,
+    whose other half Alice keeps: Bob's measurement steers it, making states
+    the far table of his stack of bases and index[j] round j's collapsed
+    column (quantum.steer_epr), lost rounds included; until then, and when
+    nothing arrives, they are the sender's (|0>, unsteered)."""
 
-    states: np.ndarray
-    index: np.ndarray
-    photon_count: int = 1
+    states: Optional[np.ndarray]
+    index: np.ndarray | int
+    photon_count: int
+    entangled: bool = False
 
     @property
     def tag(self) -> str:
-        return "state" if self.photon_count == 1 else f"pulse:{self.photon_count}"
-
-
-@dataclass
-class Vacuum:
-    tag: str = "vacuum"
-    photon_count: int = 0
-
-
-@dataclass
-class EprHalf:
-    """Half of a singlet per round; Alice keeps the other halves, round j's
-    as column index[j] of the fixed table states, as SingleState sends its
-    states. Whoever measures first steers the other half: Bob's measurement
-    of a step's halves makes states the far table of his stack of bases and
-    index[j] the column of round j's collapsed half (see quantum.steer_epr),
-    lost rounds included; until then, and when nothing arrives, states and
-    index are the sender's (|0>, unsteered)."""
-
-    states: np.ndarray
-    index: np.ndarray
-    tag: str = "epr_half"
-    photon_count: int = 1
-
-
-Emission = Union[SingleState, Vacuum, EprHalf]
+        if self.entangled:
+            return "epr_half"
+        return {0: "vacuum", 1: "state"}.get(self.photon_count,
+                                             f"pulse:{self.photon_count}")
 
 
 def measure_delivery(delivery: Emission, delivered: np.ndarray, bras: np.ndarray,
@@ -258,9 +241,10 @@ def measure_delivery(delivery: Emission, delivered: np.ndarray, bras: np.ndarray
     bras[which] for an int which, checked as in measure_projective.
 
     A pulse is measured on its first photon only (remaining photons are the
-    side channel, exploited explicitly by the pulse-aware strategies). An EPR
-    half steers Alice's half of the same round: the delivery's states and
-    index become the far table and far columns steer_epr gives. Unless
+    side channel, exploited explicitly by the pulse-aware strategies). An
+    entangled delivery, an EPR half, is not measured from its table but
+    steers Alice's half of the same round: the delivery's states and index
+    become the far table and far columns steer_epr gives. Unless
     nothing arrived (as from vacuum), the whole batch is measured, lost
     rounds too, and the lost rounds' outcomes are masked to -1; a lost round
     tells no one anything, so what its measurement drew is never read.
@@ -268,7 +252,7 @@ def measure_delivery(delivery: Emission, delivered: np.ndarray, bras: np.ndarray
     every = delivered.all()
     if not (every or delivered.any()):  # nothing arrives from vacuum
         return np.full(len(delivered), -1)
-    if isinstance(delivery, EprHalf):
+    if delivery.entangled:
         outcome, delivery.states, delivery.index = steer_epr(bras, u, which)
     else:
         outcome = measure_table(delivery.states, delivery.index, bras, u, which)

@@ -30,9 +30,8 @@ import numpy as np
 from . import catalog
 from .catalog import StateFamily
 from .errors import IncompatibleProtocol
-from .protocols import (MEASURE, STORE, Decision, Emission, EprHalf,
-                        LossPolicy, ProtocolId, SingleState, Vacuum,
-                        VariantFlags, measure_delivery)
+from .protocols import (MEASURE, STORE, Decision, Emission, LossPolicy,
+                        ProtocolId, VariantFlags, measure_delivery)
 from .quantum import measure_table
 from .rng import bernoulli, bit, cumulative, steps
 
@@ -62,9 +61,10 @@ class TableAlice:
     copy, so that its Born tables are bound to it (quantum.born_table)."""
 
     index = 0  # vacuum's one index
+    photon_count = 1  # per state; _from_tables sets her experiment's
 
-    def __init__(self, states, weights, table, photon_count: int = 1):
-        self.weights, self.photon_count = weights, photon_count
+    def __init__(self, states, weights, table):
+        self.weights = weights
         self.states = None if states is None else np.array(states)
         draws = [cumulative(w) for w in weights]
         size = [len(cdf) + 1 for cdf, _ in draws]  # each digit's radix
@@ -82,11 +82,11 @@ class TableAlice:
             if array is not None:
                 array.flags.writeable = False
 
-    def prepare(self, u) -> SingleState | Vacuum:
+    def prepare(self, u) -> Emission:
         if self.states is None:
-            return Vacuum()
+            return Emission(None, 0, 0)
         self.index = self.radix @ steps(self.thr, self.tot, u[self.col])
-        return SingleState(self.states, self.index, self.photon_count)
+        return Emission(self.states, self.index, self.photon_count)
 
     def reveal(self, b, u):
         i = 2 * self.index + (b & 1)
@@ -187,18 +187,20 @@ _UNSTEERED.flags.writeable = False
 class EprSteeringAlice:
     """Keeps half a singlet and steers it into the basis a = c xor b after
     learning b; the reveal is then guaranteed to match Bob's outcome. Her
-    halves are the EprHalf she sends (unsteered: column 0 of the |0> table),
-    steered by Bob's measurement onto columns of his stack's far table, so
-    she measures them by measure_table, from a Born table bound once."""
+    halves are the entangled Emission she sends (unsteered: column 0 of the
+    |0> table), steered by Bob's measurement onto columns of his stack's far
+    table, so she measures them by measure_table, from a Born table bound
+    once."""
 
     def __init__(self, cfg, family: StateFamily):
         self.target = cfg.target
         self.bras = catalog.basis_pair(family)
 
-    def prepare(self, u) -> EprHalf:
+    def prepare(self, u) -> Emission:
         # |0> until Bob's measurement steers it (every half, lost ones too,
         # unless nothing arrived), so reveal can measure every round
-        self.link = EprHalf(_UNSTEERED, np.zeros(u.shape[1], np.intp))
+        self.link = Emission(_UNSTEERED, np.zeros(u.shape[1], np.intp), 1,
+                             entangled=True)
         return self.link
 
     def reveal(self, b, u):

@@ -5,15 +5,16 @@ import numpy as np
 import pytest
 
 from coinflip.channel import lost_rounds, transmit
-from coinflip.protocols import SingleState, Vacuum
+from coinflip.protocols import Emission
 
 from conftest import assert_z, edge_uniforms, sigma
 
 SQ2 = 1.0 / math.sqrt(2.0)
 PLUS = np.array([[SQ2], [SQ2]])  # a table of one state
 ONE = np.zeros(1, dtype=np.intp)  # a batch of one round, sending column 0
-SENT_KET0 = SingleState(np.array([[1.0], [0.0]]), ONE)
-SENT_PLUS = SingleState(PLUS, ONE)
+SENT_KET0 = Emission(np.array([[1.0], [0.0]]), ONE, 1)
+SENT_PLUS = Emission(PLUS, ONE, 1)
+VACUUM = Emission(None, 0, 0)
 
 
 def test_perfect_channel_always_delivers(rng):
@@ -43,13 +44,15 @@ def test_loss_is_independent_of_the_state(rng):
 
 
 def test_pulse_construction():
-    """A pulse is a state emission carrying its photon count."""
-    single = SingleState(PLUS, ONE)
+    """A pulse is a state emission carrying its photon count; the tag is
+    worked out from the photon count and whether the emission is entangled."""
+    single = Emission(PLUS, ONE, 1)
     assert single.photon_count == 1 and single.tag == "state"
-    pulse = SingleState(PLUS, ONE, 3)
+    pulse = Emission(PLUS, ONE, 3)
     assert pulse.photon_count == 3 and pulse.states is PLUS
     assert pulse.tag == "pulse:3"
-    assert Vacuum().photon_count == 0 and Vacuum().tag == "vacuum"
+    assert VACUUM.photon_count == 0 and VACUUM.tag == "vacuum"
+    assert Emission(PLUS, ONE, 1, entangled=True).tag == "epr_half"
 
 
 def test_pulse_invariants(rng):
@@ -57,8 +60,8 @@ def test_pulse_invariants(rng):
     and it arrives whole or not at all. Vacuum never arrives, whatever its
     uniform."""
     u = rng(200)
-    assert not transmit(Vacuum(), 0.5, u).any()
-    delivered = transmit(SingleState(PLUS, ONE, 3), 0.5, u)
+    assert not transmit(VACUUM, 0.5, u).any()
+    delivered = transmit(Emission(PLUS, ONE, 3), 0.5, u)
     assert np.array_equal(delivered, u < 0.5)
 
 

@@ -59,7 +59,10 @@ def test_config_validation():
     # target is an integer too, and eta and alpha2 real numbers, not coerced
     dict(target=1.0), dict(target=np.True_), dict(eta="0.5"), dict(alpha2=None),
     # a real number that no float holds
-    dict(eta=10 ** 400), dict(alpha2=10 ** 400)])
+    dict(eta=10 ** 400), dict(alpha2=10 ** 400),
+    # protocol and variant are enums, not names to convert
+    dict(protocol="bb84"), dict(protocol=None),
+    dict(protocol=ProtocolId.AMBAINIS_CF, variant="believe_on_faith")])
 def test_config_out_of_range_fails_at_construction(bad):
     with pytest.raises(OutOfRange):
         ExperimentConfig(**bad)

@@ -2,11 +2,17 @@
 imported name its module never reads, and a private top-level name that no
 module reads. The package's __init__ imports only to re-export, so its
 imports are not checked. Also from the trees: no module but rng compares a
-uniform."""
+uniform, and the package, the tests and the benchmark import no package
+that pyproject.toml does not declare."""
 import ast
 import pathlib
+import re
+import sys
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "coinflip"
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "coinflip"
 TREES = {path.name: ast.parse(path.read_text(), path.name)
          for path in sorted(SRC.glob("*.py"))}
 
@@ -70,3 +76,35 @@ def test_only_rng_compares_a_uniform():
                 for node in ast.walk(tree) if isinstance(node, ast.Compare)
                 if any(isinstance(n, ast.Name) and n.id == "u" for n in ast.walk(node))]
     assert not compared
+
+
+def test_only_declared_packages_are_imported():
+    """Every import in src/coinflip names the standard library, the package
+    itself or a declared dependency; tests/ and perfbench/ may also import
+    the declared test extras and their own directory's modules. A package
+    that is installed but not declared would pass here and fail to import
+    wherever the project is installed as declared."""
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+
+    def names(requirements):  # each one's name, its import name for all declared
+        return {re.match(r"[\w.-]+", r)[0].lower().replace("-", "_")
+                for r in requirements}
+
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    allowed = set(sys.stdlib_module_names) | {"coinflip"} | names(project["dependencies"])
+    extras = names(project["optional-dependencies"]["test"])
+    undeclared = []
+    for directory in (SRC, ROOT / "tests", ROOT / "perfbench"):
+        own = {path.stem for path in directory.glob("*.py")}
+        ok = allowed if directory is SRC else allowed | extras | own
+        for path in sorted(directory.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), path.name)):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    modules = [node.module]
+                else:  # not an import, or a relative one: the package itself
+                    continue
+                undeclared += [f"{path.relative_to(ROOT)}:{node.lineno} {m}"
+                               for m in modules if m.partition(".")[0] not in ok]
+    assert not undeclared

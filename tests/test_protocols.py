@@ -12,10 +12,10 @@ from coinflip.catalog import basis_pair
 from coinflip.errors import IncompatibleProtocol
 from coinflip.harness import (VARIANT_NAMES, ExperimentConfig, build_hooks,
                               run_experiment)
-from coinflip.protocols import (Decision, EprHalf, LossPolicy, ProtocolId,
-                                QuantumRound, SingleState, VariantFlags, Vacuum,
-                                Verdict, check_flags, default_flags, family_for,
-                                measure_delivery, run_chunk)
+from coinflip.protocols import (Decision, Emission, LossPolicy, ProtocolId,
+                                QuantumRound, VariantFlags, Verdict, check_flags,
+                                default_flags, family_for, measure_delivery,
+                                run_chunk)
 from coinflip.quantum import measure_projective, steer_epr
 from coinflip.rng import bit
 from coinflip.strategies import REGISTRY, HonestBob, Side
@@ -330,7 +330,7 @@ def test_measure_delivery_reads_minus_one_where_nothing_arrived(rng):
     delivered = rng(n) < 0.6
     theta = 2.0 * np.pi * rng(n)
     amplitudes = np.array([np.cos(theta), np.sin(theta)])
-    emission = SingleState(amplitudes, np.arange(n))
+    emission = Emission(amplitudes, np.arange(n), 1)
     for bras, which in ((pair, bit(rng(n))), (pair, 1)):
         u = rng(n)
         outcome = measure_delivery(emission, delivered, bras, u, which)
@@ -341,7 +341,7 @@ def test_measure_delivery_reads_minus_one_where_nothing_arrived(rng):
         everything = measure_delivery(emission, np.ones(n, bool), bras, u, which)
         assert np.array_equal(everything[delivered], outcome[delivered])
         assert np.array_equal(everything, measure_projective(amplitudes, bras, u, which))
-        for nothing in (Vacuum(), emission):
+        for nothing in (Emission(None, 0, 0), emission):
             assert (measure_delivery(nothing, np.zeros(n, bool), bras, u, which)
                     == -1).all()
 
@@ -356,7 +356,7 @@ def test_measure_delivery_steers_the_epr_halves(rng):
     delivered = rng(n) < 0.6
     which, u = bit(rng(n)), rng(n)
     unsteered = np.array([[1.0], [0.0]])
-    link = EprHalf(unsteered, np.full(n, 7))
+    link = Emission(unsteered, np.full(n, 7), 1, entangled=True)
     outcome = measure_delivery(link, delivered, bras, u, which)
     expected, far, index = steer_epr(bras, u[delivered], which[delivered])
     assert (outcome[~delivered] == -1).all()
@@ -364,12 +364,12 @@ def test_measure_delivery_steers_the_epr_halves(rng):
     assert link.states is far  # one far table per frozen stack
     assert np.array_equal(link.index[delivered], index)
     assert ((link.index >= 0) & (link.index < 4)).all()  # lost halves steered too
-    every = EprHalf(unsteered, np.full(n, 7))
+    every = Emission(unsteered, np.full(n, 7), 1, entangled=True)
     everything = measure_delivery(every, np.ones(n, bool), bras, u, which)
     assert np.array_equal(everything[delivered], outcome[delivered])
     assert every.states is link.states
     assert np.array_equal(every.index, link.index)
-    nothing = EprHalf(unsteered, np.zeros(n, np.intp))
+    nothing = Emission(unsteered, np.zeros(n, np.intp), 1, entangled=True)
     assert (measure_delivery(nothing, np.zeros(n, bool), bras, u, which) == -1).all()
     assert nothing.states is unsteered and not nothing.index.any()
 

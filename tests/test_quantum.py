@@ -12,7 +12,7 @@ from coinflip.discrimination import stats, usd_pure_pair
 from coinflip.errors import (DimensionMismatch, ProbabilityMismatch,
                              RestartBudgetExceeded)
 from coinflip.harness import ExperimentConfig, build_hooks, run_experiment
-from coinflip.protocols import EprHalf, SingleState, measure_delivery
+from coinflip.protocols import Emission, measure_delivery
 from coinflip.quantum import (BORN_TABLES, born_table, helstrom_success,
                               measure_projective, measure_table, mix,
                               steer_epr, trace_distance)
@@ -395,12 +395,13 @@ def test_born_table_rejects_what_measure_projective_rejects(rng):
         with pytest.raises(error):
             measure_table(table, idx, bras, u, wh)
         with pytest.raises(error):
-            measure_delivery(SingleState(table, idx), np.ones(n, bool), bras, u, wh)
+            measure_delivery(Emission(table, idx, 1), np.ones(n, bool), bras, u, wh)
     for bad in (2, -1):  # steer_epr would read -1 as basis 1
         outside = which.copy()
         outside[7] = bad
         with pytest.raises(ValueError):
-            measure_delivery(EprHalf(UNSTEERED, np.zeros(n, np.intp)),
+            measure_delivery(Emission(UNSTEERED, np.zeros(n, np.intp), 1,
+                                      entangled=True),
                              np.ones(n, bool), bras, u, outside)
     for measure in (lambda b: measure_projective(states[:, index], b, u, which),
                     lambda b: measure_table(states, index, b, u, which),
@@ -431,9 +432,10 @@ def test_every_measurement_draws_once_through_draw(monkeypatch, rng):
                     lambda: measure_table(states, index, bras, u, which),
                     lambda: steer_epr(bras, u, 1),
                     lambda: steer_epr(bras, u, which),
-                    lambda: measure_delivery(SingleState(states, index), delivered,
+                    lambda: measure_delivery(Emission(states, index, 1), delivered,
                                              bras, u, which),
-                    lambda: measure_delivery(EprHalf(UNSTEERED, np.zeros(n, np.intp)),
+                    lambda: measure_delivery(Emission(UNSTEERED, np.zeros(n, np.intp),
+                                                      1, entangled=True),
                                              delivered, bras, u, which)):
         calls.clear()
         measure()

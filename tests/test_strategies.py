@@ -14,8 +14,7 @@ from coinflip.errors import IncompatibleProtocol
 from coinflip.analytics import alice_bias_bound, bob_bias, reference_table
 from coinflip.harness import (VARIANT_NAMES, ExperimentConfig, build_hooks,
                               run_experiment)
-from coinflip.protocols import (PROTOCOLS, Decision, EprHalf, ProtocolId,
-                                SingleState, run_chunk)
+from coinflip.protocols import PROTOCOLS, Decision, ProtocolId, run_chunk
 from coinflip.rng import (CHOOSE_B, PREPARE, RECEIVE, REVEAL, SLOTS, TRANSMIT,
                           VERIFY, cumulative, inverse_cdf)
 from coinflip.strategies import (ALICE_STRATEGIES, BOB_STRATEGIES, REGISTRY,
@@ -185,9 +184,9 @@ def test_hook_state_tables_are_read_only_and_unit_norm(rng):
                         getattr(bob, name)[...] = 0
             u = rng(SLOTS, 8)
             emission = alice.prepare(u[PREPARE])
-            if isinstance(emission, EprHalf):  # Bob's measurement steers it
+            if emission.entangled:  # Bob's measurement steers it
                 bob.receive(emission, np.ones(8, bool), u[RECEIVE])
-            states = getattr(emission, "states", None)
+            states = emission.states
             if states is not None:
                 senders.add(cfg.alice)
                 assert not states.flags.writeable, cfg
@@ -241,7 +240,7 @@ def test_one_comparison_draw_equals_the_per_column_loop(rng):
         assert np.array_equal(alice.prepare(u).index, _loop_index(alice, u)), key
 def test_every_state_sender_draws_an_in_range_index_on_every_round(rng):
     """A receiver measures every round of a step, lost ones too, so every
-    Alice whose emission is a SingleState draws an integer index naming a
+    Alice who sends unentangled photons draws an integer index naming a
     column of her state table on every round, at random uniforms and at the
     ends of [0, 1), on every valid pairing and across an alpha2 grid."""
     top = np.nextafter(1.0, 0.0)
@@ -251,7 +250,7 @@ def test_every_state_sender_draws_an_in_range_index_on_every_round(rng):
         for cfg in valid_configs(alpha2=alpha2):
             alice, _ = build_hooks(cfg)
             emission = alice.prepare(u)
-            if not isinstance(emission, SingleState):
+            if emission.entangled or not emission.photon_count:
                 continue
             senders.add(cfg.alice)
             index = emission.index
@@ -331,11 +330,17 @@ def _run(**kw):
 
 
 def test_restart_abuse_always_wins():
-    est = _run(protocol=ProtocolId.AMBAINIS_CF_VARIANT,
-               variant=None, bob="ambainis_restart_abuse", target=1,
-               trials=5000)
-    assert est.successes == est.trials
-    assert est.aborts == 0
+    """He claims loss when a xor b misses the target, half the time, and
+    otherwise as camouflage at rate max(0, 1 - 2 eta): in all at rate
+    c = max(1/2, 1 - eta). Every trial he accepts wins, and a trial's claims
+    before it are geometric, c / (1 - c) on average."""
+    for eta in (0.05, 0.2, 0.5, 1.0):
+        est = _run(protocol=ProtocolId.AMBAINIS_CF_VARIANT,
+                   variant=None, bob="ambainis_restart_abuse", target=1, eta=eta)
+        assert est.successes == est.trials, eta
+        assert est.aborts == 0, eta
+        c = max(0.5, 1.0 - eta)
+        assert_metric(est, "restarts_per_trial", c / (1.0 - c), eta)
 
 
 def test_conclusive_receiver_restart_rate():
@@ -568,3 +573,59 @@ def test_the_registry_optima_are_reached_by_entangled_alices(target):
         ORACLE["bb84_rotated_success"], abs=1e-12)
     assert epr > ORACLE["bb84_rotated_success"]  # what entanglement adds
     assert entangled_win(AMB, AMB_MIX, target) == pytest.approx(0.75, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the same optima proved for every rho at once, by dual certificates. Any Y_b
+# with Y_b >= 0 and Y_b >= D_b = P_0 - P_1 gives, for 0 <= M <= rho,
+# tr(M D_b) <= tr(M Y_b) <= tr(rho Y_b), so V_b(rho) <= tr(rho (P_1 + Y_b)),
+# and the largest eigenvalue of sum_b (P_1 + Y_b) bounds sum_b V_b over every
+# rho: the duality behind Kitaev's coin-flipping bounds (A. Kitaev, "Quantum
+# coin-flipping", QIP 2003), here in closed form, so eigvalsh checks it and
+# no solver runs.
+
+def positive_part(d, a):
+    """(D_b)_+, the loss-tolerant and BB84 certificate (a unread)."""
+    w, v = np.linalg.eigh(d)
+    return (v * w.clip(0.0)) @ v.conj().T
+
+
+def ambainis_certificate(d, a):
+    """v v^T with v = |0>/2 + |a + 1>, a = c xor b: against the storing
+    Ambainis Bob, (D_b)_+ proves only 1."""
+    v = np.eye(3)[0] / 2.0 + np.eye(3)[a + 1]
+    return np.outer(v, v)
+
+
+def certified_win(family, target, certificate) -> float:
+    """The bound on entangled_win over every rho that the certificates
+    Y_b = certificate(D_b, c xor b) prove, each checked feasible by
+    eigvalsh: Y_b >= 0 and Y_b - D_b >= 0. P_0 and P_1 project onto the two
+    winning reveals entangled_win chooses."""
+    pair, total = basis_pair(family), 0.0
+    for b in (0, 1):
+        a = target ^ b
+        p0, p1 = pair[:, a] if family.family is Family.LOSS_TOLERANT else pair[a, :2]
+        d = np.outer(p0, p0.conj()) - np.outer(p1, p1.conj())
+        y = certificate(d, a)
+        assert np.linalg.eigvalsh(y).min() >= -1e-12, (family, b)
+        assert np.linalg.eigvalsh(y - d).min() >= -1e-12, (family, b)
+        total = total + np.outer(p1, p1.conj()) + y
+    top = np.linalg.eigvalsh(total).max()
+    return 0.5 * top if family.family is Family.AMBAINIS else 0.5 + 0.25 * top
+
+
+@pytest.mark.parametrize("target", (0, 1))
+def test_dual_certificates_prove_the_registry_optima(target):
+    """No entangled Alice beats the registry optimum, for any rho: the
+    certified bound equals it on 50 alpha2 in (1/2, 1), on BB84 (bb84_epr's
+    1) and on Ambainis (0.75). The Alices of the test above reach each
+    bound, so each optimum is proved from both sides."""
+    for alpha2 in np.linspace(0.5, 1.0, 52)[1:-1].tolist():
+        family = StateFamily(Family.LOSS_TOLERANT, alpha2)
+        assert certified_win(family, target, positive_part) == pytest.approx(
+            0.5 + alice_bias_bound(alpha2), abs=1e-12), alpha2
+    assert certified_win(BB84, target, positive_part) == pytest.approx(
+        ORACLE["bb84_epr_success"], abs=1e-12)
+    assert certified_win(AMB, target, ambainis_certificate) == pytest.approx(
+        ORACLE["ambainis_alice_success"], abs=1e-12)
