@@ -4,8 +4,6 @@ from .analytics import (alice_bias_bound, bob_bias, cunning_agreement,
                         fair_alpha2, reference_table)
 from .catalog import Family, StateFamily, basis_pair, committed_density
 from .channel import transmit
-from .discrimination import (COMPUTATIONAL_USD_AMBAINIS, DiscriminationStats,
-                             stats, usd_pure_pair)
 from .harness import (BiasEstimate, ExperimentConfig, run_experiment,
                       wilson_interval)
 from .protocols import (LossPolicy, ProtocolId, Transcript, VariantFlags,

@@ -17,10 +17,9 @@ bras); committed_density mixes them as an honest Alice does once committed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -36,19 +35,26 @@ class Family(Enum):
     MCQM_EXAMPLE = "mcqm_example"
 
 
-@dataclass(frozen=True)
-class StateFamily:
-    """A family tag plus, for LOSS_TOLERANT, the alpha^2 parameter."""
-
+class _Fields(NamedTuple):
     family: Family
     alpha2: Optional[float] = None
 
-    def __post_init__(self):
-        if self.family is Family.LOSS_TOLERANT:
-            if self.alpha2 is None or not (0.5 < self.alpha2 < 1.0):
+
+class StateFamily(_Fields):
+    """A family tag plus, for LOSS_TOLERANT, the alpha^2 parameter, checked
+    wherever one is made (_replace too)."""
+
+    __slots__ = ()
+
+    def __new__(cls, family: Family, alpha2: Optional[float] = None):
+        if family is Family.LOSS_TOLERANT:
+            if alpha2 is None or not (0.5 < alpha2 < 1.0):
                 raise OutOfRange("LOSS_TOLERANT requires 1/2 < alpha2 < 1")
-        elif self.alpha2 is not None:
-            raise InvalidLabel(f"{self.family.value} takes no alpha2 parameter")
+        elif alpha2 is not None:
+            raise InvalidLabel(f"{family.value} takes no alpha2 parameter")
+        return super().__new__(cls, family, alpha2)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace calls _make
 
     @property
     def dim(self) -> int:

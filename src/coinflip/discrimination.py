@@ -12,7 +12,7 @@ identity, checked by stats; its last element is the inconclusive outcome.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,8 +20,7 @@ from .errors import DimensionMismatch, ParallelStates
 from .quantum import ATOL, _check_density, _check_normalized, _check_positive
 
 
-@dataclass(frozen=True)
-class DiscriminationStats:
+class DiscriminationStats(NamedTuple):
     """Exact outcome statistics of a POVM against two equally likely states.
 
     confidence is the probability that the max-posterior guess is correct

@@ -31,7 +31,7 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -49,7 +49,7 @@ GROUP_ROWS = 8 * CHUNK
 _REFERENCE = dict(reference_table())  # label -> closed-form value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True)  # a dataclass: callers derive configs with dataclasses.replace
 class ExperimentConfig:
     """One experiment. A bad config fails here, at construction, with
     OutOfRange or IncompatibleProtocol; the engine reads the config as it
@@ -102,6 +102,8 @@ class ExperimentConfig:
         if not 0 <= self.max_restarts < 2 ** 53:
             raise OutOfRange(f"max_restarts={self.max_restarts} not in [0, 2**53)")
         for side, name in ((Side.ALICE, self.alice), (Side.BOB, self.bob)):
+            if not isinstance(name, str):
+                raise OutOfRange(f"{side.value}={name!r} is not a str")
             spec = lookup(side, name, self.protocol)
             if self.photon_count < spec.min_photons:
                 raise OutOfRange(f"{name} needs photon_count >= "
@@ -120,8 +122,7 @@ class ExperimentConfig:
         return self.variant or default_flags(self.protocol)
 
 
-@dataclass(frozen=True)
-class BiasEstimate:
+class BiasEstimate(NamedTuple):
     successes: int
     aborts: int
     restart_total: int
@@ -235,8 +236,7 @@ def estimate_to_dict(cfg: ExperimentConfig, est: BiasEstimate) -> dict:
 # ---------------------------------------------------------------------------
 # the check matrix: every simulated number with a closed-form counterpart
 
-@dataclass(frozen=True)
-class MatrixRow:
+class MatrixRow(NamedTuple):
     label: str
     cfg: ExperimentConfig
     metric: str  # attribute of BiasEstimate

@@ -93,7 +93,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -122,8 +122,7 @@ class LossPolicy(Enum):
     RESTART_ON_LOSS = "restart_on_loss"
 
 
-@dataclass(frozen=True)
-class VariantFlags:
+class VariantFlags(NamedTuple):
     loss_policy: LossPolicy = LossPolicy.RESTART_ON_LOSS
     bob_measures_on_reception: bool = True
 
@@ -150,8 +149,7 @@ def variant_name(variant: Optional[VariantFlags]) -> str:
                 str(variant))
 
 
-@dataclass(frozen=True)
-class ProtocolSpec:
+class ProtocolSpec(NamedTuple):
     """What one protocol fixes: its state family, the variants it allows Bob
     (its default first), and whether the coin is x xor b (loss-tolerant
     template) or a xor b (BB84/Ambainis templates)."""
@@ -207,7 +205,7 @@ VERDICTS = (Verdict.ACCEPTED, Verdict.ABORT_CHEATER)  # by Decision code
 # ---------------------------------------------------------------------------
 # emissions: one per round of a batch
 
-@dataclass
+@dataclass  # a dataclass: measure_delivery rebinds an entangled one's states and index
 class Emission:
     """What crosses the channel in one step: round j sends column index[j]
     of the fixed state table states (dim, m), lost rounds too, carried by
@@ -262,7 +260,7 @@ def measure_delivery(delivery: Emission, delivered: np.ndarray, bras: np.ndarray
 # ---------------------------------------------------------------------------
 # transcripts
 
-@dataclass(frozen=True)
+@dataclass(frozen=True)  # a dataclass: its __dict__ is its record (Transcript.to_dict)
 class QuantumRound:
     """Frozen, as transcripts share it; its instance dict, fields in order,
     is its record, and Transcript.to_dict returns copies of it."""
@@ -275,7 +273,7 @@ class QuantumRound:
     false_claim: bool = False
 
 
-@dataclass(slots=True)
+@dataclass(slots=True)  # not a NamedTuple, which builds and writes it slower per trial
 class Transcript:
     rounds: list[QuantumRound]
     b: int

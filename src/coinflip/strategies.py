@@ -20,10 +20,9 @@ everything they learn flows through the hook arguments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -364,8 +363,7 @@ def _apparatus(family: StateFamily, target: int) -> tuple:
 # ---------------------------------------------------------------------------
 # registry
 
-@dataclass(frozen=True)
-class Strategy:
+class Strategy(NamedTuple):
     """A named player: the protocols it applies to, its builder, the fewest
     photons per emission it needs, whether (for an Alice) it sends
     cfg.photon_count photons per emission rather than one, and the variants

@@ -33,11 +33,15 @@ def test_loss_tolerant_requires_alpha2_in_range():
         StateFamily(Family.LOSS_TOLERANT, 0.5)
     with pytest.raises(OutOfRange):
         StateFamily(Family.LOSS_TOLERANT, 1.0)
+    with pytest.raises(OutOfRange):  # a copy with one field changed is checked too
+        lt()._replace(alpha2=1.5)
 
 
 def test_other_families_take_no_alpha2():
     with pytest.raises(InvalidLabel):
         StateFamily(Family.BB84, 0.9)
+    with pytest.raises(InvalidLabel):
+        BB84._replace(alpha2=0.9)
 
 
 def test_dimensions_and_weights():

@@ -62,7 +62,9 @@ def test_config_validation():
     dict(eta=10 ** 400), dict(alpha2=10 ** 400),
     # protocol and variant are enums, not names to convert
     dict(protocol="bb84"), dict(protocol=None),
-    dict(protocol=ProtocolId.AMBAINIS_CF, variant="believe_on_faith")])
+    dict(protocol=ProtocolId.AMBAINIS_CF, variant="believe_on_faith"),
+    # and alice and bob are names, not looked up as whatever they are
+    dict(alice=["x"]), dict(bob={}), dict(alice=1)])
 def test_config_out_of_range_fails_at_construction(bad):
     with pytest.raises(OutOfRange):
         ExperimentConfig(**bad)

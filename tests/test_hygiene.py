@@ -3,10 +3,12 @@ imported name its module never reads, and a private top-level name that no
 module reads. The package's __init__ imports only to re-export, so its
 imports are not checked. Also from the trees: no module but rng compares a
 uniform, and the package, the tests and the benchmark import no package
-that pyproject.toml does not declare."""
+that pyproject.toml does not declare. Last, importing the package and its
+CLI leaves the oracle layer unloaded."""
 import ast
 import pathlib
 import re
+import subprocess
 import sys
 
 import pytest
@@ -108,3 +110,13 @@ def test_only_declared_packages_are_imported():
                 undeclared += [f"{path.relative_to(ROOT)}:{node.lineno} {m}"
                                for m in modules if m.partition(".")[0] not in ok]
     assert not undeclared
+
+
+def test_the_oracle_layer_is_off_the_import_path():
+    """coinflip.discrimination has no reader on a run path, so importing
+    the package and its CLI does not load it; it still imports on its own."""
+    code = ("import sys, coinflip, coinflip.cli; "
+            "assert 'coinflip.discrimination' not in sys.modules, 'loaded'; "
+            "import coinflip.discrimination")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
