@@ -37,9 +37,8 @@ import numpy as np
 
 from .analytics import check_alpha2, fair_alpha2, reference_table
 from .errors import IncompatibleProtocol, OutOfRange, RestartBudgetExceeded
-from .protocols import (VARIANT_NAMES, Decision, ProtocolId, VariantFlags,
-                        check_flags, default_flags, family_for, run_chunk,
-                        variant_name)
+from .protocols import (VARIANT_NAMES, ProtocolId, VariantFlags, check_flags,
+                        default_flags, family_for, run_chunk, variant_name)
 from .rng import CHUNK
 from .strategies import HONEST, REGISTRY, Side, lookup
 
@@ -76,16 +75,21 @@ class ExperimentConfig:
         if not isinstance(self.variant, (VariantFlags, type(None))):
             raise OutOfRange(f"variant={self.variant!r} is not a VariantFlags or None")
         for name in ("trials", "seed", "max_restarts", "photon_count", "target"):
+            value = getattr(self, name)
+            if type(value) is int:  # needs no conversion
+                continue
             try:  # kept as a Python int, which numpy's fixed widths would wrap
-                object.__setattr__(self, name, operator.index(getattr(self, name)))
+                object.__setattr__(self, name, operator.index(value))
             except TypeError:
-                raise OutOfRange(f"{name}={getattr(self, name)!r} is not an "
-                                 "integer") from None
+                raise OutOfRange(f"{name}={value!r} is not an integer") from None
         for name in ("eta", "alpha2"):  # kept as a float, which json can write
-            if not isinstance(getattr(self, name), numbers.Real):
-                raise OutOfRange(f"{name}={getattr(self, name)!r} is not a real number")
+            value = getattr(self, name)
+            if type(value) is float:  # needs no conversion, nor the ABC check
+                continue
+            if not isinstance(value, numbers.Real):
+                raise OutOfRange(f"{name}={value!r} is not a real number")
             try:
-                object.__setattr__(self, name, float(getattr(self, name)))
+                object.__setattr__(self, name, float(value))
             except OverflowError:  # a real number past the float range, as 10**400
                 raise OutOfRange(f"{name} is too large for a float") from None
         if self.trials < 1:
@@ -195,15 +199,16 @@ def run_experiment(cfg: ExperimentConfig,
     for start, stop in itertools.pairwise(bounds):
         verdict, coin, restarts = run_chunk(cfg, alice, bob, start // CHUNK,
                                             stop - start, transcript_sink)
-        finished = verdict != Decision.REQUEST_RESTART
-        limit_hits += len(verdict) - int(np.count_nonzero(finished))
+        # counts of 2 * Decision + (coin == target): ACCEPTED is 0 and 1,
+        # ABORT_CHEATER 2 and 3, REQUEST_RESTART (over the limit) 4 and 5
+        tally = np.bincount(2 * verdict + (coin == cfg.target), minlength=6).tolist()
+        limit_hits += tally[4] + tally[5]
         if limit_hits > 0.001 * cfg.trials:
             raise RestartBudgetExceeded(
                 f"{limit_hits} of {cfg.trials} trials exceeded the restart limit")
         restart_total += int(restarts.sum())  # 0 for a trial over the limit
-        aborts += int(np.count_nonzero(verdict == Decision.ABORT_CHEATER))
-        successes += int(np.count_nonzero((verdict == Decision.ACCEPTED)
-                                          & (coin == cfg.target)))
+        aborts += tally[2] + tally[3]
+        successes += tally[1]
     return BiasEstimate(successes, aborts, restart_total, cfg.trials, limit_hits)
 
 
@@ -322,9 +327,9 @@ def evaluate_matrix(trials: int = 100_000, seed: int = 12345,
     cache: dict[ExperimentConfig, BiasEstimate] = {}
     results = []
     for row in rows:
-        if row.cfg not in cache:
-            cache[row.cfg] = run_experiment(row.cfg)
-        est = cache[row.cfg]
+        est = cache.get(row.cfg)  # one lookup, and one store for a new config
+        if est is None:
+            est = cache[row.cfg] = run_experiment(row.cfg)
         measured = getattr(est, row.metric)
         if row.exact:
             ok = measured == row.expected

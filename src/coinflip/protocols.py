@@ -35,7 +35,8 @@ column each.
 
   Alice: prepare(u) -> emission batch; reveal(b, u) -> (a, x)
   Bob:   receive(delivery, delivered, u) -> restart mask;
-         choose_b(u) -> b; verify(a, x, u) -> Decision codes
+         choose_b(u) -> b; verify(a, x, u) -> Decision codes, per round
+         or one code for every round (the engine broadcasts it)
 
 Every hook runs once per step, in the order prepare, receive, choose_b,
 reveal, verify, on every round of the step (delivered says which deliveries
@@ -247,8 +248,8 @@ def measure_delivery(delivery: Emission, delivered: np.ndarray, bras: np.ndarray
     rounds too, and the lost rounds' outcomes are masked to -1; a lost round
     tells no one anything, so what its measurement drew is never read.
     """
-    every = delivered.all()
-    if not (every or delivered.any()):  # nothing arrives from vacuum
+    every = np.logical_and.reduce(delivered)  # ufuncs: no method wrapper
+    if not (every or np.logical_or.reduce(delivered)):  # nothing arrives from vacuum
         return np.full(len(delivered), -1)
     if delivery.entangled:
         outcome, delivery.states, delivery.index = steer_epr(bras, u, which)
@@ -362,13 +363,14 @@ def run_chunk(cfg, alice, bob, chunk: int, trials: int,
             over = spent > cap
             ends &= ~over
         coins = (x if coin_from_x else a) ^ b
-        if not step and sink is None and ends.all():  # whole columns, in trial order
+        if not step and sink is None and np.logical_and.reduce(ends, None):
+            # whole columns, in trial order
             verdict[:] = decision
             coin[:] = coins
             if lost is not None:
                 restarts[:] = lost
             break
-        done = ends.any(1)
+        done = np.logical_or.reduce(ends, 1)
         at = ends.argmax(1)[done]  # each finished trial's first ending attempt
         last = done.nonzero()[0] * depth + at
         finished = pending[done]

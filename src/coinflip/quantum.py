@@ -103,18 +103,23 @@ def _born(states: np.ndarray, bras: np.ndarray) -> np.ndarray:
 def _draw(table: np.ndarray, index: np.ndarray, bras: np.ndarray, u: np.ndarray,
           which: int | np.ndarray) -> np.ndarray:
     """One outcome index (intp) per uniform u[j], drawn from column
-    index[j] * k + which[j] (or + which, for an int) of a table laid out as
-    _born's for the k bases of bras. ValueError unless every basis index lies
-    in [0, k). A two-outcome table (rows cdf, total) is one rng.steps on the
-    gathered entries; a longer one is inverse_cdf on the gathered columns."""
+    index[j] * k + which[j] (or + which, for an int; True is basis 1, as
+    numpy reads it) of a table laid out as _born's for m states in the k
+    bases of bras. ValueError unless every basis index lies in [0, k), and
+    IndexError unless every state index lies in [0, m), negatives included.
+    A two-outcome table (rows cdf, total) is one rng.steps on the gathered
+    entries; a longer one is inverse_cdf on the gathered columns."""
     k = len(bras)
-    # an int directly (True is basis 1, as numpy reads it); an array in one
-    # reduction, read as unsigned so that a negative index is past the range
-    if (not 0 <= which < k if isinstance(which, int)
-            else np.maximum.reduce(np.asarray(which, np.intp).view(np.uintp),
-                                   initial=0) >= k):
-        raise ValueError(f"basis index not in [0, {k})")
-    flat = index * k + which
+    m = table.shape[1] // k
+    try:  # the flat index checks both indices, and names neither
+        flat = np.ravel_multi_index((index, which), (m, k))
+    except ValueError:  # which one is out
+        which, index = np.asarray(which), np.asarray(index)
+        if ((which < 0) | (which >= k)).any():
+            raise ValueError(f"basis index not in [0, {k})") from None
+        if ((index < 0) | (index >= m)).any():
+            raise IndexError(f"state index not in [0, {m})") from None
+        raise
     if len(table) == 2:
         return steps(table[0].take(flat), table[1].take(flat), u).astype(np.intp)
     drawn = table.take(flat, 1)

@@ -13,11 +13,14 @@ leave their states agreeing in their low bits, so blocks never overlap and
 each is reproducible on its own, in any order.
 
 A process seeds one bit generator per seed, kept in a bounded cache of
-SEEDS, and shares it between every chunk, config and grid point run with
-that seed. block restores its seeded state, advances it by
-((k << 32) | s) times the jump and draws, all three under one module lock,
-so two threads never interleave a restore and a draw; the uniforms are
-those jumped() gives, at a fraction of the cost of a new generator.
+SEEDS with the offset it has reached, and shares it between every chunk,
+config and grid point run with that seed. One float64 uniform consumes one
+64-bit output, and PCG jumps compose exactly, so block positions the
+generator at ((k << 32) | s) times the jump with one advance by the
+distance from its offset, modulo 2**128, and draws. The advance, the draw
+and the new offset are one step under the module lock, so two threads never
+draw from a position the other one set; the uniforms are those jumped()
+gives, at a fraction of the cost of a new generator.
 
 One engine call runs consecutive chunks together, from a first chunk on,
 and rows gives the rows of one of its steps: each chunk's own block, drawn
@@ -70,13 +73,15 @@ SLOTS = 10
 
 CHUNK = 1024  # trials per chunk, each on its own blocks
 SEEDS = 8  # seeded generators kept; the least recently used goes first
-_LOCK = threading.Lock()  # held from restoring a seeded state to the draw
+_LOCK = threading.Lock()  # held from positioning a generator to its new offset
 
 
 @lru_cache(maxsize=SEEDS)
 def _seeded(seed: int) -> tuple:
+    """A seed's bit generator, its Generator and a one-item list holding the
+    offset, in outputs from the seeded state, that the generator stands at."""
     bits = np.random.PCG64DXSM(seed)
-    return bits, np.random.Generator(bits), bits.state
+    return bits, np.random.Generator(bits), [0]
 
 
 def block(seed: int, chunk: int, step: int, shape) -> np.ndarray:
@@ -88,12 +93,16 @@ def block(seed: int, chunk: int, step: int, shape) -> np.ndarray:
 
 def _fill(seed: int, chunk: int, step: int, out: np.ndarray) -> np.ndarray:
     """block(seed, chunk, step, out.shape), drawn into out (C-contiguous
-    float64) and returned."""
-    bits, gen, state = _seeded(seed)
+    float64) and returned. The offset is the block's start during the draw,
+    which consumes nothing if Generator.random refuses out, and its end after."""
+    bits, gen, offset = _seeded(seed)
+    start = ((chunk << 32) | step) * _JUMP
     with _LOCK:
-        bits.state = state
-        bits.advance(((chunk << 32) | step) * _JUMP % _PERIOD)
-        return gen.random(out=out)
+        bits.advance((start - offset[0]) % _PERIOD)
+        offset[0] = start
+        gen.random(out=out)
+        offset[0] = start + out.size
+    return out
 
 
 def rows(seed: int, chunk: int, step: int, pending: np.ndarray,
@@ -152,4 +161,4 @@ def inverse_cdf(cdf: np.ndarray, total: np.ndarray, u: np.ndarray) -> np.ndarray
     """One index per uniform by inverse CDF over cumulative(probs): the first
     i with u * total < cdf[i], or the last index if none is, as
     steps(cdf, total, u) counts them."""
-    return steps(cdf, total, u).sum(0)
+    return np.add.reduce(steps(cdf, total, u), 0)  # the ufunc: no method wrapper

@@ -323,7 +323,7 @@ class GuessingBob:
         return self.b
 
     def verify(self, a, x, u):
-        return np.full(len(u), Decision.ACCEPTED)
+        return Decision.ACCEPTED  # one code, for every round
 
 
 def _helstrom(family: StateFamily, target: int) -> tuple:

@@ -193,6 +193,64 @@ def test_a_run_where_no_trial_finishes_fails_after_one_chunk(monkeypatch):
     assert calls == [CHUNK]
 
 
+def _scripted_calls(trials, hits, seed):
+    """One (verdict, coin, restarts) per engine call of a run of `trials`:
+    one chunk, then the rest in one call, as int8, int8 and int64 arrays.
+    Decisions end a trial or put it over the limit (hits[i] of them in call
+    i, 0 restarts each); coins are bits, and restarts run up to 40."""
+    r = np.random.default_rng(seed)
+    calls = []
+    for n, over in zip((CHUNK, trials - CHUNK), hits):
+        verdict = r.integers(0, 2, n).astype(np.int8)  # ACCEPTED or ABORT_CHEATER
+        verdict[r.choice(n, over, replace=False)] = Decision.REQUEST_RESTART
+        restarts = np.where(verdict == Decision.REQUEST_RESTART, 0,
+                            r.integers(0, 41, n))
+        calls.append((verdict, r.integers(0, 2, n).astype(np.int8), restarts))
+    return calls
+
+
+@pytest.mark.parametrize("target", [0, 1])
+@pytest.mark.parametrize("hits", [(0, 0), (1, 2), (3, 0)],
+                         ids=["no_hits", "hits_in_both_calls", "hits_at_budget"])
+def test_the_tally_follows_its_definitions(monkeypatch, target, hits):
+    """run_experiment tallies what the engine returns: a success is an
+    ACCEPTED trial whose coin is the target, an abort an ABORT_CHEATER trial,
+    a limit hit a trial left at REQUEST_RESTART, and restart_total the sum
+    of the restarts; up to 0.1% of the trials (3 of 3,000) may hit the
+    limit."""
+    trials = 3000
+    calls = _scripted_calls(trials, hits, seed=target)
+    script = iter(calls)
+    monkeypatch.setattr(harness, "run_chunk", lambda *args: next(script))
+    est = run_experiment(ExperimentConfig(trials=trials, target=target))
+    verdict, coin, restarts = map(np.concatenate, zip(*calls))
+    assert est == BiasEstimate(
+        successes=int(((verdict == Decision.ACCEPTED) & (coin == target)).sum()),
+        aborts=int((verdict == Decision.ABORT_CHEATER).sum()),
+        restart_total=int(restarts.sum()), trials=trials, limit_hits=sum(hits))
+    assert 0 < est.successes < est.trials - est.aborts
+    assert next(script, None) is None
+
+
+@pytest.mark.parametrize("hits, calls", [((4, 0), 1), ((2, 2), 2)],
+                         ids=["first_call", "second_call"])
+def test_the_budget_fails_at_the_call_that_passes_it(monkeypatch, hits, calls):
+    """With 3 of 3,000 trials allowed over the limit, RestartBudgetExceeded
+    is raised by the first engine call that takes the running count past 3,
+    and no later call is made."""
+    script = iter(_scripted_calls(3000, hits, seed=5))
+    made = []
+
+    def engine(*args):
+        made.append(args[4])  # the call's trials
+        return next(script)
+
+    monkeypatch.setattr(harness, "run_chunk", engine)
+    with pytest.raises(RestartBudgetExceeded, match="4 of 3000"):
+        run_experiment(ExperimentConfig(trials=3000))
+    assert made == [CHUNK, 3000 - CHUNK][:calls]
+
+
 @pytest.mark.parametrize("eta", [1.0, 0.5])
 def test_vacuum_facing_a_restarting_bob_exceeds_the_budget(eta):
     """Vacuum never arrives, whichever loss rule Bob's declaration picks."""

@@ -17,6 +17,7 @@ from coinflip.quantum import (BORN_TABLES, born_table, helstrom_success,
                               measure_projective, measure_table, mix,
                               steer_epr, trace_distance)
 from coinflip.rng import bit, cumulative, inverse_cdf
+from coinflip.strategies import GuessingBob
 
 from conftest import assert_z, sigma, valid_configs
 
@@ -369,11 +370,14 @@ def test_born_table_draws_agree_at_every_cdf_step():
 
 
 def test_born_table_rejects_what_measure_projective_rejects(rng):
-    """An unnormalized state, a basis index outside the stack and a state
-    index past the table raise as before, through measure_delivery too;
-    none of them is read as another basis's column. An EPR half rejects a
-    basis index outside the stack as a state does, and a bare basis, not a
-    stack, is refused by every measurement and by born_table."""
+    """An unnormalized state, a basis index outside the stack (an array
+    entry or an int, negatives included) and a state index past the table
+    raise as before, through measure_delivery too; none of them is read as
+    another basis's column, and a table draw reads no negative state index
+    from the end. An EPR half and steer_epr reject a basis index outside the
+    stack as a state does, a GuessingBob with a fixed basis raises the same
+    errors from receive, and a bare basis, not a stack, is refused by every
+    measurement and by born_table."""
     bras = basis_pair(StateFamily(Family.BB84))
     states = bras.conj().reshape(-1, 2).T  # column 2a + x is |a, x>
     n = 50
@@ -385,10 +389,18 @@ def test_born_table_rejects_what_measure_projective_rejects(rng):
     for bad in (2, -1):  # 2 * 0 + 2 would be column 1 in basis 0
         outside = which.copy()
         outside[7] = bad
-        cases.append((ValueError, states, index, outside))
+        cases += [(ValueError, states, index, outside),
+                  (ValueError, states, index, bad)]
     past = index.copy()
     past[7] = 4
-    cases.append((IndexError, states, past, which))
+    cases += [(IndexError, states, past, which), (IndexError, states, past, 1)]
+    negative = index.copy()  # a table draw never reads it from the end
+    negative[7] = -1
+    for wh in (which, 1):
+        with pytest.raises(IndexError):
+            measure_table(states, negative, bras, u, wh)
+        with pytest.raises(IndexError):
+            measure_delivery(Emission(states, negative, 1), np.ones(n, bool), bras, u, wh)
     for error, table, idx, wh in cases:
         with pytest.raises(error):
             measure_projective(table[:, idx], bras, u, wh)
@@ -399,10 +411,23 @@ def test_born_table_rejects_what_measure_projective_rejects(rng):
     for bad in (2, -1):  # steer_epr would read -1 as basis 1
         outside = which.copy()
         outside[7] = bad
-        with pytest.raises(ValueError):
-            measure_delivery(Emission(UNSTEERED, np.zeros(n, np.intp), 1,
-                                      entangled=True),
-                             np.ones(n, bool), bras, u, outside)
+        for wh in (outside, bad):
+            with pytest.raises(ValueError):
+                measure_delivery(Emission(UNSTEERED, np.zeros(n, np.intp), 1,
+                                          entangled=True),
+                                 np.ones(n, bool), bras, u, wh)
+            with pytest.raises(ValueError):
+                steer_epr(bras, u, wh)
+    guess = np.arange(-1, 2)  # at outcome + 1: -1 for nothing
+    for stack in (bras, bras[:1]):  # two bases and one
+        for basis in (len(stack), -1):
+            bob = GuessingBob(0, "fixed", stack, (basis,), guess, guess)
+            with pytest.raises(ValueError):
+                bob.receive(Emission(states, index, 1), np.ones(n, bool), u[None])
+        bob = GuessingBob(0, "fixed", stack, (0,), guess, guess)
+        for bad in (past, negative):
+            with pytest.raises(IndexError):
+                bob.receive(Emission(states, bad, 1), np.ones(n, bool), u[None])
     for measure in (lambda b: measure_projective(states[:, index], b, u, which),
                     lambda b: measure_table(states, index, b, u, which),
                     lambda b: steer_epr(b, u, which),

@@ -200,9 +200,9 @@ def test_more_seeds_than_the_cache_holds_give_the_reference_blocks():
 
 
 def test_two_threads_drawing_one_seed_get_the_reference_blocks():
-    """The restore, the advance and the draw of a block are one step under
-    the module lock, so two threads sharing a seed's generator never draw
-    from a state the other one positioned."""
+    """The advance from the tracked offset, the draw and the new offset of
+    a block are one step under the module lock, so two threads sharing a
+    seed's generator never draw from a position the other one set."""
     keys = [(chunk, step) for chunk in range(4) for step in range(30)]
     shape = (20_000,)  # long draws, which release the GIL
     wrong = {}
@@ -226,6 +226,62 @@ def test_two_threads_drawing_one_seed_get_the_reference_blocks():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert wrong == {"forward": [], "backward": []}
+
+
+def test_one_float64_uniform_consumes_one_64_bit_output():
+    """The invariant the tracked offset rests on: after Generator.random(n),
+    the bit generator stands where a fresh one advanced by n stands."""
+    for n in (0, 1, 7, 1000):
+        bits = np.random.PCG64DXSM(4243)
+        np.random.Generator(bits).random(n)
+        fresh = np.random.PCG64DXSM(4243)
+        fresh.advance(n)
+        assert bits.random_raw() == fresh.random_raw(), n
+
+
+@pytest.mark.parametrize("keys", [
+    [(3, 2, 40), (3, 2, 40)],  # the same block twice in a row
+    [(6, 1, 25), (4, 1, 25), (2, 1, 25), (0, 1, 25)],  # chunks backwards
+    [(1, 0, 0), (1, 0, 7), (1, 1, 0), (5, 3, 13), (1, 0, 7)],  # empty, odd
+    [(0, 0, 9), (0, 1, 9), (0, 0, 9), (2 ** 31, 2 ** 32 - 1, 3), (0, 0, 9)],
+], ids=["repeat", "backwards", "empty_and_odd", "far_and_back"])
+def test_blocks_in_any_order_are_the_reference_blocks(keys):
+    """Each block is positioned from the offset the last draw left: blocks
+    repeated, drawn backwards, empty, odd-sized or far apart are still the
+    jumped streams."""
+    for chunk, step, n in keys:
+        assert np.array_equal(block(4244, chunk, step, (n,)),
+                              reference_block(4244, chunk, step, (n,)))
+
+
+def test_rows_across_chunks_in_turn_are_the_reference_blocks():
+    """rows draws several chunks' blocks in turn from the one generator,
+    twice over and for two steps, each its chunk's reference block."""
+    seed, depth = 4245, 3
+    pending = np.concatenate([np.arange(0, 5), CHUNK + np.arange(2, 9),
+                              3 * CHUNK + np.arange(0, CHUNK, 100)])
+    for step in (2, 1, 2):
+        got = rows(seed, 7, step, pending, depth)
+        want = np.concatenate([reference_block(seed, 7 + k, step, (n, depth, SLOTS))
+                               for k, n in enumerate(np.bincount(pending // CHUNK))
+                               if n])
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("out", [np.empty((6, 4))[:, ::2],
+                                 np.empty(5, dtype=np.float32)],
+                         ids=["not_contiguous", "float32"])
+def test_a_refused_draw_leaves_the_offset_true(out):
+    """A draw that Generator.random refuses for its out consumes nothing,
+    and the offset does not drift past it: the blocks drawn right after it
+    are the reference blocks."""
+    seed = 4246
+    assert np.array_equal(block(seed, 2, 5, (11,)), reference_block(seed, 2, 5, (11,)))
+    with pytest.raises((TypeError, ValueError)):
+        rng_module._fill(seed, 9, 1, out)
+    for chunk, step in ((9, 1), (2, 5), (9, 2)):
+        assert np.array_equal(block(seed, chunk, step, (11,)),
+                              reference_block(seed, chunk, step, (11,)))
 
 
 def test_steps_share_no_value():
