@@ -10,16 +10,16 @@ A run is an ordered exchange:
    "state" for one, "pulse:N" for a multi-photon pulse of N, and "epr_half"
    for an entangled emission, half of a singlet whose far half is likewise
    one column of a fixed table per round.
-2. Bob reacts to the delivery: measures immediately, stores it, or requests
-   a restart (honestly on loss, or dishonestly).
-3. Bob sends a random-looking bit b.
-4. Alice reveals a basis bit a and a bit x.
-5. Bob verifies if he can, and either accepts or calls Alice a cheater
-   (or, in stored-measurement variants, claims loss and forces a restart).
-6. On acceptance the coin is x xor b (loss-tolerant template) or a xor b
+2. Bob measures the delivery at once or stores it, and answers with a
+   random-looking bit b.
+3. Alice reveals a basis bit a and a bit x.
+4. Bob verifies if he can, and accepts, calls Alice a cheater or requests
+   a restart: honestly on loss, or dishonestly (an inconclusive guess, or
+   in stored-measurement variants a false claim of loss).
+5. On acceptance the coin is x xor b (loss-tolerant template) or a xor b
    (BB84/Ambainis templates).
 
-Steps 1-5 make one round; a restart replays them from step 1. Player
+Steps 1-4 make one round; a restart replays them from step 1. Player
 behavior is injected through hooks so cheating strategies can replace any
 step; the engine only moves messages, applies channel loss, enforces the
 restart bound and records transcripts. Every player, honest or cheating, is
@@ -30,31 +30,30 @@ The engine (run_chunk) runs every round of a step, over all the chunks of
 one call, as one flat batch of (trial, round) pairs, so hooks take and
 return arrays with one entry per round. u holds the uniforms of the hook's
 own draw site (see rng), one entry per round of the batch: prepare gets
-u[0] and u[1], receive u[0] to u[3], and choose_b, reveal and verify one
-column each.
+u[0] and u[1], receive u[0] to u[4], the last b's, and reveal and verify
+one column each.
 
   Alice: prepare(u) -> emission batch; reveal(b, u) -> (a, x)
-  Bob:   receive(delivery, delivered, u) -> restart mask;
-         choose_b(u) -> b; verify(a, x, u) -> Decision codes, per round
-         or one code for every round (the engine broadcasts it)
+  Bob:   receive(delivery, delivered, u) -> b;
+         verify(a, x, u) -> one Decision per round, restarts included
 
-Every hook runs once per step, in the order prepare, receive, choose_b,
-reveal, verify, on every round of the step (delivered says which deliveries
-arrived). The engine discards what choose_b, reveal and verify give on the
-rounds receive restarted, so there a hook may see any value (b need not be
-a bit) but must not raise. A hook may keep per-round arrays from one call
-to the next within a step, but no state across rounds: rounds are
-independent draws, which is what lets a step run a trial's next rounds all
-at once. Receivers measure through measure_delivery, in a stack of at most
-two bases with a basis index per round, and get one outcome index per round,
--1 where nothing arrived. An unentangled emission's table holds at most
-2 * dim states, so each round is drawn from the Born table of that table in
-that stack (quantum.born_table, built once and shared): one gather by basis
-and column and one comparison with the uniform, the same outcome
-measure_projective gives. A pulse is measured on its first photon, from the
-same table; an EPR half is steered instead, from weights built once per
-stack, and its far half becomes a column of the stack's far table, so the
-sender measures it from a Born table too.
+Every hook runs once per step, in the order prepare, receive, reveal,
+verify, on every round of the step (delivered says which deliveries
+arrived). The engine discards b, a and x on the rounds verify restarts, so
+there a hook may see any value (b need not be a bit) but must not raise. A
+hook may keep per-round arrays from one call to the next within a step, but
+no state across rounds: rounds are independent draws, which is what lets a
+step run a trial's next rounds all at once. Receivers measure through
+measure_delivery, in a stack of at most two bases with a basis index per
+round, and get one outcome index per round, -1 where nothing arrived. An
+unentangled emission's table holds at most 2 * dim states, so each round is
+drawn from the Born table of that table in that stack (quantum.born_table,
+built once and shared): one gather by basis and column and one comparison
+with the uniform, the same outcome measure_projective gives. A pulse is
+measured on its first photon, from the same table; an EPR half is steered
+instead, from weights built once per stack, and its far half becomes a
+column of the stack's far table, so the sender measures it from a Born table
+too.
 
 A block row is an attempt, and the channel has two rules for it. Every Bob
 declares restarts_on_loss: true when every round that does not arrive ends
@@ -102,8 +101,7 @@ from .catalog import Family, StateFamily
 from .channel import lost_rounds, transmit
 from .errors import IncompatibleProtocol
 from .quantum import measure_table, steer_epr
-from .rng import (CHOOSE_B, PREPARE, RECEIVE, REVEAL, SLOTS, TRANSMIT, VERIFY,
-                  rows)
+from .rng import PREPARE, RECEIVE, REVEAL, SLOTS, TRANSMIT, VERIFY, rows
 
 DEPTH = 64  # the most rounds per trial in one step
 
@@ -349,11 +347,9 @@ def run_chunk(cfg, alice, bob, chunk: int, trials: int,
         else:
             lost = None
             delivered = transmit(emission, eta, u[TRANSMIT])
-        restart = bob.receive(emission, delivered, u[RECEIVE])
-        b = bob.choose_b(u[CHOOSE_B])
+        b = bob.receive(emission, delivered, u[RECEIVE])
         a, x = alice.reveal(b, u[REVEAL])
-        decision = np.where(restart, Decision.REQUEST_RESTART,
-                            bob.verify(a, x, u[VERIFY]))
+        decision = bob.verify(a, x, u[VERIFY])
 
         ends = (decision <= Decision.ABORT_CHEATER).reshape(-1, depth)
         if lost is not None:  # rounds run up to each attempt; past cap, none ends

@@ -32,10 +32,11 @@ A block has shape (pending trials, attempts, SLOTS): one row of SLOTS
 uniforms per (trial, attempt) pair. An attempt is one round, or, for a Bob
 who restarts on every lost round, a run of lost rounds and the round that
 arrives; the channel's two rules read the TRANSMIT uniform either way (see
-channel). Each draw site of an attempt owns fixed columns of its row
-(PREPARE, TRANSMIT, RECEIVE, CHOOSE_B, REVEAL, VERIFY); every site runs on
-every attempt, and every draw maps exactly one uniform, so what one site
-draws never shifts another site's uniforms. Hooks (see protocols) get their
+channel). Each of the five draw sites of an attempt owns fixed columns of
+its row (PREPARE, TRANSMIT, RECEIVE, REVEAL, VERIFY), and RECEIVE's last
+column is b's; every site runs on every attempt, and every draw maps
+exactly one uniform, so what one site draws never shifts another site's
+uniforms. Hooks (see protocols) get their
 own columns as arrays, one entry per attempt, and return arrays; they keep
 no state across rounds, so the attempts of a step are independent.
 
@@ -65,8 +66,7 @@ _PERIOD = 1 << 128
 # Columns of a block row, one set per draw site of an attempt.
 PREPARE = slice(0, 2)
 TRANSMIT = 2
-RECEIVE = slice(3, 7)
-CHOOSE_B = 7
+RECEIVE = slice(3, 8)  # its last column is b's
 REVEAL = 8
 VERIFY = 9
 SLOTS = 10

@@ -3,19 +3,19 @@
 REGISTRY[side][name] is the one place a player is built. Each side has an
 honest entry that applies to every protocol; the other entries are attacks
 built around a target bit c, the coin value the cheater wants to force.
-Alice-side hooks implement prepare/reveal, Bob-side hooks the
-receive/choose_b/verify trio, all on batches of rounds as the protocols
-module describes; the protocols module holds no player. Every Alice but the
-EPR one is a TableAlice, and every Bob who only measures to guess a bit
-(the optimal loss-tolerant Bob, the qutrit conclusive receivers and both
-two-photon receivers) is a GuessingBob: a function of (family, target)
-fills the tables of each, and one cache keeps them for both sides (see
-_from_tables). Every Bob declares restarts_on_loss, whether each round that
-does not arrive ends in REQUEST_RESTART, which picks the channel's loss rule
-for him, and basis_tags, the names of his bases in transcripts. Reveal tables
-were verified by direct overlap computation (see tests) rather than taken on
-trust. Strategies never see the honest party's private randomness;
-everything they learn flows through the hook arguments.
+Alice-side hooks implement prepare/reveal, Bob-side hooks receive, which
+returns b, and verify, which decides every round, all on batches of rounds
+as the protocols module describes; the protocols module holds no player.
+Every Alice but the EPR one is a TableAlice, and every Bob who only measures
+to guess a bit (the optimal loss-tolerant Bob, the qutrit conclusive
+receivers and both two-photon receivers) is a GuessingBob: a function of
+(family, target) fills the tables of each, and one cache keeps them for both
+sides (see _from_tables). Every Bob declares restarts_on_loss, whether each
+round that does not arrive ends in REQUEST_RESTART, which picks the
+channel's loss rule for him, and basis_tags, the names of his bases in
+transcripts. Reveal tables were verified by direct overlap computation (see
+tests) rather than taken on trust. Strategies never see the honest party's
+private randomness; everything they learn flows through the hook arguments.
 """
 from __future__ import annotations
 
@@ -215,7 +215,8 @@ class EprSteeringAlice:
 class HonestBob:
     """Measures per the variant flags cfg.flags, sends a fresh random b,
     verifies whenever the declared basis lets him. He restarts on every lost
-    round (restarts_on_loss) unless he believes losses on faith."""
+    round (restarts_on_loss) unless he believes losses on faith: a lost
+    round ends in self.lost."""
 
     basis_tags = ("0", "1")
 
@@ -223,39 +224,35 @@ class HonestBob:
         self.flags = cfg.flags
         self.bras = catalog.basis_pair(family)
         self.restarts_on_loss = self.flags.loss_policy is LossPolicy.RESTART_ON_LOSS
+        self.lost = (Decision.REQUEST_RESTART if self.restarts_on_loss
+                     else Decision.ACCEPTED)
 
     def receive(self, delivery: Emission, delivered: np.ndarray,
                 u: np.ndarray) -> np.ndarray:
-        if not self.flags.bob_measures_on_reception:
-            self.stored, self.delivered = delivery, delivered
-            return np.zeros(len(delivered), dtype=bool)
-        self.a_hat = self.last_basis = bit(u[0])
-        self.x_hat = self.last_outcome = measure_delivery(
-            delivery, delivered, self.bras, u[1], self.a_hat)
-        return ~delivered
-
-    def choose_b(self, u: np.ndarray) -> np.ndarray:
-        return bit(u)
+        self.stored, self.delivered = delivery, delivered
+        if self.flags.bob_measures_on_reception:
+            self.a_hat = self.last_basis = bit(u[0])
+            self.x_hat = self.last_outcome = measure_delivery(
+                delivery, delivered, self.bras, u[1], self.a_hat)
+        return bit(u[-1])
 
     def verify(self, a: np.ndarray, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        if self.flags.bob_measures_on_reception:  # ABORT_CHEATER is 1, ACCEPTED 0
-            return ((a == self.a_hat) & (self.x_hat != x)).view(np.int8)
-        # a lost round is believed on faith or replayed from step 1
-        self.last_basis = a
-        self.last_outcome = measure_delivery(self.stored, self.delivered,
-                                             self.bras, u, a)
-        lost = (Decision.ACCEPTED
-                if self.flags.loss_policy is LossPolicy.BELIEVE_ON_FAITH
-                else Decision.REQUEST_RESTART)
-        caught = np.where(self.last_outcome != x, Decision.ABORT_CHEATER,
-                          Decision.ACCEPTED)
-        return np.where(self.delivered, caught, lost)
+        if self.flags.bob_measures_on_reception:
+            caught = (a == self.a_hat) & (self.x_hat != x)
+        else:
+            self.last_basis = a
+            self.last_outcome = measure_delivery(self.stored, self.delivered,
+                                                 self.bras, u, a)
+            caught = self.last_outcome != x
+        # ABORT_CHEATER is 1, ACCEPTED 0
+        return np.where(self.delivered, caught.view(np.int8), self.lost)
 
 
 class CunningSonBob(HonestBob):
     """Honest measurement, but sends b = x_hat instead of a random bit."""
 
-    def choose_b(self, u):
+    def receive(self, delivery, delivered, u):
+        super().receive(delivery, delivered, u)
         return self.x_hat
 
 
@@ -274,10 +271,7 @@ class RestartAbuseBob:
         self.camouflage = max(0.0, 1.0 - 2.0 * cfg.eta)
 
     def receive(self, delivery, delivered, u):
-        return np.zeros(len(delivered), dtype=bool)  # stores, never measures
-
-    def choose_b(self, u):
-        self.b = bit(u)
+        self.b = bit(u[-1])  # stores, never measures
         return self.b
 
     def verify(self, a, x, u):
@@ -316,14 +310,13 @@ class GuessingBob:
         # where an index tuple would wrap a negative one; one index is flat
         flat = key[0] if len(key) == 1 else np.ravel_multi_index(key, self.guess.shape)
         guess = self.guess.take(flat)
-        self.b, self.last_outcome = self.target ^ guess, self.outcome.take(flat)
-        return guess < 0
-
-    def choose_b(self, u):
-        return self.b
+        self.last_outcome = self.outcome.take(flat)
+        self.decision = np.where(guess < 0, Decision.REQUEST_RESTART,
+                                 Decision.ACCEPTED)
+        return self.target ^ guess
 
     def verify(self, a, x, u):
-        return Decision.ACCEPTED  # one code, for every round
+        return self.decision  # any reveal is accepted
 
 
 def _helstrom(family: StateFamily, target: int) -> tuple:

@@ -502,9 +502,9 @@ def test_matrix_counts_are_pinned_for_every_group(engine_calls):
 
 # Runs over MANY_CHUNKS trials, whose counts and transcript bytes every group
 # size must give exactly. limit_hits: honest trials at eta = 0.5 past 10
-# restarts (2**-11 each) on the geometric loss rule; restart abuse restarts
-# from verify on the Bernoulli rule, and the two-photon apparatus from
-# receive.
+# restarts (2**-11 each) on the geometric loss rule; restart abuse claims
+# loss falsely on the Bernoulli rule, and the two-photon apparatus restarts
+# on inconclusive pairs.
 GROUPED_RUNS = {
     "limit_hits": dict(eta=0.5, max_restarts=10),
     "restart_abuse": dict(protocol=ProtocolId.AMBAINIS_CF_VARIANT,

@@ -12,10 +12,10 @@ from coinflip.catalog import basis_pair
 from coinflip.errors import IncompatibleProtocol
 from coinflip.harness import (VARIANT_NAMES, ExperimentConfig, build_hooks,
                               run_experiment)
-from coinflip.protocols import (Decision, Emission, LossPolicy, ProtocolId,
-                                QuantumRound, VariantFlags, Verdict, check_flags,
-                                default_flags, family_for, measure_delivery,
-                                run_chunk)
+from coinflip.protocols import (PROTOCOLS, Decision, Emission, LossPolicy,
+                                ProtocolId, QuantumRound, VariantFlags, Verdict,
+                                check_flags, default_flags, family_for,
+                                measure_delivery, run_chunk)
 from coinflip.quantum import measure_projective, steer_epr
 from coinflip.rng import bit
 from coinflip.strategies import REGISTRY, HonestBob, Side
@@ -130,12 +130,22 @@ def test_restart_count_is_geometric():
 @pytest.mark.parametrize("protocol", ALL_PROTOCOLS)
 @pytest.mark.parametrize("eta", [1.0, 0.5, 0.1])
 def test_lossy_honest_runs_still_never_abort(protocol, eta):
+    """Under every variant the protocol allows, honest runs end accepted
+    with a fair coin; a Bob who restarts on loss restarts (1 - eta)/eta
+    times per trial, and one who believes losses on faith never does."""
     n = 2000
-    ones = 0
-    for t in run_many(protocol, n, eta=eta):
-        assert t.verdict is Verdict.ACCEPTED
-        ones += t.outcome
-    assert_z(ones / n, 0.5, sigma("frequency", 0.5, n))
+    for flags in PROTOCOLS[protocol].variants:
+        transcripts = run_many(protocol, n, eta=eta, flags=flags)
+        assert all(t.verdict is Verdict.ACCEPTED for t in transcripts), flags
+        ones = sum(t.outcome for t in transcripts)
+        assert_z(ones / n, 0.5, sigma("frequency", 0.5, n), flags)
+        restarts = sum(t.restart_count for t in transcripts) / n
+        if flags.loss_policy is LossPolicy.BELIEVE_ON_FAITH:
+            assert restarts == 0, flags
+        else:
+            expected = (1.0 - eta) / eta
+            assert_z(restarts, expected, sigma("restarts_per_trial", expected, n),
+                     flags)
 
 
 def test_outcome_distribution_is_loss_invariant():
@@ -206,9 +216,9 @@ def test_limit_hits_inside_a_chunk_drop_only_their_transcripts():
 
 @pytest.mark.parametrize("kw", [
     dict(protocol=ProtocolId.MCQM_CONTRIVED_CF, bob="mcqm_restart", target=1,
-         seed=2),  # eta = 1: restarts from receive, one round per attempt
+         seed=2),  # eta = 1: inconclusive restarts, one round per attempt
     dict(alice="honest_pulse", bob="twophoton_honest_apparatus", target=1,
-         photon_count=2, eta=0.5, seed=6),  # lost_rounds: restarts from receive
+         photon_count=2, eta=0.5, seed=6),  # lost_rounds: inconclusive restarts
     dict(eta=0.3, max_restarts=3, seed=3),  # lost_rounds: a trial past the cap
 ], ids=["eta=1", "lost_rounds_restart", "lost_rounds_cap"])
 def test_a_run_ending_at_step_0_is_a_prefix_of_one_that_does_not(monkeypatch, kw):

@@ -13,7 +13,8 @@ from coinflip.errors import ProbabilityMismatch
 from coinflip.harness import CHUNK, ExperimentConfig, run_experiment
 from coinflip.protocols import DEPTH, ProtocolId
 from coinflip.quantum import born_table
-from coinflip.rng import (SEEDS, SLOTS, bernoulli, bit, block, cumulative,
+from coinflip.rng import (PREPARE, RECEIVE, REVEAL, SEEDS, SLOTS, TRANSMIT,
+                          VERIFY, bernoulli, bit, block, cumulative,
                           inverse_cdf, rows)
 
 from conftest import assert_z, edge_uniforms, sigma
@@ -308,6 +309,16 @@ def test_rows_are_each_chunks_block_in_chunk_order():
     assert np.array_equal(got, want)
 
 
+def test_draw_sites_partition_a_row():
+    """The five draw sites own disjoint columns, in order, that cover
+    range(SLOTS), so what one site draws never shifts another site's
+    uniforms; RECEIVE ends at column 7, b's."""
+    columns = [np.atleast_1d(np.arange(SLOTS)[site])
+               for site in (PREPARE, TRANSMIT, RECEIVE, REVEAL, VERIFY)]
+    assert np.concatenate(columns).tolist() == list(range(SLOTS))
+    assert columns[2][-1] == 7
+
+
 def test_step_layout_is_pinned(monkeypatch):
     """Step s of chunk k reads the start of PCG64DXSM(seed).jumped((k << 32) | s),
     one row of SLOTS uniforms per (pending trial, attempt), and step s runs
@@ -353,9 +364,9 @@ def transcripts(trials, **kw):
     dict(eta=0.5),
     dict(eta=0.05),  # steps deeper than one round
     dict(protocol=ProtocolId.AMBAINIS_CF_VARIANT, bob="ambainis_restart_abuse",
-         target=1, eta=0.5),  # restarts from verify
+         target=1, eta=0.5),  # false claims of loss
     dict(alice="honest_pulse", bob="twophoton_honest_apparatus", target=1,
-         photon_count=2, eta=0.5),  # restarts from receive
+         photon_count=2, eta=0.5),  # restarts on inconclusive pairs
 ], ids=["honest@0.5", "honest@0.05", "restart_abuse", "twophoton_apparatus"])
 def test_shorter_run_is_a_prefix_across_a_chunk_boundary(kw):
     assert 1000 < CHUNK < 1100

@@ -15,8 +15,8 @@ from coinflip.analytics import alice_bias_bound, bob_bias, reference_table
 from coinflip.harness import (VARIANT_NAMES, ExperimentConfig, build_hooks,
                               run_experiment)
 from coinflip.protocols import PROTOCOLS, Decision, ProtocolId, run_chunk
-from coinflip.rng import (CHOOSE_B, PREPARE, RECEIVE, REVEAL, SLOTS, TRANSMIT,
-                          VERIFY, cumulative, inverse_cdf)
+from coinflip.rng import (PREPARE, RECEIVE, REVEAL, SLOTS, TRANSMIT, VERIFY,
+                          cumulative, inverse_cdf)
 from coinflip.strategies import (ALICE_STRATEGIES, BOB_STRATEGIES, REGISTRY,
                                  CunningSonBob, EprSteeringAlice, GuessingBob,
                                  HonestBob, RestartAbuseBob, Side, TableAlice,
@@ -48,19 +48,17 @@ def test_factory_rejects_wrong_protocol():
 def run_one_step(alice, bob, u, anything_arrives):
     """Call one step's hooks in engine order on every round of a batch in
     which no round arrives, or about half do, check that each returns one
-    entry per round (verify may return one code for every round, as the
-    hook contract allows), and return how each round ends."""
+    entry per round (verify one Decision per round, restarts included), and
+    return how each round ends."""
     emission = alice.prepare(u[PREPARE])
     delivered = transmit(emission, 0.5, u[TRANSMIT])
     delivered &= anything_arrives
-    restart = bob.receive(emission, delivered, u[RECEIVE])
-    b = bob.choose_b(u[CHOOSE_B])
+    b = bob.receive(emission, delivered, u[RECEIVE])
     a, x = alice.reveal(b, u[REVEAL])
     decision = bob.verify(a, x, u[VERIFY])
-    for out in (restart, b, a, x):
+    for out in (b, a, x, decision):
         assert np.shape(out) == delivered.shape
-    assert np.shape(decision) in ((), delivered.shape)
-    return np.where(restart, Decision.REQUEST_RESTART, decision)
+    return decision
 
 
 def test_every_listed_strategy_builds(rng):
