@@ -83,7 +83,9 @@ basis or outcome and a restart requested. Alice sends one kind of emission all
 experiment, so her last step's tag is every round's. The engine records no
 basis for a round where nothing arrived. Each distinct round is built once per
 call, as one frozen QuantumRound that every transcript holding it shares;
-Transcript.to_dict returns fresh dicts. In an honest basis outcome index i is
+Transcript.to_dict returns fresh dicts. Emission, QuantumRound and
+Transcript are plain classes with hand-written methods, so that importing
+this module generates no code. In an honest basis outcome index i is
 the state |a, i>, so it is compared with the revealed x directly (see
 catalog.basis_pair). What differs between protocols is one row of the
 PROTOCOLS table: the state family, the variants Bob may play (its default
@@ -91,7 +93,7 @@ first) and the coin rule.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from enum import Enum
 from typing import NamedTuple, Optional
 
@@ -204,7 +206,6 @@ VERDICTS = (Verdict.ACCEPTED, Verdict.ABORT_CHEATER)  # by Decision code
 # ---------------------------------------------------------------------------
 # emissions: one per round of a batch
 
-@dataclass  # a dataclass: measure_delivery rebinds an entangled one's states and index
 class Emission:
     """What crosses the channel in one step: round j sends column index[j]
     of the fixed state table states (dim, m), lost rounds too, carried by
@@ -215,12 +216,14 @@ class Emission:
     whose other half Alice keeps: Bob's measurement steers it, making states
     the far table of his stack of bases and index[j] round j's collapsed
     column (quantum.steer_epr), lost rounds included; until then, and when
-    nothing arrives, they are the sender's (|0>, unsteered)."""
+    nothing arrives, they are the sender's (|0>, unsteered). Its fields can
+    be rebound, as measure_delivery rebinds an entangled one's states and
+    index."""
 
-    states: Optional[np.ndarray]
-    index: np.ndarray | int
-    photon_count: int
-    entangled: bool = False
+    def __init__(self, states: Optional[np.ndarray], index: np.ndarray | int,
+                 photon_count: int, entangled: bool = False):
+        self.states, self.index = states, index
+        self.photon_count, self.entangled = photon_count, entangled
 
     @property
     def tag(self) -> str:
@@ -259,27 +262,63 @@ def measure_delivery(delivery: Emission, delivered: np.ndarray, bras: np.ndarray
 # ---------------------------------------------------------------------------
 # transcripts
 
-@dataclass(frozen=True)  # a dataclass: its __dict__ is its record (Transcript.to_dict)
+def _record_repr(record) -> str:
+    shown = ", ".join(f"{name}={getattr(record, name)!r}" for name in record._fields)
+    return f"{type(record).__name__}({shown})"
+
+
 class QuantumRound:
-    """Frozen, as transcripts share it; its instance dict, fields in order,
-    is its record, and Transcript.to_dict returns copies of it."""
+    """Frozen, as transcripts share it: assigning or deleting an attribute
+    raises dataclasses.FrozenInstanceError. Its instance dict, _fields in
+    order, is its record, and Transcript.to_dict returns copies of it.
+    Rounds with equal fields are equal, with equal hashes."""
 
-    sent: str
-    delivered: bool
-    bob_basis: Optional[str] = None
-    bob_outcome: Optional[int] = None
-    restart_requested: bool = False
-    false_claim: bool = False
+    _fields = ("sent", "delivered", "bob_basis", "bob_outcome",
+               "restart_requested", "false_claim")
+
+    def __init__(self, sent: str, delivered: bool, bob_basis: Optional[str] = None,
+                 bob_outcome: Optional[int] = None, restart_requested: bool = False,
+                 false_claim: bool = False):
+        vars(self).update(sent=sent, delivered=delivered, bob_basis=bob_basis,
+                          bob_outcome=bob_outcome, restart_requested=restart_requested,
+                          false_claim=false_claim)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not QuantumRound:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
+
+    __repr__ = _record_repr
 
 
-@dataclass(slots=True)  # not a NamedTuple, which builds and writes it slower per trial
 class Transcript:
-    rounds: list[QuantumRound]
-    b: int
-    revealed: tuple[int, int]
-    verdict: Verdict
-    outcome: Optional[int]
-    restart_count: int
+    """One trial's rounds, in order, and how it ended. Slotted, not a
+    NamedTuple, which builds and writes it slower per trial; transcripts with
+    equal fields are equal."""
+
+    __slots__ = _fields = ("rounds", "b", "revealed", "verdict", "outcome",
+                           "restart_count")
+
+    def __init__(self, rounds: list[QuantumRound], b: int, revealed: tuple[int, int],
+                 verdict: Verdict, outcome: Optional[int], restart_count: int):
+        self.rounds, self.b, self.revealed = rounds, b, revealed
+        self.verdict, self.outcome, self.restart_count = verdict, outcome, restart_count
+
+    def __eq__(self, other):
+        if type(other) is not Transcript:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self._fields)
+
+    __repr__ = _record_repr
 
     def to_dict(self) -> dict:
         return {

@@ -114,9 +114,13 @@ def _from_tables(cls, tables):
 
 
 def _reveals(m: int, reveal) -> np.ndarray:
-    """The table (m, 2, 2, 2) of reveal(index, b, r) -> (a, x) on np.ogrid."""
-    return np.stack([np.broadcast_to(v, (m, 2, 2))
-                     for v in reveal(*np.ogrid[:m, :2, :2])], -1)
+    """The table (m, 2, 2, 2) of reveal(index, b, r) -> (a, x), called once
+    on flat arrays of index, b and r, one entry per (index, b, r) row."""
+    table = np.empty((m, 2, 2, 2), dtype=np.intp)
+    k = np.arange(4 * m)
+    rows = table.reshape(-1, 2)  # a view: filling it fills the table
+    rows[:, 0], rows[:, 1] = reveal(k >> 2, k >> 1 & 1, k & 1)
+    return table
 
 
 _HALVES = (0.5, 0.5)

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from coinflip.errors import IncompatibleProtocol, OutOfRange
-from coinflip.harness import VARIANT_NAMES, ExperimentConfig
-from coinflip.protocols import ProtocolId
+from coinflip.harness import ExperimentConfig
+from coinflip.protocols import VARIANT_NAMES, ProtocolId
 from coinflip.rng import block
 from coinflip.strategies import ALICE_STRATEGIES, BOB_STRATEGIES
 

@@ -19,8 +19,8 @@ from coinflip.analytics import (alice_bias_bound, bob_bias, fair_alpha2,
 from coinflip.catalog import Family, StateFamily, basis_pair, committed_density
 from coinflip.discrimination import (COMPUTATIONAL_USD_AMBAINIS,
                                      max_confidence, stats, usd_pure_pair)
-from coinflip.harness import VARIANT_NAMES, ExperimentConfig, run_experiment
-from coinflip.protocols import ProtocolId
+from coinflip.harness import ExperimentConfig, run_experiment
+from coinflip.protocols import VARIANT_NAMES, ProtocolId
 from coinflip.quantum import helstrom_success, mix, trace_distance
 
 TRIALS = 100_000

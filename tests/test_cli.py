@@ -12,7 +12,8 @@ import pytest
 
 from coinflip.catalog import Family
 from coinflip.cli import _config_from_args, build_parser, cli_main
-from coinflip.harness import ExperimentConfig, evaluate_matrix
+from coinflip.harness import ExperimentConfig
+from coinflip.matrix import evaluate_matrix
 from coinflip.protocols import PROTOCOLS
 
 CLI = [sys.executable, "-m", "coinflip"]

@@ -135,6 +135,34 @@ def test_max_confidence_on_the_other_families():
             expected, abs=1e-12)
 
 
+def bob_certificate_margins(family, confidence):
+    """The smallest eigenvalue of C rho - rho_c / 2 for c = 0 and 1, where
+    rho is the mean of the committed densities rho_c and C = confidence."""
+    r0, r1 = committed_pair(family)
+    rho = (r0 + r1) / 2.0
+    return [np.linalg.eigvalsh(confidence * rho - r / 2.0).min() for r in (r0, r1)]
+
+
+def test_bob_certificates_prove_the_registry_optima():
+    """If C rho - rho_c / 2 >= 0 for both c, then tr(E rho_c) / 2 <=
+    C tr(E rho) for every POVM element E: no outcome, inconclusive ones
+    allowed, guesses the commitment with confidence above C. At each
+    family's registry value (1/2 + bob_bias on 50 alpha2 in (1/2, 1), 1/2 on
+    BB84, 1 on Ambainis, 0.49/0.51 on MCQM) both matrices are PSD, and with
+    C scaled by 1 - 1e-6 neither is, so each value is tight. The registry
+    Bobs reach these values, so Bob's optimum is proved from both sides."""
+    oracle = dict(reference_table())
+    cases = [(StateFamily(Family.LOSS_TOLERANT, alpha2), 0.5 + bob_bias(alpha2))
+             for alpha2 in np.linspace(0.5, 1.0, 52)[1:-1].tolist()]
+    cases += [(StateFamily(Family.BB84), 0.5),
+              (StateFamily(Family.AMBAINIS), oracle["ambainis_conclusive_success"]),
+              (StateFamily(Family.MCQM_EXAMPLE), oracle["mcqm_confidence"])]
+    for family, confidence in cases:
+        assert min(bob_certificate_margins(family, confidence)) >= -1e-12, family
+        assert max(bob_certificate_margins(family, confidence * (1.0 - 1e-6))) < 0.0, \
+            family
+
+
 def test_max_confidence_checks_its_densities():
     fam = StateFamily(Family.AMBAINIS)
     with pytest.raises(DimensionMismatch):

@@ -11,12 +11,11 @@ import pytest
 from coinflip import harness
 from coinflip.analytics import reference_table
 from coinflip.errors import IncompatibleProtocol, OutOfRange, RestartBudgetExceeded
-from coinflip.harness import (CHUNK, VARIANT_NAMES, BiasEstimate,
-                              ExperimentConfig, build_hooks, check_matrix,
-                              estimate_to_dict, evaluate_matrix, run_experiment,
-                              wilson_interval)
-from coinflip.protocols import (Decision, LossPolicy, ProtocolId, VariantFlags,
-                                run_chunk)
+from coinflip.harness import (CHUNK, BiasEstimate, ExperimentConfig, build_hooks,
+                              estimate_to_dict, run_experiment, wilson_interval)
+from coinflip.matrix import check_matrix, evaluate_matrix
+from coinflip.protocols import (VARIANT_NAMES, Decision, LossPolicy, ProtocolId,
+                                VariantFlags, run_chunk)
 from coinflip.strategies import REGISTRY
 
 from conftest import assert_metric, assert_z, sigma, valid_configs

@@ -4,8 +4,11 @@ module reads. The package's __init__ imports only to re-export, so its
 imports are not checked. Also from the trees: no module but rng compares a
 uniform, and the package, the tests and the benchmark import no package
 that pyproject.toml does not declare. Last, importing the package and its
-CLI leaves the oracle layer unloaded."""
+CLI leaves the oracle layer and the check matrix unloaded, and no record
+class but ExperimentConfig is a dataclass."""
 import ast
+import dataclasses
+import importlib
 import pathlib
 import re
 import subprocess
@@ -120,3 +123,28 @@ def test_the_oracle_layer_is_off_the_import_path():
             "import coinflip.discrimination")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_the_check_matrix_loads_only_with_coinflip_table():
+    """coinflip.matrix has one reader, `coinflip table`, which imports it
+    when it runs: importing the package and its CLI does not load it."""
+    code = ("import io, sys, coinflip, coinflip.cli; "
+            "assert 'coinflip.matrix' not in sys.modules, 'loaded on import'; "
+            "coinflip.cli.cli_main(['table', '--trials', '1'], out=io.StringIO()); "
+            "assert 'coinflip.matrix' in sys.modules, 'not loaded by table'")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_the_config_is_the_only_dataclass():
+    """Records are NamedTuples or hand-written classes, built without code
+    generation at import; ExperimentConfig stays a dataclass, for
+    dataclasses.replace. Every module is imported, __main__ (which runs the
+    CLI) aside."""
+    modules = sorted(f"coinflip.{path.stem}" for path in SRC.glob("*.py")
+                     if not path.stem.startswith("__"))
+    found = [f"{module}.{name}" for module in modules
+             for name, obj in vars(importlib.import_module(module)).items()
+             if isinstance(obj, type) and obj.__module__ == module
+             and dataclasses.is_dataclass(obj)]
+    assert found == ["coinflip.harness.ExperimentConfig"]

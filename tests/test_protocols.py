@@ -1,6 +1,7 @@
 """Protocol engine: honest runs, restarts, variants and transcripts."""
 import dataclasses
 import hashlib
+import inspect
 import json
 import math
 
@@ -10,12 +11,11 @@ import pytest
 from coinflip import protocols
 from coinflip.catalog import basis_pair
 from coinflip.errors import IncompatibleProtocol
-from coinflip.harness import (VARIANT_NAMES, ExperimentConfig, build_hooks,
-                              run_experiment)
-from coinflip.protocols import (PROTOCOLS, Decision, Emission, LossPolicy,
-                                ProtocolId, QuantumRound, VariantFlags, Verdict,
-                                check_flags, default_flags, family_for,
-                                measure_delivery, run_chunk)
+from coinflip.harness import ExperimentConfig, build_hooks, run_experiment
+from coinflip.protocols import (PROTOCOLS, VARIANT_NAMES, Decision, Emission,
+                                LossPolicy, ProtocolId, QuantumRound, Transcript,
+                                VariantFlags, Verdict, check_flags, default_flags,
+                                family_for, measure_delivery, run_chunk)
 from coinflip.quantum import measure_projective, steer_epr
 from coinflip.rng import bit
 from coinflip.strategies import REGISTRY, HonestBob, Side
@@ -267,10 +267,16 @@ def test_transcript_serialization_round_trip():
 
 
 def test_round_dict_keys_follow_the_round_fields():
-    """A field added to QuantumRound must reach the serialized record."""
+    """A field added to QuantumRound must reach the serialized record, in
+    field order: its instance dict holds the fields and nothing else."""
     t = run_many(ProtocolId.LOSS_TOLERANT_CF, 1, eta=0.5, seed=99)[0]
-    names = [f.name for f in dataclasses.fields(QuantumRound)]
+    names = list(QuantumRound._fields)
+    assert names == list(inspect.signature(QuantumRound).parameters)
+    assert all(list(vars(r)) == names for r in t.rounds)
     assert all(list(r) == names for r in t.to_dict()["rounds"])
+    made = QuantumRound("state", True, "1", 0)
+    assert list(vars(made).items()) == list(zip(names, (
+        "state", True, "1", 0, False, False)))
 
 
 def test_transcript_dict_is_a_copy():
@@ -302,7 +308,40 @@ def test_shared_rounds_are_frozen_and_serialize_as_fresh_copies():
     assert t1.to_dict() == first
     for t in out:
         assert [list(r.items()) for r in t.to_dict()["rounds"]] == [
-            list(dataclasses.asdict(r).items()) for r in t.rounds]
+            [(name, getattr(r, name)) for name in QuantumRound._fields]
+            for r in t.rounds]
+
+
+def test_a_round_can_be_neither_assigned_nor_deleted():
+    """Every field and any new attribute: assigning or deleting raises
+    FrozenInstanceError (an AttributeError), and the round is unchanged."""
+    r = QuantumRound("state", True, "0", 1)
+    before = dict(vars(r))
+    for name in (*QuantumRound._fields, "unknown"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(r, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(r, name)
+    assert vars(r) == before
+    assert issubclass(dataclasses.FrozenInstanceError, AttributeError)
+
+
+def test_rounds_and_transcripts_with_equal_fields_are_equal():
+    """Equality is field by field, for rounds and transcripts alike; equal
+    rounds hash equally, and a round equals no other type."""
+    fields = ("pulse:2", False, None, None, True, False)
+    a, b = QuantumRound(*fields), QuantumRound(*fields)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != QuantumRound(*fields[:-1], True)
+    assert a != fields and a != dict(zip(QuantumRound._fields, fields))
+    t = run_many(ProtocolId.LOSS_TOLERANT_CF, 1, eta=0.5, seed=99)[0]
+    values = [getattr(t, name) for name in Transcript._fields]
+    copy = Transcript(*values)
+    assert copy is not t and copy == t
+    for i, name in enumerate(Transcript._fields):
+        other = values[:i] + [object()] + values[i + 1:]
+        assert Transcript(*other) != t, name
+    assert t != tuple(values)
 
 
 def test_stored_measurement_is_recorded_after_the_reveal():

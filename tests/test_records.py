@@ -6,7 +6,8 @@ import pytest
 
 from coinflip.catalog import Family, StateFamily
 from coinflip.discrimination import DiscriminationStats
-from coinflip.harness import BiasEstimate, ExperimentConfig, MatrixRow
+from coinflip.harness import BiasEstimate, ExperimentConfig
+from coinflip.matrix import MatrixRow
 from coinflip.protocols import (LossPolicy, ProtocolId, ProtocolSpec,
                                 VariantFlags, variant_name)
 from coinflip.strategies import HonestBob, Strategy

@@ -8,13 +8,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from coinflip import strategies
 from coinflip.catalog import Family, StateFamily, basis_pair
 from coinflip.channel import transmit
 from coinflip.errors import IncompatibleProtocol
 from coinflip.analytics import alice_bias_bound, bob_bias, reference_table
-from coinflip.harness import (VARIANT_NAMES, ExperimentConfig, build_hooks,
-                              run_experiment)
-from coinflip.protocols import PROTOCOLS, Decision, ProtocolId, run_chunk
+from coinflip.harness import ExperimentConfig, build_hooks, run_experiment
+from coinflip.protocols import (PROTOCOLS, VARIANT_NAMES, Decision, ProtocolId,
+                                family_for, run_chunk)
 from coinflip.rng import (PREPARE, RECEIVE, REVEAL, SLOTS, TRANSMIT, VERIFY,
                           cumulative, inverse_cdf)
 from coinflip.strategies import (ALICE_STRATEGIES, BOB_STRATEGIES, REGISTRY,
@@ -198,6 +199,44 @@ def test_hook_state_tables_are_read_only_and_unit_norm(rng):
     assert drawers == senders - {"bb84_epr"}
     assert guessers == {"ambainis_conclusive", "lt_helstrom", "mcqm_restart",
                         "twophoton_usd", "twophoton_honest_apparatus"}
+
+
+def ogrid_reveals(m, reveal):
+    """The reveal table as it was first built: reveal(index, b, r) on
+    np.ogrid, each of a and x broadcast to (m, 2, 2), stacked last."""
+    return np.stack([np.broadcast_to(v, (m, 2, 2))
+                     for v in reveal(*np.ogrid[:m, :2, :2])], -1)
+
+
+def test_reveal_tables_equal_the_ogrid_construction(monkeypatch):
+    """Every registered TableAlice, on every family she plays (two alpha2
+    for the loss-tolerant one) and for both targets, holds byte-equal
+    arrays, of one dtype and shape, whether her reveal table is built from
+    flat index arrays or on np.ogrid."""
+    arrays = ("table", "a", "x", "thr", "tot", "col", "radix")
+    cases = {}
+    for alpha2, target in itertools.product((0.55, 0.9), (0, 1)):
+        for cfg in valid_configs(alpha2=alpha2, target=target):
+            if isinstance(REGISTRY[Side.ALICE][cfg.alice].build, type):
+                continue  # her own hooks, not a TableAlice
+            cases.setdefault((cfg.alice, family_for(cfg.protocol, cfg.alpha2),
+                              cfg.target), cfg)
+    built = {key: build_hooks(cfg)[0] for key, cfg in cases.items()}
+    assert {name for name, _, _ in built} == set(ALICE_STRATEGIES) - {"bb84_epr"}
+    assert len({family for _, family, _ in built}) == 5
+    assert {target for _, _, target in built} == {0, 1}
+    strategies._built.cache_clear()
+    monkeypatch.setattr(strategies, "_reveals", ogrid_reveals)
+    try:
+        for key, cfg in cases.items():
+            reference = build_hooks(cfg)[0]
+            assert isinstance(reference, TableAlice), key
+            for name in arrays:
+                new, old = getattr(built[key], name), getattr(reference, name)
+                assert (new.dtype, new.shape) == (old.dtype, old.shape), (key, name)
+                assert new.tobytes() == old.tobytes(), (key, name)
+    finally:
+        strategies._built.cache_clear()
 
 
 def _loop_index(alice, u):
