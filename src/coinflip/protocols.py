@@ -21,10 +21,12 @@ A run is an ordered exchange:
 
 Steps 1-4 make one round; a restart replays them from step 1. Player
 behavior is injected through hooks so cheating strategies can replace any
-step; the engine only moves messages, applies channel loss, enforces the
-restart bound and records transcripts. Every player, honest or cheating, is
-in strategies; this module holds the engine, the emissions, the transcripts
-and the protocol table.
+step. attempt is the round's one home, and the one place the hooks and the
+channel run: it plays steps 1-5 on a batch of block rows. The engine calls
+it once per step and only keeps the books: it enforces the restart bound,
+finds each trial's ending attempt and records transcripts. Every player,
+honest or cheating, is in strategies; this module holds the round, the
+engine, the emissions, the transcripts and the protocol table.
 
 The engine (run_chunk) runs every round of a step, over all the chunks of
 one call, as one flat batch of (trial, round) pairs, so hooks take and
@@ -37,8 +39,8 @@ one column each.
   Bob:   receive(delivery, delivered, u) -> b;
          verify(a, x, u) -> one Decision per round, restarts included
 
-Every hook runs once per step, in the order prepare, receive, reveal,
-verify, on every round of the step (delivered says which deliveries
+Every hook runs once per step, in attempt, in the order prepare, receive,
+reveal, verify, on every round of the step (delivered says which deliveries
 arrived). The engine discards b, a and x on the rounds verify restarts, so
 there a hook may see any value (b need not be a bit) but must not raise. A
 hook may keep per-round arrays from one call to the next within a step, but
@@ -334,6 +336,27 @@ class Transcript:
 # ---------------------------------------------------------------------------
 # engine
 
+def attempt(cfg, alice, bob, u: np.ndarray, geometric: bool = False) -> tuple:
+    """Play the round once per column of u (SLOTS, n), cfg's block columns:
+    prepare, the channel, receive, reveal, verify and cfg's coin rule (a
+    coin counts only where the decision ends the trial). With geometric, an
+    emission that can arrive arrives after lost_rounds(eta, ., max_restarts
+    + 1) lost rounds; otherwise transmit draws it and lost is None. Returns
+    (emission, delivered, lost, b, a, x, decision, coin)."""
+    emission = alice.prepare(u[PREPARE])
+    if geometric and emission.photon_count:  # vacuum never arrives
+        lost = lost_rounds(cfg.eta, u[TRANSMIT], cfg.max_restarts + 1)
+        delivered = np.ones(lost.size, dtype=bool)
+    else:
+        lost = None
+        delivered = transmit(emission, cfg.eta, u[TRANSMIT])
+    b = bob.receive(emission, delivered, u[RECEIVE])
+    a, x = alice.reveal(b, u[REVEAL])
+    decision = bob.verify(a, x, u[VERIFY])
+    coin = (x if PROTOCOLS[cfg.protocol].coin_from_x else a) ^ b
+    return emission, delivered, lost, b, a, x, decision, coin
+
+
 def run_chunk(cfg, alice, bob, chunk: int, trials: int,
               sink=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Run `trials` independent protocol runs of the experiment cfg (its
@@ -344,10 +367,11 @@ def run_chunk(cfg, alice, bob, chunk: int, trials: int,
     pending (never more than max_restarts + 1 attempts in all) on the rows
     rng.rows(seed, chunk, s, pending, depth): each chunk's own block for its
     pending trials, so the counts do not depend on how many chunks one call
-    runs, and every hook runs once per step on the rows of all of them. An
-    attempt costs one round, or K + 1 under channel.lost_rounds (see
-    above), and each trial keeps its first attempt that does not end in a
-    restart if its rounds up to it number at most max_restarts + 1. Every
+    runs. Each step calls attempt once, on the rows of all of them, and
+    calls no hook or channel function itself. An attempt costs one round,
+    or K + 1 under channel.lost_rounds (see above), and each trial keeps its
+    first attempt that does not end in a restart if its rounds up to it
+    number at most max_restarts + 1. Every
     step, of one attempt per trial or more, finds each trial's first ending
     attempt the same way; under lost_rounds step 0 charges each attempt K + 1
     rounds with no running sum. When step 0 ends every trial and there is no
@@ -362,9 +386,7 @@ def run_chunk(cfg, alice, bob, chunk: int, trials: int,
     rows share one QuantumRound, and each other trial's Transcript goes to
     the sink, in trial order.
     """
-    coin_from_x = PROTOCOLS[cfg.protocol].coin_from_x
-    eta, seed = cfg.eta, cfg.seed
-    geometric = bob.restarts_on_loss and eta < 1.0
+    geometric = bob.restarts_on_loss and cfg.eta < 1.0
     cap = cfg.max_restarts + 1  # the most rounds a trial may run
     verdict = np.full(trials, Decision.REQUEST_RESTART, dtype=np.int8)
     coin = np.zeros(trials, dtype=np.int8)
@@ -378,18 +400,9 @@ def run_chunk(cfg, alice, bob, chunk: int, trials: int,
     while pending.size and attempts < cap:
         depth = min(1 << step, DEPTH, cap - attempts)
         # u[c] is column c of the block: one uniform per (trial, attempt)
-        u = rows(seed, chunk, step, pending, depth).reshape(-1, SLOTS).T
-        emission = alice.prepare(u[PREPARE])
-        if geometric and emission.photon_count:  # vacuum never arrives
-            lost = lost_rounds(eta, u[TRANSMIT], cap)
-            delivered = np.ones(lost.size, dtype=bool)
-        else:
-            lost = None
-            delivered = transmit(emission, eta, u[TRANSMIT])
-        b = bob.receive(emission, delivered, u[RECEIVE])
-        a, x = alice.reveal(b, u[REVEAL])
-        decision = bob.verify(a, x, u[VERIFY])
-
+        u = rows(cfg.seed, chunk, step, pending, depth).reshape(-1, SLOTS).T
+        emission, delivered, lost, b, a, x, decision, coins = attempt(
+            cfg, alice, bob, u, geometric)
         ends = (decision <= Decision.ABORT_CHEATER).reshape(-1, depth)
         if lost is not None:  # rounds run up to each attempt; past cap, none ends
             spent = (lost + 1).reshape(-1, depth)
@@ -397,7 +410,6 @@ def run_chunk(cfg, alice, bob, chunk: int, trials: int,
                 spent = rounds + spent.cumsum(1)
             over = spent > cap
             ends &= ~over
-        coins = (x if coin_from_x else a) ^ b
         if not step and sink is None and np.logical_and.reduce(ends, None):
             # whole columns, in trial order
             verdict[:] = decision

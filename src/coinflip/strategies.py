@@ -289,35 +289,40 @@ class GuessingBob:
     p is measured in basis bases[p] of his stack bras, or, for None, in one
     drawn by bit; drawn bases read his first RECEIVE columns, outcomes the
     next. The drawn bases and each outcome + 1 (0: nothing arrived), as one
-    flat index, index his tables guess (the bit he guesses, or -1 to
-    restart, as every lost round does) and outcome (what his transcript
-    records). His arrays are read-only, to share, and bras is his own copy,
-    so that its Born tables are bound to it (quantum.born_table)."""
+    flat index, index a guess table (the bit he guesses, or -1 to restart,
+    as every lost round does), from which he builds two more once: b, the
+    target xor the guess, and his decision, REQUEST_RESTART where the guess
+    is -1 and ACCEPTED elsewhere. The same index reads outcome, what his
+    transcript records. His arrays are read-only, to share, and bras is his
+    own copy, so that its Born tables are bound to it (quantum.born_table)."""
 
     restarts_on_loss = True
     last_basis = 0  # his one basis tag
 
     def __init__(self, target: int, tag: str, bras, bases: tuple, guess, outcome):
-        self.target, self.basis_tags, self.bras = target, (tag,), np.array(bras)
+        self.basis_tags, self.bras = (tag,), np.array(bras)
         self.bases, self.draws = bases, bases.count(None)
-        self.guess, self.outcome = np.asarray(guess), np.asarray(outcome)
-        for array in (self.bras, self.guess, self.outcome):
+        guess = np.asarray(guess)
+        self.b, self.outcome = target ^ guess, np.asarray(outcome)
+        self.decisions = np.where(guess < 0, Decision.REQUEST_RESTART,
+                                  Decision.ACCEPTED)
+        for array in (self.bras, self.b, self.outcome, self.decisions):
             array.flags.writeable = False
 
     def receive(self, delivery, delivered, u):
-        drawn = [bit(column) for column in u[:self.draws]]
-        which = iter(drawn)
-        key = (*drawn, *(1 + measure_delivery(delivery, delivered, self.bras, column,
-                                              next(which) if basis is None else basis)
-                         for column, basis in zip(u[self.draws:], self.bases)))
+        key = [bit(column) for column in u[:self.draws]]
+        drawn = 0  # the drawn bases read so far
+        for column, basis in zip(u[self.draws:], self.bases):
+            if basis is None:
+                basis, drawn = key[drawn], drawn + 1
+            key.append(1 + measure_delivery(delivery, delivered, self.bras,
+                                            column, basis))
         # one flat index: ravel_multi_index raises on an index out of range,
         # where an index tuple would wrap a negative one; one index is flat
-        flat = key[0] if len(key) == 1 else np.ravel_multi_index(key, self.guess.shape)
-        guess = self.guess.take(flat)
+        flat = key[0] if len(key) == 1 else np.ravel_multi_index(key, self.b.shape)
         self.last_outcome = self.outcome.take(flat)
-        self.decision = np.where(guess < 0, Decision.REQUEST_RESTART,
-                                 Decision.ACCEPTED)
-        return self.target ^ guess
+        self.decision = self.decisions.take(flat)
+        return self.b.take(flat)
 
     def verify(self, a, x, u):
         return self.decision  # any reveal is accepted

@@ -2,7 +2,8 @@
 imported name its module never reads, and a private top-level name that no
 module reads. The package's __init__ imports only to re-export, so its
 imports are not checked. Also from the trees: no module but rng compares a
-uniform, and the package, the tests and the benchmark import no package
+uniform, no function but protocols.attempt runs the round's hooks and
+channel, and the package, the tests and the benchmark import no package
 that pyproject.toml does not declare. Last, importing the package and its
 CLI leaves the oracle layer and the check matrix unloaded, and no record
 class but ExperimentConfig is a dataclass."""
@@ -81,6 +82,50 @@ def test_only_rng_compares_a_uniform():
                 for node in ast.walk(tree) if isinstance(node, ast.Compare)
                 if any(isinstance(n, ast.Name) and n.id == "u" for n in ast.walk(node))]
     assert not compared
+
+
+def calls(tree, scope=()):
+    """(qualified name of the innermost def or class around it, or (), call)
+    for each call in the tree."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from calls(node, (*scope, node.name))
+            continue
+        if isinstance(node, ast.Call):
+            yield scope, node
+        yield from calls(node, scope)
+
+
+def called(call) -> str:
+    """What a call calls, as written: f, .f (a method of anything but
+    super()) or super().f."""
+    f = call.func
+    if isinstance(f, ast.Name):
+        return f.id
+    if not isinstance(f, ast.Attribute):
+        return ""
+    on = f.value
+    inherited = isinstance(on, ast.Call) and getattr(on.func, "id", "") == "super"
+    return ("super()." if inherited else ".") + f.attr
+
+
+def test_only_attempt_runs_the_round():
+    """The round has one home: no function in the package but
+    protocols.attempt calls a hook method (.prepare, .receive, .reveal,
+    .verify) or the channel (transmit, lost_rounds). CunningSonBob.receive's
+    super().receive, his honest measurement, is the one exception."""
+    hooks = {on + hook for on in (".", "super().")
+             for hook in ("prepare", "receive", "reveal", "verify")}
+    channel = {on + name for on in ("", ".") for name in ("transmit", "lost_rounds")}
+    allowed = {("protocols.attempt", call) for call in hooks | channel}
+    allowed.add(("strategies.CunningSonBob.receive", "super().receive"))
+    callers = []
+    for module, tree in TREES.items():
+        for scope, node in calls(tree):
+            caller, call = ".".join((module[:-3], *scope)), called(node)
+            if call in hooks | channel and (caller, call) not in allowed:
+                callers.append(f"{caller}:{node.lineno} {call}")
+    assert not callers
 
 
 def test_only_declared_packages_are_imported():

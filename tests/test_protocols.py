@@ -12,15 +12,17 @@ from coinflip import protocols
 from coinflip.catalog import basis_pair
 from coinflip.errors import IncompatibleProtocol
 from coinflip.harness import ExperimentConfig, build_hooks, run_experiment
+from coinflip.matrix import check_matrix
 from coinflip.protocols import (PROTOCOLS, VARIANT_NAMES, Decision, Emission,
                                 LossPolicy, ProtocolId, QuantumRound, Transcript,
-                                VariantFlags, Verdict, check_flags, default_flags,
-                                family_for, measure_delivery, run_chunk)
+                                VariantFlags, Verdict, attempt, check_flags,
+                                default_flags, family_for, measure_delivery,
+                                run_chunk)
 from coinflip.quantum import measure_projective, steer_epr
-from coinflip.rng import bit
+from coinflip.rng import SLOTS, bit, rows
 from coinflip.strategies import REGISTRY, HonestBob, Side
 
-from conftest import assert_z, sigma
+from conftest import assert_z, sigma, valid_configs
 
 ALL_PROTOCOLS = list(ProtocolId)
 
@@ -251,6 +253,69 @@ def test_a_run_ending_at_step_0_is_a_prefix_of_one_that_does_not(monkeypatch, kw
         assert not at_step_0 or n == k
         for s, g in zip(short, got):
             assert np.array_equal(s, g[:k])
+
+
+# ---------------------------------------------------------------------------
+# the round: protocols.attempt, the engine's step and the hook contract
+
+def engine_rule(cfg, bob) -> bool:
+    """Whether the engine draws cfg's loss with lost_rounds (geometric)."""
+    return bob.restarts_on_loss and cfg.eta < 1.0
+
+
+@pytest.mark.parametrize("cfg", [
+    *dict.fromkeys(row.cfg for row in check_matrix(trials=512)),
+    ExperimentConfig(bob="lt_helstrom", target=1, eta=0.2, trials=512),
+], ids=lambda cfg: f"{cfg.alice}-{cfg.bob}-{cfg.eta}")
+def test_attempt_is_the_engines_step(cfg):
+    """attempt on step 0's rows, one attempt of every trial, gives each
+    trial that ends there (whose decision ends it, with its lost rounds
+    inside the cap) the verdict, coin and restarts run_chunk returns; every
+    other trial restarts past it or passes the cap. Covers every config of
+    `coinflip table`, all at eta = 1, and the optimal Bob under lost_rounds."""
+    alice, bob = build_hooks(cfg)
+    geometric = engine_rule(cfg, bob)
+    assert geometric == (cfg.eta < 1.0)
+    n = cfg.trials
+    verdict, coin, restarts = run_chunk(cfg, alice, bob, 0, n)
+    u = rows(cfg.seed, 0, 0, np.arange(n), 1).reshape(n, SLOTS).T
+    _, _, lost, _, _, _, decision, coins = attempt(cfg, alice, bob, u, geometric)
+    assert (lost is None) != geometric
+    lost = np.zeros(n, np.int64) if lost is None else lost
+    ends = (decision <= Decision.ABORT_CHEATER) & (lost < cfg.max_restarts + 1)
+    assert ends.any()
+    for engine, step in ((verdict, decision), (coin, coins), (restarts, lost)):
+        assert np.array_equal(engine[ends], step[ends]), cfg
+    assert ((restarts > lost) | (verdict == Decision.REQUEST_RESTART))[~ends].all()
+
+
+def test_every_pairing_plays_its_rows_independently(rng):
+    """The hook contract (see protocols): hooks keep no state across rounds,
+    so the rows of a batch are independent draws. Every valid pairing at
+    eta 1, 0.5 and 0.2 (where the restart-abuse camouflage is drawn), on 512
+    random rows under the engine's loss rule: attempt on the rows permuted
+    gives every decision, and every coin of a row that ends, permuted; and
+    attempt on a third of the rows, then on the rest, gives those of all
+    the rows at once."""
+    n = 512
+    u, order = rng(SLOTS, n), np.argsort(rng(n))
+
+    def play(cfg, alice, bob, u):  # each row's decision and ending coin (-1: none)
+        *_, decision, coin = attempt(cfg, alice, bob, u, engine_rule(cfg, bob))
+        return decision, np.where(decision <= Decision.ABORT_CHEATER, coin, -1)
+
+    failed = []
+    for eta in (1.0, 0.5, 0.2):
+        for cfg in valid_configs(eta=eta):
+            hooks = build_hooks(cfg)
+            whole = play(cfg, *hooks, u)
+            permuted = play(cfg, *hooks, u[:, order])
+            parts = zip(play(cfg, *hooks, u[:, :n // 3]), play(cfg, *hooks, u[:, n // 3:]))
+            if not all(np.array_equal(w[order], p) for w, p in zip(whole, permuted)):
+                failed.append(("permuted", cfg))
+            if not all(np.array_equal(w, np.concatenate(p)) for w, p in zip(whole, parts)):
+                failed.append(("split", cfg))
+    assert not failed
 
 
 # ---------------------------------------------------------------------------

@@ -10,14 +10,13 @@ from hypothesis import strategies as st
 
 from coinflip import strategies
 from coinflip.catalog import Family, StateFamily, basis_pair
-from coinflip.channel import transmit
 from coinflip.errors import IncompatibleProtocol
 from coinflip.analytics import alice_bias_bound, bob_bias, reference_table
 from coinflip.harness import ExperimentConfig, build_hooks, run_experiment
 from coinflip.protocols import (PROTOCOLS, VARIANT_NAMES, Decision, ProtocolId,
-                                family_for, run_chunk)
-from coinflip.rng import (PREPARE, RECEIVE, REVEAL, SLOTS, TRANSMIT, VERIFY,
-                          cumulative, inverse_cdf)
+                                attempt, family_for, run_chunk)
+from coinflip.rng import (PREPARE, RECEIVE, SLOTS, TRANSMIT, cumulative,
+                          inverse_cdf)
 from coinflip.strategies import (ALICE_STRATEGIES, BOB_STRATEGIES, REGISTRY,
                                  CunningSonBob, EprSteeringAlice, GuessingBob,
                                  HonestBob, RestartAbuseBob, Side, TableAlice,
@@ -46,18 +45,16 @@ def test_factory_rejects_wrong_protocol():
         lookup(Side.BOB, "lt_helstrom", ProtocolId.AMBAINIS_CF)
 
 
-def run_one_step(alice, bob, u, anything_arrives):
-    """Call one step's hooks in engine order on every round of a batch in
-    which no round arrives, or about half do, check that each returns one
-    entry per round (verify one Decision per round, restarts included), and
-    return how each round ends."""
-    emission = alice.prepare(u[PREPARE])
-    delivered = transmit(emission, 0.5, u[TRANSMIT])
-    delivered &= anything_arrives
-    b = bob.receive(emission, delivered, u[RECEIVE])
-    a, x = alice.reveal(b, u[REVEAL])
-    decision = bob.verify(a, x, u[VERIFY])
-    for out in (b, a, x, decision):
+def run_one_step(cfg, alice, bob, u, anything_arrives):
+    """Run one attempt of cfg's round (protocols.attempt) on every round of
+    the block columns u, in which rounds arrive at cfg.eta, or none does
+    (every TRANSMIT uniform 1, above any eta); check that each hook returns
+    one entry per round (verify one Decision per round, restarts included),
+    and return how each round ends."""
+    if not anything_arrives:
+        u[TRANSMIT] = 1.0
+    _, delivered, _, b, a, x, decision, coin = attempt(cfg, alice, bob, u)
+    for out in (b, a, x, decision, coin):
         assert np.shape(out) == delivered.shape
     return decision
 
@@ -65,9 +62,9 @@ def run_one_step(alice, bob, u, anything_arrives):
 def test_every_listed_strategy_builds(rng):
     """Each registry entry's builder builds its hooks on every protocol it
     applies to, under a variant it plays, and its pair's hooks run on every
-    round of a step, restarted rounds included, without raising. Every
-    Alice is a TableAlice but the EPR one, and the Bobs are four hooks
-    classes."""
+    round of a step, restarted rounds included, without raising, with about
+    half the rounds delivered or none. Every Alice is a TableAlice but the
+    EPR one, and the Bobs are four hooks classes."""
     assert ALICE_STRATEGIES == tuple(REGISTRY[Side.ALICE])
     assert BOB_STRATEGIES == tuple(REGISTRY[Side.BOB])
     classes = {Side.ALICE: set(), Side.BOB: set()}
@@ -78,14 +75,14 @@ def test_every_listed_strategy_builds(rng):
             for protocol in spec.protocols:
                 cfg = ExperimentConfig(protocol=protocol,
                                        variant=(spec.variants or (None,))[0],
-                                       photon_count=spec.min_photons,
+                                       photon_count=spec.min_photons, eta=0.5,
                                        **{side.value: name})
                 alice, bob = build_hooks(cfg)
                 classes[side].add(type(alice if side is Side.ALICE else bob))
                 if side is Side.ALICE:
                     assert isinstance(alice, TableAlice) == (name != "bb84_epr")
                 for anything_arrives in (False, True):
-                    run_one_step(alice, bob, rng(SLOTS, 64), anything_arrives)
+                    run_one_step(cfg, alice, bob, rng(SLOTS, 64), anything_arrives)
     assert classes[Side.ALICE] == {TableAlice, EprSteeringAlice}
     assert classes[Side.BOB] == {HonestBob, CunningSonBob, RestartAbuseBob,
                                  GuessingBob}
@@ -97,7 +94,7 @@ def test_restarts_on_loss_is_declared_truly(rng):
     pairing; the engine draws such a Bob's runs of losses as one count."""
     for cfg in valid_configs():
         alice, bob = build_hooks(cfg)
-        decision = run_one_step(alice, bob, rng(SLOTS, 64), False)
+        decision = run_one_step(cfg, alice, bob, rng(SLOTS, 64), False)
         assert (decision == Decision.REQUEST_RESTART).all() == bob.restarts_on_loss, cfg
 
 
@@ -158,7 +155,7 @@ def test_hook_state_tables_are_read_only_and_unit_norm(rng):
     sender; for the EPR Alice it is the far table Bob's measurement steers
     her halves onto. Every Bob's measurement bases are read-only too. A
     TableAlice's tables (states, digit thresholds and reveals) and a
-    GuessingBob's (bases and guess and outcome tables) are built once per
+    GuessingBob's (bases and b, decision and outcome tables) are built once per
     (strategy, family, target): every experiment that plays one holds the
     same read-only arrays, and hooks of its own for its per-step state."""
     senders, drawers, guessers = set(), set(), set()
@@ -179,7 +176,7 @@ def test_hook_state_tables_are_read_only_and_unit_norm(rng):
             if isinstance(bob, GuessingBob):
                 guessers.add(cfg.bob)
                 assert bob_again is not bob, cfg
-                for name in ("bras", "guess", "outcome"):
+                for name in ("bras", "b", "decisions", "outcome"):
                     assert getattr(bob_again, name) is getattr(bob, name), cfg
                     with pytest.raises(ValueError):
                         getattr(bob, name)[...] = 0
@@ -306,9 +303,9 @@ def guessing_exact(name, alpha2):
     registry's guessing Bob `name` against honest Alice (honest_pulse for a
     two-photon Bob), exactly: each state she sends, by her weights, each
     basis he draws, at 1/2, and each outcome of each photon he measures, by
-    the Born rule, give a key of his guess table; he wins when the coin that
-    his b = target xor guess makes with her reveal (read at b & 1, as she
-    reads it) is the target."""
+    the Born rule, give a key of his tables; unless his decision there is a
+    restart, he wins when the coin that his b there (target xor his guess)
+    makes with her reveal (read at b & 1, as she reads it) is the target."""
     spec = REGISTRY[Side.BOB][name]
     cfg = ExperimentConfig(protocol=spec.protocols[0],
                            variant=(spec.variants or (None,))[0],
@@ -329,10 +326,10 @@ def guessing_exact(name, alpha2):
             for outcomes in itertools.product(range(born.shape[1]), repeat=len(bases)):
                 q = p * 0.5 ** draws * math.prod(born[k, o, i]
                                                  for k, o in zip(bases, outcomes))
-                guess = int(bob.guess[(*drawn, *(o + 1 for o in outcomes))])
-                if guess < 0:
+                key = (*drawn, *(o + 1 for o in outcomes))
+                if bob.decisions[key] == Decision.REQUEST_RESTART:
                     continue
-                b = cfg.target ^ guess
+                b = int(bob.b[key])
                 conclusive += q
                 win += q * np.mean([alice.table[i, b & 1, r, coin] ^ b == cfg.target
                                     for r in (0, 1)])
