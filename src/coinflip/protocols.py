@@ -336,15 +336,17 @@ class Transcript:
 # ---------------------------------------------------------------------------
 # engine
 
-def attempt(cfg, alice, bob, u: np.ndarray, geometric: bool = False) -> tuple:
+def attempt(cfg, alice, bob, u: np.ndarray) -> tuple:
     """Play the round once per column of u (SLOTS, n), cfg's block columns:
     prepare, the channel, receive, reveal, verify and cfg's coin rule (a
-    coin counts only where the decision ends the trial). With geometric, an
-    emission that can arrive arrives after lost_rounds(eta, ., max_restarts
-    + 1) lost rounds; otherwise transmit draws it and lost is None. Returns
+    coin counts only where the decision ends the trial). For a Bob who
+    restarts on loss at eta < 1, an emission that can arrive arrives after
+    lost_rounds(eta, ., max_restarts + 1) lost rounds; otherwise transmit
+    draws it and lost is None. Returns
     (emission, delivered, lost, b, a, x, decision, coin)."""
     emission = alice.prepare(u[PREPARE])
-    if geometric and emission.photon_count:  # vacuum never arrives
+    # vacuum never arrives
+    if bob.restarts_on_loss and cfg.eta < 1.0 and emission.photon_count:
         lost = lost_rounds(cfg.eta, u[TRANSMIT], cfg.max_restarts + 1)
         delivered = np.ones(lost.size, dtype=bool)
     else:
@@ -386,7 +388,6 @@ def run_chunk(cfg, alice, bob, chunk: int, trials: int,
     rows share one QuantumRound, and each other trial's Transcript goes to
     the sink, in trial order.
     """
-    geometric = bob.restarts_on_loss and cfg.eta < 1.0
     cap = cfg.max_restarts + 1  # the most rounds a trial may run
     verdict = np.full(trials, Decision.REQUEST_RESTART, dtype=np.int8)
     coin = np.zeros(trials, dtype=np.int8)
@@ -401,8 +402,7 @@ def run_chunk(cfg, alice, bob, chunk: int, trials: int,
         depth = min(1 << step, DEPTH, cap - attempts)
         # u[c] is column c of the block: one uniform per (trial, attempt)
         u = rows(cfg.seed, chunk, step, pending, depth).reshape(-1, SLOTS).T
-        emission, delivered, lost, b, a, x, decision, coins = attempt(
-            cfg, alice, bob, u, geometric)
+        emission, delivered, lost, b, a, x, decision, coins = attempt(cfg, alice, bob, u)
         ends = (decision <= Decision.ABORT_CHEATER).reshape(-1, depth)
         if lost is not None:  # rounds run up to each attempt; past cap, none ends
             spent = (lost + 1).reshape(-1, depth)

@@ -258,11 +258,6 @@ def test_a_run_ending_at_step_0_is_a_prefix_of_one_that_does_not(monkeypatch, kw
 # ---------------------------------------------------------------------------
 # the round: protocols.attempt, the engine's step and the hook contract
 
-def engine_rule(cfg, bob) -> bool:
-    """Whether the engine draws cfg's loss with lost_rounds (geometric)."""
-    return bob.restarts_on_loss and cfg.eta < 1.0
-
-
 @pytest.mark.parametrize("cfg", [
     *dict.fromkeys(row.cfg for row in check_matrix(trials=512)),
     ExperimentConfig(bob="lt_helstrom", target=1, eta=0.2, trials=512),
@@ -274,13 +269,11 @@ def test_attempt_is_the_engines_step(cfg):
     other trial restarts past it or passes the cap. Covers every config of
     `coinflip table`, all at eta = 1, and the optimal Bob under lost_rounds."""
     alice, bob = build_hooks(cfg)
-    geometric = engine_rule(cfg, bob)
-    assert geometric == (cfg.eta < 1.0)
     n = cfg.trials
     verdict, coin, restarts = run_chunk(cfg, alice, bob, 0, n)
     u = rows(cfg.seed, 0, 0, np.arange(n), 1).reshape(n, SLOTS).T
-    _, _, lost, _, _, _, decision, coins = attempt(cfg, alice, bob, u, geometric)
-    assert (lost is None) != geometric
+    _, _, lost, _, _, _, decision, coins = attempt(cfg, alice, bob, u)
+    assert (lost is None) == (cfg.eta == 1.0)  # lost_rounds at eta 0.2
     lost = np.zeros(n, np.int64) if lost is None else lost
     ends = (decision <= Decision.ABORT_CHEATER) & (lost < cfg.max_restarts + 1)
     assert ends.any()
@@ -301,7 +294,7 @@ def test_every_pairing_plays_its_rows_independently(rng):
     u, order = rng(SLOTS, n), np.argsort(rng(n))
 
     def play(cfg, alice, bob, u):  # each row's decision and ending coin (-1: none)
-        *_, decision, coin = attempt(cfg, alice, bob, u, engine_rule(cfg, bob))
+        *_, decision, coin = attempt(cfg, alice, bob, u)
         return decision, np.where(decision <= Decision.ABORT_CHEATER, coin, -1)
 
     failed = []

@@ -48,10 +48,12 @@ def test_factory_rejects_wrong_protocol():
 def run_one_step(cfg, alice, bob, u, anything_arrives):
     """Run one attempt of cfg's round (protocols.attempt) on every round of
     the block columns u, in which rounds arrive at cfg.eta, or none does
-    (every TRANSMIT uniform 1, above any eta); check that each hook returns
-    one entry per round (verify one Decision per round, restarts included),
-    and return how each round ends."""
+    (cfg at eta = 1, where transmit draws every round, and every TRANSMIT
+    uniform 1); check that each hook returns one entry per round (verify
+    one Decision per round, restarts included), and return how each round
+    ends."""
     if not anything_arrives:
+        assert cfg.eta == 1.0  # below it, lost_rounds delivers what can arrive
         u[TRANSMIT] = 1.0
     _, delivered, _, b, a, x, decision, coin = attempt(cfg, alice, bob, u)
     for out in (b, a, x, decision, coin):
@@ -62,9 +64,9 @@ def run_one_step(cfg, alice, bob, u, anything_arrives):
 def test_every_listed_strategy_builds(rng):
     """Each registry entry's builder builds its hooks on every protocol it
     applies to, under a variant it plays, and its pair's hooks run on every
-    round of a step, restarted rounds included, without raising, with about
-    half the rounds delivered or none. Every Alice is a TableAlice but the
-    EPR one, and the Bobs are four hooks classes."""
+    round of a step, restarted rounds included, without raising, at
+    eta = 0.5 and at eta = 1 with none delivered. Every Alice is a
+    TableAlice but the EPR one, and the Bobs are four hooks classes."""
     assert ALICE_STRATEGIES == tuple(REGISTRY[Side.ALICE])
     assert BOB_STRATEGIES == tuple(REGISTRY[Side.BOB])
     classes = {Side.ALICE: set(), Side.BOB: set()}
@@ -72,17 +74,17 @@ def test_every_listed_strategy_builds(rng):
         for name, spec in entries.items():
             assert spec.protocols
             assert callable(spec.build), name
-            for protocol in spec.protocols:
+            for protocol, (eta, anything_arrives) in itertools.product(
+                    spec.protocols, ((0.5, True), (1.0, False))):
                 cfg = ExperimentConfig(protocol=protocol,
                                        variant=(spec.variants or (None,))[0],
-                                       photon_count=spec.min_photons, eta=0.5,
+                                       photon_count=spec.min_photons, eta=eta,
                                        **{side.value: name})
                 alice, bob = build_hooks(cfg)
                 classes[side].add(type(alice if side is Side.ALICE else bob))
                 if side is Side.ALICE:
                     assert isinstance(alice, TableAlice) == (name != "bb84_epr")
-                for anything_arrives in (False, True):
-                    run_one_step(cfg, alice, bob, rng(SLOTS, 64), anything_arrives)
+                run_one_step(cfg, alice, bob, rng(SLOTS, 64), anything_arrives)
     assert classes[Side.ALICE] == {TableAlice, EprSteeringAlice}
     assert classes[Side.BOB] == {HonestBob, CunningSonBob, RestartAbuseBob,
                                  GuessingBob}
