@@ -7,7 +7,7 @@ from .channel import transmit
 from .harness import (BiasEstimate, ExperimentConfig, run_experiment,
                       wilson_interval)
 from .protocols import (LossPolicy, ProtocolId, Transcript, VariantFlags,
-                        Verdict, default_flags, run_chunk)
+                        default_flags, run_chunk)
 from .quantum import (helstrom_success, measure_projective, mix, steer_epr,
                       trace_distance)
 from .strategies import Side

@@ -156,8 +156,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run_options(p_run)
 
     p_table = sub.add_parser("table", help="measured vs closed-form matrix")
-    # evaluate_matrix's defaults, written out so that building the parser
-    # does not import the check matrix
+    # the one copy of the table's defaults: the check matrix takes every
+    # argument, and building the parser does not import it
     p_table.add_argument("--trials", type=int, default=100_000)
     p_table.add_argument("--seed", type=int, default=12345)
     p_table.add_argument("--tol", type=float, default=0.01)

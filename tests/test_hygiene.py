@@ -1,9 +1,10 @@
 """Dead names in the package, read from each module's syntax tree: an
-imported name its module never reads, and a private top-level name that no
-module reads. The package's __init__ imports only to re-export, so its
-imports are not checked. Also from the trees: no module but rng compares a
-uniform, no function but protocols.attempt runs the round's hooks and
-channel, and the package, the tests and the benchmark import no package
+imported name its module never reads, a private top-level name that no
+module reads, and a public one that no module, test or benchmark file
+reads. The package's __init__ imports only to re-export, so its imports are
+neither checked nor counted as reads. Also from the trees: no module but rng
+compares a uniform, no function but protocols.attempt runs the round's hooks
+and channel, and the package, the tests and the benchmark import no package
 that pyproject.toml does not declare. Last, importing the package and its
 CLI leaves the oracle layer and the check matrix unloaded, and no record
 class but ExperimentConfig is a dataclass."""
@@ -41,8 +42,9 @@ def imported(tree):
                 yield node.lineno, (alias.asname or alias.name).partition(".")[0]
 
 
-def private_defined(tree):
-    """(line, name) for each _private name bound at the top of a module."""
+def defined(tree):
+    """(line, name) for each name bound at the top of a module, dunders
+    aside."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -52,7 +54,7 @@ def private_defined(tree):
         else:
             continue
         for name in names:
-            if name.startswith("_") and not name.startswith("__"):
+            if not name.startswith("__"):
                 yield node.lineno, name
 
 
@@ -70,7 +72,24 @@ def test_every_private_top_level_name_is_read():
     read = set().union(*READS.values())
     unread = [f"{module}:{line} {name}"
               for module, tree in TREES.items() if module != "__init__.py"
-              for line, name in private_defined(tree) if name not in read]
+              for line, name in defined(tree)
+              if name.startswith("_") and name not in read]
+    assert not unread
+
+
+def test_every_public_top_level_name_is_read():
+    """A public top-level name of the package is read somewhere: in its own
+    module, in another module (a re-export in __init__ is no read), or in a
+    test or benchmark file."""
+    read = set().union(*(names for module, names in READS.items()
+                         if module != "__init__.py"))
+    for path in sorted([*ROOT.glob("tests/*.py"), *ROOT.glob("perfbench/*.py")]):
+        read |= reads(ast.parse(path.read_text(), path.name))
+    unread = [f"{module}:{line} {name}"
+              for module, tree in TREES.items()
+              if module not in ("__init__.py", "__main__.py")
+              for line, name in defined(tree)
+              if not name.startswith("_") and name not in read]
     assert not unread
 
 
