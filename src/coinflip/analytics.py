@@ -3,12 +3,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import OutOfRange
-
-
-def check_alpha2(alpha2: float) -> None:
-    if not (0.5 < alpha2 < 1.0):
-        raise OutOfRange(f"alpha2={alpha2} not in (1/2, 1)")
+from .catalog import check_alpha2
 
 
 def alice_bias_bound(alpha2: float) -> float:

@@ -4,7 +4,8 @@ Each family is one table of real amplitudes: for each basis bit ``a``, the
 rows |a, x> of the honest basis a, indexed by a bit (or trit) ``x``.
 Everything else is read from it: basis_pair is the table as a read-only
 array, checked once for orthonormality, whose rows are the states (and
-bras); committed_density mixes them as an honest Alice does once committed.
+bras). The committed mixtures an honest Alice draws from are
+discrimination.committed_density, off the run path.
 
 * BB84           - the four conjugate-basis qubit states.
 * AMBAINIS       - the four qutrit states (|0> +/- |1>)/sqrt2, (|0> +/- |2>)/sqrt2;
@@ -24,7 +25,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import InvalidLabel, OutOfRange
-from .quantum import ATOL, mix
+from .quantum import ATOL
 
 
 class Family(Enum):
@@ -33,6 +34,12 @@ class Family(Enum):
     AMBAINIS = "ambainis"
     LOSS_TOLERANT = "loss_tolerant"
     MCQM_EXAMPLE = "mcqm_example"
+
+
+def check_alpha2(alpha2: float) -> None:
+    """OutOfRange unless 1/2 < alpha2 < 1, the loss-tolerant family's range."""
+    if not (0.5 < alpha2 < 1.0):
+        raise OutOfRange(f"alpha2={alpha2} not in (1/2, 1)")
 
 
 class _Fields(NamedTuple):
@@ -48,8 +55,9 @@ class StateFamily(_Fields):
 
     def __new__(cls, family: Family, alpha2: Optional[float] = None):
         if family is Family.LOSS_TOLERANT:
-            if alpha2 is None or not (0.5 < alpha2 < 1.0):
-                raise OutOfRange("LOSS_TOLERANT requires 1/2 < alpha2 < 1")
+            if alpha2 is None:
+                raise OutOfRange("LOSS_TOLERANT requires an alpha2")
+            check_alpha2(alpha2)
         elif alpha2 is not None:
             raise InvalidLabel(f"{family.value} takes no alpha2 parameter")
         return super().__new__(cls, family, alpha2)
@@ -97,15 +105,3 @@ def basis_pair(family: StateFamily) -> np.ndarray:
     pair.flags.writeable = False
     return pair
 
-
-def committed_density(family: StateFamily, commit: int) -> np.ndarray:
-    """The mixed state signalling the committed value, the mixture an honest
-    Alice draws from once committed. BB84, AMBAINIS and MCQM_EXAMPLE commit
-    to the basis bit a, mixing the rows |a, x> with the family's x weights;
-    LOSS_TOLERANT commits to the bit x, mixing |0, x> and |1, x> equally."""
-    if commit not in (0, 1):
-        raise InvalidLabel(f"commit={commit}")
-    pair = basis_pair(family)
-    if family.family is Family.LOSS_TOLERANT:
-        return mix((0.5, 0.5), pair[:, commit])
-    return mix(family.x_weights, pair[commit, :len(family.x_weights)])

@@ -18,7 +18,6 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .analytics import alice_bias_bound, bob_bias, fair_alpha2, reference_table
 from .catalog import Family
 from .errors import CoinFlipError, IncompatibleProtocol, RestartBudgetExceeded
 from .harness import ExperimentConfig, estimate_to_dict, run_experiment
@@ -123,6 +122,8 @@ def _cmd_sweep(args, out) -> int:
 
 
 def _cmd_fair(args, out) -> int:
+    # the closed forms, off the run path: only `coinflip fair` reads them here
+    from .analytics import alice_bias_bound, bob_bias, fair_alpha2, reference_table
     t = fair_alpha2()
     record = {
         "fair_alpha2": t,

@@ -1,6 +1,16 @@
-"""State discrimination beyond minimum-error guessing.
+"""The closed-form oracle layer: mixed states, their distinguishability and
+state discrimination beyond minimum-error guessing.
 
-Covers three measurement styles that trade conclusiveness against
+Nothing on a run path loads this module, and the package does not
+re-export it: the simulations draw from basis_pair's rows through
+quantum's Born tables, and this module computes what they are checked
+against. A density matrix is a plain (dim, dim) ndarray, checked where it
+is given (Hermitian, PSD, unit trace, dimension 2-4, within quantum.ATOL).
+mix builds one from unit-norm rows and weights, committed_density builds
+a family's committed mixtures from basis_pair, and trace_distance and
+helstrom_success measure minimum-error guessing.
+
+Beyond that, three measurement styles that trade conclusiveness against
 certainty: unambiguous discrimination of a pure-state pair (the
 Ivanovic-Dieks-Peres construction for equal priors), exact outcome
 statistics of an arbitrary POVM against a pair of hypotheses, and maximum
@@ -12,12 +22,80 @@ identity, checked by stats; its last element is the inconclusive outcome.
 """
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, ParallelStates
-from .quantum import ATOL, _check_density, _check_normalized, _check_positive
+from .catalog import Family, StateFamily, basis_pair
+from .errors import (DimensionMismatch, InvalidLabel, ParallelStates,
+                     ProbabilityMismatch)
+from .quantum import ATOL, _check_normalized
+
+_DIMS = (2, 3, 4)
+
+
+def _check_positive(ops, ndim: int, what: str) -> np.ndarray:
+    """ops as an array, if it has ndim axes and its last two hold Hermitian
+    matrices of dimension 2-4 with no eigenvalue below -ATOL."""
+    ops = np.asarray(ops)
+    if ops.ndim != ndim or ops.shape[-2] != ops.shape[-1] or ops.shape[-1] not in _DIMS:
+        raise DimensionMismatch(f"bad {what} shape {ops.shape}")
+    if not np.allclose(ops, np.swapaxes(ops, -1, -2).conj(), atol=ATOL):
+        raise ValueError(f"{what} not Hermitian")
+    if np.linalg.eigvalsh(ops).min() < -ATOL:
+        raise ValueError(f"{what} not positive semidefinite")
+    return ops
+
+
+def _check_density(rho) -> np.ndarray:
+    """rho as an array, if it is a density matrix: Hermitian and PSD as
+    _check_positive asks, with unit trace."""
+    rho = _check_positive(rho, 2, "density matrix")
+    trace = np.trace(rho)
+    if abs(trace.real - 1.0) > ATOL or abs(trace.imag) > ATOL:
+        raise ValueError(f"density matrix trace {trace} != 1")
+    return rho
+
+
+def mix(weights: Sequence[float], states) -> np.ndarray:
+    """sum_i p_i |psi_i><psi_i| for the unit-norm rows |psi_i> of states
+    (n, dim), laid out as basis_pair's rows (ValueError otherwise), and one
+    weight p_i >= 0 per state, summing to 1 (ProbabilityMismatch)."""
+    weights, states = np.asarray(weights, dtype=float), np.asarray(states)
+    total = weights.sum()
+    if (states.ndim != 2 or weights.shape != states.shape[:1]
+            or (weights < -ATOL).any() or abs(total - 1.0) > ATOL):
+        raise ProbabilityMismatch(f"weights sum to {total} for states {states.shape}")
+    _check_normalized(states.T)
+    return (weights[:, None] * states).T @ states.conj()
+
+
+def committed_density(family: StateFamily, commit: int) -> np.ndarray:
+    """The mixed state signalling the committed value, the mixture an honest
+    Alice draws from once committed. BB84, AMBAINIS and MCQM_EXAMPLE commit
+    to the basis bit a, mixing the rows |a, x> with the family's x weights;
+    LOSS_TOLERANT commits to the bit x, mixing |0, x> and |1, x> equally."""
+    if commit not in (0, 1):
+        raise InvalidLabel(f"commit={commit}")
+    pair = basis_pair(family)
+    if family.family is Family.LOSS_TOLERANT:
+        return mix((0.5, 0.5), pair[:, commit])
+    return mix(family.x_weights, pair[commit, :len(family.x_weights)])
+
+
+def trace_distance(r0, r1) -> float:
+    """(1/2) Tr|r0 - r1| via eigenvalues of the Hermitian difference, for two
+    density matrices of one dimension (checked as _check_density does)."""
+    r0, r1 = _check_density(r0), _check_density(r1)
+    if r0.shape != r1.shape:
+        raise DimensionMismatch("trace distance of different dims")
+    eigs = np.linalg.eigvalsh(r0 - r1)
+    return float(0.5 * np.abs(eigs).sum())
+
+
+def helstrom_success(r0, r1) -> float:
+    """Best achievable guessing probability for equal priors: 1/2 + D/2."""
+    return 0.5 + 0.5 * trace_distance(r0, r1)
 
 
 class DiscriminationStats(NamedTuple):

@@ -32,12 +32,12 @@ import itertools
 import math
 import numbers
 import operator
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .analytics import check_alpha2
+from .catalog import check_alpha2
 from .errors import IncompatibleProtocol, OutOfRange, RestartBudgetExceeded
 from .protocols import (ProtocolId, VariantFlags, check_flags, default_flags,
                         family_for, run_chunk, variant_name)
@@ -49,14 +49,18 @@ from .strategies import HONEST, REGISTRY, Side, lookup
 GROUP_ROWS = 8 * CHUNK
 
 
-@dataclass(frozen=True)  # a dataclass: callers derive configs with dataclasses.replace
+# a dataclass, since callers derive configs with dataclasses.replace; its
+# methods are written out below, so the decorator generates none of them
+@dataclass(init=False, repr=False, eq=False)
 class ExperimentConfig:
     """One experiment. A bad config fails here, at construction, with
     OutOfRange or IncompatibleProtocol; the engine reads the config as it
     is and checks nothing. protocol is a ProtocolId and variant a
     VariantFlags or None, never a name. Counts and target are kept as
     Python ints (of an operator.index), eta and alpha2 as Python floats (of
-    a numbers.Real)."""
+    a numbers.Real). Frozen, as a frozen dataclass: equal fields give equal
+    configs with equal hashes, and assigning or deleting an attribute raises
+    FrozenInstanceError."""
 
     protocol: ProtocolId = ProtocolId.LOSS_TOLERANT_CF
     variant: Optional[VariantFlags] = None  # None -> protocol default
@@ -70,27 +74,34 @@ class ExperimentConfig:
     max_restarts: int = 10_000
     photon_count: int = 1
 
-    def __post_init__(self):
-        if not isinstance(self.protocol, ProtocolId):
-            raise OutOfRange(f"protocol={self.protocol!r} is not a ProtocolId")
-        if not isinstance(self.variant, (VariantFlags, type(None))):
-            raise OutOfRange(f"variant={self.variant!r} is not a VariantFlags or None")
+    # each default is the field's, read from the class body just above
+    def __init__(self, protocol=protocol, variant=variant, alice=alice, bob=bob,
+                 target=target, trials=trials, seed=seed, alpha2=alpha2, eta=eta,
+                 max_restarts=max_restarts, photon_count=photon_count):
+        fields = vars(self)  # written directly, in field order: __setattr__ refuses
+        fields.update(protocol=protocol, variant=variant, alice=alice, bob=bob,
+                      target=target, trials=trials, seed=seed, alpha2=alpha2,
+                      eta=eta, max_restarts=max_restarts, photon_count=photon_count)
+        if not isinstance(protocol, ProtocolId):
+            raise OutOfRange(f"protocol={protocol!r} is not a ProtocolId")
+        if not isinstance(variant, (VariantFlags, type(None))):
+            raise OutOfRange(f"variant={variant!r} is not a VariantFlags or None")
         for name in ("trials", "seed", "max_restarts", "photon_count", "target"):
-            value = getattr(self, name)
+            value = fields[name]
             if type(value) is int:  # needs no conversion
                 continue
             try:  # kept as a Python int, which numpy's fixed widths would wrap
-                object.__setattr__(self, name, operator.index(value))
+                fields[name] = operator.index(value)
             except TypeError:
                 raise OutOfRange(f"{name}={value!r} is not an integer") from None
         for name in ("eta", "alpha2"):  # kept as a float, which json can write
-            value = getattr(self, name)
+            value = fields[name]
             if type(value) is float:  # needs no conversion, nor the ABC check
                 continue
             if not isinstance(value, numbers.Real):
                 raise OutOfRange(f"{name}={value!r} is not a real number")
             try:
-                object.__setattr__(self, name, float(value))
+                fields[name] = float(value)
             except OverflowError:  # a real number past the float range, as 10**400
                 raise OutOfRange(f"{name} is too large for a float") from None
         if self.trials < 1:
@@ -125,6 +136,24 @@ class ExperimentConfig:
     @property
     def flags(self) -> VariantFlags:
         return self.variant or default_flags(self.protocol)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 class BiasEstimate(NamedTuple):

@@ -1,10 +1,10 @@
-"""Dense complex linear algebra for dimensions 2-4, Born-rule measurement and
-distinguishability primitives.
+"""Born-rule measurement of batches of states in dimensions 2-4.
 
-States, density matrices and POVMs are plain ndarrays, which no class wraps:
-each function checks the arrays it is given (unit norm; Hermitian, PSD, unit
-trace) with an absolute tolerance of 1e-9. Dimensions never exceed 4, so
-everything is kept dense.
+States and bases are plain ndarrays, which no class wraps: each function
+checks the states it is given for unit norm with an absolute tolerance of
+1e-9 (ATOL). Dimensions never exceed 4, so everything is kept dense. The
+closed-form side of the quantum layer (mixtures, trace distance, Helstrom,
+density-matrix checks) is coinflip.discrimination, which no run path loads.
 
 Measurements run on batches: a batch of n pure states is a (dim, n) array
 whose column j holds the amplitudes of state j. Every measurement takes a
@@ -25,15 +25,13 @@ comparison. Any other arrays get new tables on each call.
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, ProbabilityMismatch
+from .errors import DimensionMismatch
 from .rng import cumulative, inverse_cdf, steps
 
 ATOL = 1e-9
-_DIMS = (2, 3, 4)
 BORN_TABLES = 64  # tables bound at once; the map is emptied when full
 
 
@@ -47,42 +45,6 @@ def _check_normalized(amplitudes: np.ndarray) -> None:
     if off.any():
         raise ValueError(
             f"state not normalized: |psi|^2 = {np.extract(off, norm2)[0]}")
-
-
-def _check_positive(ops, ndim: int, what: str) -> np.ndarray:
-    """ops as an array, if it has ndim axes and its last two hold Hermitian
-    matrices of dimension 2-4 with no eigenvalue below -ATOL."""
-    ops = np.asarray(ops)
-    if ops.ndim != ndim or ops.shape[-2] != ops.shape[-1] or ops.shape[-1] not in _DIMS:
-        raise DimensionMismatch(f"bad {what} shape {ops.shape}")
-    if not np.allclose(ops, np.swapaxes(ops, -1, -2).conj(), atol=ATOL):
-        raise ValueError(f"{what} not Hermitian")
-    if np.linalg.eigvalsh(ops).min() < -ATOL:
-        raise ValueError(f"{what} not positive semidefinite")
-    return ops
-
-
-def _check_density(rho) -> np.ndarray:
-    """rho as an array, if it is a density matrix: Hermitian and PSD as
-    _check_positive asks, with unit trace."""
-    rho = _check_positive(rho, 2, "density matrix")
-    trace = np.trace(rho)
-    if abs(trace.real - 1.0) > ATOL or abs(trace.imag) > ATOL:
-        raise ValueError(f"density matrix trace {trace} != 1")
-    return rho
-
-
-def mix(weights: Sequence[float], states) -> np.ndarray:
-    """sum_i p_i |psi_i><psi_i| for the unit-norm rows |psi_i> of states
-    (n, dim), laid out as basis_pair's rows (ValueError otherwise), and one
-    weight p_i >= 0 per state, summing to 1 (ProbabilityMismatch)."""
-    weights, states = np.asarray(weights, dtype=float), np.asarray(states)
-    total = weights.sum()
-    if (states.ndim != 2 or weights.shape != states.shape[:1]
-            or (weights < -ATOL).any() or abs(total - 1.0) > ATOL):
-        raise ProbabilityMismatch(f"weights sum to {total} for states {states.shape}")
-    _check_normalized(states.T)
-    return (weights[:, None] * states).T @ states.conj()
 
 
 def _born(states: np.ndarray, bras: np.ndarray) -> np.ndarray:
@@ -173,21 +135,6 @@ def born_table(states: np.ndarray, bras: np.ndarray) -> np.ndarray:
     included, gets a new table on each call, so an array changed in place is
     read anew."""
     return _bind(_born, states, bras)
-
-
-def trace_distance(r0, r1) -> float:
-    """(1/2) Tr|r0 - r1| via eigenvalues of the Hermitian difference, for two
-    density matrices of one dimension (checked as _check_density does)."""
-    r0, r1 = _check_density(r0), _check_density(r1)
-    if r0.shape != r1.shape:
-        raise DimensionMismatch("trace distance of different dims")
-    eigs = np.linalg.eigvalsh(r0 - r1)
-    return float(0.5 * np.abs(eigs).sum())
-
-
-def helstrom_success(r0, r1) -> float:
-    """Best achievable guessing probability for equal priors: 1/2 + D/2."""
-    return 0.5 + 0.5 * trace_distance(r0, r1)
 
 
 # Singlet (|01> - |10>)/sqrt(2), the only entangled state the package needs.

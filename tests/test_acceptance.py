@@ -16,12 +16,13 @@ from conftest import ACCEPTANCE_LINES, assert_metric, assert_z, sigma
 
 from coinflip.analytics import (alice_bias_bound, bob_bias, fair_alpha2,
                                 reference_table)
-from coinflip.catalog import Family, StateFamily, basis_pair, committed_density
+from coinflip.catalog import Family, StateFamily, basis_pair
 from coinflip.discrimination import (COMPUTATIONAL_USD_AMBAINIS,
-                                     max_confidence, stats, usd_pure_pair)
+                                     committed_density, helstrom_success,
+                                     max_confidence, mix, stats,
+                                     trace_distance, usd_pure_pair)
 from coinflip.harness import ExperimentConfig, run_experiment
 from coinflip.protocols import VARIANT_NAMES, ProtocolId
-from coinflip.quantum import helstrom_success, mix, trace_distance
 
 TRIALS = 100_000
 SEED = 12345

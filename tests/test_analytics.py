@@ -6,10 +6,10 @@ import pytest
 
 from coinflip.analytics import (alice_bias_bound, bob_bias, cunning_agreement,
                                 fair_alpha2, reference_table)
-from coinflip.catalog import Family, StateFamily, committed_density
+from coinflip.catalog import Family, StateFamily
 from coinflip.cli import cli_main
+from coinflip.discrimination import committed_density, helstrom_success
 from coinflip.errors import OutOfRange
-from coinflip.quantum import helstrom_success
 
 GRID = [0.55 + 0.05 * i for i in range(9)]
 

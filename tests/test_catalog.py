@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 
 from coinflip import catalog
-from coinflip.catalog import (FAMILIES, Family, StateFamily, basis_pair,
-                              committed_density)
+from coinflip.catalog import FAMILIES, Family, StateFamily, basis_pair
+from coinflip.discrimination import committed_density, trace_distance
 from coinflip.errors import InvalidLabel, OutOfRange
 from coinflip.harness import ExperimentConfig, build_hooks
 from coinflip.protocols import ProtocolId
-from coinflip.quantum import trace_distance
 
 SQ2 = 1.0 / math.sqrt(2.0)
 

@@ -7,11 +7,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coinflip.analytics import alice_bias_bound, bob_bias, reference_table
-from coinflip.catalog import Family, StateFamily, basis_pair, committed_density
+from coinflip.catalog import Family, StateFamily, basis_pair
 from coinflip.discrimination import (COMPUTATIONAL_USD_AMBAINIS,
-                                     max_confidence, stats, usd_pure_pair)
+                                     committed_density, helstrom_success,
+                                     max_confidence, mix, stats,
+                                     trace_distance, usd_pure_pair)
 from coinflip.errors import DimensionMismatch, ParallelStates
-from coinflip.quantum import helstrom_success, mix, trace_distance
 
 SQ2 = 1.0 / math.sqrt(2.0)
 KET0 = np.array([1.0, 0.0])

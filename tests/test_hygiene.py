@@ -6,8 +6,9 @@ neither checked nor counted as reads. Also from the trees: no module but rng
 compares a uniform, no function but protocols.attempt runs the round's hooks
 and channel, and the package, the tests and the benchmark import no package
 that pyproject.toml does not declare. Last, importing the package and its
-CLI leaves the oracle layer and the check matrix unloaded, and no record
-class but ExperimentConfig is a dataclass."""
+CLI loads the run path's modules and no others (neither the oracle layer
+nor the check matrix), and no record class but ExperimentConfig is a
+dataclass."""
 import ast
 import dataclasses
 import importlib
@@ -179,14 +180,23 @@ def test_only_declared_packages_are_imported():
     assert not undeclared
 
 
+RUN_PATH = ["catalog", "channel", "cli", "errors", "harness", "protocols",
+            "quantum", "rng", "strategies"]
+
+
 def test_the_oracle_layer_is_off_the_import_path():
-    """coinflip.discrimination has no reader on a run path, so importing
-    the package and its CLI does not load it; it still imports on its own."""
-    code = ("import sys, coinflip, coinflip.cli; "
-            "assert 'coinflip.discrimination' not in sys.modules, 'loaded'; "
+    """Importing the package and its CLI loads the run path and nothing
+    else: not coinflip.analytics nor coinflip.discrimination, which no run
+    path reads. `coinflip fair` then loads analytics, where it runs, and
+    discrimination still imports on its own."""
+    code = ("import io, sys, coinflip, coinflip.cli; "
+            "print(*sorted(m for m in sys.modules if m.startswith('coinflip.'))); "
+            "coinflip.cli.cli_main(['fair'], out=io.StringIO()); "
+            "assert 'coinflip.analytics' in sys.modules, 'not loaded by fair'; "
             "import coinflip.discrimination")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [f"coinflip.{name}" for name in RUN_PATH]
 
 
 def test_the_check_matrix_loads_only_with_coinflip_table():
@@ -202,9 +212,10 @@ def test_the_check_matrix_loads_only_with_coinflip_table():
 
 def test_the_config_is_the_only_dataclass():
     """Records are NamedTuples or hand-written classes, built without code
-    generation at import; ExperimentConfig stays a dataclass, for
-    dataclasses.replace. Every module is imported, __main__ (which runs the
-    CLI) aside."""
+    generation at import. ExperimentConfig stays a dataclass, for
+    dataclasses.replace, and its methods are hand-written too, so its
+    decorator generates none (test_records checks it). Every module is
+    imported, __main__ (which runs the CLI) aside."""
     modules = sorted(f"coinflip.{path.stem}" for path in SRC.glob("*.py")
                      if not path.stem.startswith("__"))
     found = [f"{module}.{name}" for module in modules

@@ -8,14 +8,14 @@ from hypothesis import strategies as st
 
 from coinflip import quantum
 from coinflip.catalog import Family, StateFamily, basis_pair
-from coinflip.discrimination import stats, usd_pure_pair
+from coinflip.discrimination import (helstrom_success, mix, stats,
+                                     trace_distance, usd_pure_pair)
 from coinflip.errors import (DimensionMismatch, ProbabilityMismatch,
                              RestartBudgetExceeded)
 from coinflip.harness import ExperimentConfig, build_hooks, run_experiment
 from coinflip.protocols import Emission, measure_delivery
-from coinflip.quantum import (BORN_TABLES, born_table, helstrom_success,
-                              measure_projective, measure_table, mix,
-                              steer_epr, trace_distance)
+from coinflip.quantum import (BORN_TABLES, born_table, measure_projective,
+                              measure_table, steer_epr)
 from coinflip.rng import bit, cumulative, inverse_cdf
 from coinflip.strategies import GuessingBob
 
