@@ -18,13 +18,13 @@ An attempt is one round, or, for a Bob who declares restarts_on_loss, a run
 of K lost rounds drawn as one count and the round that arrives, charged
 K + 1 rounds (and K + 1 rows in a transcript). Every site runs on every
 attempt; hooks take arrays and return arrays, one entry per (trial,
-attempt) pair, read only their own columns and keep no state across rounds.
-Every hook writes its per-step state before it reads it, so all groups can
-share one set of hooks. How many attempts a step runs depends only on s and
-max_restarts, never on how many trials are pending, and a trial's rows only
-on its chunk, so counts are a pure function of (seed, trials), whatever the
-group size: bit-identical on re-run, a run of n trials is the prefix of any
-longer run, and each chunk can be computed on its own.
+attempt) pair, read only their own columns and write nothing to their
+player, so all groups share one set of hooks. How many attempts a step
+runs depends only on s and max_restarts, never on how many trials are
+pending, and a trial's rows only on its chunk, so counts are a pure
+function of (seed, trials), whatever the group size: bit-identical on
+re-run, a run of n trials is the prefix of any longer run, and each chunk
+can be computed on its own.
 """
 from __future__ import annotations
 

@@ -33,29 +33,38 @@ one call, as one flat batch of (trial, round) pairs, so hooks take and
 return arrays with one entry per round. u holds the uniforms of the hook's
 own draw site (see rng), one entry per round of the batch: prepare gets
 u[0] and u[1], receive u[0] to u[4], the last b's, and reveal and verify
-one column each.
+one column each. The hook contract:
 
-  Alice: prepare(u) -> emission batch; reveal(b, u) -> (a, x)
-  Bob:   receive(delivery, delivered, u) -> b;
-         verify(a, x, u) -> one Decision per round, restarts included
+  Alice: prepare(u) -> sent, the emission batch;
+         reveal(sent, b, u) -> (a, x)
+  Bob:   receive(sent, delivered, u) -> (b, seen);
+         verify(seen, a, x, u) -> (decision, basis, outcome)
+
+Every hook is a function of its arguments and writes nothing to its
+player, so one player serves every experiment that plays it; attempt hands
+each hook what the ones before it returned. seen is what Bob's receive
+passes to his verify, opaque to the engine. verify gives one Decision per
+round, restarts included, and what his transcript records: the index of
+his basis in his basis_tags and of his outcome (-1: none), per round or
+one value for all. The one write in a round is collapse: measure_delivery
+steers an entangled emission in place, and Alice's reveal reads her
+steered halves from the emission she sent.
 
 Every hook runs once per step, in attempt, in the order prepare, receive,
 reveal, verify, on every round of the step (delivered says which deliveries
 arrived). The engine discards b, a and x on the rounds verify restarts, so
-there a hook may see any value (b need not be a bit) but must not raise. A
-hook may keep per-round arrays from one call to the next within a step, but
-no state across rounds: rounds are independent draws, which is what lets a
-step run a trial's next rounds all at once. Receivers measure through
-measure_delivery, in a stack of at most two bases with a basis index per
-round, and get one outcome index per round, -1 where nothing arrived. An
-unentangled emission's table holds at most 2 * dim states, so each round is
-drawn from the Born table of that table in that stack (quantum.born_table,
-built once and shared): one gather by basis and column and one comparison
-with the uniform, the same outcome measure_projective gives. A pulse is
-measured on its first photon, from the same table; an EPR half is steered
-instead, from weights built once per stack, and its far half becomes a
-column of the stack's far table, so the sender measures it from a Born table
-too.
+there a hook may see any value (b need not be a bit) but must not raise.
+Rounds are independent draws, which is what lets a step run a trial's next
+rounds all at once. Receivers measure through measure_delivery, in a stack
+of at most two bases with a basis index per round, and get one outcome index
+per round, -1 where nothing arrived. An unentangled emission's table holds
+at most 2 * dim states, so each round is drawn from the Born table of that
+table in that stack (quantum.born_table, built once and shared): one gather
+by basis and column and one comparison with the uniform, the same outcome
+measure_projective gives. A pulse is measured on its first photon, from the
+same table; an EPR half is steered instead, from weights built once per
+stack, and its far half becomes a column of the stack's far table, so the
+sender measures it from a Born table too.
 
 A block row is an attempt, and the channel has two rules for it. Every Bob
 declares restarts_on_loss: true when every round that does not arrive ends
@@ -74,10 +83,8 @@ whole columns and stops. Every other step, and a step 0 in which a trial
 restarts or passes the cap, takes the one general path, whatever its number
 of attempts per trial.
 
-For transcripts every Bob declares basis_tags (the name of each of his bases,
-() if he never measures) and exposes last_basis (an index into basis_tags, -1
-for none) and last_outcome (the index of his measurement outcome, -1 for
-none), per round or as one value for all; both are read once verify has run.
+For transcripts every Bob declares basis_tags (the name of each of his
+bases, () if he never measures), which the basis verify returns indexes.
 Each step logs the attempts its trials keep as arrays, and the call's
 transcripts are built from that log in one pass at its end; an attempt after K
 lost rounds expands to K lost rows before its own, each not delivered, with no
@@ -242,10 +249,11 @@ def measure_delivery(delivery: Emission, delivered: np.ndarray, bras: np.ndarray
     side channel, exploited explicitly by the pulse-aware strategies). An
     entangled delivery, an EPR half, is not measured from its table but
     steers Alice's half of the same round: the delivery's states and index
-    become the far table and far columns steer_epr gives. Unless
-    nothing arrived (as from vacuum), the whole batch is measured, lost
-    rounds too, and the lost rounds' outcomes are masked to -1; a lost round
-    tells no one anything, so what its measurement drew is never read.
+    are rebound, in place, to the far table and far columns steer_epr gives,
+    the one write a round makes. Unless nothing arrived (as from vacuum),
+    the whole batch is measured, lost rounds too, and the lost rounds'
+    outcomes are masked to -1; a lost round tells no one anything, so what
+    its measurement drew is never read.
     """
     every = np.logical_and.reduce(delivered)  # ufuncs: no method wrapper
     if not (every or np.logical_or.reduce(delivered)):  # nothing arrives from vacuum
@@ -308,8 +316,8 @@ def attempt(cfg, alice, bob, u: np.ndarray) -> tuple:
     coin counts only where the decision ends the trial). For a Bob who
     restarts on loss at eta < 1, an emission that can arrive arrives after
     lost_rounds(eta, ., max_restarts + 1) lost rounds; otherwise transmit
-    draws it and lost is None. Returns
-    (emission, delivered, lost, b, a, x, decision, coin)."""
+    draws it and lost is None. Returns (emission, delivered, lost, basis,
+    outcome, b, a, x, decision, coin), basis and outcome as verify gives them."""
     emission = alice.prepare(u[PREPARE])
     # vacuum never arrives
     if bob.restarts_on_loss and cfg.eta < 1.0 and emission.photon_count:
@@ -318,11 +326,11 @@ def attempt(cfg, alice, bob, u: np.ndarray) -> tuple:
     else:
         lost = None
         delivered = transmit(emission, cfg.eta, u[TRANSMIT])
-    b = bob.receive(emission, delivered, u[RECEIVE])
-    a, x = alice.reveal(b, u[REVEAL])
-    decision = bob.verify(a, x, u[VERIFY])
+    b, seen = bob.receive(emission, delivered, u[RECEIVE])
+    a, x = alice.reveal(emission, b, u[REVEAL])
+    decision, basis, outcome = bob.verify(seen, a, x, u[VERIFY])
     coin = (x if PROTOCOLS[cfg.protocol].coin_from_x else a) ^ b
-    return emission, delivered, lost, b, a, x, decision, coin
+    return emission, delivered, lost, basis, outcome, b, a, x, decision, coin
 
 
 def run_chunk(cfg, alice, bob, chunk: int, trials: int,
@@ -368,7 +376,8 @@ def run_chunk(cfg, alice, bob, chunk: int, trials: int,
         depth = min(1 << step, DEPTH, cap - attempts)
         # u[c] is column c of the block: one uniform per (trial, attempt)
         u = rows(cfg.seed, chunk, step, pending, depth).reshape(-1, SLOTS).T
-        emission, delivered, lost, b, a, x, decision, coins = attempt(cfg, alice, bob, u)
+        (emission, delivered, lost, basis, outcome,
+         b, a, x, decision, coins) = attempt(cfg, alice, bob, u)
         ends = (decision <= Decision.ABORT_CHEATER).reshape(-1, depth)
         if lost is not None:  # rounds run up to each attempt; past cap, none ends
             spent = (lost + 1).reshape(-1, depth)
@@ -394,8 +403,8 @@ def run_chunk(cfg, alice, bob, chunk: int, trials: int,
             stop = np.full(done.size, depth)
             stop[done] = at + 1
             kept = (np.arange(depth) < stop[:, None]).ravel()
-            basis = np.where(delivered, bob.last_basis, -1)
-            outcome = np.broadcast_to(bob.last_outcome, delivered.shape)
+            basis = np.where(delivered, basis, -1)
+            outcome = np.broadcast_to(outcome, delivered.shape)
             ids = np.repeat(pending, stop)
             log.append((ids, delivered[kept], basis[kept], outcome[kept],
                         decision[kept],

@@ -37,8 +37,8 @@ its row (PREPARE, TRANSMIT, RECEIVE, REVEAL, VERIFY), and RECEIVE's last
 column is b's; every site runs on every attempt, and every draw maps
 exactly one uniform, so what one site draws never shifts another site's
 uniforms. Hooks (see protocols) get their
-own columns as arrays, one entry per attempt, and return arrays; they keep
-no state across rounds, so the attempts of a step are independent.
+own columns as arrays, one entry per attempt, and return arrays; they write
+nothing to their players, so the attempts of a step are independent.
 
 Three helpers map uniforms to draws, and no other module compares a
 uniform: bit, bernoulli and steps (the channel's lost_rounds aside, see

@@ -3,19 +3,19 @@
 REGISTRY[side][name] is the one place a player is built. Each side has an
 honest entry that applies to every protocol; the other entries are attacks
 built around a target bit c, the coin value the cheater wants to force.
-Alice-side hooks implement prepare/reveal, Bob-side hooks receive, which
-returns b, and verify, which decides every round, all on batches of rounds
-as the protocols module describes; the protocols module holds no player.
-Every Alice but the EPR one is a TableAlice, and every Bob who only measures
-to guess a bit (the optimal loss-tolerant Bob, the qutrit conclusive
-receivers and both two-photon receivers) is a GuessingBob: a function of
-(family, target) fills the tables of each, and one cache keeps them for both
-sides (see _from_tables). Every Bob declares restarts_on_loss, whether each
-round that does not arrive ends in REQUEST_RESTART, which picks the
-channel's loss rule for him, and basis_tags, the names of his bases in
-transcripts. Reveal tables were verified by direct overlap computation (see
-tests) rather than taken on trust. Strategies never see the honest party's
-private randomness; everything they learn flows through the hook arguments.
+Alice-side players play prepare and reveal, Bob-side ones receive and
+verify, by the hook contract the protocols module states; the protocols
+module holds no player. Every Alice but the EPR one is a TableAlice, and
+every Bob who only measures to guess a bit (the optimal loss-tolerant Bob,
+the qutrit conclusive receivers and both two-photon receivers) is a
+GuessingBob: a function of (family, target) fills the tables of each, and
+every experiment that plays one shares it from one cache (see _from_tables).
+Every Bob declares restarts_on_loss, whether each round that does not arrive
+ends in REQUEST_RESTART, which picks the channel's loss rule for him, and
+basis_tags, the names of his bases in transcripts. Reveal tables were
+verified by direct overlap computation (see tests) rather than taken on
+trust. Strategies never see the honest party's private randomness;
+everything they learn flows through the hook arguments.
 """
 from __future__ import annotations
 
@@ -49,21 +49,19 @@ class TableAlice:
     sends, or is None for vacuum. Each PREPARE column c she reads draws a
     digit from weights[c] (weights ((1.0,),) is one fixed state), and the
     digits, read as one mixed-radix number, column 0 the most significant,
-    index the state she sends. Each cdf step of each column's checked
-    cumulative form (rng.cumulative) is one entry of four arrays: its
-    threshold thr, its column's total tot, its column col and the radix
-    weight of that column's digit, so she draws every digit at once as
-    radix @ steps(thr, tot, u[col]), the comparisons inverse_cdf makes. She
-    reveals (a, x) = table[index, b & 1, r], with r = bit(u[REVEAL]) drawn
-    only if her table reads it (b need not be a bit on rounds the engine
-    discards). Her arrays are read-only, to share, and states is her own
-    copy, so that its Born tables are bound to it (quantum.born_table)."""
+    index the state she sends, photon_count photons of it. Each cdf step of
+    each column's checked cumulative form (rng.cumulative) is one entry of
+    four arrays: its threshold thr, its column's total tot, its column col
+    and the radix weight of that column's digit, so she draws every digit at
+    once as radix @ steps(thr, tot, u[col]), the comparisons inverse_cdf
+    makes. She reveals (a, x) = table[sent.index, b & 1, r], with
+    r = bit(u[REVEAL]) drawn only if her table reads it (b need not be a bit
+    on rounds the engine discards). Her arrays are read-only, to share, and
+    states is her own copy, so that its Born tables are bound to it
+    (quantum.born_table)."""
 
-    index = 0  # vacuum's one index
-    photon_count = 1  # per state; _from_tables sets her experiment's
-
-    def __init__(self, states, weights, table):
-        self.weights = weights
+    def __init__(self, states, weights, table, photon_count=1):
+        self.weights, self.photon_count = weights, photon_count
         self.states = None if states is None else np.array(states)
         draws = [cumulative(w) for w in weights]
         size = [len(cdf) + 1 for cdf, _ in draws]  # each digit's radix
@@ -84,32 +82,29 @@ class TableAlice:
     def prepare(self, u) -> Emission:
         if self.states is None:
             return Emission(None, 0, 0)
-        self.index = self.radix @ steps(self.thr, self.tot, u[self.col])
-        return Emission(self.states, self.index, self.photon_count)
+        index = self.radix @ steps(self.thr, self.tot, u[self.col])
+        return Emission(self.states, index, self.photon_count)
 
-    def reveal(self, b, u):
-        i = 2 * self.index + (b & 1)
+    def reveal(self, sent, b, u):
+        i = 2 * sent.index + (b & 1)
         i = 2 * i + bit(u) if self.fresh else i
         return self.a[i], self.x[i]
 
 
 @lru_cache(maxsize=catalog.FAMILIES)
-def _built(cls, tables, family: StateFamily, target: int):
-    return cls(*tables(family, target))
+def _built(cls, tables, family: StateFamily, target: int, *photons):
+    return cls(*tables(family, target), *photons)
 
 
 def _from_tables(cls, tables):
     """The registry builder (cfg, family) -> cls(*tables(family, target)),
-    for a TableAlice or a GuessingBob. Its arrays are built once per
-    (cls, tables, family, target), in one cache as large as basis_pair's,
-    and each experiment gets its own copy for its per-step state; an Alice's
-    copy sends cfg.photon_count photons per state."""
+    for a TableAlice, who also takes cfg.photon_count, or a GuessingBob.
+    Each player is built once per (cls, tables, family, target) and an
+    Alice's photon count, in one cache as large as basis_pair's, and every
+    experiment that plays it gets the cached player itself."""
     def build(cfg, family: StateFamily):
-        hooks = object.__new__(cls)  # a copy, at a third of copy.copy's cost
-        hooks.__dict__.update(vars(_built(cls, tables, family, cfg.target)))
-        if cls is TableAlice:
-            hooks.photon_count = cfg.photon_count
-        return hooks
+        photons = (cfg.photon_count,) if cls is TableAlice else ()
+        return _built(cls, tables, family, cfg.target, *photons)
     return build
 
 
@@ -192,8 +187,8 @@ class EprSteeringAlice:
     learning b; the reveal is then guaranteed to match Bob's outcome. Her
     halves are the entangled Emission she sends (unsteered: column 0 of the
     |0> table), steered by Bob's measurement onto columns of his stack's far
-    table, so she measures them by measure_table, from a Born table bound
-    once."""
+    table, so she reveals by measuring the emission she sent with
+    measure_table, from a Born table bound once."""
 
     def __init__(self, cfg, family: StateFamily):
         self.target = cfg.target
@@ -202,13 +197,11 @@ class EprSteeringAlice:
     def prepare(self, u) -> Emission:
         # |0> until Bob's measurement steers it (every half, lost ones too,
         # unless nothing arrived), so reveal can measure every round
-        self.link = Emission(_UNSTEERED, np.zeros(u.shape[1], np.intp), 1,
-                             entangled=True)
-        return self.link
+        return Emission(_UNSTEERED, np.zeros(u.shape[1], np.intp), 1, entangled=True)
 
-    def reveal(self, b, u):
+    def reveal(self, sent, b, u):
         a = self.target ^ b
-        x_mine = measure_table(self.link.states, self.link.index, self.bras, u, a)
+        x_mine = measure_table(sent.states, sent.index, self.bras, u, a)
         # singlet anticorrelation: Bob's same-basis outcome is 1 xor x_mine
         return a, 1 ^ x_mine
 
@@ -218,9 +211,12 @@ class EprSteeringAlice:
 
 class HonestBob:
     """Measures per the variant flags cfg.flags, sends a fresh random b,
-    verifies whenever the declared basis lets him. He restarts on every lost
-    round (restarts_on_loss) unless he believes losses on faith: a lost
-    round ends in self.lost."""
+    verifies whenever the declared basis lets him. What receive passes to
+    verify is the delivery, its mask and, if he measures on reception, his
+    basis and outcome; for a stored delivery both are None, and verify
+    measures it in the revealed basis. He restarts on every lost round
+    (restarts_on_loss) unless he believes losses on faith: a lost round
+    ends in self.lost."""
 
     basis_tags = ("0", "1")
 
@@ -232,32 +228,28 @@ class HonestBob:
                      else Decision.ACCEPTED)
 
     def receive(self, delivery: Emission, delivered: np.ndarray,
-                u: np.ndarray) -> np.ndarray:
-        self.stored, self.delivered = delivery, delivered
+                u: np.ndarray) -> tuple:
+        basis = outcome = None
         if self.flags.bob_measures_on_reception:
-            self.a_hat = self.last_basis = bit(u[0])
-            self.x_hat = self.last_outcome = measure_delivery(
-                delivery, delivered, self.bras, u[1], self.a_hat)
-        return bit(u[-1])
+            basis = bit(u[0])
+            outcome = measure_delivery(delivery, delivered, self.bras, u[1], basis)
+        return bit(u[-1]), (delivery, delivered, basis, outcome)
 
-    def verify(self, a: np.ndarray, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        if self.flags.bob_measures_on_reception:
-            caught = (a == self.a_hat) & (self.x_hat != x)
-        else:
-            self.last_basis = a
-            self.last_outcome = measure_delivery(self.stored, self.delivered,
-                                                 self.bras, u, a)
-            caught = self.last_outcome != x
+    def verify(self, seen: tuple, a: np.ndarray, x: np.ndarray, u: np.ndarray) -> tuple:
+        delivery, delivered, basis, outcome = seen
+        if basis is None:  # stored until now
+            basis, outcome = a, measure_delivery(delivery, delivered, self.bras, u, a)
+        caught = (a == basis) & (outcome != x)
         # ABORT_CHEATER is 1, ACCEPTED 0
-        return np.where(self.delivered, caught.view(np.int8), self.lost)
+        return np.where(delivered, caught.view(np.int8), self.lost), basis, outcome
 
 
 class CunningSonBob(HonestBob):
-    """Honest measurement, but sends b = x_hat instead of a random bit."""
+    """Honest measurement, but sends b = his outcome instead of a random bit."""
 
     def receive(self, delivery, delivered, u):
-        super().receive(delivery, delivered, u)
-        return self.x_hat
+        _, seen = super().receive(delivery, delivered, u)
+        return seen[-1], seen
 
 
 class RestartAbuseBob:
@@ -267,7 +259,6 @@ class RestartAbuseBob:
     he does not restart on every loss."""
 
     basis_tags = ()
-    last_basis = last_outcome = -1
     restarts_on_loss = False
 
     def __init__(self, cfg, family: StateFamily):
@@ -275,12 +266,12 @@ class RestartAbuseBob:
         self.camouflage = max(0.0, 1.0 - 2.0 * cfg.eta)
 
     def receive(self, delivery, delivered, u):
-        self.b = bit(u[-1])  # stores, never measures
-        return self.b
+        b = bit(u[-1])  # stores, never measures: all he sees is his b
+        return b, b
 
-    def verify(self, a, x, u):
-        claim = ((a ^ self.b) != self.target) | bernoulli(self.camouflage, u)
-        return np.where(claim, Decision.CLAIM_LOSS_FALSELY, Decision.ACCEPTED)
+    def verify(self, b, a, x, u):
+        claim = ((a ^ b) != self.target) | bernoulli(self.camouflage, u)
+        return np.where(claim, Decision.CLAIM_LOSS_FALSELY, Decision.ACCEPTED), -1, -1
 
 
 class GuessingBob:
@@ -292,12 +283,12 @@ class GuessingBob:
     flat index, index a guess table (the bit he guesses, or -1 to restart,
     as every lost round does), from which he builds two more once: b, the
     target xor the guess, and his decision, REQUEST_RESTART where the guess
-    is -1 and ACCEPTED elsewhere. The same index reads outcome, what his
-    transcript records. His arrays are read-only, to share, and bras is his
-    own copy, so that its Born tables are bound to it (quantum.born_table)."""
+    is -1 and ACCEPTED elsewhere. The index is what receive sees; verify
+    reads his decision there, and outcome, what his transcript records. His
+    arrays are read-only, to share, and bras is his own copy, so that its
+    Born tables are bound to it (quantum.born_table)."""
 
     restarts_on_loss = True
-    last_basis = 0  # his one basis tag
 
     def __init__(self, target: int, tag: str, bras, bases: tuple, guess, outcome):
         self.basis_tags, self.bras = (tag,), np.array(bras)
@@ -320,12 +311,11 @@ class GuessingBob:
         # one flat index: ravel_multi_index raises on an index out of range,
         # where an index tuple would wrap a negative one; one index is flat
         flat = key[0] if len(key) == 1 else np.ravel_multi_index(key, self.b.shape)
-        self.last_outcome = self.outcome.take(flat)
-        self.decision = self.decisions.take(flat)
-        return self.b.take(flat)
+        return self.b.take(flat), flat
 
-    def verify(self, a, x, u):
-        return self.decision  # any reveal is accepted
+    def verify(self, flat, a, x, u):
+        # any reveal is accepted; basis 0, his one tag
+        return self.decisions.take(flat), 0, self.outcome.take(flat)
 
 
 def _helstrom(family: StateFamily, target: int) -> tuple:

@@ -4,11 +4,11 @@ module reads, and a public one that no module, test or benchmark file
 reads. The package's __init__ imports only to re-export, so its imports are
 neither checked nor counted as reads. Also from the trees: no module but rng
 compares a uniform, no function but protocols.attempt runs the round's hooks
-and channel, and the package, the tests and the benchmark import no package
-that pyproject.toml does not declare. Last, importing the package and its
-CLI loads the run path's modules and no others (neither the oracle layer
-nor the check matrix), and no record class but ExperimentConfig is a
-dataclass."""
+and channel, no hook writes to its player, and the package, the tests and
+the benchmark import no package that pyproject.toml does not declare.
+Last, importing the package and its CLI loads the run path's modules and
+no others (neither the oracle layer nor the check matrix), and no record
+class but ExperimentConfig is a dataclass."""
 import ast
 import dataclasses
 import importlib
@@ -146,6 +146,28 @@ def test_only_attempt_runs_the_round():
             if call in hooks | channel and (caller, call) not in allowed:
                 callers.append(f"{caller}:{node.lineno} {call}")
     assert not callers
+
+
+def test_no_hook_writes_its_player():
+    """A hook is a function of its arguments (see protocols): no prepare,
+    receive, reveal or verify defined in the package assigns to, or
+    deletes, an attribute of self, so every experiment can share one
+    player."""
+    writes = []
+    for module, tree in TREES.items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for hook in cls.body:
+                if not (isinstance(hook, ast.FunctionDef)
+                        and hook.name in ("prepare", "receive", "reveal", "verify")):
+                    continue
+                writes += [f"{module[:-3]}.{cls.name}.{hook.name}:{node.lineno} "
+                           f"self.{node.attr}"
+                           for node in ast.walk(hook) if isinstance(node, ast.Attribute)
+                           and not isinstance(node.ctx, ast.Load)
+                           and isinstance(node.value, ast.Name) and node.value.id == "self"]
+    assert not writes
 
 
 def test_only_declared_packages_are_imported():

@@ -270,7 +270,7 @@ def test_attempt_is_the_engines_step(cfg):
     n = cfg.trials
     verdict, coin, restarts = run_chunk(cfg, alice, bob, 0, n)
     u = rows(cfg.seed, 0, 0, np.arange(n), 1).reshape(n, SLOTS).T
-    _, _, lost, _, _, _, decision, coins = attempt(cfg, alice, bob, u)
+    _, _, lost, *_, decision, coins = attempt(cfg, alice, bob, u)
     assert (lost is None) == (cfg.eta == 1.0)  # lost_rounds at eta 0.2
     lost = np.zeros(n, np.int64) if lost is None else lost
     ends = (decision <= Decision.ABORT_CHEATER) & (lost < cfg.max_restarts + 1)
@@ -281,15 +281,28 @@ def test_attempt_is_the_engines_step(cfg):
 
 
 def test_every_pairing_plays_its_rows_independently(rng):
-    """The hook contract (see protocols): hooks keep no state across rounds,
-    so the rows of a batch are independent draws. Every valid pairing at
-    eta 1, 0.5 and 0.2 (where the restart-abuse camouflage is drawn), on 512
-    random rows under the engine's loss rule: attempt on the rows permuted
-    gives every decision, and every coin of a row that ends, permuted; and
-    attempt on a third of the rows, then on the rest, gives those of all
-    the rows at once."""
+    """The hook contract (see protocols): hooks write nothing to their
+    players, so the rows of a batch are independent draws. Every valid
+    pairing at eta 1, 0.5 and 0.2 (where the restart-abuse camouflage is
+    drawn), on 512 random rows under the engine's loss rule: attempt leaves
+    every attribute of both players the same object, and run again on the
+    same rows returns equal outputs; attempt on the rows permuted gives
+    every decision, and every coin of a row that ends, permuted; and attempt
+    on a third of the rows, then on the rest, gives those of all the rows
+    at once."""
     n = 512
     u, order = rng(SLOTS, n), np.argsort(rng(n))
+
+    def unwritten(cfg, alice, bob, u):  # attempt writes no player, and repeats
+        before = [dict(vars(player)) for player in (alice, bob)]
+        first, again = (attempt(cfg, alice, bob, u) for _ in range(2))
+        kept = all(vars(player).keys() == was.keys()
+                   and all(vars(player)[k] is v for k, v in was.items())
+                   for player, was in zip((alice, bob), before))
+        sent = [(e.states, e.index, e.photon_count, e.entangled)
+                for e in (first[0], again[0])]
+        return kept and all(map(np.array_equal, (*sent[0], *first[1:]),
+                                (*sent[1], *again[1:])))
 
     def play(cfg, alice, bob, u):  # each row's decision and ending coin (-1: none)
         *_, decision, coin = attempt(cfg, alice, bob, u)
@@ -299,6 +312,8 @@ def test_every_pairing_plays_its_rows_independently(rng):
     for eta in (1.0, 0.5, 0.2):
         for cfg in valid_configs(eta=eta):
             hooks = build_hooks(cfg)
+            if not unwritten(cfg, *hooks, u):
+                failed.append(("written", cfg))
             whole = play(cfg, *hooks, u)
             permuted = play(cfg, *hooks, u[:, order])
             parts = zip(play(cfg, *hooks, u[:, :n // 3]), play(cfg, *hooks, u[:, n // 3:]))
@@ -499,7 +514,7 @@ def test_epr_alice_draws_as_measure_projective_on_her_far_halves(rng, stack, arr
     which, u, b, v = (rng(n) * stack).astype(np.intp), rng(n), bit(rng(n)), rng(n)
     link = alice.prepare(rng(2, n))
     seen = measure_delivery(link, delivered, bras, u, which)
-    a, x = alice.reveal(b, v)
+    a, x = alice.reveal(link, b, v)
     halves = link.states[:, link.index]
     assert np.array_equal(1 ^ x, measure_projective(halves, alice.bras, v, a))
     if arrive == "none":
