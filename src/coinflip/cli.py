@@ -3,8 +3,12 @@
 Subcommands:
   run    one experiment, JSON to stdout
   table  the full check matrix, measured vs closed-form values
-  sweep  bias estimates across an alpha2 or eta grid
+  sweep  bias estimates across an alpha2 or eta grid (a run at each point)
   fair   the fair parameter point and both bias formulas
+
+build_parser is the one table of subcommands: each names its options and
+its handler there, and cli_main calls the handler the parsed subcommand
+names. Run as `coinflip` or `python -m coinflip`.
 
 Exit codes: 0 ok, 1 bad arguments, 2 table check mismatch, 3 restart budget
 exceeded.
@@ -29,8 +33,6 @@ EXIT_USAGE = 1
 EXIT_CHECK_FAILED = 2
 EXIT_RESTART_BUDGET = 3
 
-_PROTOCOLS = {p.value: p for p in ProtocolId}
-
 
 class _UsageError(CoinFlipError):
     pass
@@ -43,7 +45,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_run_options(p: argparse.ArgumentParser) -> None:
     d = ExperimentConfig  # its field defaults
-    p.add_argument("--protocol", choices=sorted(_PROTOCOLS), default=d.protocol.value)
+    p.add_argument("--protocol", choices=sorted(m.value for m in ProtocolId),
+                   default=d.protocol.value)
     p.add_argument("--variant", choices=sorted(VARIANT_NAMES), default="default")
     p.add_argument("--alice", default=d.alice, choices=ALICE_STRATEGIES)
     p.add_argument("--bob", default=d.bob, choices=BOB_STRATEGIES)
@@ -58,25 +61,18 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
 
-def _config_from_args(args, **overrides) -> ExperimentConfig:
-    protocol = _PROTOCOLS[args.protocol]
-    options = {"alpha2": args.alpha2, "eta": args.eta}  # None where not given
-    overrides = {**{k: v for k, v in options.items() if v is not None}, **overrides}
-    if "alpha2" in overrides and PROTOCOLS[protocol].family is not Family.LOSS_TOLERANT:
+def _config_from_args(args, **swept) -> ExperimentConfig:
+    """The config of the run options, with --alpha2 and --eta where given and
+    the swept parameter's value, if any; the config's defaults elsewhere."""
+    protocol = ProtocolId(args.protocol)
+    given = {k: v for k in ("alpha2", "eta") if (v := getattr(args, k)) is not None}
+    given.update(swept)
+    if "alpha2" in given and PROTOCOLS[protocol].family is not Family.LOSS_TOLERANT:
         raise IncompatibleProtocol(f"{protocol.value} does not read alpha2")
-    base = dict(
-        protocol=protocol,
-        variant=VARIANT_NAMES[args.variant],
-        alice=args.alice,
-        bob=args.bob,
-        target=args.target,
-        trials=args.trials,
-        seed=args.seed,
-        max_restarts=args.max_restarts,
-        photon_count=args.photons,
-    )
-    base.update(overrides)
-    return ExperimentConfig(**base)
+    return ExperimentConfig(
+        protocol=protocol, variant=VARIANT_NAMES[args.variant], alice=args.alice,
+        bob=args.bob, target=args.target, trials=args.trials, seed=args.seed,
+        max_restarts=args.max_restarts, photon_count=args.photons, **given)
 
 
 def _emit(records: list[dict], fmt: str, out) -> None:
@@ -90,10 +86,14 @@ def _emit(records: list[dict], fmt: str, out) -> None:
         writer.writerow(rec)
 
 
-def _cmd_run(args, out) -> int:
-    cfg = _config_from_args(args)
-    est = run_experiment(cfg)
-    _emit([estimate_to_dict(cfg, est)], args.format, out)
+def _cmd_run(args, out, points=({},)) -> int:
+    """One record per point, each the run options with that point's swept
+    value: a run is a sweep of one point, with nothing swept."""
+    records = []
+    for swept in points:
+        cfg = _config_from_args(args, **swept)
+        records.append(estimate_to_dict(cfg, run_experiment(cfg)))
+    _emit(records, args.format, out)
     return EXIT_OK
 
 
@@ -112,13 +112,7 @@ def _cmd_sweep(args, out) -> int:
     lo, hi, n = args.grid
     # the last point is hi itself, which rounding can make the formula miss
     values = [lo + (hi - lo) * i / (n - 1) for i in range(n - 1)] + [hi]
-    records = []
-    for value in values:
-        cfg = _config_from_args(args, **{args.param: value})
-        est = run_experiment(cfg)
-        records.append(estimate_to_dict(cfg, est))
-    _emit(records, args.format, out)
-    return EXIT_OK
+    return _cmd_run(args, out, [{args.param: value} for value in values])
 
 
 def _cmd_fair(args, out) -> int:
@@ -155,6 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run one experiment")
     _add_run_options(p_run)
+    p_run.set_defaults(handler=_cmd_run)
 
     p_table = sub.add_parser("table", help="measured vs closed-form matrix")
     # the one copy of the table's defaults: the check matrix takes every
@@ -165,33 +160,29 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--check", action="store_true",
                          help="exit 2 if any row misses its expectation")
     p_table.add_argument("--format", choices=("json", "csv"), default="json")
+    p_table.set_defaults(handler=_cmd_table)
 
     p_sweep = sub.add_parser("sweep", help="bias estimates across a grid")
     p_sweep.add_argument("--param", choices=("alpha2", "eta"), required=True)
     p_sweep.add_argument("--grid", type=_parse_grid, required=True,
                          metavar="LO:HI:N")
     _add_run_options(p_sweep)
+    p_sweep.set_defaults(handler=_cmd_sweep)
 
-    sub.add_parser("fair", help="print the fair parameter point")
+    p_fair = sub.add_parser("fair", help="print the fair parameter point")
+    p_fair.set_defaults(handler=_cmd_fair)
     return parser
 
 
 def cli_main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     out = out or sys.stdout
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except _UsageError as exc:
         print(f"coinflip: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    handlers = {
-        "run": _cmd_run,
-        "table": _cmd_table,
-        "sweep": _cmd_sweep,
-        "fair": _cmd_fair,
-    }
     try:
-        return handlers[args.command](args, out)
+        return args.handler(args, out)
     except RestartBudgetExceeded as exc:
         print(f"coinflip: restart budget exceeded: {exc}", file=sys.stderr)
         return EXIT_RESTART_BUDGET
@@ -202,7 +193,3 @@ def cli_main(argv: Optional[Sequence[str]] = None, out=None) -> int:
 
 def main() -> None:
     sys.exit(cli_main())
-
-
-if __name__ == "__main__":
-    main()

@@ -3,6 +3,7 @@ through real processes for each exit code, for python -m coinflip itself and
 for the usage errors whose point is that no traceback reaches stderr."""
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import subprocess
@@ -13,7 +14,7 @@ import pytest
 from coinflip.catalog import Family
 from coinflip.cli import _config_from_args, build_parser, cli_main
 from coinflip.harness import ExperimentConfig
-from coinflip.protocols import PROTOCOLS
+from coinflip.protocols import PROTOCOLS, VARIANT_NAMES, ProtocolId
 
 CLI = [sys.executable, "-m", "coinflip"]
 
@@ -193,6 +194,26 @@ def test_one_process_answers_each_call_as_a_fresh_process(capsys):
 
 def test_run_defaults_are_the_config_defaults():
     assert _config_from_args(build_parser().parse_args(["run"])) == ExperimentConfig()
+
+
+@pytest.mark.parametrize("option, value, field, expected", [
+    ("--protocol", "bb84", "protocol", ProtocolId.BB84_CF),
+    ("--variant", "restart_measure", "variant", VARIANT_NAMES["restart_measure"]),
+    ("--alice", "lt_optimal", "alice", "lt_optimal"),
+    ("--bob", "lt_helstrom", "bob", "lt_helstrom"),
+    ("--target", "1", "target", 1),
+    ("--trials", "7", "trials", 7),
+    ("--seed", "9", "seed", 9),
+    ("--alpha2", "0.7", "alpha2", 0.7),
+    ("--eta", "0.5", "eta", 0.5),
+    ("--max-restarts", "3", "max_restarts", 3),
+    ("--photons", "2", "photon_count", 2)])
+def test_each_run_option_reaches_its_config_field(option, value, field, expected):
+    """Each run option given alone sets its one config field, and every other
+    field keeps the config's default."""
+    args = build_parser().parse_args(["run", option, value])
+    assert _config_from_args(args) == dataclasses.replace(ExperimentConfig(),
+                                                          **{field: expected})
 
 
 def test_table_defaults_are_the_matrix_defaults():

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from coinflip import harness
+from coinflip import harness, strategies
 from coinflip.analytics import reference_table
 from coinflip.errors import IncompatibleProtocol, OutOfRange, RestartBudgetExceeded
 from coinflip.harness import (CHUNK, BiasEstimate, ExperimentConfig, build_hooks,
@@ -464,13 +464,21 @@ ENTRY_CONFIGS = {
     for side, entries in REGISTRY.items() for name, spec in entries.items()}
 
 
+def _new_hooks(cfg):
+    """cfg's hooks as players built anew, none taken from the shared cache."""
+    strategies._built.cache_clear()
+    return build_hooks(cfg)
+
+
 @pytest.mark.parametrize("cfg", ENTRY_CONFIGS.values(), ids=ENTRY_CONFIGS.keys())
 def test_hooks_built_once_count_as_fresh_hooks_per_chunk(cfg):
-    """run_experiment builds its hooks once; its tallies equal those of the
-    same chunks run on fresh hooks each, so no hook keeps state across steps."""
+    """run_experiment plays the cached players that every experiment of
+    theirs shares; its tallies equal those of the same chunks run on players
+    built anew for each chunk, so a stateless, shared player gives the
+    tallies of fresh ones."""
     assert cfg.trials % CHUNK and cfg.trials // CHUNK == 2
     est = run_experiment(cfg)
-    fresh = sum(_tallies(*run_chunk(cfg, *build_hooks(cfg), start // CHUNK,
+    fresh = sum(_tallies(*run_chunk(cfg, *_new_hooks(cfg), start // CHUNK,
                                     min(CHUNK, cfg.trials - start)), cfg.target)
                 for start in range(0, cfg.trials, CHUNK))
     assert fresh.tolist() == [est.successes, est.aborts, est.restart_total,
